@@ -8,20 +8,20 @@
 //! fast-startup budget.
 
 use livenet_bench::Report;
-use livenet_sim::packetsim::{PacketSim, PacketSimConfig, ViewerSpec};
-use livenet_types::{Bandwidth, SimTime};
+use livenet_emu::LossModel;
+use livenet_sim::{Scenario, Viewer};
+use livenet_types::SimTime;
 
 fn startup_ms(burst: bool, join_offset_ms: u64, seed: u64) -> Option<f64> {
-    let mut cfg = PacketSimConfig::three_node_chain(0.0, seed);
-    cfg.startup_burst = burst;
+    let mut sc = Scenario::chain(2, LossModel::None, seed);
+    sc.node.startup_burst = burst;
     // The late viewer joins mid-GoP (GoP = 2 s at 15 fps).
-    cfg.viewers.push(ViewerSpec {
-        node_index: 2,
+    sc.viewers.push(Viewer {
         join_at: SimTime::from_millis(4000 + join_offset_ms),
-        downlink: Bandwidth::from_mbps(50),
+        ..sc.viewers[0].clone()
     });
-    let report = PacketSim::new(cfg).run();
-    report.viewers[1].1.startup.map(|d| d.as_millis_f64())
+    let run = sc.run().expect("chain preset is valid");
+    run.viewers[1].qoe.startup.map(|d| d.as_millis_f64())
 }
 
 fn main() {

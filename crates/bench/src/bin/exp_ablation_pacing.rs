@@ -6,22 +6,20 @@
 //! bandwidth-constrained chain, where the big I frames actually queue.
 
 use livenet_bench::Report;
-use livenet_sim::packetsim::{ChainLink, PacketSim, PacketSimConfig};
-use livenet_types::{Bandwidth, Ecdf, SimTime};
+use livenet_emu::LossModel;
+use livenet_sim::Scenario;
+use livenet_types::{Bandwidth, Ecdf};
 
 fn run_with_gain(gain: f64) -> (f64, f64, f64) {
-    let mut cfg = PacketSimConfig::three_node_chain(0.0, 7);
-    cfg.iframe_gain = gain;
+    let mut sc = Scenario::chain(2, LossModel::None, 7);
+    sc.node.pacer.iframe_gain = gain;
     // Make the PACER the bottleneck (the knob under test): generous links,
     // pacing rate ~1.75× the stream bitrate, so I-frame bursts queue in
     // the pacer and the gain controls how fast they drain.
-    cfg.pacer_rate = Some(Bandwidth::from_kbps(3_500));
-    cfg.links = vec![ChainLink::healthy(10), ChainLink::healthy(10)];
-    cfg.viewers[0].downlink = Bandwidth::from_mbps(50);
-    cfg.viewers[0].join_at = SimTime::from_millis(100);
-    let report = PacketSim::new(cfg).run();
+    sc.node.initial_rate = Bandwidth::from_kbps(3_500);
+    let run = sc.run().expect("chain preset is valid");
     let mut e = Ecdf::new();
-    e.extend(report.frame_delays_ms.iter().copied());
+    e.extend(run.frame_delays_ms());
     (e.quantile(0.5), e.quantile(0.9), e.quantile(0.99))
 }
 

@@ -1,18 +1,30 @@
 //! §5.3 multi-supplier RTX recovery — alternate-supplier chase vs the
 //! single-supplier park-and-wait baseline.
 //!
-//! Runs the AutoRec diamond ([`livenet_sim::autorec`]) — a degraded
-//! primary leg (long RTT + loss) with a warm backup relay — in both modes
-//! over several seeds and emits the detection-to-recovery latency
-//! distributions. The multi-supplier mode chases the backup relay the
-//! moment the primary answers a NACK with an RTX-miss; the baseline parks
-//! on the primary and waits out its fat recovery round trip.
+//! Runs the AutoRec diamond — [`Scenario::diamond`] with a *degraded* P–B
+//! leg: long propagation delay (the reason a backup path exists at all)
+//! plus random loss in both directions, so NACKs and retransmissions die
+//! there too — in both modes over several seeds and emits the
+//! detection-to-recovery latency distributions. Every hole C sees is also
+//! a hole at B (the B–C link is clean), and B's own recovery costs the fat
+//! P–B round trip, so C's NACK to B always arrives while B is still
+//! missing the packet:
+//!
+//! * **Multi-supplier** (`rtx_alt_suppliers > 0`) — on the cache miss B
+//!   replies with an RTX-miss and C immediately re-NACKs D — warm thanks
+//!   to its own viewer and reachable over short clean links — closing the
+//!   hole in tens of ms. Parking on B stays armed as the backstop, so this
+//!   mode is never slower than the baseline.
+//! * **Single-supplier baseline** (`rtx_alt_suppliers == 0`) — C parks on
+//!   B and waits out B's full recovery round trip; holes whose NACK or
+//!   retransmission is lost on the degraded leg slip further, or are
+//!   abandoned outright once the retry budget runs dry.
 //!
 //! Writes `BENCH_autorec.json`. Every (mode, seed) cell is an independent
 //! simulation, so the cell set is fanned across worker threads; the run
 //! repeats at 1, 2, and `--shards N` workers and asserts the outcomes are
-//! bit-identical ([`AutorecOutcome::bit_identical`]) — the same
-//! determinism contract the fleet benches enforce.
+//! identical (`ScenarioRun` equality: every event, counter and frame) —
+//! the same determinism contract the fleet benches enforce.
 //!
 //! `--smoke` shrinks the broadcast for CI and still asserts the headline
 //! result: alternate median strictly below the baseline median, zero
@@ -21,12 +33,62 @@
 //! ```sh
 //! cargo run --release --bin exp_autorec [-- --shards 4] [-- --smoke]
 //! ```
-//!
-//! [`AutorecOutcome::bit_identical`]: livenet_sim::AutorecOutcome::bit_identical
 
 use livenet_bench::{Report, SEED};
-use livenet_sim::{run_autorec, AutorecOutcome, AutorecScenario};
+use livenet_emu::{LinkConfig, LossModel};
+use livenet_node::{NodeEvent, NodeStats};
+use livenet_sim::{Scenario, ScenarioRun, Viewer};
 use livenet_types::SimDuration;
+
+/// The degraded diamond: 80 ms one-way and 3 % loss on P–B, clean 10 ms
+/// hops elsewhere, `P → D → C` cached at C as the backup, and a second
+/// viewer at D keeping the alternate supplier's cache warm.
+fn degraded_diamond(alt_suppliers: usize, seed: u64) -> Scenario {
+    let mut sc = Scenario::diamond(
+        LinkConfig {
+            loss: LossModel::Bernoulli { p: 0.03 },
+            ..LinkConfig::backbone(SimDuration::from_millis(80))
+        },
+        seed,
+    );
+    sc.node.rtx_alt_suppliers = alt_suppliers;
+    sc.viewers.push(Viewer {
+        path: vec![sc.nodes[0], sc.nodes[3]],
+        backups: Vec::new(),
+        ..sc.viewers[0].clone()
+    });
+    sc
+}
+
+/// Positions of the primary relay B and the consumer C in
+/// [`ScenarioRun::nodes`].
+const B: usize = 1;
+const C: usize = 2;
+
+/// Detection-to-recovery latency (ms) of every hole the consumer closed,
+/// in event order, and whether an alternate supplier closed it.
+fn recoveries(run: &ScenarioRun) -> Vec<(f32, bool)> {
+    run.nodes[C]
+        .events
+        .iter()
+        .filter_map(|(_, e)| match e {
+            NodeEvent::HoleRecovered {
+                after, alternate, ..
+            } => Some(((after.as_secs_f64() * 1000.0) as f32, *alternate)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Median over [`recoveries`], `NaN` when there are none.
+fn median_recover_ms(run: &ScenarioRun) -> f64 {
+    let mut v: Vec<f32> = recoveries(run).into_iter().map(|(ms, _)| ms).collect();
+    if v.is_empty() {
+        return f64::NAN;
+    }
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    f64::from(v[(v.len() - 1) / 2])
+}
 
 fn percentile(sorted: &[f32], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -51,22 +113,26 @@ struct ModeSummary {
 }
 
 impl ModeSummary {
-    fn pool(outcomes: &[&AutorecOutcome]) -> Self {
-        let mut v: Vec<f32> = outcomes
+    fn pool(runs: &[&ScenarioRun]) -> Self {
+        let mut v: Vec<f32> = runs
             .iter()
-            .flat_map(|o| o.records.iter().map(|r| r.recover_ms))
+            .flat_map(|r| recoveries(r))
+            .map(|(ms, _)| ms)
             .collect();
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let total = |node: usize, f: fn(&NodeStats) -> u64| -> u64 {
+            runs.iter().map(|r| f(&r.nodes[node].stats)).sum()
+        };
         ModeSummary {
             n: v.len(),
             p50: percentile(&v, 0.5),
             p90: percentile(&v, 0.9),
             p99: percentile(&v, 0.99),
-            alternate_recovered: outcomes.iter().map(|o| o.alternate_recovered).sum(),
-            alternate_requests: outcomes.iter().map(|o| o.alternate_requests).sum(),
-            alternate_exhausted: outcomes.iter().map(|o| o.alternate_exhausted).sum(),
-            primary_misses: outcomes.iter().map(|o| o.primary_misses).sum(),
-            frames_rendered: outcomes.iter().map(|o| o.frames_rendered).sum(),
+            alternate_recovered: total(C, |s| s.rtx_alternate_recovered),
+            alternate_requests: total(C, |s| s.rtx_alternate_requests),
+            alternate_exhausted: total(C, |s| s.rtx_alternate_exhausted),
+            primary_misses: total(B, |s| s.rtx_unavailable),
+            frames_rendered: runs.iter().map(|r| r.viewers[0].frames.len() as u64).sum(),
         }
     }
 
@@ -97,9 +163,9 @@ impl ModeSummary {
 }
 
 /// Run every cell at the given worker-thread count, preserving cell order.
-fn run_cells(cells: &[AutorecScenario], workers: usize) -> Vec<AutorecOutcome> {
+fn run_cells(cells: &[Scenario], workers: usize) -> Vec<ScenarioRun> {
     let workers = workers.max(1);
-    let mut out: Vec<Option<AutorecOutcome>> = vec![None; cells.len()];
+    let mut out: Vec<Option<ScenarioRun>> = vec![None; cells.len()];
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for tid in 0..workers {
@@ -108,7 +174,7 @@ fn run_cells(cells: &[AutorecScenario], workers: usize) -> Vec<AutorecOutcome> {
                 let mut mine = Vec::new();
                 let mut i = tid;
                 while i < cells.len() {
-                    mine.push((i, run_autorec(&cells[i])));
+                    mine.push((i, cells[i].run().expect("diamond preset is valid")));
                     i += workers;
                 }
                 mine
@@ -153,7 +219,7 @@ fn main() {
     let mut cells = Vec::new();
     for &alts in &modes {
         for &seed in seeds {
-            let mut sc = AutorecScenario::new(alts, seed);
+            let mut sc = degraded_diamond(alts, seed);
             if smoke {
                 sc.duration = SimDuration::from_secs(6);
             }
@@ -174,7 +240,7 @@ fn main() {
         let again = run_cells(&cells, workers);
         for (idx, (a, b)) in outcomes.iter().zip(&again).enumerate() {
             assert!(
-                a.bit_identical(b),
+                a == b,
                 "cell {idx} diverged between {threads} and {workers} workers"
             );
         }
@@ -187,17 +253,17 @@ fn main() {
     let mut rows = Vec::new();
     for (sc, o) in cells.iter().zip(&outcomes) {
         rows.push(vec![
-            if sc.alt_suppliers > 0 {
-                format!("alternate ({})", sc.alt_suppliers)
+            if sc.node.rtx_alt_suppliers > 0 {
+                format!("alternate ({})", sc.node.rtx_alt_suppliers)
             } else {
                 "baseline".to_string()
             },
             format!("{}", sc.seed),
-            format!("{}", o.records.len()),
-            format!("{:.2} ms", o.median_recover_ms()),
-            format!("{}", o.alternate_recovered),
-            format!("{}", o.primary_misses),
-            format!("{}", o.frames_rendered),
+            format!("{}", recoveries(o).len()),
+            format!("{:.2} ms", median_recover_ms(o)),
+            format!("{}", o.nodes[C].stats.rtx_alternate_recovered),
+            format!("{}", o.nodes[B].stats.rtx_unavailable),
+            format!("{}", o.viewers[0].frames.len()),
         ]);
     }
     out.table(
@@ -216,10 +282,10 @@ fn main() {
     let per_mode: Vec<ModeSummary> = modes
         .iter()
         .map(|&alts| {
-            let sel: Vec<&AutorecOutcome> = cells
+            let sel: Vec<&ScenarioRun> = cells
                 .iter()
                 .zip(&outcomes)
-                .filter(|(sc, _)| sc.alt_suppliers == alts)
+                .filter(|(sc, _)| sc.node.rtx_alt_suppliers == alts)
                 .map(|(_, o)| o)
                 .collect();
             ModeSummary::pool(&sel)
@@ -251,4 +317,51 @@ fn main() {
     std::fs::write("BENCH_autorec.json", &json).expect("write BENCH_autorec.json");
     out.note("wrote BENCH_autorec.json");
     out.print();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn degraded_leg_produces_misses_and_recoveries() {
+        let run = degraded_diamond(1, 5).run().unwrap();
+        assert!(run.nodes[B].stats.rtx_unavailable > 0, "B never cache-missed");
+        assert!(recoveries(&run).len() > 50, "too few recoveries at C");
+        // 20 s at 15 fps = 300 frames; nearly all must survive the loss.
+        let frames = run.viewers[0].frames.len();
+        assert!(frames > 290, "{frames}");
+    }
+
+    #[test]
+    fn alternate_supplier_beats_the_primary_round_trip() {
+        let alt = degraded_diamond(1, 5).run().unwrap();
+        let base = degraded_diamond(0, 5).run().unwrap();
+        assert!(
+            alt.nodes[C].stats.rtx_alternate_recovered > 0,
+            "multi-supplier mode never recovered via the alternate: {:?}",
+            alt.nodes[C].stats
+        );
+        assert_eq!(
+            base.nodes[C].stats.rtx_alternate_recovered, 0,
+            "baseline must not chase alternates"
+        );
+        assert!(recoveries(&base).iter().all(|&(_, alternate)| !alternate));
+        // The chase over short clean links beats the primary's fat round
+        // trip by a wide margin, not a hair.
+        assert!(
+            median_recover_ms(&alt) < median_recover_ms(&base) / 2.0,
+            "alternate median {} !< half of baseline median {}",
+            median_recover_ms(&alt),
+            median_recover_ms(&base)
+        );
+    }
+
+    #[test]
+    fn outcomes_are_deterministic() {
+        for alts in [0usize, 1] {
+            let sc = degraded_diamond(alts, 9);
+            assert!(sc.run().unwrap() == sc.run().unwrap(), "alts={alts} diverged");
+        }
+    }
 }

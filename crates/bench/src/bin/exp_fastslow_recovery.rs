@@ -9,7 +9,8 @@
 //! viewers stall or skip frames.
 
 use livenet_bench::Report;
-use livenet_sim::packetsim::{PacketSim, PacketSimConfig};
+use livenet_emu::LossModel;
+use livenet_sim::Scenario;
 
 fn main() {
     let mut out = Report::new("fast/slow path recovery (A→B→C, §3 & §5)", "§3 & §5");
@@ -24,28 +25,29 @@ fn main() {
         (2.0, true), // Gilbert–Elliott bursts, same mean
     ] {
         for recovery in [true, false] {
-            let mut cfg = PacketSimConfig::three_node_chain(loss_pct / 100.0, 42);
-            if bursty {
-                cfg.links[0] = livenet_sim::packetsim::ChainLink::healthy(10)
-                    .with_bursty_loss(loss_pct / 100.0);
-            }
+            let loss = if bursty {
+                LossModel::bursty(loss_pct / 100.0)
+            } else {
+                LossModel::Bernoulli { p: loss_pct / 100.0 }
+            };
+            let mut sc = Scenario::chain(2, loss, 42);
             if !recovery {
-                cfg.nack_retry_limit = 0;
+                sc.node.nack_retry_limit = 0;
             }
-            let report = PacketSim::new(cfg).run();
-            let (_, qoe) = report.viewers[0];
-            let mean_recovery = if report.recovery_latencies_ms.is_empty() {
+            let run = sc.run().expect("chain preset is valid");
+            let qoe = run.viewers[0].qoe;
+            let recoveries = run.recovery_latencies_ms();
+            let mean_recovery = if recoveries.is_empty() {
                 f64::NAN
             } else {
-                report.recovery_latencies_ms.iter().sum::<f64>()
-                    / report.recovery_latencies_ms.len() as f64
+                recoveries.iter().sum::<f64>() / recoveries.len() as f64
             };
             rows.push(vec![
                 format!("{loss_pct:.1}%{}", if bursty { " bursty" } else { "" }),
                 if recovery { "fast+slow".into() } else { "fast only".into() },
                 format!("{}", qoe.frames_rendered),
                 format!("{}", qoe.stalls),
-                format!("{}", report.node_stats[0].rtx_served),
+                format!("{}", run.nodes[0].stats.rtx_served),
                 if mean_recovery.is_nan() {
                     "-".into()
                 } else {

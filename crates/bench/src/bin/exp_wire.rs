@@ -27,14 +27,14 @@
 
 use bytes::Bytes;
 use livenet_bench::{Report, SEED};
-use livenet_sim::packetsim::{ChainLink, ViewerSpec};
-use livenet_sim::{PacketSim, PacketSimConfig};
+use livenet_emu::LossModel;
+use livenet_sim::{Scenario, Viewer};
 use livenet_topology::GeoConfig;
 use livenet_transport::{
     testbed, BatchBackend, BatchSocket, RecvBatch, SendDatagram, TestbedBuilder, TestbedConfig,
     MAX_BATCH,
 };
-use livenet_types::{Bandwidth, SimDuration, SimTime, StreamId};
+use livenet_types::{SimDuration, SimTime, StreamId};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -99,7 +99,7 @@ fn hops_to(cfg: &TestbedConfig, rtt: &HashMap<(usize, usize), f64>, node: usize)
 /// The emulator counterpart: a chain over the fleet's modal path shape,
 /// per-hop delay = median wired RTT of that hop across all viewers, with
 /// emulator viewers joining at the wire join-time quantiles.
-fn emulator_config(cfg: &TestbedConfig) -> PacketSimConfig {
+fn emulator_config(cfg: &TestbedConfig) -> Scenario {
     let mut rtt: HashMap<(usize, usize), f64> = HashMap::new();
     for &(a, b, r) in &cfg.edges {
         rtt.insert((a, b), r.as_millis_f64());
@@ -116,13 +116,12 @@ fn emulator_config(cfg: &TestbedConfig) -> PacketSimConfig {
         .max_by_key(|&l| paths.iter().filter(|p| p.len() == l).count())
         .expect("nonempty hop-count range");
     let modal: Vec<&Vec<f64>> = paths.iter().filter(|p| p.len() == modal_len).collect();
-    let links: Vec<ChainLink> = (0..modal_len)
-        .map(|k| {
-            let mut hop: Vec<f64> = modal.iter().map(|p| p[k]).collect();
-            hop.sort_by(f64::total_cmp);
-            ChainLink::healthy(median(&hop).unwrap_or(10.0).round() as u64)
-        })
-        .collect();
+    let mut emu = Scenario::chain(modal_len, LossModel::None, SEED);
+    for (k, link) in emu.links.iter_mut().enumerate() {
+        let mut hop: Vec<f64> = modal.iter().map(|p| p[k]).collect();
+        hop.sort_by(f64::total_cmp);
+        link.2.delay = SimDuration::from_millis(median(&hop).unwrap_or(10.0).round() as u64);
+    }
 
     let mut joins: Vec<f64> = cfg
         .viewers
@@ -130,24 +129,23 @@ fn emulator_config(cfg: &TestbedConfig) -> PacketSimConfig {
         .map(|v| v.join_after.as_secs_f64() * 1000.0)
         .collect();
     joins.sort_by(f64::total_cmp);
-    let viewers: Vec<ViewerSpec> = (1..=9)
+    emu.viewers = (1..=9)
         .map(|d| {
             let at = testbed::percentile(&joins, d as f64 / 10.0).unwrap_or(0.0);
-            ViewerSpec {
-                node_index: links.len(),
+            Viewer {
                 join_at: SimTime::from_millis((at as u64).max(50)),
-                downlink: Bandwidth::from_mbps(50),
+                ..emu.viewers[0].clone()
             }
         })
         .collect();
-
-    let mut emu = PacketSimConfig::three_node_chain(0.0, SEED);
-    emu.links = links;
-    emu.gop = cfg.gop;
+    assert_eq!(
+        cfg.gop,
+        livenet_media::GopConfig::default(),
+        "the emulator streams the default GoP; the wire run must too"
+    );
     emu.bitrate = cfg.bitrate;
     emu.duration = SimDuration::from_nanos(cfg.broadcast.as_nanos() as u64);
     emu.drain = SimDuration::from_nanos(cfg.drain.as_nanos() as u64);
-    emu.viewers = viewers;
     emu
 }
 
@@ -290,18 +288,19 @@ async fn main() {
     ));
 
     // ---- Emulator agreement gate --------------------------------------
-    let emu = PacketSim::new(emu_cfg).run();
+    let emu = emu_cfg.run().expect("chain preset is valid");
     let mut emu_startup: Vec<f64> = emu
         .viewers
         .iter()
-        .filter_map(|(_, q)| q.startup.map(|d| d.as_millis_f64()))
+        .filter_map(|v| v.qoe.startup.map(|d| d.as_millis_f64()))
         .collect();
     emu_startup.sort_by(f64::total_cmp);
     let mut emu_e2e: Vec<f64> = emu
-        .client_frames
+        .viewers
         .iter()
-        .filter_map(|frames| {
-            let d: Vec<f64> = frames
+        .filter_map(|v| {
+            let d: Vec<f64> = v
+                .frames
                 .iter()
                 .filter_map(|(_, _, d)| d.map(|d| d.as_millis_f64()))
                 .collect();

@@ -1,8 +1,9 @@
 //! Shared experiment plumbing: canonical configurations, the cached
 //! 20-day fleet run, and table/figure formatting helpers.
 //!
-//! Every `exp_*` binary regenerates one table or figure of the paper
-//! (DESIGN.md §3 maps them). Binaries accept an optional `--scale <f>`
+//! `exp <name>` regenerates one table or figure of the paper (DESIGN.md §3
+//! maps them); the other `exp_*` binaries are the packet-level, ablation
+//! and wire experiments. Fleet binaries accept an optional `--scale <f>`
 //! argument to shrink the workload for quick runs; the default reproduces
 //! the full 20-day evaluation in a few minutes.
 
@@ -88,13 +89,6 @@ pub fn run_sharded(cfg: FleetConfig, threads: usize) -> FleetReport {
         .run_parallel(threads)
 }
 
-/// Print a header shared by all experiment binaries.
-#[deprecated(since = "0.1.0", note = "build a `Report` with `Report::fleet` instead")]
-#[allow(clippy::print_stdout)]
-pub fn banner(exp: &str, paper_ref: &str, report: &FleetReport) {
-    Report::fleet(exp, paper_ref, report).print();
-}
-
 /// Median of a session metric.
 pub fn median(sessions: &[SessionRecord], f: impl Fn(&SessionRecord) -> f64) -> f64 {
     let mut e = Ecdf::new();
@@ -110,28 +104,6 @@ pub fn ratio_pct(sessions: &[SessionRecord], f: impl Fn(&SessionRecord) -> bool)
         return f64::NAN;
     }
     100.0 * sessions.iter().filter(|s| f(s)).count() as f64 / sessions.len() as f64
-}
-
-/// Render a simple aligned table.
-#[deprecated(since = "0.1.0", note = "use `Report::table` instead")]
-#[allow(clippy::print_stdout)]
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let headers: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    print!("{}", report::render_table(&headers, rows));
-}
-
-/// An ASCII sparkline-style series printer for figure reproductions.
-#[deprecated(since = "0.1.0", note = "use `Report::table` with a bar column instead")]
-#[allow(clippy::print_stdout)]
-pub fn print_series(label: &str, xs: &[String], ys: &[f64], unit: &str) {
-    println!("{label} ({unit}):");
-    for (x, y) in xs.iter().zip(ys) {
-        if y.is_nan() {
-            println!("  {x:>8}  -");
-        } else {
-            println!("  {x:>8}  {y:.3}");
-        }
-    }
 }
 
 #[cfg(test)]

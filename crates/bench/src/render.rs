@@ -1,9 +1,9 @@
 //! Table/figure renderers over a [`FleetReport`].
 //!
 //! Each function appends one of the paper's tables or figures (with the
-//! paper's values alongside) to a [`Report`]. The `exp_*` binaries build a
-//! report from one renderer each and print it; `exp_all` runs the 20-day
-//! fleet once and chains all of them. Keeping renderers print-free is what
+//! paper's values alongside) to a [`Report`]. `exp <name>` builds a report
+//! from one renderer and prints it; `exp all` runs the 20-day fleet once
+//! and chains all of them. Keeping renderers print-free is what
 //! lets the bench library deny `clippy::print_stdout`.
 
 use crate::{median, ratio_pct, Report};

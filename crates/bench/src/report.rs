@@ -1,6 +1,6 @@
 //! Structured experiment output: one builder, one JSON emitter.
 //!
-//! Every `exp_*` binary assembles a [`Report`] — headings, aligned tables,
+//! Every experiment binary assembles a [`Report`] — headings, aligned tables,
 //! free-form notes — instead of printing piecemeal. The builder is the
 //! single place bench output touches stdout ([`Report::print`]), which is
 //! what lets the library crates deny `clippy::print_stdout` wholesale, and
@@ -13,7 +13,7 @@ use livenet_sim::FleetReport;
 /// One renderable block of an experiment report, kept in emit order.
 #[derive(Debug, Clone)]
 enum Section {
-    /// A sub-experiment divider (exp_all's per-figure rules).
+    /// A sub-experiment divider (`exp all`'s per-figure rules).
     Heading(String),
     /// An aligned table.
     Table {
@@ -48,7 +48,7 @@ impl Report {
     }
 
     /// Start a report and stamp the fleet run's headline meta (session
-    /// count, days) — the old `banner` contents.
+    /// count, days).
     pub fn fleet(
         experiment: impl Into<String>,
         paper_ref: impl Into<String>,
@@ -205,9 +205,8 @@ impl Report {
     }
 }
 
-/// Render one aligned table (shared by `print` and the deprecated
-/// `print_table` shim).
-pub(crate) fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
+/// Render one aligned table.
+fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

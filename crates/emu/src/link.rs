@@ -27,6 +27,21 @@ pub enum LossModel {
 }
 
 impl LossModel {
+    /// Gilbert–Elliott bursts with long-run mean loss `mean`: bursts last
+    /// 4 packets on average (`p_bg` = 0.25) and drop half of what they
+    /// cover, so the stationary share of the bad state is `2 × mean`
+    /// (capped at 0.9) and `p_gb` follows from it.
+    pub fn bursty(mean: f64) -> LossModel {
+        let pi_bad = (2.0 * mean).min(0.9);
+        let p_bg = 0.25;
+        LossModel::GilbertElliott {
+            p_gb: p_bg * pi_bad / (1.0 - pi_bad),
+            p_bg,
+            loss_good: 0.0,
+            loss_bad: 0.5,
+        }
+    }
+
     /// Long-run average loss probability of the model.
     pub fn mean_loss(&self) -> f64 {
         match *self {
@@ -330,6 +345,14 @@ mod tests {
         }
         let rate = link.stats.loss_rate();
         assert!((rate - model.mean_loss()).abs() < 0.01, "rate={rate}");
+    }
+
+    #[test]
+    fn bursty_constructor_hits_the_requested_mean() {
+        for mean in [0.005, 0.02, 0.1] {
+            let got = LossModel::bursty(mean).mean_loss();
+            assert!((got - mean).abs() < 1e-12, "mean {mean}: got {got}");
+        }
     }
 
     #[test]

@@ -276,7 +276,7 @@ pub enum NodeAction {
 }
 
 /// Telemetry counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// RTP packets forwarded on the fast path (per subscriber fan-out).
     pub forwarded: u64,

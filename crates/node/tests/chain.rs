@@ -758,7 +758,7 @@ fn broadcaster_mobility_rehomes_producer() {
         Vec::new()
     });
     // The Brain instructs the OLD producer to subscribe to the new one
-    // along D → A (the lookup exp_all's Brain would return).
+    // along D → A (what its path lookup returns).
     h.with_node(1, |n, now| {
         n.demote_to_relay(now, STREAM, &[NodeId::new(4), NodeId::new(1)])
     });

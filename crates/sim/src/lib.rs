@@ -2,11 +2,14 @@
 //!
 //! Two fidelity levels (DESIGN.md §4):
 //!
-//! * [`packetsim`] — full packet-level emulation: real [`OverlayNode`]
+//! * [`scenario`] — full packet-level emulation: real [`OverlayNode`]
 //!   state machines over the discrete-event network emulator, with viewer
-//!   playback-buffer models. Used for the transmission-architecture
-//!   experiments (fast/slow-path recovery, pacing, frame dropping) and to
-//!   calibrate the per-hop constants in [`calibrate`].
+//!   playback-buffer models. One [`Scenario`] builder (nodes, links,
+//!   viewers on explicit paths, fault plan, scripted control plane) with
+//!   two presets, [`Scenario::chain`] and [`Scenario::diamond`], carries
+//!   every transmission-architecture experiment (fast/slow-path recovery,
+//!   pacing, startup bursts, failover, multi-supplier RTX) and calibrates
+//!   the per-hop constants in [`calibrate`].
 //! * [`fleet`] — session-granularity simulation of 20 days of Taobao-Live-
 //!   like workload over the *real* control plane (Streaming Brain, PIB/SIB,
 //!   FIB subscription state with cache-hit backtracking and the long-chain
@@ -24,31 +27,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapter;
-pub mod autorec;
 pub mod calibrate;
 pub mod control;
 pub mod fleet;
 pub mod metrics;
-pub mod packetsim;
-pub mod recovery;
 pub mod runner;
+pub mod scenario;
 pub mod viewer;
 pub mod workload;
 
-pub use adapter::{EmuHost, HostEvent};
-pub use autorec::{run_autorec, AutorecOutcome, AutorecRecord, AutorecScenario};
 pub use calibrate::LatencyConstants;
 pub use control::{ControlPlane, ReplicationConfig, ReplicationSummary};
 pub use fleet::{
     FaultPlanConfig, FleetConfig, FleetConfigBuilder, FleetFault, FleetReport, FleetSim,
     RecoveryRecord, System,
 };
-#[allow(deprecated)]
-pub use metrics::HourlySeries;
 pub use metrics::{record_session, DecisionOutcome, SessionRecord, SessionSummary};
 pub use runner::{partition_channels, FleetRunner, ShardPlan};
-pub use packetsim::{PacketSim, PacketSimConfig, PacketSimReport};
-pub use recovery::{run_recovery, RecoveryMode, RecoveryOutcome, RecoveryScenario};
+pub use scenario::{Scenario, ScenarioRun, Viewer};
 pub use viewer::{PlaybackSim, ViewerQoe};
 pub use workload::{diurnal_factor, Channel, WorkloadConfig};

@@ -123,72 +123,6 @@ pub fn record_session(sink: &mut impl MetricSink, s: &SessionRecord) {
     sink.observe(ids::STAGE_STREAMING_MS, f64::from(s.streaming_delay_ms));
 }
 
-/// Accumulates a per-hour scalar series over the run (e.g. hit ratio,
-/// first-packet delay) — the shape Fig. 10 plots.
-#[deprecated(
-    since = "0.1.0",
-    note = "use a `livenet_telemetry::TelemetryHub` histogram keyed per hour instead"
-)]
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct HourlySeries {
-    sums: Vec<f64>,
-    counts: Vec<u64>,
-}
-
-#[allow(deprecated)]
-impl HourlySeries {
-    /// Empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn slot(&mut self, hour_index: usize) -> usize {
-        if self.sums.len() <= hour_index {
-            self.sums.resize(hour_index + 1, 0.0);
-            self.counts.resize(hour_index + 1, 0);
-        }
-        hour_index
-    }
-
-    /// Add one observation in absolute hour `hour_index` (day*24+hour).
-    pub fn push(&mut self, hour_index: usize, value: f64) {
-        let i = self.slot(hour_index);
-        self.sums[i] += value;
-        self.counts[i] += 1;
-    }
-
-    /// Mean value per absolute hour (NaN where empty).
-    pub fn means(&self) -> Vec<f64> {
-        self.sums
-            .iter()
-            .zip(&self.counts)
-            .map(|(s, &c)| if c == 0 { f64::NAN } else { s / c as f64 })
-            .collect()
-    }
-
-    /// Observation count per hour.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Collapse to a 24-entry hour-of-day profile (mean over days).
-    pub fn hour_of_day_profile(&self) -> [f64; 24] {
-        let mut sums = [0.0f64; 24];
-        let mut counts = [0u64; 24];
-        for (i, (s, &c)) in self.sums.iter().zip(&self.counts).enumerate() {
-            sums[i % 24] += s;
-            counts[i % 24] += c;
-        }
-        let mut out = [f64::NAN; 24];
-        for h in 0..24 {
-            if counts[h] > 0 {
-                out[h] = sums[h] / counts[h] as f64;
-            }
-        }
-        out
-    }
-}
-
 /// Summary statistics over a slice of sessions — the Table 1 row set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionSummary {
@@ -298,22 +232,5 @@ mod tests {
         assert_eq!(lookup.count, 1);
         assert!((lookup.mean().unwrap() - 42.0).abs() < 1e-9);
         assert_eq!(snap.hist("stage.startup_ms").unwrap().count, 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn hourly_series_means_and_profile() {
-        let mut h = HourlySeries::new();
-        h.push(0, 10.0);
-        h.push(0, 20.0);
-        h.push(25, 30.0); // day 1, hour 1
-        let means = h.means();
-        assert_eq!(means[0], 15.0);
-        assert!(means[1].is_nan());
-        assert_eq!(means[25], 30.0);
-        let profile = h.hour_of_day_profile();
-        assert_eq!(profile[0], 15.0);
-        assert_eq!(profile[1], 30.0);
-        assert!(profile[2].is_nan());
     }
 }

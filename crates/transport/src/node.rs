@@ -249,42 +249,14 @@ pub struct UdpOverlayNode {
 }
 
 impl UdpOverlayNode {
-    /// Bind a single-shard node with driver defaults and a private
-    /// telemetry hub.
+    /// Bind `config.recv_shards` sockets and spawn the node's event loop,
+    /// recording into `telemetry` — one hub can aggregate a whole overlay.
+    /// On exit the node also records its core's
+    /// [`livenet_node::NodeStats`] and cc decision totals.
     ///
     /// Returns the handle, an event stream, and the join handle (which
-    /// resolves to the sans-I/O core for post-mortem inspection).
-    pub async fn spawn(
-        config: NodeConfig,
-        bind: SocketAddr,
-        clock: WallClock,
-    ) -> std::io::Result<(
-        NodeHandle,
-        mpsc::UnboundedReceiver<(SimTime, NodeEvent)>,
-        tokio::task::JoinHandle<OverlayNode>,
-    )> {
-        Self::spawn_with_telemetry(config, bind, clock, SharedTelemetry::new()).await
-    }
-
-    /// Like [`UdpOverlayNode::spawn`], recording into a shared hub — one
-    /// hub can aggregate a whole overlay. On exit the node also records
-    /// its core's [`livenet_node::NodeStats`] and cc decision totals.
-    pub async fn spawn_with_telemetry(
-        config: NodeConfig,
-        bind: SocketAddr,
-        clock: WallClock,
-        telemetry: SharedTelemetry,
-    ) -> std::io::Result<(
-        NodeHandle,
-        mpsc::UnboundedReceiver<(SimTime, NodeEvent)>,
-        tokio::task::JoinHandle<OverlayNode>,
-    )> {
-        Self::spawn_wire(WireNodeConfig::new(config), bind, clock, telemetry).await
-    }
-
-    /// Bind `config.recv_shards` sockets and spawn the node's event loop.
-    ///
-    /// The driver config is validated first; an invalid one surfaces as
+    /// resolves to the sans-I/O core for post-mortem inspection). The
+    /// driver config is validated first; an invalid one surfaces as
     /// `InvalidInput` rather than binding half a node.
     pub async fn spawn_wire(
         config: WireNodeConfig,

@@ -151,15 +151,6 @@ impl TestbedConfig {
         TestbedBuilder::new(stream)
     }
 
-    /// The acceptance topology: a 4-node diamond 0→{1,2}→3 with the
-    /// producer at 0 and two viewers at 3.
-    #[deprecated(note = "use TestbedBuilder::diamond(stream).build() instead")]
-    pub fn diamond(stream: StreamId) -> Self {
-        TestbedBuilder::diamond(stream)
-            .build()
-            .expect("diamond preset is always valid")
-    }
-
     /// Check the whole surface; every violation is `Error::InvalidConfig`.
     pub fn validate(&self) -> livenet_types::Result<()> {
         if self.nodes == 0 || self.nodes > MAX_TESTBED_NODES {
@@ -248,8 +239,8 @@ impl TestbedConfig {
     }
 }
 
-/// Validated builder for [`TestbedConfig`] — the only non-deprecated way
-/// to construct one. Mirrors `FleetConfigBuilder`: presets, chained
+/// Validated builder for [`TestbedConfig`] — the only way to construct
+/// one. Mirrors `FleetConfigBuilder`: presets, chained
 /// setters, and a [`TestbedBuilder::build`] that returns
 /// `Error::InvalidConfig` instead of letting a bad config panic deep in
 /// the harness.

@@ -5,7 +5,9 @@ use bytes::Bytes;
 use livenet_media::{GopConfig, VideoEncoder};
 use livenet_node::{NodeConfig, NodeEvent, OverlayMsg};
 use livenet_packet::{Depacketizer, RtpPacket};
-use livenet_transport::{NodeCommand, UdpOverlayNode, WallClock};
+use livenet_transport::{
+    NodeCommand, SharedTelemetry, UdpOverlayNode, WallClock, WireNodeConfig,
+};
 use livenet_types::{Bandwidth, ClientId, NodeId, SimDuration, StreamId};
 use std::net::SocketAddr;
 use tokio::net::UdpSocket;
@@ -24,7 +26,12 @@ async fn frames_flow_over_real_udp_chain() {
     let mut event_rxs = Vec::new();
     let mut joins = Vec::new();
     for &id in &ids {
-        let (h, ev, join) = UdpOverlayNode::spawn(NodeConfig::new(id), local(), clock)
+        let (h, ev, join) = UdpOverlayNode::spawn_wire(
+            WireNodeConfig::new(NodeConfig::new(id)),
+            local(),
+            clock,
+            SharedTelemetry::new(),
+        )
             .await
             .expect("bind");
         handles.push(h);
@@ -152,7 +159,12 @@ async fn second_viewer_gets_local_hit_over_udp() {
     let mut handles = Vec::new();
     let mut event_rxs = Vec::new();
     for &id in &ids {
-        let (h, ev, _join) = UdpOverlayNode::spawn(NodeConfig::new(id), local(), clock)
+        let (h, ev, _join) = UdpOverlayNode::spawn_wire(
+            WireNodeConfig::new(NodeConfig::new(id)),
+            local(),
+            clock,
+            SharedTelemetry::new(),
+        )
             .await
             .expect("bind");
         handles.push(h);

@@ -13,7 +13,7 @@ use livenet_telemetry::ids;
 use livenet_topology::GeoConfig;
 use livenet_transport::{
     testbed, NodeCommand, NodeGone, SharedTelemetry, TestbedBuilder, TestbedConfig,
-    UdpOverlayNode, WallClock, WireViewer,
+    UdpOverlayNode, WallClock, WireNodeConfig, WireViewer,
 };
 use livenet_types::{Bandwidth, ClientId, Error, NodeId, SeqNo, SimDuration, Ssrc, StreamId};
 use std::net::SocketAddr;
@@ -93,7 +93,7 @@ async fn oversized_datagram_is_counted_and_dropped() {
     let mut config = NodeConfig::new(NodeId::new(1));
     config.max_datagram_bytes = 1024;
     let (h, _events, join) =
-        UdpOverlayNode::spawn_with_telemetry(config, local(), clock, telemetry.clone())
+        UdpOverlayNode::spawn_wire(WireNodeConfig::new(config), local(), clock, telemetry.clone())
             .await
             .expect("bind");
 
@@ -128,8 +128,8 @@ async fn oversized_datagram_is_counted_and_dropped() {
 async fn detach_cancels_client_timers() {
     let clock = WallClock::new();
     let telemetry = SharedTelemetry::new();
-    let (h, _events, join) = UdpOverlayNode::spawn_with_telemetry(
-        NodeConfig::new(NodeId::new(1)),
+    let (h, _events, join) = UdpOverlayNode::spawn_wire(
+        WireNodeConfig::new(NodeConfig::new(NodeId::new(1))),
         local(),
         clock,
         telemetry.clone(),
@@ -186,8 +186,8 @@ async fn detach_cancels_client_timers() {
 async fn rehomed_peer_old_address_is_unknown() {
     let clock = WallClock::new();
     let telemetry = SharedTelemetry::new();
-    let (h, _events, join) = UdpOverlayNode::spawn_with_telemetry(
-        NodeConfig::new(NodeId::new(1)),
+    let (h, _events, join) = UdpOverlayNode::spawn_wire(
+        WireNodeConfig::new(NodeConfig::new(NodeId::new(1))),
         local(),
         clock,
         telemetry.clone(),
@@ -230,9 +230,14 @@ async fn rehomed_peer_old_address_is_unknown() {
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
 async fn send_to_dead_node_returns_node_gone() {
     let clock = WallClock::new();
-    let (h, _events, join) = UdpOverlayNode::spawn(NodeConfig::new(NodeId::new(1)), local(), clock)
-        .await
-        .expect("bind");
+    let (h, _events, join) = UdpOverlayNode::spawn_wire(
+        WireNodeConfig::new(NodeConfig::new(NodeId::new(1))),
+        local(),
+        clock,
+        SharedTelemetry::new(),
+    )
+    .await
+    .expect("bind");
     h.send(NodeCommand::Shutdown).await.expect("first send ok");
     join.await.expect("join");
     let err = h
@@ -249,8 +254,8 @@ async fn send_to_dead_node_returns_node_gone() {
 async fn detached_client_feedback_is_dropped() {
     let clock = WallClock::new();
     let telemetry = SharedTelemetry::new();
-    let (h, _events, join) = UdpOverlayNode::spawn_with_telemetry(
-        NodeConfig::new(NodeId::new(1)),
+    let (h, _events, join) = UdpOverlayNode::spawn_wire(
+        WireNodeConfig::new(NodeConfig::new(NodeId::new(1))),
         local(),
         clock,
         telemetry.clone(),
@@ -298,20 +303,6 @@ async fn detached_client_feedback_is_dropped() {
 
     h.send(NodeCommand::Shutdown).await.expect("node alive");
     join.await.expect("join");
-}
-
-/// The deprecated `TestbedConfig::diamond` shim (kept one release) still
-/// produces the exact builder-made diamond.
-#[test]
-fn deprecated_diamond_shim_matches_builder() {
-    #[allow(deprecated)]
-    let shim = TestbedConfig::diamond(STREAM);
-    let built = TestbedBuilder::diamond(STREAM).build().expect("valid");
-    assert_eq!(shim.nodes, built.nodes);
-    assert_eq!(shim.edges, built.edges);
-    assert_eq!(shim.producer, built.producer);
-    assert_eq!(shim.viewers.len(), built.viewers.len());
-    shim.validate().expect("shim output validates");
 }
 
 /// Every class of bad input surfaces as `Error::InvalidConfig` from

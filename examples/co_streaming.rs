@@ -8,119 +8,34 @@
 //! cargo run --release --example co_streaming
 //! ```
 
-use bytes::Bytes;
-use livenet::emu::{LinkConfig, NetSim};
+use livenet::emu::LossModel;
 use livenet::prelude::*;
-use livenet::sim::adapter::{client_host_id, apply_node_actions, EmuHost};
+use livenet::sim::scenario::COSTREAM;
 
 fn main() {
-    let solo = StreamId::new(1);
-    let co = StreamId::new(2);
-    let a = NodeId::new(1); // producer
-    let b = NodeId::new(2); // consumer
-    let client = ClientId::new(9);
+    // Producer → consumer, one viewer on the solo stream; 3 s in, the
+    // co-broadcast begins and the consumer starts the seamless switch.
+    let costream_at = SimTime::from_secs(3);
+    let mut sc = Scenario::chain(1, LossModel::None, 7);
+    sc.costream_at = Some(costream_at);
+    sc.duration = SimDuration::from_secs(8);
+    let run = sc.run().expect("chain preset is valid");
 
-    let mut sim: NetSim<EmuHost> = NetSim::new(7);
-    for id in [a, b] {
-        let mut node = OverlayNode::new(NodeConfig::new(id));
-        node.set_neighbor_rtt(if id == a { b } else { a }, SimDuration::from_millis(20));
-        sim.add_host(id, EmuHost::node(node));
-    }
-    sim.add_duplex(a, b, LinkConfig::backbone(SimDuration::from_millis(10)));
-    let chost = client_host_id(client);
-    sim.add_host(
-        chost,
-        EmuHost::client(client, SimTime::ZERO, 15, SimDuration::from_millis(300)),
+    println!(
+        "t={:.3}s  co-broadcast starts; consumer begins the switch",
+        costream_at.as_secs_f64()
     );
-    sim.add_duplex(b, chost, LinkConfig::backbone(SimDuration::from_millis(5)));
-
-    // Producer hosts both the solo and the co-broadcast streams.
-    sim.with_host(a, |h, _| {
-        let s = h.as_node_mut().expect("node");
-        s.node.register_producer(solo, None);
-        s.node.register_producer(co, None);
-    });
-    // The viewer watches the solo stream.
-    sim.with_host(b, |h, ctx| {
-        let s = h.as_node_mut().expect("node");
-        let mut actions = Vec::new();
-        s.node.client_attach(
-            ctx.now(),
-            client,
-            solo,
-            Some(Bandwidth::from_mbps(50)),
-            Some(&[a, b]),
-            &mut actions,
-        );
-        apply_node_actions(s, ctx, actions);
-    });
-
-    // Stream the solo feed for 3 s; at t=3 s the co-broadcast begins and
-    // the consumer starts the seamless switch.
-    let mut enc_solo = VideoEncoder::new(solo, GopConfig::default(), Bandwidth::from_mbps(2), SimTime::ZERO);
-    let mut enc_co = VideoEncoder::new(
-        co,
-        GopConfig::default(),
-        Bandwidth::from_mbps(2),
-        SimTime::from_secs(3),
-    );
-    let mut switched = false;
-    let end = SimTime::from_secs(8);
-    loop {
-        let t_solo = enc_solo.next_capture_time();
-        let t_co = enc_co.next_capture_time();
-        let next = t_solo.min(t_co);
-        if next >= end {
-            break;
-        }
-        sim.run_until(next);
-        if !switched && next >= SimTime::from_secs(3) {
-            switched = true;
-            sim.with_host(b, |h, ctx| {
-                let s = h.as_node_mut().expect("node");
-                let mut actions = Vec::new();
-                s.node
-                    .begin_costream_switch(ctx.now(), client, co, Some(&[a, b]), &mut actions);
-                apply_node_actions(s, ctx, actions);
-            });
-            println!("t=3.0s  co-broadcast starts; consumer begins the switch");
-        }
-        let (enc, stream) = if t_solo <= t_co {
-            (&mut enc_solo, solo)
-        } else {
-            (&mut enc_co, co)
-        };
-        let frame = enc.next_frame();
-        let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
-        let _ = stream;
-        sim.with_host(a, |h, ctx| {
-            let s = h.as_node_mut().expect("node");
-            let actions = s.node.ingest_frame(ctx.now(), &frame, &payload);
-            apply_node_actions(s, ctx, actions);
-        });
-    }
-    sim.run_until(end + SimDuration::from_secs(1));
-
-    // Report.
-    let consumer = sim.host(b).expect("b").as_node().expect("node");
-    for (t, e) in &consumer.events {
+    let mut now_watching = None;
+    for (t, e) in &run.nodes[1].events {
         if let NodeEvent::SwitchCompleted { from, to, .. } = e {
             println!("t={:.3}s  switch completed: {from} → {to}", t.as_secs_f64());
+            now_watching = Some(*to);
         }
     }
-    let ctl_stream = consumer.node.client(client).expect("client").stream;
-    let stats = consumer.node.client(client).expect("client").stats;
-    println!("client now watches {ctl_stream}; switches recorded: {}", stats.switches);
-
-    let qoe = sim
-        .remove_host(chost)
-        .expect("client host")
-        .finish_client(end + SimDuration::from_secs(1))
-        .expect("client")
-        .1;
+    let qoe = run.viewers[0].qoe;
     println!(
         "viewer QoE across the switch: startup {:?}, {} stalls, {} frames rendered",
         qoe.startup, qoe.stalls, qoe.frames_rendered
     );
-    assert_eq!(ctl_stream, co, "switch must have completed");
+    assert_eq!(now_watching, Some(COSTREAM), "switch must have completed");
 }

@@ -4,17 +4,18 @@
 //! cargo run --release --example fast_slow_recovery
 //! ```
 
+use livenet::emu::LossModel;
 use livenet::prelude::*;
 
 fn main() {
     println!("A → B → C chain, 2% random loss on A→B (paper §3 example)\n");
     for (label, recovery) in [("fast + slow path (LiveNet)", true), ("fast path only", false)] {
-        let mut cfg = PacketSimConfig::three_node_chain(0.02, 42);
+        let mut sc = Scenario::chain(2, LossModel::Bernoulli { p: 0.02 }, 42);
         if !recovery {
-            cfg.nack_retry_limit = 0;
+            sc.node.nack_retry_limit = 0;
         }
-        let report = PacketSim::new(cfg).run();
-        let (_, qoe) = report.viewers[0];
+        let run = sc.run().expect("chain preset is valid");
+        let qoe = run.viewers[0].qoe;
         println!("{label}:");
         println!(
             "  frames rendered: {} / ~150   stalls: {}",
@@ -22,16 +23,16 @@ fn main() {
         );
         println!(
             "  seqs NACKed by B: {} (in {} messages)   retransmissions served by A: {}",
-            report.node_stats[1].nacks_sent,
-            report.node_stats[1].nack_batches,
-            report.node_stats[0].rtx_served
+            run.nodes[1].stats.nacks_sent,
+            run.nodes[1].stats.nack_batches,
+            run.nodes[0].stats.rtx_served
         );
-        if !report.recovery_latencies_ms.is_empty() {
-            let mean = report.recovery_latencies_ms.iter().sum::<f64>()
-                / report.recovery_latencies_ms.len() as f64;
+        let recoveries = run.recovery_latencies_ms();
+        if !recoveries.is_empty() {
+            let mean = recoveries.iter().sum::<f64>() / recoveries.len() as f64;
             println!(
                 "  {} holes recovered, mean detection→recovery {:.0} ms",
-                report.recovery_latencies_ms.len(),
+                recoveries.len(),
                 mean
             );
         }

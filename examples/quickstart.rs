@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use livenet::emu::LossModel;
 use livenet::prelude::*;
 
 fn main() {
@@ -47,15 +48,10 @@ fn main() {
     // 4. Replay that path at packet level: real overlay-node state
     //    machines over the discrete-event emulator, 1 % loss on the first
     //    hop to show the fast/slow-path recovery.
-    let chain_len = best.hops().max(2);
-    let mut cfg = PacketSimConfig::three_node_chain(0.01, 7);
-    if chain_len > 2 {
-        cfg.links
-            .push(livenet::sim::packetsim::ChainLink::healthy(10));
-        cfg.viewers[0].node_index = chain_len;
-    }
-    let report = PacketSim::new(cfg).run();
-    let (_, qoe) = report.viewers[0];
+    let sc = Scenario::chain(best.hops().max(2), LossModel::Bernoulli { p: 0.01 }, 7);
+    let run = sc.run().expect("chain preset is valid");
+    let qoe = run.viewers[0].qoe;
+    let recoveries = run.recovery_latencies_ms();
     println!(
         "viewer: startup {:?} (fast: {}), {} frames rendered, {} stalls",
         qoe.startup,
@@ -65,9 +61,8 @@ fn main() {
     );
     println!(
         "slow path: {} holes recovered (mean {:.0} ms), {} retransmissions served",
-        report.recovery_latencies_ms.len(),
-        report.recovery_latencies_ms.iter().sum::<f64>()
-            / report.recovery_latencies_ms.len().max(1) as f64,
-        report.node_stats.iter().map(|s| s.rtx_served).sum::<u64>()
+        recoveries.len(),
+        recoveries.iter().sum::<f64>() / recoveries.len().max(1) as f64,
+        run.nodes.iter().map(|n| n.stats.rtx_served).sum::<u64>()
     );
 }

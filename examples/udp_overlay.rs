@@ -9,7 +9,9 @@
 
 use bytes::Bytes;
 use livenet::prelude::*;
-use livenet::transport::{NodeCommand, UdpOverlayNode, WallClock};
+use livenet::transport::{
+    NodeCommand, SharedTelemetry, UdpOverlayNode, WallClock, WireNodeConfig,
+};
 use livenet::packet::Depacketizer;
 use tokio::net::UdpSocket;
 
@@ -23,8 +25,13 @@ async fn main() -> std::io::Result<()> {
     let mut handles = Vec::new();
     for &id in &ids {
         let (h, _events, _join) =
-            UdpOverlayNode::spawn(NodeConfig::new(id), "127.0.0.1:0".parse().unwrap(), clock)
-                .await?;
+            UdpOverlayNode::spawn_wire(
+                WireNodeConfig::new(NodeConfig::new(id)),
+                "127.0.0.1:0".parse().unwrap(),
+                clock,
+                SharedTelemetry::new(),
+            )
+            .await?;
         println!("node {id} listening on {}", h.addr);
         handles.push(h);
     }

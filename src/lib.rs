@@ -75,8 +75,8 @@ pub mod prelude {
     };
     pub use livenet_packet::{MediaKind, Packetizer, RtcpPacket, RtpPacket};
     pub use livenet_sim::{
-        FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, FleetSim, PacketSim,
-        PacketSimConfig, SessionRecord,
+        FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, FleetSim, Scenario,
+        ScenarioRun, SessionRecord, Viewer,
     };
     pub use livenet_topology::{GeoConfig, GeoTopology, Topology};
     pub use livenet_types::{
