@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `exp <name>` runs the fleet configuration (tunable via `--scale`,
-//! `--days`, `--seed`, `--shards`) and prints one table or figure with the
+//! `--days`, `--seed`) and prints one table or figure with the
 //! paper's values alongside; `exp all` prints every one from a single run,
 //! plus the packet-level §3/§5 experiment and the telemetry snapshot that
 //! backs them.
@@ -127,7 +127,7 @@ fn main() -> ExitCode {
             None => {
                 let names: Vec<&str> = FIGURES.iter().map(|fig| fig.0).collect();
                 eprintln!(
-                    "usage: exp <name> [--scale f] [--days n] [--seed s] [--shards n]\n\
+                    "usage: exp <name> [--scale f] [--days n] [--seed s]\n\
                      unknown experiment {name:?}; valid names: {}, all, list",
                     names.join(", ")
                 );

@@ -15,27 +15,14 @@ pub mod report;
 
 pub use report::Report;
 
-use livenet_sim::{
-    FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, FleetSim, SessionRecord,
-};
+use livenet_sim::{FleetConfig, FleetConfigBuilder, FleetReport, FleetSim, SessionRecord};
 use livenet_types::Ecdf;
 
 /// The canonical experiment seed.
 pub const SEED: u64 = 20221122;
 
-/// Build the canonical paper-scale fleet configuration.
-///
-/// 20 days, Double-12 festival on days 10–11, 60 nodes / 12 countries
-/// (the paper's 600+ nodes / 70+ countries scaled ~10×; DESIGN.md §1).
-pub fn paper_config(scale: f64) -> FleetConfig {
-    FleetConfigBuilder::paper_scale(SEED)
-        .tweak(|c| c.workload.peak_arrivals_per_sec *= scale)
-        .build()
-        .expect("paper-scale preset is valid")
-}
-
-/// Parse `--scale <f>`, `--days <n>`, `--seed <s>` and `--shards <n>`
-/// from argv, validating the result.
+/// Parse `--scale <f>`, `--days <n>` and `--seed <s>` from argv, validating
+/// the result.
 pub fn cli_config() -> FleetConfig {
     let args: Vec<String> = std::env::args().collect();
     let mut b = FleetConfigBuilder::paper_scale(SEED);
@@ -60,12 +47,6 @@ pub fn cli_config() -> FleetConfig {
                     i += 1;
                 }
             }
-            "--shards" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                    b = b.shards(v);
-                    i += 1;
-                }
-            }
             _ => {}
         }
         i += 1;
@@ -77,16 +58,6 @@ pub fn cli_config() -> FleetConfig {
 /// canonical sample path the `exp_*` tables are quoted against).
 pub fn run(cfg: FleetConfig) -> FleetReport {
     FleetSim::new(cfg).run()
-}
-
-/// Run the fleet simulation sharded across `threads` worker threads.
-///
-/// The result depends on `cfg.shards` but not on `threads` — see
-/// [`FleetRunner`].
-pub fn run_sharded(cfg: FleetConfig, threads: usize) -> FleetReport {
-    FleetRunner::new(cfg)
-        .expect("config validated by the builder")
-        .run_parallel(threads)
 }
 
 /// Median of a session metric.
@@ -133,16 +104,5 @@ mod tests {
         assert_eq!(median(&sessions, |s| f64::from(s.cdn_delay_ms)), 200.0);
         let pct = ratio_pct(&sessions, |s| s.fast_startup());
         assert!((pct - 66.666).abs() < 0.01);
-    }
-
-    #[test]
-    fn paper_config_scales_arrivals() {
-        let base = paper_config(1.0);
-        let half = paper_config(0.5);
-        assert!(
-            (half.workload.peak_arrivals_per_sec - base.workload.peak_arrivals_per_sec / 2.0)
-                .abs()
-                < 1e-12
-        );
     }
 }

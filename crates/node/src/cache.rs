@@ -108,99 +108,58 @@ impl StreamCache {
     /// I-frame start whose run to `highest` is contiguous, through the
     /// newest packet. Empty when no such burst can be assembled.
     pub fn startup_burst(&self) -> Vec<RtpPacket> {
+        self.burst(false)
+    }
+
+    /// A burst guaranteed to contain at least one COMPLETE GoP: the longest
+    /// contiguous run (ending at `highest`) that spans ≥ 2 I-frame starts.
+    /// Used for seamless co-stream switching (§5.2), where the client must
+    /// receive a whole GoP before the flip. Empty when no such run exists.
+    pub(crate) fn switch_burst(&self) -> Vec<RtpPacket> {
+        self.burst(true)
+    }
+
+    /// The first contiguous run from a cached I-frame start to `highest`:
+    /// the shortest (newest start), or with `whole_gop` the longest that
+    /// holds two I-frame starts.
+    fn burst(&self, whole_gop: bool) -> Vec<RtpPacket> {
         let Some(highest) = self.highest else {
             return Vec::new();
         };
-        // Try I-frame starts newest-first (smallest distance behind highest).
-        let mut starts: Vec<SeqNo> = self.iframe_starts.clone();
+        let mut starts = self.iframe_starts.clone();
         starts.sort_by_key(|s| highest.distance(*s));
-        for &start in &starts {
-            let span = highest.distance(start);
-            if span < 0 {
-                continue;
-            }
-            let mut run = Vec::with_capacity(span as usize + 1);
-            let mut seq = start;
-            let mut complete = true;
-            for _ in 0..=span {
-                match self.packets.get(&seq.0) {
-                    Some(c) => run.push(c.packet.clone()),
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-                seq = seq.next();
-            }
-            if complete {
-                return run;
-            }
+        if whole_gop {
+            starts.reverse();
         }
-        Vec::new()
+        starts
+            .into_iter()
+            .filter_map(|start| self.run_from(start, highest))
+            .find(|&(_, i_starts)| i_starts > usize::from(whole_gop))
+            .map(|(run, _)| run)
+            .unwrap_or_default()
     }
 
-    /// Count of distinct cached I-frame starts (≈ GoPs retained).
-    pub fn gops_cached(&self) -> usize {
-        self.iframe_starts.len()
+    /// The packets from `start` through `highest` and the number of
+    /// I-frame starts among them; `None` when one is missing.
+    fn run_from(&self, start: SeqNo, highest: SeqNo) -> Option<(Vec<RtpPacket>, usize)> {
+        let span = usize::try_from(highest.distance(start)).ok()?;
+        let mut run = Vec::with_capacity(span + 1);
+        let mut i_starts = 0;
+        let mut seq = start;
+        for _ in 0..=span {
+            let cached = self.packets.get(&seq.0)?;
+            if cached.kind == Some(FrameKind::I) && frag_is_start(&cached.packet.payload) {
+                i_starts += 1;
+            }
+            run.push(cached.packet.clone());
+            seq = seq.next();
+        }
+        Some((run, i_starts))
     }
 
     /// Frame kind of a cached packet (None when unknown).
     pub fn kind_of(&self, seq: SeqNo) -> Option<FrameKind> {
         self.packets.get(&seq.0).and_then(|c| c.kind)
-    }
-}
-
-impl StreamCache {
-    /// Like [`Self::startup_burst`] but also reports the burst's byte size.
-    pub fn startup_burst_with_size(&self) -> (Vec<RtpPacket>, usize) {
-        let burst = self.startup_burst();
-        let bytes = burst.iter().map(RtpPacket::wire_len).sum();
-        (burst, bytes)
-    }
-
-    /// A burst guaranteed to contain at least one COMPLETE GoP: the newest
-    /// contiguous run (ending at `highest`) that spans ≥ 2 I-frame starts.
-    /// Used for seamless co-stream switching (§5.2), where the client must
-    /// receive a whole GoP before the flip. Empty when no such run exists.
-    pub fn switch_burst(&self) -> Vec<RtpPacket> {
-        let Some(highest) = self.highest else {
-            return Vec::new();
-        };
-        let mut starts: Vec<SeqNo> = self.iframe_starts.clone();
-        starts.sort_by_key(|s| highest.distance(*s));
-        // Walk I starts oldest-to-newest looking for the longest complete
-        // run that still covers two I frames.
-        for &start in starts.iter().rev() {
-            let span = highest.distance(start);
-            if span < 0 {
-                continue;
-            }
-            let mut run = Vec::with_capacity(span as usize + 1);
-            let mut seq = start;
-            let mut complete = true;
-            let mut i_starts = 0;
-            for _ in 0..=span {
-                match self.packets.get(&seq.0) {
-                    Some(c) => {
-                        if c.kind == Some(FrameKind::I)
-                            && frag_is_start(&c.packet.payload)
-                        {
-                            i_starts += 1;
-                        }
-                        run.push(c.packet.clone());
-                    }
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-                seq = seq.next();
-            }
-            if complete && i_starts >= 2 {
-                return run;
-            }
-        }
-        Vec::new()
     }
 }
 
@@ -230,7 +189,6 @@ mod tests {
         }
         assert!(cache.get(SeqNo(0)).is_some());
         assert!(cache.get(SeqNo(99)).is_none());
-        assert_eq!(cache.gops_cached(), 1);
         assert_eq!(cache.kind_of(SeqNo(0)), Some(FrameKind::I));
     }
 
@@ -317,17 +275,25 @@ mod tests {
     }
 
     #[test]
-    fn burst_size_accounts_bytes() {
-        let mut cache = StreamCache::new(64);
+    fn switch_burst_needs_a_complete_gop() {
+        let mut cache = StreamCache::new(256);
         let mut p = Packetizer::new(Ssrc(1), SeqNo(0));
-        for pkt in frame_packets(&mut p, FrameKind::I, 0, 2500) {
+        for (kind, ts, sz) in [(FrameKind::I, 0, 3000), (FrameKind::P, 3000, 800)] {
+            for pkt in frame_packets(&mut p, kind, ts, sz) {
+                cache.insert(pkt);
+            }
+        }
+        // One I start: a startup burst exists, a whole GoP does not yet.
+        assert!(!cache.startup_burst().is_empty());
+        assert!(cache.switch_burst().is_empty());
+        for pkt in frame_packets(&mut p, FrameKind::I, 6000, 3000) {
             cache.insert(pkt);
         }
-        let (burst, bytes) = cache.startup_burst_with_size();
-        assert_eq!(
-            bytes,
-            burst.iter().map(|p| p.wire_len()).sum::<usize>()
-        );
-        assert!(bytes >= 2500);
+        // Two I starts: the switch burst is the longest run (from the
+        // first I), the startup burst the shortest (from the second).
+        let switch = cache.switch_burst();
+        assert_eq!(switch.len(), cache.len());
+        assert_eq!(switch[0].header.timestamp, 0);
+        assert_eq!(cache.startup_burst()[0].header.timestamp, 6000);
     }
 }

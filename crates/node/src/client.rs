@@ -92,11 +92,6 @@ impl ClientControl {
         }
     }
 
-    /// Current drop level (0 = none … 4 = whole-GoP skipping).
-    pub fn drop_level(&self) -> u8 {
-        self.drop_level
-    }
-
     /// Decide whether to enqueue one packet toward this client.
     ///
     /// `kind` is the packet's frame kind (None = unknown → always admit);
@@ -271,7 +266,7 @@ mod tests {
         for i in (0..=350).step_by(50) {
             c.admit(at(i), Some(FrameKind::P), true);
         }
-        assert_eq!(c.drop_level(), LEVEL_BUNREF);
+        assert_eq!(c.drop_level, LEVEL_BUNREF);
         assert!(!c.admit(at(360), Some(FrameKind::BUnref), true));
         assert!(c.admit(at(370), Some(FrameKind::B), true));
         assert!(c.admit(at(380), Some(FrameKind::P), true));
@@ -283,7 +278,7 @@ mod tests {
     fn full_ladder_escalation_reaches_gop_skip() {
         let mut c = ctl();
         let mut t = 0;
-        while c.drop_level() < LEVEL_GOP {
+        while c.drop_level < LEVEL_GOP {
             c.admit(at(t), Some(FrameKind::P), true);
             t += 50;
             assert!(t < 100_000, "never reached GoP level");
@@ -299,7 +294,7 @@ mod tests {
     fn audio_is_never_dropped() {
         let mut c = ctl();
         let mut t = 0;
-        while c.drop_level() < LEVEL_GOP {
+        while c.drop_level < LEVEL_GOP {
             c.admit(at(t), Some(FrameKind::P), true);
             t += 50;
         }
@@ -312,17 +307,17 @@ mod tests {
         for i in (0..=350).step_by(50) {
             c.admit(at(i), Some(FrameKind::P), true);
         }
-        assert_eq!(c.drop_level(), LEVEL_BUNREF);
+        assert_eq!(c.drop_level, LEVEL_BUNREF);
         // One non-backlogged admit long after the last backlog.
         c.admit(at(5_000), Some(FrameKind::P), false);
-        assert_eq!(c.drop_level(), LEVEL_NONE);
+        assert_eq!(c.drop_level, LEVEL_NONE);
     }
 
     #[test]
     fn sustained_p_dropping_requests_step_down() {
         let mut c = ctl();
         let mut t = 0;
-        while c.drop_level() < LEVEL_P {
+        while c.drop_level < LEVEL_P {
             c.admit(at(t), Some(FrameKind::P), true);
             t += 50;
         }
@@ -332,7 +327,7 @@ mod tests {
         let lower = c.lower_rendition().unwrap();
         c.apply_step_down(lower, later);
         assert_eq!(c.stream, lower);
-        assert_eq!(c.drop_level(), LEVEL_NONE);
+        assert_eq!(c.drop_level, LEVEL_NONE);
         assert_eq!(c.stats.step_downs, 1);
         // Already at the bottom: no further step-down available.
         assert!(c.lower_rendition().is_none());
@@ -369,7 +364,7 @@ mod tests {
         for i in 0..100u64 {
             c.admit(SimTime::from_micros(800 * i), Some(FrameKind::P), true);
         }
-        assert_eq!(c.drop_level(), LEVEL_NONE);
+        assert_eq!(c.drop_level, LEVEL_NONE);
     }
 
     #[test]

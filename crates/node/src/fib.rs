@@ -78,27 +78,14 @@ impl StreamFib {
         self.entries.contains_key(&stream)
     }
 
-    /// Streams with at least one subscriber.
-    pub fn streams(&self) -> impl Iterator<Item = StreamId> + '_ {
-        self.entries.keys().copied()
+    /// True when `sub` subscribes to any stream here.
+    pub(crate) fn has_subscriber(&self, sub: Subscriber) -> bool {
+        self.entries.values().any(|set| set.contains(&sub))
     }
 
     /// Total number of (stream, subscriber) pairs — the node's fan-out load.
     pub fn total_subscriptions(&self) -> usize {
         self.entries.values().map(BTreeSet::len).sum()
-    }
-
-    /// Remove a subscriber from every stream (peer failure / client leave).
-    /// Returns the streams it was removed from.
-    pub fn purge_subscriber(&mut self, sub: Subscriber) -> Vec<StreamId> {
-        let mut affected = Vec::new();
-        self.entries.retain(|stream, set| {
-            if set.remove(&sub) {
-                affected.push(*stream);
-            }
-            !set.is_empty()
-        });
-        affected
     }
 }
 
@@ -153,24 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn purge_subscriber_spans_streams() {
-        let mut fib = StreamFib::new();
-        fib.subscribe(s(1), n(9));
-        fib.subscribe(s(2), n(9));
-        fib.subscribe(s(2), n(3));
-        let affected = fib.purge_subscriber(n(9));
-        assert_eq!(affected, vec![s(1), s(2)]);
-        assert!(!fib.has_stream(s(1)));
-        assert_eq!(fib.subscriber_count(s(2)), 1);
-    }
-
-    #[test]
     fn total_subscriptions_counts_pairs() {
         let mut fib = StreamFib::new();
         fib.subscribe(s(1), n(1));
         fib.subscribe(s(1), n(2));
         fib.subscribe(s(2), c(1));
         assert_eq!(fib.total_subscriptions(), 3);
-        assert_eq!(fib.streams().count(), 2);
     }
 }

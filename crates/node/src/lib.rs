@@ -17,8 +17,12 @@
 //!   bookkeeping, framing;
 //! * [`client`] — consumer-side per-client control: bitrate selection,
 //!   proactive frame dropping, seamless stream switching;
-//! * [`node`] — [`OverlayNode`] itself, wiring fast path, slow path, GCC
-//!   and the pacer together.
+//! * `stream` — all state of one stream: its upstream subscription, the
+//!   slow-path modules above, cached backup paths, parked RTX requests;
+//! * `peer` — all state of one subscriber (pacer, GCC sender) and of one
+//!   neighboring node (RTT hint, liveness, GCC receiver);
+//! * [`node`] — [`OverlayNode`] itself: configuration, the public API, and
+//!   the dispatch of datagrams and timers onto those entries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,11 +32,15 @@ pub mod client;
 pub mod fib;
 pub mod msg;
 pub mod node;
+mod peer;
 pub mod rx;
+mod stream;
 
 pub use cache::StreamCache;
 pub use client::{ClientControl, ClientQueueStats};
 pub use fib::{StreamFib, Subscriber};
 pub use msg::OverlayMsg;
-pub use node::{NodeAction, NodeConfig, NodeEvent, NodeStats, OverlayNode, TimerKind};
+pub use node::{
+    NodeAction, NodeConfig, NodeEvent, NodeFootprint, NodeStats, OverlayNode, TimerKind,
+};
 pub use rx::RxState;

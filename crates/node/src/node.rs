@@ -15,25 +15,27 @@
 //!   detection, 50 ms NACK scans), the per-upstream GCC delay estimator,
 //!   the packet/GoP cache (retransmission + fast startup), and the framing
 //!   module (GoP assembly). Slow-path copies are never forwarded.
+//!
+//! State lives in three ordered maps next to the Stream FIB and the
+//! attached clients: `streams` (`stream.rs`), `peers` and `neighbors`
+//! (`peer.rs`). This file is configuration, the public API and dispatch.
 
 use crate::cache::StreamCache;
 use crate::client::ClientControl;
 use crate::fib::{StreamFib, Subscriber};
 use crate::msg::OverlayMsg;
-use crate::rx::{RxOutcome, RxState};
+use crate::peer::{Neighbor, Peer};
+use crate::stream::{rtcp_to, to_node, StreamState};
 use bytes::Bytes;
-use livenet_cc::{
-    DelayBasedEstimator, GccSender, PacedPacket, Pacer, PacerConfig, RateDecisionStats,
-    SendPriority,
-};
+use livenet_cc::{PacerConfig, RateDecisionStats};
 use livenet_media::{EncodedFrame, FrameKind, SimulcastLadder};
-use livenet_packet::{frag_meta, MediaKind, Packetizer, RtcpPacket, RtpPacket};
 use livenet_packet::rtp::ssrc_for_stream;
+use livenet_packet::{frag_meta, Packetizer, RtcpPacket, RtpPacket};
 use livenet_packet::{Nack, ReceiverReport, Remb, RtxMiss};
 use livenet_types::{
-    Bandwidth, ClientId, NodeId, SeqNo, SimDuration, SimTime, StreamId,
+    Bandwidth, ClientId, NodeId, Result, SeqNo, SimDuration, SimTime, StreamId,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer kinds multiplexed over the driver's single timer key space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,8 +137,8 @@ pub struct NodeConfig {
     /// and RTT-ordered. `0` disables the alternate path entirely: misses
     /// park on the primary and wait out its own recovery.
     pub rtx_alt_suppliers: usize,
-    /// How long an unserviceable downstream NACK may stay parked in
-    /// `pending_rtx` before the loss-scan sweep evicts it. By then the
+    /// How long an unserviceable downstream NACK may stay parked before
+    /// the loss-scan sweep evicts it. By then the
     /// downstream has either recovered elsewhere or abandoned the hole,
     /// so serving it would only produce duplicates.
     pub pending_rtx_ttl: SimDuration,
@@ -275,6 +277,12 @@ pub enum NodeAction {
     Event(NodeEvent),
 }
 
+impl From<NodeEvent> for NodeAction {
+    fn from(event: NodeEvent) -> NodeAction {
+        NodeAction::Event(event)
+    }
+}
+
 /// Telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
@@ -310,6 +318,9 @@ pub struct NodeStats {
     pub local_hits: u64,
     /// Upstreams declared dead and failed over (fast or slow path).
     pub upstream_failovers: u64,
+    /// Datagrams dropped because their envelope, or the RTP or RTCP
+    /// packet inside it, did not decode.
+    pub malformed: u64,
 }
 
 impl NodeStats {
@@ -333,77 +344,64 @@ impl NodeStats {
         sink.add(ids::NODE_SUBS_RECEIVED, self.subs_received);
         sink.add(ids::NODE_LOCAL_HITS, self.local_hits);
         sink.add(ids::NODE_FAILOVERS, self.upstream_failovers);
+        sink.add(ids::NODE_MALFORMED, self.malformed);
     }
 }
 
-/// A packet waiting in a peer's pacer.
-#[derive(Debug, Clone)]
-struct OutPkt {
-    stream: StreamId,
-    packet: RtpPacket,
-    retransmit: bool,
-}
-
-/// Per-stream producer state.
-struct ProducerState {
-    packetizer: Packetizer,
+/// How many entries each of a node's state tables holds: "nothing
+/// outlives what referenced it" is an equality between two footprints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeFootprint {
+    /// Streams with any state (cache, receive state, subscription).
+    pub streams: usize,
+    /// Subscribers with a pacer and a rate controller.
+    pub peers: usize,
+    /// Overlay neighbors known by RTT hint or by having been heard.
+    pub neighbors: usize,
+    /// Attached viewers.
+    pub clients: usize,
+    /// Candidate paths cached across all streams.
+    pub cached_paths: usize,
+    /// Downstream NACKs parked across all streams.
+    pub parked_rtx: usize,
 }
 
 /// The overlay node.
 pub struct OverlayNode {
     cfg: NodeConfig,
     fib: StreamFib,
-    /// Established upstream per stream.
-    upstream: HashMap<StreamId, NodeId>,
-    /// Subscription sent upstream, awaiting SubscribeOk.
-    pending: HashMap<StreamId, NodeId>,
-    /// Mid-stream path switch in flight: stream → old upstream to release
-    /// once the new subscription confirms (§7.1 "Maintaining Multiple
-    /// Paths": consumers re-route on local quality observations).
-    switching_from: HashMap<StreamId, NodeId>,
-    /// Downstream nodes awaiting our SubscribeOk relay.
-    waiting_ok: HashMap<StreamId, Vec<NodeId>>,
-    caches: HashMap<StreamId, StreamCache>,
-    rx: HashMap<StreamId, RxState>,
-    depack: HashMap<StreamId, livenet_packet::Depacketizer>,
-    gcc_rx: HashMap<NodeId, DelayBasedEstimator>,
-    gcc_tx: BTreeMap<Subscriber, GccSender>,
-    pacers: BTreeMap<Subscriber, Pacer<OutPkt>>,
-    /// Pacer timers currently armed (avoid duplicate timers per peer).
-    pacer_armed: BTreeMap<Subscriber, SimTime>,
+    /// Per-stream state; an entry lives while something references the
+    /// stream, and [`Self::release_stream`] is the only remover.
+    streams: BTreeMap<StreamId, StreamState>,
+    /// Send-side state per subscriber; an entry lives while the subscriber
+    /// holds a FIB entry, and [`Self::unsubscribe`] is the only remover.
+    peers: BTreeMap<Subscriber, Peer>,
+    /// Receive-side state per overlay neighbor. Never removed one by one
+    /// (the overlay's membership bounds them); what the network taught us
+    /// is forgotten when the neighbor is declared dead.
+    neighbors: BTreeMap<NodeId, Neighbor>,
     clients: BTreeMap<ClientId, ClientControl>,
-    producers: HashMap<StreamId, ProducerState>,
-    ladders: HashMap<StreamId, SimulcastLadder>,
-    neighbor_rtt: HashMap<NodeId, SimDuration>,
-    /// Last time anything (RTP or RTCP) was heard from each neighbor;
-    /// feeds the upstream-liveness check.
-    last_heard: HashMap<NodeId, SimTime>,
-    /// Cached candidate paths per stream (producer-first, ending here):
-    /// the Brain's K paths from the original lookup plus any prefetched
-    /// backups. The fast failover path re-subscribes along the first
-    /// cached path that avoids the failed element (§7.1 backup paths).
-    path_cache: HashMap<StreamId, Vec<Vec<NodeId>>>,
-    /// Downstream NACKs we could not serve because the packet was missing
-    /// from our own cache (lost on our upstream link too). Served the
-    /// moment the packet arrives — typically as our own recovery — instead
-    /// of making the downstream wait out another NACK retry round.
-    /// Entries are purged on stream reset and swept by TTL in the loss
-    /// scan so stale waiters cannot eat the cap.
-    pending_rtx: HashMap<StreamId, BTreeMap<u16, PendingRtx>>,
     /// Telemetry.
     pub stats: NodeStats,
 }
 
-/// One parked downstream NACK: who is waiting, and since when (drives the
-/// TTL sweep).
-#[derive(Debug, Clone)]
-struct PendingRtx {
-    waiters: Vec<NodeId>,
-    parked_at: SimTime,
+/// `from` was heard from at `now`.
+fn heard(neighbors: &mut BTreeMap<NodeId, Neighbor>, from: NodeId, now: SimTime) -> &mut Neighbor {
+    let neighbor = neighbors.entry(from).or_default();
+    neighbor.last_heard = Some(now);
+    neighbor
 }
 
-/// Bound on remembered unserviceable NACKs per stream.
-const MAX_PENDING_RTX: usize = 1_024;
+/// The state of `stream`, created empty on first mention.
+fn stream_entry<'a>(
+    streams: &'a mut BTreeMap<StreamId, StreamState>,
+    cfg: &NodeConfig,
+    stream: StreamId,
+) -> &'a mut StreamState {
+    streams
+        .entry(stream)
+        .or_insert_with(|| StreamState::new(stream, cfg.cache_packets))
+}
 
 impl OverlayNode {
     /// Build a node. Call [`Self::start`] to arm the periodic timers.
@@ -411,24 +409,10 @@ impl OverlayNode {
         OverlayNode {
             cfg,
             fib: StreamFib::new(),
-            upstream: HashMap::new(),
-            pending: HashMap::new(),
-            switching_from: HashMap::new(),
-            waiting_ok: HashMap::new(),
-            caches: HashMap::new(),
-            rx: HashMap::new(),
-            depack: HashMap::new(),
-            gcc_rx: HashMap::new(),
-            gcc_tx: BTreeMap::new(),
-            pacers: BTreeMap::new(),
-            pacer_armed: BTreeMap::new(),
+            streams: BTreeMap::new(),
+            peers: BTreeMap::new(),
+            neighbors: BTreeMap::new(),
             clients: BTreeMap::new(),
-            producers: HashMap::new(),
-            ladders: HashMap::new(),
-            neighbor_rtt: HashMap::new(),
-            last_heard: HashMap::new(),
-            path_cache: HashMap::new(),
-            pending_rtx: HashMap::new(),
             stats: NodeStats::default(),
         }
     }
@@ -443,9 +427,9 @@ impl OverlayNode {
         &self.fib
     }
 
-    /// The packet cache of a stream, if any.
+    /// The packet cache of a stream, if the node holds state for it.
     pub fn cache(&self, stream: StreamId) -> Option<&StreamCache> {
-        self.caches.get(&stream)
+        self.streams.get(&stream).map(|st| &st.cache)
     }
 
     /// A client's control state.
@@ -455,13 +439,25 @@ impl OverlayNode {
 
     /// Established upstream of a stream.
     pub fn upstream_of(&self, stream: StreamId) -> Option<NodeId> {
-        self.upstream.get(&stream).copied()
+        self.streams.get(&stream)?.upstream
+    }
+
+    /// Sizes of the node's state tables.
+    pub fn footprint(&self) -> NodeFootprint {
+        NodeFootprint {
+            streams: self.streams.len(),
+            peers: self.peers.len(),
+            neighbors: self.neighbors.len(),
+            clients: self.clients.len(),
+            cached_paths: self.streams.values().map(StreamState::cached_paths).sum(),
+            parked_rtx: self.streams.values().map(StreamState::parked_rtx).sum(),
+        }
     }
 
     /// Provide an RTT hint for a neighbor (used for the delay field's
     /// half-next-hop-RTT increment). Drivers refresh this from probes.
     pub fn set_neighbor_rtt(&mut self, neighbor: NodeId, rtt: SimDuration) {
-        self.neighbor_rtt.insert(neighbor, rtt);
+        self.neighbors.entry(neighbor).or_default().rtt = Some(rtt);
     }
 
     /// Arm the periodic slow-path timers. Call once at startup.
@@ -486,45 +482,22 @@ impl OverlayNode {
     /// stream — the Brain's K-path lookup result or prefetched backups.
     /// The upstream-failover fast path picks from these.
     pub fn install_paths(&mut self, stream: StreamId, paths: &[Vec<NodeId>]) {
-        let entry = self.path_cache.entry(stream).or_default();
-        for p in paths {
-            if p.len() >= 2 && !entry.contains(p) {
-                entry.push(p.clone());
-            }
-        }
-    }
-
-    /// Cached candidate paths for a stream.
-    pub fn cached_paths(&self, stream: StreamId) -> &[Vec<NodeId>] {
-        self.path_cache
-            .get(&stream)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        stream_entry(&mut self.streams, &self.cfg, stream).install_paths(paths);
     }
 
     /// Drop all volatile state after a process crash, keeping only the
-    /// static config and the driver-provided neighbor RTT hints. The
-    /// restarted process re-arms its timers via [`Self::start`] and
-    /// re-learns everything else from the network.
+    /// static config, the counters and the driver-provided neighbor RTT
+    /// hints. The restarted process re-arms its timers via [`Self::start`]
+    /// and re-learns everything else from the network.
     pub fn crash_reset(&mut self) {
-        self.fib = StreamFib::new();
-        self.upstream.clear();
-        self.pending.clear();
-        self.switching_from.clear();
-        self.waiting_ok.clear();
-        self.caches.clear();
-        self.rx.clear();
-        self.depack.clear();
-        self.gcc_rx.clear();
-        self.gcc_tx.clear();
-        self.pacers.clear();
-        self.pacer_armed.clear();
-        self.clients.clear();
-        self.producers.clear();
-        self.ladders.clear();
-        self.last_heard.clear();
-        self.path_cache.clear();
-        self.pending_rtx.clear();
+        let mut fresh = OverlayNode::new(self.cfg.clone());
+        fresh.stats = self.stats;
+        for (&id, neighbor) in &self.neighbors {
+            if let Some(rtt) = neighbor.rtt {
+                fresh.set_neighbor_rtt(id, rtt);
+            }
+        }
+        *self = fresh;
     }
 
     // ------------------------------------------------------------------
@@ -532,8 +505,9 @@ impl OverlayNode {
     // ------------------------------------------------------------------
 
     /// Register this node as the producer of `stream` (broadcaster mapped
-    /// here by DNS). Optionally records the stream's simulcast ladder so
-    /// consumer-side selection can use it.
+    /// here by DNS). Optionally records the simulcast ladder the stream
+    /// belongs to, so clients attaching here to `stream` get their
+    /// rendition selected from it.
     pub fn register_producer(&mut self, stream: StreamId, ladder: Option<SimulcastLadder>) {
         self.register_producer_continuation(stream, ladder, SeqNo::ZERO);
     }
@@ -548,28 +522,24 @@ impl OverlayNode {
         ladder: Option<SimulcastLadder>,
         next_seq: SeqNo,
     ) {
-        self.producers.entry(stream).or_insert_with(|| ProducerState {
-            packetizer: Packetizer::new(ssrc_for_stream(stream), next_seq),
-        });
-        self.caches
-            .entry(stream)
-            .or_insert_with(|| StreamCache::new(self.cfg.cache_packets));
-        if let Some(l) = ladder {
-            for r in l.renditions() {
-                self.ladders.insert(r.stream, l.clone());
-            }
+        let st = stream_entry(&mut self.streams, &self.cfg, stream);
+        st.producer
+            .get_or_insert_with(|| Packetizer::new(ssrc_for_stream(stream), next_seq));
+        if ladder.is_some() {
+            st.ladder = ladder;
         }
     }
 
     /// The next sequence number this producer will emit (handover state
     /// for broadcaster mobility).
     pub fn producer_next_seq(&self, stream: StreamId) -> Option<SeqNo> {
-        self.producers.get(&stream).map(|p| p.packetizer.next_seq())
+        let packetizer = self.streams.get(&stream)?.producer.as_ref()?;
+        Some(packetizer.next_seq())
     }
 
     /// True when this node produces the stream.
     pub fn is_producer(&self, stream: StreamId) -> bool {
-        self.producers.contains_key(&stream)
+        self.producer_next_seq(stream).is_some()
     }
 
     /// Broadcaster mobility (§7.1): the broadcaster re-homed to a new
@@ -581,17 +551,18 @@ impl OverlayNode {
     /// do not need to change."
     pub fn demote_to_relay(
         &mut self,
-        now: SimTime,
+        _now: SimTime,
         stream: StreamId,
         path_to_new: &[NodeId],
     ) -> Vec<NodeAction> {
         let mut actions = Vec::new();
-        if self.producers.remove(&stream).is_none() {
-            return actions; // we weren't the producer
+        if let Some(st) = self.streams.get_mut(&stream) {
+            // Keep the cache (it still serves startups and RTX for old
+            // data), and pull the stream from the new producer.
+            if st.producer.take().is_some() {
+                st.subscribe_along(self.cfg.id, path_to_new, &mut actions);
+            }
         }
-        // Keep the cache (it still serves startups and RTX for old data),
-        // and pull the stream from the new producer.
-        self.subscribe_upstream(now, stream, path_to_new, &mut actions);
         actions
     }
 
@@ -605,33 +576,19 @@ impl OverlayNode {
     ) -> Vec<NodeAction> {
         let mut actions = Vec::new();
         let stream = frame.id.stream;
-        let Some(prod) = self.producers.get_mut(&stream) else {
+        let Some(packets) = self
+            .streams
+            .get_mut(&stream)
+            .and_then(|st| st.packetize(frame, payload))
+        else {
             return actions; // not our stream; drop
         };
-        let media = if frame.kind == FrameKind::Audio {
-            MediaKind::Audio
-        } else {
-            MediaKind::Video
-        };
-        // The delay field starts at the encoder delay (paper §6.1: the
-        // broadcaster adds frame encoding time + queue + half first RTT;
-        // the first-mile part is added by the driver).
-        let delay0 = if frame.kind == FrameKind::I {
-            Some(SimDuration::from_nanos(frame.encode_delay_ns))
-        } else {
-            None
-        };
-        let packets = prod.packetizer.packetize_with_meta(
-            media,
-            frame.rtp_timestamp,
-            payload,
-            delay0,
-            frame.kind.to_nibble(),
-        );
         self.stats.ingested += packets.len() as u64;
         for pkt in packets {
-            self.slow_path_insert(now, stream, &pkt, &mut actions);
-            self.fast_path_forward(now, stream, &pkt, false, &mut actions);
+            let st = stream_entry(&mut self.streams, &self.cfg, stream);
+            st.insert(&pkt, &mut actions);
+            self.try_complete_switches(now, stream, &mut actions);
+            self.fast_path_forward(now, stream, &pkt, &mut actions);
         }
         actions
     }
@@ -652,31 +609,28 @@ impl OverlayNode {
         path: Option<&[NodeId]>,
         actions: &mut Vec<NodeAction>,
     ) -> StreamId {
-        let ladder = self.ladders.get(&requested).cloned();
+        let ladder = self
+            .streams
+            .get(&requested)
+            .and_then(|st| st.ladder.clone());
         let ctl = ClientControl::new(client, requested, ladder, downlink, now);
         let stream = ctl.stream;
         self.clients.insert(client, ctl);
         // Per-client pacer at the downlink estimate.
         let rate = downlink.unwrap_or(self.cfg.initial_rate);
         let peer = Subscriber::Client(client);
-        self.pacers
+        self.peers
             .entry(peer)
-            .or_insert_with(|| Pacer::new(self.cfg.pacer, rate))
+            .or_insert_with(|| Peer::new(&self.cfg, rate))
+            .pacer
             .set_rate(rate);
 
-        self.stats.subs_received += 1;
-        let had = self.carries(stream);
-        self.fib.subscribe(stream, peer);
-        if had {
-            self.stats.local_hits += 1;
-            actions.push(NodeAction::Event(NodeEvent::CacheHit {
-                stream,
-                subscriber: peer,
-            }));
+        if self.admit(stream, peer, actions) {
             self.send_startup_burst(now, stream, peer, actions);
         } else if let Some(path) = path {
-            self.install_paths(stream, std::slice::from_ref(&path.to_vec()));
-            self.subscribe_upstream(now, stream, path, actions);
+            let st = stream_entry(&mut self.streams, &self.cfg, stream);
+            st.install_paths(std::slice::from_ref(&path.to_vec()));
+            st.subscribe_along(self.cfg.id, path, actions);
         }
         stream
     }
@@ -684,32 +638,16 @@ impl OverlayNode {
     /// Detach a viewer.
     pub fn client_detach(
         &mut self,
-        now: SimTime,
+        _now: SimTime,
         client: ClientId,
         actions: &mut Vec<NodeAction>,
     ) {
         let Some(ctl) = self.clients.remove(&client) else {
             return;
         };
-        let peer = Subscriber::Client(client);
-        let mut streams = vec![ctl.stream];
-        if let Some(p) = ctl.pending_switch() {
-            streams.push(p);
-        }
-        for stream in streams {
-            if self.fib.unsubscribe(stream, peer) {
-                self.maybe_release_stream(now, stream, actions);
-            }
-        }
-        self.pacers.remove(&peer);
-        self.pacer_armed.remove(&peer);
-        self.gcc_tx.remove(&peer);
-    }
-
-    /// Update a client's estimated downlink (mobile bandwidth variation).
-    pub fn set_client_downlink(&mut self, client: ClientId, rate: Bandwidth) {
-        if let Some(p) = self.pacers.get_mut(&Subscriber::Client(client)) {
-            p.set_rate(rate);
+        self.unsubscribe(ctl.stream, Subscriber::Client(client), actions);
+        if let Some(target) = ctl.pending_switch() {
+            self.cancel_switch(client, target, actions);
         }
     }
 
@@ -717,19 +655,19 @@ impl OverlayNode {
     /// client is unknown. Observes the sender-side cc loop from outside —
     /// the wire harness uses this to show client feedback moving the rate.
     pub fn client_pacing_rate(&self, client: ClientId) -> Option<Bandwidth> {
-        self.pacers
+        self.peers
             .get(&Subscriber::Client(client))
-            .map(|p| p.rate())
+            .map(|p| p.pacer.rate())
     }
 
     /// Sum of sender-side rate decisions across every per-subscriber GCC
     /// controller (nodes and clients alike).
     pub fn cc_decision_totals(&self) -> RateDecisionStats {
         let mut total = RateDecisionStats::default();
-        for sender in self.gcc_tx.values() {
-            total.increases += sender.decisions.increases;
-            total.holds += sender.decisions.holds;
-            total.decreases += sender.decisions.decreases;
+        for decisions in self.peers.values().map(|p| p.gcc.decisions) {
+            total.increases += decisions.increases;
+            total.holds += decisions.holds;
+            total.decreases += decisions.decreases;
         }
         total
     }
@@ -748,13 +686,20 @@ impl OverlayNode {
         let Some(ctl) = self.clients.get_mut(&client) else {
             return;
         };
+        let previous = ctl.pending_switch();
         ctl.begin_switch(new_stream);
-        if !self.carries(new_stream) {
-            if let Some(path) = path {
-                self.subscribe_upstream(now, new_stream, path, actions);
-            }
-        } else {
+        if ctl.pending_switch() != Some(new_stream) {
+            return; // already on that stream
+        }
+        if let Some(previous) = previous.filter(|&p| p != new_stream) {
+            self.cancel_switch(client, previous, actions);
+        }
+        let st = stream_entry(&mut self.streams, &self.cfg, new_stream);
+        st.switch_waiters.insert(client);
+        if st.is_live() {
             self.try_complete_switches(now, new_stream, actions);
+        } else if let Some(path) = path {
+            st.subscribe_along(self.cfg.id, path, actions);
         }
     }
 
@@ -770,26 +715,25 @@ impl OverlayNode {
     /// the long-chain problem.
     pub fn switch_path(
         &mut self,
-        now: SimTime,
+        _now: SimTime,
         stream: StreamId,
         new_path: &[NodeId],
     ) -> Vec<NodeAction> {
         let mut actions = Vec::new();
-        self.install_paths(stream, std::slice::from_ref(&new_path.to_vec()));
-        let Some(&old) = self.upstream.get(&stream) else {
+        let me = self.cfg.id;
+        let st = stream_entry(&mut self.streams, &self.cfg, stream);
+        st.install_paths(std::slice::from_ref(&new_path.to_vec()));
+        let hops = new_path.strip_suffix(&[me]).unwrap_or(new_path);
+        match st.upstream {
             // Nothing established yet: treat as a fresh subscription.
-            self.subscribe_upstream(now, stream, new_path, &mut actions);
-            return actions;
-        };
-        let mut remainder: Vec<NodeId> = new_path.to_vec();
-        if remainder.last() == Some(&self.cfg.id) {
-            remainder.pop();
+            None => {
+                st.subscribe_along(me, new_path, &mut actions);
+            }
+            Some(old) if hops.last() == Some(&old) => {} // same next hop
+            Some(_) => {
+                st.subscribe_via(hops.to_vec(), &mut actions);
+            }
         }
-        if remainder.last() == Some(&old) {
-            return actions; // same next hop: nothing to switch
-        }
-        self.switching_from.insert(stream, old);
-        self.subscribe_upstream_remainder(now, stream, remainder, &mut actions);
         actions
     }
 
@@ -798,42 +742,60 @@ impl OverlayNode {
     // ------------------------------------------------------------------
 
     /// Handle one incoming overlay datagram.
-    pub fn on_datagram(
+    pub fn on_datagram(&mut self, now: SimTime, from: NodeId, payload: Bytes) -> Vec<NodeAction> {
+        let mut actions = Vec::new();
+        if self.dispatch(now, from, payload, &mut actions).is_err() {
+            self.stats.malformed += 1;
+        }
+        actions
+    }
+
+    /// Decode a datagram completely — the envelope and the RTP or RTCP
+    /// packet inside it — and only then act on it: `Err` touched nothing.
+    fn dispatch(
         &mut self,
         now: SimTime,
         from: NodeId,
         payload: Bytes,
-    ) -> Vec<NodeAction> {
-        let mut actions = Vec::new();
-        self.last_heard.insert(from, now);
-        let Ok(msg) = OverlayMsg::decode(payload) else {
-            return actions; // malformed; drop
-        };
-        match msg {
+        actions: &mut Vec<NodeAction>,
+    ) -> Result<()> {
+        let sender = Subscriber::Node(from);
+        match OverlayMsg::decode(payload)? {
             OverlayMsg::Rtp {
                 stream,
                 sent_at,
                 packet,
                 retransmit,
-            } => self.on_rtp(now, from, stream, sent_at, packet, retransmit, &mut actions),
+            } => {
+                let packet = RtpPacket::decode(packet)?;
+                // Slow path: GCC receiver estimator per upstream neighbor.
+                let neighbor = heard(&mut self.neighbors, from, now);
+                neighbor.on_media(&self.cfg, sent_at, now, packet.wire_len());
+                self.on_rtp(now, from, stream, sent_at, packet, retransmit, actions);
+            }
             OverlayMsg::Rtcp { stream, packet } => {
-                self.on_rtcp(now, from, stream, packet, &mut actions)
+                let rtcp = RtcpPacket::decode(packet)?;
+                heard(&mut self.neighbors, from, now);
+                self.on_rtcp(now, sender, stream, rtcp, actions);
             }
-            OverlayMsg::Subscribe { stream, remainder } => {
-                self.on_subscribe(now, from, stream, remainder, &mut actions)
-            }
-            OverlayMsg::SubscribeOk { stream } => {
-                self.on_subscribe_ok(now, from, stream, &mut actions)
-            }
-            OverlayMsg::Unsubscribe { stream } => {
-                if self.fib.unsubscribe(stream, Subscriber::Node(from)) {
-                    self.maybe_release_stream(now, stream, &mut actions);
+            control => {
+                heard(&mut self.neighbors, from, now);
+                match control {
+                    OverlayMsg::Subscribe { stream, remainder } => {
+                        self.on_subscribe(now, from, stream, &remainder, actions)
+                    }
+                    OverlayMsg::SubscribeOk { stream } => {
+                        if let Some(st) = self.streams.get_mut(&stream) {
+                            st.confirm(from, actions);
+                        }
+                    }
+                    OverlayMsg::Unsubscribe { stream } => self.unsubscribe(stream, sender, actions),
+                    // Having been heard is a keepalive's entire effect.
+                    _ => {}
                 }
             }
-            // The `last_heard` refresh above is the entire effect.
-            OverlayMsg::Keepalive => {}
         }
-        actions
+        Ok(())
     }
 
     /// Handle one datagram arriving from an attached viewer client — the
@@ -849,16 +811,17 @@ impl OverlayNode {
         payload: Bytes,
     ) -> Vec<NodeAction> {
         let mut actions = Vec::new();
-        let Ok(msg) = OverlayMsg::decode(payload) else {
-            return actions; // malformed; drop
-        };
-        match msg {
-            OverlayMsg::Rtcp { stream, packet } => {
-                self.on_rtcp_from(now, Subscriber::Client(from), stream, packet, &mut actions)
-            }
-            OverlayMsg::Keepalive => {}
+        let feedback = OverlayMsg::decode(payload).and_then(|msg| match msg {
+            OverlayMsg::Rtcp { stream, packet } => Ok(Some((stream, RtcpPacket::decode(packet)?))),
             // Clients do not speak the node-to-node protocol.
-            _ => {}
+            _ => Ok(None),
+        });
+        match feedback {
+            Ok(Some((stream, rtcp))) => {
+                self.on_rtcp(now, Subscriber::Client(from), stream, rtcp, &mut actions)
+            }
+            Ok(None) => {}
+            Err(_) => self.stats.malformed += 1,
         }
         actions
     }
@@ -870,91 +833,20 @@ impl OverlayNode {
         from: NodeId,
         stream: StreamId,
         sent_at: SimTime,
-        packet_bytes: Bytes,
+        packet: RtpPacket,
         retransmit: bool,
         actions: &mut Vec<NodeAction>,
     ) {
-        let Ok(packet) = RtpPacket::decode(packet_bytes) else {
+        let st = stream_entry(&mut self.streams, &self.cfg, stream);
+        let stats = &mut self.stats;
+        let Some(waiters) = st.receive(now, from, sent_at, &packet, retransmit, stats, actions)
+        else {
             return;
         };
-        // Slow path: GCC receiver estimator per upstream neighbor.
-        let est = self.gcc_rx.entry(from).or_insert_with(|| {
-            DelayBasedEstimator::new(
-                self.cfg.initial_rate,
-                self.cfg.min_rate,
-                self.cfg.max_rate,
-            )
-        });
-        est.on_packet(sent_at, now, packet.wire_len());
-
-        // Slow path: receive state (loss detection + recovery accounting).
-        let transit = now.saturating_since(sent_at);
-        let outcome = self
-            .rx
-            .entry(stream)
-            .or_default()
-            .on_packet(now, packet.header.seq, transit);
-        match outcome {
-            RxOutcome::Duplicate => {
-                self.stats.duplicates += 1;
-                return; // nothing further: not forwarded, not re-cached
-            }
-            RxOutcome::Recovered { after } => {
-                // A retransmission from anyone but the established
-                // upstream means an alternate supplier closed the hole.
-                let alternate = retransmit && self.upstream.get(&stream) != Some(&from);
-                if alternate {
-                    self.stats.rtx_alternate_recovered += 1;
-                }
-                actions.push(NodeAction::Event(NodeEvent::HoleRecovered {
-                    stream,
-                    after,
-                    alternate,
-                }));
-            }
-            RxOutcome::Fresh => {}
-            RxOutcome::Reset => {
-                // The sequence space restarted: parked downstream waiters
-                // keyed to the old space can never be served.
-                self.purge_pending_rtx(stream);
-            }
-        }
-
-        self.slow_path_insert(now, stream, &packet, actions);
-        self.serve_pending_rtx(now, stream, &packet, actions);
-
-        // Fast path: retransmissions are recoveries for *this* node's slow
-        // path; downstream NODES request their own via NACK (§3's A→B→C
-        // example — "this copied packet ... will not be forwarded to the
-        // downstream nodes"). Locally-attached viewers, however, receive
-        // the recovered packet directly: the consumer is the client's
-        // reliability delegate (§5.2 thin clients).
-        if retransmit {
-            self.forward_recovery_to_clients(now, stream, &packet, actions);
-        } else {
-            self.fast_path_forward(now, stream, &packet, false, actions);
-        }
-    }
-
-    /// Serve downstream nodes whose NACK for this sequence number arrived
-    /// before we had the packet ourselves.
-    fn serve_pending_rtx(
-        &mut self,
-        now: SimTime,
-        stream: StreamId,
-        packet: &RtpPacket,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        let Some(pend) = self.pending_rtx.get_mut(&stream) else {
-            return;
-        };
-        let Some(entry) = pend.remove(&packet.header.seq.0) else {
-            return;
-        };
-        if pend.is_empty() {
-            self.pending_rtx.remove(&stream);
-        }
-        for peer in entry.waiters {
+        self.try_complete_switches(now, stream, actions);
+        // Downstream nodes whose NACK for this sequence number arrived
+        // before we had the packet ourselves.
+        for peer in waiters {
             self.stats.rtx_served += 1;
             self.enqueue_to_peer(
                 now,
@@ -965,237 +857,76 @@ impl OverlayNode {
                 actions,
             );
         }
-    }
 
-    /// Drop every parked downstream waiter of a stream (stream reset: the
-    /// old sequence space will never be served).
-    fn purge_pending_rtx(&mut self, stream: StreamId) {
-        if let Some(pend) = self.pending_rtx.remove(&stream) {
-            self.stats.rtx_pending_expired += pend.len() as u64;
+        // Fast path: retransmissions are recoveries for *this* node's slow
+        // path; downstream NODES request their own via NACK (§3's A→B→C
+        // example — "this copied packet ... will not be forwarded to the
+        // downstream nodes"). Locally-attached viewers, however, receive
+        // the recovered packet directly: the consumer is the client's
+        // reliability delegate (§5.2 thin clients).
+        if !retransmit {
+            return self.fast_path_forward(now, stream, &packet, actions);
         }
-    }
-
-    /// Deliver a recovered packet to client subscribers only.
-    fn forward_recovery_to_clients(
-        &mut self,
-        now: SimTime,
-        stream: StreamId,
-        packet: &RtpPacket,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        let clients: Vec<Subscriber> = self
-            .fib
-            .subscribers(stream)
-            .filter(|s| matches!(s, Subscriber::Client(_)))
-            .collect();
+        let clients: Vec<Subscriber> = self.fib.subscribers(stream).collect();
         for sub in clients {
-            let fwd = packet.with_added_delay(self.cfg.processing_delay);
-            self.enqueue_to_peer(now, sub, stream, fwd, true, actions);
+            if let Subscriber::Client(_) = sub {
+                let fwd = packet.with_added_delay(self.cfg.processing_delay);
+                self.enqueue_to_peer(now, sub, stream, fwd, true, actions);
+            }
         }
     }
 
+    /// RTCP from a downstream node or an attached client.
     fn on_rtcp(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        stream: StreamId,
-        packet: Bytes,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        self.on_rtcp_from(now, Subscriber::Node(from), stream, packet, actions);
-    }
-
-    /// Shared RTCP handling for node- and client-sourced feedback.
-    fn on_rtcp_from(
         &mut self,
         now: SimTime,
         peer: Subscriber,
         stream: StreamId,
-        packet: Bytes,
+        rtcp: RtcpPacket,
         actions: &mut Vec<NodeAction>,
     ) {
-        let Ok(rtcp) = RtcpPacket::decode(packet) else {
-            return;
-        };
         match rtcp {
             RtcpPacket::Nack(Nack { lost, .. }) => {
-                // Serve retransmissions from the packet cache; remember
-                // what we could not serve so the arrival of our own
-                // recovery forwards it without another downstream retry.
-                let mut to_send = Vec::new();
-                let mut unavailable = Vec::new();
-                if let Some(cache) = self.caches.get(&stream) {
-                    for seq in lost {
-                        match cache.get(seq) {
-                            Some(pkt) => to_send.push(pkt.clone()),
-                            None => unavailable.push(seq),
-                        }
-                    }
-                } else {
-                    unavailable = lost;
-                }
-                for pkt in to_send {
+                // Serve retransmissions from the packet cache.
+                let (hits, misses) = match self.streams.get_mut(&stream) {
+                    Some(st) => st.answer_nack(now, peer, lost),
+                    None => (Vec::new(), lost),
+                };
+                for pkt in hits {
                     self.stats.rtx_served += 1;
                     self.enqueue_to_peer(now, peer, stream, pkt, true, actions);
                 }
-                self.stats.rtx_unavailable += unavailable.len() as u64;
-                // Only node waiters are parked: when our own recovery
-                // arrives, `forward_recovery_to_clients` already fans
-                // the retransmission out to every client subscriber.
-                let Subscriber::Node(from) = peer else {
-                    return;
-                };
-                if unavailable.is_empty() {
-                    return;
+                self.stats.rtx_unavailable += misses.len() as u64;
+                // Tell a node requester which seqs missed the cache so it
+                // can chase an alternate supplier immediately instead of
+                // waiting out our own recovery (its parked NACK stays as
+                // the backstop: duplicates are absorbed downstream).
+                if let (Subscriber::Node(to), false) = (peer, misses.is_empty()) {
+                    let miss = RtcpPacket::RtxMiss(RtxMiss {
+                        ssrc: ssrc_for_stream(stream),
+                        missing: misses,
+                    });
+                    actions.push(rtcp_to(to, stream, &miss));
                 }
-                for &seq in &unavailable {
-                    let pend = self.pending_rtx.entry(stream).or_default();
-                    if pend.len() < MAX_PENDING_RTX {
-                        let entry = pend.entry(seq.0).or_insert_with(|| PendingRtx {
-                            waiters: Vec::new(),
-                            parked_at: now,
-                        });
-                        if !entry.waiters.contains(&from) {
-                            entry.waiters.push(from);
-                        }
-                    }
-                }
-                // Tell the requester which seqs missed the cache so it can
-                // chase an alternate supplier immediately instead of
-                // waiting out our own recovery (parking stays as the
-                // backstop: duplicates are absorbed downstream).
-                let miss = RtcpPacket::RtxMiss(RtxMiss {
-                    ssrc: ssrc_for_stream(stream),
-                    missing: unavailable,
-                });
-                actions.push(NodeAction::Send {
-                    to: peer,
-                    msg: OverlayMsg::Rtcp {
-                        stream,
-                        packet: miss.encode(),
-                    },
-                });
             }
             RtcpPacket::RtxMiss(RtxMiss { missing, .. }) => {
-                let Subscriber::Node(from) = peer else {
-                    return; // clients never supply RTX
-                };
-                self.on_rtx_miss(now, from, stream, missing, actions);
+                // Clients never supply RTX.
+                if let (Subscriber::Node(from), Some(st)) = (peer, self.streams.get_mut(&stream)) {
+                    let (cfg, neighbors, stats) = (&self.cfg, &self.neighbors, &mut self.stats);
+                    st.chase_alternates(now, cfg, from, &missing, neighbors, stats, actions);
+                }
             }
             RtcpPacket::ReceiverReport(ReceiverReport { loss_fraction, .. }) => {
-                let sender = self.tx_sender(peer);
-                sender.on_loss_report(now, loss_fraction);
-                let rate = sender.pacing_rate();
-                if let Some(p) = self.pacers.get_mut(&peer) {
-                    p.set_rate(rate);
+                if let Some(p) = self.peers.get_mut(&peer) {
+                    p.feedback(|gcc| gcc.on_loss_report(now, loss_fraction));
                 }
             }
             RtcpPacket::Remb(Remb { bitrate_bps, .. }) => {
-                let sender = self.tx_sender(peer);
-                sender.on_remb(Bandwidth::from_bps(bitrate_bps));
-                let rate = sender.pacing_rate();
-                if let Some(p) = self.pacers.get_mut(&peer) {
-                    p.set_rate(rate);
+                if let Some(p) = self.peers.get_mut(&peer) {
+                    p.feedback(|gcc| gcc.on_remb(Bandwidth::from_bps(bitrate_bps)));
                 }
             }
         }
-    }
-
-    /// The upstream reported a cache miss for `missing`: immediately
-    /// re-NACK the still-outstanding holes to the best alternate suppliers
-    /// from the cached backup paths (AutoRec-style multi-supplier RTX).
-    /// With no live alternate, the parked waiter on the primary remains
-    /// the only recovery path — exactly the old single-supplier behavior.
-    fn on_rtx_miss(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        stream: StreamId,
-        missing: Vec<SeqNo>,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        if self.cfg.rtx_alt_suppliers == 0 {
-            return;
-        }
-        let Some(rx) = self.rx.get(&stream) else {
-            return;
-        };
-        let chase = rx.still_missing(&missing, self.cfg.nack_retry_limit);
-        if chase.is_empty() {
-            return;
-        }
-        let alternates = self.alternate_suppliers(now, stream, from);
-        if alternates.is_empty() {
-            self.stats.rtx_alternate_exhausted += chase.len() as u64;
-            return;
-        }
-        if let Some(rx) = self.rx.get_mut(&stream) {
-            for &seq in &chase {
-                rx.note_nack(now, seq);
-            }
-        }
-        for alt in alternates {
-            self.stats.rtx_alternate_requests += chase.len() as u64;
-            self.stats.nacks_sent += chase.len() as u64;
-            self.stats.nack_batches += 1;
-            let rtcp = RtcpPacket::Nack(Nack {
-                ssrc: ssrc_for_stream(stream),
-                lost: chase.clone(),
-            });
-            actions.push(NodeAction::Send {
-                to: Subscriber::Node(alt),
-                msg: OverlayMsg::Rtcp {
-                    stream,
-                    packet: rtcp.encode(),
-                },
-            });
-        }
-    }
-
-    /// Candidate alternate RTX suppliers for a stream: the penultimate hop
-    /// of every cached backup path ending here (the neighbor that would
-    /// feed us on that path), excluding the miss sender and ourselves,
-    /// liveness-filtered, RTT-ordered (unknown RTT last, ties by id so the
-    /// choice is deterministic), capped at `rtx_alt_suppliers`.
-    fn alternate_suppliers(&self, now: SimTime, stream: StreamId, exclude: NodeId) -> Vec<NodeId> {
-        let timeout = self.cfg.upstream_timeout;
-        let mut cands: Vec<NodeId> = Vec::new();
-        for path in self.cached_paths(stream) {
-            if path.len() < 2 || path.last() != Some(&self.cfg.id) {
-                continue;
-            }
-            let hop = path[path.len() - 2];
-            if hop == exclude || hop == self.cfg.id || cands.contains(&hop) {
-                continue;
-            }
-            // Liveness: a supplier that went silent on us would eat the
-            // re-NACK and give the hole nothing. Never-heard candidates
-            // are tried optimistically — the NACK doubles as a probe.
-            let alive = match self.last_heard.get(&hop) {
-                Some(&heard) => now.saturating_since(heard) < timeout,
-                None => true,
-            };
-            if alive {
-                cands.push(hop);
-            }
-        }
-        cands.sort_by_key(|n| {
-            (
-                self.neighbor_rtt
-                    .get(n)
-                    .copied()
-                    .unwrap_or(SimDuration::MAX),
-                *n,
-            )
-        });
-        cands.truncate(self.cfg.rtx_alt_suppliers);
-        cands
-    }
-
-    fn tx_sender(&mut self, peer: Subscriber) -> &mut GccSender {
-        self.gcc_tx.entry(peer).or_insert_with(|| {
-            GccSender::new(self.cfg.initial_rate, self.cfg.min_rate, self.cfg.max_rate)
-        })
     }
 
     fn on_subscribe(
@@ -1203,100 +934,42 @@ impl OverlayNode {
         now: SimTime,
         from: NodeId,
         stream: StreamId,
-        mut remainder: Vec<NodeId>,
+        remainder: &[NodeId],
         actions: &mut Vec<NodeAction>,
     ) {
-        self.stats.subs_received += 1;
         let peer = Subscriber::Node(from);
-        let had = self.carries(stream);
-        self.fib.subscribe(stream, peer);
-
-        if had {
-            // Cache hit: stop backtracking (§4.4) — this is where the
-            // long-chain effect comes from.
-            self.stats.local_hits += 1;
-            actions.push(NodeAction::Event(NodeEvent::CacheHit {
-                stream,
-                subscriber: peer,
-            }));
-            if self.upstream.contains_key(&stream) || self.is_producer(stream) {
-                actions.push(NodeAction::Send {
-                    to: peer,
-                    msg: OverlayMsg::SubscribeOk { stream },
-                });
-                self.send_startup_burst(now, stream, peer, actions);
-            } else {
-                // Still establishing ourselves: relay the Ok when it comes.
-                self.waiting_ok.entry(stream).or_default().push(from);
-            }
-            return;
-        }
-
-        // Cache miss: continue backtracking along the reverse path.
-        // `remainder` is producer-first; the next hop is the last element.
-        match remainder.pop() {
-            Some(next) if next == self.cfg.id => {
-                // Path listed us (consumer hop); recurse with the rest.
-                self.waiting_ok.entry(stream).or_default().push(from);
-                let mut inner = Vec::new();
-                self.subscribe_upstream_remainder(now, stream, remainder, &mut inner);
-                actions.extend(inner);
-            }
-            Some(next) => {
-                self.waiting_ok.entry(stream).or_default().push(from);
-                self.pending.insert(stream, next);
-                actions.push(NodeAction::Send {
-                    to: Subscriber::Node(next),
-                    msg: OverlayMsg::Subscribe {
-                        stream,
-                        remainder,
-                    },
-                });
-                actions.push(NodeAction::Event(NodeEvent::SubscribeForwarded {
-                    stream,
-                    upstream: next,
-                }));
-            }
-            None => {
-                // We are the path's head but not the producer: the stream
-                // has ended or the path is stale. Drop the FIB entry.
-                self.fib.unsubscribe(stream, peer);
-            }
+        let hit = self.admit(stream, peer, actions);
+        let st = stream_entry(&mut self.streams, &self.cfg, stream);
+        if hit && st.is_flowing() {
+            actions.push(to_node(from, OverlayMsg::SubscribeOk { stream }));
+            self.send_startup_burst(now, stream, peer, actions);
+        } else if hit || st.subscribe_along(self.cfg.id, remainder, actions) {
+            // Still establishing ourselves, or (a miss) backtracking on
+            // along the reverse path — `remainder` is producer-first and
+            // may list us last: relay the Ok when it comes.
+            st.waiting_ok.push(from);
+        } else {
+            // We are the path's head but not the producer: the stream
+            // has ended or the path is stale. Drop the FIB entry.
+            self.unsubscribe(stream, peer, actions);
         }
     }
 
-    fn on_subscribe_ok(
-        &mut self,
-        _now: SimTime,
-        from: NodeId,
-        stream: StreamId,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        if self.pending.remove(&stream).is_some() {
-            // A mid-stream path switch completes here: release the old
-            // upstream only after the new one confirmed (make-before-break,
-            // so the fast path never starves).
-            if let Some(old) = self.switching_from.remove(&stream) {
-                if old != from {
-                    actions.push(NodeAction::Send {
-                        to: Subscriber::Node(old),
-                        msg: OverlayMsg::Unsubscribe { stream },
-                    });
-                }
-            }
-            self.upstream.insert(stream, from);
-            actions.push(NodeAction::Event(NodeEvent::SubscriptionEstablished {
+    /// Enter a subscriber in the FIB. True on a local hit — the stream is
+    /// already carried, or about to be — which stops backtracking (§4.4);
+    /// this is where the long-chain effect comes from.
+    fn admit(&mut self, stream: StreamId, sub: Subscriber, actions: &mut Vec<NodeAction>) -> bool {
+        self.stats.subs_received += 1;
+        self.fib.subscribe(stream, sub);
+        let hit = stream_entry(&mut self.streams, &self.cfg, stream).is_live();
+        if hit {
+            self.stats.local_hits += 1;
+            actions.push(NodeAction::Event(NodeEvent::CacheHit {
                 stream,
-                upstream: from,
+                subscriber: sub,
             }));
         }
-        // Relay the Ok to downstream requesters that were waiting on us.
-        for d in self.waiting_ok.remove(&stream).unwrap_or_default() {
-            actions.push(NodeAction::Send {
-                to: Subscriber::Node(d),
-                msg: OverlayMsg::SubscribeOk { stream },
-            });
-        }
+        hit
     }
 
     // ------------------------------------------------------------------
@@ -1306,358 +979,153 @@ impl OverlayNode {
     /// Handle a timer expiry for `key` (a packed [`TimerKind`]).
     pub fn on_timer(&mut self, now: SimTime, key: u64) -> Vec<NodeAction> {
         let mut actions = Vec::new();
+        let rearm = |kind: TimerKind, after: SimDuration| NodeAction::SetTimer {
+            at: now + after,
+            key: kind.encode(),
+        };
         match TimerKind::decode(key) {
             Some(TimerKind::LossScan) => {
-                self.loss_scan(now, &mut actions);
-                actions.push(NodeAction::SetTimer {
-                    at: now + self.cfg.loss_scan_interval,
-                    key: TimerKind::LossScan.encode(),
-                });
+                for st in self.streams.values_mut() {
+                    st.scan(now, &self.cfg, &mut self.stats, &mut actions);
+                }
+                actions.push(rearm(TimerKind::LossScan, self.cfg.loss_scan_interval));
             }
             Some(TimerKind::RrTick) => {
-                self.rr_tick(now, &mut actions);
-                actions.push(NodeAction::SetTimer {
-                    at: now + self.cfg.rr_interval,
-                    key: TimerKind::RrTick.encode(),
-                });
+                self.rr_tick(&mut actions);
+                actions.push(rearm(TimerKind::RrTick, self.cfg.rr_interval));
             }
-            Some(TimerKind::PacerPoll(peer)) => {
-                self.pacer_armed.remove(&peer);
-                self.flush_pacer(now, peer, &mut actions);
+            Some(TimerKind::PacerPoll(to)) => {
+                if let Some(peer) = self.peers.get_mut(&to) {
+                    peer.armed = None;
+                    self.stats.forwarded += peer.flush(now, to, &mut actions);
+                }
             }
             Some(TimerKind::Liveness) => {
                 self.liveness_check(now, &mut actions);
-                actions.push(NodeAction::SetTimer {
-                    at: now + self.cfg.liveness_interval,
-                    key: TimerKind::Liveness.encode(),
-                });
+                actions.push(rearm(TimerKind::Liveness, self.cfg.liveness_interval));
             }
             None => {}
         }
         actions
     }
 
-    /// Declare upstreams dead after prolonged silence and fail over: first
-    /// to a cached backup path avoiding the dead element (fast, ≈ one
-    /// subscribe RTT), otherwise surface [`NodeEvent::PathRequestNeeded`]
-    /// so the driver asks the Brain (slow, a control-plane round trip).
+    /// Declare upstreams dead after prolonged silence and route every
+    /// stream they fed onto a different path.
     fn liveness_check(&mut self, now: SimTime, actions: &mut Vec<NodeAction>) {
         let timeout = self.cfg.upstream_timeout;
-        // Silent upstreams, deduped and sorted: HashMap iteration order is
-        // not deterministic across processes, and the emitted action order
-        // must be.
-        let mut dead: Vec<NodeId> = self
-            .upstream
-            .values()
-            .chain(self.pending.values())
-            .copied()
-            .filter(|up| {
-                self.last_heard
-                    .get(up)
-                    .is_some_and(|&heard| now.saturating_since(heard) >= timeout)
-            })
-            .collect();
-        dead.sort();
-        dead.dedup();
+        let silent = |up: &NodeId| {
+            self.neighbors
+                .get(up)
+                .is_some_and(|n| n.silent_for(now, timeout))
+        };
+        let upstreams = self.streams.values().flat_map(|st| st.upstreams());
+        let dead: BTreeSet<NodeId> = upstreams.filter(silent).collect();
         for up in dead {
-            self.fail_over_upstream(now, up, actions);
-        }
-    }
-
-    /// Route every stream fed by `dead` onto a different path.
-    fn fail_over_upstream(
-        &mut self,
-        now: SimTime,
-        dead: NodeId,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        let mut streams: Vec<StreamId> = self
-            .upstream
-            .iter()
-            .filter(|&(_, &u)| u == dead)
-            .map(|(&s, _)| s)
-            .chain(
-                self.pending
-                    .iter()
-                    .filter(|&(_, &u)| u == dead)
-                    .map(|(&s, _)| s),
-            )
-            .collect();
-        streams.sort();
-        streams.dedup();
-        self.last_heard.remove(&dead);
-        self.gcc_rx.remove(&dead);
-        for stream in streams {
-            self.upstream.remove(&stream);
-            self.pending.remove(&stream);
-            self.switching_from.remove(&stream);
-            self.stats.upstream_failovers += 1;
-            actions.push(NodeAction::Event(NodeEvent::UpstreamDead {
-                stream,
-                upstream: dead,
-            }));
-            let backup = self.path_cache.get(&stream).and_then(|paths| {
-                paths
-                    .iter()
-                    .find(|p| p.len() >= 2 && !p.contains(&dead))
-                    .cloned()
-            });
-            match backup {
-                Some(path) => self.subscribe_upstream(now, stream, &path, actions),
-                None => actions.push(NodeAction::Event(NodeEvent::PathRequestNeeded {
-                    stream,
-                    dead,
-                })),
+            // Forget what the network taught us about it; the hint stays.
+            if let Some(neighbor) = self.neighbors.get_mut(&up) {
+                (neighbor.last_heard, neighbor.gcc_rx) = (None, None);
             }
-        }
-    }
-
-    fn loss_scan(&mut self, now: SimTime, actions: &mut Vec<NodeAction>) {
-        let interval = self.cfg.nack_retry_interval;
-        let limit = self.cfg.nack_retry_limit;
-        let mut nacks: Vec<(StreamId, NodeId, Vec<SeqNo>)> = Vec::new();
-        for (&stream, rx) in self.rx.iter_mut() {
-            let Some(&up) = self.upstream.get(&stream) else {
-                continue; // producer-local stream: nothing to NACK
-            };
-            let lost = rx.scan(now, interval, limit);
-            if !lost.is_empty() {
-                nacks.push((stream, up, lost));
-            }
-        }
-        // `self.rx` is a HashMap: sort so the emitted NACK order (and thus
-        // downstream packet interleaving) is identical across processes.
-        nacks.sort_by_key(|&(stream, up, _)| (stream, up));
-        for (stream, up, lost) in nacks {
-            self.stats.nacks_sent += lost.len() as u64;
-            self.stats.nack_batches += 1;
-            let rtcp = RtcpPacket::Nack(Nack {
-                ssrc: ssrc_for_stream(stream),
-                lost,
-            });
-            actions.push(NodeAction::Send {
-                to: Subscriber::Node(up),
-                msg: OverlayMsg::Rtcp {
-                    stream,
-                    packet: rtcp.encode(),
-                },
-            });
-        }
-        self.sweep_pending_rtx(now);
-    }
-
-    /// Evict parked downstream waiters older than the TTL. Without this,
-    /// waiters whose packet never arrives here (and stale entries left by
-    /// downstream abandonment) would sit until stream teardown, eating the
-    /// `MAX_PENDING_RTX` cap and starving live NACKs.
-    fn sweep_pending_rtx(&mut self, now: SimTime) {
-        let ttl = self.cfg.pending_rtx_ttl;
-        let mut expired = 0u64;
-        self.pending_rtx.retain(|_, pend| {
-            pend.retain(|_, entry| {
-                let stale = now.saturating_since(entry.parked_at) >= ttl;
-                if stale {
-                    expired += 1;
+            for st in self.streams.values_mut() {
+                if st.fail_over(self.cfg.id, up, actions) {
+                    self.stats.upstream_failovers += 1;
                 }
-                !stale
-            });
-            !pend.is_empty()
-        });
-        self.stats.rtx_pending_expired += expired;
+            }
+        }
     }
 
-    fn rr_tick(&mut self, _now: SimTime, actions: &mut Vec<NodeAction>) {
-        // Receiver reports per (stream, upstream).
-        let mut reports = Vec::new();
-        for (&stream, rx) in self.rx.iter_mut() {
-            let Some(&up) = self.upstream.get(&stream) else {
-                continue;
-            };
-            // No report until the first packet: a `highest_seq` of zero
-            // would read as "receiver is a full window behind".
-            let Some((loss, highest, jitter)) = rx.rr_stats() else {
-                continue;
-            };
-            reports.push((up, stream, loss, highest, jitter));
-        }
-        for (up, stream, loss, highest, jitter) in reports {
-            let rr = RtcpPacket::ReceiverReport(ReceiverReport {
-                ssrc: ssrc_for_stream(stream),
-                loss_fraction: loss,
-                highest_seq: highest,
-                jitter_us: jitter,
-            });
-            actions.push(NodeAction::Send {
-                to: Subscriber::Node(up),
-                msg: OverlayMsg::Rtcp {
-                    stream,
-                    packet: rr.encode(),
-                },
-            });
-        }
-        // REMB per upstream neighbor (attach to one of its streams).
-        let mut rembs = Vec::new();
-        for (&stream, &up) in self.upstream.iter() {
-            if rembs.iter().any(|(u, _, _)| *u == up) {
-                continue;
-            }
-            if let Some(est) = self.gcc_rx.get(&up) {
-                rembs.push((up, stream, est.estimate()));
+    fn rr_tick(&mut self, actions: &mut Vec<NodeAction>) {
+        // A receiver report per stream to its upstream, then one REMB per
+        // upstream, attached to the lowest of its streams.
+        let mut rembs: BTreeMap<NodeId, StreamId> = BTreeMap::new();
+        for (&stream, st) in self.streams.iter_mut() {
+            if let Some(up) = st.report(actions) {
+                rembs.entry(up).or_insert(stream);
             }
         }
-        for (up, stream, rate) in rembs {
-            let remb = RtcpPacket::Remb(Remb {
-                ssrc: ssrc_for_stream(stream),
-                bitrate_bps: rate.as_bps(),
-            });
-            actions.push(NodeAction::Send {
-                to: Subscriber::Node(up),
-                msg: OverlayMsg::Rtcp {
-                    stream,
-                    packet: remb.encode(),
-                },
-            });
+        for (up, stream) in rembs {
+            if let Some(est) = self.neighbors.get(&up).and_then(|n| n.gcc_rx.as_ref()) {
+                let remb = RtcpPacket::Remb(Remb {
+                    ssrc: ssrc_for_stream(stream),
+                    bitrate_bps: est.estimate().as_bps(),
+                });
+                actions.push(rtcp_to(up, stream, &remb));
+            }
         }
-        // Housekeeping: bound depacketizer memory.
-        for d in self.depack.values_mut() {
-            d.gc(8);
+        // Housekeeping: media still in flight when a stream was released
+        // re-creates its state with nothing referencing it.
+        for stream in self.streams.keys().copied().collect::<Vec<_>>() {
+            self.release_stream(stream, actions);
         }
     }
 
     // ------------------------------------------------------------------
-    // Internals
+    // Lifecycle
     // ------------------------------------------------------------------
 
-    /// Does this node already carry (or is establishing) the stream?
-    fn carries(&self, stream: StreamId) -> bool {
-        self.is_producer(stream)
-            || self.upstream.contains_key(&stream)
-            || self.pending.contains_key(&stream)
-    }
-
-    /// Initiate our own upstream subscription along `path` (producer-first,
-    /// ending at this node).
-    fn subscribe_upstream(
-        &mut self,
-        now: SimTime,
-        stream: StreamId,
-        path: &[NodeId],
-        actions: &mut Vec<NodeAction>,
-    ) {
-        if self.carries(stream) {
-            return;
-        }
-        let mut remainder: Vec<NodeId> = path.to_vec();
-        // Strip ourselves off the tail.
-        if remainder.last() == Some(&self.cfg.id) {
-            remainder.pop();
-        }
-        self.subscribe_upstream_remainder(now, stream, remainder, actions);
-    }
-
-    fn subscribe_upstream_remainder(
-        &mut self,
-        _now: SimTime,
-        stream: StreamId,
-        mut remainder: Vec<NodeId>,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        let Some(next) = remainder.pop() else {
+    /// Tear down a stream nothing references any more — no local
+    /// broadcaster, no subscriber, no client waiting to switch onto it:
+    /// unsubscribe from its upstreams and drop its state, whole.
+    fn release_stream(&mut self, stream: StreamId, actions: &mut Vec<NodeAction>) {
+        let Some(st) = self.streams.get(&stream) else {
             return;
         };
-        self.pending.insert(stream, next);
-        actions.push(NodeAction::Send {
-            to: Subscriber::Node(next),
-            msg: OverlayMsg::Subscribe { stream, remainder },
-        });
-        actions.push(NodeAction::Event(NodeEvent::SubscribeForwarded {
-            stream,
-            upstream: next,
-        }));
+        if !self.fib.has_stream(stream) && st.producer.is_none() && st.switch_waiters.is_empty() {
+            st.release(actions);
+            self.streams.remove(&stream);
+        }
     }
 
-    /// Tear down per-stream state when the last subscriber leaves.
-    fn maybe_release_stream(
-        &mut self,
-        _now: SimTime,
-        stream: StreamId,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        if self.fib.has_stream(stream) || self.is_producer(stream) {
-            return;
+    /// Remove one FIB entry and whatever it was the last reference to: the
+    /// stream's state, and the subscriber's send-side state once it holds
+    /// no FIB entry on any stream.
+    fn unsubscribe(&mut self, stream: StreamId, sub: Subscriber, actions: &mut Vec<NodeAction>) {
+        if self.fib.unsubscribe(stream, sub) {
+            self.release_stream(stream, actions);
         }
-        if let Some(up) = self.upstream.remove(&stream) {
-            actions.push(NodeAction::Send {
-                to: Subscriber::Node(up),
-                msg: OverlayMsg::Unsubscribe { stream },
-            });
+        if !self.fib.has_subscriber(sub) {
+            self.peers.remove(&sub);
         }
-        self.pending.remove(&stream);
-        self.rx.remove(&stream);
-        self.depack.remove(&stream);
-        self.caches.remove(&stream);
-        self.pending_rtx.remove(&stream);
     }
 
-    /// Slow-path: cache + framing (§5.1's GoP caching and Framing Control).
-    fn slow_path_insert(
-        &mut self,
-        now: SimTime,
-        stream: StreamId,
-        packet: &RtpPacket,
-        actions: &mut Vec<NodeAction>,
-    ) {
-        self.caches
-            .entry(stream)
-            .or_insert_with(|| StreamCache::new(self.cfg.cache_packets))
-            .insert(packet.clone());
-        let depack = self.depack.entry(stream).or_default();
-        let kind = frag_meta(&packet.payload).and_then(FrameKind::from_nibble);
-        depack.push(packet.clone());
-        for frame in depack.drain() {
-            actions.push(NodeAction::Event(NodeEvent::FrameAssembled {
-                stream,
-                timestamp: frame.timestamp,
-                kind,
-                delay_field: frame.delay_field,
-            }));
+    /// `client` no longer waits to switch onto `target`.
+    fn cancel_switch(&mut self, client: ClientId, target: StreamId, actions: &mut Vec<NodeAction>) {
+        if let Some(st) = self.streams.get_mut(&target) {
+            st.switch_waiters.remove(&client);
         }
-        self.try_complete_switches(now, stream, actions);
+        self.release_stream(target, actions);
     }
 
-    /// Complete any client co-stream switches waiting on this stream.
+    /// Complete the client co-stream switches waiting on this stream.
+    ///
+    /// Runs after every media insert and, as at the parent commit, builds
+    /// the burst before it looks at `switch_waiters`. Returning early when
+    /// nobody waits is one line and makes `relay_*` 10x faster, a step the
+    /// benchmark's spread bound (a quarter of the *parent's* median) cannot
+    /// measure on this host; CHANGES.md (PR 13) has the numbers.
     fn try_complete_switches(
         &mut self,
         now: SimTime,
         stream: StreamId,
         actions: &mut Vec<NodeAction>,
     ) {
-        let _ = now;
+        let Some(st) = self.streams.get_mut(&stream) else {
+            return;
+        };
         // §5.2: the client flips only once a COMPLETE GoP of the new
         // stream is cached (the switch burst spans two I-frame starts).
-        let burst = self
-            .caches
-            .get(&stream)
-            .map(|c| c.switch_burst())
-            .unwrap_or_default();
+        let burst = st.cache.switch_burst();
         if burst.is_empty() {
             return;
         }
-        let waiting: Vec<ClientId> = self
-            .clients
-            .iter()
-            .filter(|(_, c)| c.pending_switch() == Some(stream))
-            .map(|(&id, _)| id)
-            .collect();
-        for client in waiting {
-            let Some(ctl) = self.clients.get_mut(&client) else {
-                continue;
-            };
-            let Some(old) = ctl.complete_switch() else {
+        for client in std::mem::take(&mut st.switch_waiters) {
+            let Some(old) = self
+                .clients
+                .get_mut(&client)
+                .and_then(ClientControl::complete_switch)
+            else {
                 continue;
             };
             let peer = Subscriber::Client(client);
-            self.fib.unsubscribe(old, peer);
             self.fib.subscribe(stream, peer);
             actions.push(NodeAction::Event(NodeEvent::SwitchCompleted {
                 client,
@@ -1666,18 +1134,14 @@ impl OverlayNode {
             }));
             // Deliver the complete-GoP burst so the client's buffer is
             // full the instant the timeline flips.
-            let n = burst.len();
-            for pkt in burst.clone() {
-                self.enqueue_to_peer(now, peer, stream, pkt, false, actions);
-            }
-            actions.push(NodeAction::Event(NodeEvent::StartupBurst {
-                stream,
-                to: peer,
-                packets: n,
-            }));
-            self.maybe_release_stream(now, old, actions);
+            self.send_burst(now, stream, peer, &burst, actions);
+            self.unsubscribe(old, peer, actions);
         }
     }
+
+    // ------------------------------------------------------------------
+    // Fast path
+    // ------------------------------------------------------------------
 
     /// Fast path: FIB lookup + per-subscriber enqueue.
     fn fast_path_forward(
@@ -1685,7 +1149,6 @@ impl OverlayNode {
         now: SimTime,
         stream: StreamId,
         packet: &RtpPacket,
-        retransmit: bool,
         actions: &mut Vec<NodeAction>,
     ) {
         let subscribers: Vec<Subscriber> = self.fib.subscribers(stream).collect();
@@ -1694,23 +1157,18 @@ impl OverlayNode {
             match sub {
                 Subscriber::Node(next) => {
                     // Delay field: our processing + half next-hop RTT (§6.1).
-                    let half_rtt = self
-                        .neighbor_rtt
-                        .get(&next)
-                        .copied()
-                        .unwrap_or(SimDuration::ZERO)
-                        / 2;
+                    let rtt = self.neighbors.get(&next).and_then(|n| n.rtt);
+                    let half_rtt = rtt.unwrap_or(SimDuration::ZERO) / 2;
                     let fwd = packet.with_added_delay(self.cfg.processing_delay + half_rtt);
-                    self.enqueue_to_peer(now, sub, stream, fwd, retransmit, actions);
+                    self.enqueue_to_peer(now, sub, stream, fwd, false, actions);
                 }
                 Subscriber::Client(client) => {
                     // Consumer-side per-client control: frame dropping,
                     // bitrate step-down.
                     let backlogged = self
-                        .pacers
+                        .peers
                         .get(&sub)
-                        .map(|p| p.is_backlogged())
-                        .unwrap_or(false);
+                        .is_some_and(|p| p.pacer.is_backlogged());
                     let Some(ctl) = self.clients.get_mut(&client) else {
                         continue;
                     };
@@ -1720,24 +1178,17 @@ impl OverlayNode {
                     if !ctl.admit(now, kind, backlogged) {
                         // Frame dropper rejected this packet; also purge any
                         // already-queued packets of the same frame.
-                        let ts = packet.header.timestamp;
-                        if let Some(p) = self.pacers.get_mut(&sub) {
-                            p.drop_video_where(|o| {
-                                o.stream == stream && o.packet.header.timestamp == ts
-                            });
+                        if let Some(p) = self.peers.get_mut(&sub) {
+                            p.drop_frame(stream, packet.header.timestamp);
                         }
                         continue;
                     }
                     if ctl.wants_lower_bitrate(now) {
                         if let Some(lower) = ctl.lower_rendition() {
                             ctl.apply_step_down(lower, now);
-                            let peer = Subscriber::Client(client);
-                            self.fib.unsubscribe(stream, peer);
-                            self.fib.subscribe(lower, peer);
-                            actions.push(NodeAction::Event(NodeEvent::SteppedDown {
-                                client,
-                                to: lower,
-                            }));
+                            self.fib.subscribe(lower, sub);
+                            self.unsubscribe(stream, sub, actions);
+                            actions.push(NodeEvent::SteppedDown { client, to: lower }.into());
                             // NOTE: the lower rendition must already flow to
                             // this node (simulcast uploads all renditions to
                             // the producer; consumers subscribe per need).
@@ -1746,7 +1197,7 @@ impl OverlayNode {
                         }
                     }
                     let fwd = packet.with_added_delay(self.cfg.processing_delay);
-                    self.enqueue_to_peer(now, sub, stream, fwd, retransmit, actions);
+                    self.enqueue_to_peer(now, sub, stream, fwd, false, actions);
                 }
             }
         }
@@ -1756,68 +1207,18 @@ impl OverlayNode {
     fn enqueue_to_peer(
         &mut self,
         now: SimTime,
-        peer: Subscriber,
+        to: Subscriber,
         stream: StreamId,
         packet: RtpPacket,
         retransmit: bool,
         actions: &mut Vec<NodeAction>,
     ) {
-        let kind = frag_meta(&packet.payload).and_then(FrameKind::from_nibble);
-        let priority = if packet.header.kind == MediaKind::Audio {
-            SendPriority::Audio
-        } else if retransmit {
-            SendPriority::Retransmission
-        } else {
-            SendPriority::Video
-        };
-        let is_iframe = kind == Some(FrameKind::I);
-        let bytes = packet.wire_len() + 18; // envelope overhead
-        let pacer = self
-            .pacers
-            .entry(peer)
-            .or_insert_with(|| Pacer::new(self.cfg.pacer, self.cfg.initial_rate));
-        pacer.enqueue(PacedPacket {
-            priority,
-            bytes,
-            is_iframe,
-            payload: OutPkt {
-                stream,
-                packet,
-                retransmit,
-            },
-        });
-        self.flush_pacer(now, peer, actions);
-    }
-
-    /// Poll a peer's pacer: emit sends, then arm the next poll timer.
-    fn flush_pacer(&mut self, now: SimTime, peer: Subscriber, actions: &mut Vec<NodeAction>) {
-        let Some(pacer) = self.pacers.get_mut(&peer) else {
-            return;
-        };
-        for released in pacer.poll(now) {
-            self.stats.forwarded += 1;
-            let out = released.payload;
-            actions.push(NodeAction::Send {
-                to: peer,
-                msg: OverlayMsg::Rtp {
-                    stream: out.stream,
-                    sent_at: now,
-                    packet: out.packet.encode(),
-                    retransmit: out.retransmit,
-                },
-            });
-        }
-        if let Some(next) = pacer.next_send_time(now) {
-            let next = next.max(now + SimDuration::from_micros(100));
-            let armed = self.pacer_armed.get(&peer).copied();
-            if armed.is_none_or(|t| t > next) {
-                self.pacer_armed.insert(peer, next);
-                actions.push(NodeAction::SetTimer {
-                    at: next,
-                    key: TimerKind::PacerPoll(peer).encode(),
-                });
-            }
-        }
+        let peer = self
+            .peers
+            .entry(to)
+            .or_insert_with(|| Peer::new(&self.cfg, self.cfg.initial_rate));
+        peer.enqueue(stream, packet, retransmit);
+        self.stats.forwarded += peer.flush(now, to, actions);
     }
 
     /// Send the most recent complete GoP to a new subscriber (fast startup).
@@ -1831,21 +1232,31 @@ impl OverlayNode {
         if !self.cfg.startup_burst {
             return;
         }
-        let burst = match self.caches.get(&stream) {
-            Some(c) => c.startup_burst(),
-            None => Vec::new(),
-        };
+        if let Some(st) = self.streams.get(&stream) {
+            let burst = st.cache.startup_burst();
+            self.send_burst(now, stream, to, &burst, actions);
+        }
+    }
+
+    /// Queue a non-empty burst for `to` and say so.
+    fn send_burst(
+        &mut self,
+        now: SimTime,
+        stream: StreamId,
+        to: Subscriber,
+        burst: &[RtpPacket],
+        actions: &mut Vec<NodeAction>,
+    ) {
         if burst.is_empty() {
             return;
         }
-        let n = burst.len();
         for pkt in burst {
-            self.enqueue_to_peer(now, to, stream, pkt, false, actions);
+            self.enqueue_to_peer(now, to, stream, pkt.clone(), false, actions);
         }
         actions.push(NodeAction::Event(NodeEvent::StartupBurst {
             stream,
             to,
-            packets: n,
+            packets: burst.len(),
         }));
     }
 }

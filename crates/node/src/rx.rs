@@ -94,11 +94,6 @@ impl RxState {
         }
     }
 
-    /// Highest sequence number seen.
-    pub fn highest(&self) -> Option<SeqNo> {
-        self.highest
-    }
-
     /// Number of currently-outstanding holes.
     pub fn outstanding_holes(&self) -> usize {
         self.missing.len()
@@ -404,7 +399,7 @@ mod tests {
         assert_eq!(out, RxOutcome::Reset);
         assert_eq!(rx.outstanding_holes(), 0);
         assert_eq!(rx.abandoned, 1);
-        assert_eq!(rx.highest(), Some(SeqNo(20_000)));
+        assert_eq!(rx.highest, Some(SeqNo(20_000)));
         // Counters stay sane: the skipped range is not counted as expected.
         assert!(rx.expected <= 5, "expected={}", rx.expected);
     }

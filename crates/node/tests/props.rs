@@ -253,3 +253,135 @@ proptest! {
         }
     }
 }
+
+/// Wire encodings a live relay would really receive, one per message kind.
+fn valid_datagrams(stream: StreamId) -> Vec<Bytes> {
+    use livenet_node::OverlayMsg;
+    use livenet_packet::{Nack, ReceiverReport, Remb, RtcpPacket, RtxMiss};
+    let ssrc = livenet_packet::rtp::ssrc_for_stream(stream);
+    let rtp = Packetizer::new(ssrc, SeqNo(40))
+        .packetize_with_meta(
+            MediaKind::Video,
+            9000,
+            &Bytes::from(vec![7u8; 300]),
+            Some(SimDuration::from_millis(3)),
+            FrameKind::I.to_nibble(),
+        )
+        .remove(0);
+    let rtcp = |packet: RtcpPacket| OverlayMsg::Rtcp {
+        stream,
+        packet: packet.encode(),
+    };
+    let seqs = vec![SeqNo(3), SeqNo(4), SeqNo(900)];
+    [
+        OverlayMsg::Rtp {
+            stream,
+            sent_at: SimTime::from_millis(5),
+            packet: rtp.encode(),
+            retransmit: false,
+        },
+        rtcp(RtcpPacket::Nack(Nack {
+            ssrc,
+            lost: seqs.clone(),
+        })),
+        rtcp(RtcpPacket::RtxMiss(RtxMiss {
+            ssrc,
+            missing: seqs,
+        })),
+        rtcp(RtcpPacket::ReceiverReport(ReceiverReport {
+            ssrc,
+            loss_fraction: 0.25,
+            highest_seq: SeqNo(12),
+            jitter_us: 800,
+        })),
+        rtcp(RtcpPacket::Remb(Remb {
+            ssrc,
+            bitrate_bps: 3_000_000,
+        })),
+        OverlayMsg::Subscribe {
+            stream,
+            remainder: vec![NodeId::new(1), NodeId::new(2)],
+        },
+        OverlayMsg::SubscribeOk { stream },
+        OverlayMsg::Unsubscribe { stream },
+        OverlayMsg::Keepalive,
+    ]
+    .iter()
+    .map(OverlayMsg::encode)
+    .collect()
+}
+
+/// What the node must accept: the envelope decodes, and so does the RTP
+/// or RTCP packet it carries. Media from a client is ignored unread.
+fn well_formed(datagram: &Bytes, from_client: bool) -> bool {
+    use livenet_node::OverlayMsg;
+    match OverlayMsg::decode(datagram.clone()) {
+        Ok(OverlayMsg::Rtp { packet, .. }) => {
+            from_client || livenet_packet::RtpPacket::decode(packet).is_ok()
+        }
+        Ok(OverlayMsg::Rtcp { packet, .. }) => livenet_packet::RtcpPacket::decode(packet).is_ok(),
+        Ok(_) => true,
+        Err(_) => false,
+    }
+}
+
+proptest! {
+    /// Bytes off a socket never panic a node and never leave a trace
+    /// beyond the `malformed` counter: arbitrary bytes, and truncations
+    /// and bit flips of valid datagrams, from known and unknown senders,
+    /// into both entry points of a relay with a live stream and a viewer.
+    #[test]
+    fn hostile_datagrams_are_counted_and_leave_no_state(
+        ops in prop::collection::vec(
+            (0u8..3, 0usize..64, 0usize..4096, 0u8..4, prop::collection::vec(any::<u8>(), 0..80)),
+            1..120,
+        ),
+    ) {
+        use livenet_node::{NodeConfig, OverlayMsg, OverlayNode};
+        let stream = StreamId::new(7);
+        let valid = valid_datagrams(stream);
+        let mut node = OverlayNode::new(NodeConfig::new(NodeId::new(2)));
+        for neighbor in [1, 3] {
+            node.set_neighbor_rtt(NodeId::new(neighbor), SimDuration::from_millis(20));
+        }
+        let subscribe = OverlayMsg::Subscribe { stream, remainder: vec![NodeId::new(1)] };
+        node.on_datagram(SimTime::ZERO, NodeId::new(3), subscribe.encode());
+        node.on_datagram(SimTime::ZERO, NodeId::new(1), OverlayMsg::SubscribeOk { stream }.encode());
+        let mut actions = Vec::new();
+        node.client_attach(SimTime::ZERO, ClientId::new(9), stream, None, None, &mut actions);
+        node.on_datagram(SimTime::from_millis(10), NodeId::new(1), valid[0].clone());
+
+        for (i, (shape, pick, at, sender, raw)) in ops.into_iter().enumerate() {
+            let base = &valid[pick % valid.len()];
+            let datagram = match shape {
+                0 => Bytes::from(raw),
+                1 => base.slice(0..at % base.len()),
+                _ => {
+                    let mut flipped = base.to_vec();
+                    let bit = at % (flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    Bytes::from(flipped)
+                }
+            };
+            let now = SimTime::from_millis(20 + i as u64);
+            let footprint = node.footprint();
+            let counted = node.stats.malformed;
+            // Senders: the upstream, the downstream, a stranger, the viewer.
+            let actions = match sender {
+                3 => node.on_client_datagram(now, ClientId::new(9), datagram.clone()),
+                s => node.on_datagram(now, NodeId::new([1, 3, 77][usize::from(s)]), datagram.clone()),
+            };
+            let rejected = node.stats.malformed - counted;
+            prop_assert_eq!(
+                rejected,
+                u64::from(!well_formed(&datagram, sender == 3)),
+                "datagram {:?}",
+                datagram
+            );
+            if rejected == 1 {
+                prop_assert!(actions.is_empty());
+                prop_assert_eq!(node.footprint(), footprint);
+            }
+        }
+    }
+}

@@ -104,6 +104,8 @@ pub mod ids {
     pub const NODE_LOCAL_HITS: MetricId = MetricId("node.local_hits");
     /// Upstream failovers performed.
     pub const NODE_FAILOVERS: MetricId = MetricId("node.upstream_failovers");
+    /// Datagrams dropped because their envelope, RTP or RTCP did not decode.
+    pub const NODE_MALFORMED: MetricId = MetricId("node.malformed");
 
     // ---- brain: centralized path decisions (Path Decision log analogue) ----
 
