@@ -198,42 +198,22 @@ struct Member {
 
 impl Member {
     fn apply_op(&mut self, slot: u64, op: BrainOp) {
-        match op {
-            BrainOp::Reports { now, reports } => {
-                for r in &reports {
-                    self.brain.absorb_report(r);
-                }
-                self.brain.maybe_recompute(now);
-            }
-            BrainOp::RegisterStream { stream, producer } => {
-                self.brain.register_stream(stream, producer);
-            }
-            BrainOp::UnregisterStream { stream } => self.brain.unregister_stream(stream),
-            BrainOp::MarkPopular { stream } => self.brain.mark_popular(stream),
-            BrainOp::RehomeProducer {
-                stream,
-                new_producer,
-                now,
-            } => {
-                let res = self.brain.rehome_producer(stream, new_producer, now).ok();
-                self.last_rehome = Some((slot, res));
-            }
-            BrainOp::NodeFailed { node } => self.brain.node_failed(node),
-            BrainOp::NodeRecovered { node } => self.brain.node_recovered(node),
-            BrainOp::LinkFailed { a, b } => self.brain.link_failed(a, b),
-            BrainOp::LinkRecovered { a, b } => self.brain.link_recovered(a, b),
-            BrainOp::Lease {
+        if let BrainOp::Lease {
+            holder,
+            term,
+            until,
+        } = op
+        {
+            self.lease = Some(LeaseView {
                 holder,
                 term,
                 until,
-            } => {
-                self.lease = Some(LeaseView {
-                    holder,
-                    term,
-                    until,
-                });
-            }
-            BrainOp::Noop => {}
+            });
+            return;
+        }
+        let res = op.apply_to(&mut self.brain);
+        if matches!(op, BrainOp::RehomeProducer { .. }) {
+            self.last_rehome = Some((slot, res));
         }
     }
 }

@@ -11,6 +11,7 @@
 //! format is involved, so encoded bytes are bit-stable across platforms
 //! and the decided log can be compared byte-for-byte between replicas.
 
+use livenet_brain::{PathAssignment, StreamingBrain};
 use livenet_topology::{LinkReport, NodeReport};
 use livenet_types::{Error, NodeId, Result, SimDuration, SimTime, StreamId};
 
@@ -332,6 +333,35 @@ impl BrainOp {
         };
         c.done()?;
         Ok(op)
+    }
+
+    /// Apply this decree to a Brain — the single op → `StreamingBrain`
+    /// mapping, shared by every replica and by an unreplicated Brain.
+    /// Returns the bridge-path assignment of a `RehomeProducer`; `Lease` and
+    /// `Noop` leave the Brain untouched.
+    pub fn apply_to(&self, brain: &mut StreamingBrain) -> Option<PathAssignment> {
+        match *self {
+            BrainOp::Reports { now, ref reports } => {
+                for r in reports {
+                    brain.absorb_report(r);
+                }
+                brain.maybe_recompute(now);
+            }
+            BrainOp::RegisterStream { stream, producer } => brain.register_stream(stream, producer),
+            BrainOp::UnregisterStream { stream } => brain.unregister_stream(stream),
+            BrainOp::MarkPopular { stream } => brain.mark_popular(stream),
+            BrainOp::RehomeProducer {
+                stream,
+                new_producer,
+                now,
+            } => return brain.rehome_producer(stream, new_producer, now).ok(),
+            BrainOp::NodeFailed { node } => brain.node_failed(node),
+            BrainOp::NodeRecovered { node } => brain.node_recovered(node),
+            BrainOp::LinkFailed { a, b } => brain.link_failed(a, b),
+            BrainOp::LinkRecovered { a, b } => brain.link_recovered(a, b),
+            BrainOp::Lease { .. } | BrainOp::Noop => {}
+        }
+        None
     }
 
     /// True for lease-protocol decrees (leadership bookkeeping), false for

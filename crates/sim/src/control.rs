@@ -1,14 +1,15 @@
 //! The fleet's control plane: a single in-process Brain or a
 //! Paxos-replicated [`BrainCluster`].
 //!
-//! [`ControlPlane`] is the one surface [`crate::FleetSim`] talks to.  In
-//! `Single` mode it delegates straight to a [`StreamingBrain`], preserving
-//! the pre-replication behavior (and RNG draw sequence) bit-for-bit.  In
-//! `Replicated` mode every PIB/SIB mutation is serialized as a
-//! [`BrainOp`] through the Paxos log and every non-prefetched path request
-//! is a leader read under the lease — so the fleet exercises the paper's
-//! §7.1 deployment: geo-replicated Brains, leader failover, and client
-//! retry/redirect when the leader dies mid-surge.
+//! `ControlPlane` is the one surface [`crate::FleetSim`] talks to, and
+//! every mutation goes through its one `commit(BrainOp)`.  In `Single`
+//! mode the op is applied straight to a [`StreamingBrain`], preserving the
+//! pre-replication behavior (and RNG draw sequence) bit-for-bit.  In
+//! `Replicated` mode it is serialized through the Paxos log and every
+//! non-prefetched path request is a leader read under the lease — so the
+//! fleet exercises the paper's §7.1 deployment: geo-replicated Brains,
+//! leader failover, and client retry/redirect when the leader dies
+//! mid-surge.
 //!
 //! Each shard owns an independent cluster seeded from the workload seed
 //! and the shard index alone, so serial and parallel executions of the
@@ -17,7 +18,7 @@
 use livenet_brain::{BrainConfig, PathAssignment, StreamingBrain};
 use livenet_replication::{BrainCluster, BrainOp, ClusterConfig};
 use livenet_telemetry::MetricSink;
-use livenet_topology::{NodeReport, Topology};
+use livenet_topology::Topology;
 use livenet_types::{Error, NodeId, Result, SimDuration, SimTime, StreamId};
 
 /// Replicated-Brain deployment knobs, the sim-facing mirror of
@@ -213,7 +214,7 @@ impl ReplicationSummary {
 
 /// The control plane the fleet drives: one Brain, or N behind Paxos.
 #[derive(Debug)]
-pub enum ControlPlane {
+pub(crate) enum ControlPlane {
     /// The pre-replication single in-process Brain.
     Single(Box<StreamingBrain>),
     /// A Paxos-replicated Brain cluster (paper §7.1).
@@ -225,14 +226,17 @@ impl ControlPlane {
     ///
     /// `seed` must be a pure function of the workload seed and shard
     /// index, so serial and parallel executions agree.
-    pub fn new(
+    pub(crate) fn new(
         topology: &Topology,
         brain_cfg: &BrainConfig,
         replication: Option<&ReplicationConfig>,
         seed: u64,
     ) -> ControlPlane {
         match replication {
-            None => ControlPlane::Single(Box::new(StreamingBrain::new(topology.clone(), brain_cfg.clone()))),
+            None => ControlPlane::Single(Box::new(StreamingBrain::new(
+                topology.clone(),
+                brain_cfg.clone(),
+            ))),
             Some(r) => ControlPlane::Replicated(Box::new(BrainCluster::new(
                 topology,
                 brain_cfg,
@@ -241,32 +245,19 @@ impl ControlPlane {
         }
     }
 
-    /// Stream Management: a producer registered a new upload.
-    pub fn register_stream(&mut self, stream: StreamId, producer: NodeId, now: SimTime) {
+    /// The one mutating entry point: every PIB/SIB mutation is a
+    /// [`BrainOp`]. A single Brain applies it; a cluster replicates it as
+    /// one Paxos decree and every replica applies it through the same
+    /// [`BrainOp::apply_to`] — so "single == replicated" holds by
+    /// construction. A decree the cluster gives up on is counted in its
+    /// `client_give_ups`; the fleet carries on, as it would in production.
+    pub(crate) fn commit(&mut self, op: BrainOp, now: SimTime) {
         match self {
-            ControlPlane::Single(b) => b.register_stream(stream, producer),
-            ControlPlane::Replicated(c) => {
-                let _ = c.replicate(&BrainOp::RegisterStream { stream, producer }, now);
+            ControlPlane::Single(b) => {
+                op.apply_to(b);
             }
-        }
-    }
-
-    /// Mark a stream popular (prefetch set member).
-    pub fn mark_popular(&mut self, stream: StreamId, now: SimTime) {
-        match self {
-            ControlPlane::Single(b) => b.mark_popular(stream),
             ControlPlane::Replicated(c) => {
-                let _ = c.replicate(&BrainOp::MarkPopular { stream }, now);
-            }
-        }
-    }
-
-    /// Stream Management: a stream ended.
-    pub fn unregister_stream(&mut self, stream: StreamId, now: SimTime) {
-        match self {
-            ControlPlane::Single(b) => b.unregister_stream(stream),
-            ControlPlane::Replicated(c) => {
-                let _ = c.replicate(&BrainOp::UnregisterStream { stream }, now);
+                let _ = c.replicate(&op, now);
             }
         }
     }
@@ -275,7 +266,7 @@ impl ControlPlane {
     /// mode, the measured control-plane latency in ms (`None` in single
     /// mode, where the fleet applies its legacy RTT model; prefetched
     /// requests are free in both modes).
-    pub fn path_request(
+    pub(crate) fn path_request(
         &mut self,
         stream: StreamId,
         consumer: NodeId,
@@ -290,95 +281,31 @@ impl ControlPlane {
         }
     }
 
-    /// Broadcaster mobility: re-home a stream to a new producer.
-    pub fn rehome_producer(
-        &mut self,
-        stream: StreamId,
-        new_producer: NodeId,
-        now: SimTime,
-    ) -> Result<PathAssignment> {
-        match self {
-            ControlPlane::Single(b) => b.rehome_producer(stream, new_producer, now),
-            ControlPlane::Replicated(c) => {
-                let op = BrainOp::RehomeProducer {
-                    stream,
-                    new_producer,
-                    now,
-                };
-                let (_, assignment) = c.replicate(&op, now)?;
-                assignment
-                    .ok_or_else(|| Error::not_found(format!("no bridge path for {stream}")))
-            }
-        }
-    }
-
-    /// A node was observed dead.
-    pub fn node_failed(&mut self, node: NodeId, now: SimTime) {
-        match self {
-            ControlPlane::Single(b) => b.node_failed(node),
-            ControlPlane::Replicated(c) => {
-                let _ = c.replicate(&BrainOp::NodeFailed { node }, now);
-            }
-        }
-    }
-
-    /// A failed node came back.
-    pub fn node_recovered(&mut self, node: NodeId, now: SimTime) {
-        match self {
-            ControlPlane::Single(b) => b.node_recovered(node),
-            ControlPlane::Replicated(c) => {
-                let _ = c.replicate(&BrainOp::NodeRecovered { node }, now);
-            }
-        }
-    }
-
     /// Streams currently produced on `node`.
-    pub fn streams_on(&mut self, node: NodeId) -> Vec<StreamId> {
+    pub(crate) fn streams_on(&mut self, node: NodeId) -> Vec<StreamId> {
         match self {
             ControlPlane::Single(b) => b.streams_on(node),
             ControlPlane::Replicated(c) => c.streams_on(node),
         }
     }
 
-    /// Minute tick: absorb node reports and run the periodic recompute
-    /// check.  In replicated mode the whole batch is ONE decree — reports
-    /// are frequent, so batching keeps the log tractable (ROADMAP item 3's
-    /// "batched mutations" note).
-    pub fn minute_report(&mut self, reports: &[NodeReport], now: SimTime) {
-        match self {
-            ControlPlane::Single(b) => {
-                for r in reports {
-                    b.absorb_report(r);
-                }
-                b.maybe_recompute(now);
-            }
-            ControlPlane::Replicated(c) => {
-                let op = BrainOp::Reports {
-                    now,
-                    reports: reports.to_vec(),
-                };
-                let _ = c.replicate(&op, now);
-            }
-        }
-    }
-
     /// Crash the Paxos leader (no-op for a single Brain — there is no
     /// replica to lose; the fault still counts as injected).
-    pub fn crash_leader(&mut self, now: SimTime) {
+    pub(crate) fn crash_leader(&mut self, now: SimTime) {
         if let ControlPlane::Replicated(c) = self {
             c.crash_leader(now);
         }
     }
 
     /// Restart the crashed leader replica (no-op for a single Brain).
-    pub fn restart_crashed(&mut self, now: SimTime) {
+    pub(crate) fn restart_crashed(&mut self, now: SimTime) {
         if let ControlPlane::Replicated(c) = self {
             c.restart_crashed(now);
         }
     }
 
     /// Completed PIB recompute rounds.
-    pub fn recompute_rounds(&self) -> u64 {
+    pub(crate) fn recompute_rounds(&self) -> u64 {
         match self {
             ControlPlane::Single(b) => b.recompute_rounds,
             ControlPlane::Replicated(c) => c.recompute_rounds(),
@@ -387,7 +314,7 @@ impl ControlPlane {
 
     /// Settle the cluster, audit replica consistency and summarize.
     /// `None` in single mode.
-    pub fn finalize(&mut self, horizon: SimTime) -> Option<ReplicationSummary> {
+    pub(crate) fn finalize(&mut self, horizon: SimTime) -> Option<ReplicationSummary> {
         match self {
             ControlPlane::Single(_) => None,
             ControlPlane::Replicated(c) => {
@@ -415,7 +342,7 @@ impl ControlPlane {
     }
 
     /// Export control-plane lifetime counters into a metric sink.
-    pub fn record_telemetry(&self, sink: &mut impl MetricSink) {
+    pub(crate) fn record_telemetry(&self, sink: &mut impl MetricSink) {
         match self {
             ControlPlane::Single(b) => b.record_telemetry(sink),
             ControlPlane::Replicated(c) => c.record_telemetry(sink),

@@ -16,7 +16,13 @@
 //!   effect), composing per-session delay/startup/stall metrics from link
 //!   state plus the packet-level-calibrated constants. Runs LiveNet and
 //!   the Hier baseline side by side on identical sessions, mirroring the
-//!   paper's parallel-deployment methodology (§6.1).
+//!   paper's parallel-deployment methodology (§6.1). [`FleetSim`] is a
+//!   sequencer over parts that own their state (DESIGN.md §2.2):
+//!   `fleet/config.rs` (validated configuration, fault plan),
+//!   `fleet/faults.rs` (the plan resolved against a topology),
+//!   `fleet/livenet.rs` and `fleet/hier.rs` (the two data planes) and
+//!   `fleet/rollup.rs` (hour/day series); [`control`] holds the Brain —
+//!   single or Paxos-replicated — behind one `commit(BrainOp)`.
 //!
 //! Fleet runs scale out through [`runner`]: [`FleetRunner`] partitions the
 //! channel universe into independent shards (DESIGN.md §7) and executes
@@ -37,10 +43,10 @@ pub mod viewer;
 pub mod workload;
 
 pub use calibrate::LatencyConstants;
-pub use control::{ControlPlane, ReplicationConfig, ReplicationSummary};
+pub use control::{ReplicationConfig, ReplicationSummary};
 pub use fleet::{
     FaultPlanConfig, FleetConfig, FleetConfigBuilder, FleetFault, FleetReport, FleetSim,
-    RecoveryRecord, System,
+    RecoveryRecord,
 };
 pub use metrics::{record_session, DecisionOutcome, SessionRecord, SessionSummary};
 pub use runner::{partition_channels, FleetRunner, ShardPlan};

@@ -27,6 +27,7 @@
 //! [`DetRng::split`]: livenet_types::DetRng::split
 
 use crate::fleet::{FleetConfig, FleetReport, FleetSim, RecoveryRecord, ShardOutput};
+use crate::metrics::SessionRecord;
 use livenet_types::{Result, SimTime, ZipfTable};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -197,31 +198,29 @@ impl FleetRunner {
 /// * Other counters: summed.
 fn merge(mut outputs: Vec<ShardOutput>, days: usize) -> FleetReport {
     let mut merged = FleetReport::default();
-    // Per-shard session vectors are already time-ordered, so a heap of one
-    // cursor per shard streams out the exact `(start, shard, position)`
-    // order the old global index sort produced, without materializing an
-    // O(sessions) order vector first.
+    // Per-shard session vectors are already time-ordered, so the k-way
+    // merge streams out the exact `(start, shard, position)` order a
+    // global sort would produce, without materializing an O(sessions)
+    // order vector first.
     let total: usize = outputs.iter().map(|o| o.report.livenet.len()).sum();
     merged.livenet.reserve_exact(total);
     merged.hier.reserve_exact(total);
-    let mut heads: BinaryHeap<Reverse<(SimTime, usize, usize)>> = outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| !o.report.livenet.is_empty())
-        .map(|(s, o)| Reverse((o.report.livenet[0].start, s, 0)))
-        .collect();
-    while let Some(Reverse((_, s, i))) = heads.pop() {
-        merged.livenet.push(outputs[s].report.livenet[i]);
-        merged.hier.push(outputs[s].report.hier[i]);
-        if let Some(next) = outputs[s].report.livenet.get(i + 1) {
-            heads.push(Reverse((next.start, s, i + 1)));
-        }
-    }
+    let lists: Vec<&[SessionRecord]> = outputs.iter().map(|o| &o.report.livenet[..]).collect();
+    kway_merge(&lists, |s| s.start, |shard, i| {
+        merged.livenet.push(lists[shard][i]);
+        merged.hier.push(outputs[shard].report.hier[i]);
+    });
 
     merged.hourly_loss = std::mem::take(&mut outputs[0].report.hourly_loss);
     merged.faults_injected = outputs[0].report.faults_injected;
-    merged.recoveries_livenet = merge_recoveries(&outputs, |r| &r.recoveries_livenet);
-    merged.recoveries_hier = merge_recoveries(&outputs, |r| &r.recoveries_hier);
+    let recoveries = |pick: fn(&FleetReport) -> &[RecoveryRecord]| {
+        let lists: Vec<&[RecoveryRecord]> = outputs.iter().map(|o| pick(&o.report)).collect();
+        let mut merged = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
+        kway_merge(&lists, |r| r.at, |shard, i| merged.push(lists[shard][i]));
+        merged
+    };
+    merged.recoveries_livenet = recoveries(|r| &r.recoveries_livenet);
+    merged.recoveries_hier = recoveries(|r| &r.recoveries_hier);
 
     merged.daily_peak_throughput = vec![0.0; days];
     let mut day_sets: Vec<HashSet<u64>> = vec![HashSet::new(); days];
@@ -251,27 +250,22 @@ fn merge(mut outputs: Vec<ShardOutput>, days: usize) -> FleetReport {
     merged
 }
 
-/// K-way merge of per-shard recovery records by `(at, shard, position)`.
-fn merge_recoveries(
-    outputs: &[ShardOutput],
-    pick: impl Fn(&FleetReport) -> &Vec<RecoveryRecord>,
-) -> Vec<RecoveryRecord> {
-    let total: usize = outputs.iter().map(|o| pick(&o.report).len()).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut heads: BinaryHeap<Reverse<(SimTime, usize, usize)>> = outputs
+/// Visit the elements of time-sorted per-shard `lists` in the canonical
+/// `(time, shard, position)` order — a total order independent of
+/// execution interleaving — calling `emit(shard, position)` for each. A
+/// heap of one cursor per shard, so the cost is O(n log shards).
+fn kway_merge<T>(lists: &[&[T]], at: impl Fn(&T) -> SimTime, mut emit: impl FnMut(usize, usize)) {
+    let mut heads: BinaryHeap<Reverse<(SimTime, usize, usize)>> = lists
         .iter()
         .enumerate()
-        .filter(|(_, o)| !pick(&o.report).is_empty())
-        .map(|(s, o)| Reverse((pick(&o.report)[0].at, s, 0)))
+        .filter_map(|(shard, l)| l.first().map(|x| Reverse((at(x), shard, 0))))
         .collect();
-    while let Some(Reverse((_, s, i))) = heads.pop() {
-        let recs = pick(&outputs[s].report);
-        merged.push(recs[i]);
-        if let Some(next) = recs.get(i + 1) {
-            heads.push(Reverse((next.at, s, i + 1)));
+    while let Some(Reverse((_, shard, i))) = heads.pop() {
+        emit(shard, i);
+        if let Some(next) = lists[shard].get(i + 1) {
+            heads.push(Reverse((at(next), shard, i + 1)));
         }
     }
-    merged
 }
 
 #[cfg(test)]

@@ -320,11 +320,6 @@ impl Workload {
         }
         Some(*self.rng.choose(edges))
     }
-
-    /// Deterministic per-session RNG fork for client-side noise.
-    pub fn rng(&mut self) -> &mut DetRng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,24 @@
+#!/bin/sh
+# One rule for ROADMAP item 2's two numbers, per crate and workspace-wide:
+#   lines = lines of each src/**/*.rs up to its first `#[cfg(test)]`
+#   pub   = `pub (fn|struct|enum|const|type|trait|mod|use)` items among them
+# Usage: tools/surface.sh [file-or-dir ...]   (default: every crate's src/)
+cd "$(dirname "$0")/.." || exit 1
+count() { # prints "<lines> <pub items>" for the .rs files under "$@"
+    find "$@" -name '*.rs' | sort | while read -r f; do
+        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f"
+    done | awk '
+        /^[[:space:]]*pub (fn|struct|enum|const|type|trait|mod|use) / { p++ }
+        END { print NR + 0, p + 0 }'
+}
+if [ $# -gt 0 ]; then
+    set -- $(count "$@")
+    printf '%-22s %7d lines %5d pub items\n' selection "$1" "$2"
+    exit 0
+fi
+for c in crates/*/; do
+    set -- $(count "$c/src")
+    printf '%-22s %7d lines %5d pub items\n' "$(basename "$c")" "$1" "$2"
+done
+set -- $(count crates/*/src)
+printf '%-22s %7d lines %5d pub items\n' workspace "$1" "$2"
