@@ -163,7 +163,11 @@ impl LiveNetPlane {
         realized.dedup();
         let shared: Arc<[NodeId]> = Arc::from(realized);
 
-        // Create entries along the new tail.
+        // Create entries along the new tail — and the producer's own, which
+        // a fault may have purged while the stream stayed registered.
+        if anchor_idx == 0 {
+            self.start_stream(path[0], stream);
+        }
         for j in (anchor_idx + 1)..path.len() {
             let node = path[j];
             let prefix_len = shared
@@ -185,10 +189,13 @@ impl LiveNetPlane {
             }
         }
         // The anchor gains the first new downstream, the consumer its viewer.
-        for node in [path[anchor_idx], consumer] {
-            if let Some(p) = self.presence.get_mut(&(node, stream)) {
+        if anchor_idx + 1 < path.len() {
+            if let Some(p) = self.presence.get_mut(&(path[anchor_idx], stream)) {
                 p.downstreams += 1;
             }
+        }
+        if let Some(p) = self.presence.get_mut(&(consumer, stream)) {
+            p.downstreams += 1;
         }
         Established {
             len: shared.len() as u32,
@@ -371,6 +378,22 @@ mod tests {
         assert_eq!(plane.loads().link_sessions.len(), 2);
         plane.end_stream(S);
         assert_eq!(plane.entries(), 0);
+    }
+
+    #[test]
+    fn establish_restores_a_purged_producer_entry() {
+        let (topology, n, mut plane) = live();
+        // The producer's node went dark and came back while the stream
+        // stayed registered: the first chain rebuilds the entry it hangs off.
+        plane.purge(&BTreeSet::from([n[0]]));
+        assert_eq!(plane.entries(), 0);
+        plane.establish(&topology, &[n[0], n[2]], S, 5);
+        assert!(plane.audit([(n[2], S)]).is_empty());
+        // A viewer on the producer node itself counts once.
+        plane.purge(&BTreeSet::from([n[0], n[2]]));
+        let e = plane.establish(&topology, &[n[0]], S, 5);
+        assert_eq!((e.len, e.establish_ms), (1, 0.0));
+        assert!(plane.audit([(n[0], S)]).is_empty());
     }
 
     #[test]

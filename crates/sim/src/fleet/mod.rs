@@ -45,12 +45,15 @@ use std::sync::Arc;
 /// Nominal stream bitrate (bits/s).
 const BITRATE_BPS: f64 = 2_500_000.0;
 
-/// An active viewing session.
+/// An active viewing session, and what its attaches took: a departure or
+/// a failover releases exactly that.
 #[derive(Debug, Clone)]
 struct Active {
     consumer: NodeId,
     stream: StreamId,
     channel: usize,
+    /// The session is a downstream of LiveNet's `(consumer, stream)` entry.
+    attached: bool,
     /// Hier nodes this session holds a cache reference on.
     hier_held: Vec<NodeId>,
 }
@@ -610,16 +613,16 @@ impl FleetSim {
         // ---------------- LiveNet ----------------
         // A stream that raced offline is served degenerate zero-hop with
         // no Brain round trip charged (same as a prefetched path).
-        let (shared, len, outcome, first_packet_ms) = self
-            .livenet_attach(now, consumer, stream, spec.channel)
-            .unwrap_or_else(|| {
-                (
-                    Arc::from(vec![consumer]),
-                    1,
-                    DecisionOutcome::Prefetched,
-                    400.0,
-                )
-            });
+        let attach = self.livenet_attach(now, consumer, stream, spec.channel);
+        let attached = attach.is_some();
+        let (shared, len, outcome, first_packet_ms) = attach.unwrap_or_else(|| {
+            (
+                Arc::from(vec![consumer]),
+                1,
+                DecisionOutcome::Prefetched,
+                400.0,
+            )
+        });
         let path = &shared[..len as usize];
         let cdn_ms = self.livenet_cdn_delay(path);
         let record = self.session_record(&LIVENET, path, cdn_ms, first_packet_ms, outcome, &client);
@@ -628,7 +631,7 @@ impl FleetSim {
         self.rollup.path(path);
 
         // ---------------- Hier ----------------
-        let (hier_path, outcome, first_packet_ms, cdn_ms) =
+        let (hier_held, outcome, first_packet_ms, cdn_ms) =
             match self.hier.attach(&self.topology, consumer, stream) {
                 Some(a) => {
                     // A hit and a miss both draw once.
@@ -642,23 +645,29 @@ impl FleetSim {
                     let cdn_ms = base.unwrap_or(450.0) + self.center_queueing_ms(a.nodes[2]);
                     (a.nodes, outcome, a.fetch_ms + serve, cdn_ms)
                 }
-                // Stream raced offline, or no L2 in reach: degenerate zero-hop.
-                None => (vec![consumer], DecisionOutcome::Prefetched, 600.0, 450.0),
+                // Stream raced offline, or no L2 in reach: degenerate
+                // zero-hop, nothing held.
+                None => (Vec::new(), DecisionOutcome::Prefetched, 600.0, 450.0),
             };
+        let zero_hop = [consumer];
+        let hier_path = if hier_held.is_empty() {
+            &zero_hop[..]
+        } else {
+            &hier_held[..]
+        };
         let record =
-            self.session_record(&HIER, &hier_path, cdn_ms, first_packet_ms, outcome, &client);
+            self.session_record(&HIER, hier_path, cdn_ms, first_packet_ms, outcome, &client);
         self.report.hier.push(record);
 
         // Register the active session and schedule departure.
-        self.active.insert(
-            id,
-            Active {
-                consumer,
-                stream,
-                channel: spec.channel,
-                hier_held: hier_path,
-            },
-        );
+        let session = Active {
+            consumer,
+            stream,
+            channel: spec.channel,
+            attached,
+            hier_held,
+        };
+        self.active.insert(id, session);
         self.queue.schedule(now + duration, Ev::Departure(id));
     }
 
@@ -712,7 +721,9 @@ impl FleetSim {
         let Some(session) = self.active.remove(&id) else {
             return;
         };
-        self.livenet.release(session.consumer, session.stream);
+        if session.attached {
+            self.livenet.release(session.consumer, session.stream);
+        }
         self.hier.release(&session.hier_held, session.stream);
     }
 
@@ -906,10 +917,11 @@ impl FleetSim {
         // local-hitting a stale entry that still routes through the
         // failure.
         let ids: Vec<u64> = self.active.keys().copied().collect();
-        let mut reattach: Vec<(NodeId, StreamId, usize)> = Vec::new();
+        let mut reattach: Vec<(u64, NodeId, StreamId, usize)> = Vec::new();
         for id in ids {
             let a = &self.active[&id];
             let (mut consumer, stream, channel) = (a.consumer, a.stream, a.channel);
+            let attached = a.attached;
             let hier_hit = a.hier_held.iter().any(|n| down.contains(n));
             let ln_hit = self
                 .livenet
@@ -934,7 +946,9 @@ impl FleetSim {
                 self.report
                     .recoveries_livenet
                     .push(RecoveryRecord::new(now, fast, detect, recover));
-                self.livenet.release(consumer, stream);
+                if attached {
+                    self.livenet.release(consumer, stream);
+                }
                 if down.contains(&consumer) {
                     // The viewer's own edge died; the client retries
                     // against the next edge in its country, if any.
@@ -946,7 +960,7 @@ impl FleetSim {
                         }
                     }
                 }
-                reattach.push((consumer, stream, channel));
+                reattach.push((id, consumer, stream, channel));
             }
             if hier_hit {
                 let detect = 3000.0 * self.rng.log_normal(0.0, 0.2);
@@ -958,11 +972,22 @@ impl FleetSim {
         }
         self.livenet.purge(&down);
         self.hier.purge(&down);
+        // The purged references leave their holders' sets, so a later
+        // departure cannot take a reference from a session that attached
+        // after the purge.
+        for a in self.active.values_mut() {
+            a.hier_held.retain(|n| !down.contains(n));
+        }
         // Re-establish over paths the Brain already recomputed around the
-        // failure.
-        for (consumer, stream, channel) in reattach {
-            if self.topology.node_is_up(consumer) {
-                let _ = self.livenet_attach(now, consumer, stream, channel);
+        // failure. A viewer whose edge died with no live alternative, or
+        // whose stream has no path left, stays detached.
+        for (id, consumer, stream, channel) in reattach {
+            let attached = self.topology.node_is_up(consumer)
+                && self
+                    .livenet_attach(now, consumer, stream, channel)
+                    .is_some();
+            if let Some(a) = self.active.get_mut(&id) {
+                a.attached = attached;
             }
         }
     }
@@ -1260,7 +1285,12 @@ mod tests {
             let sessions = sim.active.values();
             livenet += sim
                 .livenet
-                .audit(sessions.clone().map(|a| (a.consumer, a.stream)))
+                .audit(
+                    sessions
+                        .clone()
+                        .filter(|a| a.attached)
+                        .map(|a| (a.consumer, a.stream)),
+                )
                 .len();
             hier += sim
                 .hier
@@ -1276,8 +1306,13 @@ mod tests {
             assert_eq!(
                 audit_violations(FleetConfig::smoke(seed)),
                 (0, 0),
-                "seed {seed}"
+                "seed {seed}, fault-free"
             );
+            let faulted = FleetConfigBuilder::from_config(outage_config(seed))
+                .random_faults(3.0, (300, 1200))
+                .build()
+                .unwrap();
+            assert_eq!(audit_violations(faulted), (0, 0), "seed {seed}, faulted");
         }
     }
 

@@ -219,6 +219,10 @@ fn pin_2_four_shards() {
     );
 }
 
+/// Re-recorded once, by PR 14's bugfix commit (a session releases exactly
+/// what its attach took): three Hier records after an outage turn from a
+/// tier fetch into a local hit (`first_packet_ms`, `startup_ms`, outcome),
+/// `hier` 13_926_981_390_084_168_265 → the value below. Nothing else moved.
 #[test]
 fn pin_3_four_shards_faulted() {
     let r = run_serial(
@@ -235,7 +239,7 @@ fn pin_3_four_shards_faulted() {
         Fingerprint {
             sessions: 7_725,
             livenet: 4_771_309_191_271_087_914,
-            hier: 13_926_981_390_084_168_265,
+            hier: 4_266_057_875_027_927_918,
             rollup: 15_174_667_823_773_037_388,
             counters: 2_309_651_707_646_695_058,
             recoveries_livenet: 1_411_439_486_252_238_483,
