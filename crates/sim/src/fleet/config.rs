@@ -291,12 +291,7 @@ pub struct FleetConfigBuilder {
 impl FleetConfigBuilder {
     /// The small/fast test preset, pre-sharded for parallel runs.
     pub fn smoke(seed: u64) -> FleetConfigBuilder {
-        FleetConfigBuilder {
-            config: FleetConfig {
-                shards: 8,
-                ..FleetConfig::smoke(seed)
-            },
-        }
+        Self::from_config(FleetConfig::smoke(seed)).shards(8)
     }
 
     /// Continue building (and re-validate) from an existing configuration.
@@ -307,17 +302,7 @@ impl FleetConfigBuilder {
     /// The paper-scale evaluation preset (60 nodes, 200 channels, 20
     /// days), pre-sharded for parallel runs.
     pub fn paper_scale(seed: u64) -> FleetConfigBuilder {
-        FleetConfigBuilder {
-            config: FleetConfig {
-                geo: GeoConfig::paper_scale(seed),
-                workload: WorkloadConfig {
-                    seed,
-                    ..WorkloadConfig::default()
-                },
-                shards: 8,
-                ..FleetConfig::default()
-            },
-        }
+        FleetConfig::builder().seed(seed).shards(8)
     }
 
     /// The ≥1M-session stress preset: paper-scale geography, a doubled
@@ -326,25 +311,16 @@ impl FleetConfigBuilder {
     /// scaled with the arrival rate so utilization — and therefore
     /// routing and queueing behavior — stays in the paper-scale regime.
     pub fn mega_scale(seed: u64) -> FleetConfigBuilder {
-        FleetConfigBuilder {
-            config: FleetConfig {
-                geo: GeoConfig::paper_scale(seed),
-                workload: WorkloadConfig {
-                    seed,
-                    channels: 400,
-                    peak_arrivals_per_sec: 12.0,
-                    days: 2,
-                    festival_days: vec![1],
-                    festival_factor: 2.0,
-                    ..WorkloadConfig::default()
-                },
+        Self::paper_scale(seed)
+            .days(2)
+            .festival(vec![1], 2.0)
+            .peak_arrivals_per_sec(12.0)
+            .tweak(|c| {
+                c.workload.channels = 400;
                 // 12/s vs the paper preset's 1.6/s → 7.5× the capacity.
-                node_capacity_sessions: 150.0,
-                link_capacity_sessions: 900.0,
-                shards: 8,
-                ..FleetConfig::default()
-            },
-        }
+                c.node_capacity_sessions = 150.0;
+                c.link_capacity_sessions = 900.0;
+            })
     }
 
     /// Set both RNG seeds (topology and workload).

@@ -157,17 +157,20 @@ impl LiveNetPlane {
         // chain to the producer.
         match self.presence.get(&(path[anchor_idx], stream)) {
             Some(p) if !switched => realized.extend_from_slice(p.realized()),
-            _ => realized.push(path[anchor_idx]),
+            Some(_) => realized.push(path[anchor_idx]),
+            None => {
+                // No carrier at all: the chain starts at the producer,
+                // whose own entry a fault purged while the stream stayed
+                // registered.
+                realized.push(path[anchor_idx]);
+                self.start_stream(path[anchor_idx], stream);
+            }
         }
         realized.extend_from_slice(&path[anchor_idx + 1..]);
         realized.dedup();
         let shared: Arc<[NodeId]> = Arc::from(realized);
 
-        // Create entries along the new tail — and the producer's own, which
-        // a fault may have purged while the stream stayed registered.
-        if anchor_idx == 0 {
-            self.start_stream(path[0], stream);
-        }
+        // Create entries along the new tail.
         for j in (anchor_idx + 1)..path.len() {
             let node = path[j];
             let prefix_len = shared
@@ -228,19 +231,16 @@ impl LiveNetPlane {
 
     /// Recompute the per-minute loads from the entries.
     pub(super) fn loads(&mut self) -> &Loads {
-        let Loads {
-            node_fanout,
-            link_sessions,
-        } = &mut self.loads;
-        node_fanout.clear();
-        link_sessions.clear();
+        let loads = &mut self.loads;
+        loads.node_fanout.clear();
+        loads.link_sessions.clear();
         for (&(node, _), p) in &self.presence {
-            *node_fanout.entry(node).or_insert(0.0) += f64::from(p.downstreams);
+            *loads.node_fanout.entry(node).or_insert(0.0) += f64::from(p.downstreams);
             if let Some(up) = p.upstream {
-                *link_sessions.entry((up, node)).or_insert(0.0) += 1.0;
+                *loads.link_sessions.entry((up, node)).or_insert(0.0) += 1.0;
             }
         }
-        &self.loads
+        loads
     }
 }
 

@@ -1280,7 +1280,7 @@ mod tests {
         let mut sim = FleetSim::new(config);
         sim.seed_events();
         let (mut livenet, mut hier) = (0, 0);
-        for minute in 1..=sim.workload.horizon().as_nanos() / 60_000_000_000 {
+        for minute in 1..=u64::from(sim.config.workload.days) * 1440 {
             sim.drive(SimTime::from_secs(60 * minute));
             let sessions = sim.active.values();
             livenet += sim
