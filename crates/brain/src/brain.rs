@@ -424,6 +424,63 @@ mod tests {
         assert_eq!(l.loss, 0.004);
     }
 
+    /// A measurement that is not a number makes its link unusable, in
+    /// every build profile. It used to reach `WeightedGraph::new`, whose
+    /// `debug_assert` (`bad edge weight NaN`) panicked this test profile
+    /// while a release build dropped the link.
+    #[test]
+    fn non_finite_measurement_drops_its_link_and_nothing_else() {
+        let (mut expected, nodes) = brain(14);
+        let (a, b) = (nodes[0], nodes[1]);
+        expected.update_topology(|t| t.set_link_up(a, b, false));
+        let rtt = expected.topology().link(a, b).unwrap().rtt;
+        let report = |node, utilization, links| NodeReport {
+            node,
+            at: SimTime::from_secs(60),
+            utilization,
+            links,
+        };
+        let link = |loss, utilization| LinkReport {
+            to: b,
+            rtt,
+            loss,
+            utilization,
+            from_transport: true,
+        };
+        let nan = f64::NAN;
+        let cases = [
+            vec![report(a, 0.0, vec![link(nan, 0.0)])],
+            // Eq. 2's `u_AB` is a max, which skips a NaN operand: the load
+            // is NaN only when the link and both its ends report one.
+            vec![report(a, nan, vec![link(0.0, nan)]), report(b, nan, vec![])],
+        ];
+        for reports in cases {
+            let (mut brain, _) = brain(14);
+            for r in &reports {
+                assert!(brain.absorb_report(r).is_empty());
+            }
+            brain.force_recompute(SimTime::ZERO);
+            let pib = &brain.decision().pib;
+            assert_eq!(pib.len(), expected.decision().pib.len());
+            for (&(src, dst), paths) in pib.iter() {
+                assert!(paths.iter().all(|p| !p.contains_link(a, b)));
+                assert_eq!(Some(&paths[..]), expected.decision().pib.lookup(src, dst));
+            }
+        }
+        // Loss that is infinite or negative is clamped into [0, 1]: the
+        // link stays usable.
+        let (mut brain, _) = brain(14);
+        for loss in [f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            let weight = crate::link_weight(rtt, loss, 0.0, Default::default());
+            assert!(weight.is_finite() && weight >= 0.0, "loss {loss}: {weight}");
+            brain.absorb_report(&report(a, 0.0, vec![link(loss, 0.0)]));
+            brain.force_recompute(SimTime::ZERO);
+            let graph = brain.routing().build_graph(brain.topology());
+            assert_eq!((graph.ids[0], graph.ids[1]), (a, b));
+            assert!(graph.adj[0].contains(&(1, weight)), "loss {loss}");
+        }
+    }
+
     #[test]
     fn prefetch_only_for_popular_streams() {
         let (mut b, nodes) = brain(6);

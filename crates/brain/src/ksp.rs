@@ -1,9 +1,9 @@
 //! Dijkstra and Yen's K-shortest-paths over a weighted overlay graph.
 //!
-//! The Global Routing module finds the k = 3 shortest paths between every
-//! pair of nodes (paper §4.3, citing Eppstein's KSP problem; production
-//! systems commonly use Yen's algorithm, which we implement here — simple,
-//! loopless, exact).
+//! The exact per-pair search (paper §4.3 cites Eppstein's KSP problem;
+//! Yen's algorithm is simple, loopless, exact). Global Routing runs it for
+//! hop limits above 3, and its tests hold the ≤ 3-hop enumeration of the
+//! 10-minute job (`routing.rs`) against it.
 
 use livenet_types::NodeId;
 use std::cmp::Ordering;
@@ -17,14 +17,13 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 pub struct WeightedGraph {
     /// Node IDs by index.
     pub ids: Vec<NodeId>,
-    /// Index of each node ID.
-    pub index: HashMap<NodeId, usize>,
     /// Out-adjacency: `adj[u] = [(v, w), ...]`.
     pub adj: Vec<Vec<(usize, f64)>>,
 }
 
 impl WeightedGraph {
-    /// Build from an edge list; nodes are taken from `ids` (deduped order).
+    /// Build from the caller's own edge list (weights finite and ≥ 0; measured
+    /// ones are vetted by `GlobalRouting::build_graph`); nodes come from `ids`.
     pub fn new(ids: Vec<NodeId>, edges: impl IntoIterator<Item = (NodeId, NodeId, f64)>) -> Self {
         let index: HashMap<NodeId, usize> =
             ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
@@ -36,7 +35,7 @@ impl WeightedGraph {
             debug_assert!(w.is_finite() && w >= 0.0, "bad edge weight {w}");
             adj[fi].push((ti, w));
         }
-        WeightedGraph { ids, index, adj }
+        WeightedGraph { ids, adj }
     }
 
     /// Number of nodes.

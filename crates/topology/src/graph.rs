@@ -211,6 +211,12 @@ impl Topology {
         self.down_nodes.iter().copied()
     }
 
+    /// Directed links currently marked down themselves (a link through a
+    /// down endpoint is not listed), deterministic order.
+    pub fn down_link_ids(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.down_links.iter().copied()
+    }
+
     /// All node IDs in the given country, deterministic order (region
     /// outage support).
     pub fn nodes_in_country(&self, country: u32) -> impl Iterator<Item = NodeId> + '_ {
