@@ -164,6 +164,27 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// A flag byte; only what `encode` writes is accepted, so every decree
+    /// has one encoding and logs compare byte for byte.
+    fn flag(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(Error::decode(format!("brain op flag byte {b}"))),
+        }
+    }
+
+    /// A `u32` element count, refused unless the bytes left can hold that
+    /// many elements of at least `min_len` bytes each: the caller may
+    /// allocate for the count it gets.
+    fn count(&mut self, min_len: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_len {
+            return Err(Error::decode("brain op truncated"));
+        }
+        Ok(n)
+    }
+
     fn done(&self) -> Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -172,6 +193,10 @@ impl<'a> Cursor<'a> {
         }
     }
 }
+
+/// Encoded size of a report without links, and of one link.
+const REPORT_MIN_LEN: usize = 8 + 8 + 8 + 4;
+const LINK_LEN: usize = 8 + 8 + 8 + 8 + 1;
 
 fn put_report(buf: &mut Vec<u8>, r: &NodeReport) {
     put_u64(buf, r.node.raw());
@@ -191,15 +216,15 @@ fn get_report(c: &mut Cursor<'_>) -> Result<NodeReport> {
     let node = NodeId::new(c.u64()?);
     let at = SimTime::from_nanos(c.u64()?);
     let utilization = c.f64()?;
-    let n_links = c.u32()? as usize;
-    let mut links = Vec::with_capacity(n_links.min(1024));
+    let n_links = c.count(LINK_LEN)?;
+    let mut links = Vec::with_capacity(n_links);
     for _ in 0..n_links {
         links.push(LinkReport {
             to: NodeId::new(c.u64()?),
             rtt: SimDuration::from_nanos(c.u64()?),
             loss: c.f64()?,
             utilization: c.f64()?,
-            from_transport: c.u8()? != 0,
+            from_transport: c.flag()?,
         });
     }
     Ok(NodeReport {
@@ -287,8 +312,8 @@ impl BrainOp {
         let op = match c.u8()? {
             TAG_REPORTS => {
                 let now = SimTime::from_nanos(c.u64()?);
-                let n = c.u32()? as usize;
-                let mut reports = Vec::with_capacity(n.min(4096));
+                let n = c.count(REPORT_MIN_LEN)?;
+                let mut reports = Vec::with_capacity(n);
                 for _ in 0..n {
                     reports.push(get_report(&mut c)?);
                 }
