@@ -128,8 +128,8 @@ impl GlobalRouting {
     /// Enumerates direct, 2-hop and 3-hop paths over one dense snapshot
     /// when the hop limit is ≤ 3 (LiveNet's production constraint); falls
     /// back to Yen's KSP per pair for larger hop limits. The two agree on
-    /// every pair's best path; see [`Self::mesh`] for where the rest of the
-    /// list may differ.
+    /// every pair's best path; the rest of a list can differ in 3-hop
+    /// entries (see `mesh`).
     pub fn compute_all(
         &self,
         topology: &Topology,

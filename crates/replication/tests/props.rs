@@ -269,8 +269,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// for than the input could describe (a decoded report or link is under
 /// twice its encoding; the slack covers the error message). What decodes
 /// is canonical: it re-encodes to the same bytes, so two replicas' logs
-/// can be compared byte for byte.
-fn decode_hostile(bytes: &[u8]) -> Result<(), TestCaseError> {
+/// can be compared byte for byte. Returns whether the bytes decoded.
+fn decode_hostile(bytes: &[u8]) -> Result<bool, TestCaseError> {
     let before = REQUESTED.with(Cell::get);
     let decoded = BrainOp::decode(bytes);
     let requested = REQUESTED.with(Cell::get) - before;
@@ -279,10 +279,10 @@ fn decode_hostile(bytes: &[u8]) -> Result<(), TestCaseError> {
         "{requested} bytes requested to decode {} bytes",
         bytes.len()
     );
-    if let Ok(op) = decoded {
+    if let Ok(op) = &decoded {
         prop_assert_eq!(op.encode(), bytes);
     }
-    Ok(())
+    Ok(decoded.is_ok())
 }
 
 /// A float a report could carry: mostly arbitrary bit patterns (NaNs of
@@ -394,8 +394,7 @@ proptest! {
     ) {
         let bytes = arb_op(seed, 3).encode();
         for cut in 0..bytes.len() {
-            prop_assert!(BrainOp::decode(&bytes[..cut]).is_err(), "cut at {cut}");
-            decode_hostile(&bytes[..cut])?;
+            prop_assert!(!decode_hostile(&bytes[..cut])?, "cut at {cut} decodes");
         }
         for at in 0..bytes.len() {
             let mut corrupt = bytes.clone();
