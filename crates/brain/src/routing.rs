@@ -170,8 +170,7 @@ impl GlobalRouting {
         let n = ids.len();
         let max_hops = self.config.max_hops;
         let mut out = HashMap::with_capacity(n * n.saturating_sub(1));
-        let k = self.config.k;
-        let mut top = TopK { k, best: Vec::with_capacity(k), bound: f64::INFINITY };
+        let mut top = TopK(vec![EMPTY; self.config.k]);
         // Per second relay r2, the two cheapest s→r1→r2 (the runner-up
         // covers r1 == d). The diagonal of `w` is ∞, which excludes
         // r1 == s and r1 == r2 without a test.
@@ -199,7 +198,7 @@ impl GlobalRouting {
                     continue;
                 }
                 let into_d = &wt[d * n..][..n];
-                top.clear();
+                top.0.fill(EMPTY);
                 if max_hops >= 1 {
                     top.offer(from_s[d], [s, d, 0, 0], 2);
                 }
@@ -215,11 +214,12 @@ impl GlobalRouting {
                     }
                 }
                 let paths = top
-                    .best
+                    .0
                     .iter()
                     .map(|(weight, path, len)| (*weight, &path[..*len as usize]))
-                    .filter(|(_, path)| {
-                        !path.iter().any(|&i| node_over[i])
+                    .filter(|(weight, path)| {
+                        weight.is_finite()
+                            && !path.iter().any(|&i| node_over[i])
                             && !path.windows(2).any(|hop| link_over[hop[0] * n + hop[1]])
                     })
                     .map(|(weight, path)| OverlayPath {
@@ -332,40 +332,30 @@ impl Snapshot {
 type Candidate = (f64, [usize; 4], u8);
 
 /// The K best candidates seen so far under the total order (weight, then
-/// index path lexicographically), best first. No two candidates of a pair
-/// are the same path, so the order has no ties.
-struct TopK {
-    k: usize,
-    best: Vec<Candidate>,
-    /// Weight of the K-th entry once `best` is full: a heavier candidate
-    /// is rejected on this one compare.
-    bound: f64,
-}
+/// index path lexicographically), best first; always K long, the unused
+/// slots holding `EMPTY`. No two candidates of a pair are the same path,
+/// so the order has no ties.
+struct TopK(Vec<Candidate>);
+
+const EMPTY: Candidate = (f64::INFINITY, [0; 4], 0);
 
 impl TopK {
-    fn clear(&mut self) {
-        self.best.clear();
-        self.bound = f64::INFINITY;
-    }
-
     #[inline]
     fn offer(&mut self, weight: f64, path: [usize; 4], len: u8) {
-        if weight > self.bound || weight == f64::INFINITY {
+        let before = |(w, p, l): &Candidate| {
+            weight < *w || (weight == *w && path[..len as usize] < p[..*l as usize])
+        };
+        // The K-th weight rejects a heavier candidate on one compare.
+        let Some(last) = self.0.last() else { return };
+        if weight > last.0 || weight == f64::INFINITY || !before(last) {
             return;
         }
-        let nodes = &path[..len as usize];
-        let at = self
-            .best
-            .iter()
-            .position(|(w, p, l)| weight < *w || (weight == *w && nodes < &p[..*l as usize]))
-            .unwrap_or(self.best.len());
-        if at < self.k {
-            self.best.truncate(self.k - 1);
-            self.best.insert(at, (weight, path, len));
-            if self.best.len() == self.k {
-                self.bound = self.best[self.k - 1].0;
-            }
+        let mut at = self.0.len() - 1;
+        while at > 0 && before(&self.0[at - 1]) {
+            self.0[at] = self.0[at - 1];
+            at -= 1;
         }
+        self.0[at] = (weight, path, len);
     }
 }
 
