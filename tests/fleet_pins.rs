@@ -8,29 +8,8 @@
 use livenet::prelude::*;
 use livenet::sim::{DecisionOutcome, FleetFault, RecoveryRecord, ReplicationConfig};
 
-/// FNV-1a over a stream of 64-bit words (little-endian bytes).
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn f32(&mut self, v: f32) {
-        self.word(u64::from(v.to_bits()));
-    }
-}
+mod common;
+use common::Fnv;
 
 fn sessions(records: &[SessionRecord]) -> u64 {
     let mut h = Fnv::new();

@@ -10,20 +10,8 @@
 use livenet::brain::{GlobalRouting, RoutingConfig};
 use livenet::prelude::*;
 
-/// FNV-1a over a stream of 64-bit words (little-endian bytes).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
+mod common;
+use common::Fnv;
 
 const NOW: SimTime = SimTime::from_secs(600);
 
