@@ -11,7 +11,7 @@
 /// Default bucket upper bounds for latency-style observations, in
 /// milliseconds.  Spans sub-millisecond link hops up to the 30 s session
 /// timeout; anything above the last bound lands in the overflow bucket.
-pub const DEFAULT_MS_BOUNDS: &[f64] = &[
+pub(crate) const DEFAULT_MS_BOUNDS: &[f64] = &[
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
     30000.0,
 ];
@@ -29,14 +29,14 @@ const FIXED_POINT_SCALE: f64 = 1000.0;
 pub struct FixedHistogram {
     bounds: &'static [f64],
     /// `bounds.len() + 1` buckets; the last is the overflow bucket.
-    counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     count: u64,
     /// Sum of observations in fixed-point (value × 1000), exact under merge.
-    sum_fp: i128,
+    pub(crate) sum_fp: i128,
     /// Smallest observation in fixed-point; `i64::MAX` when empty.
-    min_fp: i64,
+    pub(crate) min_fp: i64,
     /// Largest observation in fixed-point; `i64::MIN` when empty.
-    max_fp: i64,
+    pub(crate) max_fp: i64,
 }
 
 impl FixedHistogram {
@@ -54,11 +54,6 @@ impl FixedHistogram {
             min_fp: i64::MAX,
             max_fp: i64::MIN,
         }
-    }
-
-    /// An empty histogram over [`DEFAULT_MS_BOUNDS`].
-    pub fn default_ms() -> Self {
-        FixedHistogram::new(DEFAULT_MS_BOUNDS)
     }
 
     /// The bucket upper bounds this histogram was built with.
@@ -86,26 +81,6 @@ impl FixedHistogram {
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Exact fixed-point sum (observation units × 1000).
-    pub fn sum_fixed_point(&self) -> i128 {
-        self.sum_fp
-    }
-
-    /// Smallest observation in fixed-point; `i64::MAX` when empty.
-    pub fn min_fixed_point(&self) -> i64 {
-        self.min_fp
-    }
-
-    /// Largest observation in fixed-point; `i64::MIN` when empty.
-    pub fn max_fixed_point(&self) -> i64 {
-        self.max_fp
     }
 
     /// Mean observation, or `None` when empty.  Derived from the exact
@@ -175,16 +150,15 @@ mod tests {
 
     #[test]
     fn observe_buckets_and_stats() {
-        let mut h = FixedHistogram::default_ms();
+        let mut h = FixedHistogram::new(DEFAULT_MS_BOUNDS);
         h.observe(0.3);
         h.observe(1.0); // boundary lands in its own bucket (v <= bound)
         h.observe(150.0);
         h.observe(99999.0); // overflow
         assert_eq!(h.count(), 4);
-        assert_eq!(h.bucket_counts()[0], 1);
-        assert_eq!(h.bucket_counts()[1], 1);
-        let overflow = h.bucket_counts().len() - 1;
-        assert_eq!(h.bucket_counts()[overflow], 1);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[1], 1);
+        assert_eq!(h.counts.last(), Some(&1)); // overflow
         assert_eq!(h.min(), Some(0.3));
         assert_eq!(h.max(), Some(99999.0));
         let mean = h.mean().unwrap();
@@ -193,7 +167,7 @@ mod tests {
 
     #[test]
     fn nan_is_coerced_to_zero() {
-        let mut h = FixedHistogram::default_ms();
+        let mut h = FixedHistogram::new(DEFAULT_MS_BOUNDS);
         h.observe(f64::NAN);
         assert_eq!(h.count(), 1);
         assert_eq!(h.min(), Some(0.0));
@@ -201,8 +175,8 @@ mod tests {
 
     #[test]
     fn merge_is_exact() {
-        let mut a = FixedHistogram::default_ms();
-        let mut b = FixedHistogram::default_ms();
+        let mut a = FixedHistogram::new(DEFAULT_MS_BOUNDS);
+        let mut b = FixedHistogram::new(DEFAULT_MS_BOUNDS);
         for i in 0..100 {
             a.observe(i as f64 * 0.7);
             b.observe(i as f64 * 1.3);
@@ -217,7 +191,7 @@ mod tests {
 
     #[test]
     fn quantile_reads_bucket_bound() {
-        let mut h = FixedHistogram::default_ms();
+        let mut h = FixedHistogram::new(DEFAULT_MS_BOUNDS);
         for _ in 0..99 {
             h.observe(3.0);
         }
@@ -229,7 +203,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different bucket bounds")]
     fn merge_rejects_mismatched_bounds() {
-        let mut a = FixedHistogram::default_ms();
+        let mut a = FixedHistogram::new(DEFAULT_MS_BOUNDS);
         let b = FixedHistogram::new(QUEUE_DEPTH_BOUNDS);
         a.merge(&b);
     }

@@ -38,17 +38,6 @@ pub trait MetricSink {
     }
 }
 
-/// A sink that discards everything.  Lets instrumented code run un-measured
-/// with zero overhead and no `Option<&mut dyn MetricSink>` plumbing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricSink for NullSink {
-    fn add(&mut self, _id: MetricId, _delta: u64) {}
-    fn gauge_max(&mut self, _id: MetricId, _value: f64) {}
-    fn observe_with(&mut self, _id: MetricId, _bounds: &'static [f64], _value: f64) {}
-}
-
 /// In-memory aggregation of everything recorded through [`MetricSink`].
 ///
 /// Keys are `BTreeMap`s so iteration — and therefore [`Snapshot`] layout —
@@ -220,13 +209,5 @@ mod tests {
         let h = hub.histogram(ids::STAGE_RECOVERY_MS).unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.min(), Some(500.0));
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut sink = NullSink;
-        sink.incr(ids::FLEET_SESSIONS);
-        sink.observe(ids::STAGE_STARTUP_MS, 1.0);
-        sink.gauge_max(ids::FLEET_PEAK_VIEWERS, 1.0);
     }
 }

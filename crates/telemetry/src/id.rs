@@ -121,8 +121,6 @@ pub mod ids {
     pub const BRAIN_NODE_FAILED: MetricId = MetricId("brain.node_failed");
     /// Node-recovered notifications processed.
     pub const BRAIN_NODE_RECOVERED: MetricId = MetricId("brain.node_recovered");
-    /// Brain-side path request service latency (simulated RPC), ms.
-    pub const BRAIN_RESPONSE_MS: MetricId = MetricId("brain.response_ms");
     /// KSP path entries computed across all recompute rounds (work proxy).
     pub const BRAIN_KSP_PATHS: MetricId = MetricId("brain.ksp_paths_computed");
     /// Leader failover latency (last decree before the crash → first

@@ -35,7 +35,7 @@ mod hub;
 mod id;
 mod snapshot;
 
-pub use hist::{FixedHistogram, DEFAULT_MS_BOUNDS, QUEUE_DEPTH_BOUNDS};
-pub use hub::{MetricSink, NullSink, Span, TelemetryHub};
+pub use hist::{FixedHistogram, QUEUE_DEPTH_BOUNDS};
+pub use hub::{MetricSink, Span, TelemetryHub};
 pub use id::{ids, MetricId};
 pub use snapshot::{HistSnapshot, Snapshot};

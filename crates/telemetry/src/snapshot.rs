@@ -30,11 +30,11 @@ impl HistSnapshot {
     fn from_hist(h: &FixedHistogram) -> Self {
         HistSnapshot {
             bounds: h.bounds().to_vec(),
-            counts: h.bucket_counts().to_vec(),
+            counts: h.counts.clone(),
             count: h.count(),
-            sum_fp: h.sum_fixed_point(),
-            min_fp: h.min_fixed_point(),
-            max_fp: h.max_fixed_point(),
+            sum_fp: h.sum_fp,
+            min_fp: h.min_fp,
+            max_fp: h.max_fp,
         }
     }
 

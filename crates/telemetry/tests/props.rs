@@ -2,15 +2,16 @@
 //! merge is associative and commutative, and a stream of recordings split
 //! across any shard width merges back to one bit-identical snapshot.
 
-use livenet_telemetry::{
-    FixedHistogram, MetricId, MetricSink, Snapshot, TelemetryHub, DEFAULT_MS_BOUNDS,
-};
+use livenet_telemetry::{FixedHistogram, MetricId, MetricSink, Snapshot, TelemetryHub};
 use proptest::prelude::*;
 
 const H_A: MetricId = MetricId("test.hist_a");
 const H_B: MetricId = MetricId("test.hist_b");
 const C_A: MetricId = MetricId("test.counter_a");
 const G_A: MetricId = MetricId("test.gauge_a");
+
+/// Millisecond-scale bucket bounds, coarser than the crate's default set.
+const MS_BOUNDS: &[f64] = &[0.5, 5.0, 50.0, 500.0, 5000.0, 30000.0];
 
 /// Millisecond-scale observations spanning every bucket, including
 /// negatives and values past the top bound (both clamp).
@@ -19,19 +20,11 @@ fn arb_values() -> impl Strategy<Value = Vec<f64>> {
 }
 
 fn hist_of(values: &[f64]) -> FixedHistogram {
-    let mut h = FixedHistogram::default_ms();
+    let mut h = FixedHistogram::new(MS_BOUNDS);
     for &v in values {
         h.observe(v);
     }
     h
-}
-
-fn bit_identical_hist(a: &FixedHistogram, b: &FixedHistogram) -> bool {
-    a.count() == b.count()
-        && a.bucket_counts() == b.bucket_counts()
-        && a.sum_fixed_point() == b.sum_fixed_point()
-        && a.min_fixed_point() == b.min_fixed_point()
-        && a.max_fixed_point() == b.max_fixed_point()
 }
 
 /// Replay one recording stream into a hub. Each value feeds two
@@ -42,7 +35,7 @@ fn record(hub: &mut TelemetryHub, values: &[f64]) {
     for &v in values {
         hub.observe(H_A, v);
         if v.to_bits() % 3 == 0 {
-            hub.observe_with(H_B, DEFAULT_MS_BOUNDS, v * 0.5);
+            hub.observe_with(H_B, MS_BOUNDS, v * 0.5);
         }
         hub.add(C_A, 1 + (v.to_bits() % 4));
         hub.gauge_max(G_A, v);
@@ -68,7 +61,7 @@ proptest! {
         let mut right = ha.clone();
         right.merge(&bc);
 
-        prop_assert!(bit_identical_hist(&left, &right));
+        prop_assert_eq!(left, right);
     }
 
     /// a ⊕ b is bit-identical to b ⊕ a, and ⊕ matches observing the
@@ -84,11 +77,11 @@ proptest! {
         ab.merge(&hb);
         let mut ba = hb.clone();
         ba.merge(&ha);
-        prop_assert!(bit_identical_hist(&ab, &ba));
+        prop_assert_eq!(&ab, &ba);
 
         let mut concat: Vec<f64> = a.clone();
         concat.extend_from_slice(&b);
-        prop_assert!(bit_identical_hist(&ab, &hist_of(&concat)));
+        prop_assert_eq!(ab, hist_of(&concat));
     }
 
     /// Round-robin the same recording stream across 1, 2, 4 and 8 shard

@@ -54,10 +54,6 @@ impl Error {
     pub fn constraint(msg: impl Into<String>) -> Self {
         Error::Constraint(msg.into())
     }
-    /// Shorthand for an invalid-state error.
-    pub fn invalid_state(msg: impl Into<String>) -> Self {
-        Error::InvalidState(msg.into())
-    }
     /// Shorthand for an exhaustion error.
     pub fn exhausted(msg: impl Into<String>) -> Self {
         Error::Exhausted(msg.into())

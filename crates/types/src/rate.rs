@@ -43,10 +43,6 @@ impl Bandwidth {
     pub const fn as_kbps(self) -> u64 {
         self.0 / 1_000
     }
-    /// Megabits per second as a float.
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
 
     /// Time to serialize `bytes` bytes at this rate.
     ///
@@ -72,16 +68,6 @@ impl Bandwidth {
     #[must_use]
     pub fn mul_f64(self, k: f64) -> Bandwidth {
         Bandwidth((self.0 as f64 * k.max(0.0)).round() as u64)
-    }
-
-    /// Fraction `self / total`, or 0 when `total` is zero.
-    #[must_use]
-    pub fn fraction_of(self, total: Bandwidth) -> f64 {
-        if total.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total.0 as f64
-        }
     }
 
     /// The smaller of two rates.
@@ -158,13 +144,6 @@ mod tests {
         let dur = bw.transmission_time(10_000);
         let bytes = bw.bytes_in(dur);
         assert!((bytes as i64 - 10_000).abs() <= 1, "bytes={bytes}");
-    }
-
-    #[test]
-    fn fraction_of_handles_zero_total() {
-        assert_eq!(Bandwidth::from_mbps(1).fraction_of(Bandwidth::ZERO), 0.0);
-        let half = Bandwidth::from_mbps(5).fraction_of(Bandwidth::from_mbps(10));
-        assert!((half - 0.5).abs() < 1e-12);
     }
 
     #[test]

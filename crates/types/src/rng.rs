@@ -105,15 +105,6 @@ impl DetRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Zipf-like rank sample over `n` items with exponent `s`; returns a rank
-    /// in `[0, n)` where rank 0 is the most popular.
-    ///
-    /// Uses inverse-CDF over the harmonic weights; O(log n) per draw after an
-    /// O(n) table build, so callers should prefer [`ZipfTable`] for hot loops.
-    pub fn zipf_once(&mut self, n: usize, s: f64) -> usize {
-        ZipfTable::new(n, s).sample(self)
-    }
-
     /// Pick a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");

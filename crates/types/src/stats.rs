@@ -50,16 +50,12 @@ impl OnlineStats {
         }
     }
     /// Population variance (0 when fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
             self.m2 / self.n as f64
         }
-    }
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
     /// Smallest sample (NaN when empty).
     pub fn min(&self) -> f64 {
@@ -177,11 +173,6 @@ impl Ecdf {
         n as f64 / self.samples.len() as f64
     }
 
-    /// Evaluate the CDF at each of `points`, returning (x, F(x)) pairs.
-    pub fn cdf_series(&mut self, points: &[f64]) -> Vec<(f64, f64)> {
-        points.iter().map(|&x| (x, self.cdf_at(x))).collect()
-    }
-
     /// Mean of the samples (NaN when empty).
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -255,6 +246,29 @@ pub fn welch_t(a: &OnlineStats, b: &OnlineStats) -> (f64, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// OnlineStats merge is equivalent to a single pass.
+        #[test]
+        fn online_stats_merge_equivalence(
+            a in prop::collection::vec(-1e6f64..1e6, 0..100),
+            b in prop::collection::vec(-1e6f64..1e6, 0..100),
+        ) {
+            let mut whole = OnlineStats::new();
+            for &x in a.iter().chain(&b) { whole.push(x); }
+            let mut left = OnlineStats::new();
+            let mut right = OnlineStats::new();
+            for &x in &a { left.push(x); }
+            for &x in &b { right.push(x); }
+            left.merge(&right);
+            prop_assert_eq!(left.count(), whole.count());
+            if whole.count() > 0 {
+                prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
+                prop_assert!((left.variance() - whole.variance()).abs() < 1.0);
+            }
+        }
+    }
 
     #[test]
     fn online_stats_mean_var() {

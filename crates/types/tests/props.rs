@@ -1,6 +1,6 @@
 //! Property-based tests for the core vocabulary types.
 
-use livenet_types::{Bandwidth, DetRng, Ecdf, OnlineStats, SeqNo, SimDuration, SimTime};
+use livenet_types::{Bandwidth, DetRng, Ecdf, SeqNo, SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -45,26 +45,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&f));
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(e.cdf_at(max), 1.0);
-    }
-
-    /// OnlineStats merge is equivalent to a single pass.
-    #[test]
-    fn online_stats_merge_equivalence(
-        a in prop::collection::vec(-1e6f64..1e6, 0..100),
-        b in prop::collection::vec(-1e6f64..1e6, 0..100),
-    ) {
-        let mut whole = OnlineStats::new();
-        for &x in a.iter().chain(&b) { whole.push(x); }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &a { left.push(x); }
-        for &x in &b { right.push(x); }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        if whole.count() > 0 {
-            prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((left.variance() - whole.variance()).abs() < 1.0);
-        }
     }
 
     /// Bandwidth: transmission_time and bytes_in are inverse-ish.
