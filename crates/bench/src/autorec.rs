@@ -20,21 +20,13 @@
 //!   retransmission is lost on the degraded leg slip further, or are
 //!   abandoned outright once the retry budget runs dry.
 //!
-//! Writes `BENCH_autorec.json`. Every (mode, seed) cell is an independent
-//! simulation, so the cell set is fanned across worker threads; the run
-//! repeats at 1, 2, and `--shards N` workers and asserts the outcomes are
-//! identical (`ScenarioRun` equality: every event, counter and frame) —
-//! the same determinism contract the fleet benches enforce.
-//!
-//! `--smoke` shrinks the broadcast for CI and still asserts the headline
-//! result: alternate median strictly below the baseline median, zero
-//! determinism divergence.
-//!
-//! ```sh
-//! cargo run --release --bin exp_autorec [-- --shards 4] [-- --smoke]
-//! ```
+//! Every (mode, seed) cell is an independent, pure simulation
+//! (`outcomes_are_deterministic` below, run-twice equality in
+//! `tests/end_to_end_sim.rs`), run one after the other. `--smoke` shrinks
+//! the broadcast for CI and still asserts the headline result: alternate
+//! median strictly below the baseline median.
 
-use livenet_bench::{Report, SEED};
+use crate::{percentile, Args, Report, SEED};
 use livenet_emu::{LinkConfig, LossModel};
 use livenet_node::{NodeEvent, NodeStats};
 use livenet_sim::{Scenario, ScenarioRun, Viewer};
@@ -90,14 +82,6 @@ fn median_recover_ms(run: &ScenarioRun) -> f64 {
     f64::from(v[(v.len() - 1) / 2])
 }
 
-fn percentile(sorted: &[f32], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    f64::from(sorted[idx])
-}
-
 /// Latency distribution plus headline counters over a set of outcomes
 /// (one mode, all seeds pooled).
 struct ModeSummary {
@@ -136,7 +120,8 @@ impl ModeSummary {
         }
     }
 
-    fn json(&self) -> String {
+    /// The summary on one line.
+    fn line(&self) -> String {
         let p = |x: f64| {
             if x.is_nan() {
                 "null".to_string()
@@ -162,55 +147,8 @@ impl ModeSummary {
     }
 }
 
-/// Run every cell at the given worker-thread count, preserving cell order.
-fn run_cells(cells: &[Scenario], workers: usize) -> Vec<ScenarioRun> {
-    let workers = workers.max(1);
-    let mut out: Vec<Option<ScenarioRun>> = vec![None; cells.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for tid in 0..workers {
-            let cells = &cells;
-            handles.push(scope.spawn(move || {
-                let mut mine = Vec::new();
-                let mut i = tid;
-                while i < cells.len() {
-                    mine.push((i, cells[i].run().expect("diamond preset is valid")));
-                    i += workers;
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            for (i, o) in h.join().expect("autorec worker panicked") {
-                out[i] = Some(o);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("every cell assigned to exactly one worker"))
-        .collect()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 4usize;
-    let mut smoke = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    threads = v;
-                    i += 1;
-                }
-            }
-            "--smoke" => smoke = true,
-            _ => {}
-        }
-        i += 1;
-    }
-
-    let seeds: &[u64] = if smoke {
+pub(crate) fn run(args: &Args, out: &mut Report) {
+    let seeds: &[u64] = if args.smoke {
         &[SEED]
     } else {
         &[SEED, SEED + 1, SEED + 2]
@@ -220,35 +158,18 @@ fn main() {
     for &alts in &modes {
         for &seed in seeds {
             let mut sc = degraded_diamond(alts, seed);
-            if smoke {
+            if args.smoke {
                 sc.duration = SimDuration::from_secs(6);
             }
             cells.push(sc);
         }
     }
 
-    let mut out = Report::new("multi-supplier RTX recovery (§5.3)", "§5.3");
     out.heading("AutoRec diamond: degraded primary leg, warm backup relay");
-
-    // The determinism contract this binary's JSON relies on: the cell
-    // fan-out must not change a single bit of any outcome.
-    let outcomes = run_cells(&cells, threads);
-    for workers in [1usize, 2] {
-        if workers == threads {
-            continue;
-        }
-        let again = run_cells(&cells, workers);
-        for (idx, (a, b)) in outcomes.iter().zip(&again).enumerate() {
-            assert!(
-                a == b,
-                "cell {idx} diverged between {threads} and {workers} workers"
-            );
-        }
-    }
-    out.note(format!(
-        "{} cells × worker widths {{1, 2, {threads}}}: bit-identical",
-        cells.len()
-    ));
+    let outcomes: Vec<ScenarioRun> = cells
+        .iter()
+        .map(|sc| sc.run().expect("diamond preset is valid"))
+        .collect();
 
     let mut rows = Vec::new();
     for (sc, o) in cells.iter().zip(&outcomes) {
@@ -293,8 +214,8 @@ fn main() {
         .collect();
     let (alt_sum, base_sum) = (&per_mode[0], &per_mode[1]);
     out.note("");
-    out.note(format!("alternate: {}", alt_sum.json()));
-    out.note(format!("baseline:  {}", base_sum.json()));
+    out.note(format!("alternate: {}", alt_sum.line()));
+    out.note(format!("baseline:  {}", base_sum.line()));
     out.note("");
     out.note("Expected shape: the alternate chase closes holes over short");
     out.note("clean hops while the baseline waits out the degraded leg's");
@@ -307,16 +228,6 @@ fn main() {
         alt_sum.p50,
         base_sum.p50
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"autorec\",\n  \"seed\": {SEED},\n  \"smoke\": {smoke},\n  \"seeds\": {},\n  \"workers\": {threads},\n  \"alternate\": {},\n  \"baseline\": {}\n}}\n",
-        seeds.len(),
-        alt_sum.json(),
-        base_sum.json(),
-    );
-    std::fs::write("BENCH_autorec.json", &json).expect("write BENCH_autorec.json");
-    out.note("wrote BENCH_autorec.json");
-    out.print();
 }
 
 #[cfg(test)]

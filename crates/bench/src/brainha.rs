@@ -12,21 +12,16 @@
 //!   against the canonical chosen sequence and cross-checks sampled
 //!   `PathAssignment`s across replicas; any divergence fails the run.
 //!
-//! Writes `BENCH_brainha.json`. `--shards N` sets only the *worker
-//! thread* count; the shard partition is fixed by the config, so the
-//! JSON is bit-identical for `--shards 1` and `--shards 8` (asserted via
-//! [`FleetReport::bit_identical`]). `--smoke` shrinks the run for CI.
-//!
-//! ```sh
-//! cargo run --release --bin exp_brainha [-- --shards 8] [--smoke]
-//! ```
-//!
-//! [`FleetReport::bit_identical`]: livenet_sim::FleetReport::bit_identical
+//! `--threads` sets only the worker count; the shard partition is fixed
+//! by the config, so the output is the same at any width (serial ≡
+//! parallel behind a replicated Brain is tested in
+//! `crates/sim/tests/replicated_brain.rs`). `--smoke` shrinks the run for
+//! CI.
 
-use livenet_bench::{ratio_pct, Report, SEED};
+use crate::{percentile, ratio_pct, Args, Report, SEED};
 use livenet_sim::{
-    DecisionOutcome, FleetConfig, FleetConfigBuilder, FleetFault, FleetReport, FleetRunner,
-    ReplicationConfig, SessionRecord,
+    DecisionOutcome, FleetConfig, FleetConfigBuilder, FleetFault, FleetRunner, ReplicationConfig,
+    SessionRecord,
 };
 
 /// Hard gate: a 3-replica cluster with a 3 s lease must re-elect well
@@ -86,14 +81,6 @@ fn config(sc: &Scenario, crash: bool) -> FleetConfig {
     b.build().expect("brainha preset is valid")
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 /// Sessions whose start falls in `[from_secs, from_secs + len_secs)`.
 fn window(sessions: &[SessionRecord], from_secs: u64, len_secs: u64) -> Vec<SessionRecord> {
     sessions
@@ -113,58 +100,23 @@ fn mean_startup(sessions: &[SessionRecord]) -> f64 {
     sessions.iter().map(|s| f64::from(s.startup_ms)).sum::<f64>() / sessions.len() as f64
 }
 
-fn json_or_null(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 8usize;
-    let mut smoke = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    threads = v;
-                    i += 1;
-                }
-            }
-            "--smoke" => smoke = true,
-            _ => {}
-        }
-        i += 1;
-    }
-
-    let sc = scenario(smoke);
-    let mut out = Report::new("Brain HA: Paxos leader failover (§7.1)", "§7.1");
+pub(crate) fn run(args: &Args, out: &mut Report) {
+    let sc = scenario(args.smoke);
 
     // Baseline: replicated control plane, no crash.
     let baseline = FleetRunner::new(config(&sc, false))
         .expect("validated")
-        .run_parallel(threads);
-    // Crash run, parallel + serial (the determinism gate).
+        .run_parallel(args.threads);
     let crash_cfg = config(&sc, true);
     let shards = crash_cfg.shards;
-    let runner = FleetRunner::new(crash_cfg).expect("validated");
-    let report: FleetReport = runner.run_parallel(threads);
-    assert!(
-        report.bit_identical(&runner.run_serial()),
-        "parallel replicated fleet run diverged from serial"
-    );
+    let report = FleetRunner::new(crash_cfg)
+        .expect("validated")
+        .run_parallel(args.threads);
 
     let rep = report
         .replication
         .as_ref()
         .expect("replicated run carries a summary");
-    let base_rep = baseline
-        .replication
-        .as_ref()
-        .expect("baseline is replicated too");
 
     // ---------- Gates ----------
     assert_eq!(rep.log_divergences, 0, "replica decided log diverged");
@@ -245,38 +197,4 @@ fn main() {
     out.note("");
     out.note("Expected shape: startup inflates while path requests wait out the");
     out.note("lease takeover; prefetched/local-hit sessions are unaffected (§4.4).");
-
-    // ---------- JSON ----------
-    let json = format!(
-        "{{\n  \"experiment\": \"brainha\",\n  \"seed\": {SEED},\n  \"smoke\": {smoke},\n  \"shards\": {shards},\n  \"replicas\": {},\n  \"crash_at_secs\": {},\n  \"crash_down_secs\": {},\n  \"failover\": {{\"n\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \"bound_ms\": {FAILOVER_BOUND_MS}}},\n  \"consistency\": {{\"decided_slots\": {}, \"log_divergences\": {}, \"assignment_mismatches\": {}}},\n  \"cluster\": {{\"ops_committed\": {}, \"lease_grants\": {}, \"lease_renewals\": {}, \"msgs_sent\": {}, \"msgs_dropped\": {}, \"client_retries\": {}, \"redirects\": {}, \"give_ups\": {}}},\n  \"impact\": {{\"window_secs\": {IMPACT_WINDOW_SECS}, \"sessions_baseline\": {}, \"sessions_crash\": {}, \"mean_startup_baseline_ms\": {}, \"mean_startup_crash_ms\": {}, \"hit_ratio_baseline_pct\": {}, \"hit_ratio_crash_pct\": {}}},\n  \"baseline_cluster\": {{\"ops_committed\": {}, \"leader_crashes\": {}}}\n}}\n",
-        rep.replicas,
-        sc.crash_at_secs,
-        sc.crash_down_secs,
-        fo.len(),
-        json_or_null(percentile(&fo, 0.5)),
-        json_or_null(percentile(&fo, 0.99)),
-        json_or_null(fo_max),
-        rep.decided_slots,
-        rep.log_divergences,
-        rep.assignment_mismatches,
-        rep.ops_committed,
-        rep.lease_grants,
-        rep.lease_renewals,
-        rep.msgs_sent,
-        rep.msgs_dropped,
-        rep.client_retries,
-        rep.redirects,
-        rep.give_ups,
-        win_b.len(),
-        win_c.len(),
-        json_or_null(startup_b),
-        json_or_null(startup_c),
-        json_or_null(hit_b),
-        json_or_null(hit_c),
-        base_rep.ops_committed,
-        base_rep.leader_crashes,
-    );
-    std::fs::write("BENCH_brainha.json", &json).expect("write BENCH_brainha.json");
-    out.note("wrote BENCH_brainha.json");
-    out.print();
 }

@@ -1,6 +1,6 @@
 //! §6.5 failure recovery — fast vs slow path, packet level and fleet level.
 //!
-//! Two experiments in one binary:
+//! Two experiments under one name:
 //!
 //! 1. **Packet level**: the diamond-overlay crash scenario
 //!    ([`Scenario::diamond`] with relay B crashing 5 s in) run in both
@@ -10,20 +10,12 @@
 //!    multi-second), with frames lost per failover.
 //! 2. **Fleet level**: the Double-12-style region outage injected into the
 //!    sharded fleet simulation; emits the fast/slow recovery distributions
-//!    for LiveNet and the Hier baseline.
-//!
-//! Writes `BENCH_recovery.json`. `--shards N` sets only the *worker
-//! thread* count; the shard partition itself is fixed by the config, so
-//! the JSON is bit-identical for `--shards 1` and `--shards 8` (asserted
-//! here via [`FleetReport::bit_identical`]).
-//!
-//! ```sh
-//! cargo run --release --bin exp_recovery [-- --shards 8]
-//! ```
-//!
-//! [`FleetReport::bit_identical`]: livenet_sim::FleetReport::bit_identical
+//!    for LiveNet and the Hier baseline. `--threads` sets only the worker
+//!    count; the shard partition is fixed by the config, so the output is
+//!    the same at any width (`runner.rs` tests serial ≡ parallel under
+//!    faults).
 
-use livenet_bench::{Report, SEED};
+use crate::{percentile, Args, Report, SEED};
 use livenet_emu::LinkConfig;
 use livenet_node::NodeEvent;
 use livenet_sim::{
@@ -78,15 +70,8 @@ fn failover(sc: &Scenario, run: &ScenarioRun) -> Failover {
     }
 }
 
-fn percentile(sorted: &[f32], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    f64::from(sorted[idx])
-}
-
-fn dist_json(recs: &[&RecoveryRecord]) -> String {
+/// One distribution on one line: count, percentiles, frames lost.
+fn dist(recs: &[&RecoveryRecord]) -> String {
     let mut v: Vec<f32> = recs.iter().map(|r| r.recover_ms).collect();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let frames: u64 = recs.iter().map(|r| u64::from(r.frames_lost)).sum();
@@ -108,27 +93,11 @@ fn dist_json(recs: &[&RecoveryRecord]) -> String {
     )
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut threads = 8usize;
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--shards" {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                threads = v;
-                i += 1;
-            }
-        }
-        i += 1;
-    }
-
-    let mut out = Report::new("failure recovery (§6.5)", "§6.5");
-
+pub(crate) fn run(args: &Args, out: &mut Report) {
     // ---------- Packet level: diamond-overlay relay crash ----------
     out.heading("Packet level: diamond-overlay relay crash");
     let seeds = [SEED, SEED + 1, SEED + 2];
     let mut rows = Vec::new();
-    let mut packet_json = Vec::new();
     for (mode, slow) in [("Fast", false), ("Slow", true)] {
         for &seed in &seeds {
             let sc = crash_diamond(slow, seed);
@@ -149,10 +118,6 @@ fn main() {
                 format!("{:.0} ms", restore_ms - detect_ms),
                 format!("{}", rec.frames_lost),
             ]);
-            packet_json.push(format!(
-                "    {{\"mode\": \"{mode}\", \"seed\": {seed}, \"detect_ms\": {detect_ms:.2}, \"restore_ms\": {restore_ms:.2}, \"frames_lost\": {}}}",
-                rec.frames_lost,
-            ));
         }
     }
     out.table(
@@ -174,14 +139,9 @@ fn main() {
         .random_faults(3.0, (300, 1200))
         .build()
         .expect("recovery preset is valid");
-    let shards = cfg.shards;
-    let runner = FleetRunner::new(cfg).expect("config already validated");
-    let report = runner.run_parallel(threads);
-    // The determinism contract this binary's JSON relies on.
-    assert!(
-        report.bit_identical(&runner.run_serial()),
-        "parallel fleet run diverged from serial"
-    );
+    let report = FleetRunner::new(cfg)
+        .expect("config already validated")
+        .run_parallel(args.threads);
 
     let ln_fast: Vec<&RecoveryRecord> =
         report.recoveries_livenet.iter().filter(|r| r.fast).collect();
@@ -198,22 +158,9 @@ fn main() {
         ln_slow.len(),
         hier.len()
     ));
-    out.note(format!("LiveNet fast: {}", dist_json(&ln_fast)));
-    out.note(format!("LiveNet slow: {}", dist_json(&ln_slow)));
-    out.note(format!("Hier:         {}", dist_json(&hier)));
-
-    let json = format!(
-        "{{\n  \"experiment\": \"recovery\",\n  \"seed\": {SEED},\n  \"shards\": {shards},\n  \"packet_level\": [\n{}\n  ],\n  \"fleet\": {{\n    \"faults_injected\": {},\n    \"producers_rehomed\": {},\n    \"livenet_fast\": {},\n    \"livenet_slow\": {},\n    \"hier\": {}\n  }}\n}}\n",
-        packet_json.join(",\n"),
-        report.faults_injected,
-        report.producers_rehomed,
-        dist_json(&ln_fast),
-        dist_json(&ln_slow),
-        dist_json(&hier),
-    );
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    out.note("wrote BENCH_recovery.json");
-    out.print();
+    out.note(format!("LiveNet fast: {}", dist(&ln_fast)));
+    out.note(format!("LiveNet slow: {}", dist(&ln_slow)));
+    out.note(format!("Hier:         {}", dist(&hier)));
 }
 
 #[cfg(test)]

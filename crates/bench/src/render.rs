@@ -3,8 +3,7 @@
 //! Each function appends one of the paper's tables or figures (with the
 //! paper's values alongside) to a [`Report`]. `exp <name>` builds a report
 //! from one renderer and prints it; `exp all` runs the 20-day fleet once
-//! and chains all of them. Keeping renderers print-free is what
-//! lets the bench library deny `clippy::print_stdout`.
+//! and chains all of them.
 
 use crate::{median, ratio_pct, Report};
 use livenet_sim::{FleetReport, SessionRecord};
@@ -12,12 +11,12 @@ use livenet_types::{welch_t, Ecdf, OnlineStats};
 
 /// Sessions from the first `days` days (the week-scale figures exclude the
 /// festival, which starts on day 10).
-pub fn first_days(sessions: &[SessionRecord], days: u32) -> Vec<SessionRecord> {
+fn first_days(sessions: &[SessionRecord], days: u32) -> Vec<SessionRecord> {
     sessions.iter().filter(|s| s.day < days).copied().collect()
 }
 
 /// Table 1 — overall performance comparison.
-pub fn table1(report: &FleetReport, out: &mut Report) {
+pub(crate) fn table1(report: &FleetReport, out: &mut Report) {
     let ln = &report.livenet;
     let h = &report.hier;
     let rows = [(
@@ -87,7 +86,7 @@ pub fn table1(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 2 — daily CDN path delay for both systems (first week).
-pub fn fig02(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig02(report: &FleetReport, out: &mut Report) {
     let ln = first_days(&report.livenet, 7);
     let h = first_days(&report.hier, 7);
     let days = ln.iter().map(|s| s.day).max().unwrap_or(0);
@@ -112,7 +111,7 @@ pub fn fig02(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 8(a) — streaming-delay CDF + paired improvements.
-pub fn fig08a(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig08a(report: &FleetReport, out: &mut Report) {
     let mut ln = Ecdf::new();
     let mut h = Ecdf::new();
     for s in &report.livenet {
@@ -158,7 +157,7 @@ fn stall_histogram(sessions: &[SessionRecord]) -> [f64; 6] {
 }
 
 /// Figure 8(b) — stall-count distribution.
-pub fn fig08b(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig08b(report: &FleetReport, out: &mut Report) {
     let ln = stall_histogram(&report.livenet);
     let h = stall_histogram(&report.hier);
     let rows: Vec<Vec<String>> = (1..=5)
@@ -182,7 +181,7 @@ pub fn fig08b(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 8(c) — daily fast-startup ratio.
-pub fn fig08c(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig08c(report: &FleetReport, out: &mut Report) {
     let days = report.livenet.iter().map(|s| s.day).max().unwrap_or(0);
     let per_day = |sessions: &[SessionRecord], day: u32| {
         let subset: Vec<SessionRecord> =
@@ -212,7 +211,7 @@ pub fn fig08c(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 9 — fast startup vs streaming-delay bucket.
-pub fn fig09(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig09(report: &FleetReport, out: &mut Report) {
     let buckets: [(f64, f64, &str); 5] = [
         (0.0, 500.0, "(0, 500]"),
         (500.0, 700.0, "(500, 700]"),
@@ -246,7 +245,7 @@ pub fn fig09(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 10(a) — Brain response time per hour of day.
-pub fn fig10a(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig10a(report: &FleetReport, out: &mut Report) {
     let mut per_hour: Vec<Ecdf> = (0..24).map(|_| Ecdf::new()).collect();
     let mut all = Ecdf::new();
     for s in &report.livenet {
@@ -279,7 +278,7 @@ pub fn fig10a(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 10(b) — local hit ratio by hour of day (first week).
-pub fn fig10b(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig10b(report: &FleetReport, out: &mut Report) {
     let week = first_days(&report.livenet, 7);
     let mut hits = [0u64; 24];
     let mut total = [0u64; 24];
@@ -309,7 +308,7 @@ pub fn fig10b(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 10(c) — hourly mean first-packet delay (first week).
-pub fn fig10c(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig10c(report: &FleetReport, out: &mut Report) {
     let week = first_days(&report.livenet, 7);
     let mut sum = [0.0f64; 24];
     let mut n = [0u64; 24];
@@ -348,7 +347,7 @@ fn length_dist(sessions: impl Iterator<Item = SessionRecord>) -> [f64; 4] {
 }
 
 /// Table 2 — path-length distribution.
-pub fn table2(report: &FleetReport, out: &mut Report) {
+pub(crate) fn table2(report: &FleetReport, out: &mut Report) {
     let all = length_dist(report.livenet.iter().copied());
     let inter = length_dist(report.livenet.iter().filter(|s| s.international).copied());
     let intra = length_dist(report.livenet.iter().filter(|s| !s.international).copied());
@@ -368,7 +367,7 @@ pub fn table2(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 11 — delay percentiles per path length (+ Hier len=4).
-pub fn fig11(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig11(report: &FleetReport, out: &mut Report) {
     let mut boxes: Vec<(String, Ecdf, usize)> = vec![
         ("len=0".into(), Ecdf::new(), 0),
         ("len=1".into(), Ecdf::new(), 0),
@@ -414,7 +413,7 @@ pub fn fig11(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 12 — intra vs inter-national delay boxes.
-pub fn fig12(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig12(report: &FleetReport, out: &mut Report) {
     let box_of = |sessions: &[SessionRecord], international: bool| {
         let mut e = Ecdf::new();
         for s in sessions.iter().filter(|s| s.international == international) {
@@ -449,7 +448,7 @@ pub fn fig12(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 13 — diurnal loss profile (first week's hours).
-pub fn fig13(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig13(report: &FleetReport, out: &mut Report) {
     let mut sum = [0.0f64; 24];
     let mut n = [0u64; 24];
     for (i, &l) in report.hourly_loss.iter().enumerate().take(7 * 24) {
@@ -474,7 +473,7 @@ pub fn fig13(report: &FleetReport, out: &mut Report) {
 }
 
 /// Figure 14 — normalized daily peak throughput.
-pub fn fig14(report: &FleetReport, out: &mut Report) {
+pub(crate) fn fig14(report: &FleetReport, out: &mut Report) {
     let max = report
         .daily_peak_throughput
         .iter()
@@ -510,7 +509,7 @@ pub fn fig14(report: &FleetReport, out: &mut Report) {
 }
 
 /// Table 3 — the Double-12 festival days.
-pub fn table3(report: &FleetReport, out: &mut Report) {
+pub(crate) fn table3(report: &FleetReport, out: &mut Report) {
     let group = |days: &[u32]| -> Vec<SessionRecord> {
         report
             .livenet
@@ -577,9 +576,8 @@ pub fn table3(report: &FleetReport, out: &mut Report) {
 }
 
 /// Telemetry appendix — render the fleet's merged metric snapshot as a
-/// per-stage latency attribution table plus the counter set (the
-/// `BENCH_observe.json` content, human-readable).
-pub fn telemetry(report: &FleetReport, out: &mut Report) {
+/// per-stage latency attribution table plus the counter and gauge sets.
+pub(crate) fn telemetry(report: &FleetReport, out: &mut Report) {
     let snap = &report.telemetry;
     let mut rows = Vec::new();
     for (name, h) in &snap.hists {

@@ -4,8 +4,7 @@
 //! backbone, region-clustered edge nodes, last-resort relays, edges and
 //! RTTs from `livenet-topology`'s generator — and drives hundreds of
 //! concurrent real-socket viewers whose staggered arrivals come from
-//! `livenet-sim`'s Taobao-shaped workload. Three result sections land in
-//! `BENCH_wire.json`:
+//! `livenet-sim`'s Taobao-shaped workload. Two result sections:
 //!
 //! 1. **Wire run** — startup / E2E-delay distributions, streaming-phase
 //!    delivery, and the RTCP-feedback→cc demonstration (every viewer in
@@ -16,28 +15,18 @@
 //!    same convention the diamond experiment used), with emulator viewers
 //!    joining at the wire join-time quantiles. The run asserts the wire
 //!    and emulator startup/E2E medians agree within tolerance.
-//! 3. **Load generator** — achievable datagrams/sec per core through
-//!    [`BatchSocket`], batched (`sendmmsg`/`recvmmsg`) vs the portable
-//!    sequential fallback.
 //!
-//! ```sh
-//! cargo run --release --bin exp_wire            # full: ≥200 viewers
-//! cargo run --release --bin exp_wire -- --smoke # CI gate: capped run
-//! ```
+//! Full mode drives ≥200 viewers; `--smoke` is the capped CI gate. What a
+//! socket can carry per core is `benchmark/`'s `transport.batch_dps_*`.
 
-use bytes::Bytes;
-use livenet_bench::{Report, SEED};
+use crate::{percentile, Args, Report, SEED};
 use livenet_emu::LossModel;
 use livenet_sim::{Scenario, Viewer};
 use livenet_topology::GeoConfig;
-use livenet_transport::{
-    testbed, BatchBackend, BatchSocket, RecvBatch, SendDatagram, TestbedBuilder, TestbedConfig,
-    MAX_BATCH,
-};
+use livenet_transport::{testbed, TestbedBuilder, TestbedConfig};
 use livenet_types::{SimDuration, SimTime, StreamId};
 use std::collections::HashMap;
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const STREAM: StreamId = StreamId(900);
 
@@ -54,22 +43,6 @@ const STARTUP_TOL_ABS_MS: f64 = 150.0;
 const STARTUP_TOL_REL: f64 = 0.8;
 const E2E_TOL_ABS_MS: f64 = 50.0;
 const E2E_TOL_REL: f64 = 0.6;
-
-fn local() -> SocketAddr {
-    "127.0.0.1:0".parse().expect("loopback addr")
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-fn fmt_opt_ms(v: Option<f64>) -> String {
-    v.map(|ms| format!("{ms:.1}")).unwrap_or_else(|| "—".into())
-}
-
-fn median(sorted: &[f64]) -> Option<f64> {
-    testbed::percentile(sorted, 0.5)
-}
 
 /// Wired hop delays (ms) from the producer to one viewer node, following
 /// the hub-and-spoke shape: direct edge if one exists, else the cheapest
@@ -120,7 +93,7 @@ fn emulator_config(cfg: &TestbedConfig) -> Scenario {
     for (k, link) in emu.links.iter_mut().enumerate() {
         let mut hop: Vec<f64> = modal.iter().map(|p| p[k]).collect();
         hop.sort_by(f64::total_cmp);
-        link.2.delay = SimDuration::from_millis(median(&hop).unwrap_or(10.0).round() as u64);
+        link.2.delay = SimDuration::from_millis(percentile(&hop, 0.5).round() as u64);
     }
 
     let mut joins: Vec<f64> = cfg
@@ -131,7 +104,7 @@ fn emulator_config(cfg: &TestbedConfig) -> Scenario {
     joins.sort_by(f64::total_cmp);
     emu.viewers = (1..=9)
         .map(|d| {
-            let at = testbed::percentile(&joins, d as f64 / 10.0).unwrap_or(0.0);
+            let at = percentile(&joins, d as f64 / 10.0);
             Viewer {
                 join_at: SimTime::from_millis((at as u64).max(50)),
                 ..emu.viewers[0].clone()
@@ -149,55 +122,13 @@ fn emulator_config(cfg: &TestbedConfig) -> Scenario {
     emu
 }
 
-struct LoadgenResult {
-    sent: u64,
-    received: u64,
-    secs: f64,
-}
-
-/// Blast 1200-byte datagrams through one loopback socket pair for `dur`,
-/// send and receive interleaved on this core, and count what arrives —
-/// the achievable full-duplex datagram rate of one backend on one core.
-fn loadgen(backend: BatchBackend, dur: Duration) -> LoadgenResult {
-    let tx = BatchSocket::bind(local(), backend).expect("bind loadgen tx");
-    let rx = BatchSocket::bind(local(), backend).expect("bind loadgen rx");
-    let payload = Bytes::from(vec![0u8; 1200]);
-    let msgs: Vec<SendDatagram> = (0..MAX_BATCH)
-        .map(|_| SendDatagram { to: rx.local_addr(), payload: payload.clone() })
-        .collect();
-    let mut batch = RecvBatch::new(MAX_BATCH, 2048);
-    let (mut sent, mut received) = (0u64, 0u64);
-    let start = Instant::now();
-    while start.elapsed() < dur {
-        if let Ok(n) = tx.try_send_batch(&msgs) {
-            sent += n as u64;
-        }
-        while let Ok(k) = rx.try_recv_batch(&mut batch) {
-            if k == 0 {
-                break;
-            }
-            received += k as u64;
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    // Drain stragglers still sitting in the loopback receive buffer.
-    let drain_until = Instant::now() + Duration::from_millis(50);
-    while Instant::now() < drain_until {
-        match rx.try_recv_batch(&mut batch) {
-            Ok(k) if k > 0 => received += k as u64,
-            _ => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
-    LoadgenResult { sent, received, secs }
-}
-
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (viewer_count, broadcast, drain, loadgen_dur) = if smoke {
-        (72, Duration::from_secs(4), Duration::from_millis(1200), Duration::from_millis(400))
+pub(crate) async fn run(args: &Args, out: &mut Report) {
+    let smoke = args.smoke;
+    let (viewer_count, broadcast, drain) = if smoke {
+        (72, Duration::from_secs(4), Duration::from_millis(1200))
     } else {
-        (220, Duration::from_secs(6), Duration::from_millis(1500), Duration::from_millis(1500))
+        (220, Duration::from_secs(6), Duration::from_millis(1500))
     };
 
     let geo = GeoConfig::paper_scale(SEED);
@@ -229,13 +160,8 @@ async fn main() {
         }
     }
 
-    let mut out = Report::new(
-        "real-socket wire datapath (geo edge fleet on 127.0.0.1)",
-        "§2.2, §4.4, §5.1; DESIGN.md §13",
-    );
     out.meta("seed", SEED.to_string());
     out.meta("mode", if smoke { "smoke" } else { "full" });
-    out.meta("cores", cores().to_string());
     out.meta("nodes", cfg.nodes.to_string());
     out.meta("viewers", cfg.viewers.len().to_string());
     out.meta("fanout", FANOUT.to_string());
@@ -256,9 +182,11 @@ async fn main() {
     // ---- Wire distributions -------------------------------------------
     let startup = wire.startup_ms_sorted();
     let e2e = wire.e2e_ms_sorted();
-    let wire_startup_med = median(&startup).expect("viewers measured startup");
-    let wire_startup_p90 = testbed::percentile(&startup, 0.9).expect("startup p90");
-    let wire_e2e_med = median(&e2e).expect("viewers measured E2E delay");
+    assert!(!startup.is_empty(), "no viewer measured startup");
+    assert!(!e2e.is_empty(), "no viewer measured E2E delay");
+    let wire_startup_med = percentile(&startup, 0.5);
+    let wire_startup_p90 = percentile(&startup, 0.9);
+    let wire_e2e_med = percentile(&e2e, 0.5);
 
     out.heading("Wire run: geo fleet viewer distributions");
     out.table(
@@ -273,7 +201,7 @@ async fn main() {
             vec![
                 "mean E2E delay field (ms)".into(),
                 format!("{wire_e2e_med:.1}"),
-                fmt_opt_ms(testbed::percentile(&e2e, 0.9)),
+                format!("{:.1}", percentile(&e2e, 0.9)),
                 e2e.len().to_string(),
             ],
         ],
@@ -308,8 +236,10 @@ async fn main() {
         })
         .collect();
     emu_e2e.sort_by(f64::total_cmp);
-    let emu_startup_med = median(&emu_startup).expect("emulator viewers started");
-    let emu_e2e_med = median(&emu_e2e).expect("emulator viewers measured delay");
+    assert!(!emu_startup.is_empty(), "no emulator viewer started");
+    assert!(!emu_e2e.is_empty(), "no emulator viewer measured delay");
+    let emu_startup_med = percentile(&emu_startup, 0.5);
+    let emu_e2e_med = percentile(&emu_e2e, 0.5);
 
     let startup_delta = (wire_startup_med - emu_startup_med).abs();
     let e2e_delta = (wire_e2e_med - emu_e2e_med).abs();
@@ -358,34 +288,7 @@ async fn main() {
         ],
     );
 
-    // ---- Load generator ------------------------------------------------
-    let mmsg = loadgen(BatchBackend::auto(), loadgen_dur);
-    let seq = loadgen(BatchBackend::Sequential, loadgen_dur);
-    let n_cores = cores() as f64;
-    let mmsg_dps = mmsg.received as f64 / mmsg.secs;
-    let seq_dps = seq.received as f64 / seq.secs;
-    out.heading("Load generator: datagrams/sec per core (1200 B, full duplex)");
-    out.table(
-        &["backend", "sent", "delivered", "datagrams/s", "datagrams/s/core"],
-        &[
-            vec![
-                format!("{:?}", BatchBackend::auto()),
-                mmsg.sent.to_string(),
-                mmsg.received.to_string(),
-                format!("{mmsg_dps:.0}"),
-                format!("{:.0}", mmsg_dps / n_cores),
-            ],
-            vec![
-                "Sequential".into(),
-                seq.sent.to_string(),
-                seq.received.to_string(),
-                format!("{seq_dps:.0}"),
-                format!("{:.0}", seq_dps / n_cores),
-            ],
-        ],
-    );
-
-    // ---- Machine-readable summary + gates ------------------------------
+    // ---- Summary + gates ------------------------------------------
     out.meta("wire_startup_median_ms", format!("{wire_startup_med:.1}"));
     out.meta("wire_startup_p90_ms", format!("{wire_startup_p90:.1}"));
     out.meta("wire_e2e_median_ms", format!("{wire_e2e_med:.1}"));
@@ -397,9 +300,6 @@ async fn main() {
     out.meta("e2e_tolerance_ms", format!("{e2e_tol:.1}"));
     out.meta("worst_delivery", format!("{:.4}", wire.worst_delivery()));
     out.meta("frames_broadcast", wire.frames_broadcast.to_string());
-    out.meta("loadgen_auto_dps", format!("{mmsg_dps:.0}"));
-    out.meta("loadgen_sequential_dps", format!("{seq_dps:.0}"));
-    out.meta("loadgen_dps_per_core", format!("{:.0}", mmsg_dps / n_cores));
 
     let worst = wire.worst_delivery();
     assert!(worst >= 0.99, "delivery below 99%: {worst:.3}");
@@ -420,9 +320,4 @@ async fn main() {
         wire.telemetry.counter("transport.batch_rx_syscalls") > 0,
         "batched receive path never exercised"
     );
-
-    out.telemetry(&wire.telemetry);
-    out.write_json("BENCH_wire.json").expect("write BENCH_wire.json");
-    out.note("wrote BENCH_wire.json");
-    out.print();
 }

@@ -54,7 +54,7 @@ pub struct ReplicationConfig {
     /// IS the failure detector, so this is a real trade-off, which is
     /// why it is opt-in: a leader crash must wait out the stretched
     /// lease before failover, and the §7.1 15 s failover gate
-    /// (`exp_brainha`) plus the default client retry budget
+    /// (`exp brainha`) plus the default client retry budget
     /// (`client_timeout_ms × max_attempts` = 10 s) assume the
     /// unstretched 3 s lease. Turn it up only for throughput-oriented
     /// runs that don't gate on failover latency — and scale

@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn merged_telemetry_is_bit_identical_across_shard_widths() {
-        // The contract exp_observe relies on: at every shard width the
+        // The contract `exp telemetry` rests on: at every shard width the
         // merged telemetry snapshot is bit-identical between serial and
         // parallel execution, and consistent with the merged sessions.
         for shards in [1usize, 2, 4, 8] {

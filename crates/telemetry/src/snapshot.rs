@@ -206,7 +206,7 @@ impl Snapshot {
     }
 
     /// Exact equality with floats compared by `to_bits` — the determinism
-    /// assertion used by the fleet runner and `exp_observe`.
+    /// assertion used by the fleet runner and its tests.
     pub fn bit_identical(&self, other: &Snapshot) -> bool {
         self.counters == other.counters
             && self.gauges.len() == other.gauges.len()

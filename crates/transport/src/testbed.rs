@@ -19,7 +19,7 @@
 //! arrival times drawn from `livenet-sim`'s Taobao-shaped workload and
 //! compressed into the broadcast window.
 //!
-//! This is the integration-test and `exp_wire` substrate; it measures the
+//! This is the integration-test and `exp wire` substrate; it measures the
 //! same quantities as the emulator's client model (startup delay, E2E
 //! delay via the RTP delay field, delivery completeness) on real sockets.
 

@@ -1,7 +1,8 @@
 #!/bin/sh
-# One rule for ROADMAP item 2's two numbers, per crate and workspace-wide:
+# One rule for ROADMAP item 2's numbers, per crate and workspace-wide:
 #   lines = lines of each src/**/*.rs up to its first `#[cfg(test)]`
 #   pub   = `pub (fn|struct|enum|const|type|trait|mod|use)` items among them
+#   bins  = binary targets: src/main.rs plus each src/bin/*.rs
 # Usage: tools/surface.sh [file-or-dir ...]   (default: every crate's src/)
 cd "$(dirname "$0")/.." || exit 1
 count() { # prints "<lines> <pub items>" for the .rs files under "$@"
@@ -16,9 +17,10 @@ if [ $# -gt 0 ]; then
     printf '%-22s %7d lines %5d pub items\n' selection "$1" "$2"
     exit 0
 fi
+bins() { ls "$@" 2>/dev/null | wc -l; }
 for c in crates/*/; do
-    set -- $(count "$c/src")
-    printf '%-22s %7d lines %5d pub items\n' "$(basename "$c")" "$1" "$2"
+    set -- $(count "$c/src") $(bins "$c"src/main.rs "$c"src/bin/*.rs)
+    printf '%-22s %7d lines %5d pub items %3d bins\n' "$(basename "$c")" "$1" "$2" "$3"
 done
-set -- $(count crates/*/src)
-printf '%-22s %7d lines %5d pub items\n' workspace "$1" "$2"
+set -- $(count crates/*/src) $(bins crates/*/src/main.rs crates/*/src/bin/*.rs)
+printf '%-22s %7d lines %5d pub items %3d bins\n' workspace "$1" "$2" "$3"
