@@ -2,7 +2,7 @@
 
 use livenet_types::{Bandwidth, Error, NodeId, Result, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Dynamically assigned role of a node in the flat CDN.
 ///
@@ -71,12 +71,19 @@ impl LinkMetrics {
 
 /// The overlay graph: what exists and what was last measured.
 ///
-/// Uses `BTreeMap` keyed containers so iteration order — and therefore every
-/// downstream computation (KSP tie-breaks, report order) — is deterministic.
+/// Stored as id-sorted rows: `nodes` ascending by id and, parallel to it,
+/// one out-link row per node ascending by far end. A full one-minute
+/// refresh walks the rows; a point lookup is two binary searches. Every
+/// iterator below yields in `(from, to)` ascending order, and every
+/// downstream computation (KSP tie-breaks, report order, the float sum
+/// behind `hourly_loss`) depends on that order.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Topology {
-    nodes: BTreeMap<NodeId, NodeInfo>,
-    links: BTreeMap<NodeId, BTreeMap<NodeId, LinkMetrics>>,
+    /// Ascending by `id`, no duplicates.
+    nodes: Vec<NodeInfo>,
+    /// `rows[i]`: the out-links of `nodes[i]`, ascending by far end, no
+    /// duplicates. Always as long as `nodes`.
+    rows: Vec<Vec<(NodeId, LinkMetrics)>>,
     /// Nodes currently marked down by the fault layer. Kept separate from
     /// `NodeInfo` so liveness is orthogonal to the measured state: a node
     /// that comes back keeps its last-reported metrics.
@@ -91,23 +98,39 @@ impl Topology {
         Self::default()
     }
 
-    /// Add or replace a node.
+    /// Position of `id` in `nodes` (and of its row in `rows`).
+    fn index(&self, id: NodeId) -> Option<usize> {
+        self.nodes.binary_search_by_key(&id, |n| n.id).ok()
+    }
+
+    /// Add or replace a node. A new id gets an empty row; a known id keeps
+    /// its links and its up/down state.
     pub fn upsert_node(&mut self, info: NodeInfo) {
-        self.nodes.insert(info.id, info);
+        match self.nodes.binary_search_by_key(&info.id, |n| n.id) {
+            Ok(i) => self.nodes[i] = info,
+            Err(i) => {
+                self.nodes.insert(i, info);
+                self.rows.insert(i, Vec::new());
+            }
+        }
     }
 
     /// Add or replace a directed link. Both endpoints must exist.
     pub fn upsert_link(&mut self, from: NodeId, to: NodeId, metrics: LinkMetrics) -> Result<()> {
-        if !self.nodes.contains_key(&from) {
+        let Some(i) = self.index(from) else {
             return Err(Error::not_found(format!("node {from}")));
-        }
-        if !self.nodes.contains_key(&to) {
+        };
+        if self.index(to).is_none() {
             return Err(Error::not_found(format!("node {to}")));
         }
         if from == to {
             return Err(Error::constraint("self-loop link"));
         }
-        self.links.entry(from).or_default().insert(to, metrics);
+        let row = &mut self.rows[i];
+        match row.binary_search_by_key(&to, |l| l.0) {
+            Ok(j) => row[j].1 = metrics,
+            Err(j) => row.insert(j, (to, metrics)),
+        }
         Ok(())
     }
 
@@ -119,52 +142,70 @@ impl Topology {
 
     /// Node lookup.
     pub fn node(&self, id: NodeId) -> Option<&NodeInfo> {
-        self.nodes.get(&id)
+        self.index(id).map(|i| &self.nodes[i])
     }
 
     /// Mutable node lookup (load updates).
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeInfo> {
-        self.nodes.get_mut(&id)
+        self.index(id).map(|i| &mut self.nodes[i])
+    }
+
+    /// The out-links of `from` with their far ends, ascending by far end,
+    /// down links included (empty for an unknown node).
+    pub fn row(&self, from: NodeId) -> &[(NodeId, LinkMetrics)] {
+        self.index(from).map_or(&[], |i| &self.rows[i])
+    }
+
+    /// The out-links of `from` mutably, in [`Topology::row`]'s order: one
+    /// node's share of a bulk measurement update.
+    pub fn row_mut(&mut self, from: NodeId) -> impl Iterator<Item = (NodeId, &mut LinkMetrics)> {
+        let row = self.index(from).map(|i| &mut self.rows[i]);
+        row.into_iter().flatten().map(|(to, m)| (*to, m))
     }
 
     /// Link lookup.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<&LinkMetrics> {
-        self.links.get(&from)?.get(&to)
+        let row = self.row(from);
+        let j = row.binary_search_by_key(&to, |l| l.0).ok()?;
+        Some(&row[j].1)
     }
 
     /// Mutable link lookup (measurement updates).
     pub fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut LinkMetrics> {
-        self.links.get_mut(&from)?.get_mut(&to)
+        let i = self.index(from)?;
+        let row = &mut self.rows[i];
+        let j = row.binary_search_by_key(&to, |l| l.0).ok()?;
+        Some(&mut row[j].1)
     }
 
     /// All nodes in deterministic (id) order.
     pub fn nodes(&self) -> impl Iterator<Item = &NodeInfo> {
-        self.nodes.values()
+        self.nodes.iter()
     }
 
     /// Node IDs in deterministic order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.keys().copied()
+        self.nodes.iter().map(|n| n.id)
     }
 
     /// Non-last-resort, currently-up node IDs (the routable set).
     pub fn routable_node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
-            .values()
+            .iter()
             .filter(|n| !n.last_resort && !self.down_nodes.contains(&n.id))
             .map(|n| n.id)
     }
 
     /// Last-resort relay node IDs.
     pub fn last_resort_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.values().filter(|n| n.last_resort).map(|n| n.id)
+        self.nodes.iter().filter(|n| n.last_resort).map(|n| n.id)
     }
 
     /// Mark a node up or down. Down nodes drop out of `routable_node_ids`
     /// and `neighbors`, so path computation routes around them without the
     /// graph forgetting the node's links. No-op for unknown ids.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
-        if !self.nodes.contains_key(&id) {
+        if self.index(id).is_none() {
             return;
         }
         if up {
@@ -176,7 +217,7 @@ impl Topology {
 
     /// Whether a node is currently up (unknown nodes count as down).
     pub fn node_is_up(&self, id: NodeId) -> bool {
-        self.nodes.contains_key(&id) && !self.down_nodes.contains(&id)
+        self.index(id).is_some() && !self.down_nodes.contains(&id)
     }
 
     /// Mark a directed link up or down without touching its metrics.
@@ -202,13 +243,8 @@ impl Topology {
     pub fn link_is_up(&self, from: NodeId, to: NodeId) -> bool {
         self.link(from, to).is_some()
             && !self.down_links.contains(&(from, to))
-            && self.node_is_up(from)
-            && self.node_is_up(to)
-    }
-
-    /// Currently-down node IDs, deterministic order.
-    pub fn down_node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.down_nodes.iter().copied()
+            && !self.down_nodes.contains(&from)
+            && !self.down_nodes.contains(&to)
     }
 
     /// Directed links currently marked down themselves (a link through a
@@ -221,7 +257,7 @@ impl Topology {
     /// outage support).
     pub fn nodes_in_country(&self, country: u32) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
-            .values()
+            .iter()
             .filter(move |n| n.country == country)
             .map(|n| n.id)
     }
@@ -230,37 +266,43 @@ impl Topology {
     /// Down links and links to down endpoints are excluded, so routing
     /// sees only the live graph.
     pub fn neighbors(&self, from: NodeId) -> impl Iterator<Item = (NodeId, &LinkMetrics)> {
-        self.links
-            .get(&from)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(k, v)| (*k, v)))
+        // Nearly every call finds nothing down: decide that once, not by
+        // probing the sets per link.
+        let all_up = self.down_nodes.is_empty() && self.down_links.is_empty();
+        let from_up = all_up || !self.down_nodes.contains(&from);
+        self.row(from)
+            .iter()
+            .map(|(to, m)| (*to, m))
             .filter(move |(to, _)| {
-                !self.down_links.contains(&(from, *to))
-                    && !self.down_nodes.contains(&from)
-                    && !self.down_nodes.contains(to)
+                all_up
+                    || (from_up
+                        && !self.down_links.contains(&(from, *to))
+                        && !self.down_nodes.contains(to))
             })
     }
 
     /// All directed links `(from, to, metrics)` in deterministic order.
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, &LinkMetrics)> {
-        self.links
+        self.nodes
             .iter()
-            .flat_map(|(f, m)| m.iter().map(move |(t, v)| (*f, *t, v)))
+            .zip(&self.rows)
+            .flat_map(|(n, row)| row.iter().map(move |(to, m)| (n.id, *to, m)))
     }
 
     /// All directed links mutably, same deterministic order as
     /// [`Topology::links`] (bulk measurement updates without per-link
     /// lookups).
     pub fn links_mut(&mut self) -> impl Iterator<Item = (NodeId, NodeId, &mut LinkMetrics)> {
-        self.links.iter_mut().flat_map(|(f, m)| {
-            let from = *f;
-            m.iter_mut().map(move |(t, v)| (from, *t, v))
-        })
+        self.nodes
+            .iter()
+            .zip(&mut self.rows)
+            .flat_map(|(n, row)| row.iter_mut().map(move |(to, m)| (n.id, *to, m)))
     }
 
-    /// All nodes mutably in deterministic (id) order.
+    /// All nodes mutably in deterministic (id) order. Ids are the sort key:
+    /// a caller writes measurements, never `id`.
     pub fn nodes_mut(&mut self) -> impl Iterator<Item = &mut NodeInfo> {
-        self.nodes.values_mut()
+        self.nodes.iter_mut()
     }
 
     /// Number of nodes.
@@ -270,7 +312,7 @@ impl Topology {
 
     /// Number of directed links.
     pub fn link_count(&self) -> usize {
-        self.links.values().map(BTreeMap::len).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// True when broadcaster and viewer countries differ for the two nodes.

@@ -1,7 +1,327 @@
-//! Property-based tests for the geo-topology generator.
+//! Property-based tests for the geo-topology generator and the row store.
 
-use livenet_topology::{GeoConfig, GeoTopology};
+use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, NodeInfo, Topology};
+use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration};
 use proptest::prelude::*;
+
+/// The oracle: the map-of-maps body `Topology` shipped before the row
+/// store, bodies unchanged. The row store must answer every read the same
+/// way, in value and in order, after any sequence of writes.
+mod oracle {
+    use livenet_topology::{LinkMetrics, NodeInfo};
+    use livenet_types::{Error, NodeId, Result, SimDuration};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    #[derive(Default)]
+    pub struct MapTopology {
+        pub nodes: BTreeMap<NodeId, NodeInfo>,
+        pub links: BTreeMap<NodeId, BTreeMap<NodeId, LinkMetrics>>,
+        pub down_nodes: BTreeSet<NodeId>,
+        pub down_links: BTreeSet<(NodeId, NodeId)>,
+    }
+
+    impl MapTopology {
+        pub fn upsert_node(&mut self, info: NodeInfo) {
+            self.nodes.insert(info.id, info);
+        }
+
+        pub fn upsert_link(&mut self, from: NodeId, to: NodeId, metrics: LinkMetrics) -> Result<()> {
+            if !self.nodes.contains_key(&from) {
+                return Err(Error::not_found(format!("node {from}")));
+            }
+            if !self.nodes.contains_key(&to) {
+                return Err(Error::not_found(format!("node {to}")));
+            }
+            if from == to {
+                return Err(Error::constraint("self-loop link"));
+            }
+            self.links.entry(from).or_default().insert(to, metrics);
+            Ok(())
+        }
+
+        pub fn upsert_duplex(&mut self, a: NodeId, b: NodeId, metrics: LinkMetrics) -> Result<()> {
+            self.upsert_link(a, b, metrics)?;
+            self.upsert_link(b, a, metrics)
+        }
+
+        pub fn node(&self, id: NodeId) -> Option<&NodeInfo> {
+            self.nodes.get(&id)
+        }
+
+        pub fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeInfo> {
+            self.nodes.get_mut(&id)
+        }
+
+        pub fn link(&self, from: NodeId, to: NodeId) -> Option<&LinkMetrics> {
+            self.links.get(&from)?.get(&to)
+        }
+
+        pub fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut LinkMetrics> {
+            self.links.get_mut(&from)?.get_mut(&to)
+        }
+
+        pub fn nodes(&self) -> impl Iterator<Item = &NodeInfo> {
+            self.nodes.values()
+        }
+
+        pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.nodes.keys().copied()
+        }
+
+        pub fn routable_node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.nodes
+                .values()
+                .filter(|n| !n.last_resort && !self.down_nodes.contains(&n.id))
+                .map(|n| n.id)
+        }
+
+        pub fn last_resort_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+            self.nodes.values().filter(|n| n.last_resort).map(|n| n.id)
+        }
+
+        pub fn set_node_up(&mut self, id: NodeId, up: bool) {
+            if !self.nodes.contains_key(&id) {
+                return;
+            }
+            if up {
+                self.down_nodes.remove(&id);
+            } else {
+                self.down_nodes.insert(id);
+            }
+        }
+
+        pub fn node_is_up(&self, id: NodeId) -> bool {
+            self.nodes.contains_key(&id) && !self.down_nodes.contains(&id)
+        }
+
+        pub fn set_link_up(&mut self, from: NodeId, to: NodeId, up: bool) {
+            if self.link(from, to).is_none() {
+                return;
+            }
+            if up {
+                self.down_links.remove(&(from, to));
+            } else {
+                self.down_links.insert((from, to));
+            }
+        }
+
+        pub fn set_duplex_up(&mut self, a: NodeId, b: NodeId, up: bool) {
+            self.set_link_up(a, b, up);
+            self.set_link_up(b, a, up);
+        }
+
+        pub fn link_is_up(&self, from: NodeId, to: NodeId) -> bool {
+            self.link(from, to).is_some()
+                && !self.down_links.contains(&(from, to))
+                && self.node_is_up(from)
+                && self.node_is_up(to)
+        }
+
+        pub fn down_link_ids(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+            self.down_links.iter().copied()
+        }
+
+        pub fn nodes_in_country(&self, country: u32) -> impl Iterator<Item = NodeId> + '_ {
+            self.nodes
+                .values()
+                .filter(move |n| n.country == country)
+                .map(|n| n.id)
+        }
+
+        pub fn neighbors(&self, from: NodeId) -> impl Iterator<Item = (NodeId, &LinkMetrics)> {
+            self.links
+                .get(&from)
+                .into_iter()
+                .flat_map(|m| m.iter().map(|(k, v)| (*k, v)))
+                .filter(move |(to, _)| {
+                    !self.down_links.contains(&(from, *to))
+                        && !self.down_nodes.contains(&from)
+                        && !self.down_nodes.contains(to)
+                })
+        }
+
+        pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, &LinkMetrics)> {
+            self.links
+                .iter()
+                .flat_map(|(f, m)| m.iter().map(move |(t, v)| (*f, *t, v)))
+        }
+
+        pub fn links_mut(&mut self) -> impl Iterator<Item = (NodeId, NodeId, &mut LinkMetrics)> {
+            self.links.iter_mut().flat_map(|(f, m)| {
+                let from = *f;
+                m.iter_mut().map(move |(t, v)| (from, *t, v))
+            })
+        }
+
+        pub fn nodes_mut(&mut self) -> impl Iterator<Item = &mut NodeInfo> {
+            self.nodes.values_mut()
+        }
+
+        pub fn node_count(&self) -> usize {
+            self.nodes.len()
+        }
+
+        pub fn link_count(&self) -> usize {
+            self.links.values().map(BTreeMap::len).sum()
+        }
+
+        pub fn is_international(&self, a: NodeId, b: NodeId) -> Option<bool> {
+            Some(self.node(a)?.country != self.node(b)?.country)
+        }
+
+        pub fn path_rtt(&self, path: &[NodeId]) -> Option<SimDuration> {
+            let mut total = SimDuration::ZERO;
+            for w in path.windows(2) {
+                total += self.link(w[0], w[1])?.rtt;
+            }
+            Some(total)
+        }
+    }
+}
+
+/// Ids the write sequences draw from: few enough that most writes hit an
+/// existing node or link, with the top of the range usually absent.
+const IDS: u64 = 12;
+
+/// Every read of the public API, row store against oracle, order included.
+fn assert_same_reads(t: &Topology, o: &oracle::MapTopology, rng: &mut DetRng) {
+    let ids = || (0..IDS).map(NodeId::new);
+    assert_eq!(t.node_count(), o.node_count());
+    assert_eq!(t.link_count(), o.link_count());
+    assert!(t.nodes().eq(o.nodes()));
+    assert!(t.node_ids().eq(o.node_ids()));
+    assert!(t.routable_node_ids().eq(o.routable_node_ids()));
+    assert!(t.last_resort_ids().eq(o.last_resort_ids()));
+    assert!(t.down_link_ids().eq(o.down_link_ids()));
+    assert!(t.links().eq(o.links()));
+    for country in 0..3 {
+        assert!(t.nodes_in_country(country).eq(o.nodes_in_country(country)));
+    }
+    for a in ids() {
+        assert_eq!(t.node(a), o.node(a));
+        assert_eq!(t.node_is_up(a), o.node_is_up(a));
+        assert!(t.neighbors(a).eq(o.neighbors(a)), "neighbors of {a}");
+        let row = o.links.get(&a).into_iter().flatten().map(|(to, m)| (*to, *m));
+        assert!(t.row(a).iter().copied().eq(row), "row of {a}");
+        for b in ids() {
+            assert_eq!(t.link(a, b), o.link(a, b));
+            assert_eq!(t.link_is_up(a, b), o.link_is_up(a, b));
+            assert_eq!(t.is_international(a, b), o.is_international(a, b));
+        }
+    }
+    for _ in 0..8 {
+        let path: Vec<NodeId> = (0..rng.range_u64(0, 5))
+            .map(|_| NodeId::new(rng.range_u64(0, IDS)))
+            .collect();
+        assert_eq!(t.path_rtt(&path), o.path_rtt(&path));
+    }
+}
+
+/// Apply `steps` random writes to both stores, comparing every read after
+/// each one.
+fn check_row_store_against_oracle(seed: u64, steps: u32) {
+    let rng = &mut DetRng::seed(seed);
+    let (mut t, mut o) = (Topology::new(), oracle::MapTopology::default());
+    let id = |rng: &mut DetRng| NodeId::new(rng.range_u64(0, IDS));
+    let metrics = |rng: &mut DetRng| LinkMetrics {
+        rtt: SimDuration::from_millis(rng.range_u64(1, 300)),
+        loss: rng.f64() * 0.01,
+        utilization: rng.f64(),
+        capacity: Bandwidth::from_gbps(rng.range_u64(1, 10)),
+    };
+    for _ in 0..steps {
+        match rng.range_u64(0, 12) {
+            // Ids arrive out of order and land in the middle of the node
+            // list; a repeated id replaces the info only.
+            0 | 1 => {
+                let info = NodeInfo {
+                    id: id(rng),
+                    country: rng.range_u64(0, 3) as u32,
+                    capacity: Bandwidth::from_gbps(10),
+                    utilization: rng.f64(),
+                    last_resort: rng.chance(0.2),
+                    well_peered: rng.chance(0.3),
+                };
+                t.upsert_node(info.clone());
+                o.upsert_node(info);
+            }
+            2 | 3 => {
+                let (a, b, m) = (id(rng), id(rng), metrics(rng));
+                assert_eq!(
+                    t.upsert_link(a, b, m).map_err(|e| e.to_string()),
+                    o.upsert_link(a, b, m).map_err(|e| e.to_string())
+                );
+            }
+            4 | 5 => {
+                let (a, b, m) = (id(rng), id(rng), metrics(rng));
+                assert_eq!(
+                    t.upsert_duplex(a, b, m).map_err(|e| e.to_string()),
+                    o.upsert_duplex(a, b, m).map_err(|e| e.to_string())
+                );
+            }
+            6 => {
+                let (a, up) = (id(rng), rng.chance(0.5));
+                t.set_node_up(a, up);
+                o.set_node_up(a, up);
+            }
+            7 => {
+                let (a, b, up) = (id(rng), id(rng), rng.chance(0.5));
+                if rng.chance(0.5) {
+                    t.set_link_up(a, b, up);
+                    o.set_link_up(a, b, up);
+                } else {
+                    t.set_duplex_up(a, b, up);
+                    o.set_duplex_up(a, b, up);
+                }
+            }
+            8 => {
+                let (a, b, m) = (id(rng), id(rng), metrics(rng));
+                assert_eq!(
+                    t.link_mut(a, b).map(|l| *l = m),
+                    o.link_mut(a, b).map(|l| *l = m)
+                );
+            }
+            9 => {
+                let (a, u) = (id(rng), rng.f64());
+                assert_eq!(
+                    t.node_mut(a).map(|n| n.utilization = u),
+                    o.node_mut(a).map(|n| n.utilization = u)
+                );
+            }
+            // One node's row, written in row order.
+            10 => {
+                let (a, loss) = (id(rng), rng.f64());
+                let written: Vec<NodeId> = t
+                    .row_mut(a)
+                    .map(|(to, l)| {
+                        l.loss = loss * to.raw() as f64;
+                        to
+                    })
+                    .collect();
+                for &to in &written {
+                    o.link_mut(a, to).expect("a link the row store yielded").loss =
+                        loss * to.raw() as f64;
+                }
+                assert_eq!(written.len(), o.links.get(&a).map_or(0, |r| r.len()));
+            }
+            // The two bulk walks, whose order is the contract.
+            _ => {
+                let u = rng.f64();
+                let walk = |(f, to, l): (NodeId, NodeId, &mut LinkMetrics)| {
+                    l.utilization = u / (1 + f.raw() + to.raw()) as f64;
+                    (f, to)
+                };
+                assert!(t.links_mut().map(walk).eq(o.links_mut().map(walk)));
+                let walk = |n: &mut NodeInfo| {
+                    n.utilization = u / (1 + n.id.raw()) as f64;
+                    n.id
+                };
+                assert!(t.nodes_mut().map(walk).eq(o.nodes_mut().map(walk)));
+            }
+        }
+        assert_same_reads(&t, &o, rng);
+    }
+}
 
 fn arb_config() -> impl Strategy<Value = GeoConfig> {
     (2u32..8, 6u32..30, 0u32..4, any::<u64>()).prop_map(
@@ -17,6 +337,13 @@ fn arb_config() -> impl Strategy<Value = GeoConfig> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The row store reads like the map-of-maps it replaced, in value and
+    /// in order, after any sequence of writes.
+    #[test]
+    fn row_store_equals_map_oracle(seed in any::<u64>(), steps in 1u32..120) {
+        check_row_store_against_oracle(seed, steps);
+    }
 
     /// The generator always produces a full mesh with positive RTTs,
     /// symmetric link existence, and loss under the paper's cap.
