@@ -111,21 +111,12 @@ impl StreamingBrain {
         sink.add(ids::BRAIN_LAST_RESORT, self.decision.last_resort_served);
     }
 
-    /// Absorb one node report: updates the view and the working topology,
-    /// and handles any implied overload alarms (PIB invalidation).
-    ///
-    /// Only the keys the report names are written through to the working
-    /// topology — the rest already hold the view's freshest values from
-    /// earlier reports, so a full-view replay per report is pure waste
-    /// (it dominated fleet-scale profiles at ~57 reports per minute tick).
+    /// Absorb one node report: writes its measurements into the working
+    /// topology (newest wins per key) and handles any implied overload
+    /// alarms (PIB invalidation).
     pub fn absorb_report(&mut self, report: &NodeReport) -> Vec<OverloadAlarm> {
-        let alarms = self
-            .discovery
-            .absorb_report(report, &mut self.decision.pib);
         self.discovery
-            .view()
-            .apply_report(report, &mut self.topology);
-        alarms
+            .absorb_report(report, &mut self.topology, &mut self.decision.pib)
     }
 
     /// Handle an explicit real-time overload alarm.

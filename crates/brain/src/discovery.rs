@@ -1,14 +1,16 @@
 //! Global Discovery (paper §4.2).
 //!
-//! Collects 1-minute reports from overlay nodes into the [`GlobalView`],
-//! and handles *real-time overload alarms*: when a node reports itself or
-//! one of its links at ≥ 80% utilization, the corresponding PIB entries are
+//! Writes the 1-minute reports from overlay nodes into the Brain's working
+//! [`Topology`] — the global view Global Routing reads — and handles
+//! *real-time overload alarms*: when a node reports itself or one of its
+//! links at ≥ 80% utilization, the corresponding PIB entries are
 //! invalidated immediately (without waiting for the 10-minute recompute).
 
 use crate::pib::Pib;
-use livenet_topology::{GlobalView, NodeReport, OVERLOAD_TARGET};
-use livenet_types::NodeId;
+use livenet_topology::{LinkMetrics, LinkReport, NodeReport, Topology, OVERLOAD_TARGET};
+use livenet_types::{NodeId, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// An overload alarm raised by a node outside the periodic report cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,14 +21,56 @@ pub enum OverloadAlarm {
     Link(NodeId, NodeId),
 }
 
+/// When each of one reporter's measurements was taken: what newest-wins
+/// compares. Kept here, not in [`LinkMetrics`] (the ground truth shares
+/// that type), and keyed by far-end id, not row position (a link may be
+/// added to the row later).
+#[derive(Debug)]
+struct Seen {
+    /// The node's own load.
+    node: SimTime,
+    /// Its links, ascending by far end.
+    links: Vec<(NodeId, SimTime)>,
+}
+
 /// The Global Discovery module.
 #[derive(Debug, Default)]
 pub struct GlobalDiscovery {
-    view: GlobalView,
+    /// By reporter. Holds only keys the working topology has, so it is
+    /// bounded by the topology's node and link counts.
+    seen: BTreeMap<NodeId, Seen>,
     /// Alarms processed (telemetry).
     pub alarms_handled: u64,
     /// Paths invalidated by alarms (telemetry).
     pub paths_invalidated: u64,
+    /// Reported keys dropped because the working topology has no such node
+    /// or link: the reporter's own load and each of its links count one.
+    pub unknown_keys: u64,
+}
+
+/// Newest-wins for the key `to`, whose time sits at `times[i]` or, on first
+/// sight, is inserted there: whether a measurement taken at `at` replaces
+/// the one the topology holds.
+fn wins(times: &mut Vec<(NodeId, SimTime)>, i: usize, to: NodeId, at: SimTime) -> bool {
+    match times.get_mut(i) {
+        Some(t) if t.0 == to => {
+            let newest = at >= t.1;
+            if newest {
+                t.1 = at;
+            }
+            newest
+        }
+        _ => {
+            times.insert(i, (to, at));
+            true
+        }
+    }
+}
+
+fn write(link: &mut LinkMetrics, report: &LinkReport) {
+    link.rtt = report.rtt;
+    link.loss = report.loss;
+    link.utilization = report.utilization;
 }
 
 impl GlobalDiscovery {
@@ -35,16 +79,17 @@ impl GlobalDiscovery {
         Self::default()
     }
 
-    /// The assembled global view.
-    pub fn view(&self) -> &GlobalView {
-        &self.view
-    }
-
-    /// Absorb a periodic node report. Returns any overload alarms implied
-    /// by the report itself (≥ target utilization triggers the same path
-    /// invalidation as an explicit alarm).
-    pub fn absorb_report(&mut self, report: &NodeReport, pib: &mut Pib) -> Vec<OverloadAlarm> {
-        self.view.absorb(report);
+    /// Absorb a periodic node report into the working topology (newest
+    /// wins per key). Returns any overload alarms implied by the report
+    /// itself (≥ target utilization triggers the same path invalidation as
+    /// an explicit alarm).
+    pub fn absorb_report(
+        &mut self,
+        report: &NodeReport,
+        topology: &mut Topology,
+        pib: &mut Pib,
+    ) -> Vec<OverloadAlarm> {
+        self.write_through(report, topology);
         let mut alarms = Vec::new();
         if report.utilization >= OVERLOAD_TARGET {
             alarms.push(OverloadAlarm::Node(report.node));
@@ -58,6 +103,58 @@ impl GlobalDiscovery {
             self.handle_alarm(alarm, pib);
         }
         alarms
+    }
+
+    /// Write the report's measurements into the reporter's node and row.
+    ///
+    /// A node's report lists its links ascending by far end, as its row
+    /// does, so the two are walked together and every lookup is the next
+    /// element. The first entry the walk cannot place (the list is
+    /// unsorted, repeats a far end or names one the row lacks) sends the
+    /// rest of the list through a binary search per entry.
+    fn write_through(&mut self, report: &NodeReport, topology: &mut Topology) {
+        let at = report.at;
+        let Some(info) = topology.node_mut(report.node) else {
+            self.unknown_keys += 1 + report.links.len() as u64;
+            return;
+        };
+        let seen = self.seen.entry(report.node).or_insert(Seen {
+            node: at,
+            links: Vec::new(),
+        });
+        if at >= seen.node {
+            seen.node = at;
+            info.utilization = report.utilization;
+        }
+        let times = &mut seen.links;
+        let mut unplaced = &report.links[..0];
+        let mut row = topology.row_mut(report.node).peekable();
+        let mut next_time = 0;
+        for (k, lr) in report.links.iter().enumerate() {
+            while row.next_if(|(to, _)| *to < lr.to).is_some() {}
+            let Some((_, link)) = row.next_if(|(to, _)| *to == lr.to) else {
+                unplaced = &report.links[k..];
+                break;
+            };
+            while times.get(next_time).is_some_and(|t| t.0 < lr.to) {
+                next_time += 1;
+            }
+            if wins(times, next_time, lr.to, at) {
+                write(link, lr);
+            }
+            next_time += 1;
+        }
+        drop(row);
+        for lr in unplaced {
+            let Some(link) = topology.link_mut(report.node, lr.to) else {
+                self.unknown_keys += 1;
+                continue;
+            };
+            let i = times.partition_point(|t| t.0 < lr.to);
+            if wins(times, i, lr.to, at) {
+                write(link, lr);
+            }
+        }
     }
 
     /// Handle an explicit real-time overload alarm: invalidate PIB paths.
@@ -76,8 +173,31 @@ impl GlobalDiscovery {
 mod tests {
     use super::*;
     use crate::pib::OverlayPath;
-    use livenet_topology::LinkReport;
-    use livenet_types::{SimDuration, SimTime};
+    use livenet_topology::view::report_from_topology;
+    use livenet_topology::{GeoConfig, GeoTopology, NodeInfo};
+    use livenet_types::{Bandwidth, SimDuration};
+
+    /// Nodes 1..=4 in a full mesh.
+    fn mesh() -> Topology {
+        let mut t = Topology::new();
+        for id in 1..=4 {
+            t.upsert_node(NodeInfo {
+                id: NodeId::new(id),
+                country: 0,
+                capacity: Bandwidth::from_gbps(10),
+                utilization: 0.0,
+                last_resort: false,
+                well_peered: false,
+            });
+        }
+        let healthy = LinkMetrics::healthy(SimDuration::from_millis(10), Bandwidth::from_gbps(1));
+        for a in 1..=4 {
+            for b in (a + 1)..=4 {
+                t.upsert_duplex(NodeId::new(a), NodeId::new(b), healthy).unwrap();
+            }
+        }
+        t
+    }
 
     fn pib_with_paths() -> Pib {
         let mut pib = Pib::new();
@@ -102,6 +222,21 @@ mod tests {
         pib
     }
 
+    fn report_at(node: u64, at_ms: u64, util: f64, link_to: u64, link_util: f64) -> NodeReport {
+        NodeReport {
+            node: NodeId::new(node),
+            at: SimTime::from_millis(at_ms),
+            utilization: util,
+            links: vec![LinkReport {
+                to: NodeId::new(link_to),
+                rtt: SimDuration::from_millis(20),
+                loss: 0.001,
+                utilization: link_util,
+                from_transport: true,
+            }],
+        }
+    }
+
     fn report(node: u64, util: f64, link_util: f64) -> NodeReport {
         NodeReport {
             node: NodeId::new(node),
@@ -120,18 +255,18 @@ mod tests {
     #[test]
     fn healthy_report_raises_no_alarm() {
         let mut d = GlobalDiscovery::new();
-        let mut pib = pib_with_paths();
-        let alarms = d.absorb_report(&report(2, 0.4, 0.3), &mut pib);
+        let (mut topo, mut pib) = (mesh(), pib_with_paths());
+        let alarms = d.absorb_report(&report(2, 0.4, 0.3), &mut topo, &mut pib);
         assert!(alarms.is_empty());
         assert_eq!(pib.total_paths(), 2);
-        assert_eq!(d.view().node_utilization(NodeId::new(2)), Some(0.4));
+        assert_eq!(topo.node(NodeId::new(2)).unwrap().utilization, 0.4);
     }
 
     #[test]
     fn node_overload_invalidates_traversing_paths() {
         let mut d = GlobalDiscovery::new();
-        let mut pib = pib_with_paths();
-        let alarms = d.absorb_report(&report(2, 0.85, 0.3), &mut pib);
+        let (mut topo, mut pib) = (mesh(), pib_with_paths());
+        let alarms = d.absorb_report(&report(2, 0.85, 0.3), &mut topo, &mut pib);
         assert_eq!(alarms, vec![OverloadAlarm::Node(NodeId::new(2))]);
         // Path via node 2 removed; via node 4 kept.
         let remaining = pib.lookup(NodeId::new(1), NodeId::new(3)).unwrap();
@@ -143,9 +278,9 @@ mod tests {
     #[test]
     fn link_overload_invalidates_directed_link_paths() {
         let mut d = GlobalDiscovery::new();
-        let mut pib = pib_with_paths();
+        let (mut topo, mut pib) = (mesh(), pib_with_paths());
         // Node 2 reports link 2→3 overloaded.
-        let alarms = d.absorb_report(&report(2, 0.1, 0.9), &mut pib);
+        let alarms = d.absorb_report(&report(2, 0.1, 0.9), &mut topo, &mut pib);
         assert_eq!(
             alarms,
             vec![OverloadAlarm::Link(NodeId::new(2), NodeId::new(3))]
@@ -161,5 +296,65 @@ mod tests {
         let removed = d.handle_alarm(OverloadAlarm::Node(NodeId::new(4)), &mut pib);
         assert_eq!(removed, 1);
         assert_eq!(d.alarms_handled, 1);
+    }
+
+    // The next three lived beside `GlobalView` in livenet-topology; the
+    // state they check is now the working topology.
+
+    #[test]
+    fn absorb_keeps_newest() {
+        let mut d = GlobalDiscovery::new();
+        let (mut topo, mut pib) = (mesh(), Pib::new());
+        d.absorb_report(&report_at(1, 100, 0.5, 2, 0.1), &mut topo, &mut pib);
+        d.absorb_report(&report_at(1, 50, 0.9, 2, 0.9), &mut topo, &mut pib); // stale, ignored
+        assert_eq!(topo.node(NodeId::new(1)).unwrap().utilization, 0.5);
+        assert_eq!(
+            topo.link(NodeId::new(1), NodeId::new(2)).unwrap().utilization,
+            0.1
+        );
+        d.absorb_report(&report_at(1, 200, 0.7, 2, 0.85), &mut topo, &mut pib);
+        assert_eq!(topo.node(NodeId::new(1)).unwrap().utilization, 0.7);
+    }
+
+    #[test]
+    fn apply_to_updates_topology() {
+        let g = GeoTopology::generate(&GeoConfig::tiny(1));
+        let mut topo = g.topology.clone();
+        let a = g.node_ids[0];
+        let b = g.node_ids[1];
+        let mut d = GlobalDiscovery::new();
+        d.absorb_report(
+            &NodeReport {
+                node: a,
+                at: SimTime::from_secs(60),
+                utilization: 0.42,
+                links: vec![LinkReport {
+                    to: b,
+                    rtt: SimDuration::from_millis(99),
+                    loss: 0.01,
+                    utilization: 0.33,
+                    from_transport: true,
+                }],
+            },
+            &mut topo,
+            &mut Pib::new(),
+        );
+        assert_eq!(topo.node(a).unwrap().utilization, 0.42);
+        let l = topo.link(a, b).unwrap();
+        assert_eq!(l.rtt, SimDuration::from_millis(99));
+        assert_eq!(l.loss, 0.01);
+        assert_eq!(l.utilization, 0.33);
+    }
+
+    #[test]
+    fn report_from_topology_roundtrips() {
+        let g = GeoTopology::generate(&GeoConfig::tiny(2));
+        let a = g.node_ids[0];
+        let rep = report_from_topology(&g.topology, a, SimTime::from_secs(60)).unwrap();
+        assert_eq!(rep.node, a);
+        assert_eq!(rep.links.len(), g.topology.neighbors(a).count());
+        let mut d = GlobalDiscovery::new();
+        d.absorb_report(&rep, &mut g.topology.clone(), &mut Pib::new());
+        assert_eq!(d.seen.len(), 1);
     }
 }

@@ -1,9 +1,213 @@
-//! Property-based tests for the routing algorithms.
+//! Property-based tests for the routing algorithms and report absorption.
 
-use livenet_brain::{dijkstra, link_weight, sigmoid_factor, yen_ksp, WeightedGraph, WeightParams};
-use livenet_types::{NodeId, SimDuration};
+use livenet_brain::discovery::OverloadAlarm;
+use livenet_brain::{
+    dijkstra, link_weight, sigmoid_factor, yen_ksp, BrainConfig, StreamingBrain, WeightParams,
+    WeightedGraph,
+};
+use livenet_topology::{LinkMetrics, LinkReport, NodeInfo, NodeReport, Topology};
+use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// The oracle: the `GlobalView` that Global Discovery kept beside the
+/// working topology before the measurements moved into the topology's
+/// rows, with the alarm scan and the per-report write-through that ran
+/// around it, bodies unchanged. Absorbing the same reports through
+/// `StreamingBrain::absorb_report` must leave the same working topology,
+/// bit for bit, and raise the same alarms.
+mod oracle {
+    use livenet_brain::discovery::OverloadAlarm;
+    use livenet_topology::{LinkReport, NodeReport, Topology, OVERLOAD_TARGET};
+    use livenet_types::{NodeId, SimTime};
+    use std::collections::HashMap;
+
+    #[derive(Default)]
+    pub struct GlobalView {
+        node_util: HashMap<NodeId, (SimTime, f64)>,
+        link_state: HashMap<(NodeId, NodeId), (SimTime, LinkReport)>,
+    }
+
+    impl GlobalView {
+        fn absorb(&mut self, report: &NodeReport) {
+            let entry = self.node_util.entry(report.node).or_insert((report.at, 0.0));
+            if report.at >= entry.0 {
+                *entry = (report.at, report.utilization);
+            }
+            for lr in &report.links {
+                let key = (report.node, lr.to);
+                let entry = self.link_state.entry(key).or_insert((report.at, *lr));
+                if report.at >= entry.0 {
+                    *entry = (report.at, *lr);
+                }
+            }
+        }
+
+        fn apply_report(&self, report: &NodeReport, topology: &mut Topology) {
+            if let Some(&(_, util)) = self.node_util.get(&report.node) {
+                if let Some(n) = topology.node_mut(report.node) {
+                    n.utilization = util;
+                }
+            }
+            for lr in &report.links {
+                let Some(&(_, stored)) = self.link_state.get(&(report.node, lr.to)) else {
+                    continue;
+                };
+                if let Some(l) = topology.link_mut(report.node, lr.to) {
+                    l.rtt = stored.rtt;
+                    l.loss = stored.loss;
+                    l.utilization = stored.utilization;
+                }
+            }
+        }
+
+        /// `GlobalDiscovery::absorb_report`, then the write-through
+        /// `StreamingBrain::absorb_report` did after it.
+        pub fn absorb_report(
+            &mut self,
+            report: &NodeReport,
+            topology: &mut Topology,
+        ) -> Vec<OverloadAlarm> {
+            self.absorb(report);
+            let mut alarms = Vec::new();
+            if report.utilization >= OVERLOAD_TARGET {
+                alarms.push(OverloadAlarm::Node(report.node));
+            }
+            for l in &report.links {
+                if l.utilization >= OVERLOAD_TARGET {
+                    alarms.push(OverloadAlarm::Link(report.node, l.to));
+                }
+            }
+            self.apply_report(report, topology);
+            alarms
+        }
+    }
+}
+
+/// `n` nodes with gaps between their ids (so an unknown id can sort into
+/// the middle of a row) and about two thirds of the possible links.
+fn sparse_topology(n: u64, rng: &mut DetRng) -> Topology {
+    let mut t = Topology::new();
+    for i in 0..n {
+        t.upsert_node(NodeInfo {
+            id: NodeId::new(3 * i + 1),
+            country: (i % 3) as u32,
+            capacity: Bandwidth::from_gbps(10),
+            utilization: rng.f64() * 0.5,
+            last_resort: i == n - 1,
+            well_peered: i % 2 == 0,
+        });
+    }
+    for a in 0..n {
+        for b in 0..n {
+            if a != b && rng.chance(0.66) {
+                let m = LinkMetrics {
+                    rtt: SimDuration::from_millis(rng.range_u64(1, 200)),
+                    loss: rng.f64() * 0.002,
+                    utilization: rng.f64() * 0.5,
+                    capacity: Bandwidth::from_gbps(1),
+                };
+                t.upsert_link(NodeId::new(3 * a + 1), NodeId::new(3 * b + 1), m)
+                    .expect("both ends exist");
+            }
+        }
+    }
+    t
+}
+
+/// A measurement as it may come off the wire: mostly a share in [0, 1),
+/// sometimes over the alarm target, sometimes not a number at all.
+fn measurement(rng: &mut DetRng) -> f64 {
+    match rng.range_u64(0, 12) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 0.8 + rng.f64() * 0.4,
+        _ => rng.f64() * 0.8,
+    }
+}
+
+/// One report: any time in a short window (so reports arrive out of order
+/// and tie), from a node the topology may not have, about links it may not
+/// have, complete or partial, in row order or not, far ends repeated or
+/// not.
+fn arbitrary_report(topology: &Topology, n: u64, rng: &mut DetRng) -> NodeReport {
+    let any_id = |rng: &mut DetRng| NodeId::new(rng.range_u64(0, 3 * n + 2));
+    let node = if rng.chance(0.9) {
+        NodeId::new(3 * rng.range_u64(0, n) + 1)
+    } else {
+        any_id(rng)
+    };
+    let mut to: Vec<NodeId> = topology.row(node).iter().map(|l| l.0).collect();
+    if rng.chance(0.5) {
+        to.retain(|_| rng.chance(0.7));
+    }
+    if rng.chance(0.3) {
+        for _ in 0..rng.range_u64(1, 4) {
+            let at = rng.range_u64(0, to.len() as u64 + 1) as usize;
+            // A far end that repeats one of the list, or any id at all
+            // (unknown, the reporter itself, a node without such a link).
+            let id = if rng.chance(0.5) && !to.is_empty() {
+                *rng.choose(&to)
+            } else {
+                any_id(rng)
+            };
+            to.insert(at, id);
+        }
+    }
+    if rng.chance(0.25) {
+        rng.shuffle(&mut to);
+    }
+    NodeReport {
+        node,
+        at: SimTime::from_secs(rng.range_u64(0, 6)),
+        utilization: measurement(rng),
+        links: to
+            .into_iter()
+            .map(|to| LinkReport {
+                to,
+                rtt: SimDuration::from_millis(rng.range_u64(1, 500)),
+                loss: measurement(rng),
+                utilization: measurement(rng),
+                from_transport: rng.chance(0.5),
+            })
+            .collect(),
+    }
+}
+
+fn node_bits(n: &NodeInfo) -> (NodeId, u64) {
+    (n.id, n.utilization.to_bits())
+}
+
+fn link_bits((from, to, l): (NodeId, NodeId, &LinkMetrics)) -> (NodeId, NodeId, SimDuration, u64, u64) {
+    (from, to, l.rtt, l.loss.to_bits(), l.utilization.to_bits())
+}
+
+fn check_absorb_against_oracle(n: u64, seed: u64, reports: u32) {
+    let rng = &mut DetRng::seed(seed);
+    let mut expected = sparse_topology(n, rng);
+    let (nodes, links) = (expected.node_count(), expected.link_count());
+    let mut brain = StreamingBrain::new(expected.clone(), BrainConfig::default());
+    let mut view = oracle::GlobalView::default();
+    let mut unknown = 0;
+    for _ in 0..reports {
+        let report = arbitrary_report(&expected, n, rng);
+        unknown += if expected.node(report.node).is_none() {
+            1 + report.links.len()
+        } else {
+            let missing = |l: &&LinkReport| expected.link(report.node, l.to).is_none();
+            report.links.iter().filter(missing).count()
+        } as u64;
+        let alarms: Vec<OverloadAlarm> = view.absorb_report(&report, &mut expected);
+        assert_eq!(brain.absorb_report(&report), alarms, "{report:?}");
+        let got = brain.topology();
+        assert!(got.nodes().map(node_bits).eq(expected.nodes().map(node_bits)), "{report:?}");
+        assert!(got.links().map(link_bits).eq(expected.links().map(link_bits)), "{report:?}");
+        assert_eq!(brain.discovery().unknown_keys, unknown, "{report:?}");
+    }
+    // No report adds a node or a link.
+    assert_eq!((brain.topology().node_count(), brain.topology().link_count()), (nodes, links));
+}
 
 /// Random connected-ish digraph: n nodes, each with edges to a random
 /// subset of others.
@@ -28,6 +232,13 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
 }
 
 proptest! {
+    /// Reports absorbed into the working topology's rows leave what the
+    /// old `GlobalView` and its write-through left, and raise its alarms.
+    #[test]
+    fn absorb_equals_global_view_oracle(n in 2u64..9, seed in any::<u64>(), reports in 1u32..60) {
+        check_absorb_against_oracle(n, seed, reports);
+    }
+
     /// Yen's K paths: sorted by cost, loopless, distinct, within hop bound,
     /// and the first equals Dijkstra's answer.
     #[test]

@@ -12,8 +12,9 @@
 //!   Liveness is not unconditional in Paxos; the test drives the standard
 //!   sufficient condition.
 
+use livenet_brain::{BrainConfig, StreamingBrain};
 use livenet_replication::{BrainOp, Outbound, Replica, ReplicaId};
-use livenet_topology::{LinkReport, NodeReport};
+use livenet_topology::{GeoConfig, GeoTopology, LinkReport, NodeReport};
 use livenet_types::{DetRng, NodeId, SimDuration, SimTime, StreamId};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -414,6 +415,72 @@ proptest! {
         let back = back.unwrap();
         prop_assert!(same_bits(&op, &back), "{op:?} came back as {back:?}");
         prop_assert_eq!(back.encode(), bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A `Reports` decree is decoded bytes on every replica, and a report
+    /// may name any node and any far end. What it names that the Brain's
+    /// topology does not have is dropped and counted, one per key: the
+    /// measured state never grows. (It used to: every `(reporter, far
+    /// end)` pair a report named got an entry in a map nothing expired.)
+    #[test]
+    fn hostile_reports_leave_the_brains_topology_as_it_was(seed in any::<u64>()) {
+        let mut rng = DetRng::seed(seed);
+        let geo = GeoTopology::generate(&GeoConfig::tiny(seed % 4));
+        let mut brain = StreamingBrain::new(geo.topology.clone(), BrainConfig::default());
+        let known = *rng.choose(&geo.node_ids);
+        let mut ops = Vec::new();
+        for _ in 0..8 {
+            // Reporters and far ends drawn from all of u64 ...
+            let wild = BrainOp::Reports {
+                now: SimTime::ZERO,
+                reports: (0..rng.range_u64(1, 5)).map(|_| arb_report(&mut rng, 8)).collect(),
+            };
+            // ... the same bytes damaged, where they still decode ...
+            let mut bytes = wild.encode();
+            for _ in 0..4 {
+                let at = rng.range_u64(0, bytes.len() as u64) as usize;
+                bytes[at] ^= rng.range_u64(1, 256) as u8;
+            }
+            ops.extend(BrainOp::decode(&bytes).ok());
+            ops.push(wild);
+            // ... and a node of the overlay reporting its own load (the one
+            // key here that is not unknown) and 64 links to far ends nobody
+            // has heard of.
+            let mut fresh = arb_report(&mut rng, 0);
+            fresh.node = known;
+            fresh.links = (0..64)
+                .map(|_| LinkReport {
+                    to: NodeId::new(rng.range_u64(1 << 32, u64::MAX)),
+                    rtt: SimDuration::from_millis(rng.range_u64(1, 500)),
+                    loss: arb_f64(&mut rng),
+                    utilization: arb_f64(&mut rng),
+                    from_transport: rng.chance(0.5),
+                })
+                .collect();
+            ops.push(BrainOp::Reports { now: SimTime::ZERO, reports: vec![fresh] });
+        }
+        let mut unknown = 0;
+        for op in &ops {
+            let BrainOp::Reports { reports, .. } = op else { continue };
+            for r in reports {
+                let has_node = geo.topology.node(r.node).is_some();
+                let missing = |l: &&LinkReport| geo.topology.link(r.node, l.to).is_none();
+                unknown += u64::from(!has_node) + r.links.iter().filter(missing).count() as u64;
+            }
+            op.apply_to(&mut brain);
+        }
+        let (before, after) = (&geo.topology, brain.topology());
+        prop_assert_eq!(after.node_count(), before.node_count());
+        prop_assert_eq!(after.link_count(), before.link_count());
+        for &n in &geo.node_ids {
+            prop_assert_eq!(after.row(n), before.row(n));
+        }
+        prop_assert!(unknown >= 8 * 64);
+        prop_assert_eq!(brain.discovery().unknown_keys, unknown);
     }
 }
 

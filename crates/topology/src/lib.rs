@@ -8,8 +8,9 @@
 //! * [`geo`] — a generator that lays nodes out across countries and derives
 //!   intra- vs inter-national link RTTs, mirroring the distinction the
 //!   paper's evaluation draws (Table 2, Fig. 12);
-//! * [`view`] — the *global view* snapshot the Global Discovery module
-//!   assembles from 1-minute node reports, consumed by Global Routing.
+//! * [`view`] — the 1-minute node reports the Global Discovery module
+//!   writes into the Brain's working [`Topology`], and the report a node
+//!   would send given the ground truth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,4 +21,4 @@ pub mod view;
 
 pub use geo::{GeoConfig, GeoTopology};
 pub use graph::{LinkMetrics, NodeInfo, NodeRole, Topology};
-pub use view::{GlobalView, LinkReport, NodeReport, OVERLOAD_TARGET};
+pub use view::{LinkReport, NodeReport, OVERLOAD_TARGET};

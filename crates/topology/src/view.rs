@@ -1,14 +1,14 @@
-//! The Brain's global view and the node reports that build it.
+//! The node reports that build the Brain's global view.
 //!
 //! CDN nodes report link latency (RTT), packet loss rate, link utilization
-//! and node load on a 1-minute time scale (paper §4.2). The Global Discovery
-//! module folds these into a [`GlobalView`] — the input to Global Routing —
-//! and raises overload alarms when a node or link crosses the 80% target.
+//! and node load on a 1-minute time scale (paper §4.2). The Brain's Global
+//! Discovery module writes them into its working [`Topology`] — the input
+//! to Global Routing — and raises overload alarms when a node or link
+//! crosses the 80% target.
 
 use crate::graph::Topology;
 use livenet_types::{NodeId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The pre-defined overload target (80%, paper §4.2 / §4.3 constraint ii).
 pub const OVERLOAD_TARGET: f64 = 0.80;
@@ -43,235 +43,23 @@ pub struct NodeReport {
     pub links: Vec<LinkReport>,
 }
 
-/// The assembled global view: freshest known state per node and link.
-///
-/// Backed by hash maps: every read/write is point access, and the only
-/// iteration ([`GlobalView::apply_to`]) writes disjoint keys, so the
-/// result never depends on iteration order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct GlobalView {
-    node_util: HashMap<NodeId, (SimTime, f64)>,
-    link_state: HashMap<(NodeId, NodeId), (SimTime, LinkReport)>,
-}
-
-impl GlobalView {
-    /// Empty view.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one node report into the view (newest-wins per key).
-    pub fn absorb(&mut self, report: &NodeReport) {
-        let entry = self.node_util.entry(report.node).or_insert((report.at, 0.0));
-        if report.at >= entry.0 {
-            *entry = (report.at, report.utilization);
-        }
-        for lr in &report.links {
-            let key = (report.node, lr.to);
-            let entry = self.link_state.entry(key).or_insert((report.at, *lr));
-            if report.at >= entry.0 {
-                *entry = (report.at, *lr);
-            }
-        }
-    }
-
-    /// Last reported utilization of a node (None if never reported).
-    pub fn node_utilization(&self, node: NodeId) -> Option<f64> {
-        self.node_util.get(&node).map(|&(_, u)| u)
-    }
-
-    /// Last reported state of a directed link.
-    pub fn link_report(&self, from: NodeId, to: NodeId) -> Option<&LinkReport> {
-        self.link_state.get(&(from, to)).map(|(_, r)| r)
-    }
-
-    /// True when the node is at or beyond the overload target.
-    pub fn node_overloaded(&self, node: NodeId) -> bool {
-        self.node_utilization(node)
-            .is_some_and(|u| u >= OVERLOAD_TARGET)
-    }
-
-    /// True when the link is at or beyond the overload target.
-    pub fn link_overloaded(&self, from: NodeId, to: NodeId) -> bool {
-        self.link_report(from, to)
-            .is_some_and(|r| r.utilization >= OVERLOAD_TARGET)
-    }
-
-    /// Write the view's freshest measurements back into a [`Topology`]
-    /// (the Brain's working graph for route computation).
-    pub fn apply_to(&self, topology: &mut Topology) {
-        for (&node, &(_, util)) in &self.node_util {
-            if let Some(n) = topology.node_mut(node) {
-                n.utilization = util;
-            }
-        }
-        for (&(from, to), &(_, report)) in &self.link_state {
-            if let Some(l) = topology.link_mut(from, to) {
-                l.rtt = report.rtt;
-                l.loss = report.loss;
-                l.utilization = report.utilization;
-            }
-        }
-    }
-
-    /// Write through only the keys named by `report`, using the view's
-    /// stored (newest-wins) values for those keys.
-    ///
-    /// Equivalent to a full [`GlobalView::apply_to`] after absorbing
-    /// `report`, provided the topology's measured fields only change via
-    /// these two methods: keys the report does not mention already hold
-    /// the view's freshest value from an earlier write-through. Turns the
-    /// per-report cost from O(view) into O(report).
-    pub fn apply_report(&self, report: &NodeReport, topology: &mut Topology) {
-        if let Some(&(_, util)) = self.node_util.get(&report.node) {
-            if let Some(n) = topology.node_mut(report.node) {
-                n.utilization = util;
-            }
-        }
-        for lr in &report.links {
-            let Some(&(_, stored)) = self.link_state.get(&(report.node, lr.to)) else {
-                continue;
-            };
-            if let Some(l) = topology.link_mut(report.node, lr.to) {
-                l.rtt = stored.rtt;
-                l.loss = stored.loss;
-                l.utilization = stored.utilization;
-            }
-        }
-    }
-
-    /// Number of nodes with at least one report.
-    pub fn reported_nodes(&self) -> usize {
-        self.node_util.len()
-    }
-
-    /// Drop state older than `horizon` (stale nodes that stopped reporting).
-    pub fn expire_before(&mut self, horizon: SimTime) {
-        self.node_util.retain(|_, (t, _)| *t >= horizon);
-        self.link_state.retain(|_, (t, _)| *t >= horizon);
-    }
-}
-
 /// Build the report a node would send given the true topology state —
-/// used by simulations to produce 1-minute report streams.
+/// used by simulations to produce 1-minute report streams. The links are
+/// the node's live neighbors, ascending by far end.
 pub fn report_from_topology(topology: &Topology, node: NodeId, at: SimTime) -> Option<NodeReport> {
     let info = topology.node(node)?;
-    let links = topology
-        .neighbors(node)
-        .map(|(to, m)| LinkReport {
-            to,
-            rtt: m.rtt,
-            loss: m.loss,
-            utilization: m.utilization,
-            from_transport: m.utilization > 0.0,
-        })
-        .collect();
+    let mut links = Vec::with_capacity(topology.row(node).len());
+    links.extend(topology.neighbors(node).map(|(to, m)| LinkReport {
+        to,
+        rtt: m.rtt,
+        loss: m.loss,
+        utilization: m.utilization,
+        from_transport: m.utilization > 0.0,
+    }));
     Some(NodeReport {
         node,
         at,
         utilization: info.utilization,
         links,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::geo::{GeoConfig, GeoTopology};
-
-    fn report(node: u64, at_ms: u64, util: f64, link_to: u64, link_util: f64) -> NodeReport {
-        NodeReport {
-            node: NodeId::new(node),
-            at: SimTime::from_millis(at_ms),
-            utilization: util,
-            links: vec![LinkReport {
-                to: NodeId::new(link_to),
-                rtt: SimDuration::from_millis(20),
-                loss: 0.001,
-                utilization: link_util,
-                from_transport: true,
-            }],
-        }
-    }
-
-    #[test]
-    fn absorb_keeps_newest() {
-        let mut v = GlobalView::new();
-        v.absorb(&report(1, 100, 0.5, 2, 0.1));
-        v.absorb(&report(1, 50, 0.9, 2, 0.9)); // stale, ignored
-        assert_eq!(v.node_utilization(NodeId::new(1)), Some(0.5));
-        assert_eq!(
-            v.link_report(NodeId::new(1), NodeId::new(2)).unwrap().utilization,
-            0.1
-        );
-        v.absorb(&report(1, 200, 0.7, 2, 0.85));
-        assert_eq!(v.node_utilization(NodeId::new(1)), Some(0.7));
-    }
-
-    #[test]
-    fn overload_thresholds() {
-        let mut v = GlobalView::new();
-        v.absorb(&report(1, 1, 0.79, 2, 0.85));
-        assert!(!v.node_overloaded(NodeId::new(1)));
-        assert!(v.link_overloaded(NodeId::new(1), NodeId::new(2)));
-        v.absorb(&report(1, 2, 0.80, 2, 0.2));
-        assert!(v.node_overloaded(NodeId::new(1)));
-        assert!(!v.link_overloaded(NodeId::new(1), NodeId::new(2)));
-    }
-
-    #[test]
-    fn unreported_is_not_overloaded() {
-        let v = GlobalView::new();
-        assert!(!v.node_overloaded(NodeId::new(9)));
-        assert!(!v.link_overloaded(NodeId::new(9), NodeId::new(10)));
-    }
-
-    #[test]
-    fn apply_to_updates_topology() {
-        let g = GeoTopology::generate(&GeoConfig::tiny(1));
-        let mut topo = g.topology.clone();
-        let a = g.node_ids[0];
-        let b = g.node_ids[1];
-        let mut v = GlobalView::new();
-        v.absorb(&NodeReport {
-            node: a,
-            at: SimTime::from_secs(60),
-            utilization: 0.42,
-            links: vec![LinkReport {
-                to: b,
-                rtt: SimDuration::from_millis(99),
-                loss: 0.01,
-                utilization: 0.33,
-                from_transport: true,
-            }],
-        });
-        v.apply_to(&mut topo);
-        assert_eq!(topo.node(a).unwrap().utilization, 0.42);
-        let l = topo.link(a, b).unwrap();
-        assert_eq!(l.rtt, SimDuration::from_millis(99));
-        assert_eq!(l.loss, 0.01);
-        assert_eq!(l.utilization, 0.33);
-    }
-
-    #[test]
-    fn report_from_topology_roundtrips() {
-        let g = GeoTopology::generate(&GeoConfig::tiny(2));
-        let a = g.node_ids[0];
-        let rep = report_from_topology(&g.topology, a, SimTime::from_secs(60)).unwrap();
-        assert_eq!(rep.node, a);
-        assert_eq!(rep.links.len(), g.topology.neighbors(a).count());
-        let mut v = GlobalView::new();
-        v.absorb(&rep);
-        assert_eq!(v.reported_nodes(), 1);
-    }
-
-    #[test]
-    fn expire_drops_stale_state() {
-        let mut v = GlobalView::new();
-        v.absorb(&report(1, 100, 0.5, 2, 0.1));
-        v.absorb(&report(3, 5000, 0.5, 4, 0.1));
-        v.expire_before(SimTime::from_millis(1000));
-        assert_eq!(v.node_utilization(NodeId::new(1)), None);
-        assert!(v.node_utilization(NodeId::new(3)).is_some());
-    }
 }
