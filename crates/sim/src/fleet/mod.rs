@@ -1024,21 +1024,31 @@ impl FleetSim {
             1.0
         };
 
-        // Update ground-truth loss (diurnal; Fig. 13) and utilization in
-        // one pass over the link map, from the plane's fresh loads.
+        // Update ground-truth loss (diurnal; Fig. 13) and utilization from
+        // the plane's fresh loads. Every link's loss moves every minute, so
+        // that is one walk of the rows by arithmetic alone; load is the
+        // sparse part (a few hundred forwarding entries), so every link is
+        // written idle in the same walk and only the loaded ones are
+        // looked up afterwards.
         let loads = self.livenet.loads();
         let mut loss_sum = 0.0;
         let mut loss_n = 0u64;
         let gen_base = self.config.geo.base_loss;
         let link_cap = self.config.link_capacity_sessions * capacity_scale;
+        let idle = (0.0 / link_cap).min(1.0);
         for (f, t, l) in self.topology.links_mut() {
-            let sessions = loads.link_sessions.get(&(f, t)).copied().unwrap_or(0.0);
-            l.utilization = (sessions / link_cap).min(1.0);
+            l.utilization = idle;
             // Loss rises with the diurnal load (peaking < 0.175%).
             let jitter = 0.8 + 0.4 * ((f.raw() * 31 + t.raw() * 17 + hour) % 97) as f64 / 97.0;
             l.loss = (gen_base * (0.5 + 2.2 * diurnal) * jitter).min(0.00175);
             loss_sum += l.loss;
             loss_n += 1;
+        }
+        for (&(f, t), &sessions) in &loads.link_sessions {
+            // A loaded pair the topology has no link for writes nothing.
+            if let Some(l) = self.topology.link_mut(f, t) {
+                l.utilization = (sessions / link_cap).min(1.0);
+            }
         }
         // Node loads, same single-pass shape.
         let node_cap = self.config.node_capacity_sessions * capacity_scale;
