@@ -7,7 +7,7 @@
 //! invalidated immediately (without waiting for the 10-minute recompute).
 
 use crate::pib::Pib;
-use livenet_topology::{LinkMetrics, LinkReport, NodeReport, Topology, OVERLOAD_TARGET};
+use livenet_topology::{NodeReport, Topology, OVERLOAD_TARGET};
 use livenet_types::{NodeId, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -22,10 +22,11 @@ pub enum OverloadAlarm {
 }
 
 /// When each of one reporter's measurements was taken: what newest-wins
-/// compares. Kept here, not in [`LinkMetrics`] (the ground truth shares
-/// that type), and keyed by far-end id, not row position (a link may be
-/// added to the row later).
-#[derive(Debug)]
+/// compares (time zero until the first report, which therefore wins). Kept
+/// here, not in `LinkMetrics` (the ground truth shares that type), and
+/// keyed by far-end id, not row position (a link may be added to the row
+/// later).
+#[derive(Debug, Default)]
 struct Seen {
     /// The node's own load.
     node: SimTime,
@@ -48,29 +49,18 @@ pub struct GlobalDiscovery {
     pub unknown_keys: u64,
 }
 
-/// Newest-wins for the key `to`, whose time sits at `times[i]` or, on first
-/// sight, is inserted there: whether a measurement taken at `at` replaces
-/// the one the topology holds.
-fn wins(times: &mut Vec<(NodeId, SimTime)>, i: usize, to: NodeId, at: SimTime) -> bool {
-    match times.get_mut(i) {
-        Some(t) if t.0 == to => {
-            let newest = at >= t.1;
-            if newest {
-                t.1 = at;
-            }
-            newest
-        }
-        _ => {
-            times.insert(i, (to, at));
-            true
-        }
+/// Where `key` sits in `sorted`: at `hint` when the caller is walking the
+/// slice in order, else by binary search (`Err`: where it would go).
+fn locate<T>(
+    sorted: &[T],
+    hint: usize,
+    key: NodeId,
+    id: impl Fn(&T) -> NodeId,
+) -> Result<usize, usize> {
+    match sorted.get(hint) {
+        Some(at_hint) if id(at_hint) == key => Ok(hint),
+        _ => sorted.binary_search_by_key(&key, id),
     }
-}
-
-fn write(link: &mut LinkMetrics, report: &LinkReport) {
-    link.rtt = report.rtt;
-    link.loss = report.loss;
-    link.utilization = report.utilization;
 }
 
 impl GlobalDiscovery {
@@ -108,51 +98,39 @@ impl GlobalDiscovery {
     /// Write the report's measurements into the reporter's node and row.
     ///
     /// A node's report lists its links ascending by far end, as its row
-    /// does, so the two are walked together and every lookup is the next
-    /// element. The first entry the walk cannot place (the list is
-    /// unsorted, repeats a far end or names one the row lacks) sends the
-    /// rest of the list through a binary search per entry.
+    /// and its `Seen` list do, so each lookup is the element after the last
+    /// one found. An entry that is not there (the list is partial, unsorted
+    /// or repeats a far end) costs a binary search.
     fn write_through(&mut self, report: &NodeReport, topology: &mut Topology) {
         let at = report.at;
         let Some(info) = topology.node_mut(report.node) else {
             self.unknown_keys += 1 + report.links.len() as u64;
             return;
         };
-        let seen = self.seen.entry(report.node).or_insert(Seen {
-            node: at,
-            links: Vec::new(),
-        });
+        let seen = self.seen.entry(report.node).or_default();
         if at >= seen.node {
             seen.node = at;
             info.utilization = report.utilization;
         }
-        let times = &mut seen.links;
-        let mut unplaced = &report.links[..0];
-        let mut row = topology.row_mut(report.node).peekable();
-        let mut next_time = 0;
-        for (k, lr) in report.links.iter().enumerate() {
-            while row.next_if(|(to, _)| *to < lr.to).is_some() {}
-            let Some((_, link)) = row.next_if(|(to, _)| *to == lr.to) else {
-                unplaced = &report.links[k..];
-                break;
-            };
-            while times.get(next_time).is_some_and(|t| t.0 < lr.to) {
-                next_time += 1;
-            }
-            if wins(times, next_time, lr.to, at) {
-                write(link, lr);
-            }
-            next_time += 1;
-        }
-        drop(row);
-        for lr in unplaced {
-            let Some(link) = topology.link_mut(report.node, lr.to) else {
+        let (far_ends, links) = topology.row_mut(report.node);
+        let (mut next, mut next_seen) = (0, 0);
+        for lr in &report.links {
+            let Ok(j) = locate(far_ends, next, lr.to, |&to| to) else {
                 self.unknown_keys += 1;
                 continue;
             };
-            let i = times.partition_point(|t| t.0 < lr.to);
-            if wins(times, i, lr.to, at) {
-                write(link, lr);
+            next = j + 1;
+            let i = locate(&seen.links, next_seen, lr.to, |t| t.0).unwrap_or_else(|i| {
+                seen.links.insert(i, (lr.to, at));
+                i
+            });
+            next_seen = i + 1;
+            let newest = &mut seen.links[i].1;
+            if at >= *newest {
+                *newest = at;
+                links[j].rtt = lr.rtt;
+                links[j].loss = lr.loss;
+                links[j].utilization = lr.utilization;
             }
         }
     }
@@ -174,7 +152,7 @@ mod tests {
     use super::*;
     use crate::pib::OverlayPath;
     use livenet_topology::view::report_from_topology;
-    use livenet_topology::{GeoConfig, GeoTopology, NodeInfo};
+    use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, LinkReport, NodeInfo};
     use livenet_types::{Bandwidth, SimDuration};
 
     /// Nodes 1..=4 in a full mesh.

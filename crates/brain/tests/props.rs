@@ -138,7 +138,7 @@ fn arbitrary_report(topology: &Topology, n: u64, rng: &mut DetRng) -> NodeReport
     } else {
         any_id(rng)
     };
-    let mut to: Vec<NodeId> = topology.row(node).iter().map(|l| l.0).collect();
+    let mut to = topology.row(node).0.to_vec();
     if rng.chance(0.5) {
         to.retain(|_| rng.chance(0.7));
     }

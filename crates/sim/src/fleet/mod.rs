@@ -1025,11 +1025,9 @@ impl FleetSim {
         };
 
         // Update ground-truth loss (diurnal; Fig. 13) and utilization from
-        // the plane's fresh loads. Every link's loss moves every minute, so
-        // that is one walk of the rows by arithmetic alone; load is the
-        // sparse part (a few hundred forwarding entries), so every link is
-        // written idle in the same walk and only the loaded ones are
-        // looked up afterwards.
+        // the plane's fresh loads. Every link's loss moves every minute:
+        // one walk of the rows, which also writes every link idle. Load is
+        // sparse, so only the loaded links are looked up afterwards.
         let loads = self.livenet.loads();
         let mut loss_sum = 0.0;
         let mut loss_n = 0u64;

@@ -81,15 +81,25 @@ impl LinkMetrics {
 pub struct Topology {
     /// Ascending by `id`, no duplicates.
     nodes: Vec<NodeInfo>,
-    /// `rows[i]`: the out-links of `nodes[i]`, ascending by far end, no
-    /// duplicates. Always as long as `nodes`.
-    rows: Vec<Vec<(NodeId, LinkMetrics)>>,
+    /// `rows[i]`: the out-links of `nodes[i]`. Always as long as `nodes`.
+    rows: Vec<Row>,
     /// Nodes currently marked down by the fault layer. Kept separate from
     /// `NodeInfo` so liveness is orthogonal to the measured state: a node
     /// that comes back keeps its last-reported metrics.
     down_nodes: BTreeSet<NodeId>,
     /// Directed links currently marked down (beyond any down endpoints).
     down_links: BTreeSet<(NodeId, NodeId)>,
+}
+
+/// One node's out-links. The far ends are kept apart from the measurements
+/// so that a caller can be handed the measurements to write while the sort
+/// keys stay read-only.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct Row {
+    /// Ascending, no duplicates.
+    far_ends: Vec<NodeId>,
+    /// `metrics[j]`: measured on the link to `far_ends[j]`.
+    metrics: Vec<LinkMetrics>,
 }
 
 impl Topology {
@@ -110,7 +120,7 @@ impl Topology {
             Ok(i) => self.nodes[i] = info,
             Err(i) => {
                 self.nodes.insert(i, info);
-                self.rows.insert(i, Vec::new());
+                self.rows.insert(i, Row::default());
             }
         }
     }
@@ -127,9 +137,12 @@ impl Topology {
             return Err(Error::constraint("self-loop link"));
         }
         let row = &mut self.rows[i];
-        match row.binary_search_by_key(&to, |l| l.0) {
-            Ok(j) => row[j].1 = metrics,
-            Err(j) => row.insert(j, (to, metrics)),
+        match row.far_ends.binary_search(&to) {
+            Ok(j) => row.metrics[j] = metrics,
+            Err(j) => {
+                row.far_ends.insert(j, to);
+                row.metrics.insert(j, metrics);
+            }
         }
         Ok(())
     }
@@ -150,32 +163,31 @@ impl Topology {
         self.index(id).map(|i| &mut self.nodes[i])
     }
 
-    /// The out-links of `from` with their far ends, ascending by far end,
-    /// down links included (empty for an unknown node).
-    pub fn row(&self, from: NodeId) -> &[(NodeId, LinkMetrics)] {
-        self.index(from).map_or(&[], |i| &self.rows[i])
+    /// The out-links of `from`, down links included: the far ends,
+    /// ascending, and the link to each at the same position (both empty for
+    /// an unknown node).
+    pub fn row(&self, from: NodeId) -> (&[NodeId], &[LinkMetrics]) {
+        let row = self.index(from).map(|i| &self.rows[i]);
+        row.map_or((&[], &[]), |r| (&r.far_ends, &r.metrics))
     }
 
-    /// The out-links of `from` mutably, in [`Topology::row`]'s order: one
-    /// node's share of a bulk measurement update.
-    pub fn row_mut(&mut self, from: NodeId) -> impl Iterator<Item = (NodeId, &mut LinkMetrics)> {
+    /// [`Topology::row`] with the links writable: one node's share of a
+    /// bulk measurement update.
+    pub fn row_mut(&mut self, from: NodeId) -> (&[NodeId], &mut [LinkMetrics]) {
         let row = self.index(from).map(|i| &mut self.rows[i]);
-        row.into_iter().flatten().map(|(to, m)| (*to, m))
+        row.map_or((&[], &mut []), |r| (&r.far_ends, &mut r.metrics))
     }
 
     /// Link lookup.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<&LinkMetrics> {
-        let row = self.row(from);
-        let j = row.binary_search_by_key(&to, |l| l.0).ok()?;
-        Some(&row[j].1)
+        let (far_ends, links) = self.row(from);
+        Some(&links[far_ends.binary_search(&to).ok()?])
     }
 
     /// Mutable link lookup (measurement updates).
     pub fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut LinkMetrics> {
-        let i = self.index(from)?;
-        let row = &mut self.rows[i];
-        let j = row.binary_search_by_key(&to, |l| l.0).ok()?;
-        Some(&mut row[j].1)
+        let (far_ends, links) = self.row_mut(from);
+        Some(&mut links[far_ends.binary_search(&to).ok()?])
     }
 
     /// All nodes in deterministic (id) order.
@@ -270,33 +282,31 @@ impl Topology {
         // probing the sets per link.
         let all_up = self.down_nodes.is_empty() && self.down_links.is_empty();
         let from_up = all_up || !self.down_nodes.contains(&from);
-        self.row(from)
-            .iter()
-            .map(|(to, m)| (*to, m))
-            .filter(move |(to, _)| {
-                all_up
-                    || (from_up
-                        && !self.down_links.contains(&(from, *to))
-                        && !self.down_nodes.contains(to))
-            })
+        let (far_ends, links) = self.row(from);
+        far_ends.iter().copied().zip(links).filter(move |(to, _)| {
+            all_up
+                || (from_up
+                    && !self.down_links.contains(&(from, *to))
+                    && !self.down_nodes.contains(to))
+        })
     }
 
     /// All directed links `(from, to, metrics)` in deterministic order.
     pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, &LinkMetrics)> {
-        self.nodes
-            .iter()
-            .zip(&self.rows)
-            .flat_map(|(n, row)| row.iter().map(move |(to, m)| (n.id, *to, m)))
+        self.nodes.iter().zip(&self.rows).flat_map(|(n, row)| {
+            let links = row.far_ends.iter().zip(&row.metrics);
+            links.map(move |(to, m)| (n.id, *to, m))
+        })
     }
 
     /// All directed links mutably, same deterministic order as
     /// [`Topology::links`] (bulk measurement updates without per-link
     /// lookups).
     pub fn links_mut(&mut self) -> impl Iterator<Item = (NodeId, NodeId, &mut LinkMetrics)> {
-        self.nodes
-            .iter()
-            .zip(&mut self.rows)
-            .flat_map(|(n, row)| row.iter_mut().map(move |(to, m)| (n.id, *to, m)))
+        self.nodes.iter().zip(&mut self.rows).flat_map(|(n, row)| {
+            let links = row.far_ends.iter().zip(&mut row.metrics);
+            links.map(move |(to, m)| (n.id, *to, m))
+        })
     }
 
     /// All nodes mutably in deterministic (id) order. Ids are the sort key:
@@ -312,7 +322,7 @@ impl Topology {
 
     /// Number of directed links.
     pub fn link_count(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.rows.iter().map(|r| r.far_ends.len()).sum()
     }
 
     /// True when broadcaster and viewer countries differ for the two nodes.
