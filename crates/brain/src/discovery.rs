@@ -152,29 +152,12 @@ mod tests {
     use super::*;
     use crate::pib::OverlayPath;
     use livenet_topology::view::report_from_topology;
-    use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, LinkReport, NodeInfo};
-    use livenet_types::{Bandwidth, SimDuration};
+    use livenet_topology::{GeoConfig, GeoTopology, LinkReport};
+    use livenet_types::SimDuration;
 
-    /// Nodes 1..=4 in a full mesh.
+    /// Nodes 1..=10 in a full mesh.
     fn mesh() -> Topology {
-        let mut t = Topology::new();
-        for id in 1..=4 {
-            t.upsert_node(NodeInfo {
-                id: NodeId::new(id),
-                country: 0,
-                capacity: Bandwidth::from_gbps(10),
-                utilization: 0.0,
-                last_resort: false,
-                well_peered: false,
-            });
-        }
-        let healthy = LinkMetrics::healthy(SimDuration::from_millis(10), Bandwidth::from_gbps(1));
-        for a in 1..=4 {
-            for b in (a + 1)..=4 {
-                t.upsert_duplex(NodeId::new(a), NodeId::new(b), healthy).unwrap();
-            }
-        }
-        t
+        GeoTopology::generate(&GeoConfig::tiny(1)).topology
     }
 
     fn pib_with_paths() -> Pib {
@@ -216,18 +199,7 @@ mod tests {
     }
 
     fn report(node: u64, util: f64, link_util: f64) -> NodeReport {
-        NodeReport {
-            node: NodeId::new(node),
-            at: SimTime::from_secs(60),
-            utilization: util,
-            links: vec![LinkReport {
-                to: NodeId::new(3),
-                rtt: SimDuration::from_millis(20),
-                loss: 0.0,
-                utilization: link_util,
-                from_transport: true,
-            }],
-        }
+        report_at(node, 60_000, util, 3, link_util)
     }
 
     #[test]

@@ -48,14 +48,16 @@ pub struct NodeReport {
 /// the node's live neighbors, ascending by far end.
 pub fn report_from_topology(topology: &Topology, node: NodeId, at: SimTime) -> Option<NodeReport> {
     let info = topology.node(node)?;
-    let mut links = Vec::with_capacity(topology.row(node).0.len());
-    links.extend(topology.neighbors(node).map(|(to, m)| LinkReport {
-        to,
-        rtt: m.rtt,
-        loss: m.loss,
-        utilization: m.utilization,
-        from_transport: m.utilization > 0.0,
-    }));
+    let links = topology
+        .neighbors(node)
+        .map(|(to, m)| LinkReport {
+            to,
+            rtt: m.rtt,
+            loss: m.loss,
+            utilization: m.utilization,
+            from_transport: m.utilization > 0.0,
+        })
+        .collect();
     Some(NodeReport {
         node,
         at,
