@@ -219,10 +219,7 @@ pub(crate) fn routing(args: &Args, out: &mut Report) {
                     // load).
                     c.brain.routing.period_secs = 3600;
                 }
-                c.brain.routing.weight = WeightParams {
-                    alpha,
-                    ..WeightParams::default()
-                };
+                c.brain.routing.weight = WeightParams { alpha };
             })
             .build()
             .expect("ablation variant config is valid");

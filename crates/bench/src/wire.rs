@@ -1,6 +1,6 @@
 //! Real-socket wire experiment: a 50+ node geo edge fleet on 127.0.0.1.
 //!
-//! Builds the [`TestbedBuilder::geo_fleet`] overlay — per-country hub
+//! Builds the [`TestbedConfig::geo_fleet`] overlay — per-country hub
 //! backbone, region-clustered edge nodes, last-resort relays, edges and
 //! RTTs from `livenet-topology`'s generator — and drives hundreds of
 //! concurrent real-socket viewers whose staggered arrivals come from
@@ -23,7 +23,7 @@ use crate::{percentile, Args, Report, SEED};
 use livenet_emu::LossModel;
 use livenet_sim::{Scenario, Viewer};
 use livenet_topology::GeoConfig;
-use livenet_transport::{testbed, TestbedBuilder, TestbedConfig};
+use livenet_transport::{testbed, TestbedConfig};
 use livenet_types::{SimDuration, SimTime, StreamId};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -111,11 +111,6 @@ fn emulator_config(cfg: &TestbedConfig) -> Scenario {
             }
         })
         .collect();
-    assert_eq!(
-        cfg.gop,
-        livenet_media::GopConfig::default(),
-        "the emulator streams the default GoP; the wire run must too"
-    );
     emu.bitrate = cfg.bitrate;
     emu.duration = SimDuration::from_nanos(cfg.broadcast.as_nanos() as u64);
     emu.drain = SimDuration::from_nanos(cfg.drain.as_nanos() as u64);
@@ -132,11 +127,12 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     };
 
     let geo = GeoConfig::paper_scale(SEED);
-    let mut cfg = TestbedBuilder::geo_fleet(STREAM, &geo, viewer_count, FANOUT, SEED)
-        .broadcast(broadcast)
-        .drain(drain)
-        .build()
-        .expect("geo_fleet preset is valid");
+    let mut cfg = TestbedConfig {
+        broadcast,
+        drain,
+        ..TestbedConfig::geo_fleet(STREAM, &geo, viewer_count, FANOUT, SEED)
+            .expect("geo_fleet preset is valid")
+    };
 
     // Congest the busiest viewer country: every viewer there reports 30%
     // loss from a third of the way in, so the consumer cores' GCC loops

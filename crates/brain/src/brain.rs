@@ -279,11 +279,6 @@ impl StreamingBrain {
         self.popular.insert(stream);
     }
 
-    /// True when the stream is in the popular set.
-    pub fn is_popular(&self, stream: StreamId) -> bool {
-        self.popular.contains(&stream)
-    }
-
     /// Build the proactive prefetch set for a popular stream: the best path
     /// to *every* routable node, pushed before any viewer arrives (§4.4).
     ///
@@ -641,7 +636,10 @@ mod tests {
         let s = StreamId::new(8);
         b.register_stream(s, nodes[0]);
         b.mark_popular(s);
+        assert!(!b.prefetch_paths(s, SimTime::ZERO).is_empty());
         b.unregister_stream(s);
-        assert!(!b.is_popular(s));
+        // A stream that comes back under the same id is not prefetched.
+        b.register_stream(s, nodes[0]);
+        assert!(b.prefetch_paths(s, SimTime::ZERO).is_empty());
     }
 }

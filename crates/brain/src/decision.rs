@@ -178,15 +178,6 @@ impl PathDecision {
             last_resort: true,
         })
     }
-
-    /// Fraction of served requests that used last-resort paths.
-    pub fn last_resort_fraction(&self) -> f64 {
-        if self.requests_served == 0 {
-            0.0
-        } else {
-            self.last_resort_served as f64 / self.requests_served as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -297,7 +288,7 @@ mod tests {
         assert!(r.last_resort);
         assert_eq!(r.paths[0].hops(), 2);
         assert!(lrs.contains(&r.paths[0].nodes[1]));
-        assert!(f.decision.last_resort_fraction() > 0.0);
+        assert_eq!(f.decision.last_resort_served, 1);
     }
 
     #[test]

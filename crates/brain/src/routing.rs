@@ -25,8 +25,6 @@ pub struct RoutingConfig {
     pub k: usize,
     /// Maximum overlay hops per path (paper: 3).
     pub max_hops: usize,
-    /// Overload threshold for nodes and links (paper: 0.80).
-    pub overload_target: f64,
     /// Weight-function hyper-parameters.
     pub weight: WeightParams,
     /// Recompute period (paper: 10 minutes). Stored for drivers.
@@ -38,7 +36,6 @@ impl Default for RoutingConfig {
         RoutingConfig {
             k: 3,
             max_hops: 3,
-            overload_target: OVERLOAD_TARGET,
             weight: WeightParams::default(),
             period_secs: 600,
         }
@@ -102,7 +99,7 @@ impl GlobalRouting {
         }
         for &n in &path.nodes {
             if let Some(info) = topology.node(n) {
-                if info.utilization >= self.config.overload_target {
+                if info.utilization >= OVERLOAD_TARGET {
                     return false;
                 }
             }
@@ -112,7 +109,7 @@ impl GlobalRouting {
                 return false; // link (or an endpoint) is down
             }
             if let Some(l) = topology.link(w[0], w[1]) {
-                if l.utilization >= self.config.overload_target {
+                if l.utilization >= OVERLOAD_TARGET {
                     return false;
                 }
             } else {
@@ -306,7 +303,7 @@ impl Snapshot {
             if weight.is_finite() && weight >= 0.0 {
                 w[u * n + v] = weight;
             }
-            link_over[u * n + v] = m.utilization >= config.overload_target;
+            link_over[u * n + v] = m.utilization >= OVERLOAD_TARGET;
         }
         // Failed links keep their metrics for when they come back up.
         for (from, to) in topology.down_link_ids() {
@@ -315,7 +312,7 @@ impl Snapshot {
             }
         }
         let wt = (0..n * n).map(|i| w[i % n * n + i / n]).collect();
-        let node_over = load.iter().map(|&u| u >= config.overload_target).collect();
+        let node_over = load.iter().map(|&u| u >= OVERLOAD_TARGET).collect();
         Snapshot { ids, w, wt, node_over, link_over }
     }
 

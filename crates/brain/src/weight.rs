@@ -17,21 +17,19 @@
 use livenet_types::SimDuration;
 use serde::{Deserialize, Serialize};
 
+/// Sigmoid midpoint β as a fraction (paper: 80% → 0.80).
+const BETA: f64 = 0.80;
+
 /// Hyper-parameters of the weight function.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WeightParams {
     /// Sigmoid steepness α (paper: 0.5, on percent-scale utilization).
     pub alpha: f64,
-    /// Sigmoid midpoint β as a fraction (paper: 80% → 0.80).
-    pub beta: f64,
 }
 
 impl Default for WeightParams {
     fn default() -> Self {
-        WeightParams {
-            alpha: 0.5,
-            beta: 0.80,
-        }
+        WeightParams { alpha: 0.5 }
     }
 }
 
@@ -41,7 +39,7 @@ impl Default for WeightParams {
 /// match the paper's α = 0.5 parameterization.
 pub fn sigmoid_factor(utilization: f64, params: WeightParams) -> f64 {
     let u_pct = utilization.clamp(0.0, 1.0) * 100.0;
-    let beta_pct = params.beta * 100.0;
+    let beta_pct = BETA * 100.0;
     1.0 / (1.0 + (params.alpha * (beta_pct - u_pct)).exp()) + 1.0
 }
 
@@ -66,10 +64,7 @@ pub fn link_weight(
 mod tests {
     use super::*;
 
-    const P: WeightParams = WeightParams {
-        alpha: 0.5,
-        beta: 0.80,
-    };
+    const P: WeightParams = WeightParams { alpha: 0.5 };
 
     #[test]
     fn sigmoid_spans_one_to_two() {

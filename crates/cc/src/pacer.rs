@@ -41,13 +41,14 @@ pub struct PacedPacket<T> {
     pub payload: T,
 }
 
+/// Maximum burst the token bucket accumulates, as a time at rate.
+const BURST_WINDOW: SimDuration = SimDuration::from_millis(40);
+
 /// Pacer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PacerConfig {
     /// Pacing gain applied while I-frame packets are draining (paper: 1.5).
     pub iframe_gain: f64,
-    /// Maximum burst the token bucket accumulates, as a time at rate.
-    pub burst_window: SimDuration,
     /// Queue length (packets) after which [`Pacer::is_backlogged`] trips;
     /// the consumer node uses this signal for proactive frame dropping.
     pub backlog_threshold: usize,
@@ -57,7 +58,6 @@ impl Default for PacerConfig {
     fn default() -> Self {
         PacerConfig {
             iframe_gain: 1.5,
-            burst_window: SimDuration::from_millis(40),
             backlog_threshold: 64,
         }
     }
@@ -158,7 +158,7 @@ impl<T> Pacer<T> {
         if let Some(last) = self.last_refill {
             let dt = now.saturating_since(last);
             let bytes = self.rate.bytes_in(dt) as f64 * gain;
-            let cap = self.rate.bytes_in(self.config.burst_window) as f64 * gain;
+            let cap = self.rate.bytes_in(BURST_WINDOW) as f64 * gain;
             self.budget_bytes = (self.budget_bytes + bytes).min(cap.max(1500.0));
         } else {
             // First poll: allow one MTU immediately.

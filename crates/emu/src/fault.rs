@@ -117,21 +117,6 @@ impl FaultPlan {
         self.restart(at + down_for, node)
     }
 
-    /// Take both directions of the `a`–`b` link down at `at` and restore
-    /// them `down_for` later (a link flap).
-    pub fn link_flap(
-        &mut self,
-        at: SimTime,
-        down_for: SimDuration,
-        a: NodeId,
-        b: NodeId,
-    ) -> &mut Self {
-        self.push(at, FaultKind::LinkDown { from: a, to: b });
-        self.push(at, FaultKind::LinkDown { from: b, to: a });
-        self.push(at + down_for, FaultKind::LinkUp { from: a, to: b });
-        self.push(at + down_for, FaultKind::LinkUp { from: b, to: a })
-    }
-
     /// Run a Bernoulli loss episode on both directions of `a`–`b`.
     pub fn loss_burst(
         &mut self,
@@ -145,20 +130,6 @@ impl FaultPlan {
         self.push(at, FaultKind::LossBurst { from: b, to: a, loss });
         self.push(at + lasts, FaultKind::LossBurstEnd { from: a, to: b });
         self.push(at + lasts, FaultKind::LossBurstEnd { from: b, to: a })
-    }
-
-    /// Take a whole region down at once (Brain region outage, §6.5): every
-    /// node in `nodes` crashes at `at` and restarts `down_for` later.
-    pub fn region_outage<I: IntoIterator<Item = NodeId>>(
-        &mut self,
-        at: SimTime,
-        down_for: SimDuration,
-        nodes: I,
-    ) -> &mut Self {
-        for n in nodes {
-            self.outage(at, down_for, n);
-        }
-        self
     }
 
     /// Sample a plan of node outages from a dedicated RNG stream: each
@@ -210,23 +181,6 @@ mod tests {
         let evs: Vec<&FaultEvent> = p.events().collect();
         assert_eq!(evs[0].kind, FaultKind::NodeCrash { node: NodeId::new(3) });
         assert_eq!(evs[1].at, SimTime::from_secs(35));
-    }
-
-    #[test]
-    fn link_flap_covers_both_directions() {
-        let mut p = FaultPlan::new();
-        p.link_flap(
-            SimTime::from_secs(1),
-            SimDuration::from_secs(2),
-            NodeId::new(1),
-            NodeId::new(2),
-        );
-        assert_eq!(p.len(), 4);
-        let downs = p
-            .events()
-            .filter(|e| matches!(e.kind, FaultKind::LinkDown { .. }))
-            .count();
-        assert_eq!(downs, 2);
     }
 
     #[test]

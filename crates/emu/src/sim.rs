@@ -235,11 +235,6 @@ impl<H: Host> NetSim<H> {
         self.queue.now()
     }
 
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Invoke a closure on a host with a [`Ctx`], applying resulting actions.
     /// Used to inject external stimuli (client requests) deterministically.
     /// Returns `None` for unknown hosts and for hosts currently crashed by

@@ -16,89 +16,49 @@
 //! LiveNet path (pure processing) sits near 100–150 ms, and the fixed
 //! 4-hop Hier path near 390–400 ms (Table 1).
 
-use crate::control::HierPath;
 use livenet_topology::Topology;
 use livenet_types::{NodeId, SimDuration};
-use serde::{Deserialize, Serialize};
 
-/// Tunables of the Hier delay model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HierDelayParams {
-    /// Full-stack store-and-forward processing per L1/L2 hop.
-    pub hop_processing: SimDuration,
-    /// Streaming-center processing (media pipeline + transcoding).
-    pub center_processing: SimDuration,
-    /// Multiplier on `loss × RTT` for expected TCP stall per hop.
-    pub tcp_stall_factor: f64,
-}
+/// Full-stack store-and-forward processing per L1/L2 hop.
+const HOP_PROCESSING: SimDuration = SimDuration::from_millis(47);
+/// Streaming-center processing (media pipeline + transcoding).
+const CENTER_PROCESSING: SimDuration = SimDuration::from_millis(128);
+/// Multiplier on `loss × RTT` for expected TCP stall per hop.
+const TCP_STALL_FACTOR: f64 = 1.5;
 
-impl Default for HierDelayParams {
-    fn default() -> Self {
-        HierDelayParams {
-            hop_processing: SimDuration::from_millis(47),
-            center_processing: SimDuration::from_millis(128),
-            tcp_stall_factor: 1.5,
+/// CDN path delay (ingress L1 → egress L1) for a pinned path, given as its
+/// node sequence ([`crate::HierPath::nodes`]).
+///
+/// Returns `None` when the path references links missing from the
+/// topology.
+pub fn cdn_path_delay(topology: &Topology, nodes: &[NodeId]) -> Option<SimDuration> {
+    let mut total = SimDuration::ZERO;
+    for w in nodes.windows(2) {
+        if w[0] == w[1] {
+            continue; // degenerate hop (same node chosen twice)
+        }
+        let link = topology.link(w[0], w[1])?;
+        total += link.rtt / 2;
+        // Expected TCP stall: loss × RTT × factor.
+        let stall_ms = link.loss * link.rtt.as_millis_f64() * TCP_STALL_FACTOR;
+        total += SimDuration::from_millis_f64(stall_ms);
+    }
+    // Node processing: center transcodes, the others store-and-forward.
+    // The egress L1 (last node) also runs the stack; the ingress L1's
+    // receive-side cost is charged to the first-mile, matching how the
+    // paper attributes encoding + first mile to the client side.
+    let center = nodes.get(2).copied();
+    for (i, &n) in nodes.iter().enumerate() {
+        if i == 0 {
+            continue;
+        }
+        if Some(n) == center && i == 2 {
+            total += CENTER_PROCESSING;
+        } else {
+            total += HOP_PROCESSING;
         }
     }
-}
-
-/// Computes session delay components for Hier paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HierDelayModel {
-    /// Parameters.
-    pub params: HierDelayParams,
-}
-
-impl HierDelayModel {
-    /// Model with explicit parameters.
-    pub fn new(params: HierDelayParams) -> Self {
-        HierDelayModel { params }
-    }
-
-    /// CDN path delay (ingress L1 → egress L1) for a pinned path.
-    ///
-    /// Returns `None` when the path references links missing from the
-    /// topology.
-    pub fn cdn_path_delay(&self, topology: &Topology, path: &HierPath) -> Option<SimDuration> {
-        self.cdn_path_delay_nodes(topology, &path.nodes)
-    }
-
-    /// Slice-based variant of [`Self::cdn_path_delay`] — callers holding a
-    /// node sequence can price it without building a [`HierPath`].
-    pub fn cdn_path_delay_nodes(
-        &self,
-        topology: &Topology,
-        nodes: &[NodeId],
-    ) -> Option<SimDuration> {
-        let mut total = SimDuration::ZERO;
-        for w in nodes.windows(2) {
-            if w[0] == w[1] {
-                continue; // degenerate hop (same node chosen twice)
-            }
-            let link = topology.link(w[0], w[1])?;
-            total += link.rtt / 2;
-            // Expected TCP stall: loss × RTT × factor.
-            let stall_ms =
-                link.loss * link.rtt.as_millis_f64() * self.params.tcp_stall_factor;
-            total += SimDuration::from_millis_f64(stall_ms);
-        }
-        // Node processing: center transcodes, the others store-and-forward.
-        // The egress L1 (last node) also runs the stack; the ingress L1's
-        // receive-side cost is charged to the first-mile, matching how the
-        // paper attributes encoding + first mile to the client side.
-        let center = nodes.get(2).copied();
-        for (i, &n) in nodes.iter().enumerate() {
-            if i == 0 {
-                continue;
-            }
-            if Some(n) == center && i == 2 {
-                total += self.params.center_processing;
-            } else {
-                total += self.params.hop_processing;
-            }
-        }
-        Some(total)
-    }
+    Some(total)
 }
 
 #[cfg(test)]
@@ -122,8 +82,7 @@ mod tests {
         let s = StreamId::new(1);
         ctl.register_stream(&topo, s, l1[0]).unwrap();
         let path = ctl.path_for(&topo, s, l1[7]).unwrap();
-        let model = HierDelayModel::default();
-        let d = model.cdn_path_delay(&topo, &path).unwrap();
+        let d = cdn_path_delay(&topo, &path.nodes).unwrap();
         // Floor: center processing + 3 hop processings (4 post-ingress
         // nodes, one of which is the center).
         let floor = SimDuration::from_millis(110 + 3 * 35);
@@ -138,11 +97,10 @@ mod tests {
         let s = StreamId::new(1);
         ctl.register_stream(&topo, s, l1[0]).unwrap();
         let path = ctl.path_for(&topo, s, l1[3]).unwrap();
-        let model = HierDelayModel::default();
-        let before = model.cdn_path_delay(&topo, &path).unwrap();
+        let before = cdn_path_delay(&topo, &path.nodes).unwrap();
         // Inject 5% loss on the first hop.
         topo.link_mut(path.nodes[0], path.nodes[1]).unwrap().loss = 0.05;
-        let after = model.cdn_path_delay(&topo, &path).unwrap();
+        let after = cdn_path_delay(&topo, &path.nodes).unwrap();
         assert!(after > before);
     }
 
@@ -151,19 +109,13 @@ mod tests {
         // Over many L1 pairs, the median Hier CDN delay should land in the
         // paper's 350–450 ms band (Table 1: 393 ms).
         let (topo, mut ctl, l1) = setup(3);
-        let model = HierDelayModel::default();
         let mut delays: Vec<f64> = Vec::new();
         for (i, &prod) in l1.iter().enumerate() {
             let s = StreamId::new(i as u64);
             ctl.register_stream(&topo, s, prod).unwrap();
             for &cons in l1.iter().skip(i % 3).step_by(3) {
                 let path = ctl.path_for(&topo, s, cons).unwrap();
-                delays.push(
-                    model
-                        .cdn_path_delay(&topo, &path)
-                        .unwrap()
-                        .as_millis_f64(),
-                );
+                delays.push(cdn_path_delay(&topo, &path.nodes).unwrap().as_millis_f64());
             }
         }
         delays.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -22,5 +22,5 @@ pub mod delay;
 pub mod roles;
 
 pub use control::{HierController, HierPath};
-pub use delay::{HierDelayModel, HierDelayParams};
+pub use delay::cdn_path_delay;
 pub use roles::{HierRoles, Layer};

@@ -11,6 +11,9 @@ use crate::frame::{EncodedFrame, FrameId, FrameKind};
 use livenet_types::{Bandwidth, SimDuration, SimTime, StreamId};
 use serde::{Deserialize, Serialize};
 
+/// Per-frame encode latency.
+const ENCODE_DELAY: SimDuration = SimDuration::from_millis(20);
+
 /// GoP structure configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GopConfig {
@@ -27,8 +30,6 @@ pub struct GopConfig {
     pub i_ratio: f64,
     /// B-frame size as a multiple of the mean frame size.
     pub b_ratio: f64,
-    /// Per-frame encode latency.
-    pub encode_delay: SimDuration,
 }
 
 impl Default for GopConfig {
@@ -40,7 +41,6 @@ impl Default for GopConfig {
             unref_b_fraction: 0.5,
             i_ratio: 6.0,
             b_ratio: 0.5,
-            encode_delay: SimDuration::from_millis(20),
         }
     }
 }
@@ -49,11 +49,6 @@ impl GopConfig {
     /// Duration of one frame period.
     pub fn frame_interval(&self) -> SimDuration {
         SimDuration::from_nanos(1_000_000_000 / u64::from(self.fps))
-    }
-
-    /// Duration of one full GoP.
-    pub fn gop_duration(&self) -> SimDuration {
-        self.frame_interval() * u64::from(self.gop_frames)
     }
 
     /// The frame kind at position `pos` within a GoP.
@@ -200,17 +195,8 @@ impl VideoEncoder {
             capture_time,
             rtp_timestamp: (index * ticks_per_frame) as u32,
             size_bytes: self.config.frame_bytes(self.bitrate, pos, index),
-            encode_delay_ns: self.config.encode_delay.as_nanos(),
+            encode_delay_ns: ENCODE_DELAY.as_nanos(),
         }
-    }
-
-    /// Emit all frames captured strictly before `until`.
-    pub fn frames_until(&mut self, until: SimTime) -> Vec<EncodedFrame> {
-        let mut out = Vec::new();
-        while self.next_capture_time() < until {
-            out.push(self.next_frame());
-        }
-        out
     }
 }
 
@@ -282,7 +268,6 @@ mod tests {
         );
         let first = enc.next_frame();
         assert_eq!(first.kind, FrameKind::I);
-        assert!(first.starts_gop());
     }
 
     #[test]
@@ -353,20 +338,6 @@ mod tests {
         let spacing = (b.capture_time - a.capture_time).as_nanos() as i64;
         let nominal = c.frame_interval().as_nanos() as i64;
         assert!((spacing - nominal).abs() <= 1, "spacing={spacing}");
-    }
-
-    #[test]
-    fn frames_until_respects_bound() {
-        let c = cfg();
-        let mut enc = VideoEncoder::new(
-            StreamId::new(1),
-            c,
-            Bandwidth::from_mbps(1),
-            SimTime::ZERO,
-        );
-        let frames = enc.frames_until(SimTime::from_secs(1));
-        assert_eq!(frames.len(), c.fps as usize);
-        assert!(enc.next_capture_time() >= SimTime::from_secs(1));
     }
 
     #[test]

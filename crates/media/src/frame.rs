@@ -46,11 +46,6 @@ impl FrameKind {
         }
     }
 
-    /// True for the three video frame kinds.
-    pub fn is_video(self) -> bool {
-        !matches!(self, FrameKind::Audio)
-    }
-
     /// True when dropping this frame cannot corrupt any other frame.
     pub fn is_droppable_first(self) -> bool {
         matches!(self, FrameKind::BUnref)
@@ -117,13 +112,6 @@ pub struct EncodedFrame {
     pub size_bytes: u32,
     /// Time the encoder spent on this frame (contributes to the delay field).
     pub encode_delay_ns: u64,
-}
-
-impl EncodedFrame {
-    /// True when this frame begins a new GoP.
-    pub fn starts_gop(&self) -> bool {
-        self.kind == FrameKind::I
-    }
 }
 
 #[cfg(test)]

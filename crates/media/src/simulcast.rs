@@ -76,11 +76,6 @@ impl SimulcastLadder {
         self.renditions.is_empty()
     }
 
-    /// Total upload bandwidth the broadcaster needs (all renditions).
-    pub fn total_upload(&self) -> Bandwidth {
-        self.renditions.iter().map(|r| r.bitrate).sum()
-    }
-
     /// The rendition a consumer node selects for a viewer with estimated
     /// available bandwidth `avail`, applying `headroom` (e.g. 1.2 means the
     /// rendition must fit in `avail / 1.2`). Falls back to the lowest
@@ -98,17 +93,6 @@ impl SimulcastLadder {
     pub fn step_down(&self, current: StreamId) -> Option<&Rendition> {
         let idx = self.renditions.iter().position(|r| r.stream == current)?;
         self.renditions.get(idx + 1)
-    }
-
-    /// The rendition one step above `current`, if any.
-    pub fn step_up(&self, current: StreamId) -> Option<&Rendition> {
-        let idx = self.renditions.iter().position(|r| r.stream == current)?;
-        idx.checked_sub(1).map(|i| &self.renditions[i])
-    }
-
-    /// Find a rendition by stream ID.
-    pub fn by_stream(&self, stream: StreamId) -> Option<&Rendition> {
-        self.renditions.iter().find(|r| r.stream == stream)
     }
 }
 
@@ -152,20 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn step_down_and_up() {
+    fn step_down_walks_the_ladder() {
         let l = ladder();
         let hi = l.renditions()[0].stream;
         let lo = l.renditions()[1].stream;
         assert_eq!(l.step_down(hi).unwrap().stream, lo);
         assert!(l.step_down(lo).is_none());
-        assert_eq!(l.step_up(lo).unwrap().stream, hi);
-        assert!(l.step_up(hi).is_none());
-    }
-
-    #[test]
-    fn total_upload_sums() {
-        let l = ladder();
-        assert_eq!(l.total_upload(), Bandwidth::from_kbps(3_700));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the video source model.
 
 use livenet_media::{FrameKind, GopConfig, SimulcastLadder, VideoEncoder};
-use livenet_types::{Bandwidth, SimDuration, SimTime, StreamId};
+use livenet_types::{Bandwidth, SimTime, StreamId};
 use proptest::prelude::*;
 
 fn arb_gop() -> impl Strategy<Value = GopConfig> {
@@ -13,7 +13,6 @@ fn arb_gop() -> impl Strategy<Value = GopConfig> {
             unref_b_fraction: unref,
             i_ratio,
             b_ratio,
-            encode_delay: SimDuration::from_millis(20),
         },
     )
 }

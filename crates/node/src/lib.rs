@@ -42,5 +42,6 @@ pub use fib::{StreamFib, Subscriber};
 pub use msg::OverlayMsg;
 pub use node::{
     NodeAction, NodeConfig, NodeEvent, NodeFootprint, NodeStats, OverlayNode, TimerKind,
+    LOSS_SCAN_INTERVAL,
 };
 pub use rx::RxState;

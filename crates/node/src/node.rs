@@ -91,42 +91,57 @@ impl TimerKind {
     }
 }
 
-/// Static node configuration.
+/// Per-packet processing latency added on the fast path.
+const PROCESSING_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Slow-path loss-scan period (paper: 50 ms).
+pub const LOSS_SCAN_INTERVAL: SimDuration = SimDuration::from_millis(50);
+/// Minimum spacing between NACKs for the same sequence number.
+pub(crate) const NACK_RETRY_INTERVAL: SimDuration = SimDuration::from_millis(50);
+/// Receiver-report / REMB period.
+const RR_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// GCC rate floor.
+pub(crate) const MIN_RATE: Bandwidth = Bandwidth::from_kbps(200);
+/// GCC rate ceiling (≈ link capacity share).
+pub(crate) const MAX_RATE: Bandwidth = Bandwidth::from_gbps(2);
+/// Liveness-check period for upstream-death detection.
+const LIVENESS_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// Silence threshold after which an upstream is declared dead: no RTP
+/// or RTCP heard for this long. Exceeds several RR intervals so a
+/// healthy-but-idle upstream (which still reports) is never declared
+/// dead on media gaps alone.
+pub(crate) const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_millis(2500);
+/// How long an unserviceable downstream NACK may stay parked before the
+/// loss-scan sweep evicts it. By then the downstream has either recovered
+/// elsewhere or abandoned the hole, so serving it would only produce
+/// duplicates.
+pub(crate) const PENDING_RTX_TTL: SimDuration = SimDuration::from_millis(1000);
+
+const _: () = {
+    assert!(UPSTREAM_TIMEOUT.as_nanos() >= 3 * RR_INTERVAL.as_nanos());
+    assert!(LIVENESS_INTERVAL.as_nanos() <= UPSTREAM_TIMEOUT.as_nanos());
+    assert!(MIN_RATE.as_bps() < MAX_RATE.as_bps());
+    // A retry cannot fire between scans.
+    assert!(NACK_RETRY_INTERVAL.as_nanos() >= LOSS_SCAN_INTERVAL.as_nanos());
+};
+
+/// Static node configuration: what two runs set differently. The paper's
+/// fixed operating point is the constants above.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// This node's identity.
     pub id: NodeId,
-    /// Per-packet processing latency added on the fast path.
-    pub processing_delay: SimDuration,
-    /// Slow-path loss-scan period (paper: 50 ms).
-    pub loss_scan_interval: SimDuration,
-    /// Minimum spacing between NACKs for the same sequence number.
-    pub nack_retry_interval: SimDuration,
     /// NACK retries before a hole is abandoned.
     pub nack_retry_limit: u32,
-    /// Receiver-report / REMB period.
-    pub rr_interval: SimDuration,
     /// Per-stream packet-cache capacity (packets ≈ a few GoPs).
     pub cache_packets: usize,
     /// Pacer settings (I-frame gain 1.5, backlog threshold).
     pub pacer: PacerConfig,
     /// Initial pacing rate per peer.
     pub initial_rate: Bandwidth,
-    /// GCC rate floor.
-    pub min_rate: Bandwidth,
-    /// GCC rate ceiling (≈ link capacity share).
-    pub max_rate: Bandwidth,
     /// Serve GoP-cache startup bursts to new subscribers (§5.1). Disabled
     /// only by the ablation harness — without it, a new viewer waits for
     /// the next I frame.
     pub startup_burst: bool,
-    /// Liveness-check period for upstream-death detection.
-    pub liveness_interval: SimDuration,
-    /// Silence threshold after which an upstream is declared dead: no RTP
-    /// or RTCP heard for this long. Must exceed several RR intervals so a
-    /// healthy-but-idle upstream (which still reports) is never declared
-    /// dead on media gaps alone.
-    pub upstream_timeout: SimDuration,
     /// Largest overlay datagram a socket driver should accept without
     /// truncation. Socket drivers size their receive buffer from this;
     /// they additionally cap it at 64 KiB, the UDP maximum.
@@ -137,11 +152,6 @@ pub struct NodeConfig {
     /// and RTT-ordered. `0` disables the alternate path entirely: misses
     /// park on the primary and wait out its own recovery.
     pub rtx_alt_suppliers: usize,
-    /// How long an unserviceable downstream NACK may stay parked before
-    /// the loss-scan sweep evicts it. By then the
-    /// downstream has either recovered elsewhere or abandoned the hole,
-    /// so serving it would only produce duplicates.
-    pub pending_rtx_ttl: SimDuration,
 }
 
 impl NodeConfig {
@@ -149,22 +159,13 @@ impl NodeConfig {
     pub fn new(id: NodeId) -> Self {
         NodeConfig {
             id,
-            processing_delay: SimDuration::from_millis(2),
-            loss_scan_interval: SimDuration::from_millis(50),
-            nack_retry_interval: SimDuration::from_millis(50),
             nack_retry_limit: 5,
-            rr_interval: SimDuration::from_millis(500),
             cache_packets: 2048,
             pacer: PacerConfig::default(),
             initial_rate: Bandwidth::from_mbps(20),
-            min_rate: Bandwidth::from_kbps(200),
-            max_rate: Bandwidth::from_gbps(2),
             startup_burst: true,
-            liveness_interval: SimDuration::from_millis(500),
-            upstream_timeout: SimDuration::from_millis(2500),
             max_datagram_bytes: 64 * 1024,
             rtx_alt_suppliers: 1,
-            pending_rtx_ttl: SimDuration::from_millis(1000),
         }
     }
 }
@@ -464,15 +465,15 @@ impl OverlayNode {
     pub fn start(&mut self, now: SimTime) -> Vec<NodeAction> {
         vec![
             NodeAction::SetTimer {
-                at: now + self.cfg.loss_scan_interval,
+                at: now + LOSS_SCAN_INTERVAL,
                 key: TimerKind::LossScan.encode(),
             },
             NodeAction::SetTimer {
-                at: now + self.cfg.rr_interval,
+                at: now + RR_INTERVAL,
                 key: TimerKind::RrTick.encode(),
             },
             NodeAction::SetTimer {
-                at: now + self.cfg.liveness_interval,
+                at: now + LIVENESS_INTERVAL,
                 key: TimerKind::Liveness.encode(),
             },
         ]
@@ -870,7 +871,7 @@ impl OverlayNode {
         let clients: Vec<Subscriber> = self.fib.subscribers(stream).collect();
         for sub in clients {
             if let Subscriber::Client(_) = sub {
-                let fwd = packet.with_added_delay(self.cfg.processing_delay);
+                let fwd = packet.with_added_delay(PROCESSING_DELAY);
                 self.enqueue_to_peer(now, sub, stream, fwd, true, actions);
             }
         }
@@ -988,11 +989,11 @@ impl OverlayNode {
                 for st in self.streams.values_mut() {
                     st.scan(now, &self.cfg, &mut self.stats, &mut actions);
                 }
-                actions.push(rearm(TimerKind::LossScan, self.cfg.loss_scan_interval));
+                actions.push(rearm(TimerKind::LossScan, LOSS_SCAN_INTERVAL));
             }
             Some(TimerKind::RrTick) => {
                 self.rr_tick(&mut actions);
-                actions.push(rearm(TimerKind::RrTick, self.cfg.rr_interval));
+                actions.push(rearm(TimerKind::RrTick, RR_INTERVAL));
             }
             Some(TimerKind::PacerPoll(to)) => {
                 if let Some(peer) = self.peers.get_mut(&to) {
@@ -1002,7 +1003,7 @@ impl OverlayNode {
             }
             Some(TimerKind::Liveness) => {
                 self.liveness_check(now, &mut actions);
-                actions.push(rearm(TimerKind::Liveness, self.cfg.liveness_interval));
+                actions.push(rearm(TimerKind::Liveness, LIVENESS_INTERVAL));
             }
             None => {}
         }
@@ -1012,11 +1013,10 @@ impl OverlayNode {
     /// Declare upstreams dead after prolonged silence and route every
     /// stream they fed onto a different path.
     fn liveness_check(&mut self, now: SimTime, actions: &mut Vec<NodeAction>) {
-        let timeout = self.cfg.upstream_timeout;
         let silent = |up: &NodeId| {
             self.neighbors
                 .get(up)
-                .is_some_and(|n| n.silent_for(now, timeout))
+                .is_some_and(|n| n.silent_for(now, UPSTREAM_TIMEOUT))
         };
         let upstreams = self.streams.values().flat_map(|st| st.upstreams());
         let dead: BTreeSet<NodeId> = upstreams.filter(silent).collect();
@@ -1159,7 +1159,7 @@ impl OverlayNode {
                     // Delay field: our processing + half next-hop RTT (§6.1).
                     let rtt = self.neighbors.get(&next).and_then(|n| n.rtt);
                     let half_rtt = rtt.unwrap_or(SimDuration::ZERO) / 2;
-                    let fwd = packet.with_added_delay(self.cfg.processing_delay + half_rtt);
+                    let fwd = packet.with_added_delay(PROCESSING_DELAY + half_rtt);
                     self.enqueue_to_peer(now, sub, stream, fwd, false, actions);
                 }
                 Subscriber::Client(client) => {
@@ -1196,7 +1196,7 @@ impl OverlayNode {
                             continue;
                         }
                     }
-                    let fwd = packet.with_added_delay(self.cfg.processing_delay);
+                    let fwd = packet.with_added_delay(PROCESSING_DELAY);
                     self.enqueue_to_peer(now, sub, stream, fwd, false, actions);
                 }
             }

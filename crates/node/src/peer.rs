@@ -4,7 +4,7 @@
 
 use crate::fib::Subscriber;
 use crate::msg::OverlayMsg;
-use crate::node::{NodeAction, NodeConfig, TimerKind};
+use crate::node::{NodeAction, NodeConfig, TimerKind, MAX_RATE, MIN_RATE};
 use livenet_cc::{DelayBasedEstimator, GccSender, PacedPacket, Pacer, SendPriority};
 use livenet_media::FrameKind;
 use livenet_packet::{frag_meta, MediaKind, RtpPacket};
@@ -39,7 +39,7 @@ impl Peer {
     pub(crate) fn new(cfg: &NodeConfig, rate: Bandwidth) -> Peer {
         Peer {
             pacer: Pacer::new(cfg.pacer, rate),
-            gcc: GccSender::new(cfg.initial_rate, cfg.min_rate, cfg.max_rate),
+            gcc: GccSender::new(cfg.initial_rate, MIN_RATE, MAX_RATE),
             armed: None,
         }
     }
@@ -139,9 +139,7 @@ impl Neighbor {
         wire_len: usize,
     ) {
         self.gcc_rx
-            .get_or_insert_with(|| {
-                DelayBasedEstimator::new(cfg.initial_rate, cfg.min_rate, cfg.max_rate)
-            })
+            .get_or_insert_with(|| DelayBasedEstimator::new(cfg.initial_rate, MIN_RATE, MAX_RATE))
             .on_packet(sent_at, now, wire_len);
     }
 
@@ -156,6 +154,7 @@ impl Neighbor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::UPSTREAM_TIMEOUT;
     use bytes::Bytes;
     use livenet_packet::Packetizer;
     use livenet_types::{ClientId, NodeId, SeqNo, Ssrc};
@@ -271,7 +270,7 @@ mod tests {
             peer.feedback(|g| g.on_loss_report(SimTime::from_millis(i * 500), 0.3));
         }
         assert!(peer.pacer.rate() < Bandwidth::from_mbps(3));
-        assert!(peer.pacer.rate() >= c.min_rate);
+        assert!(peer.pacer.rate() >= MIN_RATE);
     }
 
     #[test]
@@ -291,11 +290,11 @@ mod tests {
     fn a_neighbor_never_heard_is_not_silent() {
         let c = cfg();
         let mut n = Neighbor::default();
-        assert!(!n.silent_for(SimTime::from_secs(100), c.upstream_timeout));
+        assert!(!n.silent_for(SimTime::from_secs(100), UPSTREAM_TIMEOUT));
         n.last_heard = Some(SimTime::ZERO);
         n.on_media(&c, SimTime::ZERO, SimTime::from_millis(10), 1200);
         assert!(n.gcc_rx.is_some());
-        assert!(!n.silent_for(SimTime::from_millis(2499), c.upstream_timeout));
-        assert!(n.silent_for(SimTime::from_millis(2500), c.upstream_timeout));
+        assert!(!n.silent_for(SimTime::from_millis(2499), UPSTREAM_TIMEOUT));
+        assert!(n.silent_for(SimTime::from_millis(2500), UPSTREAM_TIMEOUT));
     }
 }

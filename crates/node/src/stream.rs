@@ -9,6 +9,7 @@ use crate::cache::StreamCache;
 use crate::fib::Subscriber;
 use crate::msg::OverlayMsg;
 use crate::node::{NodeAction, NodeConfig, NodeEvent, NodeStats};
+use crate::node::{NACK_RETRY_INTERVAL, PENDING_RTX_TTL, UPSTREAM_TIMEOUT};
 use crate::peer::Neighbor;
 use crate::rx::{RxOutcome, RxState};
 use bytes::Bytes;
@@ -402,7 +403,7 @@ impl StreamState {
             // optimistically — the NACK doubles as a probe.
             let silent = neighbors
                 .get(&hop)
-                .is_some_and(|n| n.silent_for(now, cfg.upstream_timeout));
+                .is_some_and(|n| n.silent_for(now, UPSTREAM_TIMEOUT));
             if !silent {
                 alternates.push(hop);
             }
@@ -440,14 +441,14 @@ impl StreamState {
         if let Some(up) = self.upstream {
             let lost = self
                 .rx
-                .scan(now, cfg.nack_retry_interval, cfg.nack_retry_limit);
+                .scan(now, NACK_RETRY_INTERVAL, cfg.nack_retry_limit);
             if !lost.is_empty() {
                 self.send_nack(up, lost, stats, actions);
             }
         }
         let before = self.parked.len();
         self.parked
-            .retain(|_, p| now.saturating_since(p.parked_at) < cfg.pending_rtx_ttl);
+            .retain(|_, p| now.saturating_since(p.parked_at) < PENDING_RTX_TTL);
         stats.rtx_pending_expired += (before - self.parked.len()) as u64;
     }
 

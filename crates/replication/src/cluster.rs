@@ -24,7 +24,7 @@
 //! Leadership is a replicated `Lease { holder, term, until }` decree.  The
 //! holder renews before `until`; when the lease expires without renewal
 //! (leader crash), each replica stands for election after a per-rank
-//! backoff (`takeover_backoff × id`), which staggers proposers and keeps
+//! backoff (`TAKEOVER_BACKOFF × id`), which staggers proposers and keeps
 //! dueling rare.  A failed ballot retries from a deadline wake with a
 //! bumped minimum round and a jittered delay — classic proposer backoff.
 //! Failover latency is measured from the last decree decided before the
@@ -41,37 +41,32 @@ use livenet_types::{DetRng, Error, NodeId, Result, SimDuration, SimTime, StreamI
 use crate::op::BrainOp;
 use crate::paxos::{Outbound, PaxosMsg, Replica, ReplicaId, Value};
 
+/// One-way inter-replica network delay.
+const ONE_WAY_DELAY: SimDuration = SimDuration::from_millis(15);
+/// Multiplicative delay jitter (`±fraction` around the base delay).
+const DELAY_JITTER: f64 = 0.1;
+/// Per-rank delay before a non-holder stands for election after the
+/// lease expires (replica `r` waits `r × TAKEOVER_BACKOFF`).
+const TAKEOVER_BACKOFF: SimDuration = SimDuration::from_millis(150);
+/// Client-side retry timeout for proposals and leader waits.
+const CLIENT_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+
+// A message delay is `ONE_WAY_DELAY × (1 ± jitter)` and must stay positive.
+const _: () = assert!(0.0 <= DELAY_JITTER && DELAY_JITTER < 1.0);
+
 /// Deployment parameters for a [`BrainCluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of Brain replicas (geo-replicated data centers).
     pub replicas: u32,
-    /// One-way inter-replica network delay.
-    pub one_way_delay: SimDuration,
-    /// Multiplicative delay jitter (`±fraction` around the base delay).
-    pub delay_jitter: f64,
     /// Probability an inter-replica message is lost.
     pub msg_loss: f64,
     /// Leader lease duration.
     pub lease: SimDuration,
     /// The holder renews when the lease has less than this left.
     pub renew_margin: SimDuration,
-    /// Per-rank delay before a non-holder stands for election after the
-    /// lease expires (replica `r` waits `r × takeover_backoff`).
-    pub takeover_backoff: SimDuration,
-    /// Client-side retry timeout for proposals and leader waits.
-    pub client_timeout: SimDuration,
-    /// Client attempts before giving up (`client_timeout` each).
+    /// Client attempts before giving up (`CLIENT_TIMEOUT` each).
     pub max_attempts: u32,
-    /// Upper bound on the idle lease stretch factor (`>= 1.0`; `1.0`
-    /// disables stretching). When the log has seen no *state* decree for a
-    /// while, the holder grants itself a lease of up to
-    /// `lease × idle_stretch_max` — amortizing renewal decrees over quiet
-    /// stretches at the cost of a longer worst-case failover if the
-    /// leader crashes while idle (a crash under load still re-elects
-    /// within the unstretched bound, because recent state decrees keep the
-    /// stretch at ~1).
-    pub idle_stretch_max: f64,
     /// Seed for the cluster's private message-delay/loss RNG.
     pub seed: u64,
 }
@@ -80,17 +75,36 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             replicas: 3,
-            one_way_delay: SimDuration::from_millis(15),
-            delay_jitter: 0.1,
             msg_loss: 0.01,
             lease: SimDuration::from_millis(3000),
             renew_margin: SimDuration::from_millis(1000),
-            takeover_backoff: SimDuration::from_millis(150),
-            client_timeout: SimDuration::from_millis(250),
             max_attempts: 40,
-            idle_stretch_max: 1.0,
             seed: 0,
         }
+    }
+}
+
+impl ClusterConfig {
+    /// Reject what [`BrainCluster::new`] would panic on or never recover
+    /// from: no replica, certain message loss, a lease that cannot renew.
+    pub fn validate(&self) -> Result<()> {
+        if self.replicas == 0 {
+            return Err(Error::invalid_config("replication.replicas must be > 0"));
+        }
+        if !(0.0..1.0).contains(&self.msg_loss) {
+            return Err(Error::invalid_config(
+                "replication.msg_loss must be in [0, 1)",
+            ));
+        }
+        if self.lease == SimDuration::ZERO {
+            return Err(Error::invalid_config("replication.lease must be > 0"));
+        }
+        if self.renew_margin >= self.lease {
+            return Err(Error::invalid_config(
+                "replication.renew_margin must be < lease",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -251,9 +265,6 @@ pub struct BrainCluster {
     client_hint: Option<ReplicaId>,
     /// Virtual time of the most recent decree decision.
     last_decided_at: SimTime,
-    /// Virtual time of the most recent *state* (non-lease) decree — the
-    /// idle clock the lease stretch is computed from.
-    last_state_decided_at: SimTime,
     /// Replica currently down from [`Self::crash_leader`].
     crashed: Option<ReplicaId>,
     /// `last_decided_at` captured at crash time; cleared when a live
@@ -296,7 +307,6 @@ impl BrainCluster {
             canon_lease: None,
             client_hint: None,
             last_decided_at: SimTime::ZERO,
-            last_state_decided_at: SimTime::ZERO,
             crashed: None,
             crash_pending: None,
             failover_ms: Vec::new(),
@@ -349,8 +359,8 @@ impl BrainCluster {
             }
             let jitter = self
                 .rng
-                .range_f64(1.0 - self.cfg.delay_jitter, 1.0 + self.cfg.delay_jitter);
-            let at = self.now + self.cfg.one_way_delay.mul_f64(jitter);
+                .range_f64(1.0 - DELAY_JITTER, 1.0 + DELAY_JITTER);
+            let at = self.now + ONE_WAY_DELAY.mul_f64(jitter);
             self.schedule(
                 at,
                 NetEvent::Deliver {
@@ -443,10 +453,7 @@ impl BrainCluster {
                     }
                 }
             }
-            Ok(_) => {
-                self.stats.state_ops_committed += 1;
-                self.last_state_decided_at = self.now;
-            }
+            Ok(_) => self.stats.state_ops_committed += 1,
             // A chosen value that fails to decode means a corrupted log —
             // surfaced as a divergence so the audit gate trips.
             Err(_) => self.divergences += 1,
@@ -536,10 +543,7 @@ impl BrainCluster {
                 (p.slot, p.value.clone(), p.attempts)
             };
             let jitter = self.rng.range_f64(0.75, 1.5);
-            let delay = self
-                .cfg
-                .client_timeout
-                .mul_f64(attempts as f64 * jitter);
+            let delay = CLIENT_TIMEOUT.mul_f64(attempts as f64 * jitter);
             self.members[ri].pending[i].deadline = now + delay;
             let min_round = attempts * self.cfg.replicas as u64;
             let outs = self.members[ri]
@@ -568,7 +572,7 @@ impl BrainCluster {
                 // Expired (or never granted): stand for election after the
                 // per-rank backoff so proposers stagger instead of duel.
                 let base = other.map(|l| l.until).unwrap_or(SimTime::ZERO);
-                let stand_at = base + self.cfg.takeover_backoff.mul_f64(r as f64);
+                let stand_at = base + TAKEOVER_BACKOFF.mul_f64(r as f64);
                 if now >= stand_at {
                     let term = other.map(|l| l.term).unwrap_or(0) + 1;
                     self.propose_lease(r, term);
@@ -578,26 +582,15 @@ impl BrainCluster {
     }
 
     fn propose_lease(&mut self, r: ReplicaId, term: u64) {
-        // Idle stretch: with no state decrees flowing there is nothing a
-        // stale leader could serve wrong, so the lease may safely grow
-        // toward `lease × idle_stretch_max`, amortizing renewal decrees
-        // over quiet stretches (a day-long idle shard otherwise burns
-        // ~43k renewal decrees on a 2 s renew cadence).
-        let idle = self
-            .now
-            .saturating_since(self.last_state_decided_at)
-            .as_millis_f64();
-        let stretch = (idle / self.cfg.lease.as_millis_f64())
-            .clamp(1.0, self.cfg.idle_stretch_max.max(1.0));
         let op = BrainOp::Lease {
             holder: r,
             term,
-            until: self.now + self.cfg.lease.mul_f64(stretch),
+            until: self.now + self.cfg.lease,
         };
         let value = op.encode();
         let (slot, outs) = self.members[r as usize].paxos.propose(value.clone());
         self.stats.proposals += 1;
-        let deadline = self.now + self.cfg.client_timeout;
+        let deadline = self.now + CLIENT_TIMEOUT;
         self.members[r as usize].pending.push(Pending {
             slot,
             value,
@@ -614,8 +607,8 @@ impl BrainCluster {
         let m = &self.members[r as usize];
         let mut next = match m.lease {
             Some(l) if l.holder == r => l.until - self.cfg.renew_margin,
-            Some(l) => l.until + self.cfg.takeover_backoff.mul_f64(r as f64),
-            None => self.now + self.cfg.takeover_backoff.mul_f64((r + 1) as f64),
+            Some(l) => l.until + TAKEOVER_BACKOFF.mul_f64(r as f64),
+            None => self.now + TAKEOVER_BACKOFF.mul_f64((r + 1) as f64),
         };
         for p in &m.pending {
             next = if p.deadline < next { p.deadline } else { next };
@@ -662,7 +655,7 @@ impl BrainCluster {
                 return Err(Error::exhausted("brain cluster has no live leader"));
             }
             self.stats.client_retries += 1;
-            let wait = self.now + self.cfg.client_timeout;
+            let wait = self.now + CLIENT_TIMEOUT;
             self.advance_to(wait);
         }
     }
@@ -681,7 +674,7 @@ impl BrainCluster {
         let start = self.now;
         let value = op.encode();
         let base = self.canon.len();
-        let give_up_at = start + self.cfg.client_timeout.mul_f64(self.cfg.max_attempts as f64);
+        let give_up_at = start + CLIENT_TIMEOUT.mul_f64(self.cfg.max_attempts as f64);
         let committed_slot = 'outer: loop {
             if let Some(i) = self.canon[base..].iter().position(|v| *v == value) {
                 break 'outer base as u64 + i as u64;
@@ -694,7 +687,7 @@ impl BrainCluster {
             self.catch_up(h);
             let (slot, outs) = self.members[h as usize].paxos.propose(value.clone());
             self.stats.proposals += 1;
-            let deadline = self.now + self.cfg.client_timeout;
+            let deadline = self.now + CLIENT_TIMEOUT;
             self.members[h as usize].pending.push(Pending {
                 slot,
                 value: value.clone(),
@@ -704,7 +697,7 @@ impl BrainCluster {
             });
             self.send_out(h, outs);
             self.maybe_wake(h, deadline);
-            let wait_until = self.now + self.cfg.client_timeout;
+            let wait_until = self.now + CLIENT_TIMEOUT;
             loop {
                 if self.canon[base..].contains(&value) {
                     continue 'outer; // picked up at the top of the loop
@@ -717,7 +710,7 @@ impl BrainCluster {
                 self.stats.client_retries += 1;
             }
         };
-        let rtt_ms = self.cfg.one_way_delay.as_millis_f64() * 2.0;
+        let rtt_ms = ONE_WAY_DELAY.as_millis_f64() * 2.0;
         let latency = self.now.saturating_since(start).as_millis_f64() + rtt_ms;
         let rehome = if matches!(op, BrainOp::RehomeProducer { .. }) {
             let r = self
@@ -761,13 +754,13 @@ impl BrainCluster {
             return Ok((a, 0.0));
         }
         let start = self.now;
-        let give_up_at = start + self.cfg.client_timeout.mul_f64(self.cfg.max_attempts as f64);
+        let give_up_at = start + CLIENT_TIMEOUT.mul_f64(self.cfg.max_attempts as f64);
         let h = self.await_leader(give_up_at)?;
         self.catch_up(h);
         let t = self.now;
         let a = self.members[h as usize].brain.path_request(stream, consumer, t)?;
         let latency = self.now.saturating_since(start).as_millis_f64()
-            + self.cfg.one_way_delay.as_millis_f64() * 2.0;
+            + ONE_WAY_DELAY.as_millis_f64() * 2.0;
         Ok((a, latency))
     }
 
@@ -954,11 +947,6 @@ impl BrainCluster {
     pub fn decided_slots(&self) -> u64 {
         self.canon.len() as u64
     }
-
-    /// Decided-slot count of one replica (tests).
-    pub fn replica_decided_count(&self, r: ReplicaId) -> usize {
-        self.members[r as usize].paxos.decided_count()
-    }
 }
 
 #[cfg(test)]
@@ -980,6 +968,21 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_what_new_cannot_run() {
+        let ok = ClusterConfig::default();
+        assert!(ok.validate().is_ok());
+        for bad in [
+            ClusterConfig { replicas: 0, ..ok.clone() },
+            ClusterConfig { msg_loss: 1.0, ..ok.clone() },
+            ClusterConfig { msg_loss: -0.1, ..ok.clone() },
+            ClusterConfig { lease: SimDuration::ZERO, ..ok.clone() },
+            ClusterConfig { renew_margin: ok.lease, ..ok.clone() },
+        ] {
+            assert!(matches!(bad.validate(), Err(Error::InvalidConfig(_))), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn initial_election_produces_a_leader() {
         let (mut c, _) = cluster(1);
         c.advance_to(SimTime::from_secs(5));
@@ -989,34 +992,6 @@ mod tests {
         c.advance_to(SimTime::from_secs(30));
         assert!(c.leader().is_some());
         assert!(c.stats().lease_renewals >= 2);
-    }
-
-    #[test]
-    fn idle_lease_stretch_amortizes_renewal_decrees() {
-        let run = |idle_stretch_max: f64| {
-            let g = GeoTopology::generate(&GeoConfig::tiny(9));
-            let cfg = ClusterConfig {
-                idle_stretch_max,
-                seed: 9,
-                ..ClusterConfig::default()
-            };
-            let mut c = BrainCluster::new(&g.topology, &BrainConfig::default(), cfg);
-            c.advance_to(SimTime::from_secs(300));
-            (c.leader().is_some(), c.stats().clone())
-        };
-        let (plain_led, plain) = run(1.0);
-        let (stretched_led, stretched) = run(20.0);
-        // Leadership never lapses in either mode.
-        assert!(plain_led && stretched_led);
-        assert_eq!(stretched.lease_grants, plain.lease_grants);
-        // An idle cluster stretches its lease toward 20×, so the renewal
-        // decree stream collapses instead of burning one every ~2 s.
-        assert!(
-            stretched.lease_renewals * 5 < plain.lease_renewals,
-            "stretch did not amortize: {} vs {} renewals",
-            stretched.lease_renewals,
-            plain.lease_renewals
-        );
     }
 
     #[test]
@@ -1062,7 +1037,7 @@ mod tests {
             .path_request(s, nodes[1], SimTime::from_secs(6), false)
             .expect("leader read");
         assert_eq!(a.producer, nodes[0]);
-        assert!(lat >= c.cfg.one_way_delay.as_millis_f64() * 2.0);
+        assert!(lat >= ONE_WAY_DELAY.as_millis_f64() * 2.0);
         // Prefetched reads are free.
         let (_, lat0) = c
             .path_request(s, nodes[1], SimTime::from_secs(6), true)

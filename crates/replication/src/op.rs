@@ -388,12 +388,6 @@ impl BrainOp {
         }
         None
     }
-
-    /// True for lease-protocol decrees (leadership bookkeeping), false for
-    /// state mutations.  Used to split telemetry counters.
-    pub fn is_lease(&self) -> bool {
-        matches!(self, BrainOp::Lease { .. })
-    }
 }
 
 #[cfg(test)]

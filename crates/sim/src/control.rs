@@ -16,119 +16,14 @@
 //! same partition remain bit-identical.
 
 use livenet_brain::{BrainConfig, PathAssignment, StreamingBrain};
-use livenet_replication::{BrainCluster, BrainOp, ClusterConfig};
+use livenet_replication::{BrainCluster, BrainOp};
 use livenet_telemetry::MetricSink;
 use livenet_topology::Topology;
-use livenet_types::{Error, NodeId, Result, SimDuration, SimTime, StreamId};
+use livenet_types::{NodeId, Result, SimTime, StreamId};
 
-/// Replicated-Brain deployment knobs, the sim-facing mirror of
-/// [`ClusterConfig`] (durations in milliseconds for config ergonomics).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicationConfig {
-    /// Brain replicas (geo-replicated data centers).
-    pub replicas: u32,
-    /// One-way inter-replica delay, ms.
-    pub one_way_delay_ms: f64,
-    /// Multiplicative message-delay jitter (±fraction).
-    pub delay_jitter: f64,
-    /// Inter-replica message loss probability.
-    pub msg_loss: f64,
-    /// Leader lease duration, ms.
-    pub lease_ms: u64,
-    /// Renewal margin before lease expiry, ms.
-    pub renew_margin_ms: u64,
-    /// Per-rank election backoff after lease expiry, ms.
-    pub takeover_backoff_ms: u64,
-    /// Client retry timeout, ms.
-    pub client_timeout_ms: u64,
-    /// Client attempts before giving up.
-    pub max_attempts: u32,
-    /// Idle lease stretch cap (`>= 1.0`; the default `1.0` disables
-    /// stretching).
-    ///
-    /// When no state decree has been chosen for a while, the leader
-    /// grants itself a lease of up to `lease_ms × idle_lease_stretch`,
-    /// amortizing the ~43k renewal decrees an otherwise-idle shard burns
-    /// per simulated day (with the fleet's one-minute report cadence,
-    /// `20.0` collapses renewals to roughly one per report). The lease
-    /// IS the failure detector, so this is a real trade-off, which is
-    /// why it is opt-in: a leader crash must wait out the stretched
-    /// lease before failover, and the §7.1 15 s failover gate
-    /// (`exp brainha`) plus the default client retry budget
-    /// (`client_timeout_ms × max_attempts` = 10 s) assume the
-    /// unstretched 3 s lease. Turn it up only for throughput-oriented
-    /// runs that don't gate on failover latency — and scale
-    /// `max_attempts` with it so post-crash clients outlive the lease.
-    pub idle_lease_stretch: f64,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            replicas: 3,
-            one_way_delay_ms: 15.0,
-            delay_jitter: 0.1,
-            msg_loss: 0.01,
-            lease_ms: 3000,
-            renew_margin_ms: 1000,
-            takeover_backoff_ms: 150,
-            client_timeout_ms: 250,
-            max_attempts: 40,
-            idle_lease_stretch: 1.0,
-        }
-    }
-}
-
-impl ReplicationConfig {
-    /// Basic sanity checks, surfaced through [`crate::FleetConfig::validate`].
-    pub fn validate(&self) -> Result<()> {
-        if self.replicas == 0 {
-            return Err(Error::invalid_config("replication.replicas must be > 0"));
-        }
-        if !(0.0..1.0).contains(&self.msg_loss) {
-            return Err(Error::invalid_config(
-                "replication.msg_loss must be in [0, 1)",
-            ));
-        }
-        if !(0.0..1.0).contains(&self.delay_jitter) {
-            return Err(Error::invalid_config(
-                "replication.delay_jitter must be in [0, 1)",
-            ));
-        }
-        if self.lease_ms == 0 || self.client_timeout_ms == 0 {
-            return Err(Error::invalid_config(
-                "replication lease/client timeouts must be > 0",
-            ));
-        }
-        if self.renew_margin_ms >= self.lease_ms {
-            return Err(Error::invalid_config(
-                "replication.renew_margin_ms must be < lease_ms",
-            ));
-        }
-        if !self.idle_lease_stretch.is_finite() || self.idle_lease_stretch < 1.0 {
-            return Err(Error::invalid_config(
-                "replication.idle_lease_stretch must be >= 1.0",
-            ));
-        }
-        Ok(())
-    }
-
-    fn to_cluster(&self, seed: u64) -> ClusterConfig {
-        ClusterConfig {
-            replicas: self.replicas,
-            one_way_delay: SimDuration::from_millis_f64(self.one_way_delay_ms),
-            delay_jitter: self.delay_jitter,
-            msg_loss: self.msg_loss,
-            lease: SimDuration::from_millis(self.lease_ms),
-            renew_margin: SimDuration::from_millis(self.renew_margin_ms),
-            takeover_backoff: SimDuration::from_millis(self.takeover_backoff_ms),
-            client_timeout: SimDuration::from_millis(self.client_timeout_ms),
-            max_attempts: self.max_attempts,
-            idle_stretch_max: self.idle_lease_stretch,
-            seed,
-        }
-    }
-}
+/// Replicated-Brain deployment knobs: the cluster's own configuration
+/// (the per-shard seed is filled in by the fleet).
+pub use livenet_replication::ClusterConfig as ReplicationConfig;
 
 /// Replicated-control-plane outcomes of one fleet run, merged across
 /// shards and compared bit-exactly by [`crate::FleetReport::bit_identical`].
@@ -229,7 +124,7 @@ impl ControlPlane {
             Some(r) => ControlPlane::Replicated(Box::new(BrainCluster::new(
                 topology,
                 brain_cfg,
-                r.to_cluster(seed),
+                ReplicationConfig { seed, ..r.clone() },
             ))),
         }
     }

@@ -1,10 +1,8 @@
 //! Fleet configuration: the validated [`FleetConfig`], its builder and the
 //! fault plan.
 
-use crate::calibrate::LatencyConstants;
 use crate::control::ReplicationConfig;
 use crate::workload::WorkloadConfig;
-use livenet_hier::HierDelayParams;
 use livenet_topology::GeoConfig;
 use livenet_types::DetRng;
 use serde::{Deserialize, Serialize};
@@ -98,21 +96,13 @@ pub struct FleetConfig {
     pub geo: GeoConfig,
     /// Workload settings.
     pub workload: WorkloadConfig,
-    /// Calibrated latency constants.
-    pub latency: LatencyConstants,
-    /// Hier delay-model parameters.
-    pub hier: HierDelayParams,
     /// Sessions a node can forward before its load metric reads 1.0.
     pub node_capacity_sessions: f64,
     /// Stream-sessions a link carries before its utilization reads 1.0.
     pub link_capacity_sessions: f64,
-    /// Extra capacity provisioned on festival days (§6.5 up-scaling).
-    pub festival_upscale: f64,
     /// Realized-path hop count that triggers a quality-driven path switch
     /// (the long-chain mitigation of §4.4).
     pub long_chain_switch_hops: usize,
-    /// Fraction of views on a degraded last mile (drives the stall mix).
-    pub bad_last_mile_fraction: f64,
     /// Streaming Brain configuration (routing K, hop limit, weight params).
     pub brain: livenet_brain::BrainConfig,
     /// Replicated-Brain deployment: `Some` routes every control-plane
@@ -133,13 +123,9 @@ impl Default for FleetConfig {
         FleetConfig {
             geo: GeoConfig::paper_scale(1),
             workload: WorkloadConfig::default(),
-            latency: LatencyConstants::default(),
-            hier: HierDelayParams::default(),
             node_capacity_sessions: 20.0,
             link_capacity_sessions: 120.0,
-            festival_upscale: 1.5,
             long_chain_switch_hops: 5,
-            bad_last_mile_fraction: 0.05,
             brain: livenet_brain::BrainConfig::default(),
             replication: None,
             shards: 1,
@@ -204,6 +190,11 @@ impl FleetConfig {
         if self.workload.zipf_s <= 0.0 {
             return Err(Error::invalid_config("workload.zipf_s must be > 0"));
         }
+        if !(self.workload.festival_factor.is_finite() && self.workload.festival_factor > 0.0) {
+            return Err(Error::invalid_config(
+                "workload.festival_factor must be finite and > 0",
+            ));
+        }
         if self.node_capacity_sessions <= 0.0 {
             return Err(Error::invalid_config("node_capacity_sessions must be > 0"));
         }
@@ -212,11 +203,6 @@ impl FleetConfig {
         }
         if self.long_chain_switch_hops == 0 {
             return Err(Error::invalid_config("long_chain_switch_hops must be > 0"));
-        }
-        if !(0.0..=1.0).contains(&self.bad_last_mile_fraction) {
-            return Err(Error::invalid_config(
-                "bad_last_mile_fraction must be in [0, 1]",
-            ));
         }
         if self.brain.routing.k == 0 {
             return Err(Error::invalid_config("brain.routing.k must be > 0"));

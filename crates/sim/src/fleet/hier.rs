@@ -4,7 +4,7 @@
 //! stream's own ingest) references it. The plane owns those refcounts and
 //! their per-node sum, which only `hold`, `release` and `sweep` write.
 
-use livenet_hier::{HierController, HierDelayModel, HierDelayParams, HierRoles};
+use livenet_hier::{HierController, HierRoles};
 use livenet_topology::Topology;
 use livenet_types::{NodeId, StreamId};
 use std::collections::{BTreeSet, HashMap};
@@ -25,7 +25,6 @@ pub(super) struct HierAttach {
 #[derive(Debug)]
 pub(super) struct HierPlane {
     controller: HierController,
-    delay: HierDelayModel,
     /// Refcounts per (node, stream) (GoP caches).
     refs: HashMap<(NodeId, StreamId), u32>,
     /// Per-node sum of `refs`, so center queueing is O(1) per arrival
@@ -37,10 +36,9 @@ pub(super) struct HierPlane {
 }
 
 impl HierPlane {
-    pub(super) fn new(roles: HierRoles, params: HierDelayParams) -> HierPlane {
+    pub(super) fn new(roles: HierRoles) -> HierPlane {
         HierPlane {
             controller: HierController::new(roles),
-            delay: HierDelayModel::new(params),
             refs: HashMap::new(),
             node_load: HashMap::new(),
             ingest: HashMap::new(),
@@ -146,13 +144,6 @@ impl HierPlane {
         self.ingest.retain(|_, n| !down.contains(n));
     }
 
-    /// CDN path delay of a pinned path, before center queueing.
-    pub(super) fn path_delay_ms(&self, topology: &Topology, nodes: &[NodeId]) -> Option<f64> {
-        self.delay
-            .cdn_path_delay_nodes(topology, nodes)
-            .map(|d| d.as_millis_f64())
-    }
-
     /// Sum of the refcounts on `node` (all streams).
     pub(super) fn node_load(&self, node: NodeId) -> i64 {
         self.node_load.get(&node).copied().unwrap_or(0)
@@ -217,7 +208,7 @@ mod tests {
             (roles.centers(), roles.l2_nodes()),
             (&[n[2]][..], &[n[1], n[3]][..])
         );
-        let mut plane = HierPlane::new(roles, HierDelayParams::default());
+        let mut plane = HierPlane::new(roles);
         plane.start_stream(&topology, S, n[0]);
         (topology, n, plane)
     }

@@ -24,6 +24,10 @@ mod rollup;
 
 pub use config::{FaultPlanConfig, FleetConfig, FleetConfigBuilder, FleetFault};
 
+use crate::calibrate::{
+    recovery_penalty_ms, BRAIN_LOOKUP_MS, CONSUMER_PROCESSING_MS, FIRST_MILE_MS, LAST_MILE_MS,
+    LOCAL_SERVE_MS, PLAYER_BUFFER_MS, PRODUCER_PROCESSING_MS, RELAY_PROCESSING_MS,
+};
 use crate::control::{ControlPlane, ReplicationSummary};
 use crate::metrics::{record_session, DecisionOutcome, SessionRecord};
 use crate::runner::ShardPlan;
@@ -32,10 +36,10 @@ use faults::{resolve_faults, ResolvedFault};
 use hier::HierPlane;
 use livenet::LiveNetPlane;
 use livenet_emu::EventQueue;
-use livenet_hier::HierRoles;
+use livenet_hier::{cdn_path_delay, HierRoles};
 use livenet_replication::BrainOp;
 use livenet_telemetry::{ids, MetricSink, Snapshot, TelemetryHub};
-use livenet_topology::{GeoTopology, NodeReport, Topology};
+use livenet_topology::{GeoTopology, NodeReport, Topology, BASE_LOSS};
 use livenet_types::{DetRng, NodeId, SimDuration, SimTime, StreamId};
 use rollup::Rollup;
 use serde::{Deserialize, Serialize};
@@ -44,6 +48,12 @@ use std::sync::Arc;
 
 /// Nominal stream bitrate (bits/s).
 const BITRATE_BPS: f64 = 2_500_000.0;
+/// Extra capacity provisioned on festival days (§6.5 up-scaling).
+const FESTIVAL_UPSCALE: f64 = 1.5;
+/// Fraction of views on a degraded last mile (drives the stall mix).
+const BAD_LAST_MILE_FRACTION: f64 = 0.05;
+
+const _: () = assert!(0.0 <= BAD_LAST_MILE_FRACTION && BAD_LAST_MILE_FRACTION <= 1.0);
 
 /// An active viewing session, and what its attaches took: a departure or
 /// a failover releases exactly that.
@@ -353,7 +363,7 @@ impl FleetSim {
         }
 
         FleetSim {
-            hier: HierPlane::new(HierRoles::assign(&topology, 2), config.hier),
+            hier: HierPlane::new(HierRoles::assign(&topology, 2)),
             faults: resolve_faults(&config.faults, &topology, seed, config.workload.days),
             rollup: Rollup::new(config.workload.days as usize),
             config,
@@ -587,7 +597,7 @@ impl FleetSim {
         // are drawn independently: remote viewers have high streaming
         // delay but can still start fast, which is exactly the Fig. 9
         // GoP-cache observation.
-        let bad_last_mile = self.rng.chance(self.config.bad_last_mile_fraction);
+        let bad_last_mile = self.rng.chance(BAD_LAST_MILE_FRACTION);
         let awful_last_mile = bad_last_mile && self.rng.chance(0.12);
         let downlink_mbps = if bad_last_mile {
             self.rng.log_normal(-0.1, 0.7) // ~0.9 Mbps median, heavy tail
@@ -602,8 +612,8 @@ impl FleetSim {
                 .is_international(producer, consumer)
                 .unwrap_or(false),
             last_mile_class: usize::from(bad_last_mile) + usize::from(awful_last_mile),
-            last_mile_ms: self.config.latency.last_mile_ms * self.rng.log_normal(0.0, 0.6),
-            buffer_fill_ms: self.config.latency.player_buffer_ms * (BITRATE_BPS / 1e6)
+            last_mile_ms: LAST_MILE_MS * self.rng.log_normal(0.0, 0.6),
+            buffer_fill_ms: PLAYER_BUFFER_MS * (BITRATE_BPS / 1e6)
                 / downlink_mbps.max(0.3),
             view_minutes: duration.as_secs_f64() / 60.0,
         };
@@ -639,10 +649,11 @@ impl FleetSim {
                         true => (DecisionOutcome::LocalHit, 0.4),
                         false => (DecisionOutcome::Prefetched, 0.3),
                     };
-                    let serve =
-                        self.config.latency.local_serve_ms * 1.3 * self.rng.log_normal(0.0, sigma);
-                    let base = self.hier.path_delay_ms(&self.topology, &a.nodes);
-                    let cdn_ms = base.unwrap_or(450.0) + self.center_queueing_ms(a.nodes[2]);
+                    let serve = LOCAL_SERVE_MS * 1.3 * self.rng.log_normal(0.0, sigma);
+                    // The pinned path's delay, before center queueing.
+                    let base = cdn_path_delay(&self.topology, &a.nodes);
+                    let cdn_ms = base.map_or(450.0, |d| d.as_millis_f64())
+                        + self.center_queueing_ms(a.nodes[2]);
                     (a.nodes, outcome, a.fetch_ms + serve, cdn_ms)
                 }
                 // Stream raced offline, or no L2 in reach: degenerate
@@ -686,13 +697,12 @@ impl FleetSim {
             .windows(2)
             .map(|w| self.topology.link(w[0], w[1]).map_or(0.0, |l| l.loss))
             .sum();
-        let latency = &self.config.latency;
         // Startup sees one-way last-mile latency; playback delay sees the
         // full round trip plus de-jitter margin and encode + decode (130).
         let streaming_ms = cdn_ms
-            + latency.first_mile_ms * self.rng.log_normal(0.0, 0.25)
+            + FIRST_MILE_MS * self.rng.log_normal(0.0, 0.25)
             + client.last_mile_ms
-            + latency.player_buffer_ms
+            + PLAYER_BUFFER_MS
             + 130.0;
         let startup_ms = first_packet_ms
             + 0.5 * client.last_mile_ms
@@ -742,10 +752,9 @@ impl FleetSim {
         stream: StreamId,
         channel: usize,
     ) -> Option<(Arc<[NodeId]>, u32, DecisionOutcome, f64)> {
-        let local_serve_ms = self.config.latency.local_serve_ms;
         // Local hit: the consumer already forwards this stream.
         if let Some((path, len)) = self.livenet.local_hit(consumer, stream) {
-            let first_packet_ms = local_serve_ms * self.rng.log_normal(0.0, 0.4);
+            let first_packet_ms = LOCAL_SERVE_MS * self.rng.log_normal(0.0, 0.4);
             return Some((path, len, DecisionOutcome::LocalHit, first_packet_ms));
         }
 
@@ -762,7 +771,7 @@ impl FleetSim {
         let brain_ms = if popular {
             None
         } else {
-            let service = self.config.latency.brain_lookup_ms * self.rng.log_normal(0.0, 0.5);
+            let service = BRAIN_LOOKUP_MS * self.rng.log_normal(0.0, 0.5);
             Some(match measured_ms {
                 // Replicated Brain: the cluster measured the leader-read
                 // wait (lease waits, redirects, retries) in virtual time;
@@ -793,7 +802,7 @@ impl FleetSim {
 
         let first_packet_ms = brain_ms.unwrap_or(0.0)
             + built.establish_ms
-            + local_serve_ms * self.rng.log_normal(0.0, 0.3);
+            + LOCAL_SERVE_MS * self.rng.log_normal(0.0, 0.3);
         let outcome = match brain_ms {
             _ if last_resort => DecisionOutcome::LastResort {
                 response_ms: brain_ms.map(|v| v as f32),
@@ -807,20 +816,19 @@ impl FleetSim {
     }
 
     fn livenet_cdn_delay(&mut self, path: &[NodeId]) -> f64 {
-        let c = &self.config.latency;
-        let mut d = c.producer_processing_ms;
+        let mut d = PRODUCER_PROCESSING_MS;
         for w in path.windows(2) {
             if let Some(l) = self.topology.link(w[0], w[1]) {
                 d += l.rtt.as_millis_f64() / 2.0;
-                d += c.recovery_penalty_ms(l.loss, l.rtt);
+                d += recovery_penalty_ms(l.loss, l.rtt);
                 // Queueing grows with link utilization.
                 d += 6.0 * l.utilization;
             }
         }
         let intermediates = path.len().saturating_sub(2);
-        d += c.relay_processing_ms * intermediates as f64;
+        d += RELAY_PROCESSING_MS * intermediates as f64;
         // On a zero-hop path the same node serves.
-        d += c.consumer_processing_ms;
+        d += CONSUMER_PROCESSING_MS;
         d * self.rng.log_normal(0.0, 0.08)
     }
 
@@ -1019,7 +1027,7 @@ impl FleetSim {
         // festival adds sessions but capacity is up-scaled to match, §6.5).
         let diurnal = crate::workload::diurnal_factor(now.as_secs_f64() / 3600.0 % 24.0);
         let capacity_scale = if self.config.workload.festival_days.contains(&day) {
-            self.config.festival_upscale
+            FESTIVAL_UPSCALE
         } else {
             1.0
         };
@@ -1031,14 +1039,13 @@ impl FleetSim {
         let loads = self.livenet.loads();
         let mut loss_sum = 0.0;
         let mut loss_n = 0u64;
-        let gen_base = self.config.geo.base_loss;
-        let link_cap = self.config.link_capacity_sessions * capacity_scale;
+                let link_cap = self.config.link_capacity_sessions * capacity_scale;
         let idle = (0.0 / link_cap).min(1.0);
         for (f, t, l) in self.topology.links_mut() {
             l.utilization = idle;
             // Loss rises with the diurnal load (peaking < 0.175%).
             let jitter = 0.8 + 0.4 * ((f.raw() * 31 + t.raw() * 17 + hour) % 97) as f64 / 97.0;
-            l.loss = (gen_base * (0.5 + 2.2 * diurnal) * jitter).min(0.00175);
+            l.loss = (BASE_LOSS * (0.5 + 2.2 * diurnal) * jitter).min(0.00175);
             loss_sum += l.loss;
             loss_n += 1;
         }

@@ -9,7 +9,7 @@
 //!   two presets, [`Scenario::chain`] and [`Scenario::diamond`], carries
 //!   every transmission-architecture experiment (fast/slow-path recovery,
 //!   pacing, startup bursts, failover, multi-supplier RTX) and calibrates
-//!   the per-hop constants in [`calibrate`].
+//!   the per-hop constants in `calibrate.rs`.
 //! * [`fleet`] — session-granularity simulation of 20 days of Taobao-Live-
 //!   like workload over the *real* control plane (Streaming Brain, PIB/SIB,
 //!   FIB subscription state with cache-hit backtracking and the long-chain
@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calibrate;
+mod calibrate;
 pub mod control;
 pub mod fleet;
 pub mod metrics;
@@ -42,7 +42,6 @@ pub mod scenario;
 pub mod viewer;
 pub mod workload;
 
-pub use calibrate::LatencyConstants;
 pub use control::{ReplicationConfig, ReplicationSummary};
 pub use fleet::{
     FaultPlanConfig, FleetConfig, FleetConfigBuilder, FleetFault, FleetReport, FleetSim,

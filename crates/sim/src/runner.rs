@@ -430,38 +430,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn opt_in_idle_lease_stretch_amortizes_decrees_and_stays_deterministic() {
-        use crate::control::ReplicationConfig;
-        let run = |stretch: f64| {
-            let cfg = FleetConfigBuilder::from_config(tiny_config(41))
-                .shards(2)
-                .replication(ReplicationConfig {
-                    idle_lease_stretch: stretch,
-                    ..ReplicationConfig::default()
-                })
-                .build()
-                .unwrap();
-            let runner = FleetRunner::new(cfg).unwrap();
-            let serial = runner.run_serial();
-            let parallel = runner.run_parallel(2);
-            assert!(
-                serial.bit_identical(&parallel),
-                "stretch {stretch} broke serial/parallel bit-identity"
-            );
-            serial.replication.clone().expect("replicated run")
-        };
-        let plain = run(1.0);
-        let stretched = run(20.0);
-        assert_eq!(stretched.give_ups, 0);
-        assert!(
-            stretched.lease_renewals * 2 < plain.lease_renewals,
-            "stretch did not amortize: {} vs {} renewals",
-            stretched.lease_renewals,
-            plain.lease_renewals
-        );
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
         #[test]
@@ -513,5 +481,33 @@ mod tests {
         let mut cfg = FleetConfig::smoke(1);
         cfg.shards = 0;
         assert!(FleetRunner::new(cfg).is_err());
+    }
+
+    /// The edges of the fields `validate()` guards: each one runs to the
+    /// horizon or is rejected before the run — none panics in between.
+    #[test]
+    fn validated_edges_run_and_the_rest_is_rejected() {
+        use crate::control::ReplicationConfig;
+        let edge = |f: fn(&mut FleetConfig)| {
+            FleetConfigBuilder::from_config(tiny_config(5)).shards(1).tweak(f).build()
+        };
+        let runs = |f: fn(&mut FleetConfig)| {
+            let r = FleetRunner::new(edge(f).expect("validates")).unwrap().run_serial();
+            assert_eq!(r.livenet.len(), r.hier.len());
+            assert!(!r.livenet.is_empty());
+        };
+        runs(|c| c.geo.last_resort_nodes = 0);
+        runs(|c| c.workload.channels = 1);
+        // An empty duration range is never drawn from without outages.
+        runs(|c| c.faults.random_outage_secs = (5, 5));
+        for bad in [
+            (|c| c.workload.festival_factor = f64::NAN) as fn(&mut FleetConfig),
+            |c| c.workload.festival_factor = 0.0,
+            |c| c.faults.random_outages_per_day = 1.0, // over the default (0, 0)
+            // `ClusterConfig::validate`, reached through the fleet's.
+            |c| c.replication = Some(ReplicationConfig { replicas: 0, ..Default::default() }),
+        ] {
+            assert!(matches!(edge(bad), Err(livenet_types::Error::InvalidConfig(_))));
+        }
     }
 }

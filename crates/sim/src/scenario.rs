@@ -18,6 +18,7 @@
 //! Clients live in the same datagram namespace as nodes: viewer `i` is
 //! client `i + 1` on emulator host `1_000_000 + i + 1`.
 
+use crate::calibrate::PLAYER_BUFFER;
 use crate::viewer::{PlaybackSim, ViewerQoe};
 use bytes::Bytes;
 use livenet_emu::{Ctx, FaultPlan, Host, LinkConfig, LinkStats, LossModel, NetSim};
@@ -36,9 +37,6 @@ pub const SCENARIO_STREAM: StreamId = StreamId(900);
 pub const COSTREAM: StreamId = StreamId(901);
 /// Capture time of the first frame.
 const SCENARIO_START: SimTime = SimTime::from_millis(50);
-
-/// Client playback buffer (300 ms in Taobao Live, §7.1).
-const PLAYER_BUFFER: SimDuration = SimDuration::from_millis(300);
 
 /// One completed frame at a client: arrival, RTP timestamp, delay field.
 pub type FrameArrival = (SimTime, u32, Option<SimDuration>);

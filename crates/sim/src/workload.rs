@@ -40,6 +40,13 @@ pub struct Channel {
     pub popular: bool,
 }
 
+/// Mean view duration (exponential-ish mixture).
+const MEAN_VIEW: SimDuration = SimDuration::from_secs(120);
+/// Fraction of views from a different country than the broadcaster.
+const INTERNATIONAL_FRACTION: f64 = 0.025;
+/// Fraction of top channels flagged popular for path prefetch.
+const POPULAR_FRACTION: f64 = 0.05;
+
 /// Workload parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadConfig {
@@ -49,12 +56,6 @@ pub struct WorkloadConfig {
     pub zipf_s: f64,
     /// Fleet-wide viewer arrival rate (per second) at diurnal factor 1.0.
     pub peak_arrivals_per_sec: f64,
-    /// Mean view duration (exponential-ish mixture).
-    pub mean_view: SimDuration,
-    /// Fraction of views from a different country than the broadcaster.
-    pub international_fraction: f64,
-    /// Fraction of top channels flagged popular for path prefetch.
-    pub popular_fraction: f64,
     /// Days the festival runs (0-based day indices) with boosted demand.
     pub festival_days: Vec<u32>,
     /// Demand multiplier on festival days (paper: peak ≈ 2×).
@@ -71,9 +72,6 @@ impl Default for WorkloadConfig {
             channels: 200,
             zipf_s: 1.02,
             peak_arrivals_per_sec: 1.6,
-            mean_view: SimDuration::from_secs(120),
-            international_fraction: 0.025,
-            popular_fraction: 0.05,
             // Dec 1–20 with Double 12 on Dec 11–12 → 0-based days 10, 11.
             festival_days: vec![10, 11],
             festival_factor: 2.0,
@@ -153,7 +151,7 @@ impl Workload {
     /// markets host more broadcasters).
     pub fn new(config: WorkloadConfig, countries: u32) -> Workload {
         let mut rng = DetRng::seed(config.seed).fork("workload");
-        let popular_cut = (config.channels as f64 * config.popular_fraction).ceil() as usize;
+        let popular_cut = (config.channels as f64 * POPULAR_FRACTION).ceil() as usize;
         let channels: Vec<Channel> = (0..config.channels)
             .map(|rank| {
                 // Early (popular) channels concentrate in big markets.
@@ -281,7 +279,10 @@ impl Workload {
                 None => self.zipf.sample(&mut self.rng),
             };
             let broadcaster_country = self.channels[channel].country;
-            let viewer_country = if self.rng.chance(self.config.international_fraction) {
+            // The draw is made whatever the geography, so one country
+            // shifts no later draw; there is just no other country to pick.
+            let international = self.rng.chance(INTERNATIONAL_FRACTION);
+            let viewer_country = if international && self.countries > 1 {
                 // Uniform over the *other* countries.
                 let mut c = self.rng.range_u64(0, u64::from(self.countries - 1)) as u32;
                 if c >= broadcaster_country {
@@ -291,8 +292,8 @@ impl Workload {
             } else {
                 broadcaster_country
             };
-            // Duration: lognormal-ish mixture, mean ≈ config.mean_view.
-            let base = self.config.mean_view.as_secs_f64();
+            // Duration: lognormal-ish mixture, mean ≈ MEAN_VIEW.
+            let base = MEAN_VIEW.as_secs_f64();
             let duration = if self.rng.chance(0.15) {
                 self.rng.exp(base * 3.0) // long-tail engaged viewers
             } else {
@@ -363,10 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn international_share_close_to_config() {
-        let cfg = WorkloadConfig::smoke(3);
-        let frac = cfg.international_fraction;
-        let mut w = Workload::new(cfg, 12);
+    fn international_share_close_to_the_constant() {
+        let frac = INTERNATIONAL_FRACTION;
+        let mut w = Workload::new(WorkloadConfig::smoke(3), 12);
         let mut total = 0.0;
         let mut inter = 0.0;
         while let Some(s) = w.next_session() {

@@ -4,6 +4,7 @@
 //! and the replication summary included — at every shard width.
 
 use livenet_sim::{FleetConfigBuilder, FleetFault, FleetRunner, ReplicationConfig};
+use livenet_types::SimDuration;
 
 /// A lease long enough that renewal decrees don't dominate debug-mode
 /// runtime, but far shorter than the crash downtime so failover happens.
@@ -11,8 +12,8 @@ use livenet_sim::{FleetConfigBuilder, FleetFault, FleetRunner, ReplicationConfig
 /// plus takeover, or requests issued right after the crash give up.
 fn test_replication() -> ReplicationConfig {
     ReplicationConfig {
-        lease_ms: 60_000,
-        renew_margin_ms: 10_000,
+        lease: SimDuration::from_millis(60_000),
+        renew_margin: SimDuration::from_millis(10_000),
         max_attempts: 300,
         ..ReplicationConfig::default()
     }

@@ -14,7 +14,31 @@ use crate::graph::{LinkMetrics, NodeInfo, Topology};
 use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
 
-/// Parameters for the generator.
+/// Egress capacity per node.
+const NODE_CAPACITY: Bandwidth = Bandwidth::from_gbps(40);
+/// Capacity per overlay link.
+const LINK_CAPACITY: Bandwidth = Bandwidth::from_gbps(10);
+/// Mean one-way intra-national propagation delay.
+const INTRA_DELAY_MS: f64 = 9.0;
+/// Propagation delay per unit of inter-country distance (ms).
+const INTER_DELAY_PER_UNIT_MS: f64 = 40.0;
+/// Baseline packet loss applied to all links.
+pub const BASE_LOSS: f64 = 0.0005;
+/// Fraction of (non-last-resort) nodes sitting in well-peered networks
+/// (backbone PoPs / IXP-adjacent clusters).
+const WELL_PEERED_FRACTION: f64 = 0.30;
+/// RTT multiplier for links between two poorly-peered edge nodes
+/// (inefficient public-internet detours). This is what makes 2-hop
+/// relay paths through well-peered hubs beat direct edge-to-edge links,
+/// giving the paper's Table-2 path-length distribution.
+const POOR_PEERING_PENALTY: f64 = 2.2;
+/// RTT multiplier for hub↔hub long-haul links (private backbone).
+const BACKBONE_BONUS: f64 = 0.95;
+
+const _: () = assert!(0.0 < WELL_PEERED_FRACTION && WELL_PEERED_FRACTION < 1.0);
+
+/// Parameters for the generator: the footprint and the seed. The link and
+/// peering model is the constants above.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GeoConfig {
     /// Number of countries.
@@ -23,26 +47,6 @@ pub struct GeoConfig {
     pub nodes: u32,
     /// Number of reserved last-resort relay nodes.
     pub last_resort_nodes: u32,
-    /// Egress capacity per node.
-    pub node_capacity: Bandwidth,
-    /// Capacity per overlay link.
-    pub link_capacity: Bandwidth,
-    /// Mean one-way intra-national propagation delay.
-    pub intra_delay_ms: f64,
-    /// Propagation delay per unit of inter-country distance (ms).
-    pub inter_delay_per_unit_ms: f64,
-    /// Baseline packet loss applied to all links.
-    pub base_loss: f64,
-    /// Fraction of (non-last-resort) nodes sitting in well-peered networks
-    /// (backbone PoPs / IXP-adjacent clusters).
-    pub well_peered_fraction: f64,
-    /// RTT multiplier for links between two poorly-peered edge nodes
-    /// (inefficient public-internet detours). This is what makes 2-hop
-    /// relay paths through well-peered hubs beat direct edge-to-edge links,
-    /// giving the paper's Table-2 path-length distribution.
-    pub poor_peering_penalty: f64,
-    /// RTT multiplier for hub↔hub long-haul links (private backbone).
-    pub backbone_bonus: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -53,14 +57,6 @@ impl Default for GeoConfig {
             countries: 12,
             nodes: 60,
             last_resort_nodes: 3,
-            node_capacity: Bandwidth::from_gbps(40),
-            link_capacity: Bandwidth::from_gbps(10),
-            intra_delay_ms: 9.0,
-            inter_delay_per_unit_ms: 40.0,
-            base_loss: 0.0005,
-            well_peered_fraction: 0.30,
-            poor_peering_penalty: 2.2,
-            backbone_bonus: 0.95,
             seed: 1,
         }
     }
@@ -74,7 +70,6 @@ impl GeoConfig {
             nodes: 9,
             last_resort_nodes: 1,
             seed,
-            ..Default::default()
         }
     }
 
@@ -128,13 +123,12 @@ impl GeoTopology {
             // Every country's first node is a backbone PoP (a real CDN
             // footprint always includes one well-peered cluster per
             // region); additional hubs appear at the configured rate.
-            let well_peered = last_resort
-                || i < config.countries
-                || rng.chance(config.well_peered_fraction);
+            let well_peered =
+                last_resort || i < config.countries || rng.chance(WELL_PEERED_FRACTION);
             topology.upsert_node(NodeInfo {
                 id,
                 country,
-                capacity: config.node_capacity,
+                capacity: NODE_CAPACITY,
                 utilization: 0.0,
                 last_resort,
                 well_peered,
@@ -155,11 +149,11 @@ impl GeoTopology {
                 // private backbone; edge↔hub rides decent transit;
                 // edge↔edge rides whatever BGP gives it.
                 let class_factor = if peered_a && peered_b {
-                    config.backbone_bonus * rng.range_f64(0.95, 1.05)
+                    BACKBONE_BONUS * rng.range_f64(0.95, 1.05)
                 } else if peered_a || peered_b {
                     rng.range_f64(0.95, 1.15)
                 } else {
-                    config.poor_peering_penalty * rng.range_f64(0.85, 1.15)
+                    POOR_PEERING_PENALTY * rng.range_f64(0.85, 1.15)
                 };
                 let one_way_ms = if ca == cb {
                     // Intra-national: short, varied by metro distance. The
@@ -173,22 +167,22 @@ impl GeoTopology {
                         // Domestic edge↔edge public-internet paths carry
                         // the full peering penalty and then some: they
                         // hairpin through congested metro exchanges.
-                        config.poor_peering_penalty * 1.45
+                        POOR_PEERING_PENALTY * 1.45
                     };
-                    (config.intra_delay_ms * rng.range_f64(0.6, 1.55) * f).max(1.0)
+                    (INTRA_DELAY_MS * rng.range_f64(0.6, 1.55) * f).max(1.0)
                 } else {
                     let (xa, ya) = country_pos[ca];
                     let (xb, yb) = country_pos[cb];
                     let dist = ((xa - xb).powi(2) + (ya - yb).powi(2)).sqrt();
-                    let base = config.intra_delay_ms
-                        + dist * config.inter_delay_per_unit_ms * rng.range_f64(0.9, 1.1);
+                    let base = INTRA_DELAY_MS
+                        + dist * INTER_DELAY_PER_UNIT_MS * rng.range_f64(0.9, 1.1);
                     (base * class_factor).max(5.0)
                 };
                 let metrics = LinkMetrics {
                     rtt: SimDuration::from_millis_f64(2.0 * one_way_ms),
-                    loss: config.base_loss * rng.range_f64(0.2, 2.0),
+                    loss: BASE_LOSS * rng.range_f64(0.2, 2.0),
                     utilization: 0.0,
-                    capacity: config.link_capacity,
+                    capacity: LINK_CAPACITY,
                 };
                 topology
                     .upsert_duplex(a, b, metrics)

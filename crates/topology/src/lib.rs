@@ -19,6 +19,6 @@ pub mod geo;
 pub mod graph;
 pub mod view;
 
-pub use geo::{GeoConfig, GeoTopology};
+pub use geo::{GeoConfig, GeoTopology, BASE_LOSS};
 pub use graph::{LinkMetrics, NodeInfo, NodeRole, Topology};
 pub use view::{LinkReport, NodeReport, OVERLOAD_TARGET};

@@ -327,7 +327,6 @@ fn arb_config() -> impl Strategy<Value = GeoConfig> {
             nodes: nodes.max(countries), // every country needs a node
             last_resort_nodes: last_resort,
             seed,
-            ..GeoConfig::paper_scale(seed)
         },
     )
 }

@@ -37,6 +37,4 @@ pub use brain::BrainHandle;
 pub use clock::WallClock;
 pub use node::{NodeCommand, NodeGone, NodeHandle, UdpOverlayNode, WireNodeConfig};
 pub use telemetry::SharedTelemetry;
-pub use testbed::{
-    TestbedBuilder, TestbedConfig, ViewerReport, WireRunReport, WireViewer,
-};
+pub use testbed::{TestbedConfig, ViewerReport, WireRunReport, WireViewer};

@@ -9,10 +9,10 @@
 //! records into one [`SharedTelemetry`] hub, so a run ends with a single
 //! snapshot spanning the wire datapath and the node cores.
 //!
-//! Configurations are constructed through [`TestbedBuilder`] — the same
-//! validated-builder discipline as `livenet-sim`'s `FleetConfigBuilder`.
-//! Two presets ship: [`TestbedBuilder::diamond`] (the historical 4-node
-//! acceptance topology) and [`TestbedBuilder::geo_fleet`], which grows the
+//! A [`TestbedConfig`] is a plain struct: start from a preset, change
+//! fields with struct-update syntax, and [`run`] validates it — the one
+//! gate. Two presets ship: [`TestbedConfig::diamond`] (the historical 4-node
+//! acceptance topology) and [`TestbedConfig::geo_fleet`], which grows the
 //! overlay to a 50+ node geography: region-clustered edge nodes around a
 //! full-mesh core of per-country hubs, edges and RTTs taken from a
 //! `livenet-topology` [`GeoTopology`] rather than hand-wired, and viewer
@@ -71,8 +71,8 @@ pub struct WireViewer {
 }
 
 impl WireViewer {
-    /// A well-behaved viewer at `node` (index range is validated by
-    /// [`TestbedBuilder::build`], surfacing `Error::InvalidConfig` instead
+    /// A well-behaved viewer at `node` (index range is checked by
+    /// [`TestbedConfig::validate`], surfacing `Error::InvalidConfig` instead
     /// of the panic this constructor historically caused downstream).
     pub fn at(node: usize) -> Self {
         WireViewer {
@@ -88,20 +88,15 @@ impl WireViewer {
         self.join_after = after;
         self
     }
-
-    /// Mark this viewer synthetically lossy from `after` onward.
-    pub fn lossy_after(mut self, after: Duration, loss: f64) -> Self {
-        self.lossy_rr = Some((after, loss));
-        self
-    }
 }
 
 /// Harness configuration: topology, media source, viewers, run length,
 /// and the wire-datapath knobs (datagram cap, batch size, shard count)
 /// folded into one validated surface.
 ///
-/// Construct through [`TestbedBuilder`]; fields stay public so tests can
-/// tweak a built preset, but [`run`] re-validates before spawning.
+/// Start from [`TestbedConfig::new`], [`TestbedConfig::diamond`] or
+/// [`TestbedConfig::geo_fleet`] and set fields directly; [`run`] calls
+/// [`TestbedConfig::validate`] before spawning anything.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// The broadcast stream.
@@ -119,8 +114,6 @@ pub struct TestbedConfig {
     pub viewers: Vec<WireViewer>,
     /// Video bitrate of the source.
     pub bitrate: Bandwidth,
-    /// GoP shape of the source.
-    pub gop: GopConfig,
     /// Wall-clock broadcast length.
     pub broadcast: Duration,
     /// Broadcaster uplink pacing rate (should exceed `bitrate`; I-frame
@@ -146,11 +139,6 @@ pub struct TestbedConfig {
 }
 
 impl TestbedConfig {
-    /// Start building a minimal single-node config around `stream`.
-    pub fn builder(stream: StreamId) -> TestbedBuilder {
-        TestbedBuilder::new(stream)
-    }
-
     /// Check the whole surface; every violation is `Error::InvalidConfig`.
     pub fn validate(&self) -> livenet_types::Result<()> {
         if self.nodes == 0 || self.nodes > MAX_TESTBED_NODES {
@@ -237,60 +225,39 @@ impl TestbedConfig {
     pub fn country_of(&self, i: usize) -> u32 {
         self.countries.get(i).copied().unwrap_or(0)
     }
-}
 
-/// Validated builder for [`TestbedConfig`] — the only way to construct
-/// one. Mirrors `FleetConfigBuilder`: presets, chained
-/// setters, and a [`TestbedBuilder::build`] that returns
-/// `Error::InvalidConfig` instead of letting a bad config panic deep in
-/// the harness.
-#[derive(Debug, Clone)]
-pub struct TestbedBuilder {
-    cfg: TestbedConfig,
-    /// Preset-construction failure, surfaced at `build()` (builders have
-    /// no other error channel).
-    err: Option<Error>,
-}
-
-impl TestbedBuilder {
     /// A minimal valid starting point: one node, producer 0, one viewer
     /// at the producer, diamond-era media defaults.
-    pub fn new(stream: StreamId) -> TestbedBuilder {
-        TestbedBuilder {
-            cfg: TestbedConfig {
-                stream,
-                nodes: 1,
-                edges: Vec::new(),
-                countries: Vec::new(),
-                producer: 0,
-                viewers: vec![WireViewer::at(0)],
-                bitrate: Bandwidth::from_mbps(1),
-                gop: GopConfig::default(),
-                broadcast: Duration::from_secs(3),
-                uplink: Bandwidth::from_mbps(8),
-                rr_interval: Duration::from_millis(400),
-                drain: Duration::from_millis(900),
-                settle: Duration::from_millis(150),
-                max_datagram_bytes: 1400,
-                batch: 32,
-                hub_shards: 1,
-                backend: BatchBackend::auto(),
-            },
-            err: None,
+    pub fn new(stream: StreamId) -> TestbedConfig {
+        TestbedConfig {
+            stream,
+            nodes: 1,
+            edges: Vec::new(),
+            countries: Vec::new(),
+            producer: 0,
+            viewers: vec![WireViewer::at(0)],
+            bitrate: Bandwidth::from_mbps(1),
+            broadcast: Duration::from_secs(3),
+            uplink: Bandwidth::from_mbps(8),
+            rr_interval: Duration::from_millis(400),
+            drain: Duration::from_millis(900),
+            settle: Duration::from_millis(150),
+            max_datagram_bytes: 1400,
+            batch: 32,
+            hub_shards: 1,
+            backend: BatchBackend::auto(),
         }
     }
 
     /// The historical 4-node acceptance diamond 0→{1,2}→3.
-    pub fn diamond(stream: StreamId) -> TestbedBuilder {
+    pub fn diamond(stream: StreamId) -> TestbedConfig {
         let ms = SimDuration::from_millis;
-        TestbedBuilder::new(stream)
-            .nodes(4)
-            .edge(0, 1, ms(8))
-            .edge(0, 2, ms(12))
-            .edge(1, 3, ms(8))
-            .edge(2, 3, ms(12))
-            .producer(0)
-            .viewers(vec![WireViewer::at(3), WireViewer::at(3)])
+        TestbedConfig {
+            nodes: 4,
+            edges: vec![(0, 1, ms(8)), (0, 2, ms(12)), (1, 3, ms(8)), (2, 3, ms(12))],
+            viewers: vec![WireViewer::at(3), WireViewer::at(3)],
+            ..TestbedConfig::new(stream)
+        }
     }
 
     /// A 50+ node geography built from `livenet-topology` data.
@@ -315,35 +282,25 @@ impl TestbedBuilder {
         viewer_count: usize,
         fanout: usize,
         workload_seed: u64,
-    ) -> TestbedBuilder {
-        let mut b = TestbedBuilder::new(stream)
-            .bitrate(Bandwidth::from_kbps(400))
-            .uplink(Bandwidth::from_mbps(8))
-            .broadcast(Duration::from_secs(6))
-            .drain(Duration::from_millis(1500))
-            .settle(Duration::from_millis(400))
-            .rr_interval(Duration::from_millis(500))
-            .hub_shards(4);
+    ) -> livenet_types::Result<TestbedConfig> {
+        let broadcast = Duration::from_secs(6);
         if fanout == 0 || fanout > 8 {
-            b.err = Some(Error::invalid_config(format!(
+            return Err(Error::invalid_config(format!(
                 "geo_fleet fanout must be in 1..=8, got {fanout}"
             )));
-            return b;
         }
         if viewer_count == 0 || viewer_count > MAX_TESTBED_VIEWERS {
-            b.err = Some(Error::invalid_config(format!(
+            return Err(Error::invalid_config(format!(
                 "geo_fleet viewer count must be in 1..={MAX_TESTBED_VIEWERS}, \
                  got {viewer_count}"
             )));
-            return b;
         }
         let g = GeoTopology::generate(geo);
         let n = g.node_ids.len();
         if n > MAX_TESTBED_NODES {
-            b.err = Some(Error::invalid_config(format!(
+            return Err(Error::invalid_config(format!(
                 "geo config generates {n} nodes, cap is {MAX_TESTBED_NODES}"
             )));
-            return b;
         }
         let info: Vec<&NodeInfo> = g
             .node_ids
@@ -413,18 +370,17 @@ impl TestbedBuilder {
             }
         }
         if sessions.len() < viewer_count {
-            b.err = Some(Error::invalid_config(format!(
+            return Err(Error::invalid_config(format!(
                 "workload horizon produced only {} of {viewer_count} arrivals",
                 sessions.len()
             )));
-            return b;
         }
         let span = sessions
             .last()
             .map(|s| s.at.as_secs_f64())
             .filter(|&s| s > 0.0)
             .unwrap_or(1.0);
-        let join_window = b.cfg.broadcast.as_secs_f64() * 0.5;
+        let join_window = broadcast.as_secs_f64() * 0.5;
         // Per-country round-robin over that country's non-hub edge nodes
         // (hub fallback keeps single-node countries servable).
         let mut edge_nodes: Vec<Vec<usize>> = vec![Vec::new(); geo.countries as usize];
@@ -450,120 +406,21 @@ impl TestbedBuilder {
                 WireViewer::at(node).join_after(Duration::from_secs_f64(after))
             })
             .collect();
-        let producer = hubs[0];
-        b.nodes(n)
-            .tweak(|c| {
-                c.edges = edges;
-                c.countries = countries;
-            })
-            .producer(producer)
-            .viewers(viewers)
-    }
-
-    /// Set the node count.
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.cfg.nodes = nodes;
-        self
-    }
-
-    /// Add one duplex edge.
-    pub fn edge(mut self, a: usize, b: usize, rtt: SimDuration) -> Self {
-        self.cfg.edges.push((a, b, rtt));
-        self
-    }
-
-    /// Set the producer node index.
-    pub fn producer(mut self, producer: usize) -> Self {
-        self.cfg.producer = producer;
-        self
-    }
-
-    /// Replace the viewer list.
-    pub fn viewers(mut self, viewers: Vec<WireViewer>) -> Self {
-        self.cfg.viewers = viewers;
-        self
-    }
-
-    /// Add one viewer.
-    pub fn viewer(mut self, viewer: WireViewer) -> Self {
-        self.cfg.viewers.push(viewer);
-        self
-    }
-
-    /// Set the source bitrate.
-    pub fn bitrate(mut self, bitrate: Bandwidth) -> Self {
-        self.cfg.bitrate = bitrate;
-        self
-    }
-
-    /// Set the broadcaster uplink pacing rate.
-    pub fn uplink(mut self, uplink: Bandwidth) -> Self {
-        self.cfg.uplink = uplink;
-        self
-    }
-
-    /// Set the broadcast length.
-    pub fn broadcast(mut self, broadcast: Duration) -> Self {
-        self.cfg.broadcast = broadcast;
-        self
-    }
-
-    /// Set the post-broadcast drain window.
-    pub fn drain(mut self, drain: Duration) -> Self {
-        self.cfg.drain = drain;
-        self
-    }
-
-    /// Set the pre-broadcast settle window.
-    pub fn settle(mut self, settle: Duration) -> Self {
-        self.cfg.settle = settle;
-        self
-    }
-
-    /// Set the viewer receiver-report cadence.
-    pub fn rr_interval(mut self, rr: Duration) -> Self {
-        self.cfg.rr_interval = rr;
-        self
-    }
-
-    /// Set the per-datagram payload cap for every node.
-    pub fn max_datagram_bytes(mut self, cap: usize) -> Self {
-        self.cfg.max_datagram_bytes = cap;
-        self
-    }
-
-    /// Set the batch-syscall size for every node.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.cfg.batch = batch;
-        self
-    }
-
-    /// Set the receive-shard count for busy core nodes.
-    pub fn hub_shards(mut self, shards: usize) -> Self {
-        self.cfg.hub_shards = shards;
-        self
-    }
-
-    /// Force an I/O backend for every node socket.
-    pub fn backend(mut self, backend: BatchBackend) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
-    /// Arbitrary adjustment — the escape hatch for fields without a
-    /// dedicated setter (still validated by `build`).
-    pub fn tweak(mut self, f: impl FnOnce(&mut TestbedConfig)) -> Self {
-        f(&mut self.cfg);
-        self
-    }
-
-    /// Validate and return the config.
-    pub fn build(self) -> livenet_types::Result<TestbedConfig> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        self.cfg.validate()?;
-        Ok(self.cfg)
+        Ok(TestbedConfig {
+            nodes: n,
+            edges,
+            countries,
+            producer: hubs[0],
+            viewers,
+            bitrate: Bandwidth::from_kbps(400),
+            uplink: Bandwidth::from_mbps(8),
+            broadcast,
+            drain: Duration::from_millis(1500),
+            settle: Duration::from_millis(400),
+            rr_interval: Duration::from_millis(500),
+            hub_shards: 4,
+            ..TestbedConfig::new(stream)
+        })
     }
 }
 
@@ -908,9 +765,11 @@ async fn broadcast(
     clock: WallClock,
     producer: &NodeHandle,
 ) -> (u64, Vec<SimTime>) {
-    let mut encoder = VideoEncoder::new(cfg.stream, cfg.gop, cfg.bitrate, clock.now());
+    // The default GoP, as the emulator counterpart of `exp wire` streams.
+    let gop = GopConfig::default();
+    let mut encoder = VideoEncoder::new(cfg.stream, gop, cfg.bitrate, clock.now());
     let mut pacer: Pacer<(EncodedFrame, Bytes)> = Pacer::new(PacerConfig::default(), cfg.uplink);
-    let interval = Duration::from_nanos(cfg.gop.frame_interval().as_nanos());
+    let interval = Duration::from_nanos(gop.frame_interval().as_nanos());
     let total = (cfg.broadcast.as_nanos() / interval.as_nanos()).max(1) as u64;
     let mut ingest_times = Vec::with_capacity(total as usize);
     for _ in 0..total {

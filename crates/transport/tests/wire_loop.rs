@@ -1,7 +1,7 @@
 //! Loopback integration for the fixed datapath: client feedback reaching
 //! the core, oversized-datagram handling, detach cancelling timers, the
 //! re-homed-peer address book, `NodeGone` on a dead handle, the validated
-//! `TestbedBuilder` surface, and the 50+ node geo-fleet smoke run.
+//! `TestbedConfig` surface, and the 50+ node geo-fleet smoke run.
 //!
 //! Everything binds 127.0.0.1:0 only.
 
@@ -12,8 +12,8 @@ use livenet_packet::{ReceiverReport, RtcpPacket};
 use livenet_telemetry::ids;
 use livenet_topology::GeoConfig;
 use livenet_transport::{
-    testbed, NodeCommand, NodeGone, SharedTelemetry, TestbedBuilder, TestbedConfig,
-    UdpOverlayNode, WallClock, WireNodeConfig, WireViewer,
+    testbed, NodeCommand, NodeGone, SharedTelemetry, TestbedConfig, UdpOverlayNode, WallClock,
+    WireNodeConfig, WireViewer,
 };
 use livenet_types::{Bandwidth, ClientId, Error, NodeId, SeqNo, SimDuration, Ssrc, StreamId};
 use std::net::SocketAddr;
@@ -37,14 +37,14 @@ fn counter(telemetry: &SharedTelemetry, id: livenet_telemetry::MetricId) -> u64 
 /// ≥ 99% of broadcast frames.
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn client_feedback_round_trip_drives_cc_over_udp() {
-    let cfg = TestbedBuilder::diamond(STREAM)
-        .broadcast(Duration::from_millis(1600))
-        .drain(Duration::from_millis(700))
-        .rr_interval(Duration::from_millis(250))
-        // Viewer 1 turns synthetically lossy after 800 ms.
-        .tweak(|c| c.viewers[1].lossy_rr = Some((Duration::from_millis(800), 0.3)))
-        .build()
-        .expect("diamond preset is valid");
+    let mut cfg = TestbedConfig {
+        broadcast: Duration::from_millis(1600),
+        drain: Duration::from_millis(700),
+        rr_interval: Duration::from_millis(250),
+        ..TestbedConfig::diamond(STREAM)
+    };
+    // Viewer 1 turns synthetically lossy after 800 ms.
+    cfg.viewers[1].lossy_rr = Some((Duration::from_millis(800), 0.3));
 
     let report = testbed::run(cfg).await.expect("validated config runs");
 
@@ -306,53 +306,47 @@ async fn detached_client_feedback_is_dropped() {
 }
 
 /// Every class of bad input surfaces as `Error::InvalidConfig` from
-/// `build()` — including the out-of-range viewer index that used to
-/// panic deep inside `run`.
+/// `validate()` or the preset — including the out-of-range viewer index
+/// that used to panic deep inside `run`.
 #[test]
 fn builder_rejects_invalid_configs() {
-    let cases: Vec<(&str, livenet_types::Result<TestbedConfig>)> = vec![
+    let diamond = || TestbedConfig::diamond(STREAM);
+    let with_viewers = |viewers: Vec<WireViewer>| TestbedConfig { viewers, ..diamond() }.validate();
+    let geo_fleet = |viewers, fanout| {
+        TestbedConfig::geo_fleet(STREAM, &GeoConfig::tiny(1), viewers, fanout, 1).map(|_| ())
+    };
+    let cases: Vec<(&str, livenet_types::Result<()>)> = vec![
         (
             "viewer node out of range",
-            TestbedBuilder::diamond(STREAM).viewer(WireViewer::at(9)).build(),
+            with_viewers(vec![WireViewer::at(3), WireViewer::at(3), WireViewer::at(9)]),
         ),
         (
             "edge endpoint out of range",
-            TestbedBuilder::new(STREAM)
-                .nodes(2)
-                .edge(0, 5, SimDuration::from_millis(5))
-                .build(),
+            TestbedConfig {
+                nodes: 2,
+                edges: vec![(0, 5, SimDuration::from_millis(5))],
+                ..TestbedConfig::new(STREAM)
+            }
+            .validate(),
         ),
         (
             "producer out of range",
-            TestbedBuilder::new(STREAM).producer(3).build(),
+            TestbedConfig { producer: 3, ..TestbedConfig::new(STREAM) }.validate(),
         ),
-        (
-            "no viewers",
-            TestbedBuilder::diamond(STREAM).viewers(Vec::new()).build(),
-        ),
+        ("no viewers", with_viewers(Vec::new())),
         (
             "uplink below bitrate",
-            TestbedBuilder::diamond(STREAM)
-                .bitrate(Bandwidth::from_mbps(10))
-                .uplink(Bandwidth::from_mbps(1))
-                .build(),
+            TestbedConfig {
+                bitrate: Bandwidth::from_mbps(10),
+                uplink: Bandwidth::from_mbps(1),
+                ..diamond()
+            }
+            .validate(),
         ),
-        (
-            "oversized batch",
-            TestbedBuilder::diamond(STREAM).batch(1000).build(),
-        ),
-        (
-            "zero shards",
-            TestbedBuilder::diamond(STREAM).hub_shards(0).build(),
-        ),
-        (
-            "geo fan-out of zero",
-            TestbedBuilder::geo_fleet(STREAM, &GeoConfig::tiny(1), 4, 0, 1).build(),
-        ),
-        (
-            "geo viewer count of zero",
-            TestbedBuilder::geo_fleet(STREAM, &GeoConfig::tiny(1), 0, 2, 1).build(),
-        ),
+        ("oversized batch", TestbedConfig { batch: 1000, ..diamond() }.validate()),
+        ("zero shards", TestbedConfig { hub_shards: 0, ..diamond() }.validate()),
+        ("geo fan-out of zero", geo_fleet(4, 0)),
+        ("geo viewer count of zero", geo_fleet(0, 2)),
     ];
     for (what, result) in cases {
         match result {
@@ -362,11 +356,12 @@ fn builder_rejects_invalid_configs() {
     }
 }
 
-/// `run` re-validates, so a hand-corrupted config errors instead of
-/// panicking mid-harness.
+/// `run` validates, so a corrupted config errors instead of panicking
+/// mid-harness.
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
 async fn run_rejects_corrupted_config() {
-    let mut cfg = TestbedBuilder::diamond(STREAM).build().expect("valid");
+    let mut cfg = TestbedConfig::diamond(STREAM);
+    cfg.validate().expect("valid");
     cfg.viewers[0].node = 99;
     match testbed::run(cfg).await {
         Err(Error::InvalidConfig(_)) => {}
@@ -382,11 +377,11 @@ async fn run_rejects_corrupted_config() {
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn geo_fleet_smoke_fifty_nodes() {
     let geo = GeoConfig::paper_scale(7);
-    let mut cfg = TestbedBuilder::geo_fleet(STREAM, &geo, 24, 2, 11)
-        .broadcast(Duration::from_secs(3))
-        .drain(Duration::from_millis(1200))
-        .build()
-        .expect("geo fleet preset is valid");
+    let mut cfg = TestbedConfig {
+        broadcast: Duration::from_secs(3),
+        drain: Duration::from_millis(1200),
+        ..TestbedConfig::geo_fleet(STREAM, &geo, 24, 2, 11).expect("geo fleet preset is valid")
+    };
     assert!(cfg.nodes >= 50, "geo fleet too small: {} nodes", cfg.nodes);
     assert!(
         cfg.viewers.iter().any(|v| !v.join_after.is_zero()),

@@ -91,3 +91,19 @@ fn loss_stays_under_paper_cap() {
         assert!(l < 0.00175, "hourly loss {l} exceeds the paper's cap");
     }
 }
+
+/// With one country there is no other country to view from: the run
+/// reaches its horizon and every session is domestic.
+#[test]
+fn one_country_fleet_runs_and_every_session_is_domestic() {
+    let mut cfg = FleetConfig::smoke(7);
+    cfg.geo.countries = 1;
+    cfg.geo.nodes = 6;
+    let r = FleetRunner::new(cfg).expect("validates").run_serial();
+    assert_eq!(r.livenet.len(), r.hier.len());
+    assert!(r.livenet.len() > 300);
+    for (a, b) in r.livenet.iter().zip(&r.hier) {
+        assert_eq!(a.start, b.start);
+        assert!(!a.international && !b.international);
+    }
+}
