@@ -138,11 +138,11 @@ impl StreamingBrain {
         due
     }
 
-    /// Unconditionally recompute the PIB from the current topology.
+    /// Unconditionally recompute the PIB from the current topology, in
+    /// place.
     pub fn force_recompute(&mut self, now: SimTime) {
-        let entries = self.routing.compute_all(&self.topology, now);
-        self.ksp_paths_computed += entries.values().map(|v| v.len() as u64).sum::<u64>();
-        self.decision.pib.replace_all(entries);
+        self.routing.compute_into(&self.topology, now, &mut self.decision.pib);
+        self.ksp_paths_computed += self.decision.pib.total_paths() as u64;
         self.last_recompute = Some(now);
         self.recompute_rounds += 1;
     }
@@ -448,9 +448,9 @@ mod tests {
             brain.force_recompute(SimTime::ZERO);
             let pib = &brain.decision().pib;
             assert_eq!(pib.len(), expected.decision().pib.len());
-            for (&(src, dst), paths) in pib.iter() {
+            for ((src, dst), paths) in pib.iter() {
                 assert!(paths.iter().all(|p| !p.contains_link(a, b)));
-                assert_eq!(Some(&paths[..]), expected.decision().pib.lookup(src, dst));
+                assert_eq!(Some(paths), expected.decision().pib.lookup(src, dst));
             }
         }
         // Loss that is infinite or negative is clamped into [0, 1]: the

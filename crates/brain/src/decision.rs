@@ -148,15 +148,8 @@ impl PathDecision {
             });
         }
 
-        let candidates: Vec<OverlayPath> = self
-            .pib
-            .lookup(producer, consumer)
-            .unwrap_or(&[])
-            .iter()
-            .filter(|p| routing.satisfies_constraints(topology, p))
-            .take(routing.config().k)
-            .cloned()
-            .collect();
+        let still_valid = |nodes: &[NodeId]| routing.satisfies_constraints(topology, nodes);
+        let candidates = self.pib.lookup_if(producer, consumer, still_valid).unwrap_or_default();
 
         if !candidates.is_empty() {
             return Ok(PathLookup {
@@ -198,9 +191,7 @@ mod tests {
         let topology = g.topology;
         let routing = GlobalRouting::new(RoutingConfig::default());
         let mut decision = PathDecision::new();
-        decision
-            .pib
-            .replace_all(routing.compute_all(&topology, SimTime::ZERO));
+        routing.compute_into(&topology, SimTime::ZERO, &mut decision.pib);
         let nodes: Vec<NodeId> = topology.routable_node_ids().collect();
         Fixture {
             topology,

@@ -150,7 +150,6 @@ impl GlobalDiscovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pib::OverlayPath;
     use livenet_topology::view::report_from_topology;
     use livenet_topology::{GeoConfig, GeoTopology, LinkReport};
     use livenet_types::SimDuration;
@@ -160,27 +159,10 @@ mod tests {
         GeoTopology::generate(&GeoConfig::tiny(1)).topology
     }
 
+    /// 1→3 has two paths, via 2 (weight 10) and via 4 (weight 12); with the
+    /// four direct links that is six paths.
     fn pib_with_paths() -> Pib {
-        let mut pib = Pib::new();
-        pib.insert(
-            NodeId::new(1),
-            NodeId::new(3),
-            vec![
-                OverlayPath {
-                    nodes: vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)],
-                    weight: 10.0,
-                    computed_at: SimTime::ZERO,
-                    last_resort: false,
-                },
-                OverlayPath {
-                    nodes: vec![NodeId::new(1), NodeId::new(4), NodeId::new(3)],
-                    weight: 12.0,
-                    computed_at: SimTime::ZERO,
-                    last_resort: false,
-                },
-            ],
-        );
-        pib
+        crate::pib::tests::round(&[(1, 2, 4), (2, 3, 6), (1, 4, 5), (4, 3, 7)])
     }
 
     fn report_at(node: u64, at_ms: u64, util: f64, link_to: u64, link_util: f64) -> NodeReport {
@@ -208,7 +190,7 @@ mod tests {
         let (mut topo, mut pib) = (mesh(), pib_with_paths());
         let alarms = d.absorb_report(&report(2, 0.4, 0.3), &mut topo, &mut pib);
         assert!(alarms.is_empty());
-        assert_eq!(pib.total_paths(), 2);
+        assert_eq!(pib.total_paths(), 6);
         assert_eq!(topo.node(NodeId::new(2)).unwrap().utilization, 0.4);
     }
 
@@ -222,7 +204,8 @@ mod tests {
         let remaining = pib.lookup(NodeId::new(1), NodeId::new(3)).unwrap();
         assert_eq!(remaining.len(), 1);
         assert!(remaining[0].contains_node(NodeId::new(4)));
-        assert_eq!(d.paths_invalidated, 1);
+        // 1→2→3 and the two direct links that end at node 2.
+        assert_eq!(d.paths_invalidated, 3);
     }
 
     #[test]
@@ -237,6 +220,8 @@ mod tests {
         );
         let remaining = pib.lookup(NodeId::new(1), NodeId::new(3)).unwrap();
         assert_eq!(remaining.len(), 1);
+        assert!(remaining[0].contains_node(NodeId::new(4)));
+        assert_eq!(d.paths_invalidated, 2); // 2→3 and 1→2→3
     }
 
     #[test]
@@ -244,7 +229,7 @@ mod tests {
         let mut d = GlobalDiscovery::new();
         let mut pib = pib_with_paths();
         let removed = d.handle_alarm(OverloadAlarm::Node(NodeId::new(4)), &mut pib);
-        assert_eq!(removed, 1);
+        assert_eq!(removed, 3); // 1→4, 4→3, 1→4→3
         assert_eq!(d.alarms_handled, 1);
     }
 

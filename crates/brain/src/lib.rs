@@ -9,8 +9,8 @@
 //!   shortest paths between every pair of nodes over the abstracted link
 //!   weights (Eq. 2–3), then filters paths violating the constraints
 //!   (≤ 3 hops, no overloaded links/nodes);
-//! * [`pib`] — the **Path Information Base** and **Stream Information
-//!   Base** hash tables;
+//! * [`pib`] — the **Path Information Base**, one flat table per routing
+//!   round, and the **Stream Information Base** hash table;
 //! * [`decision`] — **Path Decision**: serves path lookups from consumer
 //!   nodes (Algorithm 1's `GetPath`), falling back to last-resort paths;
 //! * [`StreamingBrain`] — the facade tying the modules together, including

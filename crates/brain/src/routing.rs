@@ -11,10 +11,10 @@
 //! consumer), built here as well.
 
 use crate::ksp::{yen_ksp, WeightedGraph};
-use crate::pib::OverlayPath;
+use crate::pib::{position, OverlayPath, Pib};
 use crate::weight::{link_weight, WeightParams};
 use livenet_types::{NodeId, SimTime};
-use livenet_topology::{Topology, OVERLOAD_TARGET};
+use livenet_topology::{LinkMetrics, Topology, OVERLOAD_TARGET};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -76,35 +76,45 @@ impl GlobalRouting {
         dst: NodeId,
         now: SimTime,
     ) -> Vec<OverlayPath> {
-        let index = |id| graph.ids.iter().position(|&n| n == id);
-        let (Some(si), Some(di)) = (index(src), index(dst)) else {
+        let (Some(s), Some(d)) = (position(&graph.ids, src), position(&graph.ids, dst)) else {
             return Vec::new();
         };
-        let raw = yen_ksp(graph, si, di, self.config.k, self.config.max_hops);
-        raw.into_iter()
-            .map(|(weight, idx_path)| OverlayPath {
-                nodes: idx_path.into_iter().map(|i| graph.ids[i]).collect(),
+        self.yen_pair(topology, graph, s, d)
+            .into_iter()
+            .map(|(weight, path)| OverlayPath {
+                nodes: path.into_iter().map(|i| graph.ids[i]).collect(),
                 weight,
                 computed_at: now,
                 last_resort: false,
             })
-            .filter(|p| self.satisfies_constraints(topology, p))
             .collect()
     }
 
-    /// Step 2's predicate: hop bound and overload checks.
-    pub fn satisfies_constraints(&self, topology: &Topology, path: &OverlayPath) -> bool {
-        if path.hops() > self.config.max_hops {
+    /// [`Self::compute_pair`] by position in `graph.ids`: Yen's K that pass
+    /// step 2, best first, as (weight, index path).
+    fn yen_pair(&self, topology: &Topology, graph: &WeightedGraph, s: usize, d: usize) -> Vec<(f64, Vec<usize>)> {
+        let mut paths = yen_ksp(graph, s, d, self.config.k, self.config.max_hops);
+        paths.retain(|(_, path)| {
+            let nodes: Vec<NodeId> = path.iter().map(|&i| graph.ids[i]).collect();
+            self.satisfies_constraints(topology, &nodes)
+        });
+        paths
+    }
+
+    /// Step 2's predicate over a path's nodes, producer first: hop bound
+    /// and overload checks.
+    pub fn satisfies_constraints(&self, topology: &Topology, nodes: &[NodeId]) -> bool {
+        if nodes.len().saturating_sub(1) > self.config.max_hops {
             return false;
         }
-        for &n in &path.nodes {
+        for &n in nodes {
             if let Some(info) = topology.node(n) {
                 if info.utilization >= OVERLOAD_TARGET {
                     return false;
                 }
             }
         }
-        for w in path.nodes.windows(2) {
+        for w in nodes.windows(2) {
             if !topology.link_is_up(w[0], w[1]) {
                 return false; // link (or an endpoint) is down
             }
@@ -119,35 +129,41 @@ impl GlobalRouting {
         true
     }
 
-    /// Full recomputation over all routable pairs (the 10-minute job).
-    /// Returns the new PIB contents.
+    /// Full recomputation over all routable pairs, as a map: one round
+    /// into a fresh PIB, listed. What the Brain runs is
+    /// [`Self::compute_into`]; this form serves the pins and the oracles.
+    pub fn compute_all(
+        &self,
+        topology: &Topology,
+        now: SimTime,
+    ) -> HashMap<(NodeId, NodeId), Vec<OverlayPath>> {
+        let mut pib = Pib::new();
+        self.compute_into(topology, now, &mut pib);
+        pib.iter().collect()
+    }
+
+    /// The 10-minute job: rewrite `pib` in place with a round over the
+    /// current topology, stamped `now`.
     ///
     /// Enumerates direct, 2-hop and 3-hop paths over one dense snapshot
     /// when the hop limit is ≤ 3 (LiveNet's production constraint); falls
     /// back to Yen's KSP per pair for larger hop limits. The two agree on
     /// every pair's best path; the rest of a list can differ in 3-hop
     /// entries (see `mesh`).
-    pub fn compute_all(
-        &self,
-        topology: &Topology,
-        now: SimTime,
-    ) -> HashMap<(NodeId, NodeId), Vec<OverlayPath>> {
+    pub(crate) fn compute_into(&self, topology: &Topology, now: SimTime, pib: &mut Pib) {
         let snap = Snapshot::take(topology, &self.config);
+        pib.begin_round(&snap.ids, self.config.k, self.config.max_hops, now);
         if self.config.max_hops <= 3 {
-            return self.mesh(&snap, now);
+            return self.mesh(&snap, pib);
         }
         let graph = snap.into_graph();
-        let mut out = HashMap::new();
-        for &src in &graph.ids {
-            for &dst in &graph.ids {
-                if src == dst {
-                    continue;
+        for s in 0..graph.len() {
+            for d in (0..graph.len()).filter(|&d| d != s) {
+                for (rank, (weight, path)) in self.yen_pair(topology, &graph, s, d).iter().enumerate() {
+                    pib.write(s, d, rank, *weight, path);
                 }
-                let paths = self.compute_pair(topology, &graph, src, dst, now);
-                out.insert((src, dst), paths);
             }
         }
-        out
     }
 
     /// All-pairs K best paths of at most 3 hops over a dense overlay, O(n³):
@@ -161,12 +177,12 @@ impl GlobalRouting {
     /// Candidates are ordered by (weight, index path); the K best are
     /// selected first and the constraints filter that selection, so an
     /// overloaded path leaves a shorter list — it is not replaced by the
-    /// K+1-th candidate (§4.3 step 1, then step 2).
-    fn mesh(&self, snap: &Snapshot, now: SimTime) -> HashMap<(NodeId, NodeId), Vec<OverlayPath>> {
+    /// K+1-th candidate (§4.3 step 1, then step 2): a filtered path's slot
+    /// stays empty.
+    fn mesh(&self, snap: &Snapshot, pib: &mut Pib) {
         let Snapshot { ids, w, wt, node_over, link_over } = snap;
         let n = ids.len();
         let max_hops = self.config.max_hops;
-        let mut out = HashMap::with_capacity(n * n.saturating_sub(1));
         let mut top = TopK(vec![EMPTY; self.config.k]);
         // Per second relay r2, the two cheapest s→r1→r2 (the runner-up
         // covers r1 == d). The diagonal of `w` is ∞, which excludes
@@ -210,26 +226,17 @@ impl GlobalRouting {
                         top.offer(c + into_d[r2], [s, r1, r2, d], 4);
                     }
                 }
-                let paths = top
-                    .0
-                    .iter()
-                    .map(|(weight, path, len)| (*weight, &path[..*len as usize]))
-                    .filter(|(weight, path)| {
-                        weight.is_finite()
-                            && !path.iter().any(|&i| node_over[i])
-                            && !path.windows(2).any(|hop| link_over[hop[0] * n + hop[1]])
-                    })
-                    .map(|(weight, path)| OverlayPath {
-                        nodes: path.iter().map(|&i| ids[i]).collect(),
-                        weight,
-                        computed_at: now,
-                        last_resort: false,
-                    })
-                    .collect();
-                out.insert((ids[s], ids[d]), paths);
+                for (rank, (weight, path, len)) in top.0.iter().enumerate() {
+                    let path = &path[..*len as usize];
+                    if weight.is_finite()
+                        && !path.iter().any(|&i| node_over[i])
+                        && !path.windows(2).any(|hop| link_over[hop[0] * n + hop[1]])
+                    {
+                        pib.write(s, d, rank, *weight, path);
+                    }
+                }
             }
         }
-        out
     }
 
     /// Build last-resort paths for a pair: producer → LR relay → consumer,
@@ -241,26 +248,32 @@ impl GlobalRouting {
         dst: NodeId,
         now: SimTime,
     ) -> Vec<OverlayPath> {
+        let leg = |from, to| {
+            let link = topology.link(from, to).filter(|_| topology.link_is_up(from, to))?;
+            usable_weight(link, 0.0, self.config.weight)
+        };
         let mut out: Vec<OverlayPath> = topology
             .last_resort_ids()
             .filter_map(|lr| {
-                if !topology.link_is_up(src, lr) || !topology.link_is_up(lr, dst) {
-                    return None;
-                }
-                let up = topology.link(src, lr)?;
-                let down = topology.link(lr, dst)?;
                 Some(OverlayPath {
                     nodes: vec![src, lr, dst],
-                    weight: link_weight(up.rtt, up.loss, 0.0, self.config.weight)
-                        + link_weight(down.rtt, down.loss, 0.0, self.config.weight),
+                    weight: leg(src, lr)? + leg(lr, dst)?,
                     computed_at: now,
                     last_resort: true,
                 })
             })
             .collect();
-        out.sort_by(|a, b| a.weight.partial_cmp(&b.weight).unwrap_or(std::cmp::Ordering::Equal));
+        out.sort_by(|a, b| a.weight.total_cmp(&b.weight));
         out
     }
+}
+
+/// The Eq. 2 weight of a measured link under load `u_ab`, or `None`: "no
+/// usable link". Measurements arrive in reports; one that is not a number
+/// makes the link unusable, it does not reach the arithmetic or a caller.
+fn usable_weight(m: &LinkMetrics, u_ab: f64, params: WeightParams) -> Option<f64> {
+    let weight = link_weight(m.rtt, m.loss, u_ab, params);
+    (weight.is_finite() && weight >= 0.0).then_some(weight)
 }
 
 /// What one recompute reads, taken from the topology in one pass and
@@ -287,7 +300,7 @@ impl Snapshot {
             .map(|n| (n.id, n.utilization))
             .unzip();
         let n = ids.len();
-        let index = |id: NodeId| ids.binary_search(&id).ok();
+        let index = |id: NodeId| position(&ids, id);
         let mut w = vec![f64::INFINITY; n * n];
         let mut link_over = vec![false; n * n];
         for (from, to, m) in topology.links() {
@@ -297,10 +310,7 @@ impl Snapshot {
             // `u_AB` is the max of link utilization and both endpoint
             // loads (paper Eq. 2 text).
             let u_ab = m.utilization.max(load[u]).max(load[v]);
-            let weight = link_weight(m.rtt, m.loss, u_ab, config.weight);
-            // Measurements arrive in reports: one that is not a number
-            // makes the link unusable, it does not reach the arithmetic.
-            if weight.is_finite() && weight >= 0.0 {
+            if let Some(weight) = usable_weight(m, u_ab, config.weight) {
                 w[u * n + v] = weight;
             }
             link_over[u * n + v] = m.utilization >= OVERLOAD_TARGET;
@@ -507,7 +517,7 @@ mod tests {
                         computed_at: now,
                         last_resort: false,
                     })
-                    .filter(|p| gr.satisfies_constraints(topology, p))
+                    .filter(|p| gr.satisfies_constraints(topology, &p.nodes))
                     .collect();
                 out.insert((graph.ids[s], graph.ids[d]), paths);
             }
@@ -577,7 +587,7 @@ mod tests {
         for (pair, paths) in &dense {
             for (p, r) in paths.iter().zip(&reference[pair]) {
                 assert_eq!(p.weight.to_bits(), r.weight.to_bits());
-                assert!(gr.satisfies_constraints(t, p), "{pair:?}: {p:?}");
+                assert!(gr.satisfies_constraints(t, &p.nodes), "{pair:?}: {p:?}");
             }
             for w in paths.windows(2) {
                 assert!(

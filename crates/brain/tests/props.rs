@@ -1,12 +1,13 @@
-//! Property-based tests for the routing algorithms and report absorption.
+//! Property-based tests for the routing algorithms, report absorption and
+//! the PIB.
 
 use livenet_brain::discovery::OverloadAlarm;
 use livenet_brain::{
-    dijkstra, link_weight, sigmoid_factor, yen_ksp, BrainConfig, StreamingBrain, WeightParams,
-    WeightedGraph,
+    dijkstra, link_weight, sigmoid_factor, yen_ksp, BrainConfig, GlobalRouting, OverlayPath,
+    RoutingConfig, StreamingBrain, WeightParams, WeightedGraph,
 };
 use livenet_topology::{LinkMetrics, LinkReport, NodeInfo, NodeReport, Topology};
-use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration, SimTime};
+use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration, SimTime, StreamId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -80,6 +81,58 @@ mod oracle {
             }
             self.apply_report(report, topology);
             alarms
+        }
+    }
+}
+
+/// The oracle: the map-of-`Vec`s PIB that `PathDecision` owned before the
+/// flat table — lookup and the two `retain`-based invalidations, bodies
+/// unchanged — filled, as it was, from `GlobalRouting::compute_all`.
+mod map_pib {
+    use livenet_brain::OverlayPath;
+    use livenet_types::NodeId;
+    use std::collections::HashMap;
+
+    #[derive(Default)]
+    pub struct Pib {
+        paths: HashMap<(NodeId, NodeId), Vec<OverlayPath>>,
+    }
+
+    impl Pib {
+        pub fn replace_all(&mut self, entries: HashMap<(NodeId, NodeId), Vec<OverlayPath>>) {
+            self.paths = entries;
+        }
+
+        pub fn lookup(&self, src: NodeId, dst: NodeId) -> Option<&[OverlayPath]> {
+            self.paths.get(&(src, dst)).map(Vec::as_slice)
+        }
+
+        pub fn len(&self) -> usize {
+            self.paths.len()
+        }
+
+        pub fn total_paths(&self) -> usize {
+            self.paths.values().map(Vec::len).sum()
+        }
+
+        pub fn invalidate_node(&mut self, node: NodeId) -> usize {
+            let mut removed = 0;
+            for paths in self.paths.values_mut() {
+                let before = paths.len();
+                paths.retain(|p| !p.contains_node(node));
+                removed += before - paths.len();
+            }
+            removed
+        }
+
+        pub fn invalidate_link(&mut self, from: NodeId, to: NodeId) -> usize {
+            let mut removed = 0;
+            for paths in self.paths.values_mut() {
+                let before = paths.len();
+                paths.retain(|p| !p.contains_link(from, to));
+                removed += before - paths.len();
+            }
+            removed
         }
     }
 }
@@ -175,6 +228,31 @@ fn arbitrary_report(topology: &Topology, n: u64, rng: &mut DetRng) -> NodeReport
     }
 }
 
+/// What a report full of non-numbers may not do to the last-resort lists:
+/// a relay is offered exactly when both its legs are up and weigh a finite,
+/// non-negative amount, and the list is ordered.
+fn check_last_resort_lists(brain: &StreamingBrain) {
+    let (t, routing) = (brain.topology(), brain.routing());
+    let leg = |a, b| {
+        let m = t.link(a, b).filter(|_| t.link_is_up(a, b))?;
+        Some(link_weight(m.rtt, m.loss, 0.0, routing.config().weight)).filter(|w| w.is_finite() && *w >= 0.0)
+    };
+    for src in t.node_ids() {
+        for dst in t.node_ids() {
+            let paths = routing.last_resort_paths(t, src, dst, SimTime::ZERO);
+            let mut offered: Vec<(u64, NodeId)> = t
+                .last_resort_ids()
+                .filter_map(|lr| Some(((leg(src, lr)? + leg(lr, dst)?).to_bits(), lr)))
+                .collect();
+            // Non-negative floats order as their bits do.
+            offered.sort();
+            let got: Vec<(u64, NodeId)> = paths.iter().map(|p| (p.weight.to_bits(), p.nodes[1])).collect();
+            assert_eq!(got, offered, "{src} -> {dst}");
+            assert!(paths.iter().all(|p| p.last_resort && p.nodes == [src, p.nodes[1], dst]));
+        }
+    }
+}
+
 fn node_bits(n: &NodeInfo) -> (NodeId, u64) {
     (n.id, n.utilization.to_bits())
 }
@@ -205,8 +283,122 @@ fn check_absorb_against_oracle(n: u64, seed: u64, reports: u32) {
         assert!(got.links().map(link_bits).eq(expected.links().map(link_bits)), "{report:?}");
         assert_eq!(brain.discovery().unknown_keys, unknown, "{report:?}");
     }
+    check_last_resort_lists(&brain);
     // No report adds a node or a link.
     assert_eq!((brain.topology().node_count(), brain.topology().link_count()), (nodes, links));
+}
+
+fn path_bits(p: &OverlayPath) -> (&[NodeId], u64, SimTime, bool) {
+    (&p.nodes, p.weight.to_bits(), p.computed_at, p.last_resort)
+}
+
+/// Every read of the flat PIB against the map oracle: each pair's list in
+/// order and `to_bits` — over every id, known or not, so a node that is
+/// down or reserved has no entry on either side — the two counts, and each
+/// pair's path request against the map's filter-then-take.
+fn assert_same_pib(brain: &mut StreamingBrain, oracle: &map_pib::Pib, n: u64, now: SimTime) {
+    let routing = brain.routing().clone();
+    let routable: Vec<NodeId> = brain.topology().routable_node_ids().collect();
+    let pib = &brain.decision().pib;
+    assert_eq!((pib.len(), pib.total_paths()), (oracle.len(), oracle.total_paths()));
+    assert_eq!(pib.is_empty(), oracle.len() == 0);
+    assert_eq!(pib.len(), routable.len() * routable.len().saturating_sub(1));
+    for src in (0..3 * n + 2).map(NodeId::new) {
+        for dst in (0..3 * n + 2).map(NodeId::new) {
+            let (got, expected) = (brain.decision().pib.lookup(src, dst), oracle.lookup(src, dst));
+            assert_eq!(got.is_some(), src != dst && routable.contains(&src) && routable.contains(&dst));
+            assert_eq!(
+                got.as_ref().map(|l| l.iter().map(path_bits).collect::<Vec<_>>()),
+                expected.map(|l| l.iter().map(path_bits).collect()),
+                "{src} -> {dst}"
+            );
+            if src == dst || brain.producer_of(StreamId::new(src.raw())).is_none() {
+                continue;
+            }
+            let valid: Vec<&OverlayPath> = expected
+                .unwrap_or(&[])
+                .iter()
+                .filter(|p| routing.satisfies_constraints(brain.topology(), &p.nodes))
+                .take(routing.config().k)
+                .collect();
+            match brain.path_request(StreamId::new(src.raw()), dst, now) {
+                Ok(a) if !a.last_resort => {
+                    assert!(a.paths.iter().map(path_bits).eq(valid.into_iter().map(path_bits)), "{src} -> {dst}")
+                }
+                _ => assert!(valid.is_empty(), "{src} -> {dst}"),
+            }
+        }
+    }
+}
+
+/// Rounds, alarms and node failures in any order, on an overlay with down
+/// nodes and links, overloaded ones (so a pair's best slot can be the empty
+/// one) and several reserved relays: the table the Brain rewrites in place
+/// reads like a map replaced wholesale.
+fn check_pib_against_map_oracle(n: u64, seed: u64, k: usize, max_hops: usize, ops: u32) {
+    let rng = &mut DetRng::seed(seed);
+    let mut topology = sparse_topology(n, rng);
+    let ids: Vec<NodeId> = topology.node_ids().collect();
+    for &a in &ids {
+        let node = topology.node_mut(a).expect("listed");
+        node.last_resort |= rng.chance(0.1);
+        if rng.chance(0.15) {
+            node.utilization = 0.9;
+        }
+        if rng.chance(0.12) {
+            topology.set_node_up(a, false);
+        }
+        for &b in &ids {
+            if rng.chance(0.08) {
+                topology.set_link_up(a, b, false);
+            }
+            if let Some(l) = topology.link_mut(a, b).filter(|_| rng.chance(0.1)) {
+                l.utilization = 0.9;
+            }
+        }
+    }
+    let config = RoutingConfig { k, max_hops, ..RoutingConfig::default() };
+    let routing = GlobalRouting::new(config);
+    let mut brain = StreamingBrain::new(topology, BrainConfig { routing: config });
+    for &id in &ids {
+        brain.register_stream(StreamId::new(id.raw()), id);
+    }
+    let mut oracle = map_pib::Pib::default();
+    let mut stamp = SimTime::ZERO;
+    oracle.replace_all(routing.compute_all(brain.topology(), stamp));
+    assert_same_pib(&mut brain, &oracle, n, stamp);
+    // Mostly a node of the topology (routable, down or reserved), now and
+    // then an id it does not have.
+    let any_id = |rng: &mut DetRng| match rng.chance(0.85) {
+        true => *rng.choose(&ids),
+        false => NodeId::new(rng.range_u64(0, 3 * n + 2)),
+    };
+    for op in 0..ops {
+        match rng.range_u64(0, 6) {
+            0 => {
+                stamp = SimTime::from_secs(600 * (1 + op as u64));
+                brain.force_recompute(stamp);
+            }
+            1 | 2 => {
+                let node = any_id(rng);
+                let removed = brain.overload_alarm(OverloadAlarm::Node(node));
+                assert_eq!(removed, oracle.invalidate_node(node), "node {node}");
+                continue;
+            }
+            3 => {
+                let (a, b) = (any_id(rng), any_id(rng));
+                let removed = brain.overload_alarm(OverloadAlarm::Link(a, b));
+                assert_eq!(removed, oracle.invalidate_link(a, b), "link {a} -> {b}");
+                continue;
+            }
+            // Both rebuild the table, over fewer or more nodes than it held.
+            4 => brain.node_failed(any_id(rng)),
+            _ => brain.node_recovered(any_id(rng)),
+        }
+        oracle.replace_all(routing.compute_all(brain.topology(), stamp));
+        assert_same_pib(&mut brain, &oracle, n, stamp);
+    }
+    assert_same_pib(&mut brain, &oracle, n, stamp);
 }
 
 /// Random connected-ish digraph: n nodes, each with edges to a random
@@ -237,6 +429,19 @@ proptest! {
     #[test]
     fn absorb_equals_global_view_oracle(n in 2u64..9, seed in any::<u64>(), reports in 1u32..60) {
         check_absorb_against_oracle(n, seed, reports);
+    }
+
+    /// The flat PIB reads like the map of `Vec`s it replaced, through any
+    /// sequence of rounds, alarms and failures.
+    #[test]
+    fn flat_pib_equals_map_oracle(
+        n in 2u64..9,
+        seed in any::<u64>(),
+        k in 1usize..=4,
+        max_hops in 0usize..=4,
+        ops in 1u32..24,
+    ) {
+        check_pib_against_map_oracle(n, seed, k, max_hops, ops);
     }
 
     /// Yen's K paths: sorted by cost, loopless, distinct, within hop bound,

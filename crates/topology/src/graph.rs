@@ -108,8 +108,15 @@ impl Topology {
         Self::default()
     }
 
-    /// Position of `id` in `nodes` (and of its row in `rows`).
+    /// Position of `id` in `nodes` (and of its row in `rows`). Ids are
+    /// consecutive in every generated geography, so `id − first id` is
+    /// tried, and verified (so a wrapped guess is a miss), before the
+    /// binary search.
     fn index(&self, id: NodeId) -> Option<usize> {
+        let guess = id.raw().wrapping_sub(self.nodes.first()?.id.raw()) as usize;
+        if self.nodes.get(guess).is_some_and(|n| n.id == id) {
+            return Some(guess);
+        }
         self.nodes.binary_search_by_key(&id, |n| n.id).ok()
     }
 

@@ -183,9 +183,47 @@ mod oracle {
 /// existing node or link, with the top of the range usually absent.
 const IDS: u64 = 12;
 
+/// Which twelve ids: `first + gap · slot`. The row store guesses a node's
+/// position as `id − first id` before it searches; only `(0, 1)` and
+/// `(5, 1)` can make that guess right, and only once every lower slot is
+/// filled.
+#[derive(Clone, Copy)]
+struct IdSet {
+    first: u64,
+    gap: u64,
+}
+
+const ID_SETS: [IdSet; 5] = [
+    IdSet { first: 0, gap: 1 },
+    IdSet { first: 5, gap: 1 },
+    IdSet { first: 7, gap: 3 },
+    IdSet { first: u64::MAX - IDS + 1, gap: 1 },
+    IdSet { first: u64::MAX - 3 * IDS, gap: 3 },
+];
+
+impl IdSet {
+    fn id(self, slot: u64) -> NodeId {
+        NodeId::new(self.first + self.gap * slot)
+    }
+
+    fn draw(self, rng: &mut DetRng) -> NodeId {
+        self.id(rng.range_u64(0, IDS))
+    }
+
+    /// Every id a write can have used, then ids no write uses: below the
+    /// first id (where `id − first id` wraps), inside a gap, and both ends
+    /// of the id range.
+    fn probes(self) -> impl Iterator<Item = NodeId> {
+        let absent = [self.first.wrapping_sub(1), 0, 1, u64::MAX];
+        let absent = absent.into_iter().chain((self.gap > 1).then_some(self.first + 1));
+        let unused = move |id: &u64| (0..IDS).all(|slot| self.id(slot).raw() != *id);
+        (0..IDS).map(move |slot| self.id(slot)).chain(absent.filter(unused).map(NodeId::new))
+    }
+}
+
 /// Every read of the public API, row store against oracle, order included.
-fn assert_same_reads(t: &Topology, o: &oracle::MapTopology, rng: &mut DetRng) {
-    let ids = || (0..IDS).map(NodeId::new);
+fn assert_same_reads(t: &Topology, o: &oracle::MapTopology, set: IdSet, rng: &mut DetRng) {
+    let ids = || set.probes();
     assert_eq!(t.node_count(), o.node_count());
     assert_eq!(t.link_count(), o.link_count());
     assert!(t.nodes().eq(o.nodes()));
@@ -212,19 +250,17 @@ fn assert_same_reads(t: &Topology, o: &oracle::MapTopology, rng: &mut DetRng) {
         }
     }
     for _ in 0..8 {
-        let path: Vec<NodeId> = (0..rng.range_u64(0, 5))
-            .map(|_| NodeId::new(rng.range_u64(0, IDS)))
-            .collect();
+        let path: Vec<NodeId> = (0..rng.range_u64(0, 5)).map(|_| set.draw(rng)).collect();
         assert_eq!(t.path_rtt(&path), o.path_rtt(&path));
     }
 }
 
 /// Apply `steps` random writes to both stores, comparing every read after
 /// each one.
-fn check_row_store_against_oracle(seed: u64, steps: u32) {
+fn check_row_store_against_oracle(seed: u64, steps: u32, set: IdSet) {
     let rng = &mut DetRng::seed(seed);
     let (mut t, mut o) = (Topology::new(), oracle::MapTopology::default());
-    let id = |rng: &mut DetRng| NodeId::new(rng.range_u64(0, IDS));
+    let id = |rng: &mut DetRng| set.draw(rng);
     let metrics = |rng: &mut DetRng| LinkMetrics {
         rtt: SimDuration::from_millis(rng.range_u64(1, 300)),
         loss: rng.f64() * 0.01,
@@ -305,18 +341,18 @@ fn check_row_store_against_oracle(seed: u64, steps: u32) {
             _ => {
                 let u = rng.f64();
                 let walk = |(f, to, l): (NodeId, NodeId, &mut LinkMetrics)| {
-                    l.utilization = u / (1 + f.raw() + to.raw()) as f64;
+                    l.utilization = u / (1 + f.raw() % 13 + to.raw() % 7) as f64;
                     (f, to)
                 };
                 assert!(t.links_mut().map(walk).eq(o.links_mut().map(walk)));
                 let walk = |n: &mut NodeInfo| {
-                    n.utilization = u / (1 + n.id.raw()) as f64;
+                    n.utilization = u / (1 + n.id.raw() % 13) as f64;
                     n.id
                 };
                 assert!(t.nodes_mut().map(walk).eq(o.nodes_mut().map(walk)));
             }
         }
-        assert_same_reads(&t, &o, rng);
+        assert_same_reads(&t, &o, set, rng);
     }
 }
 
@@ -335,10 +371,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The row store reads like the map-of-maps it replaced, in value and
-    /// in order, after any sequence of writes.
+    /// in order, after any sequence of writes, whatever the ids: dense from
+    /// zero, dense from elsewhere, with gaps, and up against `u64::MAX`.
     #[test]
-    fn row_store_equals_map_oracle(seed in any::<u64>(), steps in 1u32..120) {
-        check_row_store_against_oracle(seed, steps);
+    fn row_store_equals_map_oracle(seed in any::<u64>(), steps in 1u32..120, set in 0usize..5) {
+        check_row_store_against_oracle(seed, steps, ID_SETS[set]);
     }
 
     /// The generator always produces a full mesh with positive RTTs,
