@@ -3,10 +3,12 @@
 //! The paper (§7.1) deploys the logically centralized Streaming Brain on
 //! multiple geo-replicated data centers and keeps their state consistent
 //! with a Paxos-like scheme.  This module is the deployment harness for
-//! that story: every PIB/SIB mutation is encoded as a [`BrainOp`],
-//! serialized through the multi-decree [`Replica`] log, and applied by
-//! each replica in decided-slot order — so all replicas converge to the
-//! same routing state, and leadership itself is a decree in the same log.
+//! that story: every PIB/SIB mutation is a [`BrainOp`], wrapped once in an
+//! `Arc`, ordered by the multi-decree [`Replica`] log, and applied by each
+//! replica in decided-slot order — so all replicas converge to the same
+//! routing state, and leadership itself is a decree in the same log. Every
+//! message, acceptor slot, retry and log entry that holds a decree holds a
+//! pointer to that one allocation.
 //!
 //! # Determinism
 //!
@@ -32,6 +34,7 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use livenet_brain::{BrainConfig, PathAssignment, StreamingBrain};
 use livenet_telemetry::{ids, MetricSink};
@@ -39,7 +42,7 @@ use livenet_topology::Topology;
 use livenet_types::{DetRng, Error, NodeId, Result, SimDuration, SimTime, StreamId};
 
 use crate::op::BrainOp;
-use crate::paxos::{Outbound, PaxosMsg, Replica, ReplicaId, Value};
+use crate::paxos::{Outbound, PaxosMsg, Replica, ReplicaId};
 
 /// One-way inter-replica network delay.
 const ONE_WAY_DELAY: SimDuration = SimDuration::from_millis(15);
@@ -50,6 +53,18 @@ const DELAY_JITTER: f64 = 0.1;
 const TAKEOVER_BACKOFF: SimDuration = SimDuration::from_millis(150);
 /// Client-side retry timeout for proposals and leader waits.
 const CLIENT_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+
+/// What the cluster's Paxos replicates: one shared op (`Arc`, not `Rc`:
+/// a sharded run moves clusters across threads).
+type Decree = Arc<BrainOp>;
+
+/// Whether `a` is the decree `b`. The same allocation is (a report may
+/// carry a NaN, and then the op does not equal itself); so is an equal op
+/// from an earlier call, because `replicate` is at-least-once and a
+/// timed-out proposal of the same mutation may be the one that is chosen.
+fn same_decree(a: &Decree, b: &Decree) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
 
 // A message delay is `ONE_WAY_DELAY × (1 ± jitter)` and must stay positive.
 const _: () = assert!(0.0 <= DELAY_JITTER && DELAY_JITTER < 1.0);
@@ -148,7 +163,7 @@ struct LeaseView {
 #[derive(Debug, Clone)]
 struct Pending {
     slot: u64,
-    value: Value,
+    value: Decree,
     attempts: u64,
     deadline: SimTime,
     lease: bool,
@@ -159,7 +174,7 @@ enum NetEvent {
     Deliver {
         from: ReplicaId,
         to: ReplicaId,
-        msg: PaxosMsg,
+        msg: PaxosMsg<Decree>,
     },
     Wake {
         replica: ReplicaId,
@@ -193,7 +208,7 @@ impl Ord for Scheduled {
 /// One Brain replica: a Paxos participant plus the state machine it feeds.
 #[derive(Debug)]
 struct Member {
-    paxos: Replica,
+    paxos: Replica<Decree>,
     brain: StreamingBrain,
     up: bool,
     /// Next slot to apply into the brain (contiguous application cursor).
@@ -211,12 +226,20 @@ struct Member {
 }
 
 impl Member {
-    fn apply_op(&mut self, slot: u64, op: BrainOp) {
+    /// Apply every decided decree that has become contiguous.
+    fn apply_ready(&mut self) {
+        while let Some(op) = self.paxos.decided(self.applied).cloned() {
+            self.apply_op(self.applied, &op);
+            self.applied += 1;
+        }
+    }
+
+    fn apply_op(&mut self, slot: u64, op: &BrainOp) {
         if let BrainOp::Lease {
             holder,
             term,
             until,
-        } = op
+        } = *op
         {
             self.lease = Some(LeaseView {
                 holder,
@@ -259,7 +282,7 @@ pub struct BrainCluster {
     now: SimTime,
     rng: DetRng,
     /// Canonical chosen log: slot `i` holds the cluster-wide chosen value.
-    canon: Vec<Value>,
+    canon: Vec<Decree>,
     /// Lease view as of the canonical log (the client's leader oracle).
     canon_lease: Option<LeaseView>,
     client_hint: Option<ReplicaId>,
@@ -271,7 +294,6 @@ pub struct BrainCluster {
     /// holder wins a lease (failover complete).
     crash_pending: Option<SimTime>,
     failover_ms: Vec<f64>,
-    divergences: u64,
     stats: ClusterStats,
 }
 
@@ -310,7 +332,6 @@ impl BrainCluster {
             crashed: None,
             crash_pending: None,
             failover_ms: Vec::new(),
-            divergences: 0,
             stats: ClusterStats::default(),
         };
         for r in 0..cluster.members.len() {
@@ -338,7 +359,7 @@ impl BrainCluster {
         }
     }
 
-    fn send_out(&mut self, from: ReplicaId, outs: Vec<Outbound>) {
+    fn send_out(&mut self, from: ReplicaId, outs: Vec<Outbound<Decree>>) {
         for o in outs {
             if o.to == from {
                 // Local loopback: lossless, zero delay (ordered by seq).
@@ -414,26 +435,23 @@ impl BrainCluster {
     // ------------------------------------------------------------------
 
     fn after_progress(&mut self, r: ReplicaId) {
-        loop {
-            let slot = self.canon.len() as u64;
-            let Some(v) = self.members[r as usize].paxos.decided(slot) else {
-                break;
-            };
-            let v = v.clone();
-            self.canon.push(v.clone());
+        let m = r as usize;
+        while let Some(v) = self.members[m].paxos.decided(self.canon.len() as u64) {
+            let v = Arc::clone(v);
             self.on_chosen(&v);
+            self.canon.push(v);
         }
-        self.apply_ready(r);
+        self.members[m].apply_ready();
     }
 
-    fn on_chosen(&mut self, value: &Value) {
+    fn on_chosen(&mut self, op: &BrainOp) {
         self.last_decided_at = self.now;
-        match BrainOp::decode(value) {
-            Ok(BrainOp::Lease {
+        match *op {
+            BrainOp::Lease {
                 holder,
                 term,
                 until,
-            }) => {
+            } => {
                 let new_holder = self.canon_lease.is_none_or(|p| p.holder != holder);
                 if new_holder {
                     self.stats.lease_grants += 1;
@@ -453,26 +471,7 @@ impl BrainCluster {
                     }
                 }
             }
-            Ok(_) => self.stats.state_ops_committed += 1,
-            // A chosen value that fails to decode means a corrupted log —
-            // surfaced as a divergence so the audit gate trips.
-            Err(_) => self.divergences += 1,
-        }
-    }
-
-    fn apply_ready(&mut self, r: ReplicaId) {
-        loop {
-            let m = &mut self.members[r as usize];
-            let slot = m.applied;
-            let Some(v) = m.paxos.decided(slot) else {
-                break;
-            };
-            let v = v.clone();
-            m.applied += 1;
-            match BrainOp::decode(&v) {
-                Ok(op) => m.apply_op(slot, op),
-                Err(_) => self.divergences += 1,
-            }
+            _ => self.stats.state_ops_committed += 1,
         }
     }
 
@@ -483,7 +482,7 @@ impl BrainCluster {
         let m = &mut self.members[r as usize];
         for slot in m.learned..self.canon.len() {
             if m.paxos.decided(slot as u64).is_none() {
-                let value = self.canon[slot].clone();
+                let value = Arc::clone(&self.canon[slot]);
                 let outs = m.paxos.handle(
                     r,
                     PaxosMsg::Learn {
@@ -495,7 +494,7 @@ impl BrainCluster {
             }
         }
         m.learned = self.canon.len();
-        self.apply_ready(r);
+        m.apply_ready();
     }
 
     // ------------------------------------------------------------------
@@ -506,7 +505,7 @@ impl BrainCluster {
         if !self.members[r as usize].up {
             return;
         }
-        self.apply_ready(r);
+        self.members[r as usize].apply_ready();
         self.retry_pendings(r);
         self.lease_maintenance(r);
         let next = self.next_wake_time(r);
@@ -540,7 +539,7 @@ impl BrainCluster {
             let (slot, value, attempts) = {
                 let p = &mut self.members[ri].pending[i];
                 p.attempts += 1;
-                (p.slot, p.value.clone(), p.attempts)
+                (p.slot, Arc::clone(&p.value), p.attempts)
             };
             let jitter = self.rng.range_f64(0.75, 1.5);
             let delay = CLIENT_TIMEOUT.mul_f64(attempts as f64 * jitter);
@@ -582,13 +581,18 @@ impl BrainCluster {
     }
 
     fn propose_lease(&mut self, r: ReplicaId, term: u64) {
-        let op = BrainOp::Lease {
+        let value = Arc::new(BrainOp::Lease {
             holder: r,
             term,
             until: self.now + self.cfg.lease,
-        };
-        let value = op.encode();
-        let (slot, outs) = self.members[r as usize].paxos.propose(value.clone());
+        });
+        self.propose(r, value, true);
+    }
+
+    /// Start a ballot for `value` on `r`, to be retried from `r`'s wakes
+    /// until its slot decides.
+    fn propose(&mut self, r: ReplicaId, value: Decree, lease: bool) {
+        let (slot, outs) = self.members[r as usize].paxos.propose(Arc::clone(&value));
         self.stats.proposals += 1;
         let deadline = self.now + CLIENT_TIMEOUT;
         self.members[r as usize].pending.push(Pending {
@@ -596,7 +600,7 @@ impl BrainCluster {
             value,
             attempts: 1,
             deadline,
-            lease: true,
+            lease,
         });
         self.send_out(r, outs);
         self.maybe_wake(r, deadline);
@@ -660,6 +664,14 @@ impl BrainCluster {
         }
     }
 
+    /// The slot at or after `base` in which `value` was chosen, if it was.
+    fn committed_since(&self, base: usize, value: &Decree) -> Option<u64> {
+        let at = self.canon[base..]
+            .iter()
+            .position(|v| same_decree(v, value))?;
+        Some((base + at) as u64)
+    }
+
     /// Replicate one mutation through the log.  Returns the client-visible
     /// latency in ms and, for `RehomeProducer`, the bridge-path assignment
     /// produced when the decree applied on the serving replica.
@@ -672,42 +684,29 @@ impl BrainCluster {
     pub fn replicate(&mut self, op: &BrainOp, now: SimTime) -> Result<(f64, Option<PathAssignment>)> {
         self.advance_to(now);
         let start = self.now;
-        let value = op.encode();
+        let value: Decree = Arc::new(op.clone());
         let base = self.canon.len();
         let give_up_at = start + CLIENT_TIMEOUT.mul_f64(self.cfg.max_attempts as f64);
-        let committed_slot = 'outer: loop {
-            if let Some(i) = self.canon[base..].iter().position(|v| *v == value) {
-                break 'outer base as u64 + i as u64;
-            }
+        let committed_slot = loop {
             if self.now >= give_up_at {
                 self.stats.client_give_ups += 1;
                 return Err(Error::exhausted("brain cluster replicate timed out"));
             }
             let h = self.await_leader(give_up_at)?;
             self.catch_up(h);
-            let (slot, outs) = self.members[h as usize].paxos.propose(value.clone());
-            self.stats.proposals += 1;
-            let deadline = self.now + CLIENT_TIMEOUT;
-            self.members[h as usize].pending.push(Pending {
-                slot,
-                value: value.clone(),
-                attempts: 1,
-                deadline,
-                lease: false,
-            });
-            self.send_out(h, outs);
-            self.maybe_wake(h, deadline);
+            self.propose(h, Arc::clone(&value), false);
             let wait_until = self.now + CLIENT_TIMEOUT;
-            loop {
-                if self.canon[base..].contains(&value) {
-                    continue 'outer; // picked up at the top of the loop
+            // Looked for before the first event too: an earlier proposal of
+            // this call may have been chosen during the wait for a leader.
+            let chosen = loop {
+                let chosen = self.committed_since(base, &value);
+                if chosen.is_some() || !self.pump_step_until(wait_until) {
+                    break chosen;
                 }
-                if !self.pump_step_until(wait_until) {
-                    break;
-                }
-            }
-            if self.canon[base..].iter().all(|v| *v != value) {
-                self.stats.client_retries += 1;
+            };
+            match chosen {
+                Some(slot) => break slot,
+                None => self.stats.client_retries += 1,
             }
         };
         let rtt_ms = ONE_WAY_DELAY.as_millis_f64() * 2.0;
@@ -827,16 +826,13 @@ impl BrainCluster {
         // Grace window: let in-flight ballots and lease traffic settle.
         let settle = self.now + self.cfg.lease + self.cfg.lease;
         self.advance_to(settle);
-        let mut audit = ClusterAudit {
-            log_divergences: self.divergences,
-            ..ClusterAudit::default()
-        };
+        let mut audit = ClusterAudit::default();
         // Safety audit: no replica may have decided a value different
         // from the canonical chosen log in any slot.
         for m in &self.members {
             for (slot, canon_v) in self.canon.iter().enumerate() {
                 if let Some(v) = m.paxos.decided(slot as u64) {
-                    if v != canon_v {
+                    if !same_decree(v, canon_v) {
                         audit.log_divergences += 1;
                     }
                 }
@@ -952,13 +948,18 @@ impl BrainCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livenet_topology::{GeoConfig, GeoTopology};
+    use livenet_topology::{GeoConfig, GeoTopology, LinkReport, NodeReport};
 
     fn cluster(seed: u64) -> (BrainCluster, Vec<NodeId>) {
+        lossy_cluster(seed, ClusterConfig::default().msg_loss)
+    }
+
+    fn lossy_cluster(seed: u64, msg_loss: f64) -> (BrainCluster, Vec<NodeId>) {
         let g = GeoTopology::generate(&GeoConfig::tiny(seed));
         let nodes: Vec<NodeId> = g.topology.routable_node_ids().collect();
         let cfg = ClusterConfig {
             seed,
+            msg_loss,
             ..ClusterConfig::default()
         };
         (
@@ -1080,14 +1081,7 @@ mod tests {
 
     #[test]
     fn lossy_network_still_converges() {
-        let g = GeoTopology::generate(&GeoConfig::tiny(5));
-        let nodes: Vec<NodeId> = g.topology.routable_node_ids().collect();
-        let cfg = ClusterConfig {
-            seed: 5,
-            msg_loss: 0.15,
-            ..ClusterConfig::default()
-        };
-        let mut c = BrainCluster::new(&g.topology, &BrainConfig::default(), cfg);
+        let (mut c, nodes) = lossy_cluster(5, 0.15);
         for i in 0..10u64 {
             c.replicate(
                 &BrainOp::RegisterStream {
@@ -1102,6 +1096,77 @@ mod tests {
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.assignment_mismatches, 0);
         assert!(c.stats().msgs_dropped > 0, "loss model must have fired");
+    }
+
+    /// A minute report whose measurements are NaN: an op that does not equal
+    /// itself, so only the pointer can say "this is my decree".
+    fn nan_report(c: &BrainCluster, from: NodeId, secs: u64) -> (BrainOp, NodeId) {
+        let to = c.members[0].brain.topology().row(from).0[0];
+        let report = NodeReport {
+            node: from,
+            at: SimTime::from_secs(secs),
+            utilization: f64::NAN,
+            links: vec![LinkReport {
+                to,
+                rtt: SimDuration::from_millis(secs),
+                loss: f64::NAN,
+                utilization: f64::NAN,
+                from_transport: true,
+            }],
+        };
+        let op = BrainOp::Reports {
+            now: SimTime::from_secs(secs),
+            reports: vec![report],
+        };
+        assert_ne!(op, op.clone());
+        (op, to)
+    }
+
+    #[test]
+    fn a_report_that_does_not_equal_itself_commits() {
+        let (mut c, nodes) = cluster(7);
+        let (op, to) = nan_report(&c, nodes[0], 5);
+        c.replicate(&op, SimTime::from_secs(5))
+            .expect("recognised by pointer");
+        assert_eq!(c.stats().client_retries, 0);
+        let audit = c.finalize(SimTime::from_secs(10));
+        assert_eq!(audit.log_divergences, 0);
+        for m in &c.members {
+            let link = m.brain.topology().link(nodes[0], to).expect("a link");
+            assert!(link.loss.is_nan() && link.rtt == SimDuration::from_millis(5));
+        }
+    }
+
+    /// No path copies a decree: not a message, a retried ballot or a
+    /// catch-up `Learn`. The decrees are NaN reports, so a copy that got
+    /// chosen would also never be recognised by the client that proposed it.
+    #[test]
+    fn every_holder_points_at_the_one_decree() {
+        let (mut c, nodes) = lossy_cluster(6, 0.2);
+        let report = |c: &mut BrainCluster, secs: u64| {
+            let (op, _) = nan_report(c, nodes[0], secs);
+            c.replicate(&op, SimTime::from_secs(secs))
+                .expect("replicate under loss");
+        };
+        (5..15).for_each(|secs| report(&mut c, secs));
+        let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
+        (15..25).for_each(|secs| report(&mut c, secs));
+        let missed = c.canon.len() - c.members[victim].paxos.decided_count();
+        assert!(missed > 0, "the victim missed nothing while it was down");
+        c.restart_crashed(SimTime::from_secs(25));
+        let audit = c.finalize(SimTime::from_secs(60));
+        assert!(c.stats().msgs_dropped > 0 && c.stats().proposals > audit.decided_slots);
+        assert_eq!(audit.log_divergences, 0);
+        assert_eq!(audit.min_replica_decided, audit.decided_slots);
+        for (r, m) in c.members.iter().enumerate() {
+            for (slot, chosen) in c.canon.iter().enumerate() {
+                let decided = m.paxos.decided(slot as u64).expect("caught up");
+                assert!(
+                    Arc::ptr_eq(decided, chosen),
+                    "replica {r} holds a copy of slot {slot}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,4 +21,4 @@ pub mod paxos;
 
 pub use cluster::{BrainCluster, ClusterAudit, ClusterConfig, ClusterStats};
 pub use op::BrainOp;
-pub use paxos::{Ballot, Outbound, PaxosMsg, Replica, ReplicaId, Value};
+pub use paxos::{Ballot, Outbound, PaxosMsg, Replica, ReplicaId};

@@ -6,9 +6,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// Replica identity (small dense integers).
 pub type ReplicaId = u32;
 
-/// A replicated value — e.g. a serialized PIB/SIB update.
-pub type Value = Vec<u8>;
-
 /// A Paxos ballot: totally ordered, unique per proposer.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
@@ -21,8 +18,11 @@ pub struct Ballot {
 }
 
 /// Messages between replicas. `slot` scopes every message to one decree.
+///
+/// `V` is the replicated value. Paxos clones it and hands it on and never
+/// looks inside, so a cluster whose `V` is an `Arc` holds each decree once.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PaxosMsg {
+pub enum PaxosMsg<V = Vec<u8>> {
     /// Phase 1a.
     Prepare {
         /// Decree slot.
@@ -37,7 +37,7 @@ pub enum PaxosMsg {
         /// The promised ballot.
         ballot: Ballot,
         /// Highest accepted (ballot, value) at the acceptor, if any.
-        accepted: Option<(Ballot, Value)>,
+        accepted: Option<(Ballot, V)>,
     },
     /// Phase 2a.
     Accept {
@@ -46,7 +46,7 @@ pub enum PaxosMsg {
         /// Ballot.
         ballot: Ballot,
         /// Proposed value.
-        value: Value,
+        value: V,
     },
     /// Phase 2b.
     Accepted {
@@ -60,48 +60,60 @@ pub enum PaxosMsg {
         /// Decree slot.
         slot: u64,
         /// Chosen value.
-        value: Value,
+        value: V,
     },
 }
 
 /// Per-slot acceptor state.
-#[derive(Debug, Clone, Default)]
-struct AcceptorSlot {
+#[derive(Debug, Clone)]
+struct AcceptorSlot<V> {
     promised: Option<Ballot>,
-    accepted: Option<(Ballot, Value)>,
+    accepted: Option<(Ballot, V)>,
+}
+
+impl<V> Default for AcceptorSlot<V> {
+    fn default() -> Self {
+        AcceptorSlot {
+            promised: None,
+            accepted: None,
+        }
+    }
 }
 
 /// Per-slot proposer state.
 #[derive(Debug, Clone)]
-struct ProposerSlot {
+struct ProposerSlot<V> {
     ballot: Ballot,
-    value: Value,
-    promises: HashMap<ReplicaId, Option<(Ballot, Value)>>,
+    value: V,
+    promises: HashMap<ReplicaId, Option<(Ballot, V)>>,
     accepts: HashSet<ReplicaId>,
     phase2_started: bool,
 }
 
 /// Outbound message with its destination.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outbound {
+pub struct Outbound<V = Vec<u8>> {
     /// Destination replica.
     pub to: ReplicaId,
     /// The message.
-    pub msg: PaxosMsg,
+    pub msg: PaxosMsg<V>,
 }
 
 /// One Paxos replica (proposer + acceptor + learner).
 #[derive(Debug)]
-pub struct Replica {
+pub struct Replica<V = Vec<u8>> {
     id: ReplicaId,
     peers: Vec<ReplicaId>,
-    acceptor: BTreeMap<u64, AcceptorSlot>,
-    proposer: BTreeMap<u64, ProposerSlot>,
-    decided: BTreeMap<u64, Value>,
+    /// Durable: safety rests on what each slot promised and accepted.
+    acceptor: BTreeMap<u64, AcceptorSlot<V>>,
+    /// Slots this replica is proposing in; an entry goes when its slot
+    /// decides.
+    proposer: BTreeMap<u64, ProposerSlot<V>>,
+    decided: BTreeMap<u64, V>,
     next_slot_hint: u64,
 }
 
-impl Replica {
+impl<V: Clone> Replica<V> {
     /// New replica in a cluster of `peers` (must include `id`).
     pub fn new(id: ReplicaId, peers: Vec<ReplicaId>) -> Self {
         assert!(peers.contains(&id), "peers must include self");
@@ -126,12 +138,12 @@ impl Replica {
     }
 
     /// Decided value of a slot, if known.
-    pub fn decided(&self, slot: u64) -> Option<&Value> {
+    pub fn decided(&self, slot: u64) -> Option<&V> {
         self.decided.get(&slot)
     }
 
     /// The decided log prefix: values for slots `0..n` where all decided.
-    pub fn log_prefix(&self) -> Vec<&Value> {
+    pub fn log_prefix(&self) -> Vec<&V> {
         let mut out = Vec::new();
         let mut slot = 0;
         while let Some(v) = self.decided.get(&slot) {
@@ -148,7 +160,7 @@ impl Replica {
 
     /// Propose `value` in a fresh slot. Returns the slot and the phase-1
     /// messages to deliver.
-    pub fn propose(&mut self, value: Value) -> (u64, Vec<Outbound>) {
+    pub fn propose(&mut self, value: V) -> (u64, Vec<Outbound<V>>) {
         // Pick the lowest slot we neither decided nor are proposing in.
         let mut slot = self.next_slot_hint;
         while self.decided.contains_key(&slot) || self.proposer.contains_key(&slot) {
@@ -162,7 +174,7 @@ impl Replica {
     /// (Re-)propose in a specific slot with a round at least `min_round`
     /// and higher than any round we used before in this slot. Used for
     /// retry/backoff after a failed ballot.
-    pub fn propose_in_slot(&mut self, slot: u64, value: Value, min_round: u64) -> Vec<Outbound> {
+    pub fn propose_in_slot(&mut self, slot: u64, value: V, min_round: u64) -> Vec<Outbound<V>> {
         let prev_round = self.proposer.get(&slot).map(|p| p.ballot.round).unwrap_or(0);
         let ballot = Ballot {
             round: prev_round.max(min_round) + 1,
@@ -181,7 +193,7 @@ impl Replica {
         self.broadcast(PaxosMsg::Prepare { slot, ballot })
     }
 
-    fn broadcast(&self, msg: PaxosMsg) -> Vec<Outbound> {
+    fn broadcast(&self, msg: PaxosMsg<V>) -> Vec<Outbound<V>> {
         self.peers
             .iter()
             .map(|&to| Outbound {
@@ -192,7 +204,7 @@ impl Replica {
     }
 
     /// Handle a message from `from`; returns messages to send.
-    pub fn handle(&mut self, from: ReplicaId, msg: PaxosMsg) -> Vec<Outbound> {
+    pub fn handle(&mut self, from: ReplicaId, msg: PaxosMsg<V>) -> Vec<Outbound<V>> {
         match msg {
             PaxosMsg::Prepare { slot, ballot } => {
                 let a = self.acceptor.entry(slot).or_default();
@@ -272,6 +284,7 @@ impl Replica {
                 p.accepts.insert(from);
                 if p.accepts.len() >= quorum && !self.decided.contains_key(&slot) {
                     let value = p.value.clone();
+                    self.proposer.remove(&slot);
                     self.decided.insert(slot, value.clone());
                     self.broadcast(PaxosMsg::Learn { slot, value })
                 } else {
@@ -282,6 +295,7 @@ impl Replica {
                 // Safety note: Learn comes from a replica that observed a
                 // quorum of accepts; adopting it is safe.
                 self.decided.entry(slot).or_insert(value);
+                self.proposer.remove(&slot);
                 Vec::new()
             }
         }
@@ -299,6 +313,9 @@ impl Replica {
 mod tests {
     use super::*;
     use livenet_types::DetRng;
+
+    /// These tests replicate bytes (the default `V`).
+    type Value = Vec<u8>;
 
     /// Deterministic lossy network driver for a Paxos cluster.
     struct Net {
@@ -461,15 +478,15 @@ mod tests {
 
     #[test]
     fn quorum_math() {
-        let r3 = Replica::new(0, vec![0, 1, 2]);
+        let r3: Replica = Replica::new(0, vec![0, 1, 2]);
         assert_eq!(r3.quorum(), 2);
-        let r5 = Replica::new(0, vec![0, 1, 2, 3, 4]);
+        let r5: Replica = Replica::new(0, vec![0, 1, 2, 3, 4]);
         assert_eq!(r5.quorum(), 3);
     }
 
     #[test]
     #[should_panic(expected = "peers must include self")]
     fn peers_must_include_self() {
-        let _ = Replica::new(9, vec![0, 1, 2]);
+        let _: Replica = Replica::new(9, vec![0, 1, 2]);
     }
 }

@@ -1,6 +1,6 @@
-//! Adversarial-schedule property tests for the Paxos core, and
-//! hostile-input property tests for the decree codec ([`BrainOp`], at the
-//! end of the file).
+//! Adversarial-schedule property tests for the Paxos core, and a
+//! hostile-report property test for the decree the minute tick commits
+//! ([`BrainOp::Reports`], at the end of the file).
 //!
 //! Two Paxos properties, straight from the protocol's contract:
 //!
@@ -15,10 +15,9 @@
 use livenet_brain::{BrainConfig, StreamingBrain};
 use livenet_replication::{BrainOp, Outbound, Replica, ReplicaId};
 use livenet_topology::{GeoConfig, GeoTopology, LinkReport, NodeReport};
-use livenet_types::{DetRng, NodeId, SimDuration, SimTime, StreamId};
+use livenet_types::{DetRng, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cmp::Reverse;
 
 /// An adversarial network: in-flight messages are delivered in random
 /// order, dropped with probability `loss`, and duplicated with
@@ -226,75 +225,20 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// `BrainOp::decode`: the decree every minute tick commits and every
-// replica decodes. Bytes from a peer may be anything.
+// `BrainOp::Reports`: the decree every minute tick commits and every
+// replica applies. What a node reports may be anything.
 // ---------------------------------------------------------------------
-
-thread_local! {
-    /// Bytes this thread has asked the allocator for.
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Forwards to `System`, adding up the sizes requested per thread, so a
-/// test can bound what one `decode` call allocates.
-struct CountingAlloc;
-
-// SAFETY: every method forwards to `System` with the caller's own layout
-// and pointer, so `System`'s guarantees carry over unchanged. The counter
-// is a const-initialised thread-local `Cell` without a destructor: reading
-// it allocates nothing and so cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.with(|r| r.set(r.get() + layout.size()));
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.with(|r| r.set(r.get() + new_size));
-        // SAFETY: `ptr` came from `System` with this layout; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Decode hostile bytes: `Ok` or `Err`, no panic, and no more memory asked
-/// for than the input could describe (a decoded report or link is under
-/// twice its encoding; the slack covers the error message). What decodes
-/// is canonical: it re-encodes to the same bytes, so two replicas' logs
-/// can be compared byte for byte. Returns whether the bytes decoded.
-fn decode_hostile(bytes: &[u8]) -> Result<bool, TestCaseError> {
-    let before = REQUESTED.with(Cell::get);
-    let decoded = BrainOp::decode(bytes);
-    let requested = REQUESTED.with(Cell::get) - before;
-    prop_assert!(
-        requested <= 4 * bytes.len() + 256,
-        "{requested} bytes requested to decode {} bytes",
-        bytes.len()
-    );
-    if let Ok(op) = &decoded {
-        prop_assert_eq!(op.encode(), bytes);
-    }
-    Ok(decoded.is_ok())
-}
 
 /// A float a report could carry: mostly arbitrary bit patterns (NaNs of
 /// every payload, subnormals, both infinities), sometimes a plain share.
 fn arb_f64(rng: &mut DetRng) -> f64 {
-    match rng.range_u64(0, 8) {
+    match rng.range_u64(0, 9) {
         0 => f64::NAN,
         1 => f64::INFINITY,
         2 => f64::NEG_INFINITY,
         3 => -0.0,
         4 => rng.f64(),
+        5 => f64::from_bits(rng.range_u64(1, 1 << 52)), // subnormal
         _ => f64::from_bits(rng.range_u64(0, u64::MAX)),
     }
 }
@@ -316,113 +260,30 @@ fn arb_report(rng: &mut DetRng, max_links: u64) -> NodeReport {
     }
 }
 
-/// Any well-formed op; `Reports` carries up to `max` reports of up to
-/// `max` links each.
-fn arb_op(seed: u64, max: u64) -> BrainOp {
-    let mut rng = DetRng::seed(seed);
-    let mut id = || rng.range_u64(0, u64::MAX);
-    match id() % 12 {
-        // `Reports` twice: it is the decree with structure to get wrong.
-        0 | 1 => BrainOp::Reports {
-            now: SimTime::from_nanos(id()),
-            reports: (0..rng.range_u64(0, max + 1))
-                .map(|_| arb_report(&mut rng, max))
-                .collect(),
-        },
-        2 => BrainOp::RegisterStream {
-            stream: StreamId::new(id()),
-            producer: NodeId::new(id()),
-        },
-        3 => BrainOp::UnregisterStream { stream: StreamId::new(id()) },
-        4 => BrainOp::MarkPopular { stream: StreamId::new(id()) },
-        5 => BrainOp::RehomeProducer {
-            stream: StreamId::new(id()),
-            new_producer: NodeId::new(id()),
-            now: SimTime::from_nanos(id()),
-        },
-        6 => BrainOp::NodeFailed { node: NodeId::new(id()) },
-        7 => BrainOp::NodeRecovered { node: NodeId::new(id()) },
-        8 => BrainOp::LinkFailed { a: NodeId::new(id()), b: NodeId::new(id()) },
-        9 => BrainOp::LinkRecovered { a: NodeId::new(id()), b: NodeId::new(id()) },
-        10 => BrainOp::Lease {
-            holder: id() as u32,
-            term: id(),
-            until: SimTime::from_nanos(id()),
-        },
-        _ => BrainOp::Noop,
+/// Damage a report the way a faulty reporter could: a real reporter naming
+/// far ends it has no link to, a far end listed twice with different
+/// measurements, and the list in descending order (a row is ascending, so
+/// no lookup finds its entry where the last one left off).
+fn damage(report: &mut NodeReport, rng: &mut DetRng, known: NodeId) {
+    if rng.chance(0.5) {
+        report.node = known;
     }
-}
-
-/// `==` on ops compares floats by value, under which a NaN differs from
-/// itself; a decree must come back with the same bits.
-fn same_bits(a: &BrainOp, b: &BrainOp) -> bool {
-    let (BrainOp::Reports { now, reports }, BrainOp::Reports { now: now_b, reports: reports_b }) =
-        (a, b)
-    else {
-        return a == b;
-    };
-    let link_bits = |l: &LinkReport| {
-        (l.to, l.rtt, l.loss.to_bits(), l.utilization.to_bits(), l.from_transport)
-    };
-    now == now_b
-        && reports.len() == reports_b.len()
-        && reports.iter().zip(reports_b).all(|(r, s)| {
-            (r.node, r.at, r.utilization.to_bits()) == (s.node, s.at, s.utilization.to_bits())
-                && r.links.iter().map(link_bits).eq(s.links.iter().map(link_bits))
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Arbitrary bytes, as they are and behind each variant's tag.
-    #[test]
-    fn brain_op_decode_survives_arbitrary_bytes(
-        mut bytes in prop::collection::vec(any::<u8>(), 0..513),
-        tagged in any::<bool>(),
-    ) {
-        if let (true, Some(tag)) = (tagged, bytes.first_mut()) {
-            *tag = 1 + *tag % 11;
-        }
-        decode_hostile(&bytes)?;
+    report.utilization = arb_f64(rng);
+    if let Some(&first) = report.links.first() {
+        report.links.push(LinkReport {
+            loss: arb_f64(rng),
+            utilization: arb_f64(rng),
+            ..first
+        });
     }
-
-    /// Every truncation and every one-byte corruption of a valid decree.
-    #[test]
-    fn brain_op_decode_survives_truncation_and_corruption(
-        seed in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let bytes = arb_op(seed, 3).encode();
-        for cut in 0..bytes.len() {
-            prop_assert!(!decode_hostile(&bytes[..cut])?, "cut at {cut} decodes");
-        }
-        for at in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[at] ^= flip;
-            decode_hostile(&corrupt)?;
-        }
-    }
-
-    /// What `encode` writes, `decode` reads back bit for bit, and writes
-    /// again byte for byte.
-    #[test]
-    fn brain_op_roundtrips_bit_for_bit(seed in any::<u64>()) {
-        let op = arb_op(seed, 64);
-        let bytes = op.encode();
-        let back = BrainOp::decode(&bytes);
-        prop_assert!(back.is_ok(), "{back:?}");
-        let back = back.unwrap();
-        prop_assert!(same_bits(&op, &back), "{op:?} came back as {back:?}");
-        prop_assert_eq!(back.encode(), bytes);
-    }
+    report.links.sort_by_key(|l| Reverse(l.to));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A `Reports` decree is decoded bytes on every replica, and a report
-    /// may name any node and any far end. What it names that the Brain's
+    /// A `Reports` decree carries what the nodes sent, and a report may
+    /// name any node and any far end. What it names that the Brain's
     /// topology does not have is dropped and counted, one per key: the
     /// measured state never grows. (It used to: every `(reporter, far
     /// end)` pair a report named got an entry in a map nothing expired.)
@@ -435,18 +296,15 @@ proptest! {
         let mut ops = Vec::new();
         for _ in 0..8 {
             // Reporters and far ends drawn from all of u64 ...
-            let wild = BrainOp::Reports {
-                now: SimTime::ZERO,
-                reports: (0..rng.range_u64(1, 5)).map(|_| arb_report(&mut rng, 8)).collect(),
-            };
-            // ... the same bytes damaged, where they still decode ...
-            let mut bytes = wild.encode();
-            for _ in 0..4 {
-                let at = rng.range_u64(0, bytes.len() as u64) as usize;
-                bytes[at] ^= rng.range_u64(1, 256) as u8;
+            let wild: Vec<NodeReport> =
+                (0..rng.range_u64(1, 5)).map(|_| arb_report(&mut rng, 8)).collect();
+            // ... the same reports damaged ...
+            let mut damaged = wild.clone();
+            for r in &mut damaged {
+                damage(r, &mut rng, known);
             }
-            ops.extend(BrainOp::decode(&bytes).ok());
-            ops.push(wild);
+            ops.push(BrainOp::Reports { now: SimTime::ZERO, reports: damaged });
+            ops.push(BrainOp::Reports { now: SimTime::ZERO, reports: wild });
             // ... and a node of the overlay reporting its own load (the one
             // key here that is not unknown) and 64 links to far ends nobody
             // has heard of.
@@ -481,26 +339,5 @@ proptest! {
         }
         prop_assert!(unknown >= 8 * 64);
         prop_assert_eq!(brain.discovery().unknown_keys, unknown);
-    }
-}
-
-/// A count the buffer cannot hold fails on the read, not on the allocation:
-/// 4 × 10⁹ reports, then one report of 4 × 10⁹ links, in 40 bytes or fewer.
-#[test]
-fn brain_op_decode_does_not_trust_a_count() {
-    let huge = 4_000_000_000u32.to_le_bytes();
-    let mut reports = vec![1u8]; // the `Reports` tag, then `now`
-    reports.extend_from_slice(&[0; 8]);
-    reports.extend_from_slice(&huge);
-    let mut links = reports.clone();
-    links[9..13].copy_from_slice(&1u32.to_le_bytes());
-    links.extend_from_slice(&[0; 24]); // node, at, utilization
-    links.extend_from_slice(&huge);
-    for bytes in [reports, links] {
-        assert!(bytes.len() <= 41);
-        let before = REQUESTED.with(Cell::get);
-        assert!(BrainOp::decode(&bytes).is_err());
-        let requested = REQUESTED.with(Cell::get) - before;
-        assert!(requested <= 512, "{requested} bytes requested for {} bytes", bytes.len());
     }
 }
