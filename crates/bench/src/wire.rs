@@ -296,6 +296,15 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.meta("e2e_tolerance_ms", format!("{e2e_tol:.1}"));
     out.meta("worst_delivery", format!("{:.4}", wire.worst_delivery()));
     out.meta("frames_broadcast", wire.frames_broadcast.to_string());
+    // What the nodes dropped: datagrams from a source unknown at that
+    // address and datagrams that overflowed a receive slot (both gated at
+    // zero below), and datagrams a socket refused (reported only).
+    let unknown = wire.telemetry.counter("transport.unknown_source_drops");
+    let truncated = wire.telemetry.counter("transport.recv_truncated");
+    let send_errors = wire.telemetry.counter("transport.send_errors");
+    out.meta("transport.unknown_source_drops", unknown.to_string());
+    out.meta("transport.recv_truncated", truncated.to_string());
+    out.meta("transport.send_errors", send_errors.to_string());
 
     let worst = wire.worst_delivery();
     assert!(worst >= 0.99, "delivery below 99%: {worst:.3}");
@@ -316,4 +325,6 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
         wire.telemetry.counter("transport.batch_rx_syscalls") > 0,
         "batched receive path never exercised"
     );
+    assert_eq!(unknown, 0, "datagrams from a source no node knows at that address");
+    assert_eq!(truncated, 0, "datagrams truncated by a node's receive slot");
 }

@@ -8,8 +8,10 @@
 //!
 //! Two layers are exposed:
 //!
-//! * [`EventQueue`] — a bare event calendar (time-ordered, FIFO-stable),
-//!   reused by the fleet-level simulator in `livenet-sim`;
+//! * [`EventQueue`] — a bare event calendar (time-ordered, FIFO-stable;
+//!   re-exported from `livenet-types`, where the replicated Brain's
+//!   cluster also finds it), reused by the fleet-level simulator in
+//!   `livenet-sim`;
 //! * [`NetSim`] — the network emulator proper, which owns a set of [`Host`]
 //!   state machines and delivers datagrams and timers to them.
 //!
@@ -22,10 +24,9 @@
 
 pub mod fault;
 pub mod link;
-pub mod queue;
 pub mod sim;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::{LinkConfig, LinkStats, LossModel};
-pub use queue::EventQueue;
+pub use livenet_types::EventQueue;
 pub use sim::{Action, Ctx, Datagram, Host, NetSim, TimerKey};

@@ -2,10 +2,9 @@
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::link::{LinkConfig, LinkState, LinkStats, SendOutcome};
-use crate::queue::EventQueue;
 use bytes::Bytes;
 use livenet_telemetry::{ids, MetricSink, Snapshot, TelemetryHub, QUEUE_DEPTH_BOUNDS};
-use livenet_types::{DetRng, NodeId, SimDuration, SimTime};
+use livenet_types::{DetRng, EventQueue, NodeId, SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
 
 /// Nominal packet size used to express link backlog as a queue depth.

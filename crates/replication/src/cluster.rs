@@ -13,8 +13,8 @@
 //! # Determinism
 //!
 //! The cluster runs on **virtual time** ([`SimTime`]), fully detached from
-//! wall clocks: messages travel on a binary-heap event queue keyed by
-//! `(deliver_at, seq)`, delays and drops come from a [`DetRng`], and every
+//! wall clocks: messages travel on an [`EventQueue`] (ordered by delivery
+//! time, then insertion), delays and drops come from a [`DetRng`], and every
 //! client call (`replicate`, `path_request`, …) first advances the
 //! cluster clock to the caller's `now` and then pumps events.  Two runs
 //! with the same seed and the same call sequence produce bit-identical
@@ -32,14 +32,12 @@
 //! Failover latency is measured from the last decree decided before the
 //! crash to the first *lease* decree granted to a live holder afterwards.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use livenet_brain::{BrainConfig, PathAssignment, StreamingBrain};
 use livenet_telemetry::{ids, MetricSink};
 use livenet_topology::Topology;
-use livenet_types::{DetRng, Error, NodeId, Result, SimDuration, SimTime, StreamId};
+use livenet_types::{DetRng, Error, EventQueue, NodeId, Result, SimDuration, SimTime, StreamId};
 
 use crate::op::BrainOp;
 use crate::paxos::{Outbound, PaxosMsg, Replica, ReplicaId};
@@ -181,30 +179,6 @@ enum NetEvent {
     },
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    ev: NetEvent,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// One Brain replica: a Paxos participant plus the state machine it feeds.
 #[derive(Debug)]
 struct Member {
@@ -277,8 +251,9 @@ pub struct ClusterAudit {
 pub struct BrainCluster {
     cfg: ClusterConfig,
     members: Vec<Member>,
-    heap: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
+    queue: EventQueue<NetEvent>,
+    /// The cluster clock: the last popped event's time, or later when a
+    /// client call advanced it past the queue head without a pop.
     now: SimTime,
     rng: DetRng,
     /// Canonical chosen log: slot `i` holds the cluster-wide chosen value.
@@ -321,8 +296,7 @@ impl BrainCluster {
         let mut cluster = BrainCluster {
             cfg,
             members,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng,
             canon: Vec::new(),
@@ -344,26 +318,20 @@ impl BrainCluster {
     // Event engine
     // ------------------------------------------------------------------
 
-    fn schedule(&mut self, at: SimTime, ev: NetEvent) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, ev }));
-    }
-
     /// Schedule a wake for `r` at `at` unless an earlier one is pending.
     fn maybe_wake(&mut self, r: ReplicaId, at: SimTime) {
         let cur = self.members[r as usize].next_wake;
         if at < cur || cur <= self.now {
             self.members[r as usize].next_wake = at;
-            self.schedule(at, NetEvent::Wake { replica: r });
+            self.queue.schedule(at, NetEvent::Wake { replica: r });
         }
     }
 
     fn send_out(&mut self, from: ReplicaId, outs: Vec<Outbound<Decree>>) {
         for o in outs {
             if o.to == from {
-                // Local loopback: lossless, zero delay (ordered by seq).
-                self.schedule(
+                // Local loopback: lossless, zero delay (FIFO at `now`).
+                self.queue.schedule(
                     self.now,
                     NetEvent::Deliver {
                         from,
@@ -382,7 +350,7 @@ impl BrainCluster {
                 .rng
                 .range_f64(1.0 - DELAY_JITTER, 1.0 + DELAY_JITTER);
             let at = self.now + ONE_WAY_DELAY.mul_f64(jitter);
-            self.schedule(
+            self.queue.schedule(
                 at,
                 NetEvent::Deliver {
                     from,
@@ -396,11 +364,11 @@ impl BrainCluster {
     /// Process the next queued event (advancing the clock to it).
     /// Returns false when the queue is empty.
     fn step(&mut self) -> bool {
-        let Some(Reverse(s)) = self.heap.pop() else {
+        let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
-        self.now = self.now.max(s.at);
-        match s.ev {
+        self.now = self.now.max(at);
+        match ev {
             NetEvent::Deliver { from, to, msg } => {
                 if self.members[to as usize].up {
                     let outs = self.members[to as usize].paxos.handle(from, msg);
@@ -416,8 +384,8 @@ impl BrainCluster {
     /// Process one event if it is due at or before `t`; otherwise advance
     /// the clock to `t` and return false.
     fn pump_step_until(&mut self, t: SimTime) -> bool {
-        match self.heap.peek() {
-            Some(Reverse(s)) if s.at <= t => self.step(),
+        match self.queue.peek_time() {
+            Some(at) if at <= t => self.step(),
             _ => {
                 self.now = self.now.max(t);
                 false

@@ -1039,10 +1039,9 @@ impl FleetSim {
         let loads = self.livenet.loads();
         let mut loss_sum = 0.0;
         let mut loss_n = 0u64;
-                let link_cap = self.config.link_capacity_sessions * capacity_scale;
-        let idle = (0.0 / link_cap).min(1.0);
+        let link_cap = self.config.link_capacity_sessions * capacity_scale;
         for (f, t, l) in self.topology.links_mut() {
-            l.utilization = idle;
+            l.utilization = 0.0;
             // Loss rises with the diurnal load (peaking < 0.175%).
             let jitter = 0.8 + 0.4 * ((f.raw() * 31 + t.raw() * 17 + hour) % 97) as f64 / 97.0;
             l.loss = (BASE_LOSS * (0.5 + 2.2 * diurnal) * jitter).min(0.00175);

@@ -172,6 +172,18 @@ impl BatchSocket {
         }
     }
 
+    /// Wait for a non-empty batch, filling `batch`; resolves to the
+    /// datagram count. Poll-driven: every poll tries the socket once and
+    /// registers no waker, which is what the vendored executor (it re-polls
+    /// every task each round) expects.
+    pub async fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
+        std::future::poll_fn(|_| match self.try_recv_batch(batch) {
+            Ok(0) => std::task::Poll::Pending,
+            done => std::task::Poll::Ready(done),
+        })
+        .await
+    }
+
     /// Try to send `msgs` without blocking. Returns how many datagrams the
     /// kernel accepted, in order from the front of the slice (`0` when the
     /// socket buffer is full). A non-`WouldBlock` failure on the *first*
@@ -223,47 +235,6 @@ impl BatchSocket {
             }
         }
         Ok(sent)
-    }
-}
-
-/// Future resolving when any of `socks` yields a non-empty batch.
-///
-/// Polls each socket once per executor round starting at `start`
-/// (round-robin fairness is the caller's job: pass a rotating index).
-/// Resolves to `(socket_index, datagram_count)`.
-pub struct RecvAny<'a> {
-    socks: &'a [BatchSocket],
-    batch: &'a mut RecvBatch,
-    start: usize,
-}
-
-/// Wait for a batch on any of `socks`, filling `batch`.
-pub fn recv_any<'a>(
-    socks: &'a [BatchSocket],
-    start: usize,
-    batch: &'a mut RecvBatch,
-) -> RecvAny<'a> {
-    RecvAny { socks, batch, start }
-}
-
-impl std::future::Future for RecvAny<'_> {
-    type Output = io::Result<(usize, usize)>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        let me = self.get_mut();
-        let n = me.socks.len();
-        for off in 0..n {
-            let i = (me.start + off) % n;
-            match me.socks[i].try_recv_batch(me.batch) {
-                Ok(0) => continue,
-                Ok(count) => return std::task::Poll::Ready(Ok((i, count))),
-                Err(e) => return std::task::Poll::Ready(Err(e)),
-            }
-        }
-        std::task::Poll::Pending
     }
 }
 

@@ -11,10 +11,6 @@
 //! [`SimTime`] relative to a per-process epoch, so the protocol core never
 //! notices it left the simulator.
 //!
-//! A lightweight in-process [`BrainHandle`] wraps the Streaming Brain for
-//! path lookups from driver code (in production this is an RPC; the
-//! control-plane protocol itself is exercised by `livenet-brain`'s tests).
-//!
 //! [`testbed`] assembles the whole thing — brain, nodes, a paced
 //! broadcaster, and feedback-sending viewers — into a driveable loopback
 //! overlay, with every layer recording into one [`SharedTelemetry`] hub.
@@ -26,14 +22,12 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod brain;
 pub mod clock;
 pub mod node;
 pub mod telemetry;
 pub mod testbed;
 
 pub use batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
-pub use brain::BrainHandle;
 pub use clock::WallClock;
 pub use node::{NodeCommand, NodeGone, NodeHandle, UdpOverlayNode, WireNodeConfig};
 pub use telemetry::SharedTelemetry;

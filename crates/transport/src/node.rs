@@ -1,6 +1,6 @@
 //! A UDP overlay node: the sans-I/O core + a tokio event loop.
 //!
-//! The driver owns everything the core deliberately does not: the sockets,
+//! The driver owns everything the core deliberately does not: the socket,
 //! the address books (peer ⇄ addr, client ⇄ addr), the timer wheel, and
 //! the command channel. Datagrams are routed into the core by source
 //! address — peer addresses through [`OverlayNode::on_datagram`], attached
@@ -8,22 +8,11 @@
 //! RTCP feedback drives cc and loss recovery on the wire exactly as in the
 //! emulator), and unknown sources are dropped and counted.
 //!
-//! Two scale mechanisms ride under the same command API ([`WireNodeConfig`]):
-//!
-//! * **Batched I/O** — datagrams are received and sent through
-//!   [`BatchSocket`] (`sendmmsg`/`recvmmsg` on Linux, a portable loop
-//!   elsewhere), so a busy reflector pays ~1/32 of a syscall per datagram
-//!   instead of one.
-//! * **Socket sharding** — a node may bind several sockets; each remote
-//!   (peer or client) is pinned to the shard `remote_id % shards` on
-//!   *this* node's side, for both directions. A peer therefore always
-//!   talks to the same local socket, kernel receive buffers multiply with
-//!   the shard count, and per-shard recv loops stop serializing behind one
-//!   another. Wiring code asks the *destination* handle which address a
-//!   given source should target ([`NodeHandle::addr_for_peer`] /
-//!   [`NodeHandle::addr_for_client`]).
+//! A node binds one [`BatchSocket`]: datagrams are received and sent in
+//! batches (`sendmmsg`/`recvmmsg` on Linux, a portable loop elsewhere), so
+//! a busy reflector pays ~1/32 of a syscall per datagram instead of one.
 
-use crate::batch::{self, BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
+use crate::batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram};
 use crate::clock::WallClock;
 use crate::telemetry::SharedTelemetry;
 use bytes::Bytes;
@@ -34,16 +23,14 @@ use livenet_types::{Bandwidth, ClientId, Error, NodeId, SimDuration, SimTime, St
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::net::SocketAddr;
-use std::sync::Arc;
 use tokio::sync::mpsc;
 
 /// The UDP payload ceiling: receive buffers never need to exceed this,
 /// whatever `NodeConfig::max_datagram_bytes` says.
 const MAX_UDP_DATAGRAM: usize = 64 * 1024;
 
-/// Most shards a single node may bind. Past this the fan-in win is gone
-/// and the per-shard poll cost starts to dominate.
-const MAX_RECV_SHARDS: usize = 16;
+/// Datagrams moved per receive syscall.
+const BATCH: usize = 32;
 
 /// Flush-loop yields tolerated before the rest of a send batch is dropped
 /// (and counted as send errors). UDP send buffers drain in kernel time, so
@@ -51,44 +38,24 @@ const MAX_RECV_SHARDS: usize = 16;
 const MAX_FLUSH_RETRIES: u64 = 10_000;
 
 /// The validated configuration surface for one wire node: the sans-I/O
-/// core's [`NodeConfig`] plus the driver-level batching and sharding
-/// knobs that only exist on real sockets.
+/// core's [`NodeConfig`] plus the socket's I/O backend.
 #[derive(Debug, Clone)]
 pub struct WireNodeConfig {
     /// The protocol core's configuration (including
     /// `max_datagram_bytes`, which sizes the receive slots here).
     pub node: NodeConfig,
-    /// Max datagrams moved per batch syscall (1..=[`MAX_BATCH`]).
-    pub batch: usize,
-    /// Sockets this node binds (1..=16). Remotes are pinned to shard
-    /// `id % recv_shards` for both directions.
-    pub recv_shards: usize,
     /// I/O backend; [`BatchBackend::auto`] picks `mmsg` where available.
     pub backend: BatchBackend,
 }
 
 impl WireNodeConfig {
-    /// Driver defaults (batch 32, one shard, auto backend) around a core
-    /// config.
+    /// A core config on the platform's best backend
+    /// ([`BatchBackend::auto`]).
     pub fn new(node: NodeConfig) -> WireNodeConfig {
         WireNodeConfig {
             node,
-            batch: 32,
-            recv_shards: 1,
             backend: BatchBackend::auto(),
         }
-    }
-
-    /// Set the batch size (validated by [`WireNodeConfig::validate`]).
-    pub fn with_batch(mut self, batch: usize) -> WireNodeConfig {
-        self.batch = batch;
-        self
-    }
-
-    /// Set the shard count (validated by [`WireNodeConfig::validate`]).
-    pub fn with_recv_shards(mut self, shards: usize) -> WireNodeConfig {
-        self.recv_shards = shards;
-        self
     }
 
     /// Force an I/O backend (tests pin `Sequential` to compare paths).
@@ -97,21 +64,8 @@ impl WireNodeConfig {
         self
     }
 
-    /// Reject configurations that would bind no sockets, issue empty
-    /// batch syscalls, or truncate every datagram.
+    /// Reject a datagram cap that would truncate every RTP packet.
     pub fn validate(&self) -> livenet_types::Result<()> {
-        if self.batch == 0 || self.batch > MAX_BATCH {
-            return Err(Error::invalid_config(format!(
-                "batch must be in 1..={MAX_BATCH}, got {}",
-                self.batch
-            )));
-        }
-        if self.recv_shards == 0 || self.recv_shards > MAX_RECV_SHARDS {
-            return Err(Error::invalid_config(format!(
-                "recv_shards must be in 1..={MAX_RECV_SHARDS}, got {}",
-                self.recv_shards
-            )));
-        }
         if self.node.max_datagram_bytes < 512 {
             return Err(Error::invalid_config(format!(
                 "max_datagram_bytes must be >= 512 (one RTP packet), got {}",
@@ -143,8 +97,7 @@ pub enum NodeCommand {
     AddPeer {
         /// Peer id.
         node: NodeId,
-        /// Peer socket address — the shard of the *peer* that this node
-        /// should target, i.e. `peer_handle.addr_for_peer(my_id)`.
+        /// Peer socket address (the peer handle's `addr`).
         addr: SocketAddr,
         /// RTT hint for the delay field.
         rtt: SimDuration,
@@ -190,10 +143,8 @@ impl std::error::Error for NodeGone {}
 #[derive(Debug, Clone)]
 pub struct NodeHandle {
     tx: mpsc::Sender<NodeCommand>,
-    /// The node's primary (shard-0) socket address.
+    /// The node's socket address.
     pub addr: SocketAddr,
-    /// All shard socket addresses, in shard order.
-    pub shard_addrs: Arc<[SocketAddr]>,
     /// The node's overlay id.
     pub id: NodeId,
 }
@@ -206,23 +157,21 @@ impl NodeHandle {
         self.tx.send(cmd).await.map_err(|_| NodeGone)
     }
 
-    /// The shard address peer `from` must target when sending to this
-    /// node (and the source address this node uses toward `from`).
-    pub fn addr_for_peer(&self, from: NodeId) -> SocketAddr {
-        self.shard_addrs[(from.raw() as usize) % self.shard_addrs.len()]
+    /// The address peer `_from` sends to: the node's one socket.
+    pub fn addr_for_peer(&self, _from: NodeId) -> SocketAddr {
+        self.addr
     }
 
-    /// The shard address client `from` must target when sending to this
-    /// node (and the source address this node uses toward `from`).
-    pub fn addr_for_client(&self, from: ClientId) -> SocketAddr {
-        self.shard_addrs[(from.raw() as usize) % self.shard_addrs.len()]
+    /// The address client `_from` sends to: the node's one socket.
+    pub fn addr_for_client(&self, _from: ClientId) -> SocketAddr {
+        self.addr
     }
 }
 
 /// The tokio driver around one [`OverlayNode`].
 pub struct UdpOverlayNode {
     core: OverlayNode,
-    sockets: Vec<BatchSocket>,
+    socket: BatchSocket,
     clock: WallClock,
     peers: HashMap<NodeId, SocketAddr>,
     peer_of_addr: HashMap<SocketAddr, NodeId>,
@@ -236,11 +185,9 @@ pub struct UdpOverlayNode {
     /// Receive slot capacity (from `NodeConfig::max_datagram_bytes`,
     /// capped at [`MAX_UDP_DATAGRAM`]).
     recv_cap: usize,
-    /// Max datagrams per batch syscall.
-    batch: usize,
-    /// Per-shard outbound queues, filled by `apply` and drained by
-    /// `flush_sends` in batch syscalls.
-    out: Vec<Vec<SendDatagram>>,
+    /// The outbound queue, filled by `apply` and drained by `flush_sends`
+    /// in batch syscalls.
+    out: Vec<SendDatagram>,
     rx: mpsc::Receiver<NodeCommand>,
     /// Instrumentation events observed (bounded ring would be production
     /// behaviour; tests drain it via the returned channel).
@@ -249,10 +196,10 @@ pub struct UdpOverlayNode {
 }
 
 impl UdpOverlayNode {
-    /// Bind `config.recv_shards` sockets and spawn the node's event loop,
-    /// recording into `telemetry` — one hub can aggregate a whole overlay.
-    /// On exit the node also records its core's
-    /// [`livenet_node::NodeStats`] and cc decision totals.
+    /// Bind the node's socket and spawn its event loop, recording into
+    /// `telemetry` — one hub can aggregate a whole overlay. On exit the
+    /// node also records its core's [`livenet_node::NodeStats`] and cc
+    /// decision totals.
     ///
     /// Returns the handle, an event stream, and the join handle (which
     /// resolves to the sans-I/O core for post-mortem inspection). The
@@ -271,22 +218,15 @@ impl UdpOverlayNode {
         config
             .validate()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-        let mut sockets = Vec::with_capacity(config.recv_shards);
-        for _ in 0..config.recv_shards {
-            sockets.push(BatchSocket::bind(bind, config.backend)?);
-        }
-        let shard_addrs: Arc<[SocketAddr]> =
-            sockets.iter().map(BatchSocket::local_addr).collect();
-        let addr = shard_addrs[0];
+        let socket = BatchSocket::bind(bind, config.backend)?;
+        let addr = socket.local_addr();
         let id = config.node.id;
         let recv_cap = config.node.max_datagram_bytes.min(MAX_UDP_DATAGRAM);
-        let batch = config.batch;
         let (tx, rx) = mpsc::channel(256);
         let (events_tx, events_rx) = mpsc::unbounded_channel();
-        let out = (0..config.recv_shards).map(|_| Vec::new()).collect();
         let mut node = UdpOverlayNode {
             core: OverlayNode::new(config.node),
-            sockets,
+            socket,
             clock,
             peers: HashMap::new(),
             peer_of_addr: HashMap::new(),
@@ -295,8 +235,7 @@ impl UdpOverlayNode {
             timers: BinaryHeap::new(),
             timer_gen: HashMap::new(),
             recv_cap,
-            batch,
-            out,
+            out: Vec::new(),
             rx,
             events_tx,
             telemetry,
@@ -305,26 +244,7 @@ impl UdpOverlayNode {
             node.run().await;
             node.finish()
         });
-        Ok((
-            NodeHandle {
-                tx,
-                addr,
-                shard_addrs,
-                id,
-            },
-            events_rx,
-            join,
-        ))
-    }
-
-    /// The local socket index all traffic to/from peer `node` uses.
-    fn shard_for_peer(&self, node: NodeId) -> usize {
-        (node.raw() as usize) % self.sockets.len()
-    }
-
-    /// The local socket index all traffic to/from client `client` uses.
-    fn shard_for_client(&self, client: ClientId) -> usize {
-        (client.raw() as usize) % self.sockets.len()
+        Ok((NodeHandle { tx, addr, id }, events_rx, join))
     }
 
     async fn run(&mut self) {
@@ -333,8 +253,7 @@ impl UdpOverlayNode {
         // One extra byte past the cap per slot: a slot filled to `cap + 1`
         // proves the datagram was larger than the cap and got truncated by
         // the kernel, which an exact-cap read could not distinguish.
-        let mut batch = RecvBatch::new(self.batch, self.recv_cap);
-        let mut next_shard = 0usize;
+        let mut batch = RecvBatch::new(BATCH, self.recv_cap);
         loop {
             let next_timer = self.timers.peek().map(|Reverse((t, _, _))| *t);
             let sleep_until = next_timer
@@ -350,12 +269,8 @@ impl UdpOverlayNode {
                         Some(cmd) => self.handle_command(cmd).await,
                     }
                 }
-                recv = batch::recv_any(&self.sockets, next_shard, &mut batch) => {
-                    if let Ok((shard, _count)) = recv {
-                        // Round-robin fairness: resume the scan after the
-                        // shard that just produced, so a firehose shard
-                        // cannot starve its siblings.
-                        next_shard = (shard + 1) % self.sockets.len();
+                recv = self.socket.recv_batch(&mut batch) => {
+                    if recv.is_ok() {
                         self.dispatch_batch(&batch).await;
                     }
                 }
@@ -511,20 +426,12 @@ impl UdpOverlayNode {
         for action in actions {
             match action {
                 NodeAction::Send { to, msg } => {
-                    let route = match to {
-                        Subscriber::Node(n) => self
-                            .peers
-                            .get(&n)
-                            .copied()
-                            .map(|addr| (self.shard_for_peer(n), addr)),
-                        Subscriber::Client(c) => self
-                            .clients
-                            .get(&c)
-                            .copied()
-                            .map(|addr| (self.shard_for_client(c), addr)),
+                    let dest = match to {
+                        Subscriber::Node(n) => self.peers.get(&n),
+                        Subscriber::Client(c) => self.clients.get(&c),
                     };
-                    if let Some((shard, addr)) = route {
-                        self.out[shard].push(SendDatagram {
+                    if let Some(&addr) = dest {
+                        self.out.push(SendDatagram {
                             to: addr,
                             payload: msg.encode(),
                         });
@@ -545,10 +452,10 @@ impl UdpOverlayNode {
         }
     }
 
-    /// Drain every shard's outbound queue in batch syscalls. Best-effort,
-    /// like the fast path demands: a wedged socket drops the remainder
-    /// (counted), a failing head datagram is dropped (counted) and the
-    /// rest of the batch proceeds.
+    /// Drain the outbound queue in batch syscalls. Best-effort, like the
+    /// fast path demands: a wedged socket drops the remainder (counted), a
+    /// failing head datagram is dropped (counted) and the rest of the
+    /// batch proceeds.
     async fn flush_sends(&mut self) {
         let mut tx_datagrams = 0u64;
         let mut tx_bytes = 0u64;
@@ -556,40 +463,38 @@ impl UdpOverlayNode {
         let mut syscalls = 0u64;
         let mut retries = 0u64;
         let mut fills: Vec<u64> = Vec::new();
-        for shard in 0..self.out.len() {
-            let mut sent = 0usize;
-            let mut budget = MAX_FLUSH_RETRIES;
-            while sent < self.out[shard].len() {
-                match self.sockets[shard].try_send_batch(&self.out[shard][sent..]) {
-                    Ok(0) => {
-                        retries += 1;
-                        budget -= 1;
-                        if budget == 0 {
-                            send_errors += (self.out[shard].len() - sent) as u64;
-                            break;
-                        }
-                        // The send buffer is full; let the receivers (and
-                        // the kernel) drain it before retrying.
-                        tokio::runtime::yield_now().await;
+        let mut sent = 0usize;
+        let mut budget = MAX_FLUSH_RETRIES;
+        while sent < self.out.len() {
+            match self.socket.try_send_batch(&self.out[sent..]) {
+                Ok(0) => {
+                    retries += 1;
+                    budget -= 1;
+                    if budget == 0 {
+                        send_errors += (self.out.len() - sent) as u64;
+                        break;
                     }
-                    Ok(n) => {
-                        syscalls += 1;
-                        fills.push(n as u64);
-                        for m in &self.out[shard][sent..sent + n] {
-                            tx_bytes += m.payload.len() as u64;
-                        }
-                        tx_datagrams += n as u64;
-                        sent += n;
+                    // The send buffer is full; let the receivers (and the
+                    // kernel) drain it before retrying.
+                    tokio::runtime::yield_now().await;
+                }
+                Ok(n) => {
+                    syscalls += 1;
+                    fills.push(n as u64);
+                    for m in &self.out[sent..sent + n] {
+                        tx_bytes += m.payload.len() as u64;
                     }
-                    Err(_) => {
-                        // Head datagram is unsendable: drop it, move on.
-                        send_errors += 1;
-                        sent += 1;
-                    }
+                    tx_datagrams += n as u64;
+                    sent += n;
+                }
+                Err(_) => {
+                    // Head datagram is unsendable: drop it, move on.
+                    send_errors += 1;
+                    sent += 1;
                 }
             }
-            self.out[shard].clear();
         }
+        self.out.clear();
         if tx_datagrams > 0 || send_errors > 0 {
             self.telemetry.with(|h| {
                 h.add(ids::TRANSPORT_TX_DATAGRAMS, tx_datagrams);

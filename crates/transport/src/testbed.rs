@@ -23,8 +23,7 @@
 //! same quantities as the emulator's client model (startup delay, E2E
 //! delay via the RTP delay field, delivery completeness) on real sockets.
 
-use crate::batch::{self, BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
-use crate::brain::BrainHandle;
+use crate::batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
 use crate::clock::WallClock;
 use crate::node::{NodeCommand, NodeHandle, UdpOverlayNode, WireNodeConfig};
 use crate::telemetry::SharedTelemetry;
@@ -42,16 +41,20 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Most overlay nodes one loopback harness will spawn. Each node binds
-/// 1..=16 sockets and runs its own event loop on the single-threaded
+/// one socket and runs its own event loop on the single-threaded
 /// executor; past a few hundred the harness stops resembling a testbed.
 pub const MAX_TESTBED_NODES: usize = 256;
 
 /// Most concurrent viewers one harness run will drive.
 pub const MAX_TESTBED_VIEWERS: usize = 1024;
 
-/// Wired-degree threshold above which a node is considered a busy core
-/// (hub/reflector) and gets `hub_shards` receive sockets instead of one.
-const SHARD_DEGREE: usize = 6;
+/// Broadcaster uplink pacing rate: I-frame bursts are smoothed at this
+/// rate, so a source bitrate above it would back the pacer up unboundedly.
+const UPLINK: Bandwidth = Bandwidth::from_mbps(8);
+
+/// Per-datagram payload cap on every node (`NodeConfig::max_datagram_bytes`,
+/// one value so the whole overlay agrees).
+const MAX_DATAGRAM_BYTES: usize = 1400;
 
 /// One real-socket viewer in the harness.
 #[derive(Debug, Clone)]
@@ -90,9 +93,8 @@ impl WireViewer {
     }
 }
 
-/// Harness configuration: topology, media source, viewers, run length,
-/// and the wire-datapath knobs (datagram cap, batch size, shard count)
-/// folded into one validated surface.
+/// Harness configuration: topology, media source, viewers and run length,
+/// one validated surface.
 ///
 /// Start from [`TestbedConfig::new`], [`TestbedConfig::diamond`] or
 /// [`TestbedConfig::geo_fleet`] and set fields directly; [`run`] calls
@@ -116,9 +118,6 @@ pub struct TestbedConfig {
     pub bitrate: Bandwidth,
     /// Wall-clock broadcast length.
     pub broadcast: Duration,
-    /// Broadcaster uplink pacing rate (should exceed `bitrate`; I-frame
-    /// bursts are smoothed at this rate).
-    pub uplink: Bandwidth,
     /// Viewer receiver-report cadence.
     pub rr_interval: Duration,
     /// Extra wall-clock time viewers keep draining after the broadcast.
@@ -126,16 +125,6 @@ pub struct TestbedConfig {
     /// Settle time between wiring/attach and the first frame, letting
     /// reverse-path subscriptions establish.
     pub settle: Duration,
-    /// Per-datagram payload cap on every node (`NodeConfig`'s knob,
-    /// surfaced here so the whole overlay agrees).
-    pub max_datagram_bytes: usize,
-    /// Max datagrams per batch syscall on every node.
-    pub batch: usize,
-    /// Receive-socket shards for busy cores (wired degree >
-    /// `SHARD_DEGREE`, or the producer). Leaf nodes always bind one.
-    pub hub_shards: usize,
-    /// Batched-I/O backend for every node socket.
-    pub backend: BatchBackend,
 }
 
 impl TestbedConfig {
@@ -198,27 +187,14 @@ impl TestbedConfig {
         if self.rr_interval.is_zero() {
             return Err(Error::invalid_config("rr_interval must be > 0"));
         }
-        if self.uplink < self.bitrate {
+        if self.bitrate > UPLINK {
             return Err(Error::invalid_config(format!(
-                "uplink {} below source bitrate {} — the pacer would back up \
-                 unboundedly",
-                self.uplink, self.bitrate
+                "source bitrate {} above the {UPLINK} uplink — the pacer would \
+                 back up unboundedly",
+                self.bitrate
             )));
         }
-        // The per-node driver knobs share WireNodeConfig's rules; validate
-        // at the busy-core shard count, the largest this config will bind.
-        self.wire_node_config(NodeId::new(1), self.hub_shards).validate()
-    }
-
-    /// The per-node driver config this testbed spawns (`shards` chosen
-    /// per node by wired degree).
-    fn wire_node_config(&self, id: NodeId, shards: usize) -> WireNodeConfig {
-        let mut node = NodeConfig::new(id);
-        node.max_datagram_bytes = self.max_datagram_bytes;
-        WireNodeConfig::new(node)
-            .with_batch(self.batch)
-            .with_recv_shards(shards)
-            .with_backend(self.backend)
+        Ok(())
     }
 
     /// Country of node index `i` (0 when `countries` is unset).
@@ -238,14 +214,9 @@ impl TestbedConfig {
             viewers: vec![WireViewer::at(0)],
             bitrate: Bandwidth::from_mbps(1),
             broadcast: Duration::from_secs(3),
-            uplink: Bandwidth::from_mbps(8),
             rr_interval: Duration::from_millis(400),
             drain: Duration::from_millis(900),
             settle: Duration::from_millis(150),
-            max_datagram_bytes: 1400,
-            batch: 32,
-            hub_shards: 1,
-            backend: BatchBackend::auto(),
         }
     }
 
@@ -413,12 +384,10 @@ impl TestbedConfig {
             producer: hubs[0],
             viewers,
             bitrate: Bandwidth::from_kbps(400),
-            uplink: Bandwidth::from_mbps(8),
             broadcast,
             drain: Duration::from_millis(1500),
             settle: Duration::from_millis(400),
             rr_interval: Duration::from_millis(500),
-            hub_shards: 4,
             ..TestbedConfig::new(stream)
         })
     }
@@ -540,19 +509,18 @@ fn local() -> SocketAddr {
 /// Everything one viewer task needs to join, watch, and report.
 struct ViewerPlan {
     client: ClientId,
-    node_idx: usize,
     node: NodeHandle,
-    producer_idx: usize,
     stream: StreamId,
     downlink: Option<Bandwidth>,
+    /// The Brain's producer-first path to the consumer (`None` at the
+    /// producer itself).
+    path: Option<Vec<NodeId>>,
     lossy_rr: Option<(Duration, f64)>,
     rr_interval: Duration,
     /// Wall-clock delay before attaching (zero = attach immediately; the
     /// harness then settles before media flows).
     attach_delay: Duration,
     deadline: tokio::time::Instant,
-    brain: BrainHandle,
-    consumer_id: NodeId,
     clock: WallClock,
     telemetry: SharedTelemetry,
 }
@@ -587,43 +555,28 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
         topo.upsert_duplex(ids_v[a], ids_v[b], LinkMetrics::healthy(rtt, Bandwidth::from_gbps(10)))
             .expect("edge endpoints were upserted above");
     }
-    let brain = BrainHandle::new(StreamingBrain::new(topo, BrainConfig::default()));
+    let mut brain = StreamingBrain::new(topo, BrainConfig::default());
     brain.register_stream(cfg.stream, ids_v[cfg.producer]);
 
-    // Overlay nodes, all recording into one hub. Busy cores (hubs,
-    // reflectors, the producer) shard their receive sockets.
-    let mut degree = vec![0usize; cfg.nodes];
-    for &(a, b, _) in &cfg.edges {
-        degree[a] += 1;
-        degree[b] += 1;
-    }
+    // Overlay nodes, all recording into one hub.
     let mut handles: Vec<NodeHandle> = Vec::new();
     let mut joins = Vec::new();
-    for (i, &id) in ids_v.iter().enumerate() {
-        let shards = if degree[i] > SHARD_DEGREE || i == cfg.producer {
-            cfg.hub_shards
-        } else {
-            1
-        };
-        let (h, _events, join) = UdpOverlayNode::spawn_wire(
-            cfg.wire_node_config(id, shards),
-            local(),
-            clock,
-            telemetry.clone(),
-        )
-        .await
-        .expect("bind overlay node");
+    for &id in &ids_v {
+        let mut node = NodeConfig::new(id);
+        node.max_datagram_bytes = MAX_DATAGRAM_BYTES;
+        let (h, _events, join) =
+            UdpOverlayNode::spawn_wire(WireNodeConfig::new(node), local(), clock, telemetry.clone())
+                .await
+                .expect("bind overlay node");
         handles.push(h);
         joins.push(join);
     }
     for &(a, b, rtt) in &cfg.edges {
         for (x, y) in [(a, b), (b, a)] {
-            // Pair-wise shard pinning: x sends to (and hears from) the
-            // shard of y that y assigned to x's id.
             handles[x]
                 .send(NodeCommand::AddPeer {
                     node: handles[y].id,
-                    addr: handles[y].addr_for_peer(handles[x].id),
+                    addr: handles[y].addr,
                     rtt,
                 })
                 .await
@@ -640,7 +593,8 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
 
     // Viewers: each runs its whole session (delayed attach included) as
     // one task, so arrivals stagger like the workload says while the
-    // broadcaster keeps pacing.
+    // broadcaster keeps pacing. Nothing moves the Brain during a run, so
+    // each viewer's path is asked for here, when the viewer is planned.
     let run_deadline = tokio::time::Instant::now()
         + cfg.settle
         + cfg.broadcast
@@ -649,13 +603,18 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     let mut viewer_meta: Vec<(ClientId, usize)> = Vec::new();
     for (vi, spec) in cfg.viewers.iter().enumerate() {
         let client = ClientId::new(vi as u64 + 1);
+        let path = (spec.node != cfg.producer).then(|| {
+            let assign = brain
+                .path_request(cfg.stream, ids_v[spec.node], clock.now())
+                .expect("brain finds a path in the configured topology");
+            assign.paths[0].nodes.clone()
+        });
         let plan = ViewerPlan {
             client,
-            node_idx: spec.node,
             node: handles[spec.node].clone(),
-            producer_idx: cfg.producer,
             stream: cfg.stream,
             downlink: spec.downlink,
+            path,
             lossy_rr: spec.lossy_rr,
             rr_interval: cfg.rr_interval,
             attach_delay: if spec.join_after.is_zero() {
@@ -664,8 +623,6 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
                 cfg.settle + spec.join_after
             },
             deadline: run_deadline,
-            brain: brain.clone(),
-            consumer_id: ids_v[spec.node],
             clock,
             telemetry: telemetry.clone(),
         };
@@ -768,7 +725,7 @@ async fn broadcast(
     // The default GoP, as the emulator counterpart of `exp wire` streams.
     let gop = GopConfig::default();
     let mut encoder = VideoEncoder::new(cfg.stream, gop, cfg.bitrate, clock.now());
-    let mut pacer: Pacer<(EncodedFrame, Bytes)> = Pacer::new(PacerConfig::default(), cfg.uplink);
+    let mut pacer: Pacer<(EncodedFrame, Bytes)> = Pacer::new(PacerConfig::default(), UPLINK);
     let interval = Duration::from_nanos(gop.frame_interval().as_nanos());
     let total = (cfg.broadcast.as_nanos() / interval.as_nanos()).max(1) as u64;
     let mut ingest_times = Vec::with_capacity(total as usize);
@@ -810,41 +767,29 @@ async fn drain_pacer(
     }
 }
 
-/// One viewer's whole session: wait out the staggered join, bind, fetch a
-/// brain path, attach, then read RTP off the socket in batches, reassemble
-/// frames, and feed RTCP receiver reports and keepalives back to the
-/// consumer. RX goes through the same [`BatchSocket`] path the node driver
-/// uses, so a burst of paced RTP costs one syscall, not one per datagram,
-/// and the fill shows up in the run's telemetry snapshot.
+/// One viewer's whole session: wait out the staggered join, bind, attach
+/// along its planned path, then read RTP off the socket in batches,
+/// reassemble frames, and feed RTCP receiver reports and keepalives back
+/// to the consumer. RX goes through the same [`BatchSocket`] path the node
+/// driver uses, so a burst of paced RTP costs one syscall, not one per
+/// datagram, and the fill shows up in the run's telemetry snapshot.
 async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
     if !plan.attach_delay.is_zero() {
         tokio::time::sleep(plan.attach_delay).await;
     }
-    let socks =
-        [BatchSocket::bind(local(), BatchBackend::auto()).expect("bind viewer socket")];
-    let addr = socks[0].local_addr();
-    let path = if plan.node_idx == plan.producer_idx {
-        None
-    } else {
-        let assign = plan
-            .brain
-            .path_request(plan.stream, plan.consumer_id, plan.clock.now())
-            .expect("brain finds a path in the configured topology");
-        Some(assign.paths[0].nodes.clone())
-    };
+    let sock = BatchSocket::bind(local(), BatchBackend::auto()).expect("bind viewer socket");
     let attach_at = plan.clock.now();
     plan.node
         .send(NodeCommand::ClientAttach {
             client: plan.client,
             stream: plan.stream,
             downlink: plan.downlink,
-            path,
-            addr,
+            path: plan.path,
+            addr: sock.local_addr(),
         })
         .await
         .expect("consumer alive");
-    // The consumer talks to this client on its pinned shard.
-    let node_addr = plan.node.addr_for_client(plan.client);
+    let node_addr = plan.node.addr;
 
     let started = tokio::time::Instant::now();
     let mut depack = Depacketizer::new();
@@ -879,14 +824,12 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
         if now_i >= plan.deadline {
             break;
         }
-        // [`batch::recv_any`] is poll-driven (it registers no waker), so
-        // under `timeout` the socket is probed when the slice expires: a
-        // short slice bounds the added receive latency while a paced burst
-        // still drains in one batched syscall.
+        // [`BatchSocket::recv_batch`] is poll-driven (it registers no
+        // waker), so under `timeout` the socket is probed when the slice
+        // expires: a short slice bounds the added receive latency while a
+        // paced burst still drains in one batched syscall.
         let slice = Duration::from_millis(5).min(plan.deadline - now_i);
-        if let Ok(Ok((_idx, _count))) =
-            tokio::time::timeout(slice, batch::recv_any(&socks, 0, &mut batch)).await
-        {
+        if let Ok(Ok(_count)) = tokio::time::timeout(slice, sock.recv_batch(&mut batch)).await {
             plan.telemetry.with(|h| {
                 h.incr(ids::TRANSPORT_BATCH_RX_SYSCALLS);
                 h.observe(ids::TRANSPORT_BATCH_RX_FILL, batch.len() as f64);
@@ -953,7 +896,7 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
                     stream: plan.stream,
                     packet: rr.encode(),
                 };
-                let _ = socks[0].try_send_batch(&[SendDatagram {
+                let _ = sock.try_send_batch(&[SendDatagram {
                     to: node_addr,
                     payload: msg.encode(),
                 }]);
@@ -963,7 +906,7 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
                 window_first_seq = None;
             }
         } else if last_keepalive.elapsed() >= plan.rr_interval / 2 {
-            let _ = socks[0].try_send_batch(&[SendDatagram {
+            let _ = sock.try_send_batch(&[SendDatagram {
                 to: node_addr,
                 payload: OverlayMsg::Keepalive.encode(),
             }]);

@@ -4,7 +4,9 @@
 //! simulation engines. It only defines:
 //!
 //! * strongly-typed identifiers ([`NodeId`], [`StreamId`], [`ClientId`], ...),
-//! * a nanosecond-precision simulated clock ([`SimTime`], [`SimDuration`]),
+//! * a nanosecond-precision simulated clock ([`SimTime`], [`SimDuration`])
+//!   and the event calendar every virtual-time engine runs on
+//!   ([`EventQueue`]),
 //! * bandwidth / bitrate arithmetic ([`Bandwidth`]),
 //! * statistics helpers used by the evaluation harness ([`stats`]),
 //! * deterministic RNG plumbing ([`rng`]).
@@ -19,6 +21,7 @@
 
 pub mod error;
 pub mod id;
+mod queue;
 pub mod rate;
 pub mod rng;
 pub mod stats;
@@ -26,6 +29,7 @@ pub mod time;
 
 pub use error::{Error, Result};
 pub use id::{ClientId, LinkId, NodeId, PathId, SeqNo, Ssrc, StreamId};
+pub use queue::EventQueue;
 pub use rate::Bandwidth;
 pub use rng::{DetRng, ZipfTable};
 pub use stats::{welch_t, Ecdf, OnlineStats, Quantiles};
