@@ -297,14 +297,16 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.meta("worst_delivery", format!("{:.4}", wire.worst_delivery()));
     out.meta("frames_broadcast", wire.frames_broadcast.to_string());
     // What the nodes dropped: datagrams from a source unknown at that
-    // address and datagrams that overflowed a receive slot (both gated at
-    // zero below), and datagrams a socket refused (reported only).
+    // address, datagrams that overflowed a receive slot and datagrams a
+    // socket refused (all gated at zero below). Stale timer fires are
+    // reported only: a rate increase can rightly supersede an armed poll.
     let unknown = wire.telemetry.counter("transport.unknown_source_drops");
     let truncated = wire.telemetry.counter("transport.recv_truncated");
     let send_errors = wire.telemetry.counter("transport.send_errors");
     out.meta("transport.unknown_source_drops", unknown.to_string());
     out.meta("transport.recv_truncated", truncated.to_string());
     out.meta("transport.send_errors", send_errors.to_string());
+    out.meta("node.stale_timers", wire.telemetry.counter("node.stale_timers").to_string());
 
     let worst = wire.worst_delivery();
     assert!(worst >= 0.99, "delivery below 99%: {worst:.3}");
@@ -327,4 +329,5 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     );
     assert_eq!(unknown, 0, "datagrams from a source no node knows at that address");
     assert_eq!(truncated, 0, "datagrams truncated by a node's receive slot");
+    assert_eq!(send_errors, 0, "datagrams a node's socket refused");
 }

@@ -6,14 +6,10 @@
 //! propagation delay, serialization at a finite bandwidth, a finite queue
 //! (drop-tail) and random loss (Bernoulli or Gilbert–Elliott).
 //!
-//! Two layers are exposed:
-//!
-//! * [`EventQueue`] — a bare event calendar (time-ordered, FIFO-stable;
-//!   re-exported from `livenet-types`, where the replicated Brain's
-//!   cluster also finds it), reused by the fleet-level simulator in
-//!   `livenet-sim`;
-//! * [`NetSim`] — the network emulator proper, which owns a set of [`Host`]
-//!   state machines and delivers datagrams and timers to them.
+//! [`NetSim`] owns a set of [`Host`] state machines and delivers datagrams
+//! and timers to them. Its calendar is [`livenet_types::EventQueue`], the
+//! repo's one event calendar: the fleet simulator, the replicated Brain's
+//! cluster and the wire driver's timers run on it too.
 //!
 //! Hosts are sans-I/O: they receive `(now, event)` and emit [`Action`]s; the
 //! engine performs the actions. This is exactly the structure the tokio
@@ -28,5 +24,4 @@ pub mod sim;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::{LinkConfig, LinkStats, LossModel};
-pub use livenet_types::EventQueue;
 pub use sim::{Action, Ctx, Datagram, Host, NetSim, TimerKey};

@@ -1,8 +1,8 @@
 //! Property-based tests for the discrete-event emulator.
 
 use bytes::Bytes;
-use livenet_emu::{Ctx, EventQueue, Host, LinkConfig, LossModel, NetSim};
-use livenet_types::{Bandwidth, NodeId, SimDuration, SimTime};
+use livenet_emu::{Ctx, Host, LinkConfig, LossModel, NetSim};
+use livenet_types::{Bandwidth, EventQueue, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Collects everything it receives with timestamps.

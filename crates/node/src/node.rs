@@ -322,6 +322,8 @@ pub struct NodeStats {
     /// Datagrams dropped because their envelope, or the RTP or RTCP
     /// packet inside it, did not decode.
     pub malformed: u64,
+    /// Timer fires that found nothing due (see [`OverlayNode::on_timer`]).
+    pub stale_timers: u64,
 }
 
 impl NodeStats {
@@ -346,6 +348,7 @@ impl NodeStats {
         sink.add(ids::NODE_LOCAL_HITS, self.local_hits);
         sink.add(ids::NODE_FAILOVERS, self.upstream_failovers);
         sink.add(ids::NODE_MALFORMED, self.malformed);
+        sink.add(ids::NODE_STALE_TIMERS, self.stale_timers);
     }
 }
 
@@ -977,7 +980,11 @@ impl OverlayNode {
     // Timers
     // ------------------------------------------------------------------
 
-    /// Handle a timer expiry for `key` (a packed [`TimerKind`]).
+    /// Handle a timer expiry for `key` (a packed [`TimerKind`]). Drivers
+    /// arm a timer and forget it: a pacer poll runs only when its peer's
+    /// armed deadline has come, and any other fire — superseded by an
+    /// earlier re-arm, outliving its subscriber, or a key that does not
+    /// decode — is stale, counted and answered with no action.
     pub fn on_timer(&mut self, now: SimTime, key: u64) -> Vec<NodeAction> {
         let mut actions = Vec::new();
         let rearm = |kind: TimerKind, after: SimDuration| NodeAction::SetTimer {
@@ -995,17 +1002,18 @@ impl OverlayNode {
                 self.rr_tick(&mut actions);
                 actions.push(rearm(TimerKind::RrTick, RR_INTERVAL));
             }
-            Some(TimerKind::PacerPoll(to)) => {
-                if let Some(peer) = self.peers.get_mut(&to) {
+            Some(TimerKind::PacerPoll(to)) => match self.peers.get_mut(&to) {
+                Some(peer) if peer.armed.is_some_and(|t| t <= now) => {
                     peer.armed = None;
                     self.stats.forwarded += peer.flush(now, to, &mut actions);
                 }
-            }
+                _ => self.stats.stale_timers += 1,
+            },
             Some(TimerKind::Liveness) => {
                 self.liveness_check(now, &mut actions);
                 actions.push(rearm(TimerKind::Liveness, LIVENESS_INTERVAL));
             }
-            None => {}
+            None => self.stats.stale_timers += 1,
         }
         actions
     }

@@ -31,6 +31,7 @@ pub(crate) struct Peer {
     pub(crate) gcc: GccSender,
     /// Expiry of the pacer-poll timer currently armed (cleared when it
     /// fires), so a second timer is set only when it would fire earlier.
+    /// A poll fired before it, or while nothing is armed, is stale.
     pub(crate) armed: Option<SimTime>,
 }
 

@@ -3,14 +3,15 @@
 //! deterministic loss injection.
 
 use bytes::Bytes;
-use livenet_emu::EventQueue;
 use livenet_media::{FrameKind, GopConfig, VideoEncoder};
 use livenet_node::{
     NodeAction, NodeConfig, NodeEvent, OverlayMsg, OverlayNode, Subscriber, TimerKind,
 };
 use livenet_packet::rtp::ssrc_for_stream;
 use livenet_packet::{MediaKind, Nack, Packetizer, RtcpPacket, RtxMiss};
-use livenet_types::{Bandwidth, ClientId, NodeId, SeqNo, SimDuration, SimTime, StreamId};
+use livenet_types::{
+    Bandwidth, ClientId, EventQueue, NodeId, SeqNo, SimDuration, SimTime, StreamId,
+};
 use std::collections::{BTreeMap, HashMap};
 
 /// Events flowing in the harness calendar.
@@ -1093,4 +1094,45 @@ fn nacks_sent_counts_seqs_and_nack_batches_counts_messages() {
     );
     assert_eq!(node.stats.nacks_sent, 4, "per-seq counter");
     assert_eq!(node.stats.nack_batches, 1, "per-message counter");
+}
+
+/// The pacer-poll deadlines among `actions` for `key`.
+fn polls_armed(actions: &[NodeAction], key: u64) -> Vec<SimTime> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            NodeAction::SetTimer { at, key: k } if *k == key => Some(*at),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_pacer_poll_fired_twice_is_stale_the_second_time() {
+    // Drivers arm a timer and forget it, so the core decides whether a
+    // fire is still due. A slow client backlogs one frame: its armed poll
+    // flushes and re-arms once; the same deadline fired again finds
+    // nothing due and must not start a second poll chain.
+    let mut node = OverlayNode::new(NodeConfig::new(NodeId::new(1)));
+    node.register_producer(STREAM, None);
+    let client = ClientId::new(9);
+    let mut actions = Vec::new();
+    let slow = Some(Bandwidth::from_kbps(200));
+    node.client_attach(SimTime::ZERO, client, STREAM, slow, None, &mut actions);
+    let mut encoder =
+        VideoEncoder::new(STREAM, GopConfig::default(), Bandwidth::from_mbps(2), SimTime::ZERO);
+    let frame = encoder.next_frame();
+    let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
+    let poll = TimerKind::PacerPoll(Subscriber::Client(client)).encode();
+    let armed = polls_armed(&node.ingest_frame(SimTime::ZERO, &frame, &payload), poll);
+    assert_eq!(armed.len(), 1, "one poll armed for the backlog");
+
+    let due = armed[0];
+    assert_eq!(polls_armed(&node.on_timer(due, poll), poll).len(), 1, "the due poll re-arms once");
+    assert!(node.on_timer(due, poll).is_empty(), "a second fire at the same deadline acts");
+    assert_eq!(node.stats.stale_timers, 1);
+
+    // A key that does not decode is stale too.
+    assert!(node.on_timer(due, u64::MAX).is_empty());
+    assert_eq!(node.stats.stale_timers, 2);
 }

@@ -35,12 +35,11 @@ use crate::workload::{SessionSpec, Workload};
 use faults::{resolve_faults, ResolvedFault};
 use hier::HierPlane;
 use livenet::LiveNetPlane;
-use livenet_emu::EventQueue;
 use livenet_hier::{cdn_path_delay, HierRoles};
 use livenet_replication::BrainOp;
 use livenet_telemetry::{ids, MetricSink, Snapshot, TelemetryHub};
 use livenet_topology::{GeoTopology, NodeReport, Topology, BASE_LOSS};
-use livenet_types::{DetRng, NodeId, SimDuration, SimTime, StreamId};
+use livenet_types::{DetRng, EventQueue, NodeId, SimDuration, SimTime, StreamId};
 use rollup::Rollup;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashSet};

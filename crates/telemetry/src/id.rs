@@ -106,6 +106,9 @@ pub mod ids {
     pub const NODE_FAILOVERS: MetricId = MetricId("node.upstream_failovers");
     /// Datagrams dropped because their envelope, RTP or RTCP did not decode.
     pub const NODE_MALFORMED: MetricId = MetricId("node.malformed");
+    /// Timer fires that found nothing due: a superseded pacer poll, one
+    /// that outlived its subscriber, or a key that does not decode.
+    pub const NODE_STALE_TIMERS: MetricId = MetricId("node.stale_timers");
 
     // ---- brain: centralized path decisions (Path Decision log analogue) ----
 
@@ -210,8 +213,6 @@ pub mod ids {
     /// Datagrams dropped because they exceeded the configured receive
     /// buffer (`NodeConfig::max_datagram_bytes`) and were truncated.
     pub const TRANSPORT_RECV_TRUNCATED: MetricId = MetricId("transport.recv_truncated");
-    /// Stale timer keys skipped because their generation was cancelled.
-    pub const TRANSPORT_TIMERS_CANCELLED: MetricId = MetricId("transport.timers_cancelled");
     /// Socket send errors (best-effort datapath; counted, not retried).
     pub const TRANSPORT_SEND_ERRORS: MetricId = MetricId("transport.send_errors");
     /// Wall-clock time spent dispatching one received datagram through

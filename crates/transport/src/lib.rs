@@ -7,7 +7,9 @@
 //!
 //! [`UdpOverlayNode`] owns one socket and one [`OverlayNode`]; incoming
 //! datagrams and due timers are fed to the core, and the core's actions
-//! (sends, new timers) are executed. Wall-clock time is mapped onto
+//! (sends, new timers) are executed. Timers wait on the emulator's own
+//! calendar, [`livenet_types::EventQueue`], and are never cancelled: the
+//! core drops a fire that is no longer due. Wall-clock time is mapped onto
 //! [`SimTime`] relative to a per-process epoch, so the protocol core never
 //! notices it left the simulator.
 //!

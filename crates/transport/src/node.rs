@@ -1,12 +1,14 @@
 //! A UDP overlay node: the sans-I/O core + a tokio event loop.
 //!
 //! The driver owns everything the core deliberately does not: the socket,
-//! the address books (peer ⇄ addr, client ⇄ addr), the timer wheel, and
-//! the command channel. Datagrams are routed into the core by source
+//! the address books (peer ⇄ addr, client ⇄ addr), the timer calendar
+//! and the command channel. Datagrams are routed into the core by source
 //! address — peer addresses through [`OverlayNode::on_datagram`], attached
 //! client addresses through [`OverlayNode::on_client_datagram`] (so client
 //! RTCP feedback drives cc and loss recovery on the wire exactly as in the
-//! emulator), and unknown sources are dropped and counted.
+//! emulator), and unknown sources are dropped and counted. A timer is
+//! armed and forgotten, as in the emulator: whether a fire is still due
+//! is the core's call ([`OverlayNode::on_timer`]).
 //!
 //! A node binds one [`BatchSocket`]: datagrams are received and sent in
 //! batches (`sendmmsg`/`recvmmsg` on Linux, a portable loop elsewhere), so
@@ -17,11 +19,12 @@ use crate::clock::WallClock;
 use crate::telemetry::SharedTelemetry;
 use bytes::Bytes;
 use livenet_media::{EncodedFrame, SimulcastLadder};
-use livenet_node::{NodeAction, NodeConfig, NodeEvent, OverlayNode, Subscriber, TimerKind};
+use livenet_node::{NodeAction, NodeConfig, NodeEvent, OverlayNode, Subscriber};
 use livenet_telemetry::{ids, MetricSink, Span};
-use livenet_types::{Bandwidth, ClientId, Error, NodeId, SimDuration, SimTime, StreamId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use livenet_types::{
+    Bandwidth, ClientId, Error, EventQueue, NodeId, SimDuration, SimTime, StreamId,
+};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use tokio::sync::mpsc;
 
@@ -177,11 +180,8 @@ pub struct UdpOverlayNode {
     peer_of_addr: HashMap<SocketAddr, NodeId>,
     clients: HashMap<ClientId, SocketAddr>,
     client_of_addr: HashMap<SocketAddr, ClientId>,
-    /// Pending timers as `(deadline, key, generation)`. A popped entry
-    /// whose generation no longer matches `timer_gen[key]` was cancelled
-    /// and is skipped instead of fired.
-    timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    timer_gen: HashMap<u64, u64>,
+    /// Armed timer keys by deadline.
+    timers: EventQueue<u64>,
     /// Receive slot capacity (from `NodeConfig::max_datagram_bytes`,
     /// capped at [`MAX_UDP_DATAGRAM`]).
     recv_cap: usize,
@@ -232,8 +232,7 @@ impl UdpOverlayNode {
             peer_of_addr: HashMap::new(),
             clients: HashMap::new(),
             client_of_addr: HashMap::new(),
-            timers: BinaryHeap::new(),
-            timer_gen: HashMap::new(),
+            timers: EventQueue::new(),
             recv_cap,
             out: Vec::new(),
             rx,
@@ -255,8 +254,9 @@ impl UdpOverlayNode {
         // the kernel, which an exact-cap read could not distinguish.
         let mut batch = RecvBatch::new(BATCH, self.recv_cap);
         loop {
-            let next_timer = self.timers.peek().map(|Reverse((t, _, _))| *t);
-            let sleep_until = next_timer
+            let sleep_until = self
+                .timers
+                .peek_time()
                 .map(|t| self.clock.instant_at(t))
                 .unwrap_or_else(|| {
                     self.clock.instant_at(self.clock.now() + SimDuration::from_secs(3600))
@@ -330,33 +330,17 @@ impl UdpOverlayNode {
 
     async fn fire_due_timers(&mut self) {
         // Pop-one / fire / re-read the clock: `apply` can itself arm a
-        // timer for an instant earlier than the next heap entry (a pacer
-        // re-poll, say), and re-evaluating `now` and the heap head after
-        // every apply fires it in this same pass instead of letting it
-        // wait out a full sleep cycle.
+        // timer for an instant earlier than the next queued one (a pacer
+        // re-poll, say), and re-reading `now` after every apply fires it
+        // in this same pass instead of letting it wait out a full sleep.
         loop {
             let now = self.clock.now();
-            let Some(&Reverse((t, key, gen))) = self.timers.peek() else {
+            let Some((_, key)) = self.timers.pop_until(now) else {
                 break;
             };
-            if t > now {
-                break;
-            }
-            self.timers.pop();
-            if self.timer_gen.get(&key).copied().unwrap_or(0) != gen {
-                self.telemetry
-                    .with(|h| h.incr(ids::TRANSPORT_TIMERS_CANCELLED));
-                continue;
-            }
             let actions = self.core.on_timer(now, key);
             self.apply(actions).await;
         }
-    }
-
-    /// Invalidate every pending heap entry for `key` by bumping its
-    /// generation; entries already in the heap are skipped when popped.
-    fn cancel_timer(&mut self, key: u64) {
-        *self.timer_gen.entry(key).or_insert(0) += 1;
     }
 
     async fn handle_command(&mut self, cmd: NodeCommand) {
@@ -412,9 +396,6 @@ impl UdpOverlayNode {
                         self.client_of_addr.remove(&addr);
                     }
                 }
-                // The core dropped the client's pacer; its armed poll
-                // timer must not fire against the stale key.
-                self.cancel_timer(TimerKind::PacerPoll(Subscriber::Client(client)).encode());
                 self.apply(actions).await;
             }
             NodeCommand::Shutdown => {}
@@ -439,8 +420,7 @@ impl UdpOverlayNode {
                     }
                 }
                 NodeAction::SetTimer { at, key } => {
-                    let gen = self.timer_gen.get(&key).copied().unwrap_or(0);
-                    self.timers.push(Reverse((at, key, gen)));
+                    self.timers.schedule(at.max(self.timers.now()), key)
                 }
                 NodeAction::Event(e) => {
                     let _ = self.events_tx.send((self.clock.now(), e));

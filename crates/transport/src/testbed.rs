@@ -416,12 +416,8 @@ pub struct ViewerReport {
     pub startup_ms: Option<f64>,
     /// Mean end-to-end delay over frames carrying the RTP delay field, ms.
     pub mean_e2e_ms: Option<f64>,
-    /// Max end-to-end delay, ms.
-    pub max_e2e_ms: Option<f64>,
     /// Receiver reports sent.
     pub rr_sent: u64,
-    /// Keepalives sent.
-    pub keepalives_sent: u64,
 }
 
 impl ViewerReport {
@@ -491,15 +487,6 @@ impl WireRunReport {
         v.sort_by(f64::total_cmp);
         v
     }
-}
-
-/// Quantile of an already-sorted sample (nearest-rank); `None` when empty.
-pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-    Some(sorted[idx])
 }
 
 fn local() -> SocketAddr {
@@ -807,9 +794,7 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
         first_packet_ms: None,
         startup_ms: None,
         mean_e2e_ms: None,
-        max_e2e_ms: None,
         rr_sent: 0,
-        keepalives_sent: 0,
     };
     let mut e2e_ms: Vec<f64> = Vec::new();
     // Loss accounting for honest receiver reports (loopback: ~0).
@@ -910,14 +895,12 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
                 to: node_addr,
                 payload: OverlayMsg::Keepalive.encode(),
             }]);
-            report.keepalives_sent += 1;
             last_keepalive = tokio::time::Instant::now();
         }
     }
 
     if !e2e_ms.is_empty() {
         report.mean_e2e_ms = Some(e2e_ms.iter().sum::<f64>() / e2e_ms.len() as f64);
-        report.max_e2e_ms = e2e_ms.iter().copied().reduce(f64::max);
     }
     report
 }
