@@ -21,8 +21,9 @@ struct CachedPacket {
     kind: Option<FrameKind>,
 }
 
-/// Ring-like per-stream cache of recent RTP packets, indexed by sequence
-/// number, with an index of I-frame start positions.
+/// Per-stream cache of recent RTP packets in an ordered map keyed by
+/// sequence number, with an index of I-frame start positions. (A ring of
+/// `seq mod capacity` slots is ROADMAP item 2(a); this is not it.)
 #[derive(Debug, Clone)]
 pub struct StreamCache {
     packets: BTreeMap<u16, CachedPacket>,
@@ -108,42 +109,41 @@ impl StreamCache {
     /// I-frame start whose run to `highest` is contiguous, through the
     /// newest packet. Empty when no such burst can be assembled.
     pub fn startup_burst(&self) -> Vec<RtpPacket> {
-        self.burst(false)
+        self.burst_start(false)
+            .map(|start| self.clone_run(start))
+            .unwrap_or_default()
     }
 
-    /// A burst guaranteed to contain at least one COMPLETE GoP: the longest
-    /// contiguous run (ending at `highest`) that spans ≥ 2 I-frame starts.
-    /// Used for seamless co-stream switching (§5.2), where the client must
-    /// receive a whole GoP before the flip. Empty when no such run exists.
-    pub(crate) fn switch_burst(&self) -> Vec<RtpPacket> {
-        self.burst(true)
+    /// Where a burst guaranteed to contain at least one COMPLETE GoP
+    /// begins: the longest contiguous run (ending at `highest`) that spans
+    /// ≥ 2 I-frame starts. Used for seamless co-stream switching (§5.2),
+    /// where the client must receive a whole GoP before the flip. `None`
+    /// when no such run exists. Clones nothing: [`Self::clone_run`] copies
+    /// the burst only for a client that is sent it.
+    pub(crate) fn switch_start(&self) -> Option<SeqNo> {
+        self.burst_start(true)
     }
 
-    /// The first contiguous run from a cached I-frame start to `highest`:
-    /// the shortest (newest start), or with `whole_gop` the longest that
+    /// The first cached I-frame start whose run to `highest` is
+    /// contiguous: the newest, or with `whole_gop` the oldest whose run
     /// holds two I-frame starts.
-    fn burst(&self, whole_gop: bool) -> Vec<RtpPacket> {
-        let Some(highest) = self.highest else {
-            return Vec::new();
-        };
+    fn burst_start(&self, whole_gop: bool) -> Option<SeqNo> {
+        let highest = self.highest?;
         let mut starts = self.iframe_starts.clone();
         starts.sort_by_key(|s| highest.distance(*s));
         if whole_gop {
             starts.reverse();
         }
-        starts
-            .into_iter()
-            .filter_map(|start| self.run_from(start, highest))
-            .find(|&(_, i_starts)| i_starts > usize::from(whole_gop))
-            .map(|(run, _)| run)
-            .unwrap_or_default()
+        starts.into_iter().find(|&start| {
+            self.i_starts_through(start, highest)
+                .is_some_and(|i_starts| i_starts > usize::from(whole_gop))
+        })
     }
 
-    /// The packets from `start` through `highest` and the number of
-    /// I-frame starts among them; `None` when one is missing.
-    fn run_from(&self, start: SeqNo, highest: SeqNo) -> Option<(Vec<RtpPacket>, usize)> {
+    /// The number of I-frame starts from `start` through `highest`;
+    /// `None` when a packet between them is missing.
+    fn i_starts_through(&self, start: SeqNo, highest: SeqNo) -> Option<usize> {
         let span = usize::try_from(highest.distance(start)).ok()?;
-        let mut run = Vec::with_capacity(span + 1);
         let mut i_starts = 0;
         let mut seq = start;
         for _ in 0..=span {
@@ -151,10 +151,32 @@ impl StreamCache {
             if cached.kind == Some(FrameKind::I) && frag_is_start(&cached.packet.payload) {
                 i_starts += 1;
             }
-            run.push(cached.packet.clone());
             seq = seq.next();
         }
-        Some((run, i_starts))
+        Some(i_starts)
+    }
+
+    /// The cached packets from `start` through the newest, in sequence
+    /// order and borrowed from the cache; stops at the first missing one.
+    /// Reads the map in key order (from `start` up, then from 0 past the
+    /// wrap) rather than probing it once per sequence number.
+    fn run(&self, start: SeqNo) -> impl Iterator<Item = &RtpPacket> + '_ {
+        let len = self
+            .highest
+            .and_then(|highest| usize::try_from(highest.distance(start) + 1).ok())
+            .unwrap_or(0);
+        let in_order = self.packets.range(start.0..).chain(self.packets.range(..start.0));
+        in_order
+            .zip(std::iter::successors(Some(start), |seq| Some(seq.next())).take(len))
+            .map_while(|((&key, cached), seq)| (key == seq.0).then_some(&cached.packet))
+    }
+
+    /// [`Self::run`] cloned into one allocation, sized from its span.
+    pub(crate) fn clone_run(&self, start: SeqNo) -> Vec<RtpPacket> {
+        let run = self.run(start);
+        let mut packets = Vec::with_capacity(run.size_hint().1.unwrap_or(0));
+        packets.extend(run.cloned());
+        packets
     }
 
     /// Frame kind of a cached packet (None when unknown).
@@ -169,6 +191,7 @@ mod tests {
     use bytes::Bytes;
     use livenet_packet::{MediaKind, Packetizer};
     use livenet_types::Ssrc;
+    use proptest::prelude::*;
 
     fn frame_packets(
         p: &mut Packetizer,
@@ -224,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn startup_burst_falls_back_to_older_gop_when_newest_has_hole() {
+    fn a_hole_before_the_newest_packet_leaves_no_startup_burst() {
         let mut cache = StreamCache::new(256);
         let mut p = Packetizer::new(Ssrc(1), SeqNo(0));
         for pkt in frame_packets(&mut p, FrameKind::I, 0, 2000) {
@@ -241,11 +264,12 @@ mod tests {
             }
         }
         let burst = cache.startup_burst();
-        // Falls back to the first (complete-to-highest? no: hole at newest)
-        // GoP 1 run has the same hole in its run to highest → empty is also
-        // acceptable? No: run from GoP1 start to highest crosses the hole.
-        // Therefore burst must be empty.
+        // A burst runs to the newest packet, so the hole is in the run of
+        // every cached I-frame start, GoP 1's included: there is no older
+        // GoP to fall back to, and no burst.
         assert!(burst.is_empty());
+        // A run read from GoP 1 stops at the hole: seqs 0..=3 of 0..=5.
+        assert_eq!(cache.run(SeqNo(0)).count(), 4);
         // Once the hole is recovered (retransmission), the burst works.
         cache.insert(pkts[1].clone());
         let burst = cache.startup_burst();
@@ -275,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn switch_burst_needs_a_complete_gop() {
+    fn switch_start_needs_a_complete_gop() {
         let mut cache = StreamCache::new(256);
         let mut p = Packetizer::new(Ssrc(1), SeqNo(0));
         for (kind, ts, sz) in [(FrameKind::I, 0, 3000), (FrameKind::P, 3000, 800)] {
@@ -285,15 +309,145 @@ mod tests {
         }
         // One I start: a startup burst exists, a whole GoP does not yet.
         assert!(!cache.startup_burst().is_empty());
-        assert!(cache.switch_burst().is_empty());
+        assert_eq!(cache.switch_start(), None);
         for pkt in frame_packets(&mut p, FrameKind::I, 6000, 3000) {
             cache.insert(pkt);
         }
         // Two I starts: the switch burst is the longest run (from the
         // first I), the startup burst the shortest (from the second).
-        let switch = cache.switch_burst();
+        let start = cache.switch_start().expect("two I starts are cached");
+        let switch: Vec<&RtpPacket> = cache.run(start).collect();
         assert_eq!(switch.len(), cache.len());
         assert_eq!(switch[0].header.timestamp, 0);
         assert_eq!(cache.startup_burst()[0].header.timestamp, 6000);
+    }
+
+    /// The walk `burst_start` + `run` replaced, kept as their oracle: every
+    /// candidate's run is cloned whole before its I-frame starts are
+    /// counted, and the first run with enough of them is the burst.
+    fn materialised_burst(cache: &StreamCache, whole_gop: bool) -> Vec<RtpPacket> {
+        let Some(highest) = cache.highest else {
+            return Vec::new();
+        };
+        let mut starts = cache.iframe_starts.clone();
+        starts.sort_by_key(|s| highest.distance(*s));
+        if whole_gop {
+            starts.reverse();
+        }
+        starts
+            .into_iter()
+            .filter_map(|start| materialised_run(cache, start, highest))
+            .find(|&(_, i_starts)| i_starts > usize::from(whole_gop))
+            .map(|(run, _)| run)
+            .unwrap_or_default()
+    }
+
+    /// The packets from `start` through `highest` and the number of
+    /// I-frame starts among them; `None` when one is missing.
+    fn materialised_run(
+        cache: &StreamCache,
+        start: SeqNo,
+        highest: SeqNo,
+    ) -> Option<(Vec<RtpPacket>, usize)> {
+        let span = usize::try_from(highest.distance(start)).ok()?;
+        let mut run = Vec::with_capacity(span + 1);
+        let mut i_starts = 0;
+        let mut seq = start;
+        for _ in 0..=span {
+            let cached = cache.packets.get(&seq.0)?;
+            if cached.kind == Some(FrameKind::I) && frag_is_start(&cached.packet.payload) {
+                i_starts += 1;
+            }
+            run.push(cached.packet.clone());
+            seq = seq.next();
+        }
+        Some((run, i_starts))
+    }
+
+    /// What happens to one packet on its way into the cache.
+    #[derive(Debug, Clone, Copy)]
+    enum Fate {
+        InOrder,
+        /// Never arrives.
+        Lost,
+        /// Lost, then recovered by a retransmission after the last packet.
+        Retransmitted,
+        Duplicated,
+        /// Arrives after the packet that follows it.
+        Late,
+    }
+
+    /// Six packets in ten arrive in order; each other fate has one in ten.
+    fn arb_fate() -> impl Strategy<Value = Fate> {
+        (0u8..10).prop_map(|roll| match roll {
+            0 => Fate::Lost,
+            1 => Fate::Retransmitted,
+            2 => Fate::Duplicated,
+            3 => Fate::Late,
+            _ => Fate::InOrder,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every insert, both bursts read through `burst_start` and
+        /// `run` equal the oracle's: frame runs whose sequence numbers wrap
+        /// past 65,535, under loss, reordering, duplicates, retransmitted
+        /// fill-ins and retransmissions of evicted packets.
+        #[test]
+        fn burst_start_and_run_equal_the_materialised_walk(
+            first in 65_300u16..=u16::MAX,
+            frames in prop::collection::vec((0u8..4, 1usize..4000), 1..80),
+            fates in prop::collection::vec(arb_fate(), 1..320),
+            capacity in (any::<bool>(), 8usize..64, 64usize..=512)
+                .prop_map(|(small, a, b)| if small { a } else { b }),
+            old_rtx in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let mut p = Packetizer::new(Ssrc(1), SeqNo(first));
+            let sent: Vec<RtpPacket> = frames
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &(kind, size))| {
+                    // One frame in four is an I frame.
+                    let kind = if kind == 0 { FrameKind::I } else { FrameKind::P };
+                    frame_packets(&mut p, kind, i as u32 * 3000, size)
+                })
+                .collect();
+            let mut arrivals = Vec::new();
+            let mut retransmitted = Vec::new();
+            let mut late: Option<&RtpPacket> = None;
+            for (pkt, &fate) in sent.iter().zip(fates.iter().cycle()) {
+                match fate {
+                    Fate::InOrder => arrivals.push(pkt),
+                    Fate::Lost => {}
+                    Fate::Retransmitted => retransmitted.push(pkt),
+                    Fate::Duplicated => arrivals.extend([pkt, pkt]),
+                    Fate::Late => {
+                        arrivals.extend(late.take());
+                        late = Some(pkt);
+                        continue;
+                    }
+                }
+                arrivals.extend(late.take());
+            }
+            arrivals.extend(late);
+            arrivals.extend(retransmitted);
+            // Retransmissions of packets long since sent, evicted or not.
+            arrivals.extend(old_rtx.iter().map(|i| &sent[i % sent.len()]));
+
+            let mut cache = StreamCache::new(capacity);
+            for pkt in arrivals {
+                cache.insert(pkt.clone());
+                for whole_gop in [false, true] {
+                    let read: Vec<RtpPacket> = cache
+                        .burst_start(whole_gop)
+                        .map(|start| cache.clone_run(start))
+                        .unwrap_or_default();
+                    prop_assert_eq!(read, materialised_burst(&cache, whole_gop));
+                }
+                prop_assert_eq!(cache.startup_burst(), materialised_burst(&cache, false));
+            }
+        }
     }
 }

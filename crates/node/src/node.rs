@@ -1105,11 +1105,11 @@ impl OverlayNode {
 
     /// Complete the client co-stream switches waiting on this stream.
     ///
-    /// Runs after every media insert and, as at the parent commit, builds
-    /// the burst before it looks at `switch_waiters`. Returning early when
-    /// nobody waits is one line and makes `relay_*` 10x faster, a step the
-    /// benchmark's spread bound (a quarter of the *parent's* median) cannot
-    /// measure on this host; CHANGES.md (PR 13) has the numbers.
+    /// Runs after every media insert. It finds where the switch burst
+    /// would begin before it looks at `switch_waiters`, a walk of the
+    /// cache that clones nothing; the packets are cloned only for a client
+    /// whose switch completes. Returning early when nobody waits is left
+    /// out: ROADMAP item 2 sizes that step.
     fn try_complete_switches(
         &mut self,
         now: SimTime,
@@ -1121,10 +1121,10 @@ impl OverlayNode {
         };
         // §5.2: the client flips only once a COMPLETE GoP of the new
         // stream is cached (the switch burst spans two I-frame starts).
-        let burst = st.cache.switch_burst();
-        if burst.is_empty() {
+        let Some(start) = st.cache.switch_start() else {
             return;
-        }
+        };
+        let mut burst = None;
         for client in std::mem::take(&mut st.switch_waiters) {
             let Some(old) = self
                 .clients
@@ -1141,8 +1141,10 @@ impl OverlayNode {
                 to: stream,
             }));
             // Deliver the complete-GoP burst so the client's buffer is
-            // full the instant the timeline flips.
-            self.send_burst(now, stream, peer, &burst, actions);
+            // full the instant the timeline flips. Built at the first
+            // completion, before any `unsubscribe` below can touch a cache.
+            let burst = burst.get_or_insert_with(|| self.streams[&stream].cache.clone_run(start));
+            self.send_burst(now, stream, peer, burst, actions);
             self.unsubscribe(old, peer, actions);
         }
     }

@@ -471,11 +471,26 @@ fn costream_switch_is_seamless() {
         next = enc.next_capture_time();
     }
     h.run_until(end + SimDuration::from_secs(1));
-    assert!(
-        h.events.iter().any(|(n, e)| *n == NodeId::new(3)
-            && matches!(e, NodeEvent::SwitchCompleted { to, .. } if *to == co)),
-        "switch never completed"
-    );
+    let at_c: Vec<&NodeEvent> = h
+        .events
+        .iter()
+        .filter(|(n, _)| *n == NodeId::new(3))
+        .map(|(_, e)| e)
+        .collect();
+    let flip = at_c
+        .iter()
+        .position(|e| matches!(e, NodeEvent::SwitchCompleted { to, .. } if *to == co))
+        .expect("switch never completed");
+    // The flip is followed at once by the switch burst, to the client, on
+    // the new stream: the longest cached run holding two I-frame starts,
+    // which is 437 packets on this script.
+    match at_c.get(flip + 1) {
+        Some(NodeEvent::StartupBurst { stream, to, packets }) => {
+            assert_eq!((*stream, *to), (co, Subscriber::Client(ClientId::new(9))));
+            assert_eq!(*packets, 437, "switch burst size");
+        }
+        other => panic!("no burst after the flip: {other:?}"),
+    }
     let ctl = h.node(3).client(ClientId::new(9)).unwrap();
     assert_eq!(ctl.stream, co);
     assert_eq!(ctl.stats.switches, 1);

@@ -1,7 +1,7 @@
 //! `OverlayNode` state-layout guarantees, driven through the public API
 //! only: ordered emission, release of everything a stream or a subscriber
-//! referenced, crash reset, and (ignored until the fix can land) no
-//! per-packet work for switches nobody is waiting on.
+//! referenced, crash reset, and no per-packet copy of the cache for
+//! switches nobody is waiting on.
 
 use bytes::Bytes;
 use livenet::media::FrameKind;
@@ -261,12 +261,11 @@ fn crash_reset_leaves_a_new_node_plus_rtt_hints() {
 /// builds no switch burst: what one `on_datagram` allocates stays far
 /// below the 2,048 cached packets a burst would clone.
 ///
-/// Ignored: `try_complete_switches` still builds the burst first, because
-/// returning early when `switch_waiters` is empty moves `relay_*` by 10x
-/// and the benchmark's spread bound cannot measure that (CHANGES.md,
-/// PR 13). The PR that adds the early return un-ignores this.
+/// `try_complete_switches` still asks the cache where a switch burst would
+/// begin on every media packet, with nobody waiting; that walk borrows the
+/// cache and clones nothing, so the bound holds without returning early on
+/// an empty `switch_waiters`.
 #[test]
-#[ignore = "the one-line fix is held back; see CHANGES.md PR 13"]
 fn relaying_through_a_full_cache_builds_no_switch_burst() {
     let stream = StreamId::new(7);
     let mut relay = node(2, &[1, 3]);

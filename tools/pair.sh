@@ -10,6 +10,12 @@
 # manifest's own command line, and prints per end-to-end metric each side's
 # median and quartiles, the ratio of the medians and the pairs the working
 # tree won, then whether the two-part rule for a claim holds for it.
+#
+# One more line per metric checks the landing rule: a change lands only if
+# its runs are resolvable, i.e. its quartiles lie no further apart than a
+# quarter of the *parent's* median. So an N x step on a higher-is-better
+# metric must repeat within 25 %/N of its own median (a 2x step within
+# 12.5 %, a 10x step within 2.5 %), whatever the parent's own spread.
 set -eu
 cd "$(dirname "$0")/.."
 if [ $# -lt 2 ]; then
@@ -79,6 +85,9 @@ for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     print(f"    change median {cm:.6g}  quartiles {c1:.6g} .. {c3:.6g}  = {cm / pm if pm else float('nan'):.3f} x parent")
     print(f"    change ahead in {won} of {pairs} pairs ({tied} tied); medians {ahead:.6g} apart, "
           f"parent's quartiles {p3 - p1:.6g} apart: {'a gain by the rule' if holds else 'no gain by the rule'}")
+    spread, limit = c3 - c1, pm / 4
+    print(f"    change's quartiles {spread:.6g} apart, a quarter of the parent's median {limit:.6g}: "
+          f"{'resolvable' if spread <= limit else 'unresolvable'}")
     print("    parent runs: " + " ".join(f"{v:.5g}" for v in parent))
     print("    change runs: " + " ".join(f"{v:.5g}" for v in change))
 EOF
