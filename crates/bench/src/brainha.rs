@@ -149,10 +149,12 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
         ]],
     );
     out.note(format!(
-        "replicas/cluster: {}, clusters (shards): {shards}, decrees: {} (+{} lease)",
+        "replicas/cluster: {}, clusters (shards): {shards}, decrees: {} (+{} lease), \
+         heartbeat extensions: {}",
         rep.replicas,
         rep.ops_committed,
         rep.lease_grants + rep.lease_renewals,
+        rep.lease_extensions,
     ));
     out.note(format!(
         "cluster traffic: {} msgs sent, {} dropped; client: {} retries, {} redirects",

@@ -6,7 +6,7 @@
 //! that story: every PIB/SIB mutation is a [`BrainOp`], wrapped once in an
 //! `Arc`, ordered by the multi-decree [`Replica`] log, and applied by each
 //! replica in decided-slot order — so all replicas converge to the same
-//! routing state, and leadership itself is a decree in the same log. Every
+//! routing state, and each election is a decree in the same log. Every
 //! message, acceptor slot, retry and log entry that holds a decree holds a
 //! pointer to that one allocation.
 //!
@@ -23,14 +23,34 @@
 //!
 //! # Leases and failover
 //!
-//! Leadership is a replicated `Lease { holder, term, until }` decree.  The
-//! holder renews before `until`; when the lease expires without renewal
-//! (leader crash), each replica stands for election after a per-rank
-//! backoff (`TAKEOVER_BACKOFF × id`), which staggers proposers and keeps
-//! dueling rare.  A failed ballot retries from a deadline wake with a
-//! bumped minimum round and a jittered delay — classic proposer backoff.
-//! Failover latency is measured from the last decree decided before the
-//! crash to the first *lease* decree granted to a live holder afterwards.
+//! A `Lease { holder, term, until }` decree elects a holder: the first
+//! election, a takeover after the lease expired, or a lapsed holder
+//! standing again. The log records nothing else about leadership, as
+//! Raft's leader heartbeats carry no log entries:
+//!
+//! - **Extension.** With less than `renew_margin` left, the holder sends
+//!   `Heartbeat` (its term, `until = now + lease`) to every follower and
+//!   resends it every `CLIENT_TIMEOUT` to each one that has not acked. Its
+//!   own view and the canonical lease behind [`BrainCluster::leader`]
+//!   extend when a majority (itself included) holds the new `until`, and
+//!   only while its lease still runs.
+//! - **Adoption.** A follower takes a heartbeat of its view's term or a
+//!   newer one; an older `Lease` decree applied later never shortens it.
+//! - **Learning.** Every replica catches up from the canonical log on
+//!   each wake, so a missed `Learn` costs one wake, not a stale lease.
+//! - **Election.** When its view expires (leader crash), a replica stands
+//!   after a per-rank backoff (`TAKEOVER_BACKOFF × id`), which staggers
+//!   proposers and keeps dueling rare; a restarted replica first waits one
+//!   lease, its view coming from a log without renewals. A replica that
+//!   holds a live lease for another holder does not promise to a stand,
+//!   and a stander that learns of one withdraws, so a follower that missed
+//!   every heartbeat cannot unseat a live holder.
+//!
+//! A failed ballot retries from a deadline wake with a bumped minimum round
+//! and a jittered delay — classic proposer backoff. Failover latency is
+//! measured from the holder's last heartbeat sent (or decree decided)
+//! before the crash to the first *lease* decree granted to a live holder
+//! afterwards.
 
 use std::sync::Arc;
 
@@ -131,6 +151,9 @@ pub struct ClusterStats {
     pub lease_grants: u64,
     /// Lease decrees that renewed the incumbent.
     pub lease_renewals: u64,
+    /// Heartbeat rounds that extended the canonical lease (a majority
+    /// held the new `until`).
+    pub lease_extensions: u64,
     /// Ballots started (fresh proposals plus retries).
     pub proposals: u64,
     /// Inter-replica messages put on the wire.
@@ -149,12 +172,56 @@ pub struct ClusterStats {
     pub restarts: u64,
 }
 
-/// Applied lease view: who leads, until when.
+/// A lease: who leads, in which term, until when. It comes from a `Lease`
+/// decree or from a heartbeat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LeaseView {
     holder: ReplicaId,
     term: u64,
     until: SimTime,
+}
+
+impl LeaseView {
+    /// Take `l` into `view`; true when `view` then holds `l`'s holder and
+    /// term. A newer term replaces the view. The same term and holder keep
+    /// the later `until`, so an older decree never shortens what a
+    /// heartbeat extended. An older term, or the same term for another
+    /// holder (a second decree of a term: the log's first one won), leaves
+    /// the view as it was.
+    fn take(view: &mut Option<LeaseView>, l: LeaseView) -> bool {
+        match view {
+            Some(v) if l.term < v.term || (l.term == v.term && l.holder != v.holder) => false,
+            Some(v) if l.term == v.term => {
+                v.until = v.until.max(l.until);
+                true
+            }
+            _ => {
+                *view = Some(l);
+                true
+            }
+        }
+    }
+
+    /// Whether the lease still runs at `now`.
+    fn live(&self, now: SimTime) -> bool {
+        now < self.until
+    }
+}
+
+/// The holder's heartbeat round: the lease it asks followers to hold.
+#[derive(Debug, Clone)]
+struct Round {
+    lease: LeaseView,
+    /// Replicas that hold `lease` (the holder counts as one).
+    acked: Vec<bool>,
+    /// When followers that have not acked are sent the heartbeat again.
+    resend_at: SimTime,
+}
+
+impl Round {
+    fn acks(&self) -> usize {
+        self.acked.iter().filter(|&&a| a).count()
+    }
 }
 
 /// An in-flight proposal a replica must retry until its slot decides.
@@ -164,7 +231,8 @@ struct Pending {
     value: Decree,
     attempts: u64,
     deadline: SimTime,
-    lease: bool,
+    /// A `Lease` decree: the proposer stands for election.
+    stand: bool,
 }
 
 #[derive(Debug)]
@@ -173,6 +241,19 @@ enum NetEvent {
         from: ReplicaId,
         to: ReplicaId,
         msg: PaxosMsg<Decree>,
+        /// A `Prepare` of a ballot that stands for election (replies never
+        /// are).
+        stand: bool,
+    },
+    /// The holder asks `to` to hold `lease`.
+    Heartbeat {
+        to: ReplicaId,
+        lease: LeaseView,
+    },
+    /// `from` holds `lease` (sent to its holder).
+    HeartbeatAck {
+        from: ReplicaId,
+        lease: LeaseView,
     },
     Wake {
         replica: ReplicaId,
@@ -191,8 +272,14 @@ struct Member {
     /// Decided state never disappears — crash/restart models a replica
     /// with stable storage — so the watermark is monotone-safe.
     learned: usize,
-    /// Lease view as of the *applied* log prefix.
+    /// Lease view: the applied `Lease` decrees and the heartbeats taken.
     lease: Option<LeaseView>,
+    /// This replica's heartbeat round while it holds the lease (volatile).
+    round: Option<Round>,
+    /// When this replica last sent a heartbeat.
+    heartbeat_sent: SimTime,
+    /// A restarted replica stands for election no earlier than this.
+    stand_after: SimTime,
     pending: Vec<Pending>,
     next_wake: SimTime,
     /// Result of the most recently applied `RehomeProducer` decree.
@@ -215,11 +302,14 @@ impl Member {
             until,
         } = *op
         {
-            self.lease = Some(LeaseView {
-                holder,
-                term,
-                until,
-            });
+            LeaseView::take(
+                &mut self.lease,
+                LeaseView {
+                    holder,
+                    term,
+                    until,
+                },
+            );
             return;
         }
         let res = op.apply_to(&mut self.brain);
@@ -243,6 +333,10 @@ pub struct ClusterAudit {
     pub decided_slots: u64,
     /// Minimum decided-slot count across replicas after final catch-up.
     pub min_replica_decided: u64,
+    /// `Lease` decrees chosen for a new holder while the previous
+    /// canonical lease still ran and its holder was up — any nonzero value
+    /// is a lease-safety bug.
+    pub lease_overlaps: u64,
 }
 
 /// N Paxos-replicated [`StreamingBrain`]s plus the deterministic
@@ -258,18 +352,22 @@ pub struct BrainCluster {
     rng: DetRng,
     /// Canonical chosen log: slot `i` holds the cluster-wide chosen value.
     canon: Vec<Decree>,
-    /// Lease view as of the canonical log (the client's leader oracle).
+    /// Lease as of the canonical log and the heartbeat rounds a majority
+    /// acked (the client's leader oracle).
     canon_lease: Option<LeaseView>,
     client_hint: Option<ReplicaId>,
     /// Virtual time of the most recent decree decision.
     last_decided_at: SimTime,
     /// Replica currently down from [`Self::crash_leader`].
     crashed: Option<ReplicaId>,
-    /// `last_decided_at` captured at crash time; cleared when a live
-    /// holder wins a lease (failover complete).
+    /// The victim's last sign of leadership before the crash (its last
+    /// heartbeat sent, or the last decree decided if later); cleared when
+    /// a live holder wins a lease (failover complete).
     crash_pending: Option<SimTime>,
     failover_ms: Vec<f64>,
     stats: ClusterStats,
+    /// See [`ClusterAudit::lease_overlaps`].
+    lease_overlaps: u64,
 }
 
 impl BrainCluster {
@@ -287,6 +385,9 @@ impl BrainCluster {
                 applied: 0,
                 learned: 0,
                 lease: None,
+                round: None,
+                heartbeat_sent: SimTime::ZERO,
+                stand_after: SimTime::ZERO,
                 pending: Vec::new(),
                 next_wake: SimTime::MAX,
                 last_rehome: None,
@@ -307,6 +408,7 @@ impl BrainCluster {
             crash_pending: None,
             failover_ms: Vec::new(),
             stats: ClusterStats::default(),
+            lease_overlaps: 0,
         };
         for r in 0..cluster.members.len() {
             cluster.maybe_wake(r as ReplicaId, SimTime::ZERO);
@@ -327,37 +429,33 @@ impl BrainCluster {
         }
     }
 
-    fn send_out(&mut self, from: ReplicaId, outs: Vec<Outbound<Decree>>) {
+    /// Put `ev` from `from` to `to` on the network: lost with probability
+    /// `msg_loss`, otherwise delivered after a jittered one-way delay.
+    /// Local loopback is lossless and zero-delay (FIFO at `now`).
+    fn transmit(&mut self, from: ReplicaId, to: ReplicaId, ev: NetEvent) {
+        if to == from {
+            self.queue.schedule(self.now, ev);
+            return;
+        }
+        self.stats.msgs_sent += 1;
+        if self.rng.chance(self.cfg.msg_loss) {
+            self.stats.msgs_dropped += 1;
+            return;
+        }
+        let jitter = self.rng.range_f64(1.0 - DELAY_JITTER, 1.0 + DELAY_JITTER);
+        let at = self.now + ONE_WAY_DELAY.mul_f64(jitter);
+        self.queue.schedule(at, ev);
+    }
+
+    fn send_out(&mut self, from: ReplicaId, outs: Vec<Outbound<Decree>>, stand: bool) {
         for o in outs {
-            if o.to == from {
-                // Local loopback: lossless, zero delay (FIFO at `now`).
-                self.queue.schedule(
-                    self.now,
-                    NetEvent::Deliver {
-                        from,
-                        to: o.to,
-                        msg: o.msg,
-                    },
-                );
-                continue;
-            }
-            self.stats.msgs_sent += 1;
-            if self.rng.chance(self.cfg.msg_loss) {
-                self.stats.msgs_dropped += 1;
-                continue;
-            }
-            let jitter = self
-                .rng
-                .range_f64(1.0 - DELAY_JITTER, 1.0 + DELAY_JITTER);
-            let at = self.now + ONE_WAY_DELAY.mul_f64(jitter);
-            self.queue.schedule(
-                at,
-                NetEvent::Deliver {
-                    from,
-                    to: o.to,
-                    msg: o.msg,
-                },
-            );
+            let ev = NetEvent::Deliver {
+                from,
+                to: o.to,
+                msg: o.msg,
+                stand,
+            };
+            self.transmit(from, o.to, ev);
         }
     }
 
@@ -368,17 +466,47 @@ impl BrainCluster {
             return false;
         };
         self.now = self.now.max(at);
+        self.dispatch(ev);
+        true
+    }
+
+    fn dispatch(&mut self, ev: NetEvent) {
         match ev {
-            NetEvent::Deliver { from, to, msg } => {
-                if self.members[to as usize].up {
-                    let outs = self.members[to as usize].paxos.handle(from, msg);
-                    self.send_out(to, outs);
-                    self.after_progress(to);
+            NetEvent::Deliver {
+                from,
+                to,
+                msg,
+                stand,
+            } => {
+                let m = &self.members[to as usize];
+                if !m.up {
+                    return;
+                }
+                // A replica that holds a live lease for another holder does
+                // not promise to a stand: the lease is not its to give.
+                if stand
+                    && m.lease
+                        .is_some_and(|l| l.holder != from && l.live(self.now))
+                {
+                    return;
+                }
+                let outs = self.members[to as usize].paxos.handle(from, msg);
+                self.send_out(to, outs, false);
+                self.after_progress(to);
+            }
+            NetEvent::Heartbeat { to, lease } => {
+                let m = &mut self.members[to as usize];
+                if m.up && LeaseView::take(&mut m.lease, lease) {
+                    self.transmit(to, lease.holder, NetEvent::HeartbeatAck { from: to, lease });
+                }
+            }
+            NetEvent::HeartbeatAck { from, lease } => {
+                if self.members[lease.holder as usize].up {
+                    self.on_heartbeat_ack(from, lease);
                 }
             }
             NetEvent::Wake { replica } => self.on_wake(replica),
         }
-        true
     }
 
     /// Process one event if it is due at or before `t`; otherwise advance
@@ -420,17 +548,26 @@ impl BrainCluster {
                 term,
                 until,
             } => {
-                let new_holder = self.canon_lease.is_none_or(|p| p.holder != holder);
+                let prev = self.canon_lease;
+                let lease = LeaseView {
+                    holder,
+                    term,
+                    until,
+                };
+                if !LeaseView::take(&mut self.canon_lease, lease) {
+                    return;
+                }
+                let new_holder = prev.is_none_or(|p| p.holder != holder);
                 if new_holder {
                     self.stats.lease_grants += 1;
                 } else {
                     self.stats.lease_renewals += 1;
                 }
-                self.canon_lease = Some(LeaseView {
-                    holder,
-                    term,
-                    until,
-                });
+                if new_holder
+                    && prev.is_some_and(|p| p.live(self.now) && self.members[p.holder as usize].up)
+                {
+                    self.lease_overlaps += 1;
+                }
                 if let Some(t0) = self.crash_pending {
                     if self.members[holder as usize].up {
                         self.failover_ms
@@ -473,9 +610,12 @@ impl BrainCluster {
         if !self.members[r as usize].up {
             return;
         }
-        self.members[r as usize].apply_ready();
+        // Every replica learns on its wake: one that missed a `Learn` would
+        // otherwise stand on a log (and a lease) that moved on without it.
+        self.catch_up(r);
         self.retry_pendings(r);
         self.lease_maintenance(r);
+        self.send_heartbeats(r);
         let next = self.next_wake_time(r);
         self.maybe_wake(r, next);
     }
@@ -485,16 +625,18 @@ impl BrainCluster {
         let ri = r as usize;
         // Drop pendings whose slot decided (win or lose — losers are
         // re-proposed in a fresh slot by their originating client loop or
-        // by lease maintenance).
-        let decided: Vec<u64> = self.members[ri]
-            .pending
-            .iter()
-            .filter(|p| self.members[ri].paxos.decided(p.slot).is_some())
-            .map(|p| p.slot)
-            .collect();
-        self.members[ri]
-            .pending
-            .retain(|p| !decided.contains(&p.slot));
+        // by lease maintenance), and a stand once another holder's live
+        // lease is known: its retries, refused by every replica that holds
+        // that lease, would only outbid the holder's ballots in the stand's
+        // slot, which the holder's next proposal fills.
+        let Member {
+            paxos,
+            lease,
+            pending,
+            ..
+        } = &mut self.members[ri];
+        let deferred = lease.is_some_and(|l| l.holder != r && l.live(now));
+        pending.retain(|p| paxos.decided(p.slot).is_none() && !(p.stand && deferred));
         // Retry expired ballots with a bumped minimum round (backoff).
         let due: Vec<usize> = self.members[ri]
             .pending
@@ -504,10 +646,10 @@ impl BrainCluster {
             .map(|(i, _)| i)
             .collect();
         for i in due {
-            let (slot, value, attempts) = {
+            let (slot, value, attempts, stand) = {
                 let p = &mut self.members[ri].pending[i];
                 p.attempts += 1;
-                (p.slot, Arc::clone(&p.value), p.attempts)
+                (p.slot, Arc::clone(&p.value), p.attempts, p.stand)
             };
             let jitter = self.rng.range_f64(0.75, 1.5);
             let delay = CLIENT_TIMEOUT.mul_f64(attempts as f64 * jitter);
@@ -517,50 +659,139 @@ impl BrainCluster {
                 .paxos
                 .propose_in_slot(slot, value, min_round);
             self.stats.proposals += 1;
-            self.send_out(r, outs);
+            self.send_out(r, outs, stand);
         }
+    }
+
+    /// Whether `r`'s heartbeat round for `l` is still short of a majority.
+    fn round_open(&self, r: ReplicaId, l: LeaseView) -> bool {
+        self.members[r as usize]
+            .round
+            .as_ref()
+            .is_some_and(|rd| rd.lease.term == l.term && rd.lease.until > l.until)
+    }
+
+    /// When `r`, its view expired or empty, may stand for election: after
+    /// the per-rank backoff, so proposers stagger instead of duel, and not
+    /// before a restarted replica has waited one lease.
+    fn stand_at(&self, r: ReplicaId) -> SimTime {
+        let m = &self.members[r as usize];
+        let base = m.lease.map_or(SimTime::ZERO, |l| l.until);
+        (base + TAKEOVER_BACKOFF.mul_f64(r as f64)).max(m.stand_after)
     }
 
     fn lease_maintenance(&mut self, r: ReplicaId) {
         let ri = r as usize;
-        if self.members[ri].pending.iter().any(|p| p.lease) {
-            return; // a lease ballot of ours is already in flight
-        }
         let now = self.now;
-        let view = self.members[ri].lease;
-        match view {
-            Some(l) if l.holder == r => {
-                if now + self.cfg.renew_margin >= l.until {
-                    self.propose_lease(r, l.term + 1);
+        match self.members[ri].lease {
+            Some(l) if l.holder == r && l.live(now) => {
+                if now + self.cfg.renew_margin >= l.until && !self.round_open(r, l) {
+                    self.start_round(r, l);
                 }
             }
-            Some(l) if now < l.until => {} // someone else holds a valid lease
-            other => {
-                // Expired (or never granted): stand for election after the
-                // per-rank backoff so proposers stagger instead of duel.
-                let base = other.map(|l| l.until).unwrap_or(SimTime::ZERO);
-                let stand_at = base + TAKEOVER_BACKOFF.mul_f64(r as f64);
-                if now >= stand_at {
-                    let term = other.map(|l| l.term).unwrap_or(0) + 1;
-                    self.propose_lease(r, term);
+            Some(l) if l.live(now) => {} // someone else holds a live lease
+            view => {
+                // Expired, lapsed or never granted.
+                let standing = self.members[ri].pending.iter().any(|p| p.stand);
+                if !standing && now >= self.stand_at(r) {
+                    let term = view.map_or(0, |l| l.term) + 1;
+                    let value = Arc::new(BrainOp::Lease {
+                        holder: r,
+                        term,
+                        until: now + self.cfg.lease,
+                    });
+                    self.propose(r, value, true);
                 }
             }
         }
     }
 
-    fn propose_lease(&mut self, r: ReplicaId, term: u64) {
-        let value = Arc::new(BrainOp::Lease {
-            holder: r,
-            term,
+    /// Open a heartbeat round asking every follower to hold `l` until
+    /// `now + lease`.
+    fn start_round(&mut self, r: ReplicaId, l: LeaseView) {
+        let lease = LeaseView {
             until: self.now + self.cfg.lease,
+            ..l
+        };
+        let mut acked = vec![false; self.members.len()];
+        acked[r as usize] = true;
+        self.members[r as usize].round = Some(Round {
+            lease,
+            acked,
+            resend_at: self.now,
         });
-        self.propose(r, value, true);
+        if self.members.len() == 1 {
+            self.extend(lease); // a lone replica is its own majority
+        }
+    }
+
+    /// Send the round's heartbeat to each follower that has not acked it,
+    /// when a send is due; drop the round once `r` no longer holds its term.
+    fn send_heartbeats(&mut self, r: ReplicaId) {
+        let now = self.now;
+        let m = &mut self.members[r as usize];
+        let Some(rd) = &mut m.round else { return };
+        let lease = rd.lease;
+        if m.lease
+            .is_none_or(|l| l.holder != r || l.term != lease.term)
+        {
+            m.round = None;
+            return;
+        }
+        if now < rd.resend_at {
+            return;
+        }
+        rd.resend_at = now + CLIENT_TIMEOUT;
+        for to in 0..self.members.len() {
+            let m = &mut self.members[r as usize];
+            if m.round.as_ref().is_some_and(|rd| !rd.acked[to]) {
+                m.heartbeat_sent = now;
+                let to = to as ReplicaId;
+                self.transmit(r, to, NetEvent::Heartbeat { to, lease });
+            }
+        }
+    }
+
+    fn on_heartbeat_ack(&mut self, from: ReplicaId, lease: LeaseView) {
+        let quorum = self.members.len() / 2 + 1;
+        let Some(rd) = &mut self.members[lease.holder as usize].round else {
+            return;
+        };
+        if rd.lease != lease || rd.acked[from as usize] {
+            return;
+        }
+        rd.acked[from as usize] = true;
+        if rd.acks() == quorum {
+            self.extend(lease);
+        }
+    }
+
+    /// A majority holds `lease`: the holder's view and the canonical lease
+    /// run to its `until` — if the holder's lease still runs. Once it has
+    /// lapsed, followers whose views ran out too may have promised to a
+    /// stand, and a late majority must not revive the lease under it.
+    fn extend(&mut self, lease: LeaseView) {
+        let m = &mut self.members[lease.holder as usize];
+        if !m.lease.is_some_and(|l| l.live(self.now)) {
+            return;
+        }
+        LeaseView::take(&mut m.lease, lease);
+        if LeaseView::take(&mut self.canon_lease, lease) {
+            self.stats.lease_extensions += 1;
+        }
     }
 
     /// Start a ballot for `value` on `r`, to be retried from `r`'s wakes
-    /// until its slot decides.
-    fn propose(&mut self, r: ReplicaId, value: Decree, lease: bool) {
-        let (slot, outs) = self.members[r as usize].paxos.propose(Arc::clone(&value));
+    /// until its slot decides. The slot is the lowest past the canon that
+    /// `r` has not decided and has no ballot pending in, so a slot whose
+    /// ballot died with a crash or a withdrawn stand is filled by the next
+    /// proposal rather than left a hole below it.
+    fn propose(&mut self, r: ReplicaId, value: Decree, stand: bool) {
+        let m = &mut self.members[r as usize];
+        let slot = (self.canon.len() as u64..)
+            .find(|&s| m.paxos.decided(s).is_none() && m.pending.iter().all(|p| p.slot != s))
+            .expect("a free slot");
+        let outs = m.paxos.propose_in_slot(slot, Arc::clone(&value), 0);
         self.stats.proposals += 1;
         let deadline = self.now + CLIENT_TIMEOUT;
         self.members[r as usize].pending.push(Pending {
@@ -568,9 +799,9 @@ impl BrainCluster {
             value,
             attempts: 1,
             deadline,
-            lease,
+            stand,
         });
-        self.send_out(r, outs);
+        self.send_out(r, outs, stand);
         self.maybe_wake(r, deadline);
     }
 
@@ -578,12 +809,24 @@ impl BrainCluster {
     fn next_wake_time(&self, r: ReplicaId) -> SimTime {
         let m = &self.members[r as usize];
         let mut next = match m.lease {
-            Some(l) if l.holder == r => l.until - self.cfg.renew_margin,
-            Some(l) => l.until + TAKEOVER_BACKOFF.mul_f64(r as f64),
-            None => self.now + TAKEOVER_BACKOFF.mul_f64((r + 1) as f64),
+            // The holder: the lease lapses while a round is open, else the
+            // next round is due.
+            Some(l) if l.holder == r && l.live(self.now) => {
+                if self.round_open(r, l) {
+                    l.until
+                } else {
+                    l.until - self.cfg.renew_margin
+                }
+            }
+            _ => self.stand_at(r),
         };
+        if let Some(rd) = &m.round {
+            if rd.acks() < rd.acked.len() {
+                next = next.min(rd.resend_at);
+            }
+        }
         for p in &m.pending {
-            next = if p.deadline < next { p.deadline } else { next };
+            next = next.min(p.deadline);
         }
         // Never busy-spin: wake strictly in the future.
         let floor = self.now + SimDuration::from_millis(10);
@@ -597,7 +840,7 @@ impl BrainCluster {
     /// Current leader per the canonical lease, if alive and unexpired.
     pub fn leader(&self) -> Option<ReplicaId> {
         self.canon_lease
-            .filter(|l| self.now < l.until)
+            .filter(|l| l.live(self.now))
             .map(|l| l.holder)
             .filter(|&h| self.members[h as usize].up)
     }
@@ -759,8 +1002,9 @@ impl BrainCluster {
         let m = &mut self.members[victim as usize];
         m.up = false;
         m.pending.clear();
+        m.round = None;
         self.crashed = Some(victim);
-        self.crash_pending = Some(self.last_decided_at);
+        self.crash_pending = Some(self.last_decided_at.max(m.heartbeat_sent));
         self.stats.leader_crashes += 1;
         self.client_hint = None;
         Some(victim)
@@ -768,13 +1012,18 @@ impl BrainCluster {
 
     /// Restart the replica downed by [`Self::crash_leader`]: it rejoins,
     /// catches up from the canonical log (state transfer through the
-    /// learner path) and resumes lease participation.
+    /// learner path) and resumes lease participation. The log records
+    /// elections, not heartbeats, so its view of the lease may be stale: it
+    /// waits one lease, hearing any live holder's heartbeats, before it may
+    /// stand.
     pub fn restart_crashed(&mut self, now: SimTime) {
         self.advance_to(now);
         let Some(r) = self.crashed.take() else {
             return;
         };
-        self.members[r as usize].up = true;
+        let m = &mut self.members[r as usize];
+        m.up = true;
+        m.stand_after = self.now + self.cfg.lease;
         self.stats.restarts += 1;
         self.catch_up(r);
         self.members[r as usize].next_wake = SimTime::MAX;
@@ -812,6 +1061,7 @@ impl BrainCluster {
             self.catch_up(r);
         }
         audit.decided_slots = self.canon.len() as u64;
+        audit.lease_overlaps = self.lease_overlaps;
         audit.min_replica_decided = self
             .members
             .iter()
@@ -875,6 +1125,10 @@ impl BrainCluster {
         sink.add(ids::REPLICATION_OPS_COMMITTED, self.stats.state_ops_committed);
         sink.add(ids::REPLICATION_LEASE_GRANTS, self.stats.lease_grants);
         sink.add(ids::REPLICATION_LEASE_RENEWALS, self.stats.lease_renewals);
+        sink.add(
+            ids::REPLICATION_LEASE_EXTENSIONS,
+            self.stats.lease_extensions,
+        );
         sink.add(ids::REPLICATION_PROPOSALS, self.stats.proposals);
         sink.add(ids::REPLICATION_MSGS_SENT, self.stats.msgs_sent);
         sink.add(ids::REPLICATION_MSGS_DROPPED, self.stats.msgs_dropped);
@@ -917,6 +1171,7 @@ impl BrainCluster {
 mod tests {
     use super::*;
     use livenet_topology::{GeoConfig, GeoTopology, LinkReport, NodeReport};
+    use proptest::prelude::*;
 
     fn cluster(seed: u64) -> (BrainCluster, Vec<NodeId>) {
         lossy_cluster(seed, ClusterConfig::default().msg_loss)
@@ -957,10 +1212,90 @@ mod tests {
         c.advance_to(SimTime::from_secs(5));
         assert!(c.leader().is_some());
         assert!(c.stats().lease_grants >= 1);
-        // The lease keeps renewing while the holder is alive.
+        // The lease keeps being extended by heartbeat while the holder is
+        // alive, and the log holds the election only.
         c.advance_to(SimTime::from_secs(30));
         assert!(c.leader().is_some());
-        assert!(c.stats().lease_renewals >= 2);
+        assert!(c.stats().lease_extensions >= 2);
+        assert_eq!(c.stats().lease_renewals, 0);
+        assert_eq!(c.decided_slots(), 1);
+    }
+
+    /// A day of decrees at 1 % loss with nobody crashing elects once, and
+    /// no replica's view of the lease runs out: a lost heartbeat is resent
+    /// to its follower before that follower's view expires.
+    #[test]
+    fn a_quiet_day_grants_one_lease() {
+        for seed in 0..8 {
+            let (mut c, nodes) = cluster(seed);
+            let day = 86_400;
+            for secs in (5..day).step_by(5) {
+                let op = BrainOp::RegisterStream {
+                    stream: StreamId::new(secs % 64),
+                    producer: nodes[0],
+                };
+                c.replicate(&op, SimTime::from_secs(secs))
+                    .expect("a healthy cluster commits");
+                for (r, m) in c.members.iter().enumerate() {
+                    let live = m.lease.is_some_and(|l| l.live(c.now));
+                    assert!(live, "seed {seed}: replica {r}'s view ran out by {}", c.now);
+                }
+            }
+            assert!(c.stats().msgs_dropped > 0, "seed {seed}: loss never fired");
+            assert_eq!(c.stats().lease_grants, 1, "seed {seed}: {:?}", c.stats());
+        }
+    }
+
+    #[test]
+    fn a_lease_takes_newer_terms_and_later_expiries_only() {
+        let at = SimTime::from_secs;
+        let lease = |holder, term, secs| LeaseView {
+            holder,
+            term,
+            until: at(secs),
+        };
+        let mut view = None;
+        assert!(LeaseView::take(&mut view, lease(0, 1, 3)));
+        // A heartbeat extends; the term's older decree does not shorten.
+        assert!(LeaseView::take(&mut view, lease(0, 1, 9)));
+        assert!(LeaseView::take(&mut view, lease(0, 1, 3)));
+        assert_eq!(view, Some(lease(0, 1, 9)));
+        // A second decree of the term, or an older term, changes nothing.
+        assert!(!LeaseView::take(&mut view, lease(1, 1, 12)));
+        assert!(!LeaseView::take(&mut view, lease(2, 0, 12)));
+        assert_eq!(view, Some(lease(0, 1, 9)));
+        // A newer term replaces, even with an earlier expiry.
+        assert!(LeaseView::take(&mut view, lease(1, 2, 5)));
+        assert_eq!(view, Some(lease(1, 2, 5)));
+    }
+
+    /// A restarted replica learns the log, which records elections only, so
+    /// its view is stale: it waits one lease, hears the live holder's
+    /// heartbeats, and stands for nothing.
+    #[test]
+    fn a_restarted_replica_hears_the_holder_before_it_may_stand() {
+        let (mut c, _) = cluster(12);
+        let victim = c.crash_leader(SimTime::from_secs(5)).expect("victim");
+        c.advance_to(SimTime::from_secs(15));
+        let holder = c.leader().expect("failed over");
+        c.restart_crashed(SimTime::from_secs(15));
+        let r = victim as usize;
+        assert!(
+            !c.members[r].lease.is_some_and(|l| l.live(c.now)),
+            "the log kept a live lease"
+        );
+        let end = c.now + c.cfg.lease;
+        while c.queue.peek_time().is_some_and(|t| t <= end) {
+            c.step();
+            assert!(
+                c.members[r].pending.iter().all(|p| !p.stand),
+                "stood at {}",
+                c.now
+            );
+        }
+        let view = c.members[r].lease.expect("a view");
+        assert!(view.holder == holder && view.live(c.now));
+        assert_eq!(c.stats().lease_grants, 2);
     }
 
     #[test]
@@ -1105,24 +1440,33 @@ mod tests {
         }
     }
 
-    /// No path copies a decree: not a message, a retried ballot or a
-    /// catch-up `Learn`. The decrees are NaN reports, so a copy that got
-    /// chosen would also never be recognised by the client that proposed it.
-    #[test]
-    fn every_holder_points_at_the_one_decree() {
-        let (mut c, nodes) = lossy_cluster(6, 0.2);
+    /// A NaN report a second from 5 s to 25 s at 20 % loss, the leader
+    /// crashed at 15 s and restarted at 25 s, settled at 60 s. Returns the
+    /// cluster, its audit and the decrees the victim missed while it was
+    /// down. Some reports may give up (`client_give_ups`): per-slot Paxos
+    /// needs four lossy hops a ballot and backs off linearly.
+    fn crash_and_restart(seed: u64) -> (BrainCluster, ClusterAudit, usize) {
+        let (mut c, nodes) = lossy_cluster(seed, 0.2);
         let report = |c: &mut BrainCluster, secs: u64| {
             let (op, _) = nan_report(c, nodes[0], secs);
-            c.replicate(&op, SimTime::from_secs(secs))
-                .expect("replicate under loss");
+            let _ = c.replicate(&op, SimTime::from_secs(secs));
         };
         (5..15).for_each(|secs| report(&mut c, secs));
         let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
         (15..25).for_each(|secs| report(&mut c, secs));
         let missed = c.canon.len() - c.members[victim].paxos.decided_count();
-        assert!(missed > 0, "the victim missed nothing while it was down");
         c.restart_crashed(SimTime::from_secs(25));
         let audit = c.finalize(SimTime::from_secs(60));
+        (c, audit, missed)
+    }
+
+    /// No path copies a decree: not a message, a retried ballot or a
+    /// catch-up `Learn`. The decrees are NaN reports, so a copy that got
+    /// chosen would also never be recognised by the client that proposed it.
+    #[test]
+    fn every_holder_points_at_the_one_decree() {
+        let (c, audit, missed) = crash_and_restart(6);
+        assert!(missed > 0, "the victim missed nothing while it was down");
         assert!(c.stats().msgs_dropped > 0 && c.stats().proposals > audit.decided_slots);
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.min_replica_decided, audit.decided_slots);
@@ -1134,6 +1478,139 @@ mod tests {
                     "replica {r} holds a copy of slot {slot}"
                 );
             }
+        }
+    }
+
+    /// The shape above on sixty seeds: whatever the client gave up on, no
+    /// replica's log diverges, no lease is taken over while it runs, and
+    /// every replica ends caught up.
+    #[test]
+    fn a_crash_under_loss_converges_on_every_seed() {
+        for seed in 0..60 {
+            let (_, audit, _) = crash_and_restart(seed);
+            assert_eq!(audit.log_divergences, 0, "seed {seed}");
+            assert_eq!(audit.lease_overlaps, 0, "seed {seed}");
+            assert_eq!(
+                audit.min_replica_decided, audit.decided_slots,
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// A leader that crashes with a ballot in flight and is back inside its
+    /// lease keeps leading, and no election follows to fill the slot that
+    /// ballot held: the leader's next proposal has to.
+    #[test]
+    fn a_leader_back_inside_its_lease_leaves_no_hole() {
+        let (mut c, nodes) = lossy_cluster(13, 0.0);
+        let op = |stream| BrainOp::RegisterStream {
+            stream: StreamId::new(stream),
+            producer: nodes[0],
+        };
+        c.replicate(&op(1), SimTime::from_secs(5)).expect("commits");
+        let h = c.leader().expect("a leader");
+        c.propose(h, Arc::new(op(2)), false);
+        let hole = c.members[h as usize].pending.last().expect("a ballot").slot;
+        c.crash_leader(c.now);
+        c.restart_crashed(c.now + SimDuration::from_millis(500));
+        assert_eq!(c.canon.len() as u64, hole, "the ballot died with the crash");
+        let at = c.now + SimDuration::from_millis(500);
+        c.replicate(&op(3), at).expect("the leader fills the slot");
+        assert_eq!(c.leader(), Some(h));
+        assert_eq!(c.stats().lease_grants, 1);
+    }
+
+    /// Pop the next event and advance the clock to it, without handling it.
+    fn pop(c: &mut BrainCluster) -> NetEvent {
+        let (at, ev) = c.queue.pop().expect("wakes are always scheduled");
+        c.now = c.now.max(at);
+        ev
+    }
+
+    /// A follower that misses the `Learn` of a slot applies it on its next
+    /// wake, and the holder's heartbeats keep its view of the lease live
+    /// all along, so it never stands against the holder.
+    #[test]
+    fn a_missed_learn_is_applied_on_the_next_wake() {
+        let (mut c, nodes) = lossy_cluster(11, 0.0);
+        c.advance_to(SimTime::from_secs(5));
+        let h = c.leader().expect("a leader");
+        let f = (h + 1) % c.replicas();
+        let op = BrainOp::RegisterStream {
+            stream: StreamId::new(1),
+            producer: nodes[0],
+        };
+        c.propose(h, Arc::new(op), false);
+        let slot = c.members[h as usize].pending.last().expect("a ballot").slot;
+        loop {
+            match pop(&mut c) {
+                NetEvent::Deliver {
+                    to,
+                    msg: PaxosMsg::Learn { slot: s, .. },
+                    ..
+                } if to == f && s == slot => break,
+                ev => c.dispatch(ev),
+            }
+        }
+        assert!(c.members[f as usize].paxos.decided(slot).is_none());
+        loop {
+            let ev = pop(&mut c);
+            let wake = matches!(ev, NetEvent::Wake { replica } if replica == f);
+            c.dispatch(ev);
+            if wake {
+                break;
+            }
+        }
+        assert!(
+            c.members[f as usize].applied > slot,
+            "the gap outlived a wake"
+        );
+        let end = c.now + SimDuration::from_millis(60_000);
+        while c.queue.peek_time().is_some_and(|t| t <= end) {
+            c.step();
+            let view = c.members[f as usize].lease.expect("a view");
+            assert!(
+                view.holder == h && view.live(c.now),
+                "{view:?} at {}",
+                c.now
+            );
+        }
+        assert_eq!(c.stats().lease_grants, 1);
+    }
+
+    proptest! {
+        /// Loss from 0 to 20 %, and a leader crash and a restart at random
+        /// virtual times, all drawn from one seed.
+        #[test]
+        fn a_live_lease_is_never_taken_over(seed in any::<u64>()) {
+            let mut rng = DetRng::seed(seed);
+            let ms = SimTime::from_millis;
+            let loss = rng.range_f64(0.0, 0.2);
+            let crash = rng.range_u64(5_000, 60_000);
+            let restart = crash + rng.range_u64(1_000, 30_000);
+            let (mut c, nodes) = lossy_cluster(seed, loss);
+            let (mut crashed, mut restarted) = (false, false);
+            let mut t = 2_000;
+            while t < 100_000 {
+                if !crashed && t >= crash {
+                    c.crash_leader(ms(crash));
+                    crashed = true;
+                }
+                if !restarted && t >= restart {
+                    c.restart_crashed(ms(restart));
+                    restarted = true;
+                }
+                let op = BrainOp::RegisterStream {
+                    stream: StreamId::new(t % 16),
+                    producer: nodes[0],
+                };
+                let _ = c.replicate(&op, ms(t));
+                t += rng.range_u64(500, 3_000);
+            }
+            let audit = c.finalize(ms(100_000));
+            prop_assert_eq!(audit.lease_overlaps, 0);
+            prop_assert_eq!(audit.log_divergences, 0);
+            prop_assert_eq!(audit.min_replica_decided, audit.decided_slots);
         }
     }
 

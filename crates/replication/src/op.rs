@@ -19,8 +19,9 @@ use crate::paxos::ReplicaId;
 /// `livenet_brain::StreamingBrain` is the *only* way replicated state
 /// changes — reads never mutate across replicas divergently because the
 /// decision counters they bump are advanced identically during the final
-/// audit.  `Lease` ops carry the leader lease through the same log, so
-/// leadership is itself a replicated, totally ordered fact.
+/// audit.  `Lease` ops carry each election through the same log, so who
+/// leads in which term is a replicated, totally ordered fact (the holder
+/// then keeps its lease by heartbeat, outside the log).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BrainOp {
     /// A batch of minute-tick node reports (Global Discovery input),
@@ -81,8 +82,8 @@ pub enum BrainOp {
         /// The other endpoint.
         b: NodeId,
     },
-    /// Leader lease grant/renewal: `holder` owns leadership for lease
-    /// `term` until virtual time `until`.
+    /// Leader election: `holder` owns leadership for lease `term` until
+    /// virtual time `until`, which its heartbeats then extend.
     Lease {
         /// The replica holding the lease.
         holder: ReplicaId,

@@ -37,6 +37,8 @@ pub struct ReplicationSummary {
     pub lease_grants: u64,
     /// Lease decrees renewing incumbents.
     pub lease_renewals: u64,
+    /// Heartbeat rounds that extended a lease (no log entry).
+    pub lease_extensions: u64,
     /// Leader crashes injected.
     pub leader_crashes: u64,
     /// Crashed replicas restarted.
@@ -82,6 +84,7 @@ impl ReplicationSummary {
         self.ops_committed += other.ops_committed;
         self.lease_grants += other.lease_grants;
         self.lease_renewals += other.lease_renewals;
+        self.lease_extensions += other.lease_extensions;
         self.leader_crashes += other.leader_crashes;
         self.restarts += other.restarts;
         self.client_retries += other.client_retries;
@@ -209,6 +212,7 @@ impl ControlPlane {
                     ops_committed: s.state_ops_committed,
                     lease_grants: s.lease_grants,
                     lease_renewals: s.lease_renewals,
+                    lease_extensions: s.lease_extensions,
                     leader_crashes: s.leader_crashes,
                     restarts: s.restarts,
                     client_retries: s.client_retries,

@@ -138,6 +138,9 @@ pub mod ids {
     pub const REPLICATION_LEASE_GRANTS: MetricId = MetricId("replication.lease_grants");
     /// Lease decrees that renewed the incumbent leader.
     pub const REPLICATION_LEASE_RENEWALS: MetricId = MetricId("replication.lease_renewals");
+    /// Heartbeat rounds that extended the leader's lease (a majority held
+    /// the new expiry); they write nothing to the log.
+    pub const REPLICATION_LEASE_EXTENSIONS: MetricId = MetricId("replication.lease_extensions");
     /// Ballots started (fresh proposals plus backoff retries).
     pub const REPLICATION_PROPOSALS: MetricId = MetricId("replication.proposals");
     /// Inter-replica Paxos messages put on the wire.
