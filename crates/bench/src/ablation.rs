@@ -2,10 +2,10 @@
 //! ablations (DESIGN.md §6): GoP-cache burst, I-frame pacing gain, routing
 //! knobs.
 
-use crate::{median, ratio_pct, Args, Report};
+use crate::{canonical, median, ratio_pct, Args, Report};
 use livenet_brain::WeightParams;
 use livenet_emu::LossModel;
-use livenet_sim::{FleetConfigBuilder, FleetSim, Scenario, ScenarioRun, SessionRecord, Viewer};
+use livenet_sim::{FleetConfigBuilder, Scenario, ScenarioRun, SessionRecord, Viewer};
 use livenet_types::{Bandwidth, Ecdf, SimTime};
 
 /// The paper's A→B→C chain with `loss` on A→B, with or without the slow
@@ -223,7 +223,7 @@ pub(crate) fn routing(args: &Args, out: &mut Report) {
             })
             .build()
             .expect("ablation variant config is valid");
-        let report = FleetSim::new(cfg).run();
+        let report = canonical(cfg);
         let ln = &report.livenet;
         let inter: Vec<SessionRecord> = ln.iter().filter(|s| s.international).copied().collect();
         rows.push(vec![

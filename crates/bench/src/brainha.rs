@@ -10,7 +10,8 @@
 //!   right after the crash, against an identical no-crash baseline run.
 //! * **Consistency** — the post-run audit replays every replica's log
 //!   against the canonical chosen sequence and cross-checks sampled
-//!   `PathAssignment`s across replicas; any divergence fails the run.
+//!   `PathAssignment`s across replicas; any divergence, a lease taken over
+//!   while live, or a replica short of the whole log fails the run.
 //!
 //! `--threads` sets only the worker count; the shard partition is fixed
 //! by the config, so the output is the same at any width (serial ≡
@@ -121,6 +122,11 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
     // ---------- Gates ----------
     assert_eq!(rep.log_divergences, 0, "replica decided log diverged");
     assert_eq!(rep.assignment_mismatches, 0, "replica path decisions diverged");
+    assert_eq!(rep.lease_overlaps, 0, "a live lease was taken over");
+    assert_eq!(
+        rep.min_replica_decided, rep.decided_slots,
+        "a replica missed part of the log"
+    );
     assert_eq!(rep.give_ups, 0, "a control-plane client gave up");
     assert_eq!(rep.leader_crashes, shards as u64, "crash missed a shard");
     assert_eq!(rep.restarts, shards as u64, "a crashed replica never restarted");

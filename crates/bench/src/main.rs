@@ -26,9 +26,7 @@ mod render;
 mod report;
 mod wire;
 
-use livenet_sim::{
-    FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, FleetSim, SessionRecord,
-};
+use livenet_sim::{FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, SessionRecord};
 use livenet_types::Ecdf;
 use report::Report;
 use std::process::ExitCode;
@@ -89,9 +87,9 @@ impl Args {
 /// How one experiment gets its data.
 #[derive(Clone, Copy)]
 enum Run {
-    /// Renders from the canonical fleet run — `FleetSim::run`, the
-    /// monolith sample path the tables are quoted against; `true` plots the
-    /// first week only (the run is then capped at 7 days).
+    /// Renders from the canonical fleet run ([`canonical`]: the command-line
+    /// config on one shard, the sample path the tables are quoted against);
+    /// `true` plots the first week only (the run is then capped at 7 days).
     Figure(fn(&FleetReport, &mut Report), bool),
     /// Builds its own runs.
     Own(fn(&Args, &mut Report)),
@@ -157,6 +155,15 @@ fn percentile<T: Copy + Into<f64>>(sorted: &[T], p: f64) -> f64 {
     sorted[((sorted.len() - 1) as f64 * p).round() as usize].into()
 }
 
+/// The canonical fleet run of `cfg`: on one shard, whose lone plan is the
+/// unsharded sample path. `paper_scale` is 8-sharded for the runs that
+/// time the parallel runner, so the width is set here.
+fn canonical(cfg: FleetConfig) -> FleetReport {
+    FleetRunner::new(FleetConfig { shards: 1, ..cfg })
+        .expect("a valid config is valid on one shard")
+        .run_serial()
+}
+
 fn one(&(_, title, paper_ref, run): &Experiment, args: &Args) -> Report {
     match run {
         Run::Figure(render, first_week) => {
@@ -167,7 +174,7 @@ fn one(&(_, title, paper_ref, run): &Experiment, args: &Args) -> Report {
                     .festival_days
                     .retain(|d| *d < cfg.workload.days);
             }
-            let report = FleetSim::new(cfg).run();
+            let report = canonical(cfg);
             let mut out = Report::fleet(title, paper_ref, &report);
             render(&report, &mut out);
             out
@@ -181,7 +188,7 @@ fn one(&(_, title, paper_ref, run): &Experiment, args: &Args) -> Report {
 }
 
 fn all(args: &Args) -> Report {
-    let report = FleetSim::new(args.fleet.clone()).run();
+    let report = canonical(args.fleet.clone());
     let mut out = Report::fleet(
         "full evaluation (every table & figure from one 20-day run)",
         "§6",

@@ -60,6 +60,10 @@ pub struct ReplicationSummary {
     pub log_divergences: u64,
     /// Post-run sampled `PathAssignment` mismatches across replicas.
     pub assignment_mismatches: u64,
+    /// Live leases taken over — any nonzero value is a lease-safety bug.
+    pub lease_overlaps: u64,
+    /// Per cluster the fewest slots a replica decided; `== decided_slots`.
+    pub min_replica_decided: u64,
     /// Failover latencies (ms), shard-index order then crash order.
     pub failover_ms: Vec<f64>,
 }
@@ -95,6 +99,8 @@ impl ReplicationSummary {
         self.decided_slots += other.decided_slots;
         self.log_divergences += other.log_divergences;
         self.assignment_mismatches += other.assignment_mismatches;
+        self.lease_overlaps += other.lease_overlaps;
+        self.min_replica_decided += other.min_replica_decided;
         self.failover_ms.extend_from_slice(&other.failover_ms);
     }
 }
@@ -223,6 +229,8 @@ impl ControlPlane {
                     decided_slots: audit.decided_slots,
                     log_divergences: audit.log_divergences,
                     assignment_mismatches: audit.assignment_mismatches,
+                    lease_overlaps: audit.lease_overlaps,
+                    min_replica_decided: audit.min_replica_decided,
                     failover_ms: c.failover_ms().to_vec(),
                 })
             }

@@ -255,26 +255,14 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Build the simulator (generates topology, channels, schedules).
-    pub fn new(config: FleetConfig) -> FleetSim {
-        FleetSim::build(config, None)
-    }
-
-    /// Build the simulator for one shard of a partitioned run.
+    /// Build the simulator for one plan of a [`crate::FleetRunner`] run.
     ///
-    /// The topology, channel universe and live schedule are generated
-    /// exactly as in [`FleetSim::new`] — every shard agrees on the shared
-    /// ground truth because the same RNG streams are consumed to build it.
-    /// Only then does the shard diverge: arrivals come from the plan's
-    /// channel slice at its Zipf mass share of the fleet rate, per-session
-    /// noise draws from `split(index)` of the fleet stream, and session
-    /// capacities are scaled by the mass share so per-shard utilization
-    /// (and therefore routing and queueing) matches the monolith's.
-    pub fn new_shard(config: FleetConfig, plan: &ShardPlan) -> FleetSim {
-        FleetSim::build(config, Some(plan))
-    }
-
-    fn build(mut config: FleetConfig, shard: Option<&ShardPlan>) -> FleetSim {
+    /// Topology, channel universe and live schedule come from the same RNG
+    /// streams for every plan, and a lone plan runs on them. A plan with
+    /// siblings then takes its channels' arrivals at its Zipf mass share of
+    /// the fleet rate, draws noise from `split(index)`, and scales session
+    /// capacities by the share so its utilization matches the lone plan's.
+    pub fn new_shard(mut config: FleetConfig, plan: &ShardPlan) -> FleetSim {
         let topology = GeoTopology::generate(&config.geo).topology;
         let countries = config.geo.countries;
         let mut edges_by_country: Vec<Vec<NodeId>> = vec![Vec::new(); countries as usize];
@@ -296,22 +284,12 @@ impl FleetSim {
         }
 
         let seed = config.workload.seed;
-        let workload = match shard {
-            None => Workload::new(config.workload.clone(), countries),
-            Some(p) => Workload::for_shard(
-                config.workload.clone(),
-                countries,
-                &p.channels,
-                p.mass_share,
-                p.index as u64,
-            ),
-        };
+        let workload = Workload::for_shard(config.workload.clone(), countries, plan);
         // Each shard runs its own Brain cluster; the seed is a pure
         // function of (workload seed, shard index) so serial and parallel
-        // executions of the same partition agree bit-for-bit.
-        let brain_seed = shard.map_or(seed, |p| {
-            seed.wrapping_add((p.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        });
+        // executions of the same partition agree bit-for-bit. Index 0 (a
+        // lone plan's) is the workload seed itself.
+        let brain_seed = seed.wrapping_add((plan.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let brain = ControlPlane::new(
             &topology,
             &config.brain,
@@ -343,7 +321,7 @@ impl FleetSim {
                         SimDuration::from_secs_f64(rng.exp(2400.0).clamp(120.0, 3.0 * 3600.0));
                     t = end + off;
                 }
-                if shard.is_some_and(|p| p.channels.binary_search(&ch).is_err()) {
+                if plan.channels.binary_search(&ch).is_err() {
                     blocks.clear();
                 }
                 // A stable edge node in the channel's country.
@@ -354,12 +332,13 @@ impl FleetSim {
                 }
             })
             .collect();
-        if let Some(p) = shard {
-            rng = rng.split(p.index as u64);
-            let share = p.mass_share.max(1e-9);
-            config.node_capacity_sessions *= share;
-            config.link_capacity_sessions *= share;
+        if !plan.is_lone(channels.len()) {
+            rng = rng.split(plan.index as u64);
         }
+        // Exactly 1.0 for a lone plan, so its capacities keep every bit.
+        let share = plan.mass_share.max(1e-9);
+        config.node_capacity_sessions *= share;
+        config.link_capacity_sessions *= share;
 
         FleetSim {
             hier: HierPlane::new(HierRoles::assign(&topology, 2)),
@@ -1141,9 +1120,26 @@ pub(crate) mod testkit {
 mod tests {
     use super::*;
     use crate::metrics::summarize;
+    use crate::FleetRunner;
+
+    /// A fleet run: `config` through the validated runner.
+    fn run(config: FleetConfig) -> FleetReport {
+        FleetRunner::new(config).unwrap().run_serial()
+    }
 
     fn smoke_report(seed: u64) -> FleetReport {
-        FleetSim::new(FleetConfig::smoke(seed)).run()
+        run(FleetConfig::smoke(seed))
+    }
+
+    /// The simulator a width-1 runner builds and runs, kept open so a test
+    /// can step it and look inside.
+    fn lone(config: FleetConfig) -> FleetSim {
+        let runner = FleetRunner::new(config).unwrap();
+        let plans = runner.plans();
+        let [plan] = &plans[..] else {
+            panic!("width 1 is one plan, not {}", plans.len())
+        };
+        FleetSim::new_shard(runner.config().clone(), plan)
     }
 
     #[test]
@@ -1244,7 +1240,7 @@ mod tests {
 
     #[test]
     fn outage_telemetry_counts_faults_and_recoveries() {
-        let r = FleetSim::new(outage_config(11)).run();
+        let r = run(outage_config(11));
         let snap = &r.telemetry;
         assert_eq!(snap.counter("fleet.faults_injected"), r.faults_injected);
         assert_eq!(
@@ -1269,7 +1265,7 @@ mod tests {
 
     #[test]
     fn refcounts_drain_after_run() {
-        let mut sim = FleetSim::new(FleetConfig::smoke(8));
+        let mut sim = lone(FleetConfig::smoke(8));
         // Run through the shared driver (the same code `run_collect`
         // uses), keeping the sim alive to inspect internal state.
         sim.seed_events();
@@ -1290,7 +1286,7 @@ mod tests {
     /// Step the loop minute by minute and count the (node, stream)-minutes
     /// on which a plane's conservation audit fails: `(LiveNet, Hier)`.
     fn audit_violations(config: FleetConfig) -> (usize, usize) {
-        let mut sim = FleetSim::new(config);
+        let mut sim = lone(config);
         sim.seed_events();
         let (mut livenet, mut hier) = (0, 0);
         for minute in 1..=u64::from(sim.config.workload.days) * 1440 {
@@ -1342,7 +1338,7 @@ mod tests {
 
     #[test]
     fn region_outage_triggers_recoveries_and_rehoming() {
-        let r = FleetSim::new(outage_config(11)).run();
+        let r = run(outage_config(11));
         assert_eq!(r.faults_injected, 1);
         assert!(!r.recoveries_livenet.is_empty(), "no LiveNet failovers");
         assert!(!r.recoveries_hier.is_empty(), "no Hier failovers");
@@ -1368,8 +1364,8 @@ mod tests {
 
     #[test]
     fn outage_runs_are_deterministic() {
-        let a = FleetSim::new(outage_config(12)).run();
-        let b = FleetSim::new(outage_config(12)).run();
+        let a = run(outage_config(12));
+        let b = run(outage_config(12));
         assert!(a.bit_identical(&b));
     }
 
@@ -1379,7 +1375,7 @@ mod tests {
             .random_faults(3.0, (300, 1200))
             .build()
             .unwrap();
-        let r = FleetSim::new(cfg).run();
+        let r = run(cfg);
         assert!(r.faults_injected >= 3, "{}", r.faults_injected);
         assert_eq!(r.livenet.len(), r.hier.len());
     }

@@ -24,9 +24,9 @@
 //!   `fleet/rollup.rs` (hour/day series); [`control`] holds the Brain —
 //!   single or Paxos-replicated — behind one `commit(BrainOp)`.
 //!
-//! Fleet runs scale out through [`runner`]: [`FleetRunner`] partitions the
-//! channel universe into independent shards (DESIGN.md §7) and executes
-//! them serially or on a thread pool with bit-identical results.
+//! Every fleet run goes through [`runner`]: [`FleetRunner`] validates, then
+//! partitions the channel universe into independent shards (DESIGN.md §7)
+//! and executes them serially or on a thread pool with bit-identical results.
 //!
 //! [`OverlayNode`]: livenet_node::OverlayNode
 
@@ -48,7 +48,7 @@ pub use fleet::{
     RecoveryRecord,
 };
 pub use metrics::{record_session, DecisionOutcome, SessionRecord, SessionSummary};
-pub use runner::{partition_channels, FleetRunner, ShardPlan};
+pub use runner::{FleetRunner, ShardPlan};
 pub use scenario::{Scenario, ScenarioRun, Viewer};
 pub use viewer::{PlaybackSim, ViewerQoe};
 pub use workload::{diurnal_factor, Channel, WorkloadConfig};

@@ -16,13 +16,12 @@
 //!   than the single heaviest channel;
 //! * each shard's arrival rate and session capacities are scaled by its
 //!   mass share, so per-shard utilization — and therefore routing,
-//!   queueing and the long-chain dynamics — matches the monolith's.
+//!   queueing and the long-chain dynamics — matches the unsharded run's.
 //!
-//! Sharded runs are a *new semantics*, not a replay of the legacy
-//! [`FleetSim::run`] monolith: the union of the shards' thinned Poisson
-//! streams is distributed like the monolith stream but is not the same
-//! sample path. The determinism contract is serial-sharded ≡
-//! parallel-sharded, checked by [`FleetReport::bit_identical`].
+//! Width 1 is the unsharded run (`ShardPlan::is_lone`). Wider runs are
+//! a new sample of the same distribution: the union of the shards'
+//! thinned Poisson streams is distributed like the lone plan's stream. The
+//! contract is serial ≡ parallel, checked by [`FleetReport::bit_identical`].
 //!
 //! [`DetRng::split`]: livenet_types::DetRng::split
 
@@ -47,6 +46,15 @@ pub struct ShardPlan {
     pub mass_share: f64,
 }
 
+impl ShardPlan {
+    /// A plan owning all `channels` has no siblings, so it *is* the fleet:
+    /// it draws from the fleet's own streams, with no `split` (which only
+    /// makes siblings independent) and no conditional Zipf pool.
+    pub(crate) fn is_lone(&self, channels: usize) -> bool {
+        self.channels.len() == channels
+    }
+}
+
 /// Partition the channel universe into at most `config.shards` plans.
 ///
 /// Channels are placed heaviest-first (Zipf mass is monotone in rank)
@@ -58,7 +66,7 @@ pub struct ShardPlan {
 /// up empty are dropped — surviving plans keep their original indices, so
 /// the partition (and every shard's RNG stream) is a pure function of the
 /// config, never of the thread count.
-pub fn partition_channels(config: &FleetConfig) -> Vec<ShardPlan> {
+pub(crate) fn partition_channels(config: &FleetConfig) -> Vec<ShardPlan> {
     let channels = config.workload.channels;
     let shards = config.shards.clamp(1, channels.max(1));
     let zipf = ZipfTable::new(channels, config.workload.zipf_s);
@@ -466,6 +474,18 @@ mod tests {
                     p.index, p.mass_share, ideal, heaviest
                 );
             }
+            // A plan with siblings is never lone.
+            proptest::prop_assert!(shards == 1 || plans.iter().all(|p| !p.is_lone(channels)));
+            // Width 1 is the fleet itself: one lone plan at index 0 owning
+            // every channel, with a mass share of exactly 1.0, so scaling
+            // the capacities by it changes no bit.
+            cfg.shards = 1;
+            let whole = partition_channels(&cfg);
+            proptest::prop_assert_eq!(whole.len(), 1);
+            proptest::prop_assert_eq!(whole[0].index, 0);
+            proptest::prop_assert_eq!(&whole[0].channels, &(0..channels).collect::<Vec<_>>());
+            proptest::prop_assert!(whole[0].is_lone(channels));
+            proptest::prop_assert_eq!(whole[0].mass_share.to_bits(), 1f64.to_bits());
         }
     }
 

@@ -10,6 +10,7 @@
 //! * channel churn ("live streams come and go often"),
 //! * festival spikes (Double 12: ~2× peak throughput, Fig. 14).
 
+use crate::runner::ShardPlan;
 use livenet_types::{DetRng, NodeId, SimDuration, SimTime, StreamId, ZipfTable};
 use serde::{Deserialize, Serialize};
 
@@ -138,9 +139,9 @@ pub struct Workload {
     rng: DetRng,
     next_arrival: SimTime,
     countries: u32,
-    /// When sharded: only these channels arrive, at `rate_share` of the
-    /// fleet rate. Thinning a Poisson process splits it exactly, so the
-    /// union over shards is distributed like the monolith stream.
+    /// For a plan with siblings: only its channels arrive, at `rate_share`
+    /// of the fleet rate. Thinning a Poisson process splits it exactly, so
+    /// the union over siblings is distributed like the lone plan's stream.
     pool: Option<ShardPool>,
     rate_share: f64,
 }
@@ -184,37 +185,34 @@ impl Workload {
     /// Build the generator for one shard of a partitioned fleet run.
     ///
     /// The channel universe is built exactly as in [`Workload::new`] (every
-    /// shard sees the same channels), then arrivals are restricted to
-    /// `members` (channel indices) at `mass_share` of the fleet rate, with
-    /// channel choice drawn from the Zipf distribution conditioned on the
-    /// member set. Per-shard noise comes from `split(shard)` of the shared
-    /// workload stream, so shards are mutually independent but each is
-    /// reproducible regardless of how many siblings run.
-    pub fn for_shard(
-        config: WorkloadConfig,
-        countries: u32,
-        members: &[usize],
-        mass_share: f64,
-        shard: u64,
-    ) -> Workload {
-        assert!(!members.is_empty(), "shard with no channels");
+    /// shard sees the same channels), and a lone plan gets exactly that
+    /// generator. A plan with siblings then restricts arrivals to its
+    /// channels at its mass share of the fleet rate, with channel choice
+    /// drawn from the Zipf distribution conditioned on the member set.
+    /// Its noise comes from `split(index)` of the shared workload stream,
+    /// so siblings are mutually independent but each is reproducible
+    /// regardless of how many siblings run.
+    pub(crate) fn for_shard(config: WorkloadConfig, countries: u32, plan: &ShardPlan) -> Workload {
         let mut w = Workload::new(config, countries);
-        w.rng = w.rng.split(shard);
-        let mut cdf = Vec::with_capacity(members.len());
+        if plan.is_lone(w.channels.len()) {
+            return w;
+        }
+        assert!(!plan.channels.is_empty(), "shard with no channels");
+        w.rng = w.rng.split(plan.index as u64);
+        let mut cdf = Vec::with_capacity(plan.channels.len());
         let mut acc = 0.0;
-        for &c in members {
+        for &c in &plan.channels {
             acc += w.zipf.pmf(c);
             cdf.push(acc);
         }
-        let total = acc;
         for v in &mut cdf {
-            *v /= total;
+            *v /= acc;
         }
         w.pool = Some(ShardPool {
-            channels: members.to_vec(),
+            channels: plan.channels.clone(),
             cdf,
         });
-        w.rate_share = mass_share;
+        w.rate_share = plan.mass_share;
         w
     }
 
@@ -257,8 +255,8 @@ impl Workload {
     /// with probability `demand_factor / max_factor`.
     pub fn next_session(&mut self) -> Option<SessionSpec> {
         let max_factor = self.config.festival_factor.max(1.0);
-        // rate_share is exactly 1.0 in the monolith path, so the
-        // multiplication leaves the legacy stream bit-identical.
+        // rate_share is exactly 1.0 for a lone plan, so the multiplication
+        // leaves the fleet's own stream bit-identical.
         let peak = self.config.peak_arrivals_per_sec * max_factor * self.rate_share;
         loop {
             let gap = self.rng.exp(1.0 / peak);
@@ -422,7 +420,12 @@ mod tests {
         let zipf = ZipfTable::new(cfg.channels, cfg.zipf_s);
         let mass: f64 = members.iter().map(|&c| zipf.pmf(c)).sum();
         let mut whole = Workload::new(cfg.clone(), 12);
-        let mut shard = Workload::for_shard(cfg, 12, &members, mass, 0);
+        let plan = ShardPlan {
+            index: 0,
+            channels: members.clone(),
+            mass_share: mass,
+        };
+        let mut shard = Workload::for_shard(cfg, 12, &plan);
         // Shards agree on the channel universe built from the shared stream.
         assert_eq!(whole.channels, shard.channels);
         let mut whole_n = 0u32;
@@ -444,9 +447,13 @@ mod tests {
 
     #[test]
     fn shard_replay_is_deterministic_and_label_dependent() {
-        let members: Vec<usize> = (5..15).collect();
-        let run = |shard| {
-            let mut w = Workload::for_shard(WorkloadConfig::smoke(7), 12, &members, 0.3, shard);
+        let run = |index| {
+            let plan = ShardPlan {
+                index,
+                channels: (5..15).collect(),
+                mass_share: 0.3,
+            };
+            let mut w = Workload::for_shard(WorkloadConfig::smoke(7), 12, &plan);
             let mut v = Vec::new();
             for _ in 0..50 {
                 v.push(w.next_session().unwrap());
@@ -455,6 +462,31 @@ mod tests {
         };
         assert_eq!(run(2), run(2));
         assert_ne!(run(2), run(3));
+    }
+
+    /// The lone plan of a width-1 partition is the fleet itself: its
+    /// generator draws the very stream `Workload::new` draws.
+    #[test]
+    fn a_lone_plan_draws_the_fleet_stream() {
+        use crate::fleet::FleetConfig;
+        use crate::runner::partition_channels;
+        for seed in [1, 7, 20_221_122] {
+            let fleet = FleetConfig::smoke(seed);
+            let plans = partition_channels(&fleet);
+            assert_eq!(plans.len(), 1, "width 1 is one plan");
+            let mut whole = Workload::new(fleet.workload.clone(), 12);
+            let mut lone = Workload::for_shard(fleet.workload.clone(), 12, &plans[0]);
+            let mut n = 0;
+            loop {
+                let (a, b) = (whole.next_session(), lone.next_session());
+                assert_eq!(a, b, "seed {seed}, session {n}");
+                if a.is_none() {
+                    break;
+                }
+                n += 1;
+            }
+            assert!(n > 1000, "seed {seed}: only {n} sessions");
+        }
     }
 
     #[test]

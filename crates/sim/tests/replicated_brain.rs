@@ -50,6 +50,12 @@ fn replicated_fleet_is_bit_identical_across_shard_widths() {
         assert!(rep.lease_grants > 0, "no lease was ever granted");
         assert_eq!(rep.log_divergences, 0, "Paxos log divergence");
         assert_eq!(rep.assignment_mismatches, 0, "replica decision mismatch");
+        assert_eq!(rep.lease_overlaps, 0, "a live lease was taken over");
+        assert!(rep.decided_slots > 0, "no slot decided at {shards} shards");
+        assert_eq!(
+            rep.min_replica_decided, rep.decided_slots,
+            "a replica missed part of the log at {shards} shards"
+        );
         assert_eq!(rep.give_ups, 0, "client gave up on the control plane");
         // The scripted crash hit exactly one shard's cluster per run
         // (every shard injects the fault; each crashes its own leader).

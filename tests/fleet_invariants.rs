@@ -4,8 +4,11 @@
 use livenet::prelude::*;
 use livenet::sim::metrics::summarize;
 
+/// The smoke preset on one shard: the unsharded run.
 fn smoke(seed: u64) -> FleetReport {
-    FleetSim::new(FleetConfig::smoke(seed)).run()
+    FleetRunner::new(FleetConfig::smoke(seed))
+        .expect("smoke preset is valid")
+        .run_serial()
 }
 
 #[test]

@@ -6,7 +6,6 @@
 
 use livenet::prelude::*;
 use livenet::sim::metrics::summarize;
-use livenet::sim::partition_channels;
 
 /// A sharded config small enough to run serial + three parallel widths
 /// per seed: the smoke preset at a reduced arrival rate.
@@ -39,7 +38,7 @@ fn parallel_bit_identical_to_serial_across_seeds_and_widths() {
 #[test]
 fn zipf_head_load_is_balanced_across_shards() {
     let cfg = sharded(81);
-    let plans = partition_channels(&cfg);
+    let plans = FleetRunner::new(cfg.clone()).unwrap().plans();
     assert!(plans.len() > 1, "expected a real partition");
     // Regression for the LPT partition: the Zipf head spreads across
     // shards (the old head-group rule co-sharded it and capped speedup at

@@ -161,9 +161,11 @@ fn run_serial(config: FleetConfigBuilder) -> FleetReport {
         .run_serial()
 }
 
+/// Width 1: the lone plan is the fleet itself, so this is the unsharded
+/// run the `exp` tables are quoted against.
 #[test]
 fn pin_1_monolith_smoke() {
-    let r = FleetSim::new(FleetConfig::smoke(7)).run();
+    let r = run_serial(FleetConfigBuilder::from_config(FleetConfig::smoke(7)));
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
