@@ -21,7 +21,7 @@
 
 use crate::{percentile, Args, Report, SEED};
 use livenet_emu::LossModel;
-use livenet_sim::{Scenario, Viewer};
+use livenet_sim::{Scenario, Viewer, ViewerRun};
 use livenet_topology::GeoConfig;
 use livenet_transport::{testbed, TestbedConfig};
 use livenet_types::{SimDuration, SimTime, StreamId};
@@ -34,12 +34,12 @@ const STREAM: StreamId = StreamId(900);
 const FANOUT: usize = 2;
 
 /// Agreement tolerances: the wire median must sit within these of the
-/// emulator median. Generous by design — the wire measures wall-clock
-/// startup through a busy single-core executor while the emulator is an
-/// idealized event loop — but tight enough to catch a broken datapath
-/// (an unserved GoP-cache burst or a mis-accumulated delay field blows
-/// straight through them).
-const STARTUP_TOL_ABS_MS: f64 = 150.0;
+/// emulator median. Both sides run one viewer client, so startup is one
+/// quantity (playback start after I-frame sync); its bound is 3× the
+/// largest delta of ten `--smoke` runs on a 2-core x86-64 host (16.9 ms).
+/// The E2E bound is generous — the wire medians include backbone detours
+/// the 2-hop chain does not model — yet catches a broken delay field.
+const STARTUP_TOL_ABS_MS: f64 = 50.0;
 const STARTUP_TOL_REL: f64 = 0.8;
 const E2E_TOL_ABS_MS: f64 = 50.0;
 const E2E_TOL_REL: f64 = 0.6;
@@ -117,6 +117,20 @@ fn emulator_config(cfg: &TestbedConfig) -> Scenario {
     emu
 }
 
+/// Both columns of the agreement gate, read the same way off either side's
+/// viewers: the startup delays (ms) of the viewers whose playback started
+/// and the per-viewer mean delay fields (ms), each sorted.
+fn startup_and_e2e_ms<'a>(runs: impl IntoIterator<Item = &'a ViewerRun>) -> (Vec<f64>, Vec<f64>) {
+    let (mut startup, mut e2e) = (Vec::new(), Vec::new());
+    for run in runs {
+        startup.extend(run.qoe.startup.map(SimDuration::as_millis_f64));
+        e2e.extend(run.mean_delay_field_ms());
+    }
+    startup.sort_by(f64::total_cmp);
+    e2e.sort_by(f64::total_cmp);
+    (startup, e2e)
+}
+
 #[tokio::main(flavor = "multi_thread", worker_threads = 4)]
 pub(crate) async fn run(args: &Args, out: &mut Report) {
     let smoke = args.smoke;
@@ -176,13 +190,16 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     let wire = testbed::run(cfg.clone()).await.expect("validated config runs");
 
     // ---- Wire distributions -------------------------------------------
-    let startup = wire.startup_ms_sorted();
-    let e2e = wire.e2e_ms_sorted();
+    let (startup, e2e) = startup_and_e2e_ms(wire.viewers.iter().map(|v| &v.run));
     assert!(!startup.is_empty(), "no viewer measured startup");
     assert!(!e2e.is_empty(), "no viewer measured E2E delay");
     let wire_startup_med = percentile(&startup, 0.5);
     let wire_startup_p90 = percentile(&startup, 0.9);
     let wire_e2e_med = percentile(&e2e, 0.5);
+    let zero_stall = wire.viewers.iter().filter(|v| v.run.qoe.stalls == 0).count();
+    let zero_stall_share = zero_stall as f64 / wire.viewers.len() as f64;
+    // Datagrams a viewer's client could not decode (gated at zero below).
+    let undecodable: u64 = wire.viewers.iter().map(|v| v.run.undecodable).sum();
 
     out.heading("Wire run: geo fleet viewer distributions");
     out.table(
@@ -200,6 +217,12 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
                 format!("{:.1}", percentile(&e2e, 0.9)),
                 e2e.len().to_string(),
             ],
+            vec![
+                "zero-stall share (%)".into(),
+                format!("{:.1}", 100.0 * zero_stall_share),
+                "-".into(),
+                wire.viewers.len().to_string(),
+            ],
         ],
     );
     out.note(format!(
@@ -213,25 +236,7 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
 
     // ---- Emulator agreement gate --------------------------------------
     let emu = emu_cfg.run().expect("chain preset is valid");
-    let mut emu_startup: Vec<f64> = emu
-        .viewers
-        .iter()
-        .filter_map(|v| v.qoe.startup.map(|d| d.as_millis_f64()))
-        .collect();
-    emu_startup.sort_by(f64::total_cmp);
-    let mut emu_e2e: Vec<f64> = emu
-        .viewers
-        .iter()
-        .filter_map(|v| {
-            let d: Vec<f64> = v
-                .frames
-                .iter()
-                .filter_map(|(_, _, d)| d.map(|d| d.as_millis_f64()))
-                .collect();
-            (!d.is_empty()).then(|| d.iter().sum::<f64>() / d.len() as f64)
-        })
-        .collect();
-    emu_e2e.sort_by(f64::total_cmp);
+    let (emu_startup, emu_e2e) = startup_and_e2e_ms(&emu.viewers);
     assert!(!emu_startup.is_empty(), "no emulator viewer started");
     assert!(!emu_e2e.is_empty(), "no emulator viewer measured delay");
     let emu_startup_med = percentile(&emu_startup, 0.5);
@@ -295,6 +300,7 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.meta("e2e_delta_ms", format!("{e2e_delta:.1}"));
     out.meta("e2e_tolerance_ms", format!("{e2e_tol:.1}"));
     out.meta("worst_delivery", format!("{:.4}", wire.worst_delivery()));
+    out.meta("zero_stall_share", format!("{zero_stall_share:.4}"));
     out.meta("frames_broadcast", wire.frames_broadcast.to_string());
     // What the nodes dropped: datagrams from a source unknown at that
     // address, datagrams that overflowed a receive slot and datagrams a
@@ -307,6 +313,7 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.meta("transport.recv_truncated", truncated.to_string());
     out.meta("transport.send_errors", send_errors.to_string());
     out.meta("node.stale_timers", wire.telemetry.counter("node.stale_timers").to_string());
+    out.meta("viewer.undecodable", undecodable.to_string());
 
     let worst = wire.worst_delivery();
     assert!(worst >= 0.99, "delivery below 99%: {worst:.3}");
@@ -330,4 +337,5 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     assert_eq!(unknown, 0, "datagrams from a source no node knows at that address");
     assert_eq!(truncated, 0, "datagrams truncated by a node's receive slot");
     assert_eq!(send_errors, 0, "datagrams a node's socket refused");
+    assert_eq!(undecodable, 0, "datagrams a viewer's client could not decode");
 }

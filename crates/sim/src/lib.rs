@@ -3,8 +3,9 @@
 //! Two fidelity levels (DESIGN.md §4):
 //!
 //! * [`scenario`] — full packet-level emulation: real [`OverlayNode`]
-//!   state machines over the discrete-event network emulator, with viewer
-//!   playback-buffer models. One [`Scenario`] builder (nodes, links,
+//!   state machines over the discrete-event network emulator, each viewer
+//!   a [`ViewerClient`] (the client the wire testbed drives too). One
+//!   [`Scenario`] builder (nodes, links,
 //!   viewers on explicit paths, fault plan, scripted control plane) with
 //!   two presets, [`Scenario::chain`] and [`Scenario::diamond`], carries
 //!   every transmission-architecture experiment (fast/slow-path recovery,
@@ -50,5 +51,5 @@ pub use fleet::{
 pub use metrics::{record_session, DecisionOutcome, SessionRecord, SessionSummary};
 pub use runner::{FleetRunner, ShardPlan};
 pub use scenario::{Scenario, ScenarioRun, Viewer};
-pub use viewer::{PlaybackSim, ViewerQoe};
+pub use viewer::{ViewerClient, ViewerQoe, ViewerRun};
 pub use workload::{diurnal_factor, Channel, WorkloadConfig};

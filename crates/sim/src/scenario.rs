@@ -18,18 +18,12 @@
 //! Clients live in the same datagram namespace as nodes: viewer `i` is
 //! client `i + 1` on emulator host `1_000_000 + i + 1`.
 
-use crate::calibrate::PLAYER_BUFFER;
-use crate::viewer::{PlaybackSim, ViewerQoe};
+use crate::viewer::{ViewerClient, ViewerRun};
 use bytes::Bytes;
 use livenet_emu::{Ctx, FaultPlan, Host, LinkConfig, LinkStats, LossModel, NetSim};
-use livenet_media::{FrameKind, GopConfig, VideoEncoder};
-use livenet_node::{
-    NodeAction, NodeConfig, NodeEvent, NodeStats, OverlayMsg, OverlayNode, Subscriber,
-};
-use livenet_packet::{Depacketizer, RtpPacket};
-use livenet_types::{
-    Bandwidth, ClientId, Error, NodeId, Result, SimDuration, SimTime, Ssrc, StreamId,
-};
+use livenet_media::{GopConfig, VideoEncoder};
+use livenet_node::{NodeAction, NodeConfig, NodeEvent, NodeStats, OverlayNode, Subscriber};
+use livenet_types::{Bandwidth, ClientId, Error, NodeId, Result, SimDuration, SimTime, StreamId};
 
 /// The stream every scenario broadcasts.
 pub const SCENARIO_STREAM: StreamId = StreamId(900);
@@ -37,9 +31,6 @@ pub const SCENARIO_STREAM: StreamId = StreamId(900);
 pub const COSTREAM: StreamId = StreamId(901);
 /// Capture time of the first frame.
 const SCENARIO_START: SimTime = SimTime::from_millis(50);
-
-/// One completed frame at a client: arrival, RTP timestamp, delay field.
-pub type FrameArrival = (SimTime, u32, Option<SimDuration>);
 
 /// A viewer attached during the run.
 #[derive(Debug, Clone)]
@@ -227,7 +218,8 @@ impl Scenario {
                     node.register_producer(COSTREAM, None);
                 }
             }
-            sim.add_host(id, EmuHost::node(node));
+            let events = Vec::new();
+            sim.add_host(id, EmuHost::Node(NodeHostState { node, events }));
         }
         for &(a, b, link) in &self.links {
             sim.add_duplex(a, b, link);
@@ -235,7 +227,7 @@ impl Scenario {
         let clients: Vec<ClientId> = (1..=self.viewers.len() as u64).map(ClientId::new).collect();
         for (v, &client) in self.viewers.iter().zip(&clients) {
             let host = client_host_id(client);
-            sim.add_host(host, EmuHost::client(v.join_at, gop.fps));
+            sim.add_host(host, EmuHost::Client(ViewerClient::new(v.join_at, gop.fps)));
             sim.add_duplex(v.consumer(), host, v.access);
         }
         sim.schedule_fault_plan(&self.faults);
@@ -367,10 +359,7 @@ impl Scenario {
         let viewers = clients
             .iter()
             .map(|&client| match sim.remove_host(client_host_id(client)) {
-                Some(EmuHost::Client(state)) => ViewerRun {
-                    frames: state.frames,
-                    qoe: state.playback.finish(finish),
-                },
+                Some(EmuHost::Client(viewer)) => viewer.finish(finish),
                 _ => unreachable!("client hosts are added above and never removed"),
             })
             .collect();
@@ -414,22 +403,6 @@ pub struct NodeRun {
     pub events: Vec<(SimTime, NodeEvent)>,
     /// Its cumulative counters at the end of the run.
     pub stats: NodeStats,
-}
-
-/// What one viewer saw during a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ViewerRun {
-    /// Every frame the client completed, in arrival order.
-    pub frames: Vec<FrameArrival>,
-    /// Playback QoE over the whole view.
-    pub qoe: ViewerQoe,
-}
-
-impl ViewerRun {
-    /// Arrival of the first frame completed strictly after `t`.
-    pub fn first_frame_after(&self, t: SimTime) -> Option<SimTime> {
-        self.frames.iter().map(|&(at, _, _)| at).find(|&at| at > t)
-    }
 }
 
 /// Everything harvested from one [`Scenario::run`].
@@ -507,7 +480,7 @@ fn drive(
 #[allow(clippy::large_enum_variant)]
 enum EmuHost {
     Node(NodeHostState),
-    Client(ClientHostState),
+    Client(ViewerClient),
 }
 
 struct NodeHostState {
@@ -515,44 +488,6 @@ struct NodeHostState {
     node: OverlayNode,
     /// Harvested events.
     events: Vec<(SimTime, NodeEvent)>,
-}
-
-struct ClientHostState {
-    /// SSRC currently being decoded (a change = stream switch → reset).
-    ssrc: Option<Ssrc>,
-    /// The decoder has seen a keyframe and can render (I-frame sync).
-    synced: bool,
-    /// Frames completed before sync, held until the keyframe lands
-    /// (out-of-order completion: a recovering I frame can finish after
-    /// its successors).
-    presync: Vec<FrameArrival>,
-    /// Reassembles frames from received RTP packets.
-    depack: Depacketizer,
-    /// Playback model.
-    playback: PlaybackSim,
-    /// Completed-frame log.
-    frames: Vec<FrameArrival>,
-}
-
-impl EmuHost {
-    fn node(node: OverlayNode) -> EmuHost {
-        EmuHost::Node(NodeHostState {
-            node,
-            events: Vec::new(),
-        })
-    }
-
-    /// A viewer client that pressed play at `request_at`.
-    fn client(request_at: SimTime, fps: u32) -> EmuHost {
-        EmuHost::Client(ClientHostState {
-            ssrc: None,
-            synced: false,
-            presync: Vec::new(),
-            depack: Depacketizer::new(),
-            playback: PlaybackSim::new(request_at, fps, PLAYER_BUFFER),
-            frames: Vec::new(),
-        })
-    }
 }
 
 /// Apply a node's actions to the emulator context.
@@ -573,54 +508,6 @@ fn apply_node_actions(state: &mut NodeHostState, ctx: &mut Ctx, actions: Vec<Nod
     }
 }
 
-impl ClientHostState {
-    fn on_rtp(&mut self, now: SimTime, rtp: RtpPacket) {
-        // SSRC change = seamless stream switch (§5.2): reset reassembly
-        // state, like a WebRTC client re-keying its decoder on SSRC demux.
-        if self.ssrc != Some(rtp.header.ssrc) {
-            if self.ssrc.is_some() {
-                self.depack = Depacketizer::new();
-                self.synced = false; // re-sync on the new stream
-                self.presync.clear();
-            }
-            self.ssrc = Some(rtp.header.ssrc);
-        }
-        self.depack.push(rtp);
-        for frame in self.depack.drain() {
-            // A video decoder cannot render before its first keyframe
-            // (audio needs no sync). Frames completing before the keyframe
-            // are held: the I frame may still be in loss recovery while
-            // its successors finish.
-            if !self.synced {
-                match FrameKind::from_nibble(frame.meta) {
-                    Some(FrameKind::I) | Some(FrameKind::Audio) | None => {
-                        self.synced = true;
-                        let sync_ts = frame.timestamp;
-                        for (at, ts, df) in std::mem::take(&mut self.presync) {
-                            // Keep held frames at/after the keyframe
-                            // (wrapping compare).
-                            if ts.wrapping_sub(sync_ts) < 0x8000_0000 {
-                                self.playback.on_frame(at, ts);
-                                self.frames.push((at, ts, df));
-                            }
-                        }
-                    }
-                    _ => {
-                        self.presync.push((now, frame.timestamp, frame.delay_field));
-                        continue;
-                    }
-                }
-            }
-            self.playback.on_frame(now, frame.timestamp);
-            self.frames.push((now, frame.timestamp, frame.delay_field));
-        }
-        // Bound memory; skip permanently-lost frames.
-        if self.depack.gc(8) > 0 {
-            self.playback.skip_missing(now);
-        }
-    }
-}
-
 impl Host for EmuHost {
     fn on_datagram(&mut self, ctx: &mut Ctx, from: NodeId, payload: Bytes) {
         match self {
@@ -628,17 +515,10 @@ impl Host for EmuHost {
                 let actions = state.node.on_datagram(ctx.now(), from, payload);
                 apply_node_actions(state, ctx, actions);
             }
-            EmuHost::Client(state) => {
-                let Ok(msg) = OverlayMsg::decode(payload) else {
-                    return;
-                };
-                if let OverlayMsg::Rtp { packet, .. } = msg {
-                    if let Ok(rtp) = RtpPacket::decode(packet) {
-                        state.on_rtp(ctx.now(), rtp);
-                    }
+            EmuHost::Client(viewer) => {
+                if let Some(tick) = viewer.on_datagram(ctx.now(), payload) {
+                    ctx.set_timer_at(tick, 1);
                 }
-                // Keep playback time moving with a 100 ms tick.
-                ctx.set_timer_after(SimDuration::from_millis(100), 1);
             }
         }
     }
@@ -649,10 +529,7 @@ impl Host for EmuHost {
                 let actions = state.node.on_timer(ctx.now(), key);
                 apply_node_actions(state, ctx, actions);
             }
-            EmuHost::Client(state) => {
-                state.playback.advance(ctx.now());
-                state.playback.skip_missing(ctx.now());
-            }
+            EmuHost::Client(viewer) => viewer.on_tick(ctx.now()),
         }
     }
 
@@ -703,6 +580,9 @@ mod tests {
         assert!(run.nodes[0].stats.rtx_served > 0, "A served no RTX");
         // The viewer still plays through ≥95% of frames.
         assert!(qoe.frames_rendered > 130, "{}", qoe.frames_rendered);
+        // Retransmissions included, every datagram the client got decoded.
+        assert!(run.viewers[0].packets > 0);
+        assert_eq!(run.viewers[0].undecodable, 0);
         // Recovery latency ≈ scan wait + one hop RTT: well under 150 ms.
         let mean: f64 = recovery.iter().sum::<f64>() / recovery.len() as f64;
         assert!(mean < 150.0, "mean recovery {mean} ms");

@@ -3,11 +3,14 @@
 //! Spawns the brain + N [`UdpOverlayNode`]s wired along a configured edge
 //! list, drives a `livenet-media` [`VideoEncoder`] at wall-clock pace
 //! through a `livenet-cc` [`Pacer`] (the broadcaster's uplink), and
-//! attaches real-socket viewers that decode RTP, reassemble frames, and
-//! send RTCP receiver reports + keepalives back — the client-sourced half
-//! of the datapath the emulator models with passive clients. Every node
-//! records into one [`SharedTelemetry`] hub, so a run ends with a single
-//! snapshot spanning the wire datapath and the node cores.
+//! attaches real-socket viewers. Each viewer is a `livenet-sim`
+//! [`ViewerClient`] — the same client the emulator's `Scenario` drives —
+//! behind a socket: the task here only waits, binds, attaches, feeds it
+//! received datagrams, fires its playback ticks, and sends its RTCP
+//! receiver reports plus keepalives back, the client-sourced half of the
+//! datapath the emulator models with passive clients. Every node records
+//! into one [`SharedTelemetry`] hub, so a run ends with a single snapshot
+//! spanning the wire datapath and the node cores.
 //!
 //! A [`TestbedConfig`] is a plain struct: start from a preset, change
 //! fields with struct-update syntax, and [`run`] validates it — the one
@@ -19,9 +22,11 @@
 //! arrival times drawn from `livenet-sim`'s Taobao-shaped workload and
 //! compressed into the broadcast window.
 //!
-//! This is the integration-test and `exp wire` substrate; it measures the
-//! same quantities as the emulator's client model (startup delay, E2E
-//! delay via the RTP delay field, delivery completeness) on real sockets.
+//! This is the integration-test and `exp wire` substrate. Because the
+//! client is the emulator's, it measures the same quantities on real
+//! sockets: startup is playback start after I-frame sync, stalls and the
+//! E2E delay field come from the same playback model, and delivery is
+//! counted by RTP timestamp against what the broadcaster ingested.
 
 use crate::batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
 use crate::clock::WallClock;
@@ -32,11 +37,13 @@ use livenet_brain::{BrainConfig, StreamingBrain};
 use livenet_cc::{PacedPacket, Pacer, PacerConfig, RateDecisionStats, SendPriority};
 use livenet_media::{EncodedFrame, FrameKind, GopConfig, VideoEncoder};
 use livenet_node::{NodeConfig, NodeStats, OverlayMsg};
-use livenet_packet::{Depacketizer, ReceiverReport, RtcpPacket, RtpPacket};
+use livenet_packet::RtcpPacket;
 use livenet_sim::workload::{Workload, WorkloadConfig};
+use livenet_sim::{ViewerClient, ViewerRun};
 use livenet_telemetry::{ids, MetricSink, Snapshot};
 use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, NodeInfo, Topology};
 use livenet_types::{Bandwidth, ClientId, Error, NodeId, SimDuration, SimTime, StreamId};
+use std::collections::{BTreeSet, VecDeque};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -74,9 +81,8 @@ pub struct WireViewer {
 }
 
 impl WireViewer {
-    /// A well-behaved viewer at `node` (index range is checked by
-    /// [`TestbedConfig::validate`], surfacing `Error::InvalidConfig` instead
-    /// of the panic this constructor historically caused downstream).
+    /// A well-behaved viewer at `node` ([`TestbedConfig::validate`] checks
+    /// the index).
     pub fn at(node: usize) -> Self {
         WireViewer {
             node,
@@ -400,36 +406,31 @@ pub struct ViewerReport {
     pub client: ClientId,
     /// The consumer node the viewer attached to.
     pub node: NodeId,
-    /// When (harness clock) the viewer attached.
+    /// When (harness clock) the viewer attached; its client's request
+    /// time, so `run.qoe.startup` and `run.first_packet` count from here.
     pub attach_at: SimTime,
-    /// RTP packets received (including retransmissions).
-    pub packets: u64,
-    /// Frames fully reassembled.
-    pub frames_completed: u64,
     /// Frames the broadcaster ingested during this viewer's streaming
-    /// phase (attach + measured startup → end of broadcast); filled by
+    /// phase (attach + playback startup → end of broadcast); filled by
     /// [`run`]. The denominator of [`ViewerReport::delivery`].
     pub expected_frames: u64,
-    /// Attach → first RTP packet, ms.
-    pub first_packet_ms: Option<f64>,
-    /// Attach → first complete frame, ms (the startup delay).
-    pub startup_ms: Option<f64>,
-    /// Mean end-to-end delay over frames carrying the RTP delay field, ms.
-    pub mean_e2e_ms: Option<f64>,
+    /// Of those frames, the ones the viewer completed, matched by RTP
+    /// timestamp; filled by [`run`].
+    pub delivered_frames: u64,
     /// Receiver reports sent.
     pub rr_sent: u64,
+    /// What the viewer's client saw.
+    pub run: ViewerRun,
 }
 
 impl ViewerReport {
-    /// Streaming-phase delivery: completed frames over the frames
-    /// broadcast while this viewer was attached and past startup, capped
-    /// at 1.0. A viewer the broadcaster owed nothing (startup completed
-    /// after the last ingest) scores 1.0.
+    /// Streaming-phase delivery: the share of the frames broadcast while
+    /// this viewer was playing that it completed; 1.0 when it was owed
+    /// none (playback started after the last ingest).
     pub fn delivery(&self) -> f64 {
         if self.expected_frames == 0 {
             return 1.0;
         }
-        (self.frames_completed as f64 / self.expected_frames as f64).min(1.0)
+        self.delivered_frames as f64 / self.expected_frames as f64
     }
 }
 
@@ -460,8 +461,7 @@ impl WireRunReport {
         self.viewers
             .iter()
             .map(ViewerReport::delivery)
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0)
+            .fold(1.0, f64::min)
     }
 
     /// Sum of cc rate decreases over the nodes of one country.
@@ -473,20 +473,6 @@ impl WireRunReport {
             .map(|(_, (_, s))| s.decreases)
             .sum()
     }
-
-    /// Startup delays (ms) of every viewer that completed a frame, sorted.
-    pub fn startup_ms_sorted(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self.viewers.iter().filter_map(|r| r.startup_ms).collect();
-        v.sort_by(f64::total_cmp);
-        v
-    }
-
-    /// Per-viewer mean E2E delays (ms), sorted.
-    pub fn e2e_ms_sorted(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self.viewers.iter().filter_map(|r| r.mean_e2e_ms).collect();
-        v.sort_by(f64::total_cmp);
-        v
-    }
 }
 
 fn local() -> SocketAddr {
@@ -496,13 +482,12 @@ fn local() -> SocketAddr {
 /// Everything one viewer task needs to join, watch, and report.
 struct ViewerPlan {
     client: ClientId,
+    spec: WireViewer,
     node: NodeHandle,
     stream: StreamId,
-    downlink: Option<Bandwidth>,
     /// The Brain's producer-first path to the consumer (`None` at the
     /// producer itself).
     path: Option<Vec<NodeId>>,
-    lossy_rr: Option<(Duration, f64)>,
     rr_interval: Duration,
     /// Wall-clock delay before attaching (zero = attach immediately; the
     /// harness then settles before media flows).
@@ -582,14 +567,9 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     // one task, so arrivals stagger like the workload says while the
     // broadcaster keeps pacing. Nothing moves the Brain during a run, so
     // each viewer's path is asked for here, when the viewer is planned.
-    let run_deadline = tokio::time::Instant::now()
-        + cfg.settle
-        + cfg.broadcast
-        + cfg.drain;
+    let run_deadline = tokio::time::Instant::now() + cfg.settle + cfg.broadcast + cfg.drain;
     let mut viewer_joins = Vec::new();
-    let mut viewer_meta: Vec<(ClientId, usize)> = Vec::new();
     for (vi, spec) in cfg.viewers.iter().enumerate() {
-        let client = ClientId::new(vi as u64 + 1);
         let path = (spec.node != cfg.producer).then(|| {
             let assign = brain
                 .path_request(cfg.stream, ids_v[spec.node], clock.now())
@@ -597,12 +577,11 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
             assign.paths[0].nodes.clone()
         });
         let plan = ViewerPlan {
-            client,
+            client: ClientId::new(vi as u64 + 1),
+            spec: spec.clone(),
             node: handles[spec.node].clone(),
             stream: cfg.stream,
-            downlink: spec.downlink,
             path,
-            lossy_rr: spec.lossy_rr,
             rr_interval: cfg.rr_interval,
             attach_delay: if spec.join_after.is_zero() {
                 Duration::ZERO
@@ -614,7 +593,6 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
             telemetry: telemetry.clone(),
         };
         viewer_joins.push(tokio::spawn(viewer_session(plan)));
-        viewer_meta.push((client, spec.node));
     }
 
     // Let the zero-join reverse-path subscriptions establish before media
@@ -623,8 +601,7 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
 
     // Broadcaster: encode at wall-clock pace, smooth the uplink through
     // the cc pacer, ingest whatever the pacer releases.
-    let (frames_broadcast, ingest_times) =
-        broadcast(&cfg, clock, &handles[cfg.producer]).await;
+    let ingests = broadcast(&cfg, clock, &handles[cfg.producer]).await;
 
     // Harvest viewers (they stop at their deadline), then the nodes.
     let mut viewers = Vec::new();
@@ -639,42 +616,38 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
         cores.push(join.await.expect("node join"));
     }
 
-    // Per-viewer expected frames: what the broadcaster ingested during
-    // the viewer's streaming phase (attach + measured startup onward).
-    // Startup is reported separately; delivery measures steady state,
-    // mirroring the emulator's startup/streaming stage split.
+    // Per-viewer delivery, by RTP timestamp: of the frames ingested from
+    // attach + playback startup onward, the ones the viewer completed. A
+    // GoP-cache burst ingested before the viewer attached is owed nothing.
     for v in &mut viewers {
-        let from = match v.startup_ms {
-            Some(ms) => v.attach_at + SimDuration::from_millis_f64(ms),
-            None => v.attach_at,
-        };
-        v.expected_frames = ingest_times.iter().filter(|&&t| t >= from).count() as u64;
+        let from = v.attach_at + v.run.qoe.startup.unwrap_or(SimDuration::ZERO);
+        let owed: BTreeSet<u32> = ingests.iter().filter(|i| i.0 >= from).map(|i| i.1).collect();
+        let completed: BTreeSet<u32> = v.run.frames.iter().map(|&(_, ts, _)| ts).collect();
+        v.expected_frames = owed.len() as u64;
+        v.delivered_frames = owed.intersection(&completed).count() as u64;
     }
 
-    // Stage telemetry on the shared hub: the same ids the emulator's
-    // client model records, now measured over real sockets.
+    // Stage telemetry on the shared hub: the ids the fleet's session
+    // records use, measured over real sockets.
     telemetry.with(|h| {
         for v in &viewers {
-            if let Some(ms) = v.first_packet_ms {
-                h.observe(ids::STAGE_FIRST_PACKET_MS, ms);
+            if let Some(d) = v.run.first_packet {
+                h.observe(ids::STAGE_FIRST_PACKET_MS, d.as_millis_f64());
             }
-            if let Some(ms) = v.startup_ms {
-                h.observe(ids::STAGE_STARTUP_MS, ms);
+            if let Some(d) = v.run.qoe.startup {
+                h.observe(ids::STAGE_STARTUP_MS, d.as_millis_f64());
             }
-            if let Some(ms) = v.mean_e2e_ms {
+            if let Some(ms) = v.run.mean_delay_field_ms() {
                 h.observe(ids::STAGE_STREAMING_MS, ms);
             }
         }
     });
 
-    let client_rates = viewer_meta
+    let client_rates = viewers
         .iter()
-        .map(|&(client, node_idx)| {
-            let core = cores
-                .iter()
-                .find(|c| c.id() == ids_v[node_idx])
-                .expect("core for viewer node");
-            (client, core.client_pacing_rate(client))
+        .map(|v| {
+            let core = cores.iter().find(|c| c.id() == v.node).expect("core for viewer node");
+            (v.client, core.client_pacing_rate(v.client))
         })
         .collect();
     let mut cc = RateDecisionStats::default();
@@ -690,7 +663,7 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     let countries = (0..cfg.nodes).map(|i| cfg.country_of(i)).collect();
 
     Ok(WireRunReport {
-        frames_broadcast,
+        frames_broadcast: ingests.len() as u64,
         viewers,
         client_rates,
         node_stats,
@@ -702,20 +675,20 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
 }
 
 /// Drive the encoder through the pacer at wall-clock pace; returns the
-/// number of frames ingested at the producer and each frame's ingest time
-/// (the denominator data for per-viewer expected-frame accounting).
+/// ingest time and RTP timestamp of every frame ingested at the producer
+/// (the data for per-viewer delivery accounting).
 async fn broadcast(
     cfg: &TestbedConfig,
     clock: WallClock,
     producer: &NodeHandle,
-) -> (u64, Vec<SimTime>) {
+) -> Vec<(SimTime, u32)> {
     // The default GoP, as the emulator counterpart of `exp wire` streams.
     let gop = GopConfig::default();
     let mut encoder = VideoEncoder::new(cfg.stream, gop, cfg.bitrate, clock.now());
     let mut pacer: Pacer<(EncodedFrame, Bytes)> = Pacer::new(PacerConfig::default(), UPLINK);
     let interval = Duration::from_nanos(gop.frame_interval().as_nanos());
     let total = (cfg.broadcast.as_nanos() / interval.as_nanos()).max(1) as u64;
-    let mut ingest_times = Vec::with_capacity(total as usize);
+    let mut ingests = Vec::with_capacity(total as usize);
     for _ in 0..total {
         let frame = encoder.next_frame();
         let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
@@ -725,41 +698,41 @@ async fn broadcast(
             is_iframe: frame.kind == FrameKind::I,
             payload: (frame, payload),
         });
-        drain_pacer(&mut pacer, clock, producer, &mut ingest_times).await;
+        drain_pacer(&mut pacer, clock, producer, &mut ingests).await;
         tokio::time::sleep(interval).await;
     }
     // Flush the tail the token bucket is still holding.
     let flush_deadline = tokio::time::Instant::now() + Duration::from_millis(500);
     while pacer.is_backlogged() && tokio::time::Instant::now() < flush_deadline {
-        drain_pacer(&mut pacer, clock, producer, &mut ingest_times).await;
+        drain_pacer(&mut pacer, clock, producer, &mut ingests).await;
         tokio::time::sleep(Duration::from_millis(5)).await;
     }
-    (ingest_times.len() as u64, ingest_times)
+    ingests
 }
 
 async fn drain_pacer(
     pacer: &mut Pacer<(EncodedFrame, Bytes)>,
     clock: WallClock,
     producer: &NodeHandle,
-    ingest_times: &mut Vec<SimTime>,
+    ingests: &mut Vec<(SimTime, u32)>,
 ) {
     let released = pacer.poll(clock.now());
     for paced in released {
         let (frame, payload) = paced.payload;
+        let rtp_timestamp = frame.rtp_timestamp;
         producer
             .send(NodeCommand::Ingest { frame, payload })
             .await
             .expect("producer alive during broadcast");
-        ingest_times.push(clock.now());
+        ingests.push((clock.now(), rtp_timestamp));
     }
 }
 
 /// One viewer's whole session: wait out the staggered join, bind, attach
-/// along its planned path, then read RTP off the socket in batches,
-/// reassemble frames, and feed RTCP receiver reports and keepalives back
-/// to the consumer. RX goes through the same [`BatchSocket`] path the node
-/// driver uses, so a burst of paced RTP costs one syscall, not one per
-/// datagram, and the fill shows up in the run's telemetry snapshot.
+/// along its planned path, then feed every datagram to a [`ViewerClient`],
+/// fire the playback ticks it arms as they fall due, and send its receiver
+/// reports and keepalives. RX goes through the node driver's batched
+/// [`BatchSocket`] path: a paced burst costs one syscall.
 async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
     if !plan.attach_delay.is_zero() {
         tokio::time::sleep(plan.attach_delay).await;
@@ -770,37 +743,25 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
         .send(NodeCommand::ClientAttach {
             client: plan.client,
             stream: plan.stream,
-            downlink: plan.downlink,
+            downlink: plan.spec.downlink,
             path: plan.path,
             addr: sock.local_addr(),
         })
         .await
         .expect("consumer alive");
-    let node_addr = plan.node.addr;
+    let send = |payload| sock.try_send_batch(&[SendDatagram { to: plan.node.addr, payload }]);
 
     let started = tokio::time::Instant::now();
-    let mut depack = Depacketizer::new();
+    // The broadcaster's GoP sets the frame rate the client plays at.
+    let mut viewer = ViewerClient::new(attach_at, GopConfig::default().fps);
+    // Armed playback ticks; each is 100 ms after a datagram, so they fall
+    // due in the order they were armed.
+    let mut ticks: VecDeque<SimTime> = VecDeque::new();
     // Datagrams from the consumer are MTU-bounded RTP (plus small RTCP);
     // 2 KiB slots leave generous headroom and the one-byte truncation
     // sentinel still catches anything oversized.
     let mut batch = RecvBatch::new(MAX_BATCH, 2048);
-    let mut report = ViewerReport {
-        client: plan.client,
-        node: plan.node.id,
-        attach_at,
-        packets: 0,
-        frames_completed: 0,
-        expected_frames: 0,
-        first_packet_ms: None,
-        startup_ms: None,
-        mean_e2e_ms: None,
-        rr_sent: 0,
-    };
-    let mut e2e_ms: Vec<f64> = Vec::new();
-    // Loss accounting for honest receiver reports (loopback: ~0).
-    let mut last_rtp: Option<RtpPacket> = None;
-    let mut window_received = 0u64;
-    let mut window_first_seq: Option<u16> = None;
+    let mut rr_sent = 0u64;
     let mut last_rr = tokio::time::Instant::now();
     let mut last_keepalive = tokio::time::Instant::now();
 
@@ -819,88 +780,51 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
                 h.incr(ids::TRANSPORT_BATCH_RX_SYSCALLS);
                 h.observe(ids::TRANSPORT_BATCH_RX_FILL, batch.len() as f64);
             });
+            let now = plan.clock.now();
             for d in batch.iter() {
-                if d.truncated {
-                    continue;
-                }
-                let Ok(msg) = OverlayMsg::decode(Bytes::copy_from_slice(d.data)) else {
-                    continue;
+                // A truncated read is not the datagram that was sent: the
+                // client gets nothing, which it counts as undecodable.
+                let payload = if d.truncated {
+                    Bytes::new()
+                } else {
+                    Bytes::copy_from_slice(d.data)
                 };
-                let OverlayMsg::Rtp { packet, .. } = msg else {
-                    continue;
-                };
-                let Ok(rtp) = RtpPacket::decode(packet) else {
-                    continue;
-                };
-                report.packets += 1;
-                if report.first_packet_ms.is_none() {
-                    report.first_packet_ms =
-                        Some(plan.clock.now().saturating_since(attach_at).as_millis_f64());
-                }
-                window_received += 1;
-                window_first_seq.get_or_insert(rtp.header.seq.0);
-                last_rtp = Some(rtp.clone());
-                depack.push(rtp);
-                for frame in depack.drain() {
-                    report.frames_completed += 1;
-                    if report.startup_ms.is_none() {
-                        report.startup_ms =
-                            Some(plan.clock.now().saturating_since(attach_at).as_millis_f64());
-                    }
-                    if let Some(d) = frame.delay_field {
-                        e2e_ms.push(d.as_millis_f64());
-                    }
-                }
-                depack.gc(8);
+                ticks.extend(viewer.on_datagram(now, payload));
             }
+        }
+        let now = plan.clock.now();
+        while ticks.front().is_some_and(|&at| at <= now) {
+            ticks.pop_front();
+            viewer.on_tick(now);
         }
 
         // Feedback: honest (or synthetically lossy) RRs at the configured
         // cadence, keepalives in between.
         if last_rr.elapsed() >= plan.rr_interval {
-            if let Some(rtp) = &last_rtp {
-                let measured = match window_first_seq {
-                    Some(first) => {
-                        let expected =
-                            u64::from(rtp.header.seq.0.wrapping_sub(first)) + 1;
-                        1.0 - (window_received as f64 / expected as f64).min(1.0)
+            if let Some(mut rr) = viewer.receiver_report() {
+                if let Some((after, loss)) = plan.spec.lossy_rr {
+                    if started.elapsed() >= after {
+                        rr.loss_fraction = loss;
                     }
-                    None => 0.0,
-                };
-                let loss_fraction = match plan.lossy_rr {
-                    Some((after, loss)) if started.elapsed() >= after => loss,
-                    _ => measured,
-                };
-                let rr = RtcpPacket::ReceiverReport(ReceiverReport {
-                    ssrc: rtp.header.ssrc,
-                    loss_fraction,
-                    highest_seq: rtp.header.seq,
-                    jitter_us: 0,
-                });
-                let msg = OverlayMsg::Rtcp {
-                    stream: plan.stream,
-                    packet: rr.encode(),
-                };
-                let _ = sock.try_send_batch(&[SendDatagram {
-                    to: node_addr,
-                    payload: msg.encode(),
-                }]);
-                report.rr_sent += 1;
+                }
+                let packet = RtcpPacket::ReceiverReport(rr).encode();
+                let _ = send(OverlayMsg::Rtcp { stream: plan.stream, packet }.encode());
+                rr_sent += 1;
                 last_rr = tokio::time::Instant::now();
-                window_received = 0;
-                window_first_seq = None;
             }
         } else if last_keepalive.elapsed() >= plan.rr_interval / 2 {
-            let _ = sock.try_send_batch(&[SendDatagram {
-                to: node_addr,
-                payload: OverlayMsg::Keepalive.encode(),
-            }]);
+            let _ = send(OverlayMsg::Keepalive.encode());
             last_keepalive = tokio::time::Instant::now();
         }
     }
 
-    if !e2e_ms.is_empty() {
-        report.mean_e2e_ms = Some(e2e_ms.iter().sum::<f64>() / e2e_ms.len() as f64);
+    ViewerReport {
+        client: plan.client,
+        node: plan.node.id,
+        attach_at,
+        expected_frames: 0,
+        delivered_frames: 0,
+        rr_sent,
+        run: viewer.finish(plan.clock.now()),
     }
-    report
 }

@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use livenet_media::{GopConfig, VideoEncoder};
-use livenet_node::{NodeConfig, NodeEvent, OverlayMsg};
-use livenet_packet::{Depacketizer, RtpPacket};
+use livenet_node::{NodeConfig, NodeEvent};
+use livenet_sim::ViewerClient;
 use livenet_transport::{
     NodeCommand, SharedTelemetry, UdpOverlayNode, WallClock, WireNodeConfig,
 };
@@ -82,9 +82,7 @@ async fn frames_flow_over_real_udp_chain() {
     // Read the client socket CONCURRENTLY with ingest — a socket left
     // unread for the whole broadcast overflows its kernel buffer.
     let reader = tokio::spawn(async move {
-        let mut depack = Depacketizer::new();
-        let mut packets = 0u32;
-        let mut frames = 0u32;
+        let mut viewer = ViewerClient::new(clock.now(), GopConfig::default().fps);
         let mut buf = vec![0u8; 2048];
         loop {
             let recv = tokio::time::timeout(
@@ -93,18 +91,10 @@ async fn frames_flow_over_real_udp_chain() {
             )
             .await;
             let Ok(Ok((len, _))) = recv else { break };
-            let Ok(msg) = OverlayMsg::decode(Bytes::copy_from_slice(&buf[..len])) else {
-                continue;
-            };
-            if let OverlayMsg::Rtp { packet, .. } = msg {
-                if let Ok(rtp) = RtpPacket::decode(packet) {
-                    packets += 1;
-                    depack.push(rtp);
-                    frames += depack.drain().len() as u32;
-                }
-            }
+            // Only counts are read here, so the playback ticks go unfired.
+            viewer.on_datagram(clock.now(), Bytes::copy_from_slice(&buf[..len]));
         }
-        (packets, frames)
+        viewer.finish(clock.now())
     });
 
     // Feed ~1.5 s of video through the producer in real time.
@@ -124,7 +114,8 @@ async fn frames_flow_over_real_udp_chain() {
         tokio::time::sleep(std::time::Duration::from_millis(66)).await;
     }
 
-    let (packets, frames) = reader.await.expect("reader");
+    let run = reader.await.expect("reader");
+    let (packets, frames) = (run.packets, run.frames.len());
     println!("packets={packets} frames={frames}");
 
     // The chain actually established through B (observe C's events).
@@ -150,6 +141,7 @@ async fn frames_flow_over_real_udp_chain() {
     }
     assert!(packets >= 20, "client received only {packets} RTP packets");
     assert!(frames >= 15, "client assembled only {frames} frames");
+    assert_eq!(run.undecodable, 0);
 }
 
 #[tokio::test]

@@ -52,7 +52,7 @@ async fn client_feedback_round_trip_drives_cc_over_udp() {
     assert!(report.frames_broadcast >= 20, "broadcast too short: {}", report.frames_broadcast);
     for v in &report.viewers {
         assert!(v.rr_sent >= 2, "viewer {:?} sent only {} RRs", v.client, v.rr_sent);
-        assert!(v.startup_ms.is_some(), "viewer {:?} never completed a frame", v.client);
+        assert!(v.run.qoe.startup.is_some(), "viewer {:?} never started playback", v.client);
     }
     let delivery = report.worst_delivery();
     assert!(delivery >= 0.99, "worst viewer delivered only {delivery:.3} of frames");
@@ -404,8 +404,8 @@ async fn geo_fleet_smoke_fifty_nodes() {
     assert!(report.frames_broadcast >= 30, "broadcast too short: {}", report.frames_broadcast);
     for v in &report.viewers {
         assert!(
-            v.startup_ms.is_some(),
-            "viewer {:?} at node {:?} never completed a frame",
+            v.run.qoe.startup.is_some(),
+            "viewer {:?} at node {:?} never started playback",
             v.client,
             v.node
         );
@@ -416,9 +416,9 @@ async fn geo_fleet_smoke_fifty_nodes() {
             if v.delivery() < 0.99 {
                 panic!(
                     "viewer {:?} at node {:?}: delivered {}/{} (attach {:?}, \
-                     startup {:?} ms, packets {})",
-                    v.client, v.node, v.frames_completed, v.expected_frames,
-                    v.attach_at, v.startup_ms, v.packets
+                     startup {:?}, packets {})",
+                    v.client, v.node, v.delivered_frames, v.expected_frames,
+                    v.attach_at, v.run.qoe.startup, v.run.packets
                 );
             }
         }
@@ -441,4 +441,6 @@ async fn geo_fleet_smoke_fifty_nodes() {
     assert_eq!(report.telemetry.counter("transport.unknown_source_drops"), 0);
     assert_eq!(report.telemetry.counter("transport.recv_truncated"), 0);
     assert_eq!(report.telemetry.counter("transport.send_errors"), 0);
+    // And every datagram a viewer's client got decoded.
+    assert!(report.viewers.iter().all(|v| v.run.undecodable == 0));
 }
