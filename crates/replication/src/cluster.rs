@@ -892,7 +892,11 @@ impl BrainCluster {
     /// op can appear twice in the log.  All [`BrainOp`] state mutations
     /// are idempotent at the state level (counters may advance twice —
     /// identically on every replica).
-    pub fn replicate(&mut self, op: &BrainOp, now: SimTime) -> Result<(f64, Option<PathAssignment>)> {
+    pub fn replicate(
+        &mut self,
+        op: &BrainOp,
+        now: SimTime,
+    ) -> Result<(f64, Option<PathAssignment>)> {
         self.advance_to(now);
         let start = self.now;
         let value: Decree = Arc::new(op.clone());
@@ -960,7 +964,9 @@ impl BrainCluster {
                 .ok_or_else(|| Error::exhausted("no live replica"))?;
             self.catch_up(r);
             let t = self.now;
-            let a = self.members[r as usize].brain.path_request(stream, consumer, t)?;
+            let a = self.members[r as usize]
+                .brain
+                .path_request(stream, consumer, t)?;
             return Ok((a, 0.0));
         }
         let start = self.now;
@@ -968,9 +974,11 @@ impl BrainCluster {
         let h = self.await_leader(give_up_at)?;
         self.catch_up(h);
         let t = self.now;
-        let a = self.members[h as usize].brain.path_request(stream, consumer, t)?;
-        let latency = self.now.saturating_since(start).as_millis_f64()
-            + ONE_WAY_DELAY.as_millis_f64() * 2.0;
+        let a = self.members[h as usize]
+            .brain
+            .path_request(stream, consumer, t)?;
+        let latency =
+            self.now.saturating_since(start).as_millis_f64() + ONE_WAY_DELAY.as_millis_f64() * 2.0;
         Ok((a, latency))
     }
 
@@ -1122,7 +1130,10 @@ impl BrainCluster {
             .sum();
         sink.add(ids::BRAIN_REQUESTS, served);
         sink.add(ids::BRAIN_LAST_RESORT, last_resort);
-        sink.add(ids::REPLICATION_OPS_COMMITTED, self.stats.state_ops_committed);
+        sink.add(
+            ids::REPLICATION_OPS_COMMITTED,
+            self.stats.state_ops_committed,
+        );
         sink.add(ids::REPLICATION_LEASE_GRANTS, self.stats.lease_grants);
         sink.add(ids::REPLICATION_LEASE_RENEWALS, self.stats.lease_renewals);
         sink.add(
@@ -1196,13 +1207,31 @@ mod tests {
         let ok = ClusterConfig::default();
         assert!(ok.validate().is_ok());
         for bad in [
-            ClusterConfig { replicas: 0, ..ok.clone() },
-            ClusterConfig { msg_loss: 1.0, ..ok.clone() },
-            ClusterConfig { msg_loss: -0.1, ..ok.clone() },
-            ClusterConfig { lease: SimDuration::ZERO, ..ok.clone() },
-            ClusterConfig { renew_margin: ok.lease, ..ok.clone() },
+            ClusterConfig {
+                replicas: 0,
+                ..ok.clone()
+            },
+            ClusterConfig {
+                msg_loss: 1.0,
+                ..ok.clone()
+            },
+            ClusterConfig {
+                msg_loss: -0.1,
+                ..ok.clone()
+            },
+            ClusterConfig {
+                lease: SimDuration::ZERO,
+                ..ok.clone()
+            },
+            ClusterConfig {
+                renew_margin: ok.lease,
+                ..ok.clone()
+            },
         ] {
-            assert!(matches!(bad.validate(), Err(Error::InvalidConfig(_))), "{bad:?}");
+            assert!(
+                matches!(bad.validate(), Err(Error::InvalidConfig(_))),
+                "{bad:?}"
+            );
         }
     }
 

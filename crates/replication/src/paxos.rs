@@ -175,7 +175,11 @@ impl<V: Clone> Replica<V> {
     /// and higher than any round we used before in this slot. Used for
     /// retry/backoff after a failed ballot.
     pub fn propose_in_slot(&mut self, slot: u64, value: V, min_round: u64) -> Vec<Outbound<V>> {
-        let prev_round = self.proposer.get(&slot).map(|p| p.ballot.round).unwrap_or(0);
+        let prev_round = self
+            .proposer
+            .get(&slot)
+            .map(|p| p.ballot.round)
+            .unwrap_or(0);
         let ballot = Ballot {
             round: prev_round.max(min_round) + 1,
             proposer: self.id,
@@ -237,12 +241,7 @@ impl<V: Clone> Replica<V> {
                 p.promises.insert(from, accepted);
                 if p.promises.len() >= quorum {
                     // Adopt the highest-ballot accepted value, if any.
-                    if let Some((_, v)) = p
-                        .promises
-                        .values()
-                        .flatten()
-                        .max_by_key(|(b, _)| *b)
-                    {
+                    if let Some((_, v)) = p.promises.values().flatten().max_by_key(|(b, _)| *b) {
                         p.value = v.clone();
                     }
                     p.phase2_started = true;
@@ -416,17 +415,17 @@ mod tests {
                     break;
                 }
                 for id in undecided {
-                    let v = if id == 0 { b"X".to_vec() } else { b"Y".to_vec() };
+                    let v = if id == 0 {
+                        b"X".to_vec()
+                    } else {
+                        b"Y".to_vec()
+                    };
                     let out = net.replicas[id as usize].propose_in_slot(7, v, round * 2);
                     net.send_all(id, out);
                 }
                 net.run(50_000);
             }
-            let decided: Vec<&Value> = net
-                .replicas
-                .iter()
-                .filter_map(|r| r.decided(7))
-                .collect();
+            let decided: Vec<&Value> = net.replicas.iter().filter_map(|r| r.decided(7)).collect();
             assert!(!decided.is_empty(), "seed {seed}: nothing decided");
             for w in decided.windows(2) {
                 assert_eq!(w[0], w[1], "seed {seed}: split decision");
@@ -446,8 +445,7 @@ mod tests {
                 if net.replicas[0].decided(slot).is_some() {
                     break;
                 }
-                let out =
-                    net.replicas[0].propose_in_slot(slot, b"lossy".to_vec(), round * 3);
+                let out = net.replicas[0].propose_in_slot(slot, b"lossy".to_vec(), round * 3);
                 net.send_all(0, out);
                 net.run(20_000);
             }
