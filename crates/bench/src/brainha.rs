@@ -11,7 +11,9 @@
 //! * **Consistency** — the post-run audit replays every replica's log
 //!   against the canonical chosen sequence and cross-checks sampled
 //!   `PathAssignment`s across replicas; any divergence, a lease taken over
-//!   while live, or a replica short of the whole log fails the run.
+//!   while live, a replica short of the whole log, a message for a
+//!   compacted slot, or a fault-free log longer than a few slots fails the
+//!   run.
 //!
 //! `--threads` sets only the worker count; the shard partition is fixed
 //! by the config, so the output is the same at any width (serial ≡
@@ -28,6 +30,11 @@ use livenet_sim::{
 /// Hard gate: a 3-replica cluster with a 3 s lease must re-elect well
 /// inside this bound (lease expiry + per-rank backoff + one Paxos round).
 const FAILOVER_BOUND_MS: f64 = 15_000.0;
+
+/// Hard gate: with every replica up, log compaction keeps a cluster's log
+/// at a few slots (5 on both runs at this commit), where without it the
+/// log would hold every decree of the run.
+const FAULT_FREE_LOG_SLOTS: u64 = 8;
 
 /// Post-crash observation window for the session-impact deltas.
 const IMPACT_WINDOW_SECS: u64 = 300;
@@ -118,11 +125,25 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
         .replication
         .as_ref()
         .expect("replicated run carries a summary");
+    let quiet = baseline
+        .replication
+        .as_ref()
+        .expect("replicated run carries a summary");
 
     // ---------- Gates ----------
     assert_eq!(rep.log_divergences, 0, "replica decided log diverged");
     assert_eq!(rep.assignment_mismatches, 0, "replica path decisions diverged");
     assert_eq!(rep.lease_overlaps, 0, "a live lease was taken over");
+    assert_eq!(
+        rep.stale_msgs + quiet.stale_msgs,
+        0,
+        "a message arrived for a compacted slot"
+    );
+    assert!(
+        quiet.log_slots_max <= FAULT_FREE_LOG_SLOTS,
+        "a fault-free cluster held {} slots",
+        quiet.log_slots_max
+    );
     assert_eq!(
         rep.min_replica_decided, rep.decided_slots,
         "a replica missed part of the log"

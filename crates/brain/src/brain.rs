@@ -109,6 +109,10 @@ impl StreamingBrain {
         sink.add(ids::BRAIN_NODE_RECOVERED, self.nodes_recovered);
         sink.add(ids::BRAIN_REQUESTS, self.decision.requests_served);
         sink.add(ids::BRAIN_LAST_RESORT, self.decision.last_resort_served);
+        let unknown = self.discovery.unknown_keys;
+        if unknown > 0 {
+            sink.add(ids::BRAIN_UNKNOWN_KEYS, unknown);
+        }
     }
 
     /// Absorb one node report: writes its measurements into the working
@@ -335,6 +339,17 @@ mod tests {
             b.decision().requests_served
         );
         assert!(snap.counter("brain.ksp_paths_computed") > 0);
+        // A drop counter is recorded once something was dropped.
+        assert!(!snap.counters.iter().any(|(n, _)| n == "brain.unknown_keys"));
+        b.absorb_report(&NodeReport {
+            node: NodeId::new(u64::MAX),
+            at: SimTime::from_secs(60),
+            utilization: 0.5,
+            links: vec![],
+        });
+        let mut hub = livenet_telemetry::TelemetryHub::new();
+        b.record_telemetry(&mut hub);
+        assert_eq!(hub.snapshot().counter("brain.unknown_keys"), 1);
     }
 
     #[test]

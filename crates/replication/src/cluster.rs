@@ -51,7 +51,18 @@
 //! measured from the holder's last heartbeat sent (or decree decided)
 //! before the crash to the first *lease* decree granted to a live holder
 //! afterwards.
+//!
+//! # Log compaction
+//!
+//! A slot is forgotten — by the canonical log and by every replica's Paxos
+//! state — one `CLIENT_TIMEOUT` after the slowest replica applied it, a
+//! down one included. By then no message about it is in flight, and no
+//! replica will ever need it again: catch-up replays only slots a replica
+//! has not applied. So the log holds the last few decrees of a healthy
+//! cluster, and grows only while a replica is down. Slot numbers stay
+//! absolute; the safety audit of a slot runs when it is forgotten.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use livenet_brain::{BrainConfig, PathAssignment, StreamingBrain};
@@ -86,6 +97,14 @@ fn same_decree(a: &Decree, b: &Decree) -> bool {
 
 // A message delay is `ONE_WAY_DELAY × (1 ± jitter)` and must stay positive.
 const _: () = assert!(0.0 <= DELAY_JITTER && DELAY_JITTER < 1.0);
+
+// Once every replica applied a slot, none sends about it again; what was
+// already in flight is at most a request and its reply. A slot forgotten one
+// `CLIENT_TIMEOUT` later therefore hears nothing more (`stale_msgs`).
+const _: () = assert!(
+    CLIENT_TIMEOUT.as_nanos() as f64
+        >= 2.0 * ONE_WAY_DELAY.as_nanos() as f64 * (1.0 + DELAY_JITTER)
+);
 
 /// Deployment parameters for a [`BrainCluster`].
 #[derive(Debug, Clone)]
@@ -268,10 +287,11 @@ struct Member {
     up: bool,
     /// Next slot to apply into the brain (contiguous application cursor).
     applied: u64,
-    /// Canon prefix already force-fed via Learn (catch-up watermark).
-    /// Decided state never disappears — crash/restart models a replica
-    /// with stable storage — so the watermark is monotone-safe.
-    learned: usize,
+    /// Canon slots below this were already force-fed via Learn (catch-up
+    /// watermark). Decided state disappears only by compaction, below every
+    /// replica's apply cursor — crash/restart models a replica with stable
+    /// storage — so the watermark is monotone-safe.
+    learned: u64,
     /// Lease view: the applied `Lease` decrees and the heartbeats taken.
     lease: Option<LeaseView>,
     /// This replica's heartbeat round while it holds the lease (volatile).
@@ -324,6 +344,7 @@ impl Member {
 pub struct ClusterAudit {
     /// Slots where some replica's decided value differs from the
     /// canonical chosen log — any nonzero value is a Paxos safety bug.
+    /// A compacted slot was audited when it was forgotten.
     pub log_divergences: u64,
     /// Replicas that answered a sampled post-run `path_request` with a
     /// different `PathAssignment` than replica 0 — any nonzero value
@@ -337,6 +358,11 @@ pub struct ClusterAudit {
     /// canonical lease still ran and its holder was up — any nonzero value
     /// is a lease-safety bug.
     pub lease_overlaps: u64,
+    /// Paxos messages that arrived for a compacted slot — any nonzero value
+    /// means the compaction horizon is too short.
+    pub stale_msgs: u64,
+    /// The most slots the canonical log held at once.
+    pub log_slots_max: u64,
 }
 
 /// N Paxos-replicated [`StreamingBrain`]s plus the deterministic
@@ -350,8 +376,17 @@ pub struct BrainCluster {
     /// client call advanced it past the queue head without a pop.
     now: SimTime,
     rng: DetRng,
-    /// Canonical chosen log: slot `i` holds the cluster-wide chosen value.
-    canon: Vec<Decree>,
+    /// Canonical chosen log: `canon[i]` holds the cluster-wide chosen value
+    /// of slot `canon_base + i`.
+    canon: VecDeque<Decree>,
+    /// The compaction floor: slots below it are forgotten everywhere.
+    canon_base: u64,
+    /// The slowest replica's apply cursor each time it advanced, oldest
+    /// first, with when: what the next compactions may forget.
+    applied_marks: VecDeque<(SimTime, u64)>,
+    /// The first slot an in-flight `replicate` looks for its decree in;
+    /// nothing from it on is forgotten until the call returns.
+    client_base: Option<u64>,
     /// Lease as of the canonical log and the heartbeat rounds a majority
     /// acked (the client's leader oracle).
     canon_lease: Option<LeaseView>,
@@ -366,8 +401,12 @@ pub struct BrainCluster {
     crash_pending: Option<SimTime>,
     failover_ms: Vec<f64>,
     stats: ClusterStats,
-    /// See [`ClusterAudit::lease_overlaps`].
-    lease_overlaps: u64,
+    /// The audit kept as the run goes: lease overlaps, stale messages, the
+    /// log's high-water mark and the divergences of compacted slots.
+    audit: ClusterAudit,
+    /// Compacted slots every replica held as the canon's own allocation.
+    #[cfg(test)]
+    shared_compacted: u64,
 }
 
 impl BrainCluster {
@@ -400,7 +439,10 @@ impl BrainCluster {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng,
-            canon: Vec::new(),
+            canon: VecDeque::new(),
+            canon_base: 0,
+            applied_marks: VecDeque::new(),
+            client_base: None,
             canon_lease: None,
             client_hint: None,
             last_decided_at: SimTime::ZERO,
@@ -408,7 +450,9 @@ impl BrainCluster {
             crash_pending: None,
             failover_ms: Vec::new(),
             stats: ClusterStats::default(),
-            lease_overlaps: 0,
+            audit: ClusterAudit::default(),
+            #[cfg(test)]
+            shared_compacted: 0,
         };
         for r in 0..cluster.members.len() {
             cluster.maybe_wake(r as ReplicaId, SimTime::ZERO);
@@ -467,6 +511,7 @@ impl BrainCluster {
         };
         self.now = self.now.max(at);
         self.dispatch(ev);
+        self.compact();
         true
     }
 
@@ -478,6 +523,12 @@ impl BrainCluster {
                 msg,
                 stand,
             } => {
+                let stale = msg.slot() < self.canon_base;
+                debug_assert!(!stale, "a message for compacted slot {}", msg.slot());
+                if stale {
+                    self.audit.stale_msgs += 1;
+                    return;
+                }
                 let m = &self.members[to as usize];
                 if !m.up {
                     return;
@@ -532,12 +583,66 @@ impl BrainCluster {
 
     fn after_progress(&mut self, r: ReplicaId) {
         let m = r as usize;
-        while let Some(v) = self.members[m].paxos.decided(self.canon.len() as u64) {
+        while let Some(v) = self.members[m].paxos.decided(self.decided_slots()) {
             let v = Arc::clone(v);
             self.on_chosen(&v);
-            self.canon.push(v);
+            self.canon.push_back(v);
         }
+        let held = self.canon.len() as u64;
+        self.audit.log_slots_max = self.audit.log_slots_max.max(held);
         self.members[m].apply_ready();
+    }
+
+    /// Forget every slot that all replicas applied at least one
+    /// `CLIENT_TIMEOUT` ago (see the horizon assertion), auditing each one
+    /// as `finalize` would have. A down replica's cursor holds the floor
+    /// back until it restarts and catches up.
+    fn compact(&mut self) {
+        let low = self.members.iter().map(|m| m.applied).min().unwrap_or(0);
+        let marked = self
+            .applied_marks
+            .back()
+            .map_or(self.canon_base, |&(_, w)| w);
+        if low > marked {
+            self.applied_marks.push_back((self.now, low));
+        }
+        let pin = self.client_base.unwrap_or(u64::MAX);
+        let mut floor = self.canon_base;
+        while let Some(&(at, w)) = self.applied_marks.front() {
+            if at + CLIENT_TIMEOUT > self.now || w > pin {
+                break;
+            }
+            floor = w;
+            self.applied_marks.pop_front();
+        }
+        for slot in self.canon_base..floor {
+            let chosen = self
+                .canon
+                .pop_front()
+                .expect("no replica applies past the canon");
+            for m in &self.members {
+                if m.paxos
+                    .decided(slot)
+                    .is_some_and(|v| !same_decree(v, &chosen))
+                {
+                    self.audit.log_divergences += 1;
+                }
+            }
+            #[cfg(test)]
+            if self.members.iter().all(|m| {
+                m.paxos
+                    .decided(slot)
+                    .is_some_and(|v| Arc::ptr_eq(v, &chosen))
+            }) {
+                self.shared_compacted += 1;
+            }
+        }
+        if floor > self.canon_base {
+            self.canon_base = floor;
+            for m in &mut self.members {
+                m.paxos.compact_below(floor);
+            }
+        }
     }
 
     fn on_chosen(&mut self, op: &BrainOp) {
@@ -566,7 +671,7 @@ impl BrainCluster {
                 if new_holder
                     && prev.is_some_and(|p| p.live(self.now) && self.members[p.holder as usize].up)
                 {
-                    self.lease_overlaps += 1;
+                    self.audit.lease_overlaps += 1;
                 }
                 if let Some(t0) = self.crash_pending {
                     if self.members[holder as usize].up {
@@ -584,21 +689,18 @@ impl BrainCluster {
     /// (the learner shortcut a restarted replica uses to catch up), then
     /// apply everything that became contiguous.
     fn catch_up(&mut self, r: ReplicaId) {
+        let end = self.decided_slots();
         let m = &mut self.members[r as usize];
-        for slot in m.learned..self.canon.len() {
-            if m.paxos.decided(slot as u64).is_none() {
-                let value = Arc::clone(&self.canon[slot]);
-                let outs = m.paxos.handle(
-                    r,
-                    PaxosMsg::Learn {
-                        slot: slot as u64,
-                        value,
-                    },
-                );
+        let from = m.learned.max(self.canon_base);
+        let held = self.canon.range((from - self.canon_base) as usize..);
+        for (slot, value) in (from..).zip(held) {
+            if !m.paxos.is_decided(slot) {
+                let value = Arc::clone(value);
+                let outs = m.paxos.handle(r, PaxosMsg::Learn { slot, value });
                 debug_assert!(outs.is_empty());
             }
         }
-        m.learned = self.canon.len();
+        m.learned = end;
         m.apply_ready();
     }
 
@@ -636,7 +738,7 @@ impl BrainCluster {
             ..
         } = &mut self.members[ri];
         let deferred = lease.is_some_and(|l| l.holder != r && l.live(now));
-        pending.retain(|p| paxos.decided(p.slot).is_none() && !(p.stand && deferred));
+        pending.retain(|p| !(paxos.is_decided(p.slot) || p.stand && deferred));
         // Retry expired ballots with a bumped minimum round (backoff).
         let due: Vec<usize> = self.members[ri]
             .pending
@@ -787,9 +889,10 @@ impl BrainCluster {
     /// ballot died with a crash or a withdrawn stand is filled by the next
     /// proposal rather than left a hole below it.
     fn propose(&mut self, r: ReplicaId, value: Decree, stand: bool) {
+        let end = self.decided_slots();
         let m = &mut self.members[r as usize];
-        let slot = (self.canon.len() as u64..)
-            .find(|&s| m.paxos.decided(s).is_none() && m.pending.iter().all(|p| p.slot != s))
+        let slot = (end..)
+            .find(|&s| !m.paxos.is_decided(s) && m.pending.iter().all(|p| p.slot != s))
             .expect("a free slot");
         let outs = m.paxos.propose_in_slot(slot, Arc::clone(&value), 0);
         self.stats.proposals += 1;
@@ -876,11 +979,41 @@ impl BrainCluster {
     }
 
     /// The slot at or after `base` in which `value` was chosen, if it was.
-    fn committed_since(&self, base: usize, value: &Decree) -> Option<u64> {
-        let at = self.canon[base..]
-            .iter()
+    /// `base` is held: `replicate` pins it against compaction.
+    fn committed_since(&self, base: u64, value: &Decree) -> Option<u64> {
+        let skip = (base - self.canon_base) as usize;
+        let at = self
+            .canon
+            .range(skip..)
             .position(|v| same_decree(v, value))?;
-        Some((base + at) as u64)
+        Some(base + at as u64)
+    }
+
+    /// Propose `value` through the leader, and again on each timeout, until
+    /// it is chosen in a slot at or after `base` or `give_up_at` passes.
+    fn commit(&mut self, value: &Decree, base: u64, give_up_at: SimTime) -> Result<u64> {
+        loop {
+            if self.now >= give_up_at {
+                self.stats.client_give_ups += 1;
+                return Err(Error::exhausted("brain cluster replicate timed out"));
+            }
+            let h = self.await_leader(give_up_at)?;
+            self.catch_up(h);
+            self.propose(h, Arc::clone(value), false);
+            let wait_until = self.now + CLIENT_TIMEOUT;
+            // Looked for before the first event too: an earlier proposal of
+            // this call may have been chosen during the wait for a leader.
+            let chosen = loop {
+                let chosen = self.committed_since(base, value);
+                if chosen.is_some() || !self.pump_step_until(wait_until) {
+                    break chosen;
+                }
+            };
+            match chosen {
+                Some(slot) => return Ok(slot),
+                None => self.stats.client_retries += 1,
+            }
+        }
     }
 
     /// Replicate one mutation through the log.  Returns the client-visible
@@ -900,30 +1033,12 @@ impl BrainCluster {
         self.advance_to(now);
         let start = self.now;
         let value: Decree = Arc::new(op.clone());
-        let base = self.canon.len();
+        let base = self.decided_slots();
         let give_up_at = start + CLIENT_TIMEOUT.mul_f64(self.cfg.max_attempts as f64);
-        let committed_slot = loop {
-            if self.now >= give_up_at {
-                self.stats.client_give_ups += 1;
-                return Err(Error::exhausted("brain cluster replicate timed out"));
-            }
-            let h = self.await_leader(give_up_at)?;
-            self.catch_up(h);
-            self.propose(h, Arc::clone(&value), false);
-            let wait_until = self.now + CLIENT_TIMEOUT;
-            // Looked for before the first event too: an earlier proposal of
-            // this call may have been chosen during the wait for a leader.
-            let chosen = loop {
-                let chosen = self.committed_since(base, &value);
-                if chosen.is_some() || !self.pump_step_until(wait_until) {
-                    break chosen;
-                }
-            };
-            match chosen {
-                Some(slot) => break slot,
-                None => self.stats.client_retries += 1,
-            }
-        };
+        self.client_base = Some(base);
+        let committed = self.commit(&value, base, give_up_at);
+        self.client_base = None;
+        let committed_slot = committed?;
         let rtt_ms = ONE_WAY_DELAY.as_millis_f64() * 2.0;
         let latency = self.now.saturating_since(start).as_millis_f64() + rtt_ms;
         let rehome = if matches!(op, BrainOp::RehomeProducer { .. }) {
@@ -1051,15 +1166,17 @@ impl BrainCluster {
         // Grace window: let in-flight ballots and lease traffic settle.
         let settle = self.now + self.cfg.lease + self.cfg.lease;
         self.advance_to(settle);
-        let mut audit = ClusterAudit::default();
+        let mut audit = self.audit.clone();
         // Safety audit: no replica may have decided a value different
-        // from the canonical chosen log in any slot.
+        // from the canonical chosen log in any slot (the compacted ones
+        // were audited as they went).
         for m in &self.members {
-            for (slot, canon_v) in self.canon.iter().enumerate() {
-                if let Some(v) = m.paxos.decided(slot as u64) {
-                    if !same_decree(v, canon_v) {
-                        audit.log_divergences += 1;
-                    }
+            for (slot, canon_v) in (self.canon_base..).zip(&self.canon) {
+                if m.paxos
+                    .decided(slot)
+                    .is_some_and(|v| !same_decree(v, canon_v))
+                {
+                    audit.log_divergences += 1;
                 }
             }
         }
@@ -1068,8 +1185,7 @@ impl BrainCluster {
         for r in 0..self.members.len() as ReplicaId {
             self.catch_up(r);
         }
-        audit.decided_slots = self.canon.len() as u64;
-        audit.lease_overlaps = self.lease_overlaps;
+        audit.decided_slots = self.decided_slots();
         audit.min_replica_decided = self
             .members
             .iter()
@@ -1118,6 +1234,10 @@ impl BrainCluster {
         sink.add(ids::BRAIN_REHOMES, b0.rehomes);
         sink.add(ids::BRAIN_NODE_FAILED, b0.nodes_failed);
         sink.add(ids::BRAIN_NODE_RECOVERED, b0.nodes_recovered);
+        let unknown = b0.discovery().unknown_keys;
+        if unknown > 0 {
+            sink.add(ids::BRAIN_UNKNOWN_KEYS, unknown);
+        }
         let served: u64 = self
             .members
             .iter()
@@ -1146,7 +1266,11 @@ impl BrainCluster {
         sink.add(ids::REPLICATION_CLIENT_RETRIES, self.stats.client_retries);
         sink.add(ids::REPLICATION_REDIRECTS, self.stats.client_redirects);
         sink.add(ids::REPLICATION_LEADER_CRASHES, self.stats.leader_crashes);
-        sink.add(ids::REPLICATION_DECIDED_SLOTS, self.canon.len() as u64);
+        sink.add(ids::REPLICATION_DECIDED_SLOTS, self.decided_slots());
+        sink.gauge_max(
+            ids::REPLICATION_LOG_SLOTS_MAX,
+            self.audit.log_slots_max as f64,
+        );
         for &ms in &self.failover_ms {
             sink.observe(ids::BRAIN_FAILOVER_MS, ms);
         }
@@ -1172,9 +1296,9 @@ impl BrainCluster {
         self.cfg.replicas
     }
 
-    /// Length of the canonical chosen log.
+    /// Length of the canonical chosen log, compacted slots included.
     pub fn decided_slots(&self) -> u64 {
-        self.canon.len() as u64
+        self.canon_base + self.canon.len() as u64
     }
 }
 
@@ -1272,6 +1396,9 @@ mod tests {
             }
             assert!(c.stats().msgs_dropped > 0, "seed {seed}: loss never fired");
             assert_eq!(c.stats().lease_grants, 1, "seed {seed}: {:?}", c.stats());
+            // Compaction keeps the log at a slot or two all day.
+            assert!(c.audit.log_slots_max <= 2, "seed {seed}: {:?}", c.audit);
+            assert_eq!(c.audit.stale_msgs, 0, "seed {seed}");
         }
     }
 
@@ -1469,12 +1596,23 @@ mod tests {
         }
     }
 
+    /// What [`crash_and_restart`] leaves behind.
+    struct CrashRun {
+        c: BrainCluster,
+        audit: ClusterAudit,
+        /// Decrees the victim missed while it was down.
+        missed: usize,
+        /// The log's high-water mark when the leader crashed.
+        held_before_crash: u64,
+        /// The log's length when the leader crashed.
+        decided_at_crash: u64,
+    }
+
     /// A NaN report a second from 5 s to 25 s at 20 % loss, the leader
-    /// crashed at 15 s and restarted at 25 s, settled at 60 s. Returns the
-    /// cluster, its audit and the decrees the victim missed while it was
-    /// down. Some reports may give up (`client_give_ups`): per-slot Paxos
-    /// needs four lossy hops a ballot and backs off linearly.
-    fn crash_and_restart(seed: u64) -> (BrainCluster, ClusterAudit, usize) {
+    /// crashed at 15 s and restarted at 25 s, settled at 60 s. Some reports
+    /// may give up (`client_give_ups`): per-slot Paxos needs four lossy
+    /// hops a ballot and backs off linearly.
+    fn crash_and_restart(seed: u64) -> CrashRun {
         let (mut c, nodes) = lossy_cluster(seed, 0.2);
         let report = |c: &mut BrainCluster, secs: u64| {
             let (op, _) = nan_report(c, nodes[0], secs);
@@ -1482,11 +1620,19 @@ mod tests {
         };
         (5..15).for_each(|secs| report(&mut c, secs));
         let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
+        let held_before_crash = c.audit.log_slots_max;
+        let decided_at_crash = c.decided_slots();
         (15..25).for_each(|secs| report(&mut c, secs));
-        let missed = c.canon.len() - c.members[victim].paxos.decided_count();
+        let missed = c.decided_slots() as usize - c.members[victim].paxos.decided_count();
         c.restart_crashed(SimTime::from_secs(25));
         let audit = c.finalize(SimTime::from_secs(60));
-        (c, audit, missed)
+        CrashRun {
+            c,
+            audit,
+            missed,
+            held_before_crash,
+            decided_at_crash,
+        }
     }
 
     /// No path copies a decree: not a message, a retried ballot or a
@@ -1494,14 +1640,22 @@ mod tests {
     /// chosen would also never be recognised by the client that proposed it.
     #[test]
     fn every_holder_points_at_the_one_decree() {
-        let (c, audit, missed) = crash_and_restart(6);
+        let CrashRun {
+            c, audit, missed, ..
+        } = crash_and_restart(6);
         assert!(missed > 0, "the victim missed nothing while it was down");
         assert!(c.stats().msgs_dropped > 0 && c.stats().proposals > audit.decided_slots);
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.min_replica_decided, audit.decided_slots);
+        // A forgotten slot was checked as it went, a held one is checked here.
+        assert!(c.canon_base > 0, "nothing was compacted");
+        assert_eq!(
+            c.shared_compacted, c.canon_base,
+            "a compacted slot was copied"
+        );
         for (r, m) in c.members.iter().enumerate() {
-            for (slot, chosen) in c.canon.iter().enumerate() {
-                let decided = m.paxos.decided(slot as u64).expect("caught up");
+            for (slot, chosen) in (c.canon_base..).zip(&c.canon) {
+                let decided = m.paxos.decided(slot).expect("caught up");
                 assert!(
                     Arc::ptr_eq(decided, chosen),
                     "replica {r} holds a copy of slot {slot}"
@@ -1511,12 +1665,28 @@ mod tests {
     }
 
     /// The shape above on sixty seeds: whatever the client gave up on, no
-    /// replica's log diverges, no lease is taken over while it runs, and
-    /// every replica ends caught up.
+    /// replica's log diverges, no lease is taken over while it runs, every
+    /// replica ends caught up, and no message arrives for a forgotten slot.
+    /// With every replica up the log holds a few slots (at most 13 on these
+    /// seeds, duplicate decrees of retried reports included); while the
+    /// victim is down it grows by what is decided, and no further.
     #[test]
     fn a_crash_under_loss_converges_on_every_seed() {
         for seed in 0..60 {
-            let (_, audit, _) = crash_and_restart(seed);
+            let run = crash_and_restart(seed);
+            let audit = &run.audit;
+            let since_crash = audit.decided_slots - run.decided_at_crash;
+            assert_eq!(audit.stale_msgs, 0, "seed {seed}");
+            assert!(
+                run.held_before_crash <= 16,
+                "seed {seed}: {}",
+                run.held_before_crash
+            );
+            assert!(
+                audit.log_slots_max <= run.held_before_crash + since_crash,
+                "seed {seed}: {} slots held",
+                audit.log_slots_max
+            );
             assert_eq!(audit.log_divergences, 0, "seed {seed}");
             assert_eq!(audit.lease_overlaps, 0, "seed {seed}");
             assert_eq!(
@@ -1524,6 +1694,43 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// A down replica holds compaction back: the log keeps every decree
+    /// decided while it is down, and falls back to the healthy bound once
+    /// the restarted replica has caught up.
+    #[test]
+    fn a_down_replica_holds_the_log_until_it_catches_up() {
+        let (mut c, nodes) = lossy_cluster(14, 0.0);
+        let register = |c: &mut BrainCluster, secs: u64| {
+            let op = BrainOp::RegisterStream {
+                stream: StreamId::new(secs),
+                producer: nodes[0],
+            };
+            c.replicate(&op, SimTime::from_secs(secs))
+                .expect("a majority is up");
+        };
+        (5..15).for_each(|secs| register(&mut c, secs));
+        let healthy = c.audit.log_slots_max;
+        assert!(healthy <= 2, "{healthy} slots held with every replica up");
+        let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
+        (15..45).for_each(|secs| register(&mut c, secs));
+        assert_eq!(
+            c.canon_base, c.members[victim].applied,
+            "the floor passed the down replica"
+        );
+        assert!(c.canon.len() > 30, "{} slots held", c.canon.len());
+        c.restart_crashed(SimTime::from_secs(45));
+        (45..50).for_each(|secs| register(&mut c, secs));
+        assert!(
+            c.canon.len() as u64 <= healthy,
+            "{} slots held",
+            c.canon.len()
+        );
+        assert!(c.members.iter().all(|m| m.paxos.floor() == c.canon_base));
+        let audit = c.finalize(SimTime::from_secs(60));
+        assert_eq!((audit.stale_msgs, audit.log_divergences), (0, 0));
+        assert_eq!(audit.min_replica_decided, audit.decided_slots);
     }
 
     /// A leader that crashes with a ballot in flight and is back inside its
@@ -1542,7 +1749,7 @@ mod tests {
         let hole = c.members[h as usize].pending.last().expect("a ballot").slot;
         c.crash_leader(c.now);
         c.restart_crashed(c.now + SimDuration::from_millis(500));
-        assert_eq!(c.canon.len() as u64, hole, "the ballot died with the crash");
+        assert_eq!(c.decided_slots(), hole, "the ballot died with the crash");
         let at = c.now + SimDuration::from_millis(500);
         c.replicate(&op(3), at).expect("the leader fills the slot");
         assert_eq!(c.leader(), Some(h));

@@ -64,6 +64,19 @@ pub enum PaxosMsg<V = Vec<u8>> {
     },
 }
 
+impl<V> PaxosMsg<V> {
+    /// The decree slot the message is about.
+    pub fn slot(&self) -> u64 {
+        match *self {
+            PaxosMsg::Prepare { slot, .. }
+            | PaxosMsg::Promise { slot, .. }
+            | PaxosMsg::Accept { slot, .. }
+            | PaxosMsg::Accepted { slot, .. }
+            | PaxosMsg::Learn { slot, .. } => slot,
+        }
+    }
+}
+
 /// Per-slot acceptor state.
 #[derive(Debug, Clone)]
 struct AcceptorSlot<V> {
@@ -110,6 +123,9 @@ pub struct Replica<V = Vec<u8>> {
     /// decides.
     proposer: BTreeMap<u64, ProposerSlot<V>>,
     decided: BTreeMap<u64, V>,
+    /// Every slot below this has decided and is forgotten
+    /// ([`Replica::compact_below`]).
+    floor: u64,
     next_slot_hint: u64,
 }
 
@@ -123,6 +139,7 @@ impl<V: Clone> Replica<V> {
             acceptor: BTreeMap::new(),
             proposer: BTreeMap::new(),
             decided: BTreeMap::new(),
+            floor: 0,
             next_slot_hint: 0,
         }
     }
@@ -137,15 +154,22 @@ impl<V: Clone> Replica<V> {
         self.peers.len() / 2 + 1
     }
 
-    /// Decided value of a slot, if known.
+    /// Decided value of a slot, if known and not compacted away.
     pub fn decided(&self, slot: u64) -> Option<&V> {
         self.decided.get(&slot)
     }
 
-    /// The decided log prefix: values for slots `0..n` where all decided.
+    /// Whether `slot` decided. Yes below the compaction floor, whose
+    /// values are forgotten.
+    pub fn is_decided(&self, slot: u64) -> bool {
+        slot < self.floor || self.decided.contains_key(&slot)
+    }
+
+    /// The decided log from the compaction floor on: values for slots
+    /// `floor..n` where all decided.
     pub fn log_prefix(&self) -> Vec<&V> {
         let mut out = Vec::new();
-        let mut slot = 0;
+        let mut slot = self.floor;
         while let Some(v) = self.decided.get(&slot) {
             out.push(v);
             slot += 1;
@@ -153,16 +177,36 @@ impl<V: Clone> Replica<V> {
         out
     }
 
-    /// Number of decided slots (not necessarily a prefix).
+    /// Number of decided slots (not necessarily a prefix), compacted ones
+    /// included.
     pub fn decided_count(&self) -> usize {
-        self.decided.len()
+        self.floor as usize + self.decided.len()
+    }
+
+    /// The compaction floor: every slot below it is forgotten.
+    pub fn floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// Forget every slot below `floor`: its acceptor, proposer and decided
+    /// state. The caller vouches that every replica has decided those
+    /// slots and that no message about them is still in flight; one that
+    /// arrives anyway is ignored.
+    pub fn compact_below(&mut self, floor: u64) {
+        if floor <= self.floor {
+            return;
+        }
+        self.acceptor = self.acceptor.split_off(&floor);
+        self.proposer = self.proposer.split_off(&floor);
+        self.decided = self.decided.split_off(&floor);
+        self.floor = floor;
     }
 
     /// Propose `value` in a fresh slot. Returns the slot and the phase-1
     /// messages to deliver.
     pub fn propose(&mut self, value: V) -> (u64, Vec<Outbound<V>>) {
         // Pick the lowest slot we neither decided nor are proposing in.
-        let mut slot = self.next_slot_hint;
+        let mut slot = self.next_slot_hint.max(self.floor);
         while self.decided.contains_key(&slot) || self.proposer.contains_key(&slot) {
             slot += 1;
         }
@@ -209,6 +253,9 @@ impl<V: Clone> Replica<V> {
 
     /// Handle a message from `from`; returns messages to send.
     pub fn handle(&mut self, from: ReplicaId, msg: PaxosMsg<V>) -> Vec<Outbound<V>> {
+        if msg.slot() < self.floor {
+            return Vec::new();
+        }
         match msg {
             PaxosMsg::Prepare { slot, ballot } => {
                 let a = self.acceptor.entry(slot).or_default();
@@ -472,6 +519,38 @@ mod tests {
                 assert_eq!(***v, *vec![i as u8]);
             }
         }
+    }
+
+    /// A forgotten prefix still counts as decided, a late message below the
+    /// floor changes nothing, and the next fresh slot lies above it.
+    #[test]
+    fn compaction_forgets_a_prefix_and_keeps_the_count() {
+        let mut net = Net::new(3, 42, 0.0);
+        for i in 0..10u8 {
+            let (_, out) = net.replicas[0].propose(vec![i]);
+            net.send_all(0, out);
+            net.run(20_000);
+        }
+        for r in &mut net.replicas {
+            r.compact_below(6);
+            r.compact_below(4); // never lowers the floor
+        }
+        let late = PaxosMsg::Prepare {
+            slot: 2,
+            ballot: Ballot {
+                round: 99,
+                proposer: 2,
+            },
+        };
+        assert!(net.replicas[1].handle(2, late).is_empty());
+        for r in &net.replicas {
+            assert_eq!((r.floor(), r.decided_count()), (6, 10));
+            assert!(r.is_decided(3) && r.decided(3).is_none() && !r.is_decided(10));
+            let log: Vec<u8> = r.log_prefix().iter().map(|v| v[0]).collect();
+            assert_eq!(log, [6, 7, 8, 9]);
+        }
+        let (slot, _) = net.replicas[1].propose(vec![10]);
+        assert_eq!(slot, 10);
     }
 
     #[test]

@@ -64,6 +64,11 @@ pub struct ReplicationSummary {
     pub lease_overlaps: u64,
     /// Per cluster the fewest slots a replica decided; `== decided_slots`.
     pub min_replica_decided: u64,
+    /// Messages that arrived for a compacted slot — any nonzero value is a
+    /// compaction bug.
+    pub stale_msgs: u64,
+    /// The most slots one cluster's log held at once (max across shards).
+    pub log_slots_max: u64,
     /// Failover latencies (ms), shard-index order then crash order.
     pub failover_ms: Vec<f64>,
 }
@@ -101,6 +106,8 @@ impl ReplicationSummary {
         self.assignment_mismatches += other.assignment_mismatches;
         self.lease_overlaps += other.lease_overlaps;
         self.min_replica_decided += other.min_replica_decided;
+        self.stale_msgs += other.stale_msgs;
+        self.log_slots_max = self.log_slots_max.max(other.log_slots_max);
         self.failover_ms.extend_from_slice(&other.failover_ms);
     }
 }
@@ -231,6 +238,8 @@ impl ControlPlane {
                     assignment_mismatches: audit.assignment_mismatches,
                     lease_overlaps: audit.lease_overlaps,
                     min_replica_decided: audit.min_replica_decided,
+                    stale_msgs: audit.stale_msgs,
+                    log_slots_max: audit.log_slots_max,
                     failover_ms: c.failover_ms().to_vec(),
                 })
             }

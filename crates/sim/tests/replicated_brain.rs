@@ -51,6 +51,14 @@ fn replicated_fleet_is_bit_identical_across_shard_widths() {
         assert_eq!(rep.log_divergences, 0, "Paxos log divergence");
         assert_eq!(rep.assignment_mismatches, 0, "replica decision mismatch");
         assert_eq!(rep.lease_overlaps, 0, "a live lease was taken over");
+        assert_eq!(rep.stale_msgs, 0, "a message arrived for a compacted slot");
+        // The log is compacted behind the slowest replica: it grows while
+        // the crashed one is down (13 to 16 slots here), never with the run.
+        assert!(
+            rep.log_slots_max <= 24,
+            "{} slots held at {shards} shards",
+            rep.log_slots_max
+        );
         assert!(rep.decided_slots > 0, "no slot decided at {shards} shards");
         assert_eq!(
             rep.min_replica_decided, rep.decided_slots,

@@ -126,6 +126,9 @@ pub mod ids {
     pub const BRAIN_NODE_RECOVERED: MetricId = MetricId("brain.node_recovered");
     /// KSP path entries computed across all recompute rounds (work proxy).
     pub const BRAIN_KSP_PATHS: MetricId = MetricId("brain.ksp_paths_computed");
+    /// Report entries (a node, or one link) dropped because the Brain's
+    /// topology does not know the key. Recorded only once one was dropped.
+    pub const BRAIN_UNKNOWN_KEYS: MetricId = MetricId("brain.unknown_keys");
     /// Leader failover latency (last decree before the crash → first
     /// lease granted to a live holder), ms.
     pub const BRAIN_FAILOVER_MS: MetricId = MetricId("brain.failover_ms");
@@ -155,6 +158,10 @@ pub mod ids {
     pub const REPLICATION_LEADER_CRASHES: MetricId = MetricId("replication.leader_crashes");
     /// Length of the canonical chosen log at end of run.
     pub const REPLICATION_DECIDED_SLOTS: MetricId = MetricId("replication.decided_slots");
+    /// The most slots one cluster's log held at once (gauge, max across
+    /// shards): compaction keeps it a small constant while every replica is
+    /// up.
+    pub const REPLICATION_LOG_SLOTS_MAX: MetricId = MetricId("replication.log_slots_max");
 
     // ---- cc: congestion control (client log analogue) ----
 

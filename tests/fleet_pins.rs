@@ -1,12 +1,14 @@
 //! Four small fleet runs, pinned bit for bit.
 //!
 //! The fingerprint covers every field of a [`FleetReport`] through public
-//! fields only, floats via `to_bits`. The expected values were recorded at
-//! PR 14's parent commit (the flat 30-field `FleetSim`): a change here is a
-//! change of fleet behaviour, not of plumbing.
+//! fields only, floats via `to_bits`, and the telemetry metrics named in
+//! [`PINNED_METRICS`]. The expected values were recorded at PR 14's parent
+//! commit (the flat 30-field `FleetSim`): a change here is a change of
+//! fleet behaviour, not of plumbing.
 
 use livenet::prelude::*;
 use livenet::sim::{DecisionOutcome, FleetFault, RecoveryRecord, ReplicationConfig};
+use livenet_telemetry::{ids, MetricId};
 
 mod common;
 use common::Fnv;
@@ -58,6 +60,56 @@ fn recoveries(records: &[RecoveryRecord]) -> u64 {
     h.0
 }
 
+/// The telemetry the pins cover: every metric the four runs recorded when
+/// the pins were taken. A metric added since is not pinned, so adding one
+/// moves no pin; `tests/fleet_parallel.rs` still holds every metric equal
+/// between serial and parallel runs.
+const PINNED_METRICS: &[MetricId] = &[
+    ids::BRAIN_KSP_PATHS,
+    ids::BRAIN_LAST_RESORT,
+    ids::BRAIN_NODE_FAILED,
+    ids::BRAIN_NODE_RECOVERED,
+    ids::BRAIN_RECOMPUTE_ROUNDS,
+    ids::BRAIN_REHOMES,
+    ids::BRAIN_REQUESTS,
+    ids::FLEET_BRAIN_SERVED,
+    ids::FLEET_FAULTS_INJECTED,
+    ids::FLEET_LAST_RESORT,
+    ids::FLEET_LOCAL_HITS,
+    ids::FLEET_PEAK_VIEWERS,
+    ids::FLEET_PREFETCHED,
+    ids::FLEET_RACED_OFFLINE,
+    ids::FLEET_RECOVERIES,
+    ids::FLEET_SESSIONS,
+    ids::REPLICATION_CLIENT_RETRIES,
+    ids::REPLICATION_DECIDED_SLOTS,
+    ids::REPLICATION_LEADER_CRASHES,
+    ids::REPLICATION_LEASE_EXTENSIONS,
+    ids::REPLICATION_LEASE_GRANTS,
+    ids::REPLICATION_LEASE_RENEWALS,
+    ids::REPLICATION_MSGS_DROPPED,
+    ids::REPLICATION_MSGS_SENT,
+    ids::REPLICATION_OPS_COMMITTED,
+    ids::REPLICATION_PROPOSALS,
+    ids::REPLICATION_REDIRECTS,
+    ids::STAGE_BRAIN_LOOKUP_MS,
+    ids::STAGE_CDN_PATH_MS,
+    ids::STAGE_FIRST_PACKET_MS,
+    ids::STAGE_RECOVERY_MS,
+    ids::STAGE_STARTUP_MS,
+    ids::STAGE_STREAMING_MS,
+];
+
+/// The report's telemetry cut down to [`PINNED_METRICS`], as JSON.
+fn pinned_telemetry(r: &FleetReport) -> String {
+    let pinned = |name: &String| PINNED_METRICS.iter().any(|id| id.name() == name);
+    let mut t = r.telemetry.clone();
+    t.counters.retain(|(name, _)| pinned(name));
+    t.gauges.retain(|(name, _)| pinned(name));
+    t.hists.retain(|(name, _)| pinned(name));
+    t.to_json()
+}
+
 /// One hash per part of the report, so a moved pin says which part moved.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
@@ -102,7 +154,7 @@ fn fingerprint(r: &FleetReport) -> Fingerprint {
     }
 
     let mut telemetry = Fnv::new();
-    telemetry.bytes(r.telemetry.to_json().as_bytes());
+    telemetry.bytes(pinned_telemetry(r).as_bytes());
 
     let mut replication = Fnv::new();
     match &r.replication {
