@@ -55,8 +55,9 @@
 //! # Log compaction
 //!
 //! A slot is forgotten — by the canonical log and by every replica's Paxos
-//! state — one `CLIENT_TIMEOUT` after the slowest replica applied it, a
-//! down one included. By then no message about it is in flight, and no
+//! state — by the first client call that enters at least one
+//! `CLIENT_TIMEOUT` after the slowest replica applied it, a down one
+//! included. By then no message about it is in flight, and no
 //! replica will ever need it again: catch-up replays only slots a replica
 //! has not applied. So the log holds the last few decrees of a healthy
 //! cluster, and grows only while a replica is down. Slot numbers stay
@@ -358,8 +359,9 @@ pub struct ClusterAudit {
     /// canonical lease still ran and its holder was up — any nonzero value
     /// is a lease-safety bug.
     pub lease_overlaps: u64,
-    /// Paxos messages that arrived for a compacted slot — any nonzero value
-    /// means the compaction horizon is too short.
+    /// Paxos messages that arrived at a replica for a slot it had
+    /// compacted (each replica's [`Replica::stale_msgs`], summed) — any
+    /// nonzero value means the compaction horizon is too short.
     pub stale_msgs: u64,
     /// The most slots the canonical log held at once.
     pub log_slots_max: u64,
@@ -384,9 +386,6 @@ pub struct BrainCluster {
     /// The slowest replica's apply cursor each time it advanced, oldest
     /// first, with when: what the next compactions may forget.
     applied_marks: VecDeque<(SimTime, u64)>,
-    /// The first slot an in-flight `replicate` looks for its decree in;
-    /// nothing from it on is forgotten until the call returns.
-    client_base: Option<u64>,
     /// Lease as of the canonical log and the heartbeat rounds a majority
     /// acked (the client's leader oracle).
     canon_lease: Option<LeaseView>,
@@ -401,12 +400,9 @@ pub struct BrainCluster {
     crash_pending: Option<SimTime>,
     failover_ms: Vec<f64>,
     stats: ClusterStats,
-    /// The audit kept as the run goes: lease overlaps, stale messages, the
-    /// log's high-water mark and the divergences of compacted slots.
+    /// The audit kept as the run goes: lease overlaps, the log's
+    /// high-water mark and the divergences of compacted slots.
     audit: ClusterAudit,
-    /// Compacted slots every replica held as the canon's own allocation.
-    #[cfg(test)]
-    shared_compacted: u64,
 }
 
 impl BrainCluster {
@@ -442,7 +438,6 @@ impl BrainCluster {
             canon: VecDeque::new(),
             canon_base: 0,
             applied_marks: VecDeque::new(),
-            client_base: None,
             canon_lease: None,
             client_hint: None,
             last_decided_at: SimTime::ZERO,
@@ -451,8 +446,6 @@ impl BrainCluster {
             failover_ms: Vec::new(),
             stats: ClusterStats::default(),
             audit: ClusterAudit::default(),
-            #[cfg(test)]
-            shared_compacted: 0,
         };
         for r in 0..cluster.members.len() {
             cluster.maybe_wake(r as ReplicaId, SimTime::ZERO);
@@ -511,7 +504,7 @@ impl BrainCluster {
         };
         self.now = self.now.max(at);
         self.dispatch(ev);
-        self.compact();
+        self.mark_applied();
         true
     }
 
@@ -523,12 +516,6 @@ impl BrainCluster {
                 msg,
                 stand,
             } => {
-                let stale = msg.slot() < self.canon_base;
-                debug_assert!(!stale, "a message for compacted slot {}", msg.slot());
-                if stale {
-                    self.audit.stale_msgs += 1;
-                    return;
-                }
                 let m = &self.members[to as usize];
                 if !m.up {
                     return;
@@ -542,6 +529,11 @@ impl BrainCluster {
                     return;
                 }
                 let outs = self.members[to as usize].paxos.handle(from, msg);
+                debug_assert_eq!(
+                    self.members[to as usize].paxos.stale_msgs(),
+                    0,
+                    "a message for a compacted slot"
+                );
                 self.send_out(to, outs, false);
                 self.after_progress(to);
             }
@@ -593,11 +585,10 @@ impl BrainCluster {
         self.members[m].apply_ready();
     }
 
-    /// Forget every slot that all replicas applied at least one
-    /// `CLIENT_TIMEOUT` ago (see the horizon assertion), auditing each one
-    /// as `finalize` would have. A down replica's cursor holds the floor
-    /// back until it restarts and catches up.
-    fn compact(&mut self) {
+    /// Note when the slowest replica's apply cursor (a down one's
+    /// included) advanced: what [`Self::compact`] may forget one
+    /// `CLIENT_TIMEOUT` later.
+    fn mark_applied(&mut self) {
         let low = self.members.iter().map(|m| m.applied).min().unwrap_or(0);
         let marked = self
             .applied_marks
@@ -606,10 +597,17 @@ impl BrainCluster {
         if low > marked {
             self.applied_marks.push_back((self.now, low));
         }
-        let pin = self.client_base.unwrap_or(u64::MAX);
+    }
+
+    /// Forget every slot that all replicas applied at least one
+    /// `CLIENT_TIMEOUT` ago (see the horizon assertion), auditing each one
+    /// as `finalize` would have. A down replica's cursor holds the floor
+    /// back until it restarts and catches up. Run only where a client call
+    /// enters, so nothing a call still searches is forgotten under it.
+    fn compact(&mut self) {
         let mut floor = self.canon_base;
         while let Some(&(at, w)) = self.applied_marks.front() {
-            if at + CLIENT_TIMEOUT > self.now || w > pin {
+            if at + CLIENT_TIMEOUT > self.now {
                 break;
             }
             floor = w;
@@ -627,14 +625,6 @@ impl BrainCluster {
                 {
                     self.audit.log_divergences += 1;
                 }
-            }
-            #[cfg(test)]
-            if self.members.iter().all(|m| {
-                m.paxos
-                    .decided(slot)
-                    .is_some_and(|v| Arc::ptr_eq(v, &chosen))
-            }) {
-                self.shared_compacted += 1;
             }
         }
         if floor > self.canon_base {
@@ -979,7 +969,7 @@ impl BrainCluster {
     }
 
     /// The slot at or after `base` in which `value` was chosen, if it was.
-    /// `base` is held: `replicate` pins it against compaction.
+    /// `base` is held: nothing is compacted while a call runs.
     fn committed_since(&self, base: u64, value: &Decree) -> Option<u64> {
         let skip = (base - self.canon_base) as usize;
         let at = self
@@ -987,33 +977,6 @@ impl BrainCluster {
             .range(skip..)
             .position(|v| same_decree(v, value))?;
         Some(base + at as u64)
-    }
-
-    /// Propose `value` through the leader, and again on each timeout, until
-    /// it is chosen in a slot at or after `base` or `give_up_at` passes.
-    fn commit(&mut self, value: &Decree, base: u64, give_up_at: SimTime) -> Result<u64> {
-        loop {
-            if self.now >= give_up_at {
-                self.stats.client_give_ups += 1;
-                return Err(Error::exhausted("brain cluster replicate timed out"));
-            }
-            let h = self.await_leader(give_up_at)?;
-            self.catch_up(h);
-            self.propose(h, Arc::clone(value), false);
-            let wait_until = self.now + CLIENT_TIMEOUT;
-            // Looked for before the first event too: an earlier proposal of
-            // this call may have been chosen during the wait for a leader.
-            let chosen = loop {
-                let chosen = self.committed_since(base, value);
-                if chosen.is_some() || !self.pump_step_until(wait_until) {
-                    break chosen;
-                }
-            };
-            match chosen {
-                Some(slot) => return Ok(slot),
-                None => self.stats.client_retries += 1,
-            }
-        }
     }
 
     /// Replicate one mutation through the log.  Returns the client-visible
@@ -1031,14 +994,33 @@ impl BrainCluster {
         now: SimTime,
     ) -> Result<(f64, Option<PathAssignment>)> {
         self.advance_to(now);
+        self.compact();
         let start = self.now;
         let value: Decree = Arc::new(op.clone());
         let base = self.decided_slots();
         let give_up_at = start + CLIENT_TIMEOUT.mul_f64(self.cfg.max_attempts as f64);
-        self.client_base = Some(base);
-        let committed = self.commit(&value, base, give_up_at);
-        self.client_base = None;
-        let committed_slot = committed?;
+        let committed_slot = loop {
+            if self.now >= give_up_at {
+                self.stats.client_give_ups += 1;
+                return Err(Error::exhausted("brain cluster replicate timed out"));
+            }
+            let h = self.await_leader(give_up_at)?;
+            self.catch_up(h);
+            self.propose(h, Arc::clone(&value), false);
+            let wait_until = self.now + CLIENT_TIMEOUT;
+            // Looked for before the first event too: an earlier proposal of
+            // this call may have been chosen during the wait for a leader.
+            let chosen = loop {
+                let chosen = self.committed_since(base, &value);
+                if chosen.is_some() || !self.pump_step_until(wait_until) {
+                    break chosen;
+                }
+            };
+            match chosen {
+                Some(slot) => break slot,
+                None => self.stats.client_retries += 1,
+            }
+        };
         let rtt_ms = ONE_WAY_DELAY.as_millis_f64() * 2.0;
         let latency = self.now.saturating_since(start).as_millis_f64() + rtt_ms;
         let rehome = if matches!(op, BrainOp::RehomeProducer { .. }) {
@@ -1073,6 +1055,7 @@ impl BrainCluster {
         prefetched: bool,
     ) -> Result<(PathAssignment, f64)> {
         self.advance_to(now);
+        self.compact();
         if prefetched {
             let r = self
                 .lowest_live()
@@ -1167,6 +1150,7 @@ impl BrainCluster {
         let settle = self.now + self.cfg.lease + self.cfg.lease;
         self.advance_to(settle);
         let mut audit = self.audit.clone();
+        audit.stale_msgs = self.members.iter().map(|m| m.paxos.stale_msgs()).sum();
         // Safety audit: no replica may have decided a value different
         // from the canonical chosen log in any slot (the compacted ones
         // were audited as they went).
@@ -1398,7 +1382,8 @@ mod tests {
             assert_eq!(c.stats().lease_grants, 1, "seed {seed}: {:?}", c.stats());
             // Compaction keeps the log at a slot or two all day.
             assert!(c.audit.log_slots_max <= 2, "seed {seed}: {:?}", c.audit);
-            assert_eq!(c.audit.stale_msgs, 0, "seed {seed}");
+            let stale: u64 = c.members.iter().map(|m| m.paxos.stale_msgs()).sum();
+            assert_eq!(stale, 0, "seed {seed}");
         }
     }
 
@@ -1609,12 +1594,15 @@ mod tests {
     }
 
     /// A NaN report a second from 5 s to 25 s at 20 % loss, the leader
-    /// crashed at 15 s and restarted at 25 s, settled at 60 s. Some reports
-    /// may give up (`client_give_ups`): per-slot Paxos needs four lossy
-    /// hops a ballot and backs off linearly.
-    fn crash_and_restart(seed: u64) -> CrashRun {
+    /// crashed at 15 s and restarted at 25 s, settled at 60 s; `before_call`
+    /// sees the cluster at each report's time, just before the report. Some reports may give up
+    /// (`client_give_ups`): per-slot Paxos needs four lossy hops a ballot
+    /// and backs off linearly.
+    fn crash_and_restart(seed: u64, mut before_call: impl FnMut(&BrainCluster)) -> CrashRun {
         let (mut c, nodes) = lossy_cluster(seed, 0.2);
-        let report = |c: &mut BrainCluster, secs: u64| {
+        let mut report = |c: &mut BrainCluster, secs: u64| {
+            c.advance_to(SimTime::from_secs(secs));
+            before_call(c);
             let (op, _) = nan_report(c, nodes[0], secs);
             let _ = c.replicate(&op, SimTime::from_secs(secs));
         };
@@ -1635,45 +1623,69 @@ mod tests {
         }
     }
 
+    /// Check that every replica holding a slot the canon holds points at
+    /// the canon's own allocation. Returns the first held slot some replica
+    /// has not decided: every slot below it is checked on every replica.
+    fn assert_shared(c: &BrainCluster) -> u64 {
+        let mut checked = c.decided_slots();
+        for (r, m) in c.members.iter().enumerate() {
+            for (slot, chosen) in (c.canon_base..).zip(&c.canon) {
+                match m.paxos.decided(slot) {
+                    Some(decided) => assert!(
+                        Arc::ptr_eq(decided, chosen),
+                        "replica {r} holds a copy of slot {slot}"
+                    ),
+                    None => checked = checked.min(slot),
+                }
+            }
+        }
+        checked
+    }
+
     /// No path copies a decree: not a message, a retried ballot or a
     /// catch-up `Learn`. The decrees are NaN reports, so a copy that got
     /// chosen would also never be recognised by the client that proposed it.
+    /// Compaction runs only where a client call enters, so looking just
+    /// before every call sees each slot on every replica before it is
+    /// forgotten.
     #[test]
     fn every_holder_points_at_the_one_decree() {
+        let mut checked = 0;
         let CrashRun {
             c, audit, missed, ..
-        } = crash_and_restart(6);
+        } = crash_and_restart(6, |c| {
+            assert!(
+                c.canon_base <= checked,
+                "slot {checked} was forgotten unchecked"
+            );
+            checked = assert_shared(c);
+        });
         assert!(missed > 0, "the victim missed nothing while it was down");
         assert!(c.stats().msgs_dropped > 0 && c.stats().proposals > audit.decided_slots);
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.min_replica_decided, audit.decided_slots);
-        // A forgotten slot was checked as it went, a held one is checked here.
         assert!(c.canon_base > 0, "nothing was compacted");
-        assert_eq!(
-            c.shared_compacted, c.canon_base,
-            "a compacted slot was copied"
+        assert!(
+            c.canon_base <= checked,
+            "slot {checked} was forgotten unchecked"
         );
-        for (r, m) in c.members.iter().enumerate() {
-            for (slot, chosen) in (c.canon_base..).zip(&c.canon) {
-                let decided = m.paxos.decided(slot).expect("caught up");
-                assert!(
-                    Arc::ptr_eq(decided, chosen),
-                    "replica {r} holds a copy of slot {slot}"
-                );
-            }
-        }
+        assert_eq!(
+            assert_shared(&c),
+            c.decided_slots(),
+            "a replica lags the canon"
+        );
     }
 
     /// The shape above on sixty seeds: whatever the client gave up on, no
     /// replica's log diverges, no lease is taken over while it runs, every
     /// replica ends caught up, and no message arrives for a forgotten slot.
-    /// With every replica up the log holds a few slots (at most 13 on these
+    /// With every replica up the log holds a few slots (at most 15 on these
     /// seeds, duplicate decrees of retried reports included); while the
     /// victim is down it grows by what is decided, and no further.
     #[test]
     fn a_crash_under_loss_converges_on_every_seed() {
         for seed in 0..60 {
-            let run = crash_and_restart(seed);
+            let run = crash_and_restart(seed, |_| {});
             let audit = &run.audit;
             let since_crash = audit.decided_slots - run.decided_at_crash;
             assert_eq!(audit.stale_msgs, 0, "seed {seed}");
@@ -1693,6 +1705,35 @@ mod tests {
                 audit.min_replica_decided, audit.decided_slots,
                 "seed {seed}"
             );
+        }
+    }
+
+    /// Client calls a millisecond apart at 20 % loss: a prefetched path
+    /// request catches a follower up from the canon while the leader's
+    /// `Learn` to it is still in flight, and the next call compacts. The
+    /// horizon has to outlast that `Learn`; forgetting a slot as soon as
+    /// every replica applied it hears it late on some of these seeds.
+    #[test]
+    fn calls_in_quick_succession_hear_no_stale_message() {
+        for seed in 0..20 {
+            let (mut c, nodes) = lossy_cluster(seed, 0.2);
+            for i in 0..300 {
+                let stream = StreamId::new(i % 64);
+                let op = BrainOp::RegisterStream {
+                    stream,
+                    producer: nodes[0],
+                };
+                let at = c.now + SimDuration::from_millis(i % 40);
+                let _ = c.replicate(&op, at);
+                for _ in 0..40 {
+                    let at = c.now + SimDuration::from_millis(1);
+                    let _ = c.path_request(stream, nodes[1], at, true);
+                }
+            }
+            let audit = c.finalize(c.now);
+            assert_eq!(audit.stale_msgs, 0, "seed {seed}");
+            assert_eq!(audit.log_divergences, 0, "seed {seed}");
+            assert!(c.canon_base > 0, "seed {seed}: nothing was compacted");
         }
     }
 
@@ -1727,7 +1768,11 @@ mod tests {
             "{} slots held",
             c.canon.len()
         );
-        assert!(c.members.iter().all(|m| m.paxos.floor() == c.canon_base));
+        // Every replica forgot what the canon forgot.
+        let last_forgotten = c.canon_base - 1;
+        assert!(c.members.iter().all(|m| {
+            m.paxos.is_decided(last_forgotten) && m.paxos.decided(last_forgotten).is_none()
+        }));
         let audit = c.finalize(SimTime::from_secs(60));
         assert_eq!((audit.stale_msgs, audit.log_divergences), (0, 0));
         assert_eq!(audit.min_replica_decided, audit.decided_slots);

@@ -126,6 +126,8 @@ pub struct Replica<V = Vec<u8>> {
     /// Every slot below this has decided and is forgotten
     /// ([`Replica::compact_below`]).
     floor: u64,
+    /// Messages that arrived for a slot below the floor.
+    stale: u64,
     next_slot_hint: u64,
 }
 
@@ -140,6 +142,7 @@ impl<V: Clone> Replica<V> {
             proposer: BTreeMap::new(),
             decided: BTreeMap::new(),
             floor: 0,
+            stale: 0,
             next_slot_hint: 0,
         }
     }
@@ -183,15 +186,17 @@ impl<V: Clone> Replica<V> {
         self.floor as usize + self.decided.len()
     }
 
-    /// The compaction floor: every slot below it is forgotten.
-    pub fn floor(&self) -> u64 {
-        self.floor
+    /// Messages that arrived for a compacted slot, dropped by
+    /// [`Replica::handle`]: each one means the caller of
+    /// [`Replica::compact_below`] forgot a slot too early.
+    pub fn stale_msgs(&self) -> u64 {
+        self.stale
     }
 
     /// Forget every slot below `floor`: its acceptor, proposer and decided
     /// state. The caller vouches that every replica has decided those
     /// slots and that no message about them is still in flight; one that
-    /// arrives anyway is ignored.
+    /// arrives anyway is dropped and counted in [`Replica::stale_msgs`].
     pub fn compact_below(&mut self, floor: u64) {
         if floor <= self.floor {
             return;
@@ -253,7 +258,9 @@ impl<V: Clone> Replica<V> {
 
     /// Handle a message from `from`; returns messages to send.
     pub fn handle(&mut self, from: ReplicaId, msg: PaxosMsg<V>) -> Vec<Outbound<V>> {
+        // The one check for a forgotten slot: replying could reopen it.
         if msg.slot() < self.floor {
+            self.stale += 1;
             return Vec::new();
         }
         match msg {
@@ -522,7 +529,8 @@ mod tests {
     }
 
     /// A forgotten prefix still counts as decided, a late message below the
-    /// floor changes nothing, and the next fresh slot lies above it.
+    /// floor changes nothing but the stale count, and the next fresh slot
+    /// lies above it.
     #[test]
     fn compaction_forgets_a_prefix_and_keeps_the_count() {
         let mut net = Net::new(3, 42, 0.0);
@@ -543,8 +551,9 @@ mod tests {
             },
         };
         assert!(net.replicas[1].handle(2, late).is_empty());
+        assert_eq!(net.replicas[1].stale_msgs(), 1);
         for r in &net.replicas {
-            assert_eq!((r.floor(), r.decided_count()), (6, 10));
+            assert_eq!((r.floor, r.decided_count()), (6, 10));
             assert!(r.is_decided(3) && r.decided(3).is_none() && !r.is_decided(10));
             let log: Vec<u8> = r.log_prefix().iter().map(|v| v[0]).collect();
             assert_eq!(log, [6, 7, 8, 9]);
