@@ -1595,9 +1595,9 @@ mod tests {
 
     /// A NaN report a second from 5 s to 25 s at 20 % loss, the leader
     /// crashed at 15 s and restarted at 25 s, settled at 60 s; `before_call`
-    /// sees the cluster at each report's time, just before the report. Some reports may give up
-    /// (`client_give_ups`): per-slot Paxos needs four lossy hops a ballot
-    /// and backs off linearly.
+    /// sees the cluster at each report's time, just before the report. Some
+    /// reports may give up (`client_give_ups`): per-slot Paxos needs four
+    /// lossy hops a ballot and backs off linearly.
     fn crash_and_restart(seed: u64, mut before_call: impl FnMut(&BrainCluster)) -> CrashRun {
         let (mut c, nodes) = lossy_cluster(seed, 0.2);
         let mut report = |c: &mut BrainCluster, secs: u64| {
