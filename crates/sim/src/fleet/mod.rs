@@ -591,8 +591,7 @@ impl FleetSim {
                 .unwrap_or(false),
             last_mile_class: usize::from(bad_last_mile) + usize::from(awful_last_mile),
             last_mile_ms: LAST_MILE_MS * self.rng.log_normal(0.0, 0.6),
-            buffer_fill_ms: PLAYER_BUFFER_MS * (BITRATE_BPS / 1e6)
-                / downlink_mbps.max(0.3),
+            buffer_fill_ms: PLAYER_BUFFER_MS * (BITRATE_BPS / 1e6) / downlink_mbps.max(0.3),
             view_minutes: duration.as_secs_f64() / 60.0,
         };
         // The session's id is the index of its records.

@@ -214,10 +214,14 @@ fn merge(mut outputs: Vec<ShardOutput>, days: usize) -> FleetReport {
     merged.livenet.reserve_exact(total);
     merged.hier.reserve_exact(total);
     let lists: Vec<&[SessionRecord]> = outputs.iter().map(|o| &o.report.livenet[..]).collect();
-    kway_merge(&lists, |s| s.start, |shard, i| {
-        merged.livenet.push(lists[shard][i]);
-        merged.hier.push(outputs[shard].report.hier[i]);
-    });
+    kway_merge(
+        &lists,
+        |s| s.start,
+        |shard, i| {
+            merged.livenet.push(lists[shard][i]);
+            merged.hier.push(outputs[shard].report.hier[i]);
+        },
+    );
 
     merged.hourly_loss = std::mem::take(&mut outputs[0].report.hourly_loss);
     merged.faults_injected = outputs[0].report.faults_injected;
@@ -494,10 +498,7 @@ mod tests {
         let bad = FleetConfigBuilder::smoke(1)
             .tweak(|c| c.node_capacity_sessions = 0.0)
             .build();
-        assert!(matches!(
-            bad,
-            Err(livenet_types::Error::InvalidConfig(_))
-        ));
+        assert!(matches!(bad, Err(livenet_types::Error::InvalidConfig(_))));
         let mut cfg = FleetConfig::smoke(1);
         cfg.shards = 0;
         assert!(FleetRunner::new(cfg).is_err());
@@ -509,10 +510,15 @@ mod tests {
     fn validated_edges_run_and_the_rest_is_rejected() {
         use crate::control::ReplicationConfig;
         let edge = |f: fn(&mut FleetConfig)| {
-            FleetConfigBuilder::from_config(tiny_config(5)).shards(1).tweak(f).build()
+            FleetConfigBuilder::from_config(tiny_config(5))
+                .shards(1)
+                .tweak(f)
+                .build()
         };
         let runs = |f: fn(&mut FleetConfig)| {
-            let r = FleetRunner::new(edge(f).expect("validates")).unwrap().run_serial();
+            let r = FleetRunner::new(edge(f).expect("validates"))
+                .unwrap()
+                .run_serial();
             assert_eq!(r.livenet.len(), r.hier.len());
             assert!(!r.livenet.is_empty());
         };
@@ -525,9 +531,17 @@ mod tests {
             |c| c.workload.festival_factor = 0.0,
             |c| c.faults.random_outages_per_day = 1.0, // over the default (0, 0)
             // `ClusterConfig::validate`, reached through the fleet's.
-            |c| c.replication = Some(ReplicationConfig { replicas: 0, ..Default::default() }),
+            |c| {
+                c.replication = Some(ReplicationConfig {
+                    replicas: 0,
+                    ..Default::default()
+                })
+            },
         ] {
-            assert!(matches!(edge(bad), Err(livenet_types::Error::InvalidConfig(_))));
+            assert!(matches!(
+                edge(bad),
+                Err(livenet_types::Error::InvalidConfig(_))
+            ));
         }
     }
 }

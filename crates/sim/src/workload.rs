@@ -308,11 +308,7 @@ impl Workload {
 
     /// Pick the consumer edge node for a viewer in `country` (DNS maps
     /// users to a nearby edge). `edges_by_country[c]` lists candidates.
-    pub fn pick_edge(
-        &mut self,
-        edges_by_country: &[Vec<NodeId>],
-        country: u32,
-    ) -> Option<NodeId> {
+    pub fn pick_edge(&mut self, edges_by_country: &[Vec<NodeId>], country: u32) -> Option<NodeId> {
         let edges = edges_by_country.get(country as usize)?;
         if edges.is_empty() {
             return None;
@@ -357,7 +353,12 @@ mod tests {
         while let Some(s) = w.next_session() {
             counts[s.channel] += 1;
         }
-        assert!(counts[0] > counts[10] * 3, "{} vs {}", counts[0], counts[10]);
+        assert!(
+            counts[0] > counts[10] * 3,
+            "{} vs {}",
+            counts[0],
+            counts[10]
+        );
         assert!(counts[0] > counts[30] * 8);
     }
 

@@ -69,7 +69,10 @@ fn replicated_fleet_is_bit_identical_across_shard_widths() {
         // (every shard injects the fault; each crashes its own leader).
         assert_eq!(rep.leader_crashes, shards as u64);
         assert_eq!(rep.restarts, shards as u64);
-        assert_eq!(serial.faults_injected, 1, "crash fault must be counted once");
+        assert_eq!(
+            serial.faults_injected, 1,
+            "crash fault must be counted once"
+        );
         assert!(
             !rep.failover_ms.is_empty(),
             "leader crash produced no failover measurement at {shards} shards"
