@@ -28,8 +28,8 @@
 //! standing again. The log records nothing else about leadership, as
 //! Raft's leader heartbeats carry no log entries:
 //!
-//! - **Extension.** With less than `renew_margin` left, the holder sends
-//!   `Heartbeat` (its term, `until = now + lease`) to every follower and
+//! - **Extension.** With less than `RENEW_MARGIN` left, the holder sends
+//!   `Heartbeat` (its term, `until = now + LEASE`) to every follower and
 //!   resends it every `CLIENT_TIMEOUT` to each one that has not acked. Its
 //!   own view and the canonical lease behind [`BrainCluster::leader`]
 //!   extend when a majority (itself included) holds the new `until`, and
@@ -83,6 +83,13 @@ const DELAY_JITTER: f64 = 0.1;
 const TAKEOVER_BACKOFF: SimDuration = SimDuration::from_millis(150);
 /// Client-side retry timeout for proposals and leader waits.
 const CLIENT_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+/// Leader lease duration.
+const LEASE: SimDuration = SimDuration::from_millis(3000);
+/// The holder starts a heartbeat round when its lease has less than this
+/// left.
+const RENEW_MARGIN: SimDuration = SimDuration::from_millis(1000);
+/// Client attempts before giving up (`CLIENT_TIMEOUT` each).
+const MAX_ATTEMPTS: u32 = 40;
 
 /// What the cluster's Paxos replicates: one shared op (`Arc`, not `Rc`:
 /// a sharded run moves clusters across threads).
@@ -99,6 +106,9 @@ fn same_decree(a: &Decree, b: &Decree) -> bool {
 // A message delay is `ONE_WAY_DELAY × (1 ± jitter)` and must stay positive.
 const _: () = assert!(0.0 <= DELAY_JITTER && DELAY_JITTER < 1.0);
 
+// The holder renews while its lease still runs.
+const _: () = assert!(RENEW_MARGIN.as_nanos() < LEASE.as_nanos());
+
 // Once every replica applied a slot, none sends about it again; what was
 // already in flight is at most a request and its reply. A slot forgotten one
 // `CLIENT_TIMEOUT` later therefore hears nothing more (`stale_msgs`).
@@ -114,12 +124,6 @@ pub struct ClusterConfig {
     pub replicas: u32,
     /// Probability an inter-replica message is lost.
     pub msg_loss: f64,
-    /// Leader lease duration.
-    pub lease: SimDuration,
-    /// The holder renews when the lease has less than this left.
-    pub renew_margin: SimDuration,
-    /// Client attempts before giving up (`CLIENT_TIMEOUT` each).
-    pub max_attempts: u32,
     /// Seed for the cluster's private message-delay/loss RNG.
     pub seed: u64,
 }
@@ -129,9 +133,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             replicas: 3,
             msg_loss: 0.01,
-            lease: SimDuration::from_millis(3000),
-            renew_margin: SimDuration::from_millis(1000),
-            max_attempts: 40,
             seed: 0,
         }
     }
@@ -139,7 +140,7 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Reject what [`BrainCluster::new`] would panic on or never recover
-    /// from: no replica, certain message loss, a lease that cannot renew.
+    /// from: no replica, or certain message loss.
     pub fn validate(&self) -> Result<()> {
         if self.replicas == 0 {
             return Err(Error::invalid_config("replication.replicas must be > 0"));
@@ -149,47 +150,112 @@ impl ClusterConfig {
                 "replication.msg_loss must be in [0, 1)",
             ));
         }
-        if self.lease == SimDuration::ZERO {
-            return Err(Error::invalid_config("replication.lease must be > 0"));
-        }
-        if self.renew_margin >= self.lease {
-            return Err(Error::invalid_config(
-                "replication.renew_margin must be < lease",
-            ));
-        }
         Ok(())
     }
 }
 
-/// Lifetime counters for the cluster (all deterministic).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClusterStats {
+/// One replicated run's record: the counters a [`BrainCluster`] keeps as
+/// it goes and the audit [`BrainCluster::finalize`] fills in. A sharded
+/// fleet runs one cluster per shard and sums their records with
+/// [`Self::absorb`]; a new counter is one field here and one line there.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReplicationSummary {
+    /// Replicas per cluster.
+    pub replicas: u32,
     /// State (non-lease) decrees chosen.
-    pub state_ops_committed: u64,
+    pub ops_committed: u64,
     /// Lease decrees that moved leadership to a different holder
     /// (includes the initial election).
     pub lease_grants: u64,
     /// Lease decrees that renewed the incumbent.
     pub lease_renewals: u64,
     /// Heartbeat rounds that extended the canonical lease (a majority
-    /// held the new `until`).
+    /// held the new `until`; no log entry).
     pub lease_extensions: u64,
     /// Ballots started (fresh proposals plus retries).
     pub proposals: u64,
-    /// Inter-replica messages put on the wire.
-    pub msgs_sent: u64,
-    /// Inter-replica messages lost in flight.
-    pub msgs_dropped: u64,
-    /// Client retries (leader wait or proposal timeout).
-    pub client_retries: u64,
-    /// Client redirects to a different leader than its cached hint.
-    pub client_redirects: u64,
-    /// Client operations abandoned after `max_attempts`.
-    pub client_give_ups: u64,
     /// Leader crashes injected.
     pub leader_crashes: u64,
     /// Crashed replicas restarted (and caught up from the log).
     pub restarts: u64,
+    /// Client retries (leader wait or proposal timeout).
+    pub client_retries: u64,
+    /// Client redirects to a different leader than its cached hint.
+    pub redirects: u64,
+    /// Client operations abandoned after `MAX_ATTEMPTS`.
+    pub give_ups: u64,
+    /// Inter-replica messages put on the wire.
+    pub msgs_sent: u64,
+    /// Inter-replica messages lost in flight.
+    pub msgs_dropped: u64,
+    /// Length of the canonical chosen log, compacted slots included
+    /// (`finalize`).
+    pub decided_slots: u64,
+    /// Slots where some replica's decided value differs from the
+    /// canonical chosen log — any nonzero value is a Paxos safety bug.
+    /// A compacted slot was audited when it was forgotten.
+    pub log_divergences: u64,
+    /// Replicas that answered a sampled post-run `path_request` with a
+    /// different `PathAssignment` than replica 0 — any nonzero value
+    /// means the applied state machines diverged.
+    pub assignment_mismatches: u64,
+    /// `Lease` decrees chosen for a new holder while the previous
+    /// canonical lease still ran and its holder was up — any nonzero value
+    /// is a lease-safety bug.
+    pub lease_overlaps: u64,
+    /// The fewest slots a replica decided after the final catch-up
+    /// (`finalize`); `== decided_slots`.
+    pub min_replica_decided: u64,
+    /// Paxos messages that arrived at a replica for a slot it had
+    /// compacted (each replica's [`Replica::stale_msgs`], summed) — any
+    /// nonzero value means the compaction horizon is too short.
+    pub stale_msgs: u64,
+    /// The most slots the canonical log held at once (the max across a
+    /// fleet's clusters).
+    pub log_slots_max: u64,
+    /// Failover latencies (ms), in crash order (a fleet's in shard-index
+    /// order, then crash order).
+    pub failover_ms: Vec<f64>,
+}
+
+impl ReplicationSummary {
+    /// Bit-exact equality (floats compared through their bit patterns).
+    pub fn bit_identical(&self, other: &ReplicationSummary) -> bool {
+        // Every field but `failover_ms` is an integer, so `==` is exact
+        // there — and covers a field added later without an edit here.
+        let split = |s: &ReplicationSummary| {
+            let bits: Vec<u64> = s.failover_ms.iter().map(|f| f.to_bits()).collect();
+            let mut rest = s.clone();
+            rest.failover_ms.clear();
+            (bits, rest)
+        };
+        split(self) == split(other)
+    }
+
+    /// Accumulate another cluster's record (in shard-index order).
+    pub fn absorb(&mut self, other: &ReplicationSummary) {
+        self.replicas = self.replicas.max(other.replicas);
+        self.ops_committed += other.ops_committed;
+        self.lease_grants += other.lease_grants;
+        self.lease_renewals += other.lease_renewals;
+        self.lease_extensions += other.lease_extensions;
+        self.proposals += other.proposals;
+        self.leader_crashes += other.leader_crashes;
+        self.restarts += other.restarts;
+        self.client_retries += other.client_retries;
+        self.redirects += other.redirects;
+        self.give_ups += other.give_ups;
+        self.msgs_sent += other.msgs_sent;
+        self.msgs_dropped += other.msgs_dropped;
+        self.decided_slots += other.decided_slots;
+        self.log_divergences += other.log_divergences;
+        self.assignment_mismatches += other.assignment_mismatches;
+        self.lease_overlaps += other.lease_overlaps;
+        self.min_replica_decided += other.min_replica_decided;
+        self.stale_msgs += other.stale_msgs;
+        self.log_slots_max = self.log_slots_max.max(other.log_slots_max);
+        self.failover_ms.extend_from_slice(&other.failover_ms);
+    }
 }
 
 /// A lease: who leads, in which term, until when. It comes from a `Lease`
@@ -340,33 +406,6 @@ impl Member {
     }
 }
 
-/// Post-run consistency audit results (see [`BrainCluster::finalize`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClusterAudit {
-    /// Slots where some replica's decided value differs from the
-    /// canonical chosen log — any nonzero value is a Paxos safety bug.
-    /// A compacted slot was audited when it was forgotten.
-    pub log_divergences: u64,
-    /// Replicas that answered a sampled post-run `path_request` with a
-    /// different `PathAssignment` than replica 0 — any nonzero value
-    /// means the applied state machines diverged.
-    pub assignment_mismatches: u64,
-    /// Length of the canonical chosen log.
-    pub decided_slots: u64,
-    /// Minimum decided-slot count across replicas after final catch-up.
-    pub min_replica_decided: u64,
-    /// `Lease` decrees chosen for a new holder while the previous
-    /// canonical lease still ran and its holder was up — any nonzero value
-    /// is a lease-safety bug.
-    pub lease_overlaps: u64,
-    /// Paxos messages that arrived at a replica for a slot it had
-    /// compacted (each replica's [`Replica::stale_msgs`], summed) — any
-    /// nonzero value means the compaction horizon is too short.
-    pub stale_msgs: u64,
-    /// The most slots the canonical log held at once.
-    pub log_slots_max: u64,
-}
-
 /// N Paxos-replicated [`StreamingBrain`]s plus the deterministic
 /// virtual-time network that connects them.  See the module docs.
 #[derive(Debug)]
@@ -398,11 +437,9 @@ pub struct BrainCluster {
     /// heartbeat sent, or the last decree decided if later); cleared when
     /// a live holder wins a lease (failover complete).
     crash_pending: Option<SimTime>,
-    failover_ms: Vec<f64>,
-    stats: ClusterStats,
-    /// The audit kept as the run goes: lease overlaps, the log's
-    /// high-water mark and the divergences of compacted slots.
-    audit: ClusterAudit,
+    /// The run's record as it goes: every counter, the lease overlaps,
+    /// the log's high-water mark and the divergences of compacted slots.
+    summary: ReplicationSummary,
 }
 
 impl BrainCluster {
@@ -429,6 +466,10 @@ impl BrainCluster {
             })
             .collect();
         let rng = DetRng::seed(cfg.seed).fork("brain-cluster");
+        let summary = ReplicationSummary {
+            replicas: cfg.replicas,
+            ..ReplicationSummary::default()
+        };
         let mut cluster = BrainCluster {
             cfg,
             members,
@@ -443,9 +484,7 @@ impl BrainCluster {
             last_decided_at: SimTime::ZERO,
             crashed: None,
             crash_pending: None,
-            failover_ms: Vec::new(),
-            stats: ClusterStats::default(),
-            audit: ClusterAudit::default(),
+            summary,
         };
         for r in 0..cluster.members.len() {
             cluster.maybe_wake(r as ReplicaId, SimTime::ZERO);
@@ -474,9 +513,9 @@ impl BrainCluster {
             self.queue.schedule(self.now, ev);
             return;
         }
-        self.stats.msgs_sent += 1;
+        self.summary.msgs_sent += 1;
         if self.rng.chance(self.cfg.msg_loss) {
-            self.stats.msgs_dropped += 1;
+            self.summary.msgs_dropped += 1;
             return;
         }
         let jitter = self.rng.range_f64(1.0 - DELAY_JITTER, 1.0 + DELAY_JITTER);
@@ -581,7 +620,7 @@ impl BrainCluster {
             self.canon.push_back(v);
         }
         let held = self.canon.len() as u64;
-        self.audit.log_slots_max = self.audit.log_slots_max.max(held);
+        self.summary.log_slots_max = self.summary.log_slots_max.max(held);
         self.members[m].apply_ready();
     }
 
@@ -623,7 +662,7 @@ impl BrainCluster {
                     .decided(slot)
                     .is_some_and(|v| !same_decree(v, &chosen))
                 {
-                    self.audit.log_divergences += 1;
+                    self.summary.log_divergences += 1;
                 }
             }
         }
@@ -654,24 +693,25 @@ impl BrainCluster {
                 }
                 let new_holder = prev.is_none_or(|p| p.holder != holder);
                 if new_holder {
-                    self.stats.lease_grants += 1;
+                    self.summary.lease_grants += 1;
                 } else {
-                    self.stats.lease_renewals += 1;
+                    self.summary.lease_renewals += 1;
                 }
                 if new_holder
                     && prev.is_some_and(|p| p.live(self.now) && self.members[p.holder as usize].up)
                 {
-                    self.audit.lease_overlaps += 1;
+                    self.summary.lease_overlaps += 1;
                 }
                 if let Some(t0) = self.crash_pending {
                     if self.members[holder as usize].up {
-                        self.failover_ms
+                        self.summary
+                            .failover_ms
                             .push(self.now.saturating_since(t0).as_millis_f64());
                         self.crash_pending = None;
                     }
                 }
             }
-            _ => self.stats.state_ops_committed += 1,
+            _ => self.summary.ops_committed += 1,
         }
     }
 
@@ -750,7 +790,7 @@ impl BrainCluster {
             let outs = self.members[ri]
                 .paxos
                 .propose_in_slot(slot, value, min_round);
-            self.stats.proposals += 1;
+            self.summary.proposals += 1;
             self.send_out(r, outs, stand);
         }
     }
@@ -777,7 +817,7 @@ impl BrainCluster {
         let now = self.now;
         match self.members[ri].lease {
             Some(l) if l.holder == r && l.live(now) => {
-                if now + self.cfg.renew_margin >= l.until && !self.round_open(r, l) {
+                if now + RENEW_MARGIN >= l.until && !self.round_open(r, l) {
                     self.start_round(r, l);
                 }
             }
@@ -790,7 +830,7 @@ impl BrainCluster {
                     let value = Arc::new(BrainOp::Lease {
                         holder: r,
                         term,
-                        until: now + self.cfg.lease,
+                        until: now + LEASE,
                     });
                     self.propose(r, value, true);
                 }
@@ -799,10 +839,10 @@ impl BrainCluster {
     }
 
     /// Open a heartbeat round asking every follower to hold `l` until
-    /// `now + lease`.
+    /// `now + LEASE`.
     fn start_round(&mut self, r: ReplicaId, l: LeaseView) {
         let lease = LeaseView {
-            until: self.now + self.cfg.lease,
+            until: self.now + LEASE,
             ..l
         };
         let mut acked = vec![false; self.members.len()];
@@ -869,7 +909,7 @@ impl BrainCluster {
         }
         LeaseView::take(&mut m.lease, lease);
         if LeaseView::take(&mut self.canon_lease, lease) {
-            self.stats.lease_extensions += 1;
+            self.summary.lease_extensions += 1;
         }
     }
 
@@ -885,7 +925,7 @@ impl BrainCluster {
             .find(|&s| !m.paxos.is_decided(s) && m.pending.iter().all(|p| p.slot != s))
             .expect("a free slot");
         let outs = m.paxos.propose_in_slot(slot, Arc::clone(&value), 0);
-        self.stats.proposals += 1;
+        self.summary.proposals += 1;
         let deadline = self.now + CLIENT_TIMEOUT;
         self.members[r as usize].pending.push(Pending {
             slot,
@@ -908,7 +948,7 @@ impl BrainCluster {
                 if self.round_open(r, l) {
                     l.until
                 } else {
-                    l.until - self.cfg.renew_margin
+                    l.until - RENEW_MARGIN
                 }
             }
             _ => self.stand_at(r),
@@ -952,17 +992,17 @@ impl BrainCluster {
             if let Some(h) = self.leader() {
                 if self.client_hint != Some(h) {
                     if self.client_hint.is_some() {
-                        self.stats.client_redirects += 1;
+                        self.summary.redirects += 1;
                     }
                     self.client_hint = Some(h);
                 }
                 return Ok(h);
             }
             if self.now >= give_up_at {
-                self.stats.client_give_ups += 1;
+                self.summary.give_ups += 1;
                 return Err(Error::exhausted("brain cluster has no live leader"));
             }
-            self.stats.client_retries += 1;
+            self.summary.client_retries += 1;
             let wait = self.now + CLIENT_TIMEOUT;
             self.advance_to(wait);
         }
@@ -998,10 +1038,10 @@ impl BrainCluster {
         let start = self.now;
         let value: Decree = Arc::new(op.clone());
         let base = self.decided_slots();
-        let give_up_at = start + CLIENT_TIMEOUT.mul_f64(self.cfg.max_attempts as f64);
+        let give_up_at = start + CLIENT_TIMEOUT.mul_f64(MAX_ATTEMPTS as f64);
         let committed_slot = loop {
             if self.now >= give_up_at {
-                self.stats.client_give_ups += 1;
+                self.summary.give_ups += 1;
                 return Err(Error::exhausted("brain cluster replicate timed out"));
             }
             let h = self.await_leader(give_up_at)?;
@@ -1018,7 +1058,7 @@ impl BrainCluster {
             };
             match chosen {
                 Some(slot) => break slot,
-                None => self.stats.client_retries += 1,
+                None => self.summary.client_retries += 1,
             }
         };
         let rtt_ms = ONE_WAY_DELAY.as_millis_f64() * 2.0;
@@ -1068,7 +1108,7 @@ impl BrainCluster {
             return Ok((a, 0.0));
         }
         let start = self.now;
-        let give_up_at = start + CLIENT_TIMEOUT.mul_f64(self.cfg.max_attempts as f64);
+        let give_up_at = start + CLIENT_TIMEOUT.mul_f64(MAX_ATTEMPTS as f64);
         let h = self.await_leader(give_up_at)?;
         self.catch_up(h);
         let t = self.now;
@@ -1111,7 +1151,7 @@ impl BrainCluster {
         m.round = None;
         self.crashed = Some(victim);
         self.crash_pending = Some(self.last_decided_at.max(m.heartbeat_sent));
-        self.stats.leader_crashes += 1;
+        self.summary.leader_crashes += 1;
         self.client_hint = None;
         Some(victim)
     }
@@ -1129,8 +1169,8 @@ impl BrainCluster {
         };
         let m = &mut self.members[r as usize];
         m.up = true;
-        m.stand_after = self.now + self.cfg.lease;
-        self.stats.restarts += 1;
+        m.stand_after = self.now + LEASE;
+        self.summary.restarts += 1;
         self.catch_up(r);
         self.members[r as usize].next_wake = SimTime::MAX;
         let at = self.now + SimDuration::from_millis(10);
@@ -1142,15 +1182,16 @@ impl BrainCluster {
     // ------------------------------------------------------------------
 
     /// Settle in-flight traffic, audit every replica's decided log
-    /// against the canonical chosen log, sync stragglers, and compare
-    /// sampled `PathAssignment`s across replicas.
-    pub fn finalize(&mut self, horizon: SimTime) -> ClusterAudit {
+    /// against the canonical chosen log, sync stragglers, compare sampled
+    /// `PathAssignment`s across replicas, and return the run's record with
+    /// the audit filled in.
+    pub fn finalize(&mut self, horizon: SimTime) -> ReplicationSummary {
         self.advance_to(horizon);
         // Grace window: let in-flight ballots and lease traffic settle.
-        let settle = self.now + self.cfg.lease + self.cfg.lease;
+        let settle = self.now + LEASE + LEASE;
         self.advance_to(settle);
-        let mut audit = self.audit.clone();
-        audit.stale_msgs = self.members.iter().map(|m| m.paxos.stale_msgs()).sum();
+        let mut summary = self.summary.clone();
+        summary.stale_msgs = self.members.iter().map(|m| m.paxos.stale_msgs()).sum();
         // Safety audit: no replica may have decided a value different
         // from the canonical chosen log in any slot (the compacted ones
         // were audited as they went).
@@ -1160,7 +1201,7 @@ impl BrainCluster {
                     .decided(slot)
                     .is_some_and(|v| !same_decree(v, canon_v))
                 {
-                    audit.log_divergences += 1;
+                    summary.log_divergences += 1;
                 }
             }
         }
@@ -1169,8 +1210,8 @@ impl BrainCluster {
         for r in 0..self.members.len() as ReplicaId {
             self.catch_up(r);
         }
-        audit.decided_slots = self.decided_slots();
-        audit.min_replica_decided = self
+        summary.decided_slots = self.decided_slots();
+        summary.min_replica_decided = self
             .members
             .iter()
             .map(|m| m.paxos.decided_count() as u64)
@@ -1197,11 +1238,11 @@ impl BrainCluster {
             for m in self.members.iter_mut().skip(1) {
                 let got = m.brain.path_request(stream, consumer, t).ok();
                 if got != baseline {
-                    audit.assignment_mismatches += 1;
+                    summary.assignment_mismatches += 1;
                 }
             }
         }
-        audit
+        summary
     }
 
     /// Export cluster counters and failover observations into a sink.
@@ -1212,72 +1253,35 @@ impl BrainCluster {
     /// (each leader term served its own share).  Call after
     /// [`Self::finalize`] so all replicas are synced.
     pub fn record_telemetry(&self, sink: &mut impl MetricSink) {
-        let b0 = &self.members[0].brain;
-        sink.add(ids::BRAIN_RECOMPUTE_ROUNDS, b0.recompute_rounds);
-        sink.add(ids::BRAIN_KSP_PATHS, b0.ksp_paths_computed);
-        sink.add(ids::BRAIN_REHOMES, b0.rehomes);
-        sink.add(ids::BRAIN_NODE_FAILED, b0.nodes_failed);
-        sink.add(ids::BRAIN_NODE_RECOVERED, b0.nodes_recovered);
-        let unknown = b0.discovery().unknown_keys;
-        if unknown > 0 {
-            sink.add(ids::BRAIN_UNKNOWN_KEYS, unknown);
+        self.members[0].brain.record_telemetry(sink);
+        for m in &self.members[1..] {
+            sink.add(ids::BRAIN_REQUESTS, m.brain.decision().requests_served);
+            sink.add(
+                ids::BRAIN_LAST_RESORT,
+                m.brain.decision().last_resort_served,
+            );
         }
-        let served: u64 = self
-            .members
-            .iter()
-            .map(|m| m.brain.decision().requests_served)
-            .sum();
-        let last_resort: u64 = self
-            .members
-            .iter()
-            .map(|m| m.brain.decision().last_resort_served)
-            .sum();
-        sink.add(ids::BRAIN_REQUESTS, served);
-        sink.add(ids::BRAIN_LAST_RESORT, last_resort);
-        sink.add(
-            ids::REPLICATION_OPS_COMMITTED,
-            self.stats.state_ops_committed,
-        );
-        sink.add(ids::REPLICATION_LEASE_GRANTS, self.stats.lease_grants);
-        sink.add(ids::REPLICATION_LEASE_RENEWALS, self.stats.lease_renewals);
-        sink.add(
-            ids::REPLICATION_LEASE_EXTENSIONS,
-            self.stats.lease_extensions,
-        );
-        sink.add(ids::REPLICATION_PROPOSALS, self.stats.proposals);
-        sink.add(ids::REPLICATION_MSGS_SENT, self.stats.msgs_sent);
-        sink.add(ids::REPLICATION_MSGS_DROPPED, self.stats.msgs_dropped);
-        sink.add(ids::REPLICATION_CLIENT_RETRIES, self.stats.client_retries);
-        sink.add(ids::REPLICATION_REDIRECTS, self.stats.client_redirects);
-        sink.add(ids::REPLICATION_LEADER_CRASHES, self.stats.leader_crashes);
+        let s = &self.summary;
+        sink.add(ids::REPLICATION_OPS_COMMITTED, s.ops_committed);
+        sink.add(ids::REPLICATION_LEASE_GRANTS, s.lease_grants);
+        sink.add(ids::REPLICATION_LEASE_RENEWALS, s.lease_renewals);
+        sink.add(ids::REPLICATION_LEASE_EXTENSIONS, s.lease_extensions);
+        sink.add(ids::REPLICATION_PROPOSALS, s.proposals);
+        sink.add(ids::REPLICATION_MSGS_SENT, s.msgs_sent);
+        sink.add(ids::REPLICATION_MSGS_DROPPED, s.msgs_dropped);
+        sink.add(ids::REPLICATION_CLIENT_RETRIES, s.client_retries);
+        sink.add(ids::REPLICATION_REDIRECTS, s.redirects);
+        sink.add(ids::REPLICATION_LEADER_CRASHES, s.leader_crashes);
         sink.add(ids::REPLICATION_DECIDED_SLOTS, self.decided_slots());
-        sink.gauge_max(
-            ids::REPLICATION_LOG_SLOTS_MAX,
-            self.audit.log_slots_max as f64,
-        );
-        for &ms in &self.failover_ms {
+        sink.gauge_max(ids::REPLICATION_LOG_SLOTS_MAX, s.log_slots_max as f64);
+        for &ms in &s.failover_ms {
             sink.observe(ids::BRAIN_FAILOVER_MS, ms);
         }
-    }
-
-    /// Measured failover latencies (ms), in crash order.
-    pub fn failover_ms(&self) -> &[f64] {
-        &self.failover_ms
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> &ClusterStats {
-        &self.stats
     }
 
     /// Completed recompute rounds (replica 0's applied state).
     pub fn recompute_rounds(&self) -> u64 {
         self.members[0].brain.recompute_rounds
-    }
-
-    /// Number of replicas.
-    pub fn replicas(&self) -> u32 {
-        self.cfg.replicas
     }
 
     /// Length of the canonical chosen log, compacted slots included.
@@ -1327,14 +1331,6 @@ mod tests {
                 msg_loss: -0.1,
                 ..ok.clone()
             },
-            ClusterConfig {
-                lease: SimDuration::ZERO,
-                ..ok.clone()
-            },
-            ClusterConfig {
-                renew_margin: ok.lease,
-                ..ok.clone()
-            },
         ] {
             assert!(
                 matches!(bad.validate(), Err(Error::InvalidConfig(_))),
@@ -1348,13 +1344,13 @@ mod tests {
         let (mut c, _) = cluster(1);
         c.advance_to(SimTime::from_secs(5));
         assert!(c.leader().is_some());
-        assert!(c.stats().lease_grants >= 1);
+        assert!(c.summary.lease_grants >= 1);
         // The lease keeps being extended by heartbeat while the holder is
         // alive, and the log holds the election only.
         c.advance_to(SimTime::from_secs(30));
         assert!(c.leader().is_some());
-        assert!(c.stats().lease_extensions >= 2);
-        assert_eq!(c.stats().lease_renewals, 0);
+        assert!(c.summary.lease_extensions >= 2);
+        assert_eq!(c.summary.lease_renewals, 0);
         assert_eq!(c.decided_slots(), 1);
     }
 
@@ -1378,10 +1374,10 @@ mod tests {
                     assert!(live, "seed {seed}: replica {r}'s view ran out by {}", c.now);
                 }
             }
-            assert!(c.stats().msgs_dropped > 0, "seed {seed}: loss never fired");
-            assert_eq!(c.stats().lease_grants, 1, "seed {seed}: {:?}", c.stats());
+            assert!(c.summary.msgs_dropped > 0, "seed {seed}: loss never fired");
+            assert_eq!(c.summary.lease_grants, 1, "seed {seed}: {:?}", c.summary);
             // Compaction keeps the log at a slot or two all day.
-            assert!(c.audit.log_slots_max <= 2, "seed {seed}: {:?}", c.audit);
+            assert!(c.summary.log_slots_max <= 2, "seed {seed}: {:?}", c.summary);
             let stale: u64 = c.members.iter().map(|m| m.paxos.stale_msgs()).sum();
             assert_eq!(stale, 0, "seed {seed}");
         }
@@ -1425,7 +1421,7 @@ mod tests {
             !c.members[r].lease.is_some_and(|l| l.live(c.now)),
             "the log kept a live lease"
         );
-        let end = c.now + c.cfg.lease;
+        let end = c.now + LEASE;
         while c.queue.peek_time().is_some_and(|t| t <= end) {
             c.step();
             assert!(
@@ -1436,7 +1432,7 @@ mod tests {
         }
         let view = c.members[r].lease.expect("a view");
         assert!(view.holder == holder && view.live(c.now));
-        assert_eq!(c.stats().lease_grants, 2);
+        assert_eq!(c.summary.lease_grants, 2);
     }
 
     #[test]
@@ -1456,7 +1452,7 @@ mod tests {
         assert!(lat > 0.0, "replication must cost virtual time");
         let audit = c.finalize(SimTime::from_secs(10));
         assert_eq!(audit.log_divergences, 0);
-        for r in 0..c.replicas() {
+        for r in 0..c.cfg.replicas {
             assert_eq!(
                 c.members[r as usize].brain.producer_of(s),
                 Some(nodes[0]),
@@ -1512,8 +1508,8 @@ mod tests {
         let new = c.leader().expect("new leader");
         assert_ne!(new, old, "failover must move leadership");
         assert!(lat > 100.0, "failover read should pay the outage: {lat}");
-        assert_eq!(c.failover_ms().len(), 1);
-        let fo = c.failover_ms()[0];
+        assert_eq!(c.summary.failover_ms.len(), 1);
+        let fo = c.summary.failover_ms[0];
         assert!(fo > 0.0 && fo < 15_000.0, "failover {fo}ms out of bounds");
         // Restart: the victim catches up from the log.
         c.restart_crashed(SimTime::from_secs(20));
@@ -1539,7 +1535,7 @@ mod tests {
         let audit = c.finalize(SimTime::from_secs(60));
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.assignment_mismatches, 0);
-        assert!(c.stats().msgs_dropped > 0, "loss model must have fired");
+        assert!(c.summary.msgs_dropped > 0, "loss model must have fired");
     }
 
     /// A minute report whose measurements are NaN: an op that does not equal
@@ -1572,7 +1568,7 @@ mod tests {
         let (op, to) = nan_report(&c, nodes[0], 5);
         c.replicate(&op, SimTime::from_secs(5))
             .expect("recognised by pointer");
-        assert_eq!(c.stats().client_retries, 0);
+        assert_eq!(c.summary.client_retries, 0);
         let audit = c.finalize(SimTime::from_secs(10));
         assert_eq!(audit.log_divergences, 0);
         for m in &c.members {
@@ -1584,7 +1580,7 @@ mod tests {
     /// What [`crash_and_restart`] leaves behind.
     struct CrashRun {
         c: BrainCluster,
-        audit: ClusterAudit,
+        audit: ReplicationSummary,
         /// Decrees the victim missed while it was down.
         missed: usize,
         /// The log's high-water mark when the leader crashed.
@@ -1608,7 +1604,7 @@ mod tests {
         };
         (5..15).for_each(|secs| report(&mut c, secs));
         let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
-        let held_before_crash = c.audit.log_slots_max;
+        let held_before_crash = c.summary.log_slots_max;
         let decided_at_crash = c.decided_slots();
         (15..25).for_each(|secs| report(&mut c, secs));
         let missed = c.decided_slots() as usize - c.members[victim].paxos.decided_count();
@@ -1661,7 +1657,7 @@ mod tests {
             checked = assert_shared(c);
         });
         assert!(missed > 0, "the victim missed nothing while it was down");
-        assert!(c.stats().msgs_dropped > 0 && c.stats().proposals > audit.decided_slots);
+        assert!(c.summary.msgs_dropped > 0 && c.summary.proposals > audit.decided_slots);
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.min_replica_decided, audit.decided_slots);
         assert!(c.canon_base > 0, "nothing was compacted");
@@ -1752,7 +1748,7 @@ mod tests {
                 .expect("a majority is up");
         };
         (5..15).for_each(|secs| register(&mut c, secs));
-        let healthy = c.audit.log_slots_max;
+        let healthy = c.summary.log_slots_max;
         assert!(healthy <= 2, "{healthy} slots held with every replica up");
         let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
         (15..45).for_each(|secs| register(&mut c, secs));
@@ -1798,7 +1794,7 @@ mod tests {
         let at = c.now + SimDuration::from_millis(500);
         c.replicate(&op(3), at).expect("the leader fills the slot");
         assert_eq!(c.leader(), Some(h));
-        assert_eq!(c.stats().lease_grants, 1);
+        assert_eq!(c.summary.lease_grants, 1);
     }
 
     /// Pop the next event and advance the clock to it, without handling it.
@@ -1816,7 +1812,7 @@ mod tests {
         let (mut c, nodes) = lossy_cluster(11, 0.0);
         c.advance_to(SimTime::from_secs(5));
         let h = c.leader().expect("a leader");
-        let f = (h + 1) % c.replicas();
+        let f = (h + 1) % c.cfg.replicas;
         let op = BrainOp::RegisterStream {
             stream: StreamId::new(1),
             producer: nodes[0],
@@ -1856,7 +1852,7 @@ mod tests {
                 c.now
             );
         }
-        assert_eq!(c.stats().lease_grants, 1);
+        assert_eq!(c.summary.lease_grants, 1);
     }
 
     proptest! {
@@ -1909,20 +1905,10 @@ mod tests {
             .unwrap();
             c.crash_leader(SimTime::from_secs(8));
             c.restart_crashed(SimTime::from_secs(14));
-            c.finalize(SimTime::from_secs(20));
-            (
-                c.stats().clone(),
-                c.decided_slots(),
-                c.failover_ms().to_vec(),
-            )
+            c.finalize(SimTime::from_secs(20))
         };
-        let (s1, d1, f1) = run(9);
-        let (s2, d2, f2) = run(9);
-        assert_eq!(s1, s2);
-        assert_eq!(d1, d2);
-        assert_eq!(
-            f1.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            f2.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-        );
+        // Counters, decided slots and failover latencies, to the bit.
+        let (s1, s2) = (run(9), run(9));
+        assert!(s1.bit_identical(&s2), "{s1:?} != {s2:?}");
     }
 }

@@ -19,6 +19,6 @@ pub mod cluster;
 pub mod op;
 pub mod paxos;
 
-pub use cluster::{BrainCluster, ClusterAudit, ClusterConfig, ClusterStats};
+pub use cluster::{BrainCluster, ClusterConfig, ReplicationSummary};
 pub use op::BrainOp;
 pub use paxos::{Ballot, Outbound, PaxosMsg, Replica, ReplicaId};

@@ -27,90 +27,7 @@ pub use livenet_replication::ClusterConfig as ReplicationConfig;
 
 /// Replicated-control-plane outcomes of one fleet run, merged across
 /// shards and compared bit-exactly by [`crate::FleetReport::bit_identical`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReplicationSummary {
-    /// Replicas per shard cluster.
-    pub replicas: u32,
-    /// State (non-lease) decrees chosen.
-    pub ops_committed: u64,
-    /// Lease decrees that moved leadership (incl. initial elections).
-    pub lease_grants: u64,
-    /// Lease decrees renewing incumbents.
-    pub lease_renewals: u64,
-    /// Heartbeat rounds that extended a lease (no log entry).
-    pub lease_extensions: u64,
-    /// Leader crashes injected.
-    pub leader_crashes: u64,
-    /// Crashed replicas restarted.
-    pub restarts: u64,
-    /// Client retries (leader waits, ballot timeouts).
-    pub client_retries: u64,
-    /// Client leader redirects.
-    pub redirects: u64,
-    /// Client operations abandoned.
-    pub give_ups: u64,
-    /// Inter-replica messages sent.
-    pub msgs_sent: u64,
-    /// Inter-replica messages dropped.
-    pub msgs_dropped: u64,
-    /// Canonical chosen-log length (summed across shard clusters).
-    pub decided_slots: u64,
-    /// Slots where a replica's decided value diverged from the canon —
-    /// any nonzero value is a safety violation.
-    pub log_divergences: u64,
-    /// Post-run sampled `PathAssignment` mismatches across replicas.
-    pub assignment_mismatches: u64,
-    /// Live leases taken over — any nonzero value is a lease-safety bug.
-    pub lease_overlaps: u64,
-    /// Per cluster the fewest slots a replica decided; `== decided_slots`.
-    pub min_replica_decided: u64,
-    /// Messages that arrived for a compacted slot — any nonzero value is a
-    /// compaction bug.
-    pub stale_msgs: u64,
-    /// The most slots one cluster's log held at once (max across shards).
-    pub log_slots_max: u64,
-    /// Failover latencies (ms), shard-index order then crash order.
-    pub failover_ms: Vec<f64>,
-}
-
-impl ReplicationSummary {
-    /// Bit-exact equality (floats compared through their bit patterns).
-    pub fn bit_identical(&self, other: &ReplicationSummary) -> bool {
-        // Every field but `failover_ms` is an integer, so `==` is exact
-        // there — and covers a field added later without an edit here.
-        let split = |s: &ReplicationSummary| {
-            let bits: Vec<u64> = s.failover_ms.iter().map(|f| f.to_bits()).collect();
-            let mut rest = s.clone();
-            rest.failover_ms.clear();
-            (bits, rest)
-        };
-        split(self) == split(other)
-    }
-
-    /// Accumulate another shard's summary (shard-index order).
-    pub fn absorb(&mut self, other: &ReplicationSummary) {
-        self.replicas = self.replicas.max(other.replicas);
-        self.ops_committed += other.ops_committed;
-        self.lease_grants += other.lease_grants;
-        self.lease_renewals += other.lease_renewals;
-        self.lease_extensions += other.lease_extensions;
-        self.leader_crashes += other.leader_crashes;
-        self.restarts += other.restarts;
-        self.client_retries += other.client_retries;
-        self.redirects += other.redirects;
-        self.give_ups += other.give_ups;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_dropped += other.msgs_dropped;
-        self.decided_slots += other.decided_slots;
-        self.log_divergences += other.log_divergences;
-        self.assignment_mismatches += other.assignment_mismatches;
-        self.lease_overlaps += other.lease_overlaps;
-        self.min_replica_decided += other.min_replica_decided;
-        self.stale_msgs += other.stale_msgs;
-        self.log_slots_max = self.log_slots_max.max(other.log_slots_max);
-        self.failover_ms.extend_from_slice(&other.failover_ms);
-    }
-}
+pub use livenet_replication::ReplicationSummary;
 
 /// The control plane the fleet drives: one Brain, or N behind Paxos.
 #[derive(Debug)]
@@ -150,7 +67,7 @@ impl ControlPlane {
     /// one Paxos decree and every replica applies it through the same
     /// [`BrainOp::apply_to`] — so "single == replicated" holds by
     /// construction. A decree the cluster gives up on is counted in its
-    /// `client_give_ups`; the fleet carries on, as it would in production.
+    /// `give_ups`; the fleet carries on, as it would in production.
     pub(crate) fn commit(&mut self, op: BrainOp, now: SimTime) {
         match self {
             ControlPlane::Single(b) => {
@@ -217,32 +134,7 @@ impl ControlPlane {
     pub(crate) fn finalize(&mut self, horizon: SimTime) -> Option<ReplicationSummary> {
         match self {
             ControlPlane::Single(_) => None,
-            ControlPlane::Replicated(c) => {
-                let audit = c.finalize(horizon);
-                let s = c.stats();
-                Some(ReplicationSummary {
-                    replicas: c.replicas(),
-                    ops_committed: s.state_ops_committed,
-                    lease_grants: s.lease_grants,
-                    lease_renewals: s.lease_renewals,
-                    lease_extensions: s.lease_extensions,
-                    leader_crashes: s.leader_crashes,
-                    restarts: s.restarts,
-                    client_retries: s.client_retries,
-                    redirects: s.client_redirects,
-                    give_ups: s.client_give_ups,
-                    msgs_sent: s.msgs_sent,
-                    msgs_dropped: s.msgs_dropped,
-                    decided_slots: audit.decided_slots,
-                    log_divergences: audit.log_divergences,
-                    assignment_mismatches: audit.assignment_mismatches,
-                    lease_overlaps: audit.lease_overlaps,
-                    min_replica_decided: audit.min_replica_decided,
-                    stale_msgs: audit.stale_msgs,
-                    log_slots_max: audit.log_slots_max,
-                    failover_ms: c.failover_ms().to_vec(),
-                })
-            }
+            ControlPlane::Replicated(c) => Some(c.finalize(horizon)),
         }
     }
 

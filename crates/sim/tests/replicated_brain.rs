@@ -4,20 +4,6 @@
 //! and the replication summary included — at every shard width.
 
 use livenet_sim::{FleetConfigBuilder, FleetFault, FleetRunner, ReplicationConfig};
-use livenet_types::SimDuration;
-
-/// A lease long enough that renewal decrees don't dominate debug-mode
-/// runtime, but far shorter than the crash downtime so failover happens.
-/// The client retry budget (timeout × attempts) must cover lease expiry
-/// plus takeover, or requests issued right after the crash give up.
-fn test_replication() -> ReplicationConfig {
-    ReplicationConfig {
-        lease: SimDuration::from_millis(60_000),
-        renew_margin: SimDuration::from_millis(10_000),
-        max_attempts: 300,
-        ..ReplicationConfig::default()
-    }
-}
 
 #[test]
 fn replicated_fleet_is_bit_identical_across_shard_widths() {
@@ -25,7 +11,7 @@ fn replicated_fleet_is_bit_identical_across_shard_widths() {
         let cfg = FleetConfigBuilder::smoke(33)
             .peak_arrivals_per_sec(0.15)
             .shards(shards)
-            .replication(test_replication())
+            .replication(ReplicationConfig::default())
             .fault(FleetFault::BrainLeaderCrash {
                 at_secs: 8 * 3600,
                 down_for_secs: 600,
@@ -80,6 +66,40 @@ fn replicated_fleet_is_bit_identical_across_shard_widths() {
         for &ms in &rep.failover_ms {
             assert!(ms.is_finite() && ms >= 0.0);
         }
+
+        // The merged summary (`absorb`) and the merged telemetry
+        // (`Snapshot::merge`) are summed by different code; they must agree
+        // on everything both record.
+        let t = &serial.telemetry;
+        for (name, summed) in [
+            ("ops_committed", rep.ops_committed),
+            ("lease_grants", rep.lease_grants),
+            ("lease_renewals", rep.lease_renewals),
+            ("lease_extensions", rep.lease_extensions),
+            ("proposals", rep.proposals),
+            ("msgs_sent", rep.msgs_sent),
+            ("msgs_dropped", rep.msgs_dropped),
+            ("client_retries", rep.client_retries),
+            ("redirects", rep.redirects),
+            ("leader_crashes", rep.leader_crashes),
+            ("decided_slots", rep.decided_slots),
+        ] {
+            assert_eq!(
+                t.counter(&format!("replication.{name}")),
+                summed,
+                "replication.{name} at {shards} shards"
+            );
+        }
+        assert_eq!(
+            t.gauge("replication.log_slots_max"),
+            Some(rep.log_slots_max as f64),
+            "replication.log_slots_max at {shards} shards"
+        );
+        assert_eq!(
+            t.hist("brain.failover_ms").map(|h| h.count),
+            Some(rep.failover_ms.len() as u64),
+            "brain.failover_ms at {shards} shards"
+        );
     }
 }
 
@@ -95,7 +115,7 @@ fn replicated_run_matches_single_brain_session_stream() {
         .build()
         .unwrap();
     let replicated = FleetConfigBuilder::from_config(base.clone())
-        .replication(test_replication())
+        .replication(ReplicationConfig::default())
         .build()
         .unwrap();
     let single = FleetRunner::new(base).unwrap().run_serial();
