@@ -22,7 +22,7 @@ pub struct Ballot {
 /// `V` is the replicated value. Paxos clones it and hands it on and never
 /// looks inside, so a cluster whose `V` is an `Arc` holds each decree once.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PaxosMsg<V = Vec<u8>> {
+pub enum PaxosMsg<V> {
     /// Phase 1a.
     Prepare {
         /// Decree slot.
@@ -105,7 +105,7 @@ struct ProposerSlot<V> {
 
 /// Outbound message with its destination.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Outbound<V = Vec<u8>> {
+pub struct Outbound<V> {
     /// Destination replica.
     pub to: ReplicaId,
     /// The message.
@@ -114,7 +114,7 @@ pub struct Outbound<V = Vec<u8>> {
 
 /// One Paxos replica (proposer + acceptor + learner).
 #[derive(Debug)]
-pub struct Replica<V = Vec<u8>> {
+pub struct Replica<V> {
     id: ReplicaId,
     peers: Vec<ReplicaId>,
     /// Durable: safety rests on what each slot promised and accepted.
@@ -367,13 +367,13 @@ mod tests {
     use super::*;
     use livenet_types::DetRng;
 
-    /// These tests replicate bytes (the default `V`).
+    /// These tests replicate bytes.
     type Value = Vec<u8>;
 
     /// Deterministic lossy network driver for a Paxos cluster.
     struct Net {
-        replicas: Vec<Replica>,
-        inflight: Vec<(ReplicaId, Outbound)>, // (from, outbound)
+        replicas: Vec<Replica<Value>>,
+        inflight: Vec<(ReplicaId, Outbound<Value>)>, // (from, outbound)
         rng: DetRng,
         loss: f64,
     }
@@ -389,7 +389,7 @@ mod tests {
             }
         }
 
-        fn send_all(&mut self, from: ReplicaId, out: Vec<Outbound>) {
+        fn send_all(&mut self, from: ReplicaId, out: Vec<Outbound<Value>>) {
             for o in out {
                 self.inflight.push((from, o));
             }
@@ -564,15 +564,15 @@ mod tests {
 
     #[test]
     fn quorum_math() {
-        let r3: Replica = Replica::new(0, vec![0, 1, 2]);
+        let r3: Replica<Value> = Replica::new(0, vec![0, 1, 2]);
         assert_eq!(r3.quorum(), 2);
-        let r5: Replica = Replica::new(0, vec![0, 1, 2, 3, 4]);
+        let r5: Replica<Value> = Replica::new(0, vec![0, 1, 2, 3, 4]);
         assert_eq!(r5.quorum(), 3);
     }
 
     #[test]
     #[should_panic(expected = "peers must include self")]
     fn peers_must_include_self() {
-        let _: Replica = Replica::new(9, vec![0, 1, 2]);
+        let _: Replica<Value> = Replica::new(9, vec![0, 1, 2]);
     }
 }

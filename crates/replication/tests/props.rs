@@ -23,8 +23,8 @@ use std::cmp::Reverse;
 /// order, dropped with probability `loss`, and duplicated with
 /// probability `dup`.
 struct AdversaryNet {
-    replicas: Vec<Replica>,
-    inflight: Vec<(ReplicaId, Outbound)>,
+    replicas: Vec<Replica<Vec<u8>>>,
+    inflight: Vec<(ReplicaId, Outbound<Vec<u8>>)>,
     rng: DetRng,
     loss: f64,
     dup: f64,
@@ -42,7 +42,7 @@ impl AdversaryNet {
         }
     }
 
-    fn send_all(&mut self, from: ReplicaId, out: Vec<Outbound>) {
+    fn send_all(&mut self, from: ReplicaId, out: Vec<Outbound<Vec<u8>>>) {
         for o in out {
             self.inflight.push((from, o));
         }

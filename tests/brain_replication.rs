@@ -54,9 +54,9 @@ impl SibUpdate {
 /// with random message reordering and loss.
 fn replicate(updates: &[SibUpdate], seed: u64, loss: f64) -> Vec<Vec<SibUpdate>> {
     let ids: Vec<u32> = (0..3).collect();
-    let mut replicas: Vec<Replica> = ids.iter().map(|&i| Replica::new(i, ids.clone())).collect();
+    let mut replicas: Vec<Replica<Vec<u8>>> = ids.iter().map(|&i| Replica::new(i, ids.clone())).collect();
     let mut rng = DetRng::seed(seed);
-    let mut inflight: Vec<(u32, livenet::replication::paxos::Outbound)> = Vec::new();
+    let mut inflight: Vec<(u32, livenet::replication::paxos::Outbound<Vec<u8>>)> = Vec::new();
 
     for (i, u) in updates.iter().enumerate() {
         // Rotate the proposing site (any replica may receive the update).
