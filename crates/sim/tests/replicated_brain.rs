@@ -39,7 +39,7 @@ fn replicated_fleet_is_bit_identical_across_shard_widths() {
         assert_eq!(rep.lease_overlaps, 0, "a live lease was taken over");
         assert_eq!(rep.stale_msgs, 0, "a message arrived for a compacted slot");
         // The log is compacted behind the slowest replica: it grows while
-        // the crashed one is down (13 to 16 slots here), never with the run.
+        // the crashed one is down (14 to 17 slots here), never with the run.
         assert!(
             rep.log_slots_max <= 24,
             "{} slots held at {shards} shards",
