@@ -69,10 +69,7 @@ impl StreamCache {
         if frame_start && kind == Some(FrameKind::I) && !self.iframe_starts.contains(&seq) {
             self.iframe_starts.push(seq);
         }
-        self.packets.insert(
-            seq.0,
-            CachedPacket { packet, kind },
-        );
+        self.packets.insert(seq.0, CachedPacket { packet, kind });
         self.highest = Some(match self.highest {
             Some(h) if h.newer_than(seq) => h,
             _ => seq,
@@ -165,7 +162,10 @@ impl StreamCache {
             .highest
             .and_then(|highest| usize::try_from(highest.distance(start) + 1).ok())
             .unwrap_or(0);
-        let in_order = self.packets.range(start.0..).chain(self.packets.range(..start.0));
+        let in_order = self
+            .packets
+            .range(start.0..)
+            .chain(self.packets.range(..start.0));
         in_order
             .zip(std::iter::successors(Some(start), |seq| Some(seq.next())).take(len))
             .map_while(|((&key, cached), seq)| (key == seq.0).then_some(&cached.packet))
@@ -193,12 +193,7 @@ mod tests {
     use livenet_types::Ssrc;
     use proptest::prelude::*;
 
-    fn frame_packets(
-        p: &mut Packetizer,
-        kind: FrameKind,
-        ts: u32,
-        bytes: usize,
-    ) -> Vec<RtpPacket> {
+    fn frame_packets(p: &mut Packetizer, kind: FrameKind, ts: u32, bytes: usize) -> Vec<RtpPacket> {
         let payload = Bytes::from(vec![0u8; bytes]);
         p.packetize_with_meta(MediaKind::Video, ts, &payload, None, kind.to_nibble())
     }

@@ -179,7 +179,10 @@ impl ClientControl {
 
     /// The next rendition down the ladder from the current stream.
     pub fn lower_rendition(&self) -> Option<StreamId> {
-        self.ladder.as_ref()?.step_down(self.stream).map(|r| r.stream)
+        self.ladder
+            .as_ref()?
+            .step_down(self.stream)
+            .map(|r| r.stream)
     }
 
     /// Apply a rendition change (after the consumer resubscribed).

@@ -32,9 +32,7 @@ use livenet_media::{EncodedFrame, FrameKind, SimulcastLadder};
 use livenet_packet::rtp::ssrc_for_stream;
 use livenet_packet::{frag_meta, Packetizer, RtcpPacket, RtpPacket};
 use livenet_packet::{Nack, ReceiverReport, Remb, RtxMiss};
-use livenet_types::{
-    Bandwidth, ClientId, NodeId, Result, SeqNo, SimDuration, SimTime, StreamId,
-};
+use livenet_types::{Bandwidth, ClientId, NodeId, Result, SeqNo, SimDuration, SimTime, StreamId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer kinds multiplexed over the driver's single timer key space.
@@ -340,9 +338,18 @@ impl NodeStats {
         sink.add(ids::NODE_NACKS_SENT, self.nacks_sent);
         sink.add(ids::NODE_NACK_BATCHES, self.nack_batches);
         sink.add(ids::NODE_RTX_PENDING_EXPIRED, self.rtx_pending_expired);
-        sink.add(ids::NODE_RTX_ALTERNATE_REQUESTS, self.rtx_alternate_requests);
-        sink.add(ids::NODE_RTX_ALTERNATE_RECOVERED, self.rtx_alternate_recovered);
-        sink.add(ids::NODE_RTX_ALTERNATE_EXHAUSTED, self.rtx_alternate_exhausted);
+        sink.add(
+            ids::NODE_RTX_ALTERNATE_REQUESTS,
+            self.rtx_alternate_requests,
+        );
+        sink.add(
+            ids::NODE_RTX_ALTERNATE_RECOVERED,
+            self.rtx_alternate_recovered,
+        );
+        sink.add(
+            ids::NODE_RTX_ALTERNATE_EXHAUSTED,
+            self.rtx_alternate_exhausted,
+        );
         sink.add(ids::NODE_DUPLICATES, self.duplicates);
         sink.add(ids::NODE_SUBS_RECEIVED, self.subs_received);
         sink.add(ids::NODE_LOCAL_HITS, self.local_hits);

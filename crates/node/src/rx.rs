@@ -131,10 +131,9 @@ impl RxState {
                 // Mark intermediate holes, keeping the map bounded.
                 let mut s = h.next();
                 for _ in 1..gap {
-                    if self.missing.len() >= MAX_MISSING
-                        && self.missing.pop_first().is_some() {
-                            self.abandoned += 1;
-                        }
+                    if self.missing.len() >= MAX_MISSING && self.missing.pop_first().is_some() {
+                        self.abandoned += 1;
+                    }
                     self.missing.insert(
                         s.0,
                         MissingEntry {

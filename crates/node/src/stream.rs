@@ -439,9 +439,7 @@ impl StreamState {
     ) {
         // A producer-local stream has nobody to NACK.
         if let Some(up) = self.upstream {
-            let lost = self
-                .rx
-                .scan(now, NACK_RETRY_INTERVAL, cfg.nack_retry_limit);
+            let lost = self.rx.scan(now, NACK_RETRY_INTERVAL, cfg.nack_retry_limit);
             if !lost.is_empty() {
                 self.send_nack(up, lost, stats, actions);
             }

@@ -96,13 +96,20 @@ impl Harness {
                             let count = self.rtp_sent.entry((from, n)).or_insert(0);
                             let idx = *count;
                             *count += 1;
-                            if self.drop_rtp.iter().any(|&(f, t, i)| {
-                                f == from && t == n && i == idx
-                            }) {
+                            if self
+                                .drop_rtp
+                                .iter()
+                                .any(|&(f, t, i)| f == from && t == n && i == idx)
+                            {
                                 continue; // dropped by "the network"
                             }
-                            if matches!(msg, OverlayMsg::Rtp { retransmit: true, .. })
-                                && self.drop_rtx.iter().any(|&(f, t)| f == from && t == n)
+                            if matches!(
+                                msg,
+                                OverlayMsg::Rtp {
+                                    retransmit: true,
+                                    ..
+                                }
+                            ) && self.drop_rtx.iter().any(|&(f, t)| f == from && t == n)
                             {
                                 continue; // recovery traffic eaten too
                             }
@@ -168,9 +175,11 @@ impl Harness {
     }
 
     fn client_packets(&self, client: u64) -> usize {
-        self.client_rx
-            .get(&ClientId::new(client))
-            .map_or(0, |v| v.iter().filter(|m| matches!(m, OverlayMsg::Rtp { .. })).count())
+        self.client_rx.get(&ClientId::new(client)).map_or(0, |v| {
+            v.iter()
+                .filter(|m| matches!(m, OverlayMsg::Rtp { .. }))
+                .count()
+        })
     }
 }
 
@@ -230,11 +239,9 @@ fn subscription_establishes_through_chain() {
     assert_eq!(h.node(2).fib().subscriber_count(STREAM), 1);
     assert_eq!(h.node(3).fib().subscriber_count(STREAM), 1);
     // Subscription events observed.
-    assert!(h
-        .events
-        .iter()
-        .any(|(n, e)| *n == NodeId::new(3)
-            && matches!(e, NodeEvent::SubscriptionEstablished { .. })));
+    assert!(h.events.iter().any(
+        |(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::SubscriptionEstablished { .. })
+    ));
 }
 
 #[test]
@@ -271,9 +278,7 @@ fn lost_packet_recovered_via_nack_from_upstream() {
     let frames_at_c: usize = h
         .events
         .iter()
-        .filter(|(n, e)| {
-            *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. })
-        })
+        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
         .count();
     assert!(frames_at_c > 20, "C assembled only {frames_at_c} frames");
 }
@@ -300,16 +305,14 @@ fn second_viewer_hits_cache_and_gets_startup_burst() {
     h.run_until(t);
     assert_eq!(h.node(3).stats.local_hits, before + 1);
     assert!(
-        h.events
-            .iter()
-            .any(|(n, e)| *n == NodeId::new(3)
-                && matches!(
-                    e,
-                    NodeEvent::StartupBurst {
-                        to: Subscriber::Client(c),
-                        ..
-                    } if c.raw() == 10
-                )),
+        h.events.iter().any(|(n, e)| *n == NodeId::new(3)
+            && matches!(
+                e,
+                NodeEvent::StartupBurst {
+                    to: Subscriber::Client(c),
+                    ..
+                } if c.raw() == 10
+            )),
         "no startup burst to the second client"
     );
     // The burst arrives promptly (fast startup), well before the next GoP.
@@ -485,7 +488,11 @@ fn costream_switch_is_seamless() {
     // the new stream: the longest cached run holding two I-frame starts,
     // which is 437 packets on this script.
     match at_c.get(flip + 1) {
-        Some(NodeEvent::StartupBurst { stream, to, packets }) => {
+        Some(NodeEvent::StartupBurst {
+            stream,
+            to,
+            packets,
+        }) => {
             assert_eq!((*stream, *to), (co, Subscriber::Client(ClientId::new(9))));
             assert_eq!(*packets, 437, "switch burst size");
         }
@@ -512,17 +519,16 @@ fn mid_stream_path_switch_is_make_before_break() {
 
     // Switch C onto A → D → C.
     h.with_node(3, |n, now| {
-        n.switch_path(now, STREAM, &[NodeId::new(1), NodeId::new(4), NodeId::new(3)])
+        n.switch_path(
+            now,
+            STREAM,
+            &[NodeId::new(1), NodeId::new(4), NodeId::new(3)],
+        )
     });
 
     // Continue streaming for 2 more seconds.
     let start = h.queue.now();
-    let mut enc = VideoEncoder::new(
-        STREAM,
-        GopConfig::default(),
-        Bandwidth::from_mbps(2),
-        start,
-    );
+    let mut enc = VideoEncoder::new(STREAM, GopConfig::default(), Bandwidth::from_mbps(2), start);
     // Skip the encoder to fresh frame indices (timestamps don't collide
     // with the earlier run because sequence state lives in the producer).
     let end = start + SimDuration::from_secs(2);
@@ -544,7 +550,11 @@ fn mid_stream_path_switch_is_make_before_break() {
         0,
         "B should have been released"
     );
-    assert_eq!(h.node(2).upstream_of(STREAM), None, "B should unsubscribe from A");
+    assert_eq!(
+        h.node(2).upstream_of(STREAM),
+        None,
+        "B should unsubscribe from A"
+    );
     // A now feeds D only.
     assert_eq!(h.node(1).fib().subscriber_count(STREAM), 1);
 
@@ -566,7 +576,11 @@ fn switch_path_to_same_next_hop_is_noop() {
     run_chain(&mut h, 1);
     let before = h.node(3).upstream_of(STREAM);
     h.with_node(3, |n, now| {
-        n.switch_path(now, STREAM, &[NodeId::new(1), NodeId::new(2), NodeId::new(3)])
+        n.switch_path(
+            now,
+            STREAM,
+            &[NodeId::new(1), NodeId::new(2), NodeId::new(3)],
+        )
     });
     h.run_until(h.queue.now() + SimDuration::from_millis(500));
     assert_eq!(h.node(3).upstream_of(STREAM), before);
@@ -586,12 +600,7 @@ fn relay_failure_recovered_by_path_switch() {
 
     // Keep streaming for a second: C starves (B is gone).
     let start = h.queue.now();
-    let mut enc = VideoEncoder::new(
-        STREAM,
-        GopConfig::default(),
-        Bandwidth::from_mbps(2),
-        start,
-    );
+    let mut enc = VideoEncoder::new(STREAM, GopConfig::default(), Bandwidth::from_mbps(2), start);
     let feed = |h: &mut Harness, enc: &mut VideoEncoder, until: SimTime| {
         let mut next = enc.next_capture_time();
         while next < until {
@@ -607,15 +616,17 @@ fn relay_failure_recovered_by_path_switch() {
     let starved: usize = h
         .events
         .iter()
-        .filter(|(n, e)| {
-            *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. })
-        })
+        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
         .count();
 
     // The consumer detects the dead path (driver-side health check) and
     // switches to A → D → C.
     h.with_node(3, |n, now| {
-        n.switch_path(now, STREAM, &[NodeId::new(1), NodeId::new(4), NodeId::new(3)])
+        n.switch_path(
+            now,
+            STREAM,
+            &[NodeId::new(1), NodeId::new(4), NodeId::new(3)],
+        )
     });
     feed(&mut h, &mut enc, start + SimDuration::from_secs(3));
 
@@ -623,9 +634,7 @@ fn relay_failure_recovered_by_path_switch() {
     let recovered: usize = h
         .events
         .iter()
-        .filter(|(n, e)| {
-            *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. })
-        })
+        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
         .count();
     assert!(
         recovered > starved + 20,
@@ -709,8 +718,10 @@ fn upstream_death_without_backup_requests_brain_path() {
     }
     h.run_until(end + SimDuration::from_secs(1));
 
-    assert!(h.events.iter().any(|(n, e)| *n == NodeId::new(3)
-        && matches!(e, NodeEvent::UpstreamDead { .. })));
+    assert!(h
+        .events
+        .iter()
+        .any(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::UpstreamDead { .. })));
     assert!(
         h.events.iter().any(|(n, e)| *n == NodeId::new(3)
             && matches!(
@@ -781,12 +792,7 @@ fn broadcaster_mobility_rehomes_producer() {
 
     // The (moved) broadcaster now uploads at D; continue the stream there.
     let start = h.queue.now();
-    let mut enc = VideoEncoder::new(
-        STREAM,
-        GopConfig::default(),
-        Bandwidth::from_mbps(2),
-        start,
-    );
+    let mut enc = VideoEncoder::new(STREAM, GopConfig::default(), Bandwidth::from_mbps(2), start);
     let end = start + SimDuration::from_secs(2);
     let mut next = enc.next_capture_time();
     let frames_before: usize = h
@@ -938,7 +944,13 @@ fn cache_miss_is_recovered_from_alternate_supplier() {
     assert!(h.node(4).stats.rtx_served >= 1, "D served no RTX");
     assert!(
         h.events.iter().any(|(n, e)| *n == NodeId::new(3)
-            && matches!(e, NodeEvent::HoleRecovered { alternate: true, .. })),
+            && matches!(
+                e,
+                NodeEvent::HoleRecovered {
+                    alternate: true,
+                    ..
+                }
+            )),
         "no alternate-supplier recovery event at C"
     );
     // B's parked waiter for C could never be served: the TTL sweep must
@@ -1005,7 +1017,11 @@ fn stream_reset_purges_parked_rtx_waiters() {
     // after a large forward jump (stream reset): they must be purged, not
     // left to rot against the cap.
     let mut node = OverlayNode::new(NodeConfig::new(NodeId::new(2)));
-    node.on_datagram(SimTime::ZERO, NodeId::new(1), rtp_datagram(0, SimTime::ZERO));
+    node.on_datagram(
+        SimTime::ZERO,
+        NodeId::new(1),
+        rtp_datagram(0, SimTime::ZERO),
+    );
     let nack = RtcpPacket::Nack(Nack {
         ssrc: ssrc_for_stream(STREAM),
         lost: vec![SeqNo(2), SeqNo(3)],
@@ -1072,10 +1088,9 @@ fn nack_retries_stop_at_retry_limit() {
     let mut batches = Vec::new();
     for i in 1..=20u64 {
         let now = SimTime::from_millis(12 + i * 60);
-        batches.extend(nack_batches_in(&node.on_timer(
-            now,
-            TimerKind::LossScan.encode(),
-        )));
+        batches.extend(nack_batches_in(
+            &node.on_timer(now, TimerKind::LossScan.encode()),
+        ));
     }
     assert_eq!(batches.len(), 5, "hole must be NACKed exactly limit times");
     for b in &batches {
@@ -1134,8 +1149,12 @@ fn a_pacer_poll_fired_twice_is_stale_the_second_time() {
     let mut actions = Vec::new();
     let slow = Some(Bandwidth::from_kbps(200));
     node.client_attach(SimTime::ZERO, client, STREAM, slow, None, &mut actions);
-    let mut encoder =
-        VideoEncoder::new(STREAM, GopConfig::default(), Bandwidth::from_mbps(2), SimTime::ZERO);
+    let mut encoder = VideoEncoder::new(
+        STREAM,
+        GopConfig::default(),
+        Bandwidth::from_mbps(2),
+        SimTime::ZERO,
+    );
     let frame = encoder.next_frame();
     let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
     let poll = TimerKind::PacerPoll(Subscriber::Client(client)).encode();
@@ -1143,8 +1162,15 @@ fn a_pacer_poll_fired_twice_is_stale_the_second_time() {
     assert_eq!(armed.len(), 1, "one poll armed for the backlog");
 
     let due = armed[0];
-    assert_eq!(polls_armed(&node.on_timer(due, poll), poll).len(), 1, "the due poll re-arms once");
-    assert!(node.on_timer(due, poll).is_empty(), "a second fire at the same deadline acts");
+    assert_eq!(
+        polls_armed(&node.on_timer(due, poll), poll).len(),
+        1,
+        "the due poll re-arms once"
+    );
+    assert!(
+        node.on_timer(due, poll).is_empty(),
+        "a second fire at the same deadline acts"
+    );
     assert_eq!(node.stats.stale_timers, 1);
 
     // A key that does not decode is stale too.

@@ -2,9 +2,9 @@
 
 use bytes::Bytes;
 use livenet_media::FrameKind;
+use livenet_node::rx::{RxOutcome, RxState};
 use livenet_node::{StreamCache, StreamFib, Subscriber};
 use livenet_packet::{MediaKind, Packetizer};
-use livenet_node::rx::{RxOutcome, RxState};
 use livenet_types::{ClientId, DetRng, NodeId, SeqNo, SimDuration, SimTime, Ssrc, StreamId};
 use proptest::prelude::*;
 use std::collections::HashSet;
