@@ -1112,11 +1112,10 @@ impl OverlayNode {
 
     /// Complete the client co-stream switches waiting on this stream.
     ///
-    /// Runs after every media insert. It finds where the switch burst
-    /// would begin before it looks at `switch_waiters`, a walk of the
-    /// cache that clones nothing; the packets are cloned only for a client
-    /// whose switch completes. Returning early when nobody waits is left
-    /// out: ROADMAP item 2 sizes that step.
+    /// Runs after every media insert and when a switch begins. It returns
+    /// at once when no client waits, so the cache walk that finds where
+    /// the switch burst would begin runs only while one does; the packets
+    /// are cloned only for a client whose switch completes.
     fn try_complete_switches(
         &mut self,
         now: SimTime,
@@ -1126,6 +1125,9 @@ impl OverlayNode {
         let Some(st) = self.streams.get_mut(&stream) else {
             return;
         };
+        if st.switch_waiters.is_empty() {
+            return;
+        }
         // §5.2: the client flips only once a COMPLETE GoP of the new
         // stream is cached (the switch burst spans two I-frame starts).
         let Some(start) = st.cache.switch_start() else {

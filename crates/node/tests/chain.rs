@@ -503,6 +503,113 @@ fn costream_switch_is_seamless() {
     assert_eq!(ctl.stats.switches, 1);
 }
 
+/// The event that follows the first `SwitchCompleted` for `client` in
+/// `actions`; `None` when the client did not flip.
+fn after_flip(actions: &[NodeAction], client: u64) -> Option<Option<&NodeEvent>> {
+    let mut events = actions.iter().filter_map(|a| match a {
+        NodeAction::Event(e) => Some(e),
+        _ => None,
+    });
+    events.find(
+        |e| matches!(e, NodeEvent::SwitchCompleted { client: c, .. } if *c == ClientId::new(client)),
+    )?;
+    Some(events.next())
+}
+
+#[test]
+fn costream_switch_at_the_producer_completes_on_ingest() {
+    // The client watches at the producer node A(1) itself, so the
+    // co-stream's packets enter the cache through `ingest_frame`, not
+    // `on_datagram`.
+    let mut h = Harness::new(&[1], 10);
+    let attach = |h: &mut Harness, client: u64| {
+        h.with_node(1, |n, now| {
+            let mut actions = Vec::new();
+            n.client_attach(now, ClientId::new(client), STREAM, None, None, &mut actions);
+            actions
+        });
+    };
+    h.with_node(1, |n, _| {
+        n.register_producer(STREAM, None);
+        Vec::new()
+    });
+    attach(&mut h, 9);
+    let co = StreamId::new(77);
+    h.with_node(1, |n, _| {
+        n.register_producer(co, None);
+        Vec::new()
+    });
+    // The switch begins before any packet of the co-stream is cached.
+    h.with_node(1, |n, now| {
+        let mut actions = Vec::new();
+        n.begin_costream_switch(now, ClientId::new(9), co, None, &mut actions);
+        assert!(
+            after_flip(&actions, 9).is_none(),
+            "flipped with nothing cached"
+        );
+        actions
+    });
+
+    let start = h.queue.now();
+    let mut enc = VideoEncoder::new(co, GopConfig::default(), Bandwidth::from_mbps(2), start);
+    let mut i_frames = 0;
+    loop {
+        h.run_until(enc.next_capture_time());
+        let frame = enc.next_frame();
+        let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
+        if frame.kind == FrameKind::I {
+            i_frames += 1;
+        }
+        let cached = h.node(1).cache(co).map_or(0, |c| c.len());
+        let now = h.queue.now();
+        let actions = h
+            .nodes
+            .get_mut(&NodeId::new(1))
+            .unwrap()
+            .ingest_frame(now, &frame, &payload);
+        let Some(next) = after_flip(&actions, 9) else {
+            assert!(i_frames < 2, "no flip once two I-frame starts are cached");
+            h.apply(NodeId::new(1), actions);
+            continue;
+        };
+        // The flip comes with the frame that caches the second I-frame
+        // start, and the burst follows it at once: every packet cached
+        // before that frame, plus its first.
+        assert_eq!(i_frames, 2, "flipped before a complete GoP was cached");
+        match next {
+            Some(NodeEvent::StartupBurst {
+                stream,
+                to,
+                packets,
+            }) => {
+                assert_eq!((*stream, *to), (co, Subscriber::Client(ClientId::new(9))));
+                assert_eq!(*packets, cached + 1, "switch burst size");
+            }
+            other => panic!("no burst after the flip: {other:?}"),
+        }
+        break;
+    }
+    assert_eq!(h.node(1).client(ClientId::new(9)).unwrap().stream, co);
+
+    // A second client asking for the same switch now has a complete GoP
+    // cached: it flips inside `begin_costream_switch`.
+    attach(&mut h, 10);
+    let now = h.queue.now();
+    let mut actions = Vec::new();
+    h.nodes
+        .get_mut(&NodeId::new(1))
+        .unwrap()
+        .begin_costream_switch(now, ClientId::new(10), co, None, &mut actions);
+    match after_flip(&actions, 10) {
+        Some(Some(NodeEvent::StartupBurst { stream, to, .. })) => {
+            assert_eq!((*stream, *to), (co, Subscriber::Client(ClientId::new(10))));
+        }
+        other => panic!("the second switch did not complete at once: {other:?}"),
+    }
+    let ctl = h.node(1).client(ClientId::new(10)).unwrap();
+    assert_eq!((ctl.stream, ctl.stats.switches), (co, 1));
+}
+
 #[test]
 fn mid_stream_path_switch_is_make_before_break() {
     // A(1) → B(2) → C(3) serving a client; D(4) offers an alternative

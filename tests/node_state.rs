@@ -261,10 +261,10 @@ fn crash_reset_leaves_a_new_node_plus_rtt_hints() {
 /// builds no switch burst: what one `on_datagram` allocates stays far
 /// below the 2,048 cached packets a burst would clone.
 ///
-/// `try_complete_switches` still asks the cache where a switch burst would
-/// begin on every media packet, with nobody waiting; that walk borrows the
-/// cache and clones nothing, so the bound holds without returning early on
-/// an empty `switch_waiters`.
+/// `try_complete_switches` returns before it asks the cache anything when
+/// `switch_waiters` is empty. The bound does not rest on that return: the
+/// walk that finds where a burst would begin borrows the cache and clones
+/// nothing, so the bound held before the return was added too.
 #[test]
 fn relaying_through_a_full_cache_builds_no_switch_burst() {
     let stream = StreamId::new(7);
