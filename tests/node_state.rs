@@ -262,9 +262,10 @@ fn crash_reset_leaves_a_new_node_plus_rtt_hints() {
 /// below the 2,048 cached packets a burst would clone.
 ///
 /// `try_complete_switches` returns before it asks the cache anything when
-/// `switch_waiters` is empty. The bound does not rest on that return: the
-/// walk that finds where a burst would begin borrows the cache and clones
-/// nothing, so the bound held before the return was added too.
+/// `switch_waiters` is empty. The bound does not rest on that return:
+/// while a client waits, the walk that finds where a burst would begin
+/// borrows the cache and clones nothing, and the packets are copied only
+/// for a switch that completes.
 #[test]
 fn relaying_through_a_full_cache_builds_no_switch_burst() {
     let stream = StreamId::new(7);
