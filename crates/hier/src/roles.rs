@@ -55,7 +55,14 @@ impl HierRoles {
                         }
                     }
                 }
-                (h, if count == 0 { f64::MAX } else { total / f64::from(count) })
+                (
+                    h,
+                    if count == 0 {
+                        f64::MAX
+                    } else {
+                        total / f64::from(count)
+                    },
+                )
             })
             .collect();
         ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
