@@ -108,9 +108,8 @@ impl GopConfig {
         let (i, p, b, bu) = self.gop_census();
         // Solve for the P-frame size so the weighted sum hits the budget:
         // i*I_r*x + p*x + (b+bu)*B_r*x = gop_frames * mean
-        let weight_sum = f64::from(i) * self.i_ratio
-            + f64::from(p)
-            + f64::from(b + bu) * self.b_ratio;
+        let weight_sum =
+            f64::from(i) * self.i_ratio + f64::from(p) + f64::from(b + bu) * self.b_ratio;
         let p_bytes = f64::from(self.gop_frames) * mean / weight_sum;
         let base = match self.kind_at(pos) {
             FrameKind::I => p_bytes * self.i_ratio,
@@ -273,12 +272,8 @@ mod tests {
     #[test]
     fn gop_pattern_repeats() {
         let c = cfg();
-        let mut enc = VideoEncoder::new(
-            StreamId::new(1),
-            c,
-            Bandwidth::from_mbps(2),
-            SimTime::ZERO,
-        );
+        let mut enc =
+            VideoEncoder::new(StreamId::new(1), c, Bandwidth::from_mbps(2), SimTime::ZERO);
         let frames: Vec<_> = (0..c.gop_frames * 2).map(|_| enc.next_frame()).collect();
         for i in 0..c.gop_frames as usize {
             assert_eq!(frames[i].kind, frames[i + c.gop_frames as usize].kind);
@@ -307,14 +302,14 @@ mod tests {
     #[test]
     fn i_frames_are_much_larger_than_b_frames() {
         let c = cfg();
-        let mut enc = VideoEncoder::new(
-            StreamId::new(1),
-            c,
-            Bandwidth::from_mbps(2),
-            SimTime::ZERO,
-        );
+        let mut enc =
+            VideoEncoder::new(StreamId::new(1), c, Bandwidth::from_mbps(2), SimTime::ZERO);
         let frames: Vec<_> = (0..c.gop_frames).map(|_| enc.next_frame()).collect();
-        let i_size = frames.iter().find(|f| f.kind == FrameKind::I).unwrap().size_bytes;
+        let i_size = frames
+            .iter()
+            .find(|f| f.kind == FrameKind::I)
+            .unwrap()
+            .size_bytes;
         let b = frames
             .iter()
             .find(|f| matches!(f.kind, FrameKind::B | FrameKind::BUnref))

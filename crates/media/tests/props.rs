@@ -5,16 +5,24 @@ use livenet_types::{Bandwidth, SimTime, StreamId};
 use proptest::prelude::*;
 
 fn arb_gop() -> impl Strategy<Value = GopConfig> {
-    (5u32..60, 10u32..90, 0u32..4, 0.0f64..1.0, 2.0f64..10.0, 0.2f64..0.9).prop_map(
-        |(fps, gop_frames, b_between, unref, i_ratio, b_ratio)| GopConfig {
-            fps,
-            gop_frames,
-            b_between,
-            unref_b_fraction: unref,
-            i_ratio,
-            b_ratio,
-        },
+    (
+        5u32..60,
+        10u32..90,
+        0u32..4,
+        0.0f64..1.0,
+        2.0f64..10.0,
+        0.2f64..0.9,
     )
+        .prop_map(
+            |(fps, gop_frames, b_between, unref, i_ratio, b_ratio)| GopConfig {
+                fps,
+                gop_frames,
+                b_between,
+                unref_b_fraction: unref,
+                i_ratio,
+                b_ratio,
+            },
+        )
 }
 
 proptest! {
