@@ -10,58 +10,50 @@
 //! message, acceptor slot, retry and log entry that holds a decree holds a
 //! pointer to that one allocation.
 //!
+//! # Member, `Net`, canon
+//!
+//! - A `Member` is one replica: its Paxos state, its Brain, and every rule
+//!   it follows for ballots and leases. It takes an event in `handle` and
+//!   its timer in `wake`, and sees nothing but a `&mut Net` and the canon's
+//!   length; it returns what the cluster must apply (new decided slots, or
+//!   a lease a majority holds).
+//! - `Net` is what the replicas share: the event queue, the clock, the
+//!   delay and loss RNG, and the run's record. A member sends at the point
+//!   its rule sends, so every draw keeps the rule's order.
+//! - `BrainCluster` keeps the canonical chosen log ("canon"), extended from
+//!   any replica's contiguous decided prefix. The canon, with the lease
+//!   taken from it (`canon_lease`), is the one global oracle: the client
+//!   reads the leader and its committed ops there, the audit holds every
+//!   replica to it, and catch-up — the learner shortcut — feeds a replica
+//!   the values it missed.
+//!
 //! # Determinism
 //!
-//! The cluster runs on **virtual time** ([`SimTime`]), fully detached from
-//! wall clocks: messages travel on an [`EventQueue`] (ordered by delivery
-//! time, then insertion), delays and drops come from a [`DetRng`], and every
-//! client call (`replicate`, `path_request`, …) first advances the
-//! cluster clock to the caller's `now` and then pumps events.  Two runs
-//! with the same seed and the same call sequence produce bit-identical
-//! logs, latencies and telemetry — the property the fleet's
-//! serial-vs-parallel equivalence check rides on.
+//! The cluster runs on **virtual time** ([`SimTime`]): messages travel on
+//! an [`EventQueue`] (delivery time, then insertion), delays and drops come
+//! from a [`DetRng`], and every client call first advances the clock to the
+//! caller's `now`, then pumps events. Two runs with the same seed and calls
+//! produce bit-identical logs, latencies and telemetry — what the fleet's
+//! serial-vs-parallel check rides on.
 //!
 //! # Leases and failover
 //!
-//! A `Lease { holder, term, until }` decree elects a holder: the first
-//! election, a takeover after the lease expired, or a lapsed holder
-//! standing again. The log records nothing else about leadership, as
-//! Raft's leader heartbeats carry no log entries:
-//!
-//! - **Extension.** With less than `RENEW_MARGIN` left, the holder sends
-//!   `Heartbeat` (its term, `until = now + LEASE`) to every follower and
-//!   resends it every `CLIENT_TIMEOUT` to each one that has not acked. Its
-//!   own view and the canonical lease behind [`BrainCluster::leader`]
-//!   extend when a majority (itself included) holds the new `until`, and
-//!   only while its lease still runs.
-//! - **Adoption.** A follower takes a heartbeat of its view's term or a
-//!   newer one; an older `Lease` decree applied later never shortens it.
-//! - **Learning.** Every replica catches up from the canonical log on
-//!   each wake, so a missed `Learn` costs one wake, not a stale lease.
-//! - **Election.** When its view expires (leader crash), a replica stands
-//!   after a per-rank backoff (`TAKEOVER_BACKOFF × id`), which staggers
-//!   proposers and keeps dueling rare; a restarted replica first waits one
-//!   lease, its view coming from a log without renewals. A replica that
-//!   holds a live lease for another holder does not promise to a stand,
-//!   and a stander that learns of one withdraws, so a follower that missed
-//!   every heartbeat cannot unseat a live holder.
-//!
-//! A failed ballot retries from a deadline wake with a bumped minimum round
-//! and a jittered delay — classic proposer backoff. Failover latency is
-//! measured from the holder's last heartbeat sent (or decree decided)
-//! before the crash to the first *lease* decree granted to a live holder
-//! afterwards.
+//! A `Lease { holder, term, until }` decree elects a holder; the holder
+//! then keeps its lease by heartbeat rounds outside the log, as Raft's
+//! leader heartbeats carry no log entries (DESIGN.md §11, "Lease rules";
+//! each rule is a `Member` method). Failover latency is measured from the
+//! holder's last heartbeat sent (or decree decided) before the crash to
+//! the first *lease* decree granted to a live holder afterwards.
 //!
 //! # Log compaction
 //!
-//! A slot is forgotten — by the canonical log and by every replica's Paxos
-//! state — by the first client call that enters at least one
-//! `CLIENT_TIMEOUT` after the slowest replica applied it, a down one
-//! included. By then no message about it is in flight, and no
-//! replica will ever need it again: catch-up replays only slots a replica
-//! has not applied. So the log holds the last few decrees of a healthy
-//! cluster, and grows only while a replica is down. Slot numbers stay
-//! absolute; the safety audit of a slot runs when it is forgotten.
+//! A slot is forgotten — by the canon and by every replica's Paxos state —
+//! by the first client call entering one `CLIENT_TIMEOUT` after the slowest
+//! replica, a down one included, applied it: no message about it is then
+//! in flight, and catch-up replays only slots a replica has not applied. So
+//! a healthy cluster's log holds its last few decrees and grows only while
+//! a replica is down. Slot numbers stay absolute; the safety audit of a
+//! slot runs when it is forgotten.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -268,6 +260,22 @@ struct LeaseView {
 }
 
 impl LeaseView {
+    /// The lease a `Lease` decree grants; `None` for every other op.
+    fn decreed(op: &BrainOp) -> Option<LeaseView> {
+        match *op {
+            BrainOp::Lease {
+                holder,
+                term,
+                until,
+            } => Some(LeaseView {
+                holder,
+                term,
+                until,
+            }),
+            _ => None,
+        }
+    }
+
     /// Take `l` into `view`; true when `view` then holds `l`'s holder and
     /// term. A newer term replaces the view. The same term and holder keep
     /// the later `until`, so an older decree never shortens what a
@@ -321,34 +329,102 @@ struct Pending {
     stand: bool,
 }
 
+/// What the network carries to a replica (the queue holds `(to, event)`).
 #[derive(Debug)]
 enum NetEvent {
     Deliver {
         from: ReplicaId,
-        to: ReplicaId,
         msg: PaxosMsg<Decree>,
         /// A `Prepare` of a ballot that stands for election (replies never
         /// are).
         stand: bool,
     },
-    /// The holder asks `to` to hold `lease`.
-    Heartbeat {
-        to: ReplicaId,
-        lease: LeaseView,
-    },
+    /// The holder asks the replica to hold `lease`.
+    Heartbeat { lease: LeaseView },
     /// `from` holds `lease` (sent to its holder).
-    HeartbeatAck {
-        from: ReplicaId,
-        lease: LeaseView,
-    },
-    Wake {
-        replica: ReplicaId,
-    },
+    HeartbeatAck { from: ReplicaId, lease: LeaseView },
+    /// The replica's timer.
+    Wake,
 }
 
-/// One Brain replica: a Paxos participant plus the state machine it feeds.
+/// What an event at a replica leaves for the cluster to do.
+#[derive(Debug, PartialEq)]
+enum Progress {
+    /// The replica took a Paxos message: its decided log may extend the
+    /// canon.
+    Log,
+    /// A majority holds this lease: the canonical lease runs to it.
+    Lease(LeaseView),
+}
+
+/// The replicas' shared world: the event queue, the clock beside it, the
+/// delay and loss model, and the run's record, which every send and ballot
+/// counts into.
+#[derive(Debug)]
+struct Net {
+    queue: EventQueue<(ReplicaId, NetEvent)>,
+    /// The cluster clock: the last popped event's time, or later when a
+    /// client call advanced it past the queue head without a pop.
+    now: SimTime,
+    rng: DetRng,
+    msg_loss: f64,
+    /// The run's record as it goes: every counter, the lease overlaps,
+    /// the log's high-water mark and the divergences of compacted slots.
+    summary: ReplicationSummary,
+}
+
+impl Net {
+    fn new(cfg: &ClusterConfig) -> Net {
+        Net {
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
+            rng: DetRng::seed(cfg.seed).fork("brain-cluster"),
+            msg_loss: cfg.msg_loss,
+            summary: ReplicationSummary {
+                replicas: cfg.replicas,
+                ..ReplicationSummary::default()
+            },
+        }
+    }
+
+    /// Put `ev` from `from` to `to` on the network: lost with probability
+    /// `msg_loss`, otherwise delivered after a jittered one-way delay.
+    /// Local loopback is lossless and zero-delay (FIFO at `now`).
+    fn transmit(&mut self, from: ReplicaId, to: ReplicaId, ev: NetEvent) {
+        if to == from {
+            self.queue.schedule(self.now, (to, ev));
+            return;
+        }
+        self.summary.msgs_sent += 1;
+        if self.rng.chance(self.msg_loss) {
+            self.summary.msgs_dropped += 1;
+            return;
+        }
+        let jitter = self.rng.range_f64(1.0 - DELAY_JITTER, 1.0 + DELAY_JITTER);
+        let at = self.now + ONE_WAY_DELAY.mul_f64(jitter);
+        self.queue.schedule(at, (to, ev));
+    }
+
+    fn send_out(&mut self, from: ReplicaId, outs: Vec<Outbound<Decree>>, stand: bool) {
+        for o in outs {
+            let ev = NetEvent::Deliver {
+                from,
+                msg: o.msg,
+                stand,
+            };
+            self.transmit(from, o.to, ev);
+        }
+    }
+}
+
+/// One Brain replica: a Paxos participant, the state machine it feeds, and
+/// the lease and ballot rules it follows. It reads the world through a
+/// [`Net`] and the canon's length only; the cluster runs it while it is up.
 #[derive(Debug)]
 struct Member {
+    id: ReplicaId,
+    /// Replicas in the cluster, this one included.
+    replicas: usize,
     paxos: Replica<Decree>,
     brain: StreamingBrain,
     up: bool,
@@ -374,6 +450,25 @@ struct Member {
 }
 
 impl Member {
+    fn new(id: ReplicaId, replicas: u32, brain: StreamingBrain) -> Member {
+        Member {
+            id,
+            replicas: replicas as usize,
+            paxos: Replica::new(id, (0..replicas).collect()),
+            brain,
+            up: true,
+            applied: 0,
+            learned: 0,
+            lease: None,
+            round: None,
+            heartbeat_sent: SimTime::ZERO,
+            stand_after: SimTime::ZERO,
+            pending: Vec::new(),
+            next_wake: SimTime::MAX,
+            last_rehome: None,
+        }
+    }
+
     /// Apply every decided decree that has become contiguous.
     fn apply_ready(&mut self) {
         while let Some(op) = self.paxos.decided(self.applied).cloned() {
@@ -383,20 +478,8 @@ impl Member {
     }
 
     fn apply_op(&mut self, slot: u64, op: &BrainOp) {
-        if let BrainOp::Lease {
-            holder,
-            term,
-            until,
-        } = *op
-        {
-            LeaseView::take(
-                &mut self.lease,
-                LeaseView {
-                    holder,
-                    term,
-                    until,
-                },
-            );
+        if let Some(lease) = LeaseView::decreed(op) {
+            LeaseView::take(&mut self.lease, lease);
             return;
         }
         let res = op.apply_to(&mut self.brain);
@@ -404,19 +487,258 @@ impl Member {
             self.last_rehome = Some((slot, res));
         }
     }
+
+    /// Take `ev`, addressed to this replica; `end` is the canon's length.
+    /// Returns what the cluster must apply: decided slots that may extend
+    /// the canon, or a lease a majority now holds.
+    fn handle(&mut self, net: &mut Net, ev: NetEvent, end: u64) -> Option<Progress> {
+        let (id, view) = (self.id, self.lease);
+        match ev {
+            NetEvent::Deliver { from, msg, stand } => {
+                // A replica that holds a live lease for another holder does
+                // not promise to a stand: the lease is not its to give.
+                if stand && view.is_some_and(|l| l.holder != from && l.live(net.now)) {
+                    return None;
+                }
+                let outs = self.paxos.handle(from, msg);
+                debug_assert_eq!(self.paxos.stale_msgs(), 0, "a message for a compacted slot");
+                net.send_out(id, outs, false);
+                Some(Progress::Log)
+            }
+            NetEvent::Heartbeat { lease } => {
+                if LeaseView::take(&mut self.lease, lease) {
+                    let ack = NetEvent::HeartbeatAck { from: id, lease };
+                    net.transmit(id, lease.holder, ack);
+                }
+                None
+            }
+            NetEvent::HeartbeatAck { from, lease } => self
+                .on_heartbeat_ack(net.now, from, lease)
+                .map(Progress::Lease),
+            NetEvent::Wake => self.wake(net, end).map(Progress::Lease),
+        }
+    }
+
+    /// Retry, stand or renew, and schedule the next wake. The cluster has
+    /// caught this replica up from the canon (of length `end`) first.
+    fn wake(&mut self, net: &mut Net, end: u64) -> Option<LeaseView> {
+        self.retry_pendings(net);
+        let extended = self.lease_maintenance(net, end);
+        self.send_heartbeats(net);
+        let next = self.next_wake_time(net.now);
+        self.maybe_wake(net, next);
+        extended
+    }
+
+    /// Schedule a wake at `at` unless an earlier one is pending.
+    fn maybe_wake(&mut self, net: &mut Net, at: SimTime) {
+        if at < self.next_wake || self.next_wake <= net.now {
+            self.next_wake = at;
+            net.queue.schedule(at, (self.id, NetEvent::Wake));
+        }
+    }
+
+    fn retry_pendings(&mut self, net: &mut Net) {
+        let now = net.now;
+        // Drop pendings whose slot decided (win or lose — losers are
+        // re-proposed in a fresh slot by their originating client loop or
+        // by lease maintenance), and a stand once another holder's live
+        // lease is known: its retries, refused by every replica that holds
+        // that lease, would only outbid the holder's ballots in the stand's
+        // slot, which the holder's next proposal fills.
+        let (id, view) = (self.id, self.lease);
+        let deferred = view.is_some_and(|l| l.holder != id && l.live(now));
+        let paxos = &self.paxos;
+        self.pending
+            .retain(|p| !(paxos.is_decided(p.slot) || p.stand && deferred));
+        // Retry expired ballots with a bumped minimum round (backoff).
+        for p in self.pending.iter_mut().filter(|p| p.deadline <= now) {
+            p.attempts += 1;
+            let jitter = net.rng.range_f64(0.75, 1.5);
+            p.deadline = now + CLIENT_TIMEOUT.mul_f64(p.attempts as f64 * jitter);
+            let min_round = p.attempts * self.replicas as u64;
+            let outs = self
+                .paxos
+                .propose_in_slot(p.slot, Arc::clone(&p.value), min_round);
+            net.summary.proposals += 1;
+            net.send_out(self.id, outs, p.stand);
+        }
+    }
+
+    /// Whether the heartbeat round for `l` is still short of a majority.
+    fn round_open(&self, l: LeaseView) -> bool {
+        self.round
+            .as_ref()
+            .is_some_and(|rd| rd.lease.term == l.term && rd.lease.until > l.until)
+    }
+
+    /// When this replica, its view expired or empty, may stand for
+    /// election: after the per-rank backoff, so proposers stagger instead
+    /// of duel, and not before a restarted replica has waited one lease.
+    fn stand_at(&self) -> SimTime {
+        let base = self.lease.map_or(SimTime::ZERO, |l| l.until);
+        (base + TAKEOVER_BACKOFF.mul_f64(self.id as f64)).max(self.stand_after)
+    }
+
+    fn lease_maintenance(&mut self, net: &mut Net, end: u64) -> Option<LeaseView> {
+        let now = net.now;
+        match self.lease {
+            Some(l) if l.holder == self.id && l.live(now) => {
+                if now + RENEW_MARGIN >= l.until && !self.round_open(l) {
+                    return self.start_round(now, l);
+                }
+            }
+            Some(l) if l.live(now) => {} // someone else holds a live lease
+            view => {
+                // Expired, lapsed or never granted.
+                let standing = self.pending.iter().any(|p| p.stand);
+                if !standing && now >= self.stand_at() {
+                    let term = view.map_or(0, |l| l.term) + 1;
+                    let value = Arc::new(BrainOp::Lease {
+                        holder: self.id,
+                        term,
+                        until: now + LEASE,
+                    });
+                    self.propose(net, value, true, end);
+                }
+            }
+        }
+        None
+    }
+
+    /// Open a heartbeat round asking every follower to hold `l` until
+    /// `now + LEASE`, the holder its first ack (a lone replica is its own
+    /// majority).
+    fn start_round(&mut self, now: SimTime, l: LeaseView) -> Option<LeaseView> {
+        let lease = LeaseView {
+            until: now + LEASE,
+            ..l
+        };
+        self.round = Some(Round {
+            lease,
+            acked: vec![false; self.replicas],
+            resend_at: now,
+        });
+        self.on_heartbeat_ack(now, self.id, lease)
+    }
+
+    /// Send the round's heartbeat to each follower that has not acked it,
+    /// when a send is due; drop the round once this replica no longer holds
+    /// its term.
+    fn send_heartbeats(&mut self, net: &mut Net) {
+        let Some(rd) = &mut self.round else { return };
+        let lease = rd.lease;
+        if self
+            .lease
+            .is_none_or(|l| l.holder != self.id || l.term != lease.term)
+        {
+            self.round = None;
+            return;
+        }
+        if net.now < rd.resend_at {
+            return;
+        }
+        rd.resend_at = net.now + CLIENT_TIMEOUT;
+        for (to, _) in rd.acked.iter().enumerate().filter(|(_, &a)| !a) {
+            self.heartbeat_sent = net.now;
+            net.transmit(self.id, to as ReplicaId, NetEvent::Heartbeat { lease });
+        }
+    }
+
+    /// `from` holds `lease`; returns the lease once a majority does and
+    /// this replica's view has taken it.
+    fn on_heartbeat_ack(
+        &mut self,
+        now: SimTime,
+        from: ReplicaId,
+        lease: LeaseView,
+    ) -> Option<LeaseView> {
+        let quorum = self.replicas / 2 + 1;
+        let rd = self.round.as_mut()?;
+        if rd.lease != lease || rd.acked[from as usize] {
+            return None;
+        }
+        rd.acked[from as usize] = true;
+        if rd.acks() != quorum {
+            return None;
+        }
+        self.extend(now, lease)
+    }
+
+    /// A majority holds `lease`: this holder's view runs to its `until`,
+    /// and so does the canonical lease (the cluster takes the returned
+    /// lease) — if the view still runs. Once it has lapsed, followers whose
+    /// views ran out too may have promised to a stand, and a late majority
+    /// must not revive the lease under it.
+    fn extend(&mut self, now: SimTime, lease: LeaseView) -> Option<LeaseView> {
+        if !self.lease.is_some_and(|l| l.live(now)) {
+            return None;
+        }
+        LeaseView::take(&mut self.lease, lease);
+        Some(lease)
+    }
+
+    /// Start a ballot for `value`, to be retried from this replica's wakes
+    /// until its slot decides. The slot is the lowest past the canon (of
+    /// length `end`) that this replica has not decided and has no ballot
+    /// pending in, so a slot whose ballot died with a crash or a withdrawn
+    /// stand is filled by the next proposal rather than left a hole below
+    /// it.
+    fn propose(&mut self, net: &mut Net, value: Decree, stand: bool, end: u64) {
+        // At most `pending.len()` slots hold a ballot and finitely many are
+        // decided, so one of the next `pending.len() + decided_count() + 1`
+        // slots from `end` is free: the search ends long before `u64::MAX`.
+        let slot = (end..)
+            .find(|&s| !self.paxos.is_decided(s) && self.pending.iter().all(|p| p.slot != s))
+            .expect("a free slot");
+        let outs = self.paxos.propose_in_slot(slot, Arc::clone(&value), 0);
+        net.summary.proposals += 1;
+        let deadline = net.now + CLIENT_TIMEOUT;
+        self.pending.push(Pending {
+            slot,
+            value,
+            attempts: 1,
+            deadline,
+            stand,
+        });
+        net.send_out(self.id, outs, stand);
+        self.maybe_wake(net, deadline);
+    }
+
+    /// The next virtual time at which this replica has lease or retry work
+    /// to do.
+    fn next_wake_time(&self, now: SimTime) -> SimTime {
+        let mut next = match self.lease {
+            // The holder: the lease lapses while a round is open, else the
+            // next round is due.
+            Some(l) if l.holder == self.id && l.live(now) => {
+                if self.round_open(l) {
+                    l.until
+                } else {
+                    l.until - RENEW_MARGIN
+                }
+            }
+            _ => self.stand_at(),
+        };
+        if let Some(rd) = &self.round {
+            if rd.acks() < rd.acked.len() {
+                next = next.min(rd.resend_at);
+            }
+        }
+        for p in &self.pending {
+            next = next.min(p.deadline);
+        }
+        // Never busy-spin: wake strictly in the future.
+        next.max(now + SimDuration::from_millis(10))
+    }
 }
 
 /// N Paxos-replicated [`StreamingBrain`]s plus the deterministic
 /// virtual-time network that connects them.  See the module docs.
 #[derive(Debug)]
 pub struct BrainCluster {
-    cfg: ClusterConfig,
     members: Vec<Member>,
-    queue: EventQueue<NetEvent>,
-    /// The cluster clock: the last popped event's time, or later when a
-    /// client call advanced it past the queue head without a pop.
-    now: SimTime,
-    rng: DetRng,
+    net: Net,
     /// Canonical chosen log: `canon[i]` holds the cluster-wide chosen value
     /// of slot `canon_base + i`.
     canon: VecDeque<Decree>,
@@ -437,9 +759,6 @@ pub struct BrainCluster {
     /// heartbeat sent, or the last decree decided if later); cleared when
     /// a live holder wins a lease (failover complete).
     crash_pending: Option<SimTime>,
-    /// The run's record as it goes: every counter, the lease overlaps,
-    /// the log's high-water mark and the divergences of compacted slots.
-    summary: ReplicationSummary,
 }
 
 impl BrainCluster {
@@ -447,35 +766,15 @@ impl BrainCluster {
     /// and schedule the initial election.
     pub fn new(topology: &Topology, brain_cfg: &BrainConfig, cfg: ClusterConfig) -> Self {
         assert!(cfg.replicas >= 1, "cluster needs at least one replica");
-        let ids: Vec<ReplicaId> = (0..cfg.replicas).collect();
-        let members = ids
-            .iter()
-            .map(|&id| Member {
-                paxos: Replica::new(id, ids.clone()),
-                brain: StreamingBrain::new(topology.clone(), brain_cfg.clone()),
-                up: true,
-                applied: 0,
-                learned: 0,
-                lease: None,
-                round: None,
-                heartbeat_sent: SimTime::ZERO,
-                stand_after: SimTime::ZERO,
-                pending: Vec::new(),
-                next_wake: SimTime::MAX,
-                last_rehome: None,
+        let members = (0..cfg.replicas)
+            .map(|id| {
+                let brain = StreamingBrain::new(topology.clone(), brain_cfg.clone());
+                Member::new(id, cfg.replicas, brain)
             })
             .collect();
-        let rng = DetRng::seed(cfg.seed).fork("brain-cluster");
-        let summary = ReplicationSummary {
-            replicas: cfg.replicas,
-            ..ReplicationSummary::default()
-        };
         let mut cluster = BrainCluster {
-            cfg,
             members,
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            rng,
+            net: Net::new(&cfg),
             canon: VecDeque::new(),
             canon_base: 0,
             applied_marks: VecDeque::new(),
@@ -484,10 +783,9 @@ impl BrainCluster {
             last_decided_at: SimTime::ZERO,
             crashed: None,
             crash_pending: None,
-            summary,
         };
-        for r in 0..cluster.members.len() {
-            cluster.maybe_wake(r as ReplicaId, SimTime::ZERO);
+        for m in &mut cluster.members {
+            m.maybe_wake(&mut cluster.net, SimTime::ZERO);
         }
         cluster
     }
@@ -496,108 +794,45 @@ impl BrainCluster {
     // Event engine
     // ------------------------------------------------------------------
 
-    /// Schedule a wake for `r` at `at` unless an earlier one is pending.
-    fn maybe_wake(&mut self, r: ReplicaId, at: SimTime) {
-        let cur = self.members[r as usize].next_wake;
-        if at < cur || cur <= self.now {
-            self.members[r as usize].next_wake = at;
-            self.queue.schedule(at, NetEvent::Wake { replica: r });
-        }
-    }
-
-    /// Put `ev` from `from` to `to` on the network: lost with probability
-    /// `msg_loss`, otherwise delivered after a jittered one-way delay.
-    /// Local loopback is lossless and zero-delay (FIFO at `now`).
-    fn transmit(&mut self, from: ReplicaId, to: ReplicaId, ev: NetEvent) {
-        if to == from {
-            self.queue.schedule(self.now, ev);
-            return;
-        }
-        self.summary.msgs_sent += 1;
-        if self.rng.chance(self.cfg.msg_loss) {
-            self.summary.msgs_dropped += 1;
-            return;
-        }
-        let jitter = self.rng.range_f64(1.0 - DELAY_JITTER, 1.0 + DELAY_JITTER);
-        let at = self.now + ONE_WAY_DELAY.mul_f64(jitter);
-        self.queue.schedule(at, ev);
-    }
-
-    fn send_out(&mut self, from: ReplicaId, outs: Vec<Outbound<Decree>>, stand: bool) {
-        for o in outs {
-            let ev = NetEvent::Deliver {
-                from,
-                to: o.to,
-                msg: o.msg,
-                stand,
-            };
-            self.transmit(from, o.to, ev);
-        }
-    }
-
     /// Process the next queued event (advancing the clock to it).
     /// Returns false when the queue is empty.
     fn step(&mut self) -> bool {
-        let Some((at, ev)) = self.queue.pop() else {
+        let Some((at, (to, ev))) = self.net.queue.pop() else {
             return false;
         };
-        self.now = self.now.max(at);
-        self.dispatch(ev);
+        self.net.now = self.net.now.max(at);
+        self.dispatch(to, ev);
         self.mark_applied();
         true
     }
 
-    fn dispatch(&mut self, ev: NetEvent) {
-        match ev {
-            NetEvent::Deliver {
-                from,
-                to,
-                msg,
-                stand,
-            } => {
-                let m = &self.members[to as usize];
-                if !m.up {
-                    return;
-                }
-                // A replica that holds a live lease for another holder does
-                // not promise to a stand: the lease is not its to give.
-                if stand
-                    && m.lease
-                        .is_some_and(|l| l.holder != from && l.live(self.now))
-                {
-                    return;
-                }
-                let outs = self.members[to as usize].paxos.handle(from, msg);
-                debug_assert_eq!(
-                    self.members[to as usize].paxos.stale_msgs(),
-                    0,
-                    "a message for a compacted slot"
-                );
-                self.send_out(to, outs, false);
-                self.after_progress(to);
-            }
-            NetEvent::Heartbeat { to, lease } => {
-                let m = &mut self.members[to as usize];
-                if m.up && LeaseView::take(&mut m.lease, lease) {
-                    self.transmit(to, lease.holder, NetEvent::HeartbeatAck { from: to, lease });
-                }
-            }
-            NetEvent::HeartbeatAck { from, lease } => {
-                if self.members[lease.holder as usize].up {
-                    self.on_heartbeat_ack(from, lease);
-                }
-            }
-            NetEvent::Wake { replica } => self.on_wake(replica),
+    /// Hand `ev` to replica `r`, if it is up, and take what it leaves:
+    /// decided slots for the canon, or a majority-held lease.
+    fn dispatch(&mut self, r: ReplicaId, ev: NetEvent) {
+        if !self.members[r as usize].up {
+            return;
+        }
+        if let NetEvent::Wake = ev {
+            // Every replica learns on its wake: one that missed a `Learn`
+            // would otherwise stand on a log (and a lease) that moved on
+            // without it.
+            self.catch_up(r);
+        }
+        let end = self.decided_slots();
+        match self.members[r as usize].handle(&mut self.net, ev, end) {
+            Some(Progress::Log) => self.after_progress(r),
+            Some(Progress::Lease(lease)) => self.extend(lease),
+            None => {}
         }
     }
 
     /// Process one event if it is due at or before `t`; otherwise advance
     /// the clock to `t` and return false.
     fn pump_step_until(&mut self, t: SimTime) -> bool {
-        match self.queue.peek_time() {
+        match self.net.queue.peek_time() {
             Some(at) if at <= t => self.step(),
             _ => {
-                self.now = self.now.max(t);
+                self.net.now = self.net.now.max(t);
                 false
             }
         }
@@ -609,7 +844,7 @@ impl BrainCluster {
     }
 
     // ------------------------------------------------------------------
-    // Log progress: canon extension + state-machine application
+    // The canon: extension, application, compaction, catch-up
     // ------------------------------------------------------------------
 
     fn after_progress(&mut self, r: ReplicaId) {
@@ -620,7 +855,7 @@ impl BrainCluster {
             self.canon.push_back(v);
         }
         let held = self.canon.len() as u64;
-        self.summary.log_slots_max = self.summary.log_slots_max.max(held);
+        self.net.summary.log_slots_max = self.net.summary.log_slots_max.max(held);
         self.members[m].apply_ready();
     }
 
@@ -634,7 +869,7 @@ impl BrainCluster {
             .back()
             .map_or(self.canon_base, |&(_, w)| w);
         if low > marked {
-            self.applied_marks.push_back((self.now, low));
+            self.applied_marks.push_back((self.net.now, low));
         }
     }
 
@@ -646,13 +881,18 @@ impl BrainCluster {
     fn compact(&mut self) {
         let mut floor = self.canon_base;
         while let Some(&(at, w)) = self.applied_marks.front() {
-            if at + CLIENT_TIMEOUT > self.now {
+            if at + CLIENT_TIMEOUT > self.net.now {
                 break;
             }
             floor = w;
             self.applied_marks.pop_front();
         }
         for slot in self.canon_base..floor {
+            // `floor` is the slowest replica's apply cursor at some past time,
+            // and the canon holds every slot all replicas decided: the last to
+            // decide one decides it from a delivered message (catch-up learns
+            // only canon slots), and that `after_progress`, or a later one,
+            // extends the canon over it. So the canon holds every slot below.
             let chosen = self
                 .canon
                 .pop_front()
@@ -662,7 +902,7 @@ impl BrainCluster {
                     .decided(slot)
                     .is_some_and(|v| !same_decree(v, &chosen))
                 {
-                    self.summary.log_divergences += 1;
+                    self.net.summary.log_divergences += 1;
                 }
             }
         }
@@ -675,43 +915,30 @@ impl BrainCluster {
     }
 
     fn on_chosen(&mut self, op: &BrainOp) {
-        self.last_decided_at = self.now;
-        match *op {
-            BrainOp::Lease {
-                holder,
-                term,
-                until,
-            } => {
-                let prev = self.canon_lease;
-                let lease = LeaseView {
-                    holder,
-                    term,
-                    until,
-                };
-                if !LeaseView::take(&mut self.canon_lease, lease) {
-                    return;
-                }
-                let new_holder = prev.is_none_or(|p| p.holder != holder);
-                if new_holder {
-                    self.summary.lease_grants += 1;
-                } else {
-                    self.summary.lease_renewals += 1;
-                }
-                if new_holder
-                    && prev.is_some_and(|p| p.live(self.now) && self.members[p.holder as usize].up)
-                {
-                    self.summary.lease_overlaps += 1;
-                }
-                if let Some(t0) = self.crash_pending {
-                    if self.members[holder as usize].up {
-                        self.summary
-                            .failover_ms
-                            .push(self.now.saturating_since(t0).as_millis_f64());
-                        self.crash_pending = None;
-                    }
-                }
-            }
-            _ => self.summary.ops_committed += 1,
+        let now = self.net.now;
+        self.last_decided_at = now;
+        let s = &mut self.net.summary;
+        let Some(lease) = LeaseView::decreed(op) else {
+            s.ops_committed += 1;
+            return;
+        };
+        let prev = self.canon_lease;
+        if !LeaseView::take(&mut self.canon_lease, lease) {
+            return;
+        }
+        let new_holder = prev.is_none_or(|p| p.holder != lease.holder);
+        if new_holder {
+            s.lease_grants += 1;
+        } else {
+            s.lease_renewals += 1;
+        }
+        let up = |r: ReplicaId| self.members[r as usize].up;
+        if new_holder && prev.is_some_and(|p| p.live(now) && up(p.holder)) {
+            s.lease_overlaps += 1;
+        }
+        if let Some(t0) = self.crash_pending.filter(|_| up(lease.holder)) {
+            s.failover_ms.push(now.saturating_since(t0).as_millis_f64());
+            self.crash_pending = None;
         }
     }
 
@@ -734,236 +961,12 @@ impl BrainCluster {
         m.apply_ready();
     }
 
-    // ------------------------------------------------------------------
-    // Lease maintenance + proposal retry (the per-replica wake handler)
-    // ------------------------------------------------------------------
-
-    fn on_wake(&mut self, r: ReplicaId) {
-        if !self.members[r as usize].up {
-            return;
-        }
-        // Every replica learns on its wake: one that missed a `Learn` would
-        // otherwise stand on a log (and a lease) that moved on without it.
-        self.catch_up(r);
-        self.retry_pendings(r);
-        self.lease_maintenance(r);
-        self.send_heartbeats(r);
-        let next = self.next_wake_time(r);
-        self.maybe_wake(r, next);
-    }
-
-    fn retry_pendings(&mut self, r: ReplicaId) {
-        let now = self.now;
-        let ri = r as usize;
-        // Drop pendings whose slot decided (win or lose — losers are
-        // re-proposed in a fresh slot by their originating client loop or
-        // by lease maintenance), and a stand once another holder's live
-        // lease is known: its retries, refused by every replica that holds
-        // that lease, would only outbid the holder's ballots in the stand's
-        // slot, which the holder's next proposal fills.
-        let Member {
-            paxos,
-            lease,
-            pending,
-            ..
-        } = &mut self.members[ri];
-        let deferred = lease.is_some_and(|l| l.holder != r && l.live(now));
-        pending.retain(|p| !(paxos.is_decided(p.slot) || p.stand && deferred));
-        // Retry expired ballots with a bumped minimum round (backoff).
-        let due: Vec<usize> = self.members[ri]
-            .pending
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(i, _)| i)
-            .collect();
-        for i in due {
-            let (slot, value, attempts, stand) = {
-                let p = &mut self.members[ri].pending[i];
-                p.attempts += 1;
-                (p.slot, Arc::clone(&p.value), p.attempts, p.stand)
-            };
-            let jitter = self.rng.range_f64(0.75, 1.5);
-            let delay = CLIENT_TIMEOUT.mul_f64(attempts as f64 * jitter);
-            self.members[ri].pending[i].deadline = now + delay;
-            let min_round = attempts * self.cfg.replicas as u64;
-            let outs = self.members[ri]
-                .paxos
-                .propose_in_slot(slot, value, min_round);
-            self.summary.proposals += 1;
-            self.send_out(r, outs, stand);
-        }
-    }
-
-    /// Whether `r`'s heartbeat round for `l` is still short of a majority.
-    fn round_open(&self, r: ReplicaId, l: LeaseView) -> bool {
-        self.members[r as usize]
-            .round
-            .as_ref()
-            .is_some_and(|rd| rd.lease.term == l.term && rd.lease.until > l.until)
-    }
-
-    /// When `r`, its view expired or empty, may stand for election: after
-    /// the per-rank backoff, so proposers stagger instead of duel, and not
-    /// before a restarted replica has waited one lease.
-    fn stand_at(&self, r: ReplicaId) -> SimTime {
-        let m = &self.members[r as usize];
-        let base = m.lease.map_or(SimTime::ZERO, |l| l.until);
-        (base + TAKEOVER_BACKOFF.mul_f64(r as f64)).max(m.stand_after)
-    }
-
-    fn lease_maintenance(&mut self, r: ReplicaId) {
-        let ri = r as usize;
-        let now = self.now;
-        match self.members[ri].lease {
-            Some(l) if l.holder == r && l.live(now) => {
-                if now + RENEW_MARGIN >= l.until && !self.round_open(r, l) {
-                    self.start_round(r, l);
-                }
-            }
-            Some(l) if l.live(now) => {} // someone else holds a live lease
-            view => {
-                // Expired, lapsed or never granted.
-                let standing = self.members[ri].pending.iter().any(|p| p.stand);
-                if !standing && now >= self.stand_at(r) {
-                    let term = view.map_or(0, |l| l.term) + 1;
-                    let value = Arc::new(BrainOp::Lease {
-                        holder: r,
-                        term,
-                        until: now + LEASE,
-                    });
-                    self.propose(r, value, true);
-                }
-            }
-        }
-    }
-
-    /// Open a heartbeat round asking every follower to hold `l` until
-    /// `now + LEASE`.
-    fn start_round(&mut self, r: ReplicaId, l: LeaseView) {
-        let lease = LeaseView {
-            until: self.now + LEASE,
-            ..l
-        };
-        let mut acked = vec![false; self.members.len()];
-        acked[r as usize] = true;
-        self.members[r as usize].round = Some(Round {
-            lease,
-            acked,
-            resend_at: self.now,
-        });
-        if self.members.len() == 1 {
-            self.extend(lease); // a lone replica is its own majority
-        }
-    }
-
-    /// Send the round's heartbeat to each follower that has not acked it,
-    /// when a send is due; drop the round once `r` no longer holds its term.
-    fn send_heartbeats(&mut self, r: ReplicaId) {
-        let now = self.now;
-        let m = &mut self.members[r as usize];
-        let Some(rd) = &mut m.round else { return };
-        let lease = rd.lease;
-        if m.lease
-            .is_none_or(|l| l.holder != r || l.term != lease.term)
-        {
-            m.round = None;
-            return;
-        }
-        if now < rd.resend_at {
-            return;
-        }
-        rd.resend_at = now + CLIENT_TIMEOUT;
-        for to in 0..self.members.len() {
-            let m = &mut self.members[r as usize];
-            if m.round.as_ref().is_some_and(|rd| !rd.acked[to]) {
-                m.heartbeat_sent = now;
-                let to = to as ReplicaId;
-                self.transmit(r, to, NetEvent::Heartbeat { to, lease });
-            }
-        }
-    }
-
-    fn on_heartbeat_ack(&mut self, from: ReplicaId, lease: LeaseView) {
-        let quorum = self.members.len() / 2 + 1;
-        let Some(rd) = &mut self.members[lease.holder as usize].round else {
-            return;
-        };
-        if rd.lease != lease || rd.acked[from as usize] {
-            return;
-        }
-        rd.acked[from as usize] = true;
-        if rd.acks() == quorum {
-            self.extend(lease);
-        }
-    }
-
-    /// A majority holds `lease`: the holder's view and the canonical lease
-    /// run to its `until` — if the holder's lease still runs. Once it has
-    /// lapsed, followers whose views ran out too may have promised to a
-    /// stand, and a late majority must not revive the lease under it.
+    /// A majority holds `lease` and its holder's view took it: the
+    /// canonical lease runs to it too.
     fn extend(&mut self, lease: LeaseView) {
-        let m = &mut self.members[lease.holder as usize];
-        if !m.lease.is_some_and(|l| l.live(self.now)) {
-            return;
-        }
-        LeaseView::take(&mut m.lease, lease);
         if LeaseView::take(&mut self.canon_lease, lease) {
-            self.summary.lease_extensions += 1;
+            self.net.summary.lease_extensions += 1;
         }
-    }
-
-    /// Start a ballot for `value` on `r`, to be retried from `r`'s wakes
-    /// until its slot decides. The slot is the lowest past the canon that
-    /// `r` has not decided and has no ballot pending in, so a slot whose
-    /// ballot died with a crash or a withdrawn stand is filled by the next
-    /// proposal rather than left a hole below it.
-    fn propose(&mut self, r: ReplicaId, value: Decree, stand: bool) {
-        let end = self.decided_slots();
-        let m = &mut self.members[r as usize];
-        let slot = (end..)
-            .find(|&s| !m.paxos.is_decided(s) && m.pending.iter().all(|p| p.slot != s))
-            .expect("a free slot");
-        let outs = m.paxos.propose_in_slot(slot, Arc::clone(&value), 0);
-        self.summary.proposals += 1;
-        let deadline = self.now + CLIENT_TIMEOUT;
-        self.members[r as usize].pending.push(Pending {
-            slot,
-            value,
-            attempts: 1,
-            deadline,
-            stand,
-        });
-        self.send_out(r, outs, stand);
-        self.maybe_wake(r, deadline);
-    }
-
-    /// The next virtual time at which `r` has lease or retry work to do.
-    fn next_wake_time(&self, r: ReplicaId) -> SimTime {
-        let m = &self.members[r as usize];
-        let mut next = match m.lease {
-            // The holder: the lease lapses while a round is open, else the
-            // next round is due.
-            Some(l) if l.holder == r && l.live(self.now) => {
-                if self.round_open(r, l) {
-                    l.until
-                } else {
-                    l.until - RENEW_MARGIN
-                }
-            }
-            _ => self.stand_at(r),
-        };
-        if let Some(rd) = &m.round {
-            if rd.acks() < rd.acked.len() {
-                next = next.min(rd.resend_at);
-            }
-        }
-        for p in &m.pending {
-            next = next.min(p.deadline);
-        }
-        // Never busy-spin: wake strictly in the future.
-        let floor = self.now + SimDuration::from_millis(10);
-        next.max(floor)
     }
 
     // ------------------------------------------------------------------
@@ -973,16 +976,13 @@ impl BrainCluster {
     /// Current leader per the canonical lease, if alive and unexpired.
     pub fn leader(&self) -> Option<ReplicaId> {
         self.canon_lease
-            .filter(|l| l.live(self.now))
+            .filter(|l| l.live(self.net.now))
             .map(|l| l.holder)
             .filter(|&h| self.members[h as usize].up)
     }
 
     fn lowest_live(&self) -> Option<ReplicaId> {
-        self.members
-            .iter()
-            .position(|m| m.up)
-            .map(|i| i as ReplicaId)
+        (0..).zip(&self.members).find(|(_, m)| m.up).map(|(r, _)| r)
     }
 
     /// Block (in virtual time) until a live leader holds the lease, or
@@ -992,18 +992,18 @@ impl BrainCluster {
             if let Some(h) = self.leader() {
                 if self.client_hint != Some(h) {
                     if self.client_hint.is_some() {
-                        self.summary.redirects += 1;
+                        self.net.summary.redirects += 1;
                     }
                     self.client_hint = Some(h);
                 }
                 return Ok(h);
             }
-            if self.now >= give_up_at {
-                self.summary.give_ups += 1;
+            if self.net.now >= give_up_at {
+                self.net.summary.give_ups += 1;
                 return Err(Error::exhausted("brain cluster has no live leader"));
             }
-            self.summary.client_retries += 1;
-            let wait = self.now + CLIENT_TIMEOUT;
+            self.net.summary.client_retries += 1;
+            let wait = self.net.now + CLIENT_TIMEOUT;
             self.advance_to(wait);
         }
     }
@@ -1035,19 +1035,20 @@ impl BrainCluster {
     ) -> Result<(f64, Option<PathAssignment>)> {
         self.advance_to(now);
         self.compact();
-        let start = self.now;
+        let start = self.net.now;
         let value: Decree = Arc::new(op.clone());
         let base = self.decided_slots();
         let give_up_at = start + CLIENT_TIMEOUT.mul_f64(MAX_ATTEMPTS as f64);
         let committed_slot = loop {
-            if self.now >= give_up_at {
-                self.summary.give_ups += 1;
+            if self.net.now >= give_up_at {
+                self.net.summary.give_ups += 1;
                 return Err(Error::exhausted("brain cluster replicate timed out"));
             }
             let h = self.await_leader(give_up_at)?;
             self.catch_up(h);
-            self.propose(h, Arc::clone(&value), false);
-            let wait_until = self.now + CLIENT_TIMEOUT;
+            let end = self.decided_slots();
+            self.members[h as usize].propose(&mut self.net, Arc::clone(&value), false, end);
+            let wait_until = self.net.now + CLIENT_TIMEOUT;
             // Looked for before the first event too: an earlier proposal of
             // this call may have been chosen during the wait for a leader.
             let chosen = loop {
@@ -1058,11 +1059,11 @@ impl BrainCluster {
             };
             match chosen {
                 Some(slot) => break slot,
-                None => self.summary.client_retries += 1,
+                None => self.net.summary.client_retries += 1,
             }
         };
         let rtt_ms = ONE_WAY_DELAY.as_millis_f64() * 2.0;
-        let latency = self.now.saturating_since(start).as_millis_f64() + rtt_ms;
+        let latency = self.net.now.saturating_since(start).as_millis_f64() + rtt_ms;
         let rehome = if matches!(op, BrainOp::RehomeProducer { .. }) {
             let r = self
                 .leader()
@@ -1096,28 +1097,23 @@ impl BrainCluster {
     ) -> Result<(PathAssignment, f64)> {
         self.advance_to(now);
         self.compact();
-        if prefetched {
-            let r = self
-                .lowest_live()
-                .ok_or_else(|| Error::exhausted("no live replica"))?;
-            self.catch_up(r);
-            let t = self.now;
-            let a = self.members[r as usize]
-                .brain
-                .path_request(stream, consumer, t)?;
-            return Ok((a, 0.0));
-        }
-        let start = self.now;
-        let give_up_at = start + CLIENT_TIMEOUT.mul_f64(MAX_ATTEMPTS as f64);
-        let h = self.await_leader(give_up_at)?;
-        self.catch_up(h);
-        let t = self.now;
-        let a = self.members[h as usize]
+        let start = self.net.now;
+        let r = if prefetched {
+            let r = self.lowest_live();
+            r.ok_or_else(|| Error::exhausted("no live replica"))?
+        } else {
+            self.await_leader(start + CLIENT_TIMEOUT.mul_f64(MAX_ATTEMPTS as f64))?
+        };
+        self.catch_up(r);
+        let t = self.net.now;
+        let a = self.members[r as usize]
             .brain
             .path_request(stream, consumer, t)?;
-        let latency =
-            self.now.saturating_since(start).as_millis_f64() + ONE_WAY_DELAY.as_millis_f64() * 2.0;
-        Ok((a, latency))
+        if prefetched {
+            return Ok((a, 0.0));
+        }
+        let waited = self.net.now.saturating_since(start).as_millis_f64();
+        Ok((a, waited + ONE_WAY_DELAY.as_millis_f64() * 2.0))
     }
 
     /// Streams currently produced on `node`, read from a synced replica.
@@ -1151,7 +1147,7 @@ impl BrainCluster {
         m.round = None;
         self.crashed = Some(victim);
         self.crash_pending = Some(self.last_decided_at.max(m.heartbeat_sent));
-        self.summary.leader_crashes += 1;
+        self.net.summary.leader_crashes += 1;
         self.client_hint = None;
         Some(victim)
     }
@@ -1169,12 +1165,13 @@ impl BrainCluster {
         };
         let m = &mut self.members[r as usize];
         m.up = true;
-        m.stand_after = self.now + LEASE;
-        self.summary.restarts += 1;
+        m.stand_after = self.net.now + LEASE;
+        self.net.summary.restarts += 1;
         self.catch_up(r);
-        self.members[r as usize].next_wake = SimTime::MAX;
-        let at = self.now + SimDuration::from_millis(10);
-        self.maybe_wake(r, at);
+        let m = &mut self.members[r as usize];
+        m.next_wake = SimTime::MAX;
+        let at = self.net.now + SimDuration::from_millis(10);
+        m.maybe_wake(&mut self.net, at);
     }
 
     // ------------------------------------------------------------------
@@ -1188,9 +1185,9 @@ impl BrainCluster {
     pub fn finalize(&mut self, horizon: SimTime) -> ReplicationSummary {
         self.advance_to(horizon);
         // Grace window: let in-flight ballots and lease traffic settle.
-        let settle = self.now + LEASE + LEASE;
+        let settle = self.net.now + LEASE + LEASE;
         self.advance_to(settle);
-        let mut summary = self.summary.clone();
+        let mut summary = self.net.summary.clone();
         summary.stale_msgs = self.members.iter().map(|m| m.paxos.stale_msgs()).sum();
         // Safety audit: no replica may have decided a value different
         // from the canonical chosen log in any slot (the compacted ones
@@ -1219,14 +1216,11 @@ impl BrainCluster {
             .unwrap_or(0);
         // Convergence audit: sampled streams must yield identical
         // assignments from every replica's applied state.
-        let sample: Vec<(StreamId, NodeId)> = {
-            let mut s: Vec<(StreamId, NodeId)> =
-                self.members[0].brain.decision().sib.iter().collect();
-            s.sort_unstable();
-            s.truncate(8);
-            s
-        };
-        let t = self.now;
+        let mut sample: Vec<(StreamId, NodeId)> =
+            self.members[0].brain.decision().sib.iter().collect();
+        sample.sort_unstable();
+        sample.truncate(8);
+        let t = self.net.now;
         for (stream, producer) in sample {
             let consumer = self.members[0]
                 .brain
@@ -1261,7 +1255,7 @@ impl BrainCluster {
                 m.brain.decision().last_resort_served,
             );
         }
-        let s = &self.summary;
+        let s = &self.net.summary;
         sink.add(ids::REPLICATION_OPS_COMMITTED, s.ops_committed);
         sink.add(ids::REPLICATION_LEASE_GRANTS, s.lease_grants);
         sink.add(ids::REPLICATION_LEASE_RENEWALS, s.lease_renewals);
@@ -1344,13 +1338,13 @@ mod tests {
         let (mut c, _) = cluster(1);
         c.advance_to(SimTime::from_secs(5));
         assert!(c.leader().is_some());
-        assert!(c.summary.lease_grants >= 1);
+        assert!(c.net.summary.lease_grants >= 1);
         // The lease keeps being extended by heartbeat while the holder is
         // alive, and the log holds the election only.
         c.advance_to(SimTime::from_secs(30));
         assert!(c.leader().is_some());
-        assert!(c.summary.lease_extensions >= 2);
-        assert_eq!(c.summary.lease_renewals, 0);
+        assert!(c.net.summary.lease_extensions >= 2);
+        assert_eq!(c.net.summary.lease_renewals, 0);
         assert_eq!(c.decided_slots(), 1);
     }
 
@@ -1370,14 +1364,29 @@ mod tests {
                 c.replicate(&op, SimTime::from_secs(secs))
                     .expect("a healthy cluster commits");
                 for (r, m) in c.members.iter().enumerate() {
-                    let live = m.lease.is_some_and(|l| l.live(c.now));
-                    assert!(live, "seed {seed}: replica {r}'s view ran out by {}", c.now);
+                    let live = m.lease.is_some_and(|l| l.live(c.net.now));
+                    assert!(
+                        live,
+                        "seed {seed}: replica {r}'s view ran out by {}",
+                        c.net.now
+                    );
                 }
             }
-            assert!(c.summary.msgs_dropped > 0, "seed {seed}: loss never fired");
-            assert_eq!(c.summary.lease_grants, 1, "seed {seed}: {:?}", c.summary);
+            assert!(
+                c.net.summary.msgs_dropped > 0,
+                "seed {seed}: loss never fired"
+            );
+            assert_eq!(
+                c.net.summary.lease_grants, 1,
+                "seed {seed}: {:?}",
+                c.net.summary
+            );
             // Compaction keeps the log at a slot or two all day.
-            assert!(c.summary.log_slots_max <= 2, "seed {seed}: {:?}", c.summary);
+            assert!(
+                c.net.summary.log_slots_max <= 2,
+                "seed {seed}: {:?}",
+                c.net.summary
+            );
             let stale: u64 = c.members.iter().map(|m| m.paxos.stale_msgs()).sum();
             assert_eq!(stale, 0, "seed {seed}");
         }
@@ -1418,21 +1427,21 @@ mod tests {
         c.restart_crashed(SimTime::from_secs(15));
         let r = victim as usize;
         assert!(
-            !c.members[r].lease.is_some_and(|l| l.live(c.now)),
+            !c.members[r].lease.is_some_and(|l| l.live(c.net.now)),
             "the log kept a live lease"
         );
-        let end = c.now + LEASE;
-        while c.queue.peek_time().is_some_and(|t| t <= end) {
+        let end = c.net.now + LEASE;
+        while c.net.queue.peek_time().is_some_and(|t| t <= end) {
             c.step();
             assert!(
                 c.members[r].pending.iter().all(|p| !p.stand),
                 "stood at {}",
-                c.now
+                c.net.now
             );
         }
         let view = c.members[r].lease.expect("a view");
-        assert!(view.holder == holder && view.live(c.now));
-        assert_eq!(c.summary.lease_grants, 2);
+        assert!(view.holder == holder && view.live(c.net.now));
+        assert_eq!(c.net.summary.lease_grants, 2);
     }
 
     #[test]
@@ -1452,9 +1461,9 @@ mod tests {
         assert!(lat > 0.0, "replication must cost virtual time");
         let audit = c.finalize(SimTime::from_secs(10));
         assert_eq!(audit.log_divergences, 0);
-        for r in 0..c.cfg.replicas {
+        for r in 0..c.members.len() {
             assert_eq!(
-                c.members[r as usize].brain.producer_of(s),
+                c.members[r].brain.producer_of(s),
                 Some(nodes[0]),
                 "replica {r} missed the replicated registration"
             );
@@ -1508,8 +1517,8 @@ mod tests {
         let new = c.leader().expect("new leader");
         assert_ne!(new, old, "failover must move leadership");
         assert!(lat > 100.0, "failover read should pay the outage: {lat}");
-        assert_eq!(c.summary.failover_ms.len(), 1);
-        let fo = c.summary.failover_ms[0];
+        assert_eq!(c.net.summary.failover_ms.len(), 1);
+        let fo = c.net.summary.failover_ms[0];
         assert!(fo > 0.0 && fo < 15_000.0, "failover {fo}ms out of bounds");
         // Restart: the victim catches up from the log.
         c.restart_crashed(SimTime::from_secs(20));
@@ -1535,7 +1544,7 @@ mod tests {
         let audit = c.finalize(SimTime::from_secs(60));
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.assignment_mismatches, 0);
-        assert!(c.summary.msgs_dropped > 0, "loss model must have fired");
+        assert!(c.net.summary.msgs_dropped > 0, "loss model must have fired");
     }
 
     /// A minute report whose measurements are NaN: an op that does not equal
@@ -1568,7 +1577,7 @@ mod tests {
         let (op, to) = nan_report(&c, nodes[0], 5);
         c.replicate(&op, SimTime::from_secs(5))
             .expect("recognised by pointer");
-        assert_eq!(c.summary.client_retries, 0);
+        assert_eq!(c.net.summary.client_retries, 0);
         let audit = c.finalize(SimTime::from_secs(10));
         assert_eq!(audit.log_divergences, 0);
         for m in &c.members {
@@ -1604,7 +1613,7 @@ mod tests {
         };
         (5..15).for_each(|secs| report(&mut c, secs));
         let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
-        let held_before_crash = c.summary.log_slots_max;
+        let held_before_crash = c.net.summary.log_slots_max;
         let decided_at_crash = c.decided_slots();
         (15..25).for_each(|secs| report(&mut c, secs));
         let missed = c.decided_slots() as usize - c.members[victim].paxos.decided_count();
@@ -1657,7 +1666,7 @@ mod tests {
             checked = assert_shared(c);
         });
         assert!(missed > 0, "the victim missed nothing while it was down");
-        assert!(c.summary.msgs_dropped > 0 && c.summary.proposals > audit.decided_slots);
+        assert!(c.net.summary.msgs_dropped > 0 && c.net.summary.proposals > audit.decided_slots);
         assert_eq!(audit.log_divergences, 0);
         assert_eq!(audit.min_replica_decided, audit.decided_slots);
         assert!(c.canon_base > 0, "nothing was compacted");
@@ -1719,14 +1728,14 @@ mod tests {
                     stream,
                     producer: nodes[0],
                 };
-                let at = c.now + SimDuration::from_millis(i % 40);
+                let at = c.net.now + SimDuration::from_millis(i % 40);
                 let _ = c.replicate(&op, at);
                 for _ in 0..40 {
-                    let at = c.now + SimDuration::from_millis(1);
+                    let at = c.net.now + SimDuration::from_millis(1);
                     let _ = c.path_request(stream, nodes[1], at, true);
                 }
             }
-            let audit = c.finalize(c.now);
+            let audit = c.finalize(c.net.now);
             assert_eq!(audit.stale_msgs, 0, "seed {seed}");
             assert_eq!(audit.log_divergences, 0, "seed {seed}");
             assert!(c.canon_base > 0, "seed {seed}: nothing was compacted");
@@ -1748,7 +1757,7 @@ mod tests {
                 .expect("a majority is up");
         };
         (5..15).for_each(|secs| register(&mut c, secs));
-        let healthy = c.summary.log_slots_max;
+        let healthy = c.net.summary.log_slots_max;
         assert!(healthy <= 2, "{healthy} slots held with every replica up");
         let victim = c.crash_leader(SimTime::from_secs(15)).expect("victim") as usize;
         (15..45).for_each(|secs| register(&mut c, secs));
@@ -1786,21 +1795,22 @@ mod tests {
         };
         c.replicate(&op(1), SimTime::from_secs(5)).expect("commits");
         let h = c.leader().expect("a leader");
-        c.propose(h, Arc::new(op(2)), false);
+        let end = c.decided_slots();
+        c.members[h as usize].propose(&mut c.net, Arc::new(op(2)), false, end);
         let hole = c.members[h as usize].pending.last().expect("a ballot").slot;
-        c.crash_leader(c.now);
-        c.restart_crashed(c.now + SimDuration::from_millis(500));
+        c.crash_leader(c.net.now);
+        c.restart_crashed(c.net.now + SimDuration::from_millis(500));
         assert_eq!(c.decided_slots(), hole, "the ballot died with the crash");
-        let at = c.now + SimDuration::from_millis(500);
+        let at = c.net.now + SimDuration::from_millis(500);
         c.replicate(&op(3), at).expect("the leader fills the slot");
         assert_eq!(c.leader(), Some(h));
-        assert_eq!(c.summary.lease_grants, 1);
+        assert_eq!(c.net.summary.lease_grants, 1);
     }
 
     /// Pop the next event and advance the clock to it, without handling it.
-    fn pop(c: &mut BrainCluster) -> NetEvent {
-        let (at, ev) = c.queue.pop().expect("wakes are always scheduled");
-        c.now = c.now.max(at);
+    fn pop(c: &mut BrainCluster) -> (ReplicaId, NetEvent) {
+        let (at, ev) = c.net.queue.pop().expect("wakes are always scheduled");
+        c.net.now = c.net.now.max(at);
         ev
     }
 
@@ -1812,28 +1822,31 @@ mod tests {
         let (mut c, nodes) = lossy_cluster(11, 0.0);
         c.advance_to(SimTime::from_secs(5));
         let h = c.leader().expect("a leader");
-        let f = (h + 1) % c.cfg.replicas;
+        let f = (h + 1) % c.members.len() as ReplicaId;
         let op = BrainOp::RegisterStream {
             stream: StreamId::new(1),
             producer: nodes[0],
         };
-        c.propose(h, Arc::new(op), false);
+        let end = c.decided_slots();
+        c.members[h as usize].propose(&mut c.net, Arc::new(op), false, end);
         let slot = c.members[h as usize].pending.last().expect("a ballot").slot;
         loop {
             match pop(&mut c) {
-                NetEvent::Deliver {
+                (
                     to,
-                    msg: PaxosMsg::Learn { slot: s, .. },
-                    ..
-                } if to == f && s == slot => break,
-                ev => c.dispatch(ev),
+                    NetEvent::Deliver {
+                        msg: PaxosMsg::Learn { slot: s, .. },
+                        ..
+                    },
+                ) if to == f && s == slot => break,
+                (to, ev) => c.dispatch(to, ev),
             }
         }
         assert!(c.members[f as usize].paxos.decided(slot).is_none());
         loop {
-            let ev = pop(&mut c);
-            let wake = matches!(ev, NetEvent::Wake { replica } if replica == f);
-            c.dispatch(ev);
+            let (to, ev) = pop(&mut c);
+            let wake = matches!(ev, NetEvent::Wake) && to == f;
+            c.dispatch(to, ev);
             if wake {
                 break;
             }
@@ -1842,17 +1855,17 @@ mod tests {
             c.members[f as usize].applied > slot,
             "the gap outlived a wake"
         );
-        let end = c.now + SimDuration::from_millis(60_000);
-        while c.queue.peek_time().is_some_and(|t| t <= end) {
+        let end = c.net.now + SimDuration::from_millis(60_000);
+        while c.net.queue.peek_time().is_some_and(|t| t <= end) {
             c.step();
             let view = c.members[f as usize].lease.expect("a view");
             assert!(
-                view.holder == h && view.live(c.now),
+                view.holder == h && view.live(c.net.now),
                 "{view:?} at {}",
-                c.now
+                c.net.now
             );
         }
-        assert_eq!(c.summary.lease_grants, 1);
+        assert_eq!(c.net.summary.lease_grants, 1);
     }
 
     proptest! {
@@ -1910,5 +1923,182 @@ mod tests {
         // Counters, decided slots and failover latencies, to the bit.
         let (s1, s2) = (run(9), run(9));
         assert!(s1.bit_identical(&s2), "{s1:?} != {s2:?}");
+    }
+
+    // One member, driven through `handle` and `wake` on a network of its
+    // own. Each test below pins one lease rule; for three of them (extend
+    // only a running lease, withdraw a stand, drop a lost round) it is the
+    // only test that fails when the rule is deleted.
+
+    /// Replica `id` of three on a tiny topology, and a lossless network.
+    fn member(id: ReplicaId) -> (Member, Net) {
+        let g = GeoTopology::generate(&GeoConfig::tiny(1));
+        let brain = StreamingBrain::new(g.topology, BrainConfig::default());
+        let cfg = ClusterConfig {
+            msg_loss: 0.0,
+            ..ClusterConfig::default()
+        };
+        (Member::new(id, cfg.replicas, brain), Net::new(&cfg))
+    }
+
+    /// Take everything off the network, in delivery order: what the member
+    /// sent, and its wake. The queue is swapped, not popped, so its clock
+    /// stays behind `net.now`.
+    fn sent(net: &mut Net) -> Vec<(ReplicaId, NetEvent)> {
+        let mut queue = std::mem::replace(&mut net.queue, EventQueue::new());
+        std::iter::from_fn(|| queue.pop().map(|(_, ev)| ev)).collect()
+    }
+
+    fn lease(holder: ReplicaId, term: u64, until: SimTime) -> LeaseView {
+        LeaseView {
+            holder,
+            term,
+            until,
+        }
+    }
+
+    /// The holder opens a round inside `RENEW_MARGIN`; a majority that
+    /// acks before its lease lapses extends it, one that acks after does
+    /// not revive it.
+    #[test]
+    fn a_majority_extends_only_a_running_lease() {
+        let ms = SimTime::from_millis;
+        for (acked_at, extended) in [(2_900, true), (3_000, false)] {
+            let (mut m, mut net) = member(0);
+            m.lease = Some(lease(0, 1, ms(3_000)));
+            net.now = ms(2_500);
+            assert_eq!(m.wake(&mut net, 1), None, "one ack of three");
+            let round = m.round.as_ref().expect("a round").lease;
+            assert_eq!(round.until, ms(2_500) + LEASE);
+            net.now = ms(acked_at);
+            let ack = NetEvent::HeartbeatAck {
+                from: 1,
+                lease: round,
+            };
+            let got = m.handle(&mut net, ack, 1);
+            let until = m.lease.expect("a view").until;
+            if extended {
+                assert_eq!((got, until), (Some(Progress::Lease(round)), round.until));
+            } else {
+                assert_eq!((got, until), (None, ms(3_000)), "revived at {acked_at} ms");
+            }
+        }
+    }
+
+    /// Without a view, replica `id` stands `id × TAKEOVER_BACKOFF` after
+    /// the lease it knew expired, so the three do not duel.
+    #[test]
+    fn replicas_stand_in_rank_order() {
+        let until = SimTime::from_secs(3);
+        for id in 0..3 {
+            let (mut m, mut net) = member(id);
+            m.lease = Some(lease(0, 1, until));
+            net.now = until;
+            m.wake(&mut net, 1);
+            let standing = |m: &Member| m.pending.iter().any(|p| p.stand);
+            assert_eq!(standing(&m), id == 0, "replica {id} at the expiry");
+            let turn = until + TAKEOVER_BACKOFF.mul_f64(f64::from(id));
+            if id > 0 {
+                assert_eq!(m.next_wake, turn);
+                net.now = turn;
+                m.wake(&mut net, 1);
+                assert!(standing(&m), "replica {id} on its turn");
+            }
+        }
+    }
+
+    /// A replica that holds a live lease for another holder answers no
+    /// stand's `Prepare`; a `Prepare` that is not a stand it answers.
+    #[test]
+    fn a_live_lease_refuses_a_stand() {
+        let (mut m, mut net) = member(1);
+        m.lease = Some(lease(0, 1, SimTime::from_secs(3)));
+        net.now = SimTime::from_secs(1);
+        let deliver = |stand| NetEvent::Deliver {
+            from: 2,
+            msg: PaxosMsg::Prepare {
+                slot: 0,
+                ballot: crate::paxos::Ballot {
+                    round: 1,
+                    proposer: 2,
+                },
+            },
+            stand,
+        };
+        assert_eq!(m.handle(&mut net, deliver(true), 0), None);
+        assert!(sent(&mut net).is_empty(), "promised to a stand");
+        assert_eq!(m.handle(&mut net, deliver(false), 0), Some(Progress::Log));
+        assert_eq!(sent(&mut net).len(), 1, "no promise");
+    }
+
+    /// A stander that hears a live holder's heartbeat drops its ballot
+    /// instead of retrying it against the holder.
+    #[test]
+    fn a_stand_withdraws_once_it_hears_a_live_lease() {
+        let (mut m, mut net) = member(2);
+        net.now = SimTime::ZERO + TAKEOVER_BACKOFF.mul_f64(2.0);
+        m.wake(&mut net, 0);
+        assert!(m.pending.iter().any(|p| p.stand), "no stand");
+        sent(&mut net);
+        let heartbeat = NetEvent::Heartbeat {
+            lease: lease(0, 1, net.now + LEASE),
+        };
+        assert_eq!(m.handle(&mut net, heartbeat, 0), None);
+        net.now += CLIENT_TIMEOUT;
+        m.wake(&mut net, 0);
+        assert!(
+            m.pending.is_empty(),
+            "the stand outlived the lease it heard"
+        );
+        let retried = sent(&mut net)
+            .into_iter()
+            .any(|(_, ev)| matches!(ev, NetEvent::Deliver { stand: true, .. }));
+        assert!(!retried, "the stand was retried");
+    }
+
+    /// Once another replica's heartbeat of a newer term is taken, the old
+    /// holder sends its own round's heartbeats no more.
+    #[test]
+    fn a_holder_drops_its_round_once_its_term_is_lost() {
+        let ms = SimTime::from_millis;
+        let (mut m, mut net) = member(0);
+        m.lease = Some(lease(0, 1, ms(3_000)));
+        net.now = ms(2_500);
+        m.wake(&mut net, 1);
+        assert!(m.round.is_some(), "no round");
+        sent(&mut net);
+        let heartbeat = NetEvent::Heartbeat {
+            lease: lease(1, 2, ms(2_500) + LEASE),
+        };
+        m.handle(&mut net, heartbeat, 1);
+        net.now = ms(2_500) + CLIENT_TIMEOUT;
+        m.wake(&mut net, 1);
+        assert!(m.round.is_none(), "the round outlived its term");
+        let beats = sent(&mut net)
+            .into_iter()
+            .any(|(_, ev)| matches!(ev, NetEvent::Heartbeat { .. }));
+        assert!(!beats, "heartbeats for a lost term");
+    }
+
+    /// A proposal takes the lowest slot past the canon that holds neither a
+    /// decision nor a ballot, so a ballot lost with a crash leaves no hole.
+    #[test]
+    fn a_proposal_fills_the_lowest_free_slot() {
+        let (mut m, mut net) = member(0);
+        let decree = |term| {
+            Arc::new(BrainOp::Lease {
+                holder: 0,
+                term,
+                until: SimTime::ZERO,
+            })
+        };
+        let slots = |m: &Member| m.pending.iter().map(|p| p.slot).collect::<Vec<_>>();
+        m.propose(&mut net, decree(1), false, 0);
+        m.propose(&mut net, decree(2), false, 0);
+        assert_eq!(slots(&m), [0, 1]);
+        m.pending.clear(); // a crash: the ballots die with the proposer
+        m.propose(&mut net, decree(3), false, 0);
+        m.propose(&mut net, decree(4), false, 5);
+        assert_eq!(slots(&m), [0, 5]);
     }
 }
