@@ -74,10 +74,7 @@ mod tests {
             Error::decode("bad RTP header").to_string(),
             "decode error: bad RTP header"
         );
-        assert_eq!(
-            Error::not_found("st42").to_string(),
-            "not found: st42"
-        );
+        assert_eq!(Error::not_found("st42").to_string(), "not found: st42");
         assert_eq!(
             Error::invalid_config("zero node capacity").to_string(),
             "invalid config: zero node capacity"

@@ -72,7 +72,11 @@ impl<E> EventQueue<E> {
     /// Scheduling in the past is a logic error; the event is clamped to
     /// `now` so time never goes backwards, and debug builds assert.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: {at} < {}",
+            self.now
+        );
         let at = at.max(self.now);
         self.heap.push(Reverse((at, self.seq, EventSlot(event))));
         self.seq += 1;

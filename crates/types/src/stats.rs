@@ -86,8 +86,7 @@ impl OnlineStats {
         let n = self.n + other.n;
         let delta = other.mean - self.mean;
         let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 =
-            self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
+        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
         self.n = n;
         self.mean = mean;
         self.m2 = m2;

@@ -261,7 +261,10 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(SimTime::from_secs(2), SimTime::from_millis(2000));
         assert_eq!(SimDuration::from_millis(5), SimDuration::from_micros(5000));
-        assert_eq!(SimDuration::from_secs_f64(0.25), SimDuration::from_millis(250));
+        assert_eq!(
+            SimDuration::from_secs_f64(0.25),
+            SimDuration::from_millis(250)
+        );
     }
 
     #[test]
