@@ -65,7 +65,9 @@ impl FixedHistogram {
     /// stray NaN cannot poison determinism.
     pub fn observe(&mut self, value: f64) {
         let v = if value.is_finite() { value } else { 0.0 };
-        let fp = (v * FIXED_POINT_SCALE).round().clamp(i64::MIN as f64, i64::MAX as f64) as i64;
+        let fp = (v * FIXED_POINT_SCALE)
+            .round()
+            .clamp(i64::MIN as f64, i64::MAX as f64) as i64;
         let idx = self
             .bounds
             .iter()

@@ -88,14 +88,11 @@ pub mod ids {
     /// Parked downstream RTX waiters evicted unserved (reset purge + TTL).
     pub const NODE_RTX_PENDING_EXPIRED: MetricId = MetricId("node.rtx_pending_expired");
     /// Sequences re-NACKed to an alternate supplier after a cache miss.
-    pub const NODE_RTX_ALTERNATE_REQUESTS: MetricId =
-        MetricId("node.rtx_alternate_requests");
+    pub const NODE_RTX_ALTERNATE_REQUESTS: MetricId = MetricId("node.rtx_alternate_requests");
     /// Holes recovered by an alternate supplier's retransmission.
-    pub const NODE_RTX_ALTERNATE_RECOVERED: MetricId =
-        MetricId("node.rtx_alternate_recovered");
+    pub const NODE_RTX_ALTERNATE_RECOVERED: MetricId = MetricId("node.rtx_alternate_recovered");
     /// Cache-missed sequences with no live alternate supplier to chase.
-    pub const NODE_RTX_ALTERNATE_EXHAUSTED: MetricId =
-        MetricId("node.rtx_alternate_exhausted");
+    pub const NODE_RTX_ALTERNATE_EXHAUSTED: MetricId = MetricId("node.rtx_alternate_exhausted");
     /// Duplicate packets suppressed.
     pub const NODE_DUPLICATES: MetricId = MetricId("node.duplicates");
     /// Subscriptions received from downstream.
@@ -218,8 +215,7 @@ pub mod ids {
     pub const TRANSPORT_TX_BYTES: MetricId = MetricId("transport.tx_bytes");
     /// Datagrams dropped because the source address is neither a known
     /// peer nor an attached client.
-    pub const TRANSPORT_UNKNOWN_SOURCE_DROPS: MetricId =
-        MetricId("transport.unknown_source_drops");
+    pub const TRANSPORT_UNKNOWN_SOURCE_DROPS: MetricId = MetricId("transport.unknown_source_drops");
     /// Datagrams dropped because they exceeded the configured receive
     /// buffer (`NodeConfig::max_datagram_bytes`) and were truncated.
     pub const TRANSPORT_RECV_TRUNCATED: MetricId = MetricId("transport.recv_truncated");

@@ -352,6 +352,9 @@ mod tests {
     fn empty_snapshot_serializes() {
         let s = Snapshot::default();
         assert!(s.is_empty());
-        assert_eq!(s.to_json(), "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"hists\": {}\n}");
+        assert_eq!(
+            s.to_json(),
+            "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"hists\": {}\n}"
+        );
     }
 }
