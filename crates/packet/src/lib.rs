@@ -22,6 +22,8 @@ pub mod frame;
 pub mod rtcp;
 pub mod rtp;
 
-pub use frame::{frag_is_start, frag_meta, Depacketizer, FrameAssembly, Packetizer, ReassembledFrame};
+pub use frame::{
+    frag_is_start, frag_meta, Depacketizer, FrameAssembly, Packetizer, ReassembledFrame,
+};
 pub use rtcp::{Nack, ReceiverReport, Remb, RtcpPacket, RtxMiss};
 pub use rtp::{MediaKind, RtpHeader, RtpPacket, DELAY_EXT_ID, MTU, RTP_CLOCK_HZ};

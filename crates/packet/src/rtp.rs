@@ -103,7 +103,7 @@ impl RtpPacket {
             // RFC 8285 one-byte header: profile 0xBEDE, length in 32-bit words.
             buf.put_u16(0xBEDE);
             buf.put_u16(2); // 8 bytes of extension data = 2 words
-            // One-byte element: ID=DELAY_EXT_ID, len-1=5 (6 data bytes).
+                            // One-byte element: ID=DELAY_EXT_ID, len-1=5 (6 data bytes).
             buf.put_u8((DELAY_EXT_ID << 4) | 5);
             // 48-bit microsecond delay value.
             let us = delay.as_micros().min((1 << 48) - 1);
@@ -118,7 +118,10 @@ impl RtpPacket {
     /// Decode from wire bytes.
     pub fn decode(mut buf: Bytes) -> Result<RtpPacket> {
         if buf.len() < MIN_HEADER_LEN {
-            return Err(Error::decode(format!("RTP packet too short: {}", buf.len())));
+            return Err(Error::decode(format!(
+                "RTP packet too short: {}",
+                buf.len()
+            )));
         }
         let b0 = buf.get_u8();
         if b0 >> 6 != RTP_VERSION {
@@ -163,8 +166,7 @@ impl RtpPacket {
                     if id == DELAY_EXT_ID && len == 6 {
                         let hi = u64::from(ext.get_u16());
                         let lo = u64::from(ext.get_u32());
-                        delay_field =
-                            Some(SimDuration::from_micros((hi << 32) | lo));
+                        delay_field = Some(SimDuration::from_micros((hi << 32) | lo));
                     } else {
                         ext.advance(len);
                     }

@@ -18,7 +18,11 @@ fn arb_header(
 ) -> RtpHeader {
     RtpHeader {
         marker,
-        kind: if pt_audio { MediaKind::Audio } else { MediaKind::Video },
+        kind: if pt_audio {
+            MediaKind::Audio
+        } else {
+            MediaKind::Video
+        },
         seq: SeqNo(seq),
         timestamp: ts,
         ssrc: Ssrc(ssrc),
