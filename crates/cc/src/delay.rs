@@ -89,8 +89,8 @@ impl TrendlineEstimator {
         let first = *self.first_arrival.get_or_insert(arrival);
         let x = arrival.saturating_since(first).as_millis_f64();
         self.accumulated_delay_ms += delay_gradient_ms;
-        self.smoothed_delay_ms = SMOOTHING * self.smoothed_delay_ms
-            + (1.0 - SMOOTHING) * self.accumulated_delay_ms;
+        self.smoothed_delay_ms =
+            SMOOTHING * self.smoothed_delay_ms + (1.0 - SMOOTHING) * self.accumulated_delay_ms;
         self.history.push_back((x, self.smoothed_delay_ms));
         if self.history.len() > TRENDLINE_WINDOW {
             self.history.pop_front();
@@ -160,7 +160,11 @@ impl OveruseDetector {
         // Threshold adaptation (clamped so it cannot run away).
         if let Some(last) = self.last_update {
             let dt_ms = now.saturating_since(last).as_millis_f64().min(100.0);
-            let k = if m.abs() < self.threshold { K_DOWN } else { K_UP };
+            let k = if m.abs() < self.threshold {
+                K_DOWN
+            } else {
+                K_UP
+            };
             self.threshold += dt_ms * k * (m.abs() - self.threshold);
             self.threshold = self.threshold.clamp(6.0, 600.0);
         }
@@ -265,9 +269,7 @@ impl DelayBasedEstimator {
         }
 
         match &mut self.current_group {
-            Some(g)
-                if departure.saturating_since(g.first_departure) <= BURST_WINDOW =>
-            {
+            Some(g) if departure.saturating_since(g.first_departure) <= BURST_WINDOW => {
                 g.last_departure = g.last_departure.max(departure);
                 g.last_arrival = g.last_arrival.max(arrival);
                 g.size_bytes += size as u64;
@@ -275,8 +277,10 @@ impl DelayBasedEstimator {
             _ => {
                 // Close the current group and compute the gradient vs prev.
                 if let (Some(prev), Some(cur)) = (self.prev_group, self.current_group) {
-                    let arrival_delta =
-                        cur.last_arrival.saturating_since(prev.last_arrival).as_millis_f64();
+                    let arrival_delta = cur
+                        .last_arrival
+                        .saturating_since(prev.last_arrival)
+                        .as_millis_f64();
                     let departure_delta = cur
                         .last_departure
                         .saturating_since(prev.last_departure)
@@ -453,7 +457,11 @@ mod tests {
         assert!(e.estimate() <= Bandwidth::from_kbps(110));
         for i in 500..1000 {
             let dep = SimTime::from_millis(10 * i);
-            e.on_packet(dep, dep + SimDuration::from_millis(20 + 3 * (i - 500)), 1200);
+            e.on_packet(
+                dep,
+                dep + SimDuration::from_millis(20 + 3 * (i - 500)),
+                1200,
+            );
         }
         assert!(e.estimate() >= Bandwidth::from_kbps(90));
     }

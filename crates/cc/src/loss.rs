@@ -113,7 +113,7 @@ mod tests {
         // 200 ms hold started by the increase.
         c.on_loss_report(SimTime::from_millis(1050), 0.2);
         assert_eq!(c.rate(), Bandwidth::from_kbps(945)); // 1050 * 0.9
-        // The decrease restarts the hold for subsequent increases.
+                                                         // The decrease restarts the hold for subsequent increases.
         c.on_loss_report(SimTime::from_millis(1100), 0.0);
         assert_eq!(c.rate(), Bandwidth::from_kbps(945));
     }

@@ -141,11 +141,7 @@ impl<T> Pacer<T> {
     fn head_gain(&self) -> f64 {
         // Audio & retransmissions also benefit from the boost if an I frame
         // is next in the video queue — the gain exists to drain the queue.
-        let iframe_at_head = self
-            .video
-            .front()
-            .map(|p| p.is_iframe)
-            .unwrap_or(false);
+        let iframe_at_head = self.video.front().map(|p| p.is_iframe).unwrap_or(false);
         if iframe_at_head {
             self.config.iframe_gain
         } else {
