@@ -75,7 +75,7 @@ impl StreamingBrain {
     /// the last recompute's timestamp, so the 10-minute periodic schedule
     /// is unaffected). This replaces the removed `topology_mut` accessor,
     /// which let callers edit links/nodes while stale paths kept serving.
-    pub fn update_topology<R>(&mut self, f: impl FnOnce(&mut Topology) -> R) -> R {
+    pub(crate) fn update_topology<R>(&mut self, f: impl FnOnce(&mut Topology) -> R) -> R {
         let out = f(&mut self.topology);
         let at = self.last_recompute.unwrap_or(SimTime::ZERO);
         self.force_recompute(at);

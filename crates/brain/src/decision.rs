@@ -46,7 +46,7 @@ pub struct PathAssignment {
 
 impl PathAssignment {
     /// Wrap a decision-layer lookup into the unified shape.
-    pub fn from_lookup(stream: StreamId, consumer: NodeId, lookup: PathLookup) -> Self {
+    pub(crate) fn from_lookup(stream: StreamId, consumer: NodeId, lookup: PathLookup) -> Self {
         let producer = lookup
             .paths
             .first()
@@ -72,27 +72,6 @@ impl PathAssignment {
     /// Overlay hops of the best candidate.
     pub fn hops(&self) -> usize {
         self.best().hops()
-    }
-
-    /// The nodes that can serve retransmissions to the consumer: the
-    /// penultimate hop of each candidate path (the neighbor that would
-    /// feed the consumer on that path), deduplicated, best path first.
-    /// The consumer installs every candidate via `install_paths`, so each
-    /// entry here is an alternate upstream its multi-supplier RTX path
-    /// may re-NACK when the primary's packet cache misses.
-    pub fn rtx_suppliers(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for p in &self.paths {
-            let n = &p.nodes;
-            if n.len() < 2 || n.last() != Some(&self.consumer) {
-                continue;
-            }
-            let hop = n[n.len() - 2];
-            if hop != self.consumer && !out.contains(&hop) {
-                out.push(hop);
-            }
-        }
-        out
     }
 }
 
@@ -121,7 +100,7 @@ impl PathDecision {
     ///
     /// `routing` and `topology` supply the constraint predicate and the
     /// last-resort construction.
-    pub fn get_path(
+    pub(crate) fn get_path(
         &mut self,
         stream: StreamId,
         consumer: NodeId,
@@ -280,29 +259,6 @@ mod tests {
         assert_eq!(r.paths[0].hops(), 2);
         assert!(lrs.contains(&r.paths[0].nodes[1]));
         assert_eq!(f.decision.last_resort_served, 1);
-    }
-
-    #[test]
-    fn rtx_suppliers_are_unique_penultimate_hops_best_first() {
-        let mut f = fixture(6);
-        let s = StreamId::new(5);
-        f.decision.sib.register(s, f.nodes[0]);
-        let consumer = f.nodes[4];
-        let lookup = f
-            .decision
-            .get_path(s, consumer, &f.routing, &f.topology, SimTime::ZERO)
-            .unwrap();
-        let assign = PathAssignment::from_lookup(s, consumer, lookup);
-        let sups = assign.rtx_suppliers();
-        assert!(!sups.is_empty());
-        // Best path's feeder leads the list.
-        let best = assign.best();
-        assert_eq!(sups[0], best.nodes[best.nodes.len() - 2]);
-        // Unique, never the consumer itself.
-        let mut dedup = sups.clone();
-        dedup.dedup();
-        assert_eq!(dedup, sups);
-        assert!(!sups.contains(&consumer));
     }
 
     #[test]

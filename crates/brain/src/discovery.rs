@@ -9,11 +9,10 @@
 use crate::pib::Pib;
 use livenet_topology::{NodeReport, Topology, OVERLOAD_TARGET};
 use livenet_types::{NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An overload alarm raised by a node outside the periodic report cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadAlarm {
     /// The node itself crossed the target.
     Node(NodeId),
@@ -136,7 +135,7 @@ impl GlobalDiscovery {
     }
 
     /// Handle an explicit real-time overload alarm: invalidate PIB paths.
-    pub fn handle_alarm(&mut self, alarm: OverloadAlarm, pib: &mut Pib) -> usize {
+    pub(crate) fn handle_alarm(&mut self, alarm: OverloadAlarm, pib: &mut Pib) -> usize {
         self.alarms_handled += 1;
         let removed = match alarm {
             OverloadAlarm::Node(n) => pib.invalidate_node(n),

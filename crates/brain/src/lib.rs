@@ -5,13 +5,13 @@
 //! * [`discovery`] — **Global Discovery**: absorbs 1-minute node reports
 //!   into the global view and turns real-time overload alarms into PIB
 //!   invalidations;
-//! * [`routing`] — **Global Routing**: every 10 minutes, computes the K=3
+//! * `routing` — **Global Routing**: every 10 minutes, computes the K=3
 //!   shortest paths between every pair of nodes over the abstracted link
 //!   weights (Eq. 2–3), then filters paths violating the constraints
 //!   (≤ 3 hops, no overloaded links/nodes);
-//! * [`pib`] — the **Path Information Base**, one flat table per routing
+//! * `pib` — the **Path Information Base**, one flat table per routing
 //!   round, and the **Stream Information Base** hash table;
-//! * [`decision`] — **Path Decision**: serves path lookups from consumer
+//! * `decision` — **Path Decision**: serves path lookups from consumer
 //!   nodes (Algorithm 1's `GetPath`), falling back to last-resort paths;
 //! * [`StreamingBrain`] — the facade tying the modules together, including
 //!   stream management and popular-broadcaster path prefetch.
@@ -19,13 +19,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod brain;
-pub mod decision;
+mod brain;
+mod decision;
 pub mod discovery;
-pub mod ksp;
-pub mod pib;
-pub mod routing;
-pub mod weight;
+mod ksp;
+mod pib;
+mod routing;
+mod weight;
 
 pub use brain::{BrainConfig, StreamingBrain};
 pub use decision::{PathAssignment, PathDecision, PathLookup};

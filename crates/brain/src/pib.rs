@@ -7,12 +7,11 @@
 //! one flat table that the 10-minute job rewrites in place (DESIGN.md §2.3).
 
 use livenet_types::{NodeId, SimTime, StreamId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One computed overlay path: the node sequence from producer to consumer
 /// (inclusive), with its abstracted weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverlayPath {
     /// Nodes from producer (first) to consumer (last).
     pub nodes: Vec<NodeId>,
@@ -229,7 +228,7 @@ impl Sib {
     }
 
     /// Remove a finished stream.
-    pub fn unregister(&mut self, stream: StreamId) -> Option<NodeId> {
+    pub(crate) fn unregister(&mut self, stream: StreamId) -> Option<NodeId> {
         self.streams.remove(&stream)
     }
 

@@ -15,11 +15,10 @@ use crate::pib::{position, OverlayPath, Pib};
 use crate::weight::{link_weight, WeightParams};
 use livenet_types::{NodeId, SimTime};
 use livenet_topology::{LinkMetrics, Topology, OVERLOAD_TARGET};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Global Routing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Number of candidate paths per pair (paper: K = 3).
     pub k: usize,
@@ -59,39 +58,8 @@ impl GlobalRouting {
         &self.config
     }
 
-    /// The abstracted weighted graph of the current topology view, for the
-    /// per-pair Yen search ([`Self::compute_pair`]): the same snapshot the
-    /// all-pairs job reads, as adjacency lists.
-    pub fn build_graph(&self, topology: &Topology) -> WeightedGraph {
-        Snapshot::take(topology, &self.config).into_graph()
-    }
-
-    /// Step 1 + step 2 for one pair: K shortest paths, then constraint
-    /// filtering. `now` stamps the resulting paths.
-    pub fn compute_pair(
-        &self,
-        topology: &Topology,
-        graph: &WeightedGraph,
-        src: NodeId,
-        dst: NodeId,
-        now: SimTime,
-    ) -> Vec<OverlayPath> {
-        let (Some(s), Some(d)) = (position(&graph.ids, src), position(&graph.ids, dst)) else {
-            return Vec::new();
-        };
-        self.yen_pair(topology, graph, s, d)
-            .into_iter()
-            .map(|(weight, path)| OverlayPath {
-                nodes: path.into_iter().map(|i| graph.ids[i]).collect(),
-                weight,
-                computed_at: now,
-                last_resort: false,
-            })
-            .collect()
-    }
-
-    /// [`Self::compute_pair`] by position in `graph.ids`: Yen's K that pass
-    /// step 2, best first, as (weight, index path).
+    /// Steps 1 and 2 for one pair by position in `graph.ids`: Yen's K that
+    /// pass step 2, best first, as (weight, index path).
     fn yen_pair(&self, topology: &Topology, graph: &WeightedGraph, s: usize, d: usize) -> Vec<(f64, Vec<usize>)> {
         let mut paths = yen_ksp(graph, s, d, self.config.k, self.config.max_hops);
         paths.retain(|(_, path)| {
@@ -363,6 +331,41 @@ impl TopK {
             at -= 1;
         }
         self.0[at] = (weight, path, len);
+    }
+}
+
+/// The per-pair Yen oracle the tests hold the all-pairs job against.
+#[cfg(test)]
+impl GlobalRouting {
+    /// The abstracted weighted graph of the current topology view, for the
+    /// per-pair Yen search ([`Self::compute_pair`]): the same snapshot the
+    /// all-pairs job reads, as adjacency lists.
+    pub(crate) fn build_graph(&self, topology: &Topology) -> WeightedGraph {
+        Snapshot::take(topology, &self.config).into_graph()
+    }
+
+    /// Step 1 + step 2 for one pair: K shortest paths, then constraint
+    /// filtering. `now` stamps the resulting paths.
+    pub(crate) fn compute_pair(
+        &self,
+        topology: &Topology,
+        graph: &WeightedGraph,
+        src: NodeId,
+        dst: NodeId,
+        now: SimTime,
+    ) -> Vec<OverlayPath> {
+        let (Some(s), Some(d)) = (position(&graph.ids, src), position(&graph.ids, dst)) else {
+            return Vec::new();
+        };
+        self.yen_pair(topology, graph, s, d)
+            .into_iter()
+            .map(|(weight, path)| OverlayPath {
+                nodes: path.into_iter().map(|i| graph.ids[i]).collect(),
+                weight,
+                computed_at: now,
+                last_resort: false,
+            })
+            .collect()
     }
 }
 

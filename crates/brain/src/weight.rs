@@ -15,13 +15,12 @@
 //! percent (that parameterization is what makes f span (1, 2)).
 
 use livenet_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Sigmoid midpoint β as a fraction (paper: 80% → 0.80).
 const BETA: f64 = 0.80;
 
 /// Hyper-parameters of the weight function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightParams {
     /// Sigmoid steepness α (paper: 0.5, on percent-scale utilization).
     pub alpha: f64,

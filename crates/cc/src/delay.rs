@@ -18,7 +18,6 @@
 //!    sender as REMB.
 
 use livenet_types::{Bandwidth, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Departure-time window that groups packets into bursts.
@@ -47,8 +46,8 @@ struct Group {
 }
 
 /// Bandwidth-usage signal from the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BandwidthUsage {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BandwidthUsage {
     /// Queues draining: delay slope significantly negative.
     Underusing,
     /// Stable.
@@ -59,7 +58,7 @@ pub enum BandwidthUsage {
 
 /// Trendline slope estimator over smoothed accumulated delays.
 #[derive(Debug, Clone)]
-pub struct TrendlineEstimator {
+pub(crate) struct TrendlineEstimator {
     history: VecDeque<(f64, f64)>, // (arrival ms since first, smoothed accum delay ms)
     accumulated_delay_ms: f64,
     smoothed_delay_ms: f64,
@@ -74,7 +73,7 @@ impl Default for TrendlineEstimator {
 
 impl TrendlineEstimator {
     /// Empty estimator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TrendlineEstimator {
             history: VecDeque::with_capacity(TRENDLINE_WINDOW + 1),
             accumulated_delay_ms: 0.0,
@@ -85,7 +84,7 @@ impl TrendlineEstimator {
 
     /// Add one inter-group delay gradient sample; returns the current slope
     /// (ms of queuing delay per ms of wall time).
-    pub fn update(&mut self, arrival: SimTime, delay_gradient_ms: f64) -> f64 {
+    pub(crate) fn update(&mut self, arrival: SimTime, delay_gradient_ms: f64) -> f64 {
         let first = *self.first_arrival.get_or_insert(arrival);
         let x = arrival.saturating_since(first).as_millis_f64();
         self.accumulated_delay_ms += delay_gradient_ms;
@@ -99,7 +98,7 @@ impl TrendlineEstimator {
     }
 
     /// Least-squares slope of the stored points (0 until enough samples).
-    pub fn slope(&self) -> f64 {
+    pub(crate) fn slope(&self) -> f64 {
         let n = self.history.len();
         if n < 2 {
             return 0.0;
@@ -124,7 +123,7 @@ impl TrendlineEstimator {
 
 /// Adaptive-threshold over-use detector.
 #[derive(Debug, Clone)]
-pub struct OveruseDetector {
+pub(crate) struct OveruseDetector {
     threshold: f64,
     last_update: Option<SimTime>,
     overusing_since: Option<SimTime>,
@@ -139,7 +138,7 @@ impl Default for OveruseDetector {
 
 impl OveruseDetector {
     /// Detector with the WebRTC initial threshold (12.5 ms).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OveruseDetector {
             threshold: 12.5,
             last_update: None,
@@ -148,14 +147,14 @@ impl OveruseDetector {
         }
     }
 
-    /// Current adaptive threshold γ (exposed for tests/telemetry).
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Feed the modified trend `m = slope * min(samples, 60) * gain` and get
     /// the usage signal.
-    pub fn detect(&mut self, now: SimTime, trend: f64, num_samples: usize) -> BandwidthUsage {
+    pub(crate) fn detect(
+        &mut self,
+        now: SimTime,
+        trend: f64,
+        num_samples: usize,
+    ) -> BandwidthUsage {
         let m = trend * (num_samples.min(60) as f64) * TREND_GAIN * 10.0;
         // Threshold adaptation (clamped so it cannot run away).
         if let Some(last) = self.last_update {
@@ -188,7 +187,7 @@ impl OveruseDetector {
 }
 
 /// AIMD remote-rate-controller state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RateControlState {
     /// Probing upward.
     Increase,
@@ -244,7 +243,7 @@ impl DelayBasedEstimator {
     }
 
     /// Measured incoming rate over the last 500 ms.
-    pub fn incoming_rate(&self, now: SimTime) -> Bandwidth {
+    pub(crate) fn incoming_rate(&self, now: SimTime) -> Bandwidth {
         let horizon = now - SimDuration::from_millis(500);
         let bytes: u64 = self
             .recv_window

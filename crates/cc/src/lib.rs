@@ -6,12 +6,12 @@
 //! sender-side control. This pacing rate will then be passed to the pacer in
 //! the fast path." This crate implements that split from scratch:
 //!
-//! * [`delay`] — the receiver-side delay-based estimator: inter-group delay
+//! * `delay` — the receiver-side delay-based estimator: inter-group delay
 //!   gradient, trendline slope, adaptive-threshold over-use detector, and
 //!   the AIMD remote rate controller (produces REMB values);
-//! * [`loss`] — the sender-side loss-based controller;
+//! * `loss` — the sender-side loss-based controller;
 //! * [`GccSender`] — combines the two into the pacing rate;
-//! * [`pacer`] — the fast path's token-bucket pacer with the paper's
+//! * `pacer` — the fast path's token-bucket pacer with the paper's
 //!   priority rules: audio first (avoid head-of-line blocking), then
 //!   retransmissions, then video, with a pacing gain of 1.5 while an
 //!   I frame is draining.
@@ -19,16 +19,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod delay;
-pub mod loss;
-pub mod pacer;
+mod delay;
+mod loss;
+mod pacer;
 
-pub use delay::{DelayBasedEstimator, OveruseDetector, RateControlState, TrendlineEstimator};
-pub use loss::LossBasedController;
+pub use delay::{DelayBasedEstimator, RateControlState};
 pub use pacer::{PacedPacket, Pacer, PacerConfig, SendPriority};
 
 use livenet_telemetry::{ids, MetricSink};
 use livenet_types::{Bandwidth, SimTime};
+use loss::LossBasedController;
 
 /// How each rate decision moved the pacing rate (telemetry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

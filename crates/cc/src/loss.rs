@@ -11,7 +11,7 @@ use livenet_types::{Bandwidth, SimDuration, SimTime};
 
 /// Loss-based controller state.
 #[derive(Debug, Clone)]
-pub struct LossBasedController {
+pub(crate) struct LossBasedController {
     rate: Bandwidth,
     floor: Bandwidth,
     ceil: Bandwidth,
@@ -20,7 +20,7 @@ pub struct LossBasedController {
 
 impl LossBasedController {
     /// New controller.
-    pub fn new(initial: Bandwidth, floor: Bandwidth, ceil: Bandwidth) -> Self {
+    pub(crate) fn new(initial: Bandwidth, floor: Bandwidth, ceil: Bandwidth) -> Self {
         LossBasedController {
             rate: initial.max(floor).min(ceil),
             floor,
@@ -30,7 +30,7 @@ impl LossBasedController {
     }
 
     /// Current sender-side rate.
-    pub fn rate(&self) -> Bandwidth {
+    pub(crate) fn rate(&self) -> Bandwidth {
         self.rate
     }
 
@@ -40,7 +40,7 @@ impl LossBasedController {
     /// episode the first report after an increase would otherwise be
     /// swallowed and the sender would keep pushing into a lossy path for
     /// another window.
-    pub fn on_loss_report(&mut self, now: SimTime, loss_fraction: f64) {
+    pub(crate) fn on_loss_report(&mut self, now: SimTime, loss_fraction: f64) {
         let fl = loss_fraction.clamp(0.0, 1.0);
         let decrease = fl > 0.10;
         if !decrease {

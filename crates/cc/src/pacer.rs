@@ -14,11 +14,10 @@
 //!    queue quickly (I frames are much larger than P/B frames).
 
 use livenet_types::{Bandwidth, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Transmission priority classes, highest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SendPriority {
     /// Audio: always first.
     Audio,
@@ -44,22 +43,20 @@ pub struct PacedPacket<T> {
 /// Maximum burst the token bucket accumulates, as a time at rate.
 const BURST_WINDOW: SimDuration = SimDuration::from_millis(40);
 
+/// Queue length (packets) after which [`Pacer::is_backlogged`] trips; the
+/// consumer node uses this signal for proactive frame dropping.
+const BACKLOG_THRESHOLD: usize = 64;
+
 /// Pacer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacerConfig {
     /// Pacing gain applied while I-frame packets are draining (paper: 1.5).
     pub iframe_gain: f64,
-    /// Queue length (packets) after which [`Pacer::is_backlogged`] trips;
-    /// the consumer node uses this signal for proactive frame dropping.
-    pub backlog_threshold: usize,
 }
 
 impl Default for PacerConfig {
     fn default() -> Self {
-        PacerConfig {
-            iframe_gain: 1.5,
-            backlog_threshold: 64,
-        }
+        PacerConfig { iframe_gain: 1.5 }
     }
 }
 
@@ -112,7 +109,7 @@ impl<T> Pacer<T> {
     }
 
     /// Packets currently queued.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.audio.len() + self.rtx.len() + self.video.len()
     }
 
@@ -126,7 +123,7 @@ impl<T> Pacer<T> {
     /// True when the queue exceeds the backlog threshold — the signal the
     /// consumer's frame dropper watches.
     pub fn is_backlogged(&self) -> bool {
-        self.queue_len() > self.config.backlog_threshold
+        self.queue_len() > BACKLOG_THRESHOLD
     }
 
     /// Drop queued *video* packets for which `predicate` returns true
@@ -299,14 +296,8 @@ mod tests {
 
     #[test]
     fn backlog_signal_trips_and_clears() {
-        let mut p = Pacer::new(
-            PacerConfig {
-                backlog_threshold: 5,
-                ..Default::default()
-            },
-            Bandwidth::from_mbps(100),
-        );
-        for i in 0..10 {
+        let mut p = Pacer::new(PacerConfig::default(), Bandwidth::from_mbps(100));
+        for i in 0..BACKLOG_THRESHOLD as u32 + 5 {
             p.enqueue(pkt(SendPriority::Video, 100, false, i));
         }
         assert!(p.is_backlogged());

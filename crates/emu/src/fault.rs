@@ -9,10 +9,9 @@
 //! every shard of a partitioned run).
 
 use livenet_types::{DetRng, NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One kind of infrastructure fault the emulator can apply.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The node's process dies: volatile state is lost, pending timers are
     /// cancelled, and all datagrams addressed to it are blackholed until a
@@ -60,7 +59,7 @@ pub enum FaultKind {
 }
 
 /// A fault with its injection time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault is applied.
     pub at: SimTime,
@@ -69,7 +68,7 @@ pub struct FaultEvent {
 }
 
 /// A deterministic script of faults, buildable from config or sampled.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -11,17 +11,17 @@
 //! repo's one event calendar: the fleet simulator, the replicated Brain's
 //! cluster and the wire driver's timers run on it too.
 //!
-//! Hosts are sans-I/O: they receive `(now, event)` and emit [`Action`]s; the
-//! engine performs the actions. This is exactly the structure the tokio
+//! Hosts are sans-I/O: they receive `(now, event)` and request sends and
+//! timers through their [`Ctx`]; the engine performs them. This is exactly the structure the tokio
 //! transport reuses with real sockets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fault;
-pub mod link;
-pub mod sim;
+mod fault;
+mod link;
+mod sim;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::{LinkConfig, LinkStats, LossModel};
-pub use sim::{Action, Ctx, Datagram, Host, NetSim, TimerKey};
+pub use sim::{Ctx, Datagram, Host, NetSim};

@@ -1,10 +1,9 @@
 //! Link models: delay, bandwidth, queueing and loss.
 
 use livenet_types::{Bandwidth, DetRng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Random-loss model for a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
     /// No random loss (queue overflow can still drop).
     None,
@@ -66,7 +65,7 @@ impl LossModel {
 }
 
 /// Static configuration of a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// One-way propagation delay.
     pub delay: SimDuration,
@@ -99,7 +98,7 @@ impl LinkConfig {
 }
 
 /// Per-link transmission counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets accepted and delivered (scheduled for arrival).
     pub delivered: u64,
@@ -119,21 +118,11 @@ impl LinkStats {
     pub fn attempts(&self) -> u64 {
         self.delivered + self.lost_random + self.lost_queue + self.lost_down
     }
-
-    /// Observed loss rate over all attempts.
-    pub fn loss_rate(&self) -> f64 {
-        let a = self.attempts();
-        if a == 0 {
-            0.0
-        } else {
-            (self.lost_random + self.lost_queue + self.lost_down) as f64 / a as f64
-        }
-    }
 }
 
 /// Runtime state of a directed link inside the emulator.
 #[derive(Debug, Clone)]
-pub struct LinkState {
+pub(crate) struct LinkState {
     /// Configuration (mutable: experiments vary loss/bandwidth over time).
     pub config: LinkConfig,
     /// When the transmitter finishes serializing the last accepted packet.
@@ -151,7 +140,7 @@ pub struct LinkState {
 
 /// Outcome of offering one packet to a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
+pub(crate) enum SendOutcome {
     /// Packet will arrive at the far end at the given time.
     Deliver {
         /// Arrival instant at the remote host.
@@ -167,7 +156,7 @@ pub enum SendOutcome {
 
 impl LinkState {
     /// New idle link.
-    pub fn new(config: LinkConfig) -> Self {
+    pub(crate) fn new(config: LinkConfig) -> Self {
         LinkState {
             config,
             busy_until: SimTime::ZERO,
@@ -179,7 +168,7 @@ impl LinkState {
     }
 
     /// Offer a packet of `bytes` bytes at time `now`.
-    pub fn send(&mut self, now: SimTime, bytes: usize, rng: &mut DetRng) -> SendOutcome {
+    pub(crate) fn send(&mut self, now: SimTime, bytes: usize, rng: &mut DetRng) -> SendOutcome {
         // A down link blackholes everything before any RNG is consumed,
         // so an outage window never perturbs the loss-model stream.
         if !self.up {
@@ -232,13 +221,6 @@ impl LinkState {
         self.stats.delivered += 1;
         self.stats.bytes += bytes as u64;
         SendOutcome::Deliver { arrive_at }
-    }
-
-    /// Instantaneous utilization estimate: fraction of the last `window`
-    /// that the transmitter will be busy for, given its current backlog.
-    pub fn utilization(&self, now: SimTime, window: SimDuration) -> f64 {
-        let backlog = self.busy_until.saturating_since(now);
-        (backlog.as_nanos() as f64 / window.as_nanos().max(1) as f64).min(1.0)
     }
 }
 
@@ -318,7 +300,8 @@ mod tests {
             link.send(now, 100, &mut rng);
             now += SimDuration::from_millis(1);
         }
-        let rate = link.stats.loss_rate();
+        let s = link.stats;
+        let rate = (s.attempts() - s.delivered) as f64 / s.attempts() as f64;
         assert!((rate - 0.1).abs() < 0.01, "rate={rate}");
     }
 
@@ -343,7 +326,8 @@ mod tests {
             link.send(now, 100, &mut rng);
             now += SimDuration::from_micros(100);
         }
-        let rate = link.stats.loss_rate();
+        let s = link.stats;
+        let rate = (s.attempts() - s.delivered) as f64 / s.attempts() as f64;
         assert!((rate - model.mean_loss()).abs() < 0.01, "rate={rate}");
     }
 
@@ -353,19 +337,6 @@ mod tests {
             let got = LossModel::bursty(mean).mean_loss();
             assert!((got - mean).abs() < 1e-12, "mean {mean}: got {got}");
         }
-    }
-
-    #[test]
-    fn utilization_reflects_backlog() {
-        let mut link = LinkState::new(cfg());
-        let mut rng = DetRng::seed(1);
-        assert_eq!(link.utilization(SimTime::ZERO, SimDuration::from_millis(10)), 0.0);
-        // Queue 5 ms of serialization work.
-        for _ in 0..5 {
-            link.send(SimTime::ZERO, 1_000, &mut rng);
-        }
-        let u = link.utilization(SimTime::ZERO, SimDuration::from_millis(10));
-        assert!((u - 0.5).abs() < 0.01, "u={u}");
     }
 
     #[test]

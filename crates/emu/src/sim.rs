@@ -11,7 +11,7 @@ use std::collections::{BTreeSet, HashMap};
 const MTU_BYTES: u64 = 1500;
 
 /// An opaque timer key chosen by the host; redelivered on expiry.
-pub type TimerKey = u64;
+pub(crate) type TimerKey = u64;
 
 /// A datagram in flight or delivered.
 #[derive(Debug, Clone)]
@@ -26,7 +26,7 @@ pub struct Datagram {
 
 /// Actions a host can request from the engine.
 #[derive(Debug, Clone)]
-pub enum Action {
+pub(crate) enum Action {
     /// Send a datagram over the direct link to `to` (must exist).
     Send {
         /// Destination host.
@@ -172,11 +172,6 @@ impl<H: Host> NetSim<H> {
         self.links.get_mut(&(from, to)).map(|l| &mut l.config)
     }
 
-    /// Read a link's counters.
-    pub fn link_stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
-        self.links.get(&(from, to)).map(|l| l.stats)
-    }
-
     /// Aggregate counters over all links.
     pub fn total_link_stats(&self) -> LinkStats {
         let mut total = LinkStats::default();
@@ -207,7 +202,7 @@ impl<H: Host> NetSim<H> {
     }
 
     /// Schedule one fault for execution at `at`.
-    pub fn schedule_fault(&mut self, at: SimTime, kind: FaultKind) {
+    pub(crate) fn schedule_fault(&mut self, at: SimTime, kind: FaultKind) {
         self.queue.schedule(at, Event::Fault(kind));
     }
 
@@ -216,11 +211,6 @@ impl<H: Host> NetSim<H> {
         for ev in plan.events() {
             self.schedule_fault(ev.at, ev.kind);
         }
-    }
-
-    /// Whether a node is currently crashed by fault injection.
-    pub fn node_is_down(&self, id: NodeId) -> bool {
-        self.down.contains(&id)
     }
 
     /// Whether a directed link is administratively up (true when absent
@@ -532,7 +522,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let got = sim.host(b).unwrap().received.len();
         assert!(got > 50 && got < 150, "got={got}");
-        let stats = sim.link_stats(a, b).unwrap();
+        let stats = sim.links[&(a, b)].stats;
         assert_eq!(stats.delivered as usize, got);
         assert_eq!(stats.attempts(), 200);
     }
@@ -573,7 +563,7 @@ mod tests {
         sim.with_host(a, |_, ctx| ctx.send(b, Bytes::from_static(b"1")));
         sim.run_until(SimTime::from_millis(150));
         assert_eq!(sim.host(b).unwrap().received.len(), 1);
-        assert!(sim.node_is_down(b));
+        assert!(sim.down.contains(&b));
         // During the outage: blackholed, and with_host refuses the victim.
         sim.with_host(a, |_, ctx| ctx.send(b, Bytes::from_static(b"2")));
         assert!(sim.with_host(b, |_, _| ()).is_none());
@@ -582,7 +572,7 @@ mod tests {
         assert_eq!(sim.fault_drops, 1);
         // After restart: delivered again.
         sim.run_until(SimTime::from_millis(350));
-        assert!(!sim.node_is_down(b));
+        assert!(!sim.down.contains(&b));
         sim.with_host(a, |_, ctx| ctx.send(b, Bytes::from_static(b"3")));
         sim.run_until(SimTime::from_millis(400));
         assert_eq!(sim.host(b).unwrap().received.len(), 2);
@@ -621,7 +611,7 @@ mod tests {
         sim.with_host(a, |_, ctx| ctx.send(b, Bytes::from_static(b"x")));
         sim.run_until(SimTime::from_millis(90));
         assert_eq!(sim.host(b).unwrap().received.len(), 0);
-        assert_eq!(sim.link_stats(a, b).unwrap().lost_down, 1);
+        assert_eq!(sim.links[&(a, b)].stats.lost_down, 1);
         sim.run_until(SimTime::from_millis(110));
         sim.with_host(a, |_, ctx| ctx.send(b, Bytes::from_static(b"y")));
         sim.run_until(SimTime::from_millis(200));
@@ -693,7 +683,7 @@ mod tests {
                 sim.host(a).unwrap().received.len(),
                 sim.host(b).unwrap().received.len(),
                 sim.fault_drops,
-                sim.link_stats(a, b).unwrap().lost_down,
+                sim.links[&(a, b)].stats.lost_down,
             )
         };
         assert_eq!(run(), run());
@@ -717,7 +707,7 @@ mod tests {
         sim.with_host(a, |_, ctx| ctx.send(NodeId::new(99), Bytes::from_static(b"x")));
         sim.run_until(SimTime::from_secs(1));
         let snap = sim.telemetry_snapshot();
-        let stats = sim.link_stats(a, b).unwrap();
+        let stats = sim.links[&(a, b)].stats;
         assert_eq!(snap.counter("emu.delivered"), stats.delivered);
         assert_eq!(snap.counter("emu.lost_random"), stats.lost_random);
         assert_eq!(snap.counter("emu.no_route_drops"), sim.no_route_drops);

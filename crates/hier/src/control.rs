@@ -156,25 +156,28 @@ impl HierController {
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(c, _)| c)
     }
-
-    /// Current number of streams pinned through an L2 (load telemetry —
-    /// the hot-spot effect of §2.3).
-    pub fn l2_stream_load(&self, l2: NodeId) -> u32 {
-        self.l2_load.get(&l2).map(|l| l.streams).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roles::HierRoles;
+    use crate::roles::{HierRoles, Layer};
     use livenet_topology::{GeoConfig, GeoTopology};
 
     fn setup(seed: u64) -> (Topology, HierController, Vec<NodeId>) {
         let g = GeoTopology::generate(&GeoConfig::paper_scale(seed));
         let roles = HierRoles::assign(&g.topology, 2);
-        let l1: Vec<NodeId> = roles.l1_nodes().collect();
+        let l1: Vec<NodeId> = g
+            .topology
+            .node_ids()
+            .filter(|&n| roles.layer(n) == Some(Layer::L1))
+            .collect();
         (g.topology, HierController::new(roles), l1)
+    }
+
+    /// Streams pinned through `l2`.
+    fn streams_on(ctl: &HierController, l2: NodeId) -> u32 {
+        ctl.l2_load.get(&l2).map(|l| l.streams).unwrap_or(0)
     }
 
     #[test]
@@ -220,7 +223,7 @@ mod tests {
             .l2_nodes()
             .to_vec()
             .iter()
-            .map(|&l2| ctl.l2_stream_load(l2))
+            .map(|&l2| streams_on(&ctl, l2))
             .collect();
         let used = loads.iter().filter(|&&l| l > 0).count();
         assert!(used >= 2, "all streams pinned to one L2: {loads:?}");
@@ -232,9 +235,9 @@ mod tests {
         let s = StreamId::new(1);
         ctl.register_stream(&topo, s, l1[0]).unwrap();
         let l2 = ctl.uplink[&s];
-        assert_eq!(ctl.l2_stream_load(l2), 1);
+        assert_eq!(streams_on(&ctl, l2), 1);
         ctl.unregister_stream(s);
-        assert_eq!(ctl.l2_stream_load(l2), 0);
+        assert_eq!(streams_on(&ctl, l2), 0);
         assert!(ctl.producer_of(s).is_none());
     }
 }

@@ -65,14 +65,18 @@ pub fn cdn_path_delay(topology: &Topology, nodes: &[NodeId]) -> Option<SimDurati
 mod tests {
     use super::*;
     use crate::control::HierController;
-    use crate::roles::HierRoles;
+    use crate::roles::{HierRoles, Layer};
     use livenet_topology::{GeoConfig, GeoTopology};
     use livenet_types::{NodeId, StreamId};
 
     fn setup(seed: u64) -> (Topology, HierController, Vec<NodeId>) {
         let g = GeoTopology::generate(&GeoConfig::paper_scale(seed));
         let roles = HierRoles::assign(&g.topology, 2);
-        let l1: Vec<NodeId> = roles.l1_nodes().collect();
+        let l1: Vec<NodeId> = g
+            .topology
+            .node_ids()
+            .filter(|&n| roles.layer(n) == Some(Layer::L1))
+            .collect();
         (g.topology, HierController::new(roles), l1)
     }
 

@@ -17,9 +17,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod control;
-pub mod delay;
-pub mod roles;
+mod control;
+mod delay;
+mod roles;
 
 pub use control::{HierController, HierPath};
 pub use delay::cdn_path_delay;

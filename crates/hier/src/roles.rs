@@ -9,11 +9,10 @@
 
 use livenet_topology::Topology;
 use livenet_types::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A node's fixed layer in Hier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layer {
     /// Edge node serving broadcasters and viewers.
     L1,
@@ -109,14 +108,6 @@ impl HierRoles {
     pub fn centers(&self) -> &[NodeId] {
         &self.centers
     }
-
-    /// All L1 edges.
-    pub fn l1_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.layers
-            .iter()
-            .filter(|(_, l)| **l == Layer::L1)
-            .map(|(n, _)| *n)
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +121,8 @@ mod tests {
         let roles = HierRoles::assign(&g.topology, 2);
         assert_eq!(roles.centers().len(), 2);
         assert!(!roles.l2_nodes().is_empty());
-        assert!(roles.l1_nodes().count() > roles.l2_nodes().len());
+        let l1 = roles.layers.values().filter(|&&l| l == Layer::L1).count();
+        assert!(l1 > roles.l2_nodes().len());
     }
 
     #[test]

@@ -9,13 +9,12 @@
 
 use crate::frame::{EncodedFrame, FrameId, FrameKind};
 use livenet_types::{Bandwidth, SimDuration, SimTime, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// Per-frame encode latency.
 const ENCODE_DELAY: SimDuration = SimDuration::from_millis(20);
 
 /// GoP structure configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GopConfig {
     /// Frames per second.
     pub fps: u32,
@@ -82,7 +81,7 @@ impl GopConfig {
     }
 
     /// Mean frame size in bytes for a target bitrate.
-    pub fn mean_frame_bytes(&self, bitrate: Bandwidth) -> f64 {
+    pub(crate) fn mean_frame_bytes(&self, bitrate: Bandwidth) -> f64 {
         bitrate.as_bps() as f64 / 8.0 / f64::from(self.fps)
     }
 
@@ -209,7 +208,7 @@ pub struct AudioEncoder {
 }
 
 /// Audio frame period: 20 ms, the Opus default.
-pub const AUDIO_FRAME_INTERVAL: SimDuration = SimDuration::from_millis(20);
+pub(crate) const AUDIO_FRAME_INTERVAL: SimDuration = SimDuration::from_millis(20);
 
 impl AudioEncoder {
     /// New audio source; `bitrate` is typically 32–64 kbps.

@@ -1,11 +1,10 @@
 //! Encoded frame model.
 
 use livenet_types::{SimTime, StreamId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of an encoded video frame within its GoP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// Intra-coded keyframe: starts a GoP, required by every later frame.
     I,
@@ -45,23 +44,6 @@ impl FrameKind {
             _ => None,
         }
     }
-
-    /// True when dropping this frame cannot corrupt any other frame.
-    pub fn is_droppable_first(self) -> bool {
-        matches!(self, FrameKind::BUnref)
-    }
-
-    /// Drop priority used by the proactive frame dropper: lower values are
-    /// dropped earlier (BUnref < B < P < I; audio is never dropped).
-    pub fn drop_rank(self) -> u8 {
-        match self {
-            FrameKind::BUnref => 0,
-            FrameKind::B => 1,
-            FrameKind::P => 2,
-            FrameKind::I => 3,
-            FrameKind::Audio => 4,
-        }
-    }
 }
 
 impl fmt::Display for FrameKind {
@@ -78,7 +60,7 @@ impl fmt::Display for FrameKind {
 }
 
 /// Globally unique frame identity: (stream, sequence-within-stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameId {
     /// The stream the frame belongs to.
     pub stream: StreamId,
@@ -96,7 +78,7 @@ impl fmt::Display for FrameId {
 ///
 /// The payload content is synthetic (the emulator only cares about sizes and
 /// timing); `size_bytes` is authoritative and is what the packetizer splits.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedFrame {
     /// Frame identity.
     pub id: FrameId,
@@ -117,22 +99,6 @@ pub struct EncodedFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn drop_rank_ordering_matches_paper_ladder() {
-        // B-unref first, then (referenced) B, then P, then whole GoP (I).
-        assert!(FrameKind::BUnref.drop_rank() < FrameKind::B.drop_rank());
-        assert!(FrameKind::B.drop_rank() < FrameKind::P.drop_rank());
-        assert!(FrameKind::P.drop_rank() < FrameKind::I.drop_rank());
-        assert!(FrameKind::I.drop_rank() < FrameKind::Audio.drop_rank());
-    }
-
-    #[test]
-    fn only_unref_b_is_freely_droppable() {
-        assert!(FrameKind::BUnref.is_droppable_first());
-        assert!(!FrameKind::B.is_droppable_first());
-        assert!(!FrameKind::I.is_droppable_first());
-    }
 
     #[test]
     fn nibble_roundtrips() {

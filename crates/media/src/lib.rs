@@ -18,9 +18,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod encoder;
-pub mod frame;
-pub mod simulcast;
+mod encoder;
+mod frame;
+mod simulcast;
 
 pub use encoder::{AudioEncoder, GopConfig, VideoEncoder};
 pub use frame::{EncodedFrame, FrameId, FrameKind};

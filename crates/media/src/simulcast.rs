@@ -7,10 +7,9 @@
 //! estimated bandwidth, keeping clients "thin" (§7.2).
 
 use livenet_types::{Bandwidth, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// One bitrate version of a broadcast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rendition {
     /// Stream ID carried on the wire for this rendition.
     pub stream: StreamId,
@@ -26,7 +25,7 @@ pub struct Rendition {
 ///
 /// Renditions are kept sorted by descending bitrate; selection walks down the
 /// ladder until a rendition fits the viewer's available bandwidth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimulcastLadder {
     renditions: Vec<Rendition>,
 }

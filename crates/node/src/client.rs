@@ -9,10 +9,9 @@
 
 use livenet_media::{FrameKind, SimulcastLadder};
 use livenet_types::{Bandwidth, ClientId, SimDuration, SimTime, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// Counters for one client's queue policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientQueueStats {
     /// Packets admitted to the client's queue.
     pub admitted: u64,
@@ -96,7 +95,12 @@ impl ClientControl {
     ///
     /// `kind` is the packet's frame kind (None = unknown → always admit);
     /// `backlogged` is the pacer's queue-pressure signal.
-    pub fn admit(&mut self, now: SimTime, kind: Option<FrameKind>, backlogged: bool) -> bool {
+    pub(crate) fn admit(
+        &mut self,
+        now: SimTime,
+        kind: Option<FrameKind>,
+        backlogged: bool,
+    ) -> bool {
         self.update_level(now, backlogged);
 
         let Some(kind) = kind else {
@@ -171,14 +175,14 @@ impl ClientControl {
     /// the consumer should resubscribe this client to a lower bitrate
     /// rendition ("the consumer node will request a lower bitrate stream
     /// version if the sending queue is consistently building up", §5.2).
-    pub fn wants_lower_bitrate(&self, now: SimTime) -> bool {
+    pub(crate) fn wants_lower_bitrate(&self, now: SimTime) -> bool {
         self.drop_level >= LEVEL_P
             && now.saturating_since(self.level_entered_at) >= STEP_DOWN_AFTER
             && self.lower_rendition().is_some()
     }
 
     /// The next rendition down the ladder from the current stream.
-    pub fn lower_rendition(&self) -> Option<StreamId> {
+    pub(crate) fn lower_rendition(&self) -> Option<StreamId> {
         self.ladder
             .as_ref()?
             .step_down(self.stream)
@@ -186,7 +190,7 @@ impl ClientControl {
     }
 
     /// Apply a rendition change (after the consumer resubscribed).
-    pub fn apply_step_down(&mut self, new_stream: StreamId, now: SimTime) {
+    pub(crate) fn apply_step_down(&mut self, new_stream: StreamId, now: SimTime) {
         self.stream = new_stream;
         self.stats.step_downs += 1;
         self.drop_level = LEVEL_NONE;
@@ -198,20 +202,20 @@ impl ClientControl {
     /// Begin a seamless switch to `new_stream` (co-streaming, §5.2). The
     /// consumer keeps forwarding the old stream until a complete GoP of the
     /// new stream is available, then calls [`Self::complete_switch`].
-    pub fn begin_switch(&mut self, new_stream: StreamId) {
+    pub(crate) fn begin_switch(&mut self, new_stream: StreamId) {
         if new_stream != self.stream {
             self.pending_switch = Some(new_stream);
         }
     }
 
     /// The switch target, if one is pending.
-    pub fn pending_switch(&self) -> Option<StreamId> {
+    pub(crate) fn pending_switch(&self) -> Option<StreamId> {
         self.pending_switch
     }
 
     /// Complete a pending switch: the client's forwarding flips to the new
     /// stream with no gap (it has a full GoP buffered).
-    pub fn complete_switch(&mut self) -> Option<StreamId> {
+    pub(crate) fn complete_switch(&mut self) -> Option<StreamId> {
         let new = self.pending_switch.take()?;
         let old = self.stream;
         self.stream = new;

@@ -6,11 +6,10 @@
 //! RTP packet.
 
 use livenet_types::{ClientId, NodeId, StreamId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A downstream subscriber: another overlay node or a local client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Subscriber {
     /// A downstream overlay node.
     Node(NodeId),

@@ -8,32 +8,32 @@
 //!
 //! Layout:
 //!
-//! * [`msg`] — the overlay wire protocol: RTP/RTCP envelopes plus the
+//! * `msg` — the overlay wire protocol: RTP/RTCP envelopes plus the
 //!   subscription control messages that establish reverse paths;
-//! * [`fib`] — the Stream FIB mapping stream → downstream subscribers;
-//! * [`cache`] — the per-stream packet/GoP cache serving retransmissions
+//! * `fib` — the Stream FIB mapping stream → downstream subscribers;
+//! * `cache` — the per-stream packet/GoP cache serving retransmissions
 //!   and fast-startup bursts;
-//! * [`rx`] — slow-path receive state: loss detection (50 ms scans), NACK
+//! * `rx` — slow-path receive state: loss detection (50 ms scans), NACK
 //!   bookkeeping, framing;
-//! * [`client`] — consumer-side per-client control: bitrate selection,
+//! * `client` — consumer-side per-client control: bitrate selection,
 //!   proactive frame dropping, seamless stream switching;
 //! * `stream` — all state of one stream: its upstream subscription, the
 //!   slow-path modules above, cached backup paths, parked RTX requests;
 //! * `peer` — all state of one subscriber (pacer, GCC sender) and of one
 //!   neighboring node (RTT hint, liveness, GCC receiver);
-//! * [`node`] — [`OverlayNode`] itself: configuration, the public API, and
+//! * `node` — [`OverlayNode`] itself: configuration, the public API, and
 //!   the dispatch of datagrams and timers onto those entries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod client;
-pub mod fib;
-pub mod msg;
-pub mod node;
+mod cache;
+mod client;
+mod fib;
+mod msg;
+mod node;
 mod peer;
-pub mod rx;
+mod rx;
 mod stream;
 
 pub use cache::StreamCache;
@@ -44,4 +44,4 @@ pub use node::{
     NodeAction, NodeConfig, NodeEvent, NodeFootprint, NodeStats, OverlayNode, TimerKind,
     LOSS_SCAN_INTERVAL,
 };
-pub use rx::RxState;
+pub use rx::{RxOutcome, RxState};

@@ -209,7 +209,7 @@ impl RxState {
     /// NACKs between suppliers forever.
     ///
     /// [`RtxMiss`]: livenet_packet::RtxMiss
-    pub fn still_missing(&self, seqs: &[SeqNo], retry_limit: u32) -> Vec<SeqNo> {
+    pub(crate) fn still_missing(&self, seqs: &[SeqNo], retry_limit: u32) -> Vec<SeqNo> {
         seqs.iter()
             .copied()
             .filter(|s| {
@@ -224,7 +224,7 @@ impl RxState {
     /// e.g. re-issued to an alternate supplier). Counts against the retry
     /// limit and restarts the retry-interval clock so the next scan does
     /// not immediately duplicate it.
-    pub fn note_nack(&mut self, now: SimTime, seq: SeqNo) {
+    pub(crate) fn note_nack(&mut self, now: SimTime, seq: SeqNo) {
         if let Some(entry) = self.missing.get_mut(&seq.0) {
             entry.nacks_sent += 1;
             entry.last_nack = Some(now);
@@ -238,7 +238,7 @@ impl RxState {
     /// sequence number to report yet, and sending a report claiming
     /// `highest_seq = 0` would tell the upstream we are behind by however
     /// far its own sequence counter has advanced.
-    pub fn rr_stats(&mut self) -> Option<(f64, SeqNo, u32)> {
+    pub(crate) fn rr_stats(&mut self) -> Option<(f64, SeqNo, u32)> {
         let highest = self.highest?;
         let expected = self.expected - self.rr_expected;
         let received = self.received - self.rr_received;

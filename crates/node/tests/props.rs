@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use livenet_media::FrameKind;
-use livenet_node::rx::{RxOutcome, RxState};
+use livenet_node::{RxOutcome, RxState};
 use livenet_node::{StreamCache, StreamFib, Subscriber};
 use livenet_packet::{MediaKind, Packetizer};
 use livenet_types::{ClientId, DetRng, NodeId, SeqNo, SimDuration, SimTime, Ssrc, StreamId};

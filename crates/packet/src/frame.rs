@@ -134,16 +134,9 @@ pub struct ReassembledFrame {
     pub meta: u8,
 }
 
-impl ReassembledFrame {
-    /// Number of RTP packets the frame spanned.
-    pub fn packet_count(&self) -> usize {
-        (self.last_seq.distance(self.first_seq) + 1) as usize
-    }
-}
-
 /// Internal per-frame assembly state, exposed for inspection in tests.
 #[derive(Debug, Clone, Default)]
-pub struct FrameAssembly {
+pub(crate) struct FrameAssembly {
     packets: BTreeMap<u16, RtpPacket>,
 }
 
@@ -292,7 +285,7 @@ mod tests {
         let frames = d.drain();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].payload, payload);
-        assert_eq!(frames[0].packet_count(), 1);
+        assert_eq!(frames[0].first_seq, frames[0].last_seq);
     }
 
     #[test]
@@ -311,7 +304,8 @@ mod tests {
         let frames = d.drain();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].payload, payload);
-        assert_eq!(frames[0].packet_count(), pkts.len());
+        let spanned = frames[0].last_seq.distance(frames[0].first_seq) + 1;
+        assert_eq!(spanned as usize, pkts.len());
     }
 
     #[test]

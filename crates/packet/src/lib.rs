@@ -6,11 +6,11 @@
 //! * an RTP packet model and binary codec ([`rtp`]), including the paper's
 //!   cumulative *delay field* header extension used to measure end-to-end
 //!   streaming delay (§6.1),
-//! * RTCP feedback messages ([`rtcp`]): NACKs for per-hop loss recovery,
+//! * RTCP feedback messages (`rtcp`): NACKs for per-hop loss recovery,
 //!   receiver reports carrying the slow path's loss/delay statistics, and a
 //!   REMB-style bandwidth estimate used by GCC,
 //! * packetization of encoded video frames into MTU-sized RTP packets and
-//!   loss-tolerant reassembly ([`frame`]).
+//!   loss-tolerant reassembly (`frame`).
 //!
 //! Everything here is sans-I/O: codecs operate on [`bytes::Bytes`] buffers and
 //! are driven by the emulator or the tokio transport.
@@ -18,12 +18,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod frame;
-pub mod rtcp;
+mod frame;
+mod rtcp;
 pub mod rtp;
 
-pub use frame::{
-    frag_is_start, frag_meta, Depacketizer, FrameAssembly, Packetizer, ReassembledFrame,
-};
+pub use frame::{frag_is_start, frag_meta, Depacketizer, Packetizer, ReassembledFrame};
 pub use rtcp::{Nack, ReceiverReport, Remb, RtcpPacket, RtxMiss};
-pub use rtp::{MediaKind, RtpHeader, RtpPacket, DELAY_EXT_ID, MTU, RTP_CLOCK_HZ};
+pub use rtp::{MediaKind, RtpHeader, RtpPacket, MTU, RTP_CLOCK_HZ};

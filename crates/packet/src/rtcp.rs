@@ -13,7 +13,6 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use livenet_types::{Error, Result, SeqNo, Ssrc};
-use serde::{Deserialize, Serialize};
 
 const MAGIC: u8 = 0xCC;
 
@@ -23,7 +22,7 @@ const KIND_REMB: u8 = 3;
 const KIND_RTX_MISS: u8 = 4;
 
 /// A negative acknowledgement listing lost sequence numbers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nack {
     /// Stream whose packets were lost.
     pub ssrc: Ssrc,
@@ -32,7 +31,7 @@ pub struct Nack {
 }
 
 /// Receiver report: the slow path's periodic statistics to the upstream hop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReceiverReport {
     /// Stream being reported on.
     pub ssrc: Ssrc,
@@ -48,7 +47,7 @@ pub struct ReceiverReport {
 /// serve from its packet cache (lost on its own upstream link too, or
 /// already evicted). Receiving this tells the requester to try an alternate
 /// supplier immediately instead of waiting out the upstream's own recovery.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RtxMiss {
     /// Stream the miss applies to.
     pub ssrc: Ssrc,
@@ -57,7 +56,7 @@ pub struct RtxMiss {
 }
 
 /// Receiver-estimated max bitrate (delay-based GCC output), bits per second.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Remb {
     /// Stream the estimate applies to.
     pub ssrc: Ssrc,
@@ -66,7 +65,7 @@ pub struct Remb {
 }
 
 /// Any RTCP message the overlay exchanges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RtcpPacket {
     /// Loss report requesting retransmission.
     Nack(Nack),
@@ -87,10 +86,7 @@ impl RtcpPacket {
             RtcpPacket::Nack(n) => {
                 buf.put_u8(KIND_NACK);
                 buf.put_u32(n.ssrc.0);
-                buf.put_u16(u16::try_from(n.lost.len().min(u16::MAX as usize)).unwrap());
-                for s in n.lost.iter().take(u16::MAX as usize) {
-                    buf.put_u16(s.0);
-                }
+                put_seq_list(&mut buf, &n.lost);
             }
             RtcpPacket::ReceiverReport(r) => {
                 buf.put_u8(KIND_RR);
@@ -109,10 +105,7 @@ impl RtcpPacket {
             RtcpPacket::RtxMiss(m) => {
                 buf.put_u8(KIND_RTX_MISS);
                 buf.put_u32(m.ssrc.0);
-                buf.put_u16(u16::try_from(m.missing.len().min(u16::MAX as usize)).unwrap());
-                for s in m.missing.iter().take(u16::MAX as usize) {
-                    buf.put_u16(s.0);
-                }
+                put_seq_list(&mut buf, &m.missing);
             }
         }
         buf.freeze()
@@ -188,6 +181,16 @@ impl RtcpPacket {
             }
             other => Err(Error::decode(format!("unknown RTCP kind {other}"))),
         }
+    }
+}
+
+/// Write a sequence-number list as a `u16` count and that many entries: a
+/// list longer than `u16::MAX` keeps its first 65,535.
+fn put_seq_list(buf: &mut BytesMut, seqs: &[SeqNo]) {
+    let count = u16::try_from(seqs.len()).unwrap_or(u16::MAX);
+    buf.put_u16(count);
+    for s in &seqs[..usize::from(count)] {
+        buf.put_u16(s.0);
     }
 }
 
@@ -280,6 +283,32 @@ mod tests {
         buf.put_u32(1);
         buf.put_u16(3);
         assert!(RtcpPacket::decode(buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn lists_over_u16_max_keep_their_first_65535_entries() {
+        let seqs: Vec<SeqNo> = (0..70_000u32).map(|i| SeqNo(i as u16)).collect();
+        let kept = &seqs[..usize::from(u16::MAX)];
+        let packets = [
+            RtcpPacket::Nack(Nack {
+                ssrc: Ssrc(1),
+                lost: seqs.clone(),
+            }),
+            RtcpPacket::RtxMiss(RtxMiss {
+                ssrc: Ssrc(2),
+                missing: seqs.clone(),
+            }),
+        ];
+        for p in packets {
+            let wire = p.encode();
+            assert_eq!(wire.len(), p.wire_len());
+            let got = match RtcpPacket::decode(wire).unwrap() {
+                RtcpPacket::Nack(n) => n.lost,
+                RtcpPacket::RtxMiss(m) => m.missing,
+                other => panic!("decoded as {other:?}"),
+            };
+            assert_eq!(got, kept);
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use livenet_types::{Error, Result, SeqNo, SimDuration, Ssrc, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// Path MTU assumed by the packetizer (bytes of RTP payload + header).
 pub const MTU: usize = 1200;
@@ -16,14 +15,14 @@ pub const MTU: usize = 1200;
 pub const RTP_CLOCK_HZ: u64 = 90_000;
 
 /// RFC 8285 one-byte-header extension ID carrying the cumulative delay field.
-pub const DELAY_EXT_ID: u8 = 1;
+pub(crate) const DELAY_EXT_ID: u8 = 1;
 
 const RTP_VERSION: u8 = 2;
 const MIN_HEADER_LEN: usize = 12;
 
 /// What a packet carries. Audio is prioritized over video by the pacer
 /// (§5.2 "Priority-Aware Data Sending").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MediaKind {
     /// Audio packets; never dropped by the frame dropper, sent first.
     Audio,
@@ -33,7 +32,7 @@ pub enum MediaKind {
 
 impl MediaKind {
     /// The RTP payload-type value used on the wire for this kind.
-    pub fn payload_type(self) -> u8 {
+    pub(crate) fn payload_type(self) -> u8 {
         match self {
             MediaKind::Audio => 111,
             MediaKind::Video => 96,
@@ -41,7 +40,7 @@ impl MediaKind {
     }
 
     /// Inverse of [`MediaKind::payload_type`].
-    pub fn from_payload_type(pt: u8) -> Result<Self> {
+    pub(crate) fn from_payload_type(pt: u8) -> Result<Self> {
         match pt {
             111 => Ok(MediaKind::Audio),
             96 => Ok(MediaKind::Video),
@@ -51,7 +50,7 @@ impl MediaKind {
 }
 
 /// Decoded RTP header fields used by the overlay.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RtpHeader {
     /// Marker bit: set on the last packet of a frame.
     pub marker: bool,

@@ -15,9 +15,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod op;
-pub mod paxos;
+mod cluster;
+mod op;
+mod paxos;
 
 pub use cluster::{BrainCluster, ClusterConfig, ReplicationSummary};
 pub use op::BrainOp;

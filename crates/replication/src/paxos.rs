@@ -1,15 +1,12 @@
 //! Multi-decree Paxos.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Replica identity (small dense integers).
 pub type ReplicaId = u32;
 
 /// A Paxos ballot: totally ordered, unique per proposer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ballot {
     /// Round counter.
     pub round: u64,
@@ -21,7 +18,7 @@ pub struct Ballot {
 ///
 /// `V` is the replicated value. Paxos clones it and hands it on and never
 /// looks inside, so a cluster whose `V` is an `Arc` holds each decree once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PaxosMsg<V> {
     /// Phase 1a.
     Prepare {
@@ -164,7 +161,7 @@ impl<V: Clone> Replica<V> {
 
     /// Whether `slot` decided. Yes below the compaction floor, whose
     /// values are forgotten.
-    pub fn is_decided(&self, slot: u64) -> bool {
+    pub(crate) fn is_decided(&self, slot: u64) -> bool {
         slot < self.floor || self.decided.contains_key(&slot)
     }
 
@@ -182,13 +179,13 @@ impl<V: Clone> Replica<V> {
 
     /// Number of decided slots (not necessarily a prefix), compacted ones
     /// included.
-    pub fn decided_count(&self) -> usize {
+    pub(crate) fn decided_count(&self) -> usize {
         self.floor as usize + self.decided.len()
     }
 
     /// Messages that arrived for a compacted slot, dropped by
     /// [`Replica::handle`]: each one means the caller of
-    /// [`Replica::compact_below`] forgot a slot too early.
+    /// `Replica::compact_below` forgot a slot too early.
     pub fn stale_msgs(&self) -> u64 {
         self.stale
     }
@@ -197,7 +194,7 @@ impl<V: Clone> Replica<V> {
     /// state. The caller vouches that every replica has decided those
     /// slots and that no message about them is still in flight; one that
     /// arrives anyway is dropped and counted in [`Replica::stale_msgs`].
-    pub fn compact_below(&mut self, floor: u64) {
+    pub(crate) fn compact_below(&mut self, floor: u64) {
         if floor <= self.floor {
             return;
         }

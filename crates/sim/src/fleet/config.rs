@@ -5,14 +5,13 @@ use crate::control::ReplicationConfig;
 use crate::workload::WorkloadConfig;
 use livenet_topology::GeoConfig;
 use livenet_types::DetRng;
-use serde::{Deserialize, Serialize};
 
 /// A scripted fleet-level fault (§6.5 failure handling).
 ///
 /// Node identity is expressed structurally — an index into the sorted
 /// routable-node list or a country index — so plans are portable across
 /// seeds (generated `NodeId`s differ per topology).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FleetFault {
     /// One node goes dark.
     NodeOutage {
@@ -48,7 +47,7 @@ pub enum FleetFault {
 /// outage process. The schedule is derived from the workload seed alone
 /// (`DetRng` fork `"faults"`), so every shard of a partitioned run agrees
 /// on it bit-for-bit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlanConfig {
     /// Scripted faults.
     pub scripted: Vec<FleetFault>,
@@ -100,9 +99,6 @@ pub struct FleetConfig {
     pub node_capacity_sessions: f64,
     /// Stream-sessions a link carries before its utilization reads 1.0.
     pub link_capacity_sessions: f64,
-    /// Realized-path hop count that triggers a quality-driven path switch
-    /// (the long-chain mitigation of §4.4).
-    pub long_chain_switch_hops: usize,
     /// Streaming Brain configuration (routing K, hop limit, weight params).
     pub brain: livenet_brain::BrainConfig,
     /// Replicated-Brain deployment: `Some` routes every control-plane
@@ -125,7 +121,6 @@ impl Default for FleetConfig {
             workload: WorkloadConfig::default(),
             node_capacity_sessions: 20.0,
             link_capacity_sessions: 120.0,
-            long_chain_switch_hops: 5,
             brain: livenet_brain::BrainConfig::default(),
             replication: None,
             shards: 1,
@@ -200,9 +195,6 @@ impl FleetConfig {
         }
         if self.link_capacity_sessions <= 0.0 {
             return Err(Error::invalid_config("link_capacity_sessions must be > 0"));
-        }
-        if self.long_chain_switch_hops == 0 {
-            return Err(Error::invalid_config("long_chain_switch_hops must be > 0"));
         }
         if self.brain.routing.k == 0 {
             return Err(Error::invalid_config("brain.routing.k must be > 0"));

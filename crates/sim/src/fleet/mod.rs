@@ -41,7 +41,6 @@ use livenet_telemetry::{ids, MetricSink, Snapshot, TelemetryHub};
 use livenet_topology::{GeoTopology, NodeReport, Topology, BASE_LOSS};
 use livenet_types::{DetRng, EventQueue, NodeId, SimDuration, SimTime, StreamId};
 use rollup::Rollup;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
@@ -51,6 +50,9 @@ const BITRATE_BPS: f64 = 2_500_000.0;
 const FESTIVAL_UPSCALE: f64 = 1.5;
 /// Fraction of views on a degraded last mile (drives the stall mix).
 const BAD_LAST_MILE_FRACTION: f64 = 0.05;
+/// Realized-path hop count that triggers a quality-driven path switch
+/// (the long-chain mitigation of §4.4).
+pub const LONG_CHAIN_SWITCH_HOPS: usize = 5;
 
 const _: () = assert!(0.0 <= BAD_LAST_MILE_FRACTION && BAD_LAST_MILE_FRACTION <= 1.0);
 
@@ -123,7 +125,7 @@ struct Client {
 }
 
 /// One session's failover during a fault, as the §6.5 logs would record it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryRecord {
     /// Fault time.
     pub at: SimTime,
@@ -769,12 +771,9 @@ impl FleetSim {
             .next()
             .expect("path lookup returned no paths")
             .nodes;
-        let built = self.livenet.establish(
-            &self.topology,
-            &path,
-            stream,
-            self.config.long_chain_switch_hops,
-        );
+        let built = self
+            .livenet
+            .establish(&self.topology, &path, stream, LONG_CHAIN_SWITCH_HOPS);
         self.report.chain_switches += u64::from(built.switched);
 
         let first_packet_ms = brain_ms.unwrap_or(0.0)
@@ -1179,7 +1178,7 @@ mod tests {
         let too_long = r
             .livenet
             .iter()
-            .filter(|s| usize::from(s.path_len) > FleetConfig::smoke(4).long_chain_switch_hops)
+            .filter(|s| usize::from(s.path_len) > LONG_CHAIN_SWITCH_HOPS)
             .count();
         assert_eq!(too_long, 0);
         let over3 =

@@ -2,7 +2,7 @@
 //!
 //! Two fidelity levels (DESIGN.md §4):
 //!
-//! * [`scenario`] — full packet-level emulation: real [`OverlayNode`]
+//! * `scenario` — full packet-level emulation: real [`OverlayNode`]
 //!   state machines over the discrete-event network emulator, each viewer
 //!   a [`ViewerClient`] (the client the wire testbed drives too). One
 //!   [`Scenario`] builder (nodes, links,
@@ -11,7 +11,7 @@
 //!   every transmission-architecture experiment (fast/slow-path recovery,
 //!   pacing, startup bursts, failover, multi-supplier RTX) and calibrates
 //!   the per-hop constants in `calibrate.rs`.
-//! * [`fleet`] — session-granularity simulation of 20 days of Taobao-Live-
+//! * `fleet` — session-granularity simulation of 20 days of Taobao-Live-
 //!   like workload over the *real* control plane (Streaming Brain, PIB/SIB,
 //!   FIB subscription state with cache-hit backtracking and the long-chain
 //!   effect), composing per-session delay/startup/stall metrics from link
@@ -22,10 +22,10 @@
 //!   `fleet/config.rs` (validated configuration, fault plan),
 //!   `fleet/faults.rs` (the plan resolved against a topology),
 //!   `fleet/livenet.rs` and `fleet/hier.rs` (the two data planes) and
-//!   `fleet/rollup.rs` (hour/day series); [`control`] holds the Brain —
+//!   `fleet/rollup.rs` (hour/day series); `control` holds the Brain —
 //!   single or Paxos-replicated — behind one `commit(BrainOp)`.
 //!
-//! Every fleet run goes through [`runner`]: [`FleetRunner`] validates, then
+//! Every fleet run goes through `runner`: [`FleetRunner`] validates, then
 //! partitions the channel universe into independent shards (DESIGN.md §7)
 //! and executes them serially or on a thread pool with bit-identical results.
 //!
@@ -35,21 +35,21 @@
 #![warn(missing_docs)]
 
 mod calibrate;
-pub mod control;
-pub mod fleet;
-pub mod metrics;
-pub mod runner;
-pub mod scenario;
-pub mod viewer;
+mod control;
+mod fleet;
+mod metrics;
+mod runner;
+mod scenario;
+mod viewer;
 pub mod workload;
 
 pub use control::{ReplicationConfig, ReplicationSummary};
 pub use fleet::{
     FaultPlanConfig, FleetConfig, FleetConfigBuilder, FleetFault, FleetReport, FleetSim,
-    RecoveryRecord,
+    RecoveryRecord, LONG_CHAIN_SWITCH_HOPS,
 };
-pub use metrics::{record_session, DecisionOutcome, SessionRecord, SessionSummary};
+pub use metrics::{summarize, DecisionOutcome, SessionRecord, SessionSummary};
 pub use runner::{FleetRunner, ShardPlan};
-pub use scenario::{Scenario, ScenarioRun, Viewer};
+pub use scenario::{Scenario, ScenarioRun, Viewer, COSTREAM, SCENARIO_STREAM};
 pub use viewer::{ViewerClient, ViewerQoe, ViewerRun};
-pub use workload::{diurnal_factor, Channel, WorkloadConfig};
+pub use workload::{Channel, WorkloadConfig};

@@ -8,7 +8,6 @@
 
 use livenet_telemetry::{ids, MetricSink};
 use livenet_types::{Ecdf, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How a session's path decision was served — the Path Decision log's
 /// outcome field as one typed value.
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Replaces the three loosely-coupled `SessionRecord` fields (`local_hit`,
 /// `last_resort`, `brain_response_ms`) that could previously encode
 /// impossible combinations (e.g. a local hit with a brain response time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecisionOutcome {
     /// The consumer node already carried the stream; no lookup at all.
     LocalHit,
@@ -57,7 +56,7 @@ impl DecisionOutcome {
 }
 
 /// One viewing session's metrics for one system (LiveNet or Hier).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionRecord {
     /// Session start time.
     pub start: SimTime,
@@ -101,7 +100,7 @@ impl SessionRecord {
 ///
 /// This is the [`MetricSink`] port of the aggregation `summarize` does by
 /// hand; the fleet simulator calls it per LiveNet session.
-pub fn record_session(sink: &mut impl MetricSink, s: &SessionRecord) {
+pub(crate) fn record_session(sink: &mut impl MetricSink, s: &SessionRecord) {
     sink.incr(ids::FLEET_SESSIONS);
     match s.outcome {
         DecisionOutcome::LocalHit => sink.incr(ids::FLEET_LOCAL_HITS),
@@ -124,7 +123,7 @@ pub fn record_session(sink: &mut impl MetricSink, s: &SessionRecord) {
 }
 
 /// Summary statistics over a slice of sessions — the Table 1 row set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionSummary {
     /// Number of sessions.
     pub sessions: usize,

@@ -17,7 +17,7 @@ use livenet_types::{SeqNo, SimDuration, SimTime, Ssrc};
 use std::collections::BTreeSet;
 
 /// One completed frame at a client: arrival, RTP timestamp, delay field.
-pub type FrameArrival = (SimTime, u32, Option<SimDuration>);
+pub(crate) type FrameArrival = (SimTime, u32, Option<SimDuration>);
 
 /// Playback time moves on a tick this long after every datagram that
 /// decodes as an overlay message. When media stops, ticks stop, so the

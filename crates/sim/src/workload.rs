@@ -12,13 +12,12 @@
 
 use crate::runner::ShardPlan;
 use livenet_types::{DetRng, NodeId, SimDuration, SimTime, StreamId, ZipfTable};
-use serde::{Deserialize, Serialize};
 
 /// Hour-of-day demand multiplier, peaking in the evening.
 ///
 /// Shaped after Fig. 10b's diurnal hit-ratio curve: lowest 3–6 am,
 /// highest 20:00–23:00.
-pub fn diurnal_factor(hour_of_day: f64) -> f64 {
+pub(crate) fn diurnal_factor(hour_of_day: f64) -> f64 {
     // Two-phase cosine: deep night trough + evening peak.
     let h = hour_of_day.rem_euclid(24.0);
     // Base daily wave centred at 15:00 …
@@ -29,7 +28,7 @@ pub fn diurnal_factor(hour_of_day: f64) -> f64 {
 }
 
 /// One broadcaster channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     /// Primary (highest-bitrate) stream ID; rendition IDs follow.
     pub stream: StreamId,
@@ -49,7 +48,7 @@ const INTERNATIONAL_FRACTION: f64 = 0.025;
 const POPULAR_FRACTION: f64 = 0.05;
 
 /// Workload parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of broadcaster channels.
     pub channels: usize,
@@ -96,7 +95,7 @@ impl WorkloadConfig {
     }
 
     /// Demand multiplier at absolute sim time `t` (diurnal × festival).
-    pub fn demand_factor(&self, t: SimTime) -> f64 {
+    pub(crate) fn demand_factor(&self, t: SimTime) -> f64 {
         let hour = t.as_secs_f64() / 3600.0;
         let day = (hour / 24.0) as u32;
         let festival = if self.festival_days.contains(&day) {
@@ -308,7 +307,11 @@ impl Workload {
 
     /// Pick the consumer edge node for a viewer in `country` (DNS maps
     /// users to a nearby edge). `edges_by_country[c]` lists candidates.
-    pub fn pick_edge(&mut self, edges_by_country: &[Vec<NodeId>], country: u32) -> Option<NodeId> {
+    pub(crate) fn pick_edge(
+        &mut self,
+        edges_by_country: &[Vec<NodeId>],
+        country: u32,
+    ) -> Option<NodeId> {
         let edges = edges_by_country.get(country as usize)?;
         if edges.is_empty() {
             return None;

@@ -1,7 +1,7 @@
 //! The recording API ([`MetricSink`]) and the in-memory aggregator
 //! ([`TelemetryHub`]).
 
-use livenet_types::time::SimTime;
+use livenet_types::SimTime;
 use std::collections::BTreeMap;
 
 use crate::hist::{FixedHistogram, DEFAULT_MS_BOUNDS};
@@ -127,7 +127,7 @@ impl MetricSink for TelemetryHub {
 ///
 /// ```
 /// use livenet_telemetry::{ids, Span, TelemetryHub};
-/// use livenet_types::time::SimTime;
+/// use livenet_types::SimTime;
 ///
 /// let mut hub = TelemetryHub::new();
 /// let span = Span::begin(ids::STAGE_STARTUP_MS, SimTime::from_millis(1000));

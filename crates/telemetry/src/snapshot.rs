@@ -1,6 +1,5 @@
 //! The canonical, serializable, mergeable form of a [`TelemetryHub`].
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::hist::FixedHistogram;
@@ -10,7 +9,7 @@ use crate::id::MetricId;
 ///
 /// All aggregate fields are integers (fixed-point where the source was a
 /// float), so equality, merging and serialization are exact.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HistSnapshot {
     /// Bucket upper bounds the histogram was built with.
     pub bounds: Vec<f64>,
@@ -115,7 +114,7 @@ impl HistSnapshot {
 /// [`Snapshot::bit_identical`] compares floats by `to_bits`, so a serial
 /// fleet run and a sharded parallel run must produce byte-for-byte the same
 /// snapshot or the determinism contract is broken.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values, sorted by metric name.
     pub counters: Vec<(String, u64)>,

@@ -12,7 +12,6 @@
 
 use crate::graph::{LinkMetrics, NodeInfo, Topology};
 use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Egress capacity per node.
 const NODE_CAPACITY: Bandwidth = Bandwidth::from_gbps(40);
@@ -39,7 +38,7 @@ const _: () = assert!(0.0 < WELL_PEERED_FRACTION && WELL_PEERED_FRACTION < 1.0);
 
 /// Parameters for the generator: the footprint and the seed. The link and
 /// peering model is the constants above.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeoConfig {
     /// Number of countries.
     pub countries: u32,

@@ -1,7 +1,6 @@
 //! Nodes, links and the overlay graph.
 
 use livenet_types::{Bandwidth, Error, NodeId, Result, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Dynamically assigned role of a node in the flat CDN.
@@ -10,7 +9,7 @@ use std::collections::BTreeSet;
 /// roles are per-stream: the same node may be a producer for one stream and a
 /// relay for another (paper §1, design choice 1). The role enum therefore
 /// describes a node's function *for a given stream*, not a static class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeRole {
     /// Receives and processes streams from broadcasters.
     Producer,
@@ -21,7 +20,7 @@ pub enum NodeRole {
 }
 
 /// Static + slowly-varying description of one CDN node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeInfo {
     /// Node identity.
     pub id: NodeId,
@@ -45,7 +44,7 @@ pub struct NodeInfo {
 }
 
 /// Measured state of a directed overlay link (from the 1-minute reports).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkMetrics {
     /// Round-trip time between the two nodes.
     pub rtt: SimDuration,
@@ -77,7 +76,7 @@ impl LinkMetrics {
 /// iterator below yields in `(from, to)` ascending order, and every
 /// downstream computation (KSP tie-breaks, report order, the float sum
 /// behind `hourly_loss`) depends on that order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     /// Ascending by `id`, no duplicates.
     nodes: Vec<NodeInfo>,
@@ -94,7 +93,7 @@ pub struct Topology {
 /// One node's out-links. The far ends are kept apart from the measurements
 /// so that a caller can be handed the measurements to write while the sort
 /// keys stay read-only.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Row {
     /// Ascending, no duplicates.
     far_ends: Vec<NodeId>,

@@ -8,13 +8,12 @@
 
 use crate::graph::Topology;
 use livenet_types::{NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The pre-defined overload target (80%, paper §4.2 / §4.3 constraint ii).
 pub const OVERLOAD_TARGET: f64 = 0.80;
 
 /// One link measurement inside a node report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkReport {
     /// Far end of the measured link.
     pub to: NodeId,
@@ -31,7 +30,7 @@ pub struct LinkReport {
 }
 
 /// A periodic report from one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeReport {
     /// Reporting node.
     pub node: NodeId,

@@ -103,11 +103,6 @@ impl RecvBatch {
         self.filled == 0
     }
 
-    /// Slot capacity (datagrams) per syscall.
-    pub fn max_datagrams(&self) -> usize {
-        self.bufs.len()
-    }
-
     /// Iterate the datagrams of the last fill.
     pub fn iter(&self) -> impl Iterator<Item = RecvdDatagram<'_>> {
         self.metas.iter().take(self.filled).enumerate().map(move |(i, &(len, src))| {
@@ -176,7 +171,7 @@ impl BatchSocket {
     /// datagram count. Poll-driven: every poll tries the socket once and
     /// registers no waker, which is what the vendored executor (it re-polls
     /// every task each round) expects.
-    pub async fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
+    pub(crate) async fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
         std::future::poll_fn(|_| match self.try_recv_batch(batch) {
             Ok(0) => std::task::Poll::Pending,
             done => std::task::Poll::Ready(done),

@@ -24,7 +24,7 @@ impl WallClock {
     }
 
     /// Convert a sim-axis deadline to a tokio [`Instant`].
-    pub fn instant_at(&self, t: SimTime) -> Instant {
+    pub(crate) fn instant_at(&self, t: SimTime) -> Instant {
         self.epoch + std::time::Duration::from_nanos(t.as_nanos())
     }
 

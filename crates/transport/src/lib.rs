@@ -23,10 +23,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
-pub mod clock;
-pub mod node;
-pub mod telemetry;
+mod batch;
+mod clock;
+mod node;
+mod telemetry;
 pub mod testbed;
 
 pub use batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};

@@ -50,10 +50,10 @@ use std::time::Duration;
 /// Most overlay nodes one loopback harness will spawn. Each node binds
 /// one socket and runs its own event loop on the single-threaded
 /// executor; past a few hundred the harness stops resembling a testbed.
-pub const MAX_TESTBED_NODES: usize = 256;
+pub(crate) const MAX_TESTBED_NODES: usize = 256;
 
 /// Most concurrent viewers one harness run will drive.
-pub const MAX_TESTBED_VIEWERS: usize = 1024;
+pub(crate) const MAX_TESTBED_VIEWERS: usize = 1024;
 
 /// Broadcaster uplink pacing rate: I-frame bursts are smoothed at this
 /// rate, so a source bitrate above it would back the pacer up unboundedly.

@@ -5,15 +5,12 @@
 //! a client ID (Algorithm 1). Newtype wrappers keep those key spaces from
 //! being mixed up at compile time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -70,7 +67,7 @@ define_id!(
 );
 
 /// RTP synchronization source identifier (32 bits on the wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ssrc(pub u32);
 
 impl fmt::Display for Ssrc {
@@ -84,7 +81,7 @@ impl fmt::Display for Ssrc {
 /// Ordering comparisons use serial-number arithmetic: `a.newer_than(b)` is
 /// true when `a` is at most half the sequence space ahead of `b`, which is
 /// how the slow path's loss detector decides whether a hole exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeqNo(pub u16);
 
 impl SeqNo {

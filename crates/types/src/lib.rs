@@ -8,8 +8,8 @@
 //!   and the event calendar every virtual-time engine runs on
 //!   ([`EventQueue`]),
 //! * bandwidth / bitrate arithmetic ([`Bandwidth`]),
-//! * statistics helpers used by the evaluation harness ([`stats`]),
-//! * deterministic RNG plumbing ([`rng`]).
+//! * statistics helpers used by the evaluation harness (`stats`),
+//! * deterministic RNG plumbing (`rng`).
 //!
 //! Everything downstream (the Streaming Brain, the overlay data plane, the
 //! emulator, the benchmark harness) is written in terms of these types so that
@@ -19,13 +19,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod id;
+mod error;
+mod id;
 mod queue;
-pub mod rate;
-pub mod rng;
-pub mod stats;
-pub mod time;
+mod rate;
+mod rng;
+mod stats;
+mod time;
 
 pub use error::{Error, Result};
 pub use id::{ClientId, LinkId, NodeId, PathId, SeqNo, Ssrc, StreamId};

@@ -1,7 +1,6 @@
 //! Bandwidth / bitrate arithmetic.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -9,9 +8,7 @@ use std::ops::{Add, Sub};
 ///
 /// Used both for link capacities in the topology and for encoder bitrates /
 /// pacing rates in the data plane.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {

@@ -3,10 +3,8 @@
 //! The paper reports medians, percentile boxes (Fig. 11/12), CDFs (Fig. 8a)
 //! and ratios. These helpers compute exactly those summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean / variance / min / max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -99,7 +97,7 @@ impl OnlineStats {
 ///
 /// Stores all samples; fine for the evaluation harness where sample counts are
 /// bounded (≤ a few million f64s).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Ecdf {
     samples: Vec<f64>,
     sorted: bool,
@@ -199,7 +197,7 @@ impl Ecdf {
 }
 
 /// The five percentiles the paper's box plots report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantiles {
     /// 20th percentile.
     pub p20: f64,

@@ -5,20 +5,15 @@
 //! discrete-event emulator (deterministic, seedable) or mapped onto wall-clock
 //! time by the tokio transport.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A point in simulated time, in nanoseconds since the start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -130,12 +125,6 @@ impl SimDuration {
     #[must_use]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
-    }
-
-    /// Checked subtraction.
-    #[must_use]
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
     }
 
     /// Saturating subtraction.

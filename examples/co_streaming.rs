@@ -10,7 +10,7 @@
 
 use livenet::emu::LossModel;
 use livenet::prelude::*;
-use livenet::sim::scenario::COSTREAM;
+use livenet::sim::COSTREAM;
 
 fn main() {
     // Producer → consumer, one viewer on the solo stream; 3 s in, the

@@ -6,7 +6,7 @@
 //! ```
 
 use livenet::prelude::*;
-use livenet::sim::metrics::summarize;
+use livenet::sim::summarize;
 
 fn main() {
     // Four days, festival spike on day 2 (~2× demand), with the paper's

@@ -56,7 +56,7 @@ fn replicate(updates: &[SibUpdate], seed: u64, loss: f64) -> Vec<Vec<SibUpdate>>
     let ids: Vec<u32> = (0..3).collect();
     let mut replicas: Vec<Replica<Vec<u8>>> = ids.iter().map(|&i| Replica::new(i, ids.clone())).collect();
     let mut rng = DetRng::seed(seed);
-    let mut inflight: Vec<(u32, livenet::replication::paxos::Outbound<Vec<u8>>)> = Vec::new();
+    let mut inflight: Vec<(u32, livenet::replication::Outbound<Vec<u8>>)> = Vec::new();
 
     for (i, u) in updates.iter().enumerate() {
         // Rotate the proposing site (any replica may receive the update).

@@ -4,7 +4,7 @@
 
 use livenet::emu::{LinkConfig, LossModel};
 use livenet::prelude::*;
-use livenet::sim::scenario::SCENARIO_STREAM;
+use livenet::sim::SCENARIO_STREAM;
 use livenet::types::Error;
 
 /// Replay a Brain-computed path as a chain whose hop delays mirror the

@@ -2,7 +2,7 @@
 //! paper figure relies on, checked on a fast smoke run.
 
 use livenet::prelude::*;
-use livenet::sim::metrics::summarize;
+use livenet::sim::{summarize, LONG_CHAIN_SWITCH_HOPS};
 
 /// The smoke preset on one shard: the unsharded run.
 fn smoke(seed: u64) -> FleetReport {
@@ -51,10 +51,9 @@ fn headline_improvements_hold_on_any_seed() {
 #[test]
 fn path_lengths_respect_bounds() {
     let r = smoke(31);
-    let cfg = FleetConfig::smoke(31);
     for s in &r.livenet {
         assert!(
-            usize::from(s.path_len) <= cfg.long_chain_switch_hops,
+            usize::from(s.path_len) <= LONG_CHAIN_SWITCH_HOPS,
             "chain bound violated: {}",
             s.path_len
         );

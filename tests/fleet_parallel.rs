@@ -5,7 +5,7 @@
 //! LiveNet-vs-Hier gap.
 
 use livenet::prelude::*;
-use livenet::sim::metrics::summarize;
+use livenet::sim::summarize;
 
 /// A sharded config small enough to run serial + three parallel widths
 /// per seed: the smoke preset at a reduced arrival rate.
