@@ -134,7 +134,7 @@ pub struct ReassembledFrame {
     pub meta: u8,
 }
 
-/// Internal per-frame assembly state, exposed for inspection in tests.
+/// Internal per-frame assembly state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrameAssembly {
     packets: BTreeMap<u16, RtpPacket>,
