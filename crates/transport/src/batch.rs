@@ -105,14 +105,18 @@ impl RecvBatch {
 
     /// Iterate the datagrams of the last fill.
     pub fn iter(&self) -> impl Iterator<Item = RecvdDatagram<'_>> {
-        self.metas.iter().take(self.filled).enumerate().map(move |(i, &(len, src))| {
-            let truncated = len > self.cap;
-            RecvdDatagram {
-                data: &self.bufs[i][..len.min(self.cap)],
-                src,
-                truncated,
-            }
-        })
+        self.metas
+            .iter()
+            .take(self.filled)
+            .enumerate()
+            .map(move |(i, &(len, src))| {
+                let truncated = len > self.cap;
+                RecvdDatagram {
+                    data: &self.bufs[i][..len.min(self.cap)],
+                    src,
+                    truncated,
+                }
+            })
     }
 
     fn reset(&mut self) {
@@ -141,7 +145,11 @@ impl BatchSocket {
         } else {
             BatchBackend::Sequential
         };
-        Ok(BatchSocket { sock, addr, backend })
+        Ok(BatchSocket {
+            sock,
+            addr,
+            backend,
+        })
     }
 
     /// The bound local address.
@@ -342,8 +350,10 @@ mod mmsg {
     pub(super) fn send_batch(sock: &UdpSocket, msgs: &[SendDatagram]) -> io::Result<usize> {
         debug_assert!(!msgs.is_empty() && msgs.len() <= MAX_BATCH);
         let mut names = [SockAddrStorage::ZERO; MAX_BATCH];
-        let mut iovs: [IoVec; MAX_BATCH] =
-            std::array::from_fn(|_| IoVec { base: std::ptr::null_mut(), len: 0 });
+        let mut iovs: [IoVec; MAX_BATCH] = std::array::from_fn(|_| IoVec {
+            base: std::ptr::null_mut(),
+            len: 0,
+        });
         let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(msgs.len());
         for (i, m) in msgs.iter().enumerate() {
             let namelen = encode_addr(m.to, &mut names[i]);
@@ -393,8 +403,10 @@ mod mmsg {
     pub(super) fn recv_batch(sock: &UdpSocket, batch: &mut RecvBatch) -> io::Result<usize> {
         let slots = batch.bufs.len();
         let mut names = [SockAddrStorage::ZERO; MAX_BATCH];
-        let mut iovs: [IoVec; MAX_BATCH] =
-            std::array::from_fn(|_| IoVec { base: std::ptr::null_mut(), len: 0 });
+        let mut iovs: [IoVec; MAX_BATCH] = std::array::from_fn(|_| IoVec {
+            base: std::ptr::null_mut(),
+            len: 0,
+        });
         let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(slots);
         for i in 0..slots {
             iovs[i] = IoVec {
@@ -520,11 +532,17 @@ mod tests {
                 if rx.try_recv_batch(&mut batch).expect("recv") > 0 {
                     break;
                 }
-                assert!(std::time::Instant::now() < deadline, "datagram never arrived");
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "datagram never arrived"
+                );
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             let d = batch.iter().next().expect("one datagram");
-            assert!(d.truncated, "900B into a 256B cap must truncate ({backend:?})");
+            assert!(
+                d.truncated,
+                "900B into a 256B cap must truncate ({backend:?})"
+            );
             assert_eq!(d.data.len(), 256);
         }
     }

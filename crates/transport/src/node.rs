@@ -259,7 +259,8 @@ impl UdpOverlayNode {
                 .peek_time()
                 .map(|t| self.clock.instant_at(t))
                 .unwrap_or_else(|| {
-                    self.clock.instant_at(self.clock.now() + SimDuration::from_secs(3600))
+                    self.clock
+                        .instant_at(self.clock.now() + SimDuration::from_secs(3600))
                 });
             tokio::select! {
                 biased;
@@ -302,7 +303,8 @@ impl UdpOverlayNode {
             }
             let now = self.clock.now();
             let actions = if let Some(&from) = self.peer_of_addr.get(&d.src) {
-                self.core.on_datagram(now, from, Bytes::copy_from_slice(d.data))
+                self.core
+                    .on_datagram(now, from, Bytes::copy_from_slice(d.data))
             } else if let Some(&client) = self.client_of_addr.get(&d.src) {
                 self.core
                     .on_client_datagram(now, client, Bytes::copy_from_slice(d.data))

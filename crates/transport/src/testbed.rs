@@ -315,13 +315,9 @@ impl TestbedConfig {
             let mut targets: Vec<usize> = if inf.last_resort {
                 hubs.clone()
             } else {
-                let home = hub_of_country[inf.country as usize]
-                    .expect("every country has a hub");
-                let mut rest: Vec<usize> =
-                    hubs.iter().copied().filter(|&h| h != home).collect();
-                rest.sort_by(|&x, &y| {
-                    rtt_of(i, x).cmp(&rtt_of(i, y))
-                });
+                let home = hub_of_country[inf.country as usize].expect("every country has a hub");
+                let mut rest: Vec<usize> = hubs.iter().copied().filter(|&h| h != home).collect();
+                rest.sort_by(|&x, &y| rtt_of(i, x).cmp(&rtt_of(i, y)));
                 let mut t = vec![home];
                 t.extend(rest.into_iter().take(fanout - 1));
                 t
@@ -524,8 +520,12 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
         });
     }
     for &(a, b, rtt) in &cfg.edges {
-        topo.upsert_duplex(ids_v[a], ids_v[b], LinkMetrics::healthy(rtt, Bandwidth::from_gbps(10)))
-            .expect("edge endpoints were upserted above");
+        topo.upsert_duplex(
+            ids_v[a],
+            ids_v[b],
+            LinkMetrics::healthy(rtt, Bandwidth::from_gbps(10)),
+        )
+        .expect("edge endpoints were upserted above");
     }
     let mut brain = StreamingBrain::new(topo, BrainConfig::default());
     brain.register_stream(cfg.stream, ids_v[cfg.producer]);
@@ -536,10 +536,14 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     for &id in &ids_v {
         let mut node = NodeConfig::new(id);
         node.max_datagram_bytes = MAX_DATAGRAM_BYTES;
-        let (h, _events, join) =
-            UdpOverlayNode::spawn_wire(WireNodeConfig::new(node), local(), clock, telemetry.clone())
-                .await
-                .expect("bind overlay node");
+        let (h, _events, join) = UdpOverlayNode::spawn_wire(
+            WireNodeConfig::new(node),
+            local(),
+            clock,
+            telemetry.clone(),
+        )
+        .await
+        .expect("bind overlay node");
         handles.push(h);
         joins.push(join);
     }
@@ -609,7 +613,9 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
         viewers.push(join.await.expect("viewer task"));
     }
     for h in &handles {
-        h.send(NodeCommand::Shutdown).await.expect("node alive at shutdown");
+        h.send(NodeCommand::Shutdown)
+            .await
+            .expect("node alive at shutdown");
     }
     let mut cores = Vec::new();
     for join in joins {
@@ -621,7 +627,11 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     // GoP-cache burst ingested before the viewer attached is owed nothing.
     for v in &mut viewers {
         let from = v.attach_at + v.run.qoe.startup.unwrap_or(SimDuration::ZERO);
-        let owed: BTreeSet<u32> = ingests.iter().filter(|i| i.0 >= from).map(|i| i.1).collect();
+        let owed: BTreeSet<u32> = ingests
+            .iter()
+            .filter(|i| i.0 >= from)
+            .map(|i| i.1)
+            .collect();
         let completed: BTreeSet<u32> = v.run.frames.iter().map(|&(_, ts, _)| ts).collect();
         v.expected_frames = owed.len() as u64;
         v.delivered_frames = owed.intersection(&completed).count() as u64;
@@ -646,7 +656,10 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     let client_rates = viewers
         .iter()
         .map(|v| {
-            let core = cores.iter().find(|c| c.id() == v.node).expect("core for viewer node");
+            let core = cores
+                .iter()
+                .find(|c| c.id() == v.node)
+                .expect("core for viewer node");
             (v.client, core.client_pacing_rate(v.client))
         })
         .collect();
@@ -749,7 +762,12 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
         })
         .await
         .expect("consumer alive");
-    let send = |payload| sock.try_send_batch(&[SendDatagram { to: plan.node.addr, payload }]);
+    let send = |payload| {
+        sock.try_send_batch(&[SendDatagram {
+            to: plan.node.addr,
+            payload,
+        }])
+    };
 
     let started = tokio::time::Instant::now();
     // The broadcaster's GoP sets the frame rate the client plays at.
@@ -808,7 +826,13 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
                     }
                 }
                 let packet = RtcpPacket::ReceiverReport(rr).encode();
-                let _ = send(OverlayMsg::Rtcp { stream: plan.stream, packet }.encode());
+                let _ = send(
+                    OverlayMsg::Rtcp {
+                        stream: plan.stream,
+                        packet,
+                    }
+                    .encode(),
+                );
                 rr_sent += 1;
                 last_rr = tokio::time::Instant::now();
             }

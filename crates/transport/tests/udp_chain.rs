@@ -5,9 +5,7 @@ use bytes::Bytes;
 use livenet_media::{GopConfig, VideoEncoder};
 use livenet_node::{NodeConfig, NodeEvent};
 use livenet_sim::ViewerClient;
-use livenet_transport::{
-    NodeCommand, SharedTelemetry, UdpOverlayNode, WallClock, WireNodeConfig,
-};
+use livenet_transport::{NodeCommand, SharedTelemetry, UdpOverlayNode, WallClock, WireNodeConfig};
 use livenet_types::{Bandwidth, ClientId, NodeId, SimDuration, StreamId};
 use std::net::SocketAddr;
 use tokio::net::UdpSocket;
@@ -32,8 +30,8 @@ async fn frames_flow_over_real_udp_chain() {
             clock,
             SharedTelemetry::new(),
         )
-            .await
-            .expect("bind");
+        .await
+        .expect("bind");
         handles.push(h);
         event_rxs.push(ev);
         joins.push(join);
@@ -49,7 +47,7 @@ async fn frames_flow_over_real_udp_chain() {
                         rtt: SimDuration::from_millis(1),
                     })
                     .await
-            .expect("node alive");
+                    .expect("node alive");
             }
         }
     }
@@ -60,7 +58,7 @@ async fn frames_flow_over_real_udp_chain() {
             ladder: None,
         })
         .await
-            .expect("node alive");
+        .expect("node alive");
 
     // A client socket attached at C.
     let client_sock = UdpSocket::bind(local()).await.expect("client bind");
@@ -128,15 +126,18 @@ async fn frames_flow_over_real_udp_chain() {
     assert!(established, "C never confirmed its upstream subscription");
 
     for h in &handles {
-        h.send(NodeCommand::Shutdown).await
-            .expect("node alive");
+        h.send(NodeCommand::Shutdown).await.expect("node alive");
     }
     for (i, j) in joins.into_iter().enumerate() {
         let core = j.await.expect("join");
         println!(
             "node {i}: ingested={} forwarded={} dup={} nack_seqs={} nack_msgs={} rtx={}",
-            core.stats.ingested, core.stats.forwarded, core.stats.duplicates,
-            core.stats.nacks_sent, core.stats.nack_batches, core.stats.rtx_served,
+            core.stats.ingested,
+            core.stats.forwarded,
+            core.stats.duplicates,
+            core.stats.nacks_sent,
+            core.stats.nack_batches,
+            core.stats.rtx_served,
         );
     }
     assert!(packets >= 20, "client received only {packets} RTP packets");
@@ -157,8 +158,8 @@ async fn second_viewer_gets_local_hit_over_udp() {
             clock,
             SharedTelemetry::new(),
         )
-            .await
-            .expect("bind");
+        .await
+        .expect("bind");
         handles.push(h);
         event_rxs.push(ev);
     }
@@ -179,7 +180,7 @@ async fn second_viewer_gets_local_hit_over_udp() {
             ladder: None,
         })
         .await
-            .expect("node alive");
+        .expect("node alive");
 
     let c1 = UdpSocket::bind(local()).await.expect("bind");
     handles[1]
@@ -246,7 +247,6 @@ async fn second_viewer_gets_local_hit_over_udp() {
     assert!(got.is_ok(), "client 2 received nothing");
 
     for h in &handles {
-        h.send(NodeCommand::Shutdown).await
-            .expect("node alive");
+        h.send(NodeCommand::Shutdown).await.expect("node alive");
     }
 }

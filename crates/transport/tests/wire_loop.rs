@@ -49,19 +49,42 @@ async fn client_feedback_round_trip_drives_cc_over_udp() {
 
     let report = testbed::run(cfg).await.expect("validated config runs");
 
-    assert!(report.frames_broadcast >= 20, "broadcast too short: {}", report.frames_broadcast);
+    assert!(
+        report.frames_broadcast >= 20,
+        "broadcast too short: {}",
+        report.frames_broadcast
+    );
     for v in &report.viewers {
-        assert!(v.rr_sent >= 2, "viewer {:?} sent only {} RRs", v.client, v.rr_sent);
-        assert!(v.run.qoe.startup.is_some(), "viewer {:?} never started playback", v.client);
+        assert!(
+            v.rr_sent >= 2,
+            "viewer {:?} sent only {} RRs",
+            v.client,
+            v.rr_sent
+        );
+        assert!(
+            v.run.qoe.startup.is_some(),
+            "viewer {:?} never started playback",
+            v.client
+        );
     }
     let delivery = report.worst_delivery();
-    assert!(delivery >= 0.99, "worst viewer delivered only {delivery:.3} of frames");
+    assert!(
+        delivery >= 0.99,
+        "worst viewer delivered only {delivery:.3} of frames"
+    );
 
     // Feedback round-trip: the consumer core built sender-side cc state
     // for the clients and the lossy viewer forced decreases.
     let total = report.cc.increases + report.cc.holds + report.cc.decreases;
-    assert!(total > 0, "no cc decisions recorded — client RTCP never reached the core");
-    assert!(report.cc.decreases >= 1, "lossy client RRs drove no rate decrease: {:?}", report.cc);
+    assert!(
+        total > 0,
+        "no cc decisions recorded — client RTCP never reached the core"
+    );
+    assert!(
+        report.cc.decreases >= 1,
+        "lossy client RRs drove no rate decrease: {:?}",
+        report.cc
+    );
 
     // And the decreased rate is visible on the lossy viewer's pacer.
     let lossy = report.viewers[1].client;
@@ -93,10 +116,14 @@ async fn oversized_datagram_is_counted_and_dropped() {
     let telemetry = SharedTelemetry::new();
     let mut config = NodeConfig::new(NodeId::new(1));
     config.max_datagram_bytes = 1024;
-    let (h, _events, join) =
-        UdpOverlayNode::spawn_wire(WireNodeConfig::new(config), local(), clock, telemetry.clone())
-            .await
-            .expect("bind");
+    let (h, _events, join) = UdpOverlayNode::spawn_wire(
+        WireNodeConfig::new(config),
+        local(),
+        clock,
+        telemetry.clone(),
+    )
+    .await
+    .expect("bind");
 
     let peer = UdpSocket::bind(local()).await.expect("peer bind");
     h.send(NodeCommand::AddPeer {
@@ -117,7 +144,10 @@ async fn oversized_datagram_is_counted_and_dropped() {
     tokio::time::sleep(Duration::from_millis(120)).await;
 
     assert_eq!(counter(&telemetry, ids::TRANSPORT_RECV_TRUNCATED), 1);
-    assert!(counter(&telemetry, ids::TRANSPORT_RX_DATAGRAMS) >= 1, "node stopped dispatching");
+    assert!(
+        counter(&telemetry, ids::TRANSPORT_RX_DATAGRAMS) >= 1,
+        "node stopped dispatching"
+    );
 
     h.send(NodeCommand::Shutdown).await.expect("node alive");
     join.await.expect("join");
@@ -159,7 +189,12 @@ async fn detached_client_timers_go_stale_in_the_core() {
     .expect("node alive");
 
     // Burst several frames in, then detach before the pacer drains.
-    let mut encoder = VideoEncoder::new(STREAM, GopConfig::default(), Bandwidth::from_mbps(2), clock.now());
+    let mut encoder = VideoEncoder::new(
+        STREAM,
+        GopConfig::default(),
+        Bandwidth::from_mbps(2),
+        clock.now(),
+    );
     for _ in 0..10 {
         let frame = encoder.next_frame();
         let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
@@ -291,14 +326,20 @@ async fn detached_client_feedback_is_dropped() {
         })
         .encode(),
     };
-    viewer.send_to(&rr.encode(), h.addr).await.expect("send attached");
+    viewer
+        .send_to(&rr.encode(), h.addr)
+        .await
+        .expect("send attached");
     tokio::time::sleep(Duration::from_millis(120)).await;
     assert_eq!(counter(&telemetry, ids::TRANSPORT_RX_DATAGRAMS), 1);
 
     h.send(NodeCommand::ClientDetach { client })
         .await
         .expect("node alive");
-    viewer.send_to(&rr.encode(), h.addr).await.expect("send detached");
+    viewer
+        .send_to(&rr.encode(), h.addr)
+        .await
+        .expect("send detached");
     tokio::time::sleep(Duration::from_millis(120)).await;
     assert_eq!(counter(&telemetry, ids::TRANSPORT_UNKNOWN_SOURCE_DROPS), 1);
 
@@ -312,14 +353,24 @@ async fn detached_client_feedback_is_dropped() {
 #[test]
 fn builder_rejects_invalid_configs() {
     let diamond = || TestbedConfig::diamond(STREAM);
-    let with_viewers = |viewers: Vec<WireViewer>| TestbedConfig { viewers, ..diamond() }.validate();
+    let with_viewers = |viewers: Vec<WireViewer>| {
+        TestbedConfig {
+            viewers,
+            ..diamond()
+        }
+        .validate()
+    };
     let geo_fleet = |viewers, fanout| {
         TestbedConfig::geo_fleet(STREAM, &GeoConfig::tiny(1), viewers, fanout, 1).map(|_| ())
     };
     let cases: Vec<(&str, livenet_types::Result<()>)> = vec![
         (
             "viewer node out of range",
-            with_viewers(vec![WireViewer::at(3), WireViewer::at(3), WireViewer::at(9)]),
+            with_viewers(vec![
+                WireViewer::at(3),
+                WireViewer::at(3),
+                WireViewer::at(9),
+            ]),
         ),
         (
             "edge endpoint out of range",
@@ -332,12 +383,20 @@ fn builder_rejects_invalid_configs() {
         ),
         (
             "producer out of range",
-            TestbedConfig { producer: 3, ..TestbedConfig::new(STREAM) }.validate(),
+            TestbedConfig {
+                producer: 3,
+                ..TestbedConfig::new(STREAM)
+            }
+            .validate(),
         ),
         ("no viewers", with_viewers(Vec::new())),
         (
             "bitrate above the uplink",
-            TestbedConfig { bitrate: Bandwidth::from_mbps(10), ..diamond() }.validate(),
+            TestbedConfig {
+                bitrate: Bandwidth::from_mbps(10),
+                ..diamond()
+            }
+            .validate(),
         ),
         ("geo fan-out of zero", geo_fleet(4, 0)),
         ("geo viewer count of zero", geo_fleet(0, 2)),
@@ -389,8 +448,7 @@ async fn geo_fleet_smoke_fifty_nodes() {
     for v in &cfg.viewers {
         *by_country.entry(countries[v.node]).or_insert(0) += 1;
     }
-    let mut ranked: Vec<(usize, u32)> =
-        by_country.iter().map(|(&c, &n)| (n, c)).collect();
+    let mut ranked: Vec<(usize, u32)> = by_country.iter().map(|(&c, &n)| (n, c)).collect();
     ranked.sort_unstable_by(|a, b| b.cmp(a));
     let congested: Vec<u32> = ranked.iter().take(2).map(|&(_, c)| c).collect();
     for v in &mut cfg.viewers {
@@ -401,7 +459,11 @@ async fn geo_fleet_smoke_fifty_nodes() {
 
     let report = testbed::run(cfg).await.expect("geo fleet runs");
 
-    assert!(report.frames_broadcast >= 30, "broadcast too short: {}", report.frames_broadcast);
+    assert!(
+        report.frames_broadcast >= 30,
+        "broadcast too short: {}",
+        report.frames_broadcast
+    );
     for v in &report.viewers {
         assert!(
             v.run.qoe.startup.is_some(),
@@ -417,8 +479,13 @@ async fn geo_fleet_smoke_fifty_nodes() {
                 panic!(
                     "viewer {:?} at node {:?}: delivered {}/{} (attach {:?}, \
                      startup {:?}, packets {})",
-                    v.client, v.node, v.delivered_frames, v.expected_frames,
-                    v.attach_at, v.run.qoe.startup, v.run.packets
+                    v.client,
+                    v.node,
+                    v.delivered_frames,
+                    v.expected_frames,
+                    v.attach_at,
+                    v.run.qoe.startup,
+                    v.run.packets
                 );
             }
         }
@@ -438,7 +505,10 @@ async fn geo_fleet_smoke_fifty_nodes() {
         .any(|(k, v)| k == "transport.batch_rx_syscalls" && *v > 0));
     // Every datagram came from a peer or client the receiving node knows,
     // at the address it knows, and fit its receive slot.
-    assert_eq!(report.telemetry.counter("transport.unknown_source_drops"), 0);
+    assert_eq!(
+        report.telemetry.counter("transport.unknown_source_drops"),
+        0
+    );
     assert_eq!(report.telemetry.counter("transport.recv_truncated"), 0);
     assert_eq!(report.telemetry.counter("transport.send_errors"), 0);
     // And every datagram a viewer's client got decoded.
