@@ -24,6 +24,7 @@ mod brainha;
 mod recovery;
 mod render;
 mod report;
+mod testbed;
 mod wire;
 
 use livenet_sim::{FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, SessionRecord};

@@ -1,47 +1,47 @@
-//! The loopback harness: a complete LiveNet overlay on 127.0.0.1.
+//! `exp wire`'s harness: a complete LiveNet overlay on 127.0.0.1.
 //!
 //! Spawns the brain + N [`UdpOverlayNode`]s wired along a configured edge
-//! list, drives a `livenet-media` [`VideoEncoder`] at wall-clock pace
-//! through a `livenet-cc` [`Pacer`] (the broadcaster's uplink), and
-//! attaches real-socket viewers. Each viewer is a `livenet-sim`
-//! [`ViewerClient`] — the same client the emulator's `Scenario` drives —
-//! behind a socket: the task here only waits, binds, attaches, feeds it
-//! received datagrams, fires its playback ticks, and sends its RTCP
-//! receiver reports plus keepalives back, the client-sourced half of the
-//! datapath the emulator models with passive clients. Every node records
-//! into one [`SharedTelemetry`] hub, so a run ends with a single snapshot
-//! spanning the wire datapath and the node cores.
+//! list, drives a `livenet-media` [`VideoEncoder`] at wall-clock pace into
+//! the producer node, and attaches real-socket viewers. As in `Scenario`,
+//! the source ingests each frame at its capture instant; every node paces
+//! each of its subscribers through its own pacer. Each viewer is a
+//! `livenet-sim` [`ViewerClient`] — the same client the emulator's
+//! `Scenario` drives — behind a socket: the task here only waits, binds,
+//! attaches, feeds it received datagrams, fires its playback ticks, and
+//! sends its RTCP receiver reports plus keepalives back, the client-sourced
+//! half of the datapath the emulator models with passive clients. Every
+//! node records into one [`SharedTelemetry`] hub, so a run ends with a
+//! single snapshot spanning the wire datapath and the node cores.
 //!
-//! A [`TestbedConfig`] is a plain struct: start from a preset, change
-//! fields with struct-update syntax, and [`run`] validates it — the one
-//! gate. Two presets ship: [`TestbedConfig::diamond`] (the historical 4-node
-//! acceptance topology) and [`TestbedConfig::geo_fleet`], which grows the
-//! overlay to a 50+ node geography: region-clustered edge nodes around a
-//! full-mesh core of per-country hubs, edges and RTTs taken from a
-//! `livenet-topology` [`GeoTopology`] rather than hand-wired, and viewer
-//! arrival times drawn from `livenet-sim`'s Taobao-shaped workload and
-//! compressed into the broadcast window.
+//! A [`TestbedConfig`] is a plain struct: start from
+//! [`TestbedConfig::geo_fleet`], change fields with struct-update syntax,
+//! and [`run`] validates it — the one gate. `geo_fleet` grows the overlay
+//! to a 50+ node geography: region-clustered edge nodes around a full-mesh
+//! core of per-country hubs, edges and RTTs taken from a `livenet-topology`
+//! [`GeoTopology`] rather than hand-wired, and viewer arrival times drawn
+//! from `livenet-sim`'s Taobao-shaped workload and compressed into the
+//! broadcast window.
 //!
-//! This is the integration-test and `exp wire` substrate. Because the
-//! client is the emulator's, it measures the same quantities on real
-//! sockets: startup is playback start after I-frame sync, stalls and the
-//! E2E delay field come from the same playback model, and delivery is
-//! counted by RTP timestamp against what the broadcaster ingested.
+//! Because the client is the emulator's, the harness measures the same
+//! quantities on real sockets: startup is playback start after I-frame
+//! sync, stalls and the E2E delay field come from the same playback model,
+//! and delivery is counted by RTP timestamp against what the broadcaster
+//! ingested.
 
-use crate::batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
-use crate::clock::WallClock;
-use crate::node::{NodeCommand, NodeHandle, UdpOverlayNode, WireNodeConfig};
-use crate::telemetry::SharedTelemetry;
 use bytes::Bytes;
 use livenet_brain::{BrainConfig, StreamingBrain};
-use livenet_cc::{PacedPacket, Pacer, PacerConfig, RateDecisionStats, SendPriority};
-use livenet_media::{EncodedFrame, FrameKind, GopConfig, VideoEncoder};
-use livenet_node::{NodeConfig, NodeStats, OverlayMsg};
+use livenet_cc::RateDecisionStats;
+use livenet_media::{GopConfig, VideoEncoder};
+use livenet_node::{NodeConfig, OverlayMsg};
 use livenet_packet::RtcpPacket;
 use livenet_sim::workload::{Workload, WorkloadConfig};
 use livenet_sim::{ViewerClient, ViewerRun};
 use livenet_telemetry::{ids, MetricSink, Snapshot};
 use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, NodeInfo, Topology};
+use livenet_transport::{
+    BatchBackend, BatchSocket, NodeCommand, NodeHandle, RecvBatch, SendDatagram, SharedTelemetry,
+    UdpOverlayNode, WallClock, WireNodeConfig, MAX_BATCH,
+};
 use livenet_types::{Bandwidth, ClientId, Error, NodeId, SimDuration, SimTime, StreamId};
 use std::collections::{BTreeSet, VecDeque};
 use std::net::SocketAddr;
@@ -50,92 +50,93 @@ use std::time::Duration;
 /// Most overlay nodes one loopback harness will spawn. Each node binds
 /// one socket and runs its own event loop on the single-threaded
 /// executor; past a few hundred the harness stops resembling a testbed.
-pub(crate) const MAX_TESTBED_NODES: usize = 256;
+const MAX_TESTBED_NODES: usize = 256;
 
 /// Most concurrent viewers one harness run will drive.
-pub(crate) const MAX_TESTBED_VIEWERS: usize = 1024;
-
-/// Broadcaster uplink pacing rate: I-frame bursts are smoothed at this
-/// rate, so a source bitrate above it would back the pacer up unboundedly.
-const UPLINK: Bandwidth = Bandwidth::from_mbps(8);
+const MAX_TESTBED_VIEWERS: usize = 1024;
 
 /// Per-datagram payload cap on every node (`NodeConfig::max_datagram_bytes`,
 /// one value so the whole overlay agrees).
 const MAX_DATAGRAM_BYTES: usize = 1400;
 
+/// The broadcast stream.
+const STREAM: StreamId = StreamId(900);
+
+/// Video bitrate of the source.
+pub(crate) const BITRATE: Bandwidth = Bandwidth::from_kbps(400);
+
+/// Viewer receiver-report cadence; a keepalive goes out at half of it
+/// when no report is due.
+const RR_INTERVAL: Duration = Duration::from_millis(500);
+
+/// Wall-clock time between wiring and attach and the first frame, letting
+/// reverse-path subscriptions establish.
+const SETTLE: Duration = Duration::from_millis(400);
+
+/// Downlink estimate every viewer passes to `ClientAttach`.
+const DOWNLINK: Bandwidth = Bandwidth::from_mbps(50);
+
 /// One real-socket viewer in the harness.
 #[derive(Debug, Clone)]
-pub struct WireViewer {
+pub(crate) struct WireViewer {
     /// Index (into the harness node list) of the consumer node.
-    pub node: usize,
-    /// Downlink estimate passed to `ClientAttach`.
-    pub downlink: Option<Bandwidth>,
+    pub(crate) node: usize,
     /// When set, receiver reports sent after the given wall-clock offset
     /// claim this loss fraction — a synthetic congestion signal used to
     /// demonstrate client feedback driving the sender-side cc loop.
-    pub lossy_rr: Option<(Duration, f64)>,
+    pub(crate) lossy_rr: Option<(Duration, f64)>,
     /// Wall-clock delay from broadcast start to this viewer's attach.
     /// Zero means "attached before the first frame" (the harness settles
     /// the subscription during the settle window).
-    pub join_after: Duration,
+    pub(crate) join_after: Duration,
 }
 
 impl WireViewer {
     /// A well-behaved viewer at `node` ([`TestbedConfig::validate`] checks
     /// the index).
-    pub fn at(node: usize) -> Self {
+    pub(crate) fn at(node: usize) -> Self {
         WireViewer {
             node,
-            downlink: Some(Bandwidth::from_mbps(50)),
             lossy_rr: None,
             join_after: Duration::ZERO,
         }
     }
 
     /// Stagger this viewer's attach into the broadcast window.
-    pub fn join_after(mut self, after: Duration) -> Self {
+    fn join_after(mut self, after: Duration) -> Self {
         self.join_after = after;
         self
     }
 }
 
-/// Harness configuration: topology, media source, viewers and run length,
-/// one validated surface.
+/// Harness configuration: topology, viewers and run length, one validated
+/// surface. The source's stream, bitrate and GoP, the settle window and
+/// the viewers' report cadence and downlink are constants.
 ///
-/// Start from [`TestbedConfig::new`], [`TestbedConfig::diamond`] or
-/// [`TestbedConfig::geo_fleet`] and set fields directly; [`run`] calls
-/// [`TestbedConfig::validate`] before spawning anything.
+/// Start from [`TestbedConfig::geo_fleet`] and set fields directly; [`run`]
+/// calls [`TestbedConfig::validate`] before spawning anything.
 #[derive(Debug, Clone)]
-pub struct TestbedConfig {
-    /// The broadcast stream.
-    pub stream: StreamId,
+pub(crate) struct TestbedConfig {
     /// Number of overlay nodes (ids are assigned 1..=nodes).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Duplex overlay edges as `(a, b, rtt)` node-index pairs.
-    pub edges: Vec<(usize, usize, SimDuration)>,
+    pub(crate) edges: Vec<(usize, usize, SimDuration)>,
     /// Country of each node (indexed like the node list); used for
     /// per-region reporting. Empty means "all country 0".
-    pub countries: Vec<u32>,
+    pub(crate) countries: Vec<u32>,
     /// Index of the producer (broadcaster ingest) node.
-    pub producer: usize,
+    pub(crate) producer: usize,
     /// The viewers.
-    pub viewers: Vec<WireViewer>,
-    /// Video bitrate of the source.
-    pub bitrate: Bandwidth,
+    pub(crate) viewers: Vec<WireViewer>,
     /// Wall-clock broadcast length.
-    pub broadcast: Duration,
-    /// Viewer receiver-report cadence.
-    pub rr_interval: Duration,
+    pub(crate) broadcast: Duration,
     /// Extra wall-clock time viewers keep draining after the broadcast.
-    pub drain: Duration,
-    /// Settle time between wiring/attach and the first frame, letting
-    /// reverse-path subscriptions establish.
-    pub settle: Duration,
+    pub(crate) drain: Duration,
 }
 
 impl TestbedConfig {
     /// Check the whole surface; every violation is `Error::InvalidConfig`.
-    pub fn validate(&self) -> livenet_types::Result<()> {
+    fn validate(&self) -> livenet_types::Result<()> {
         if self.nodes == 0 || self.nodes > MAX_TESTBED_NODES {
             return Err(Error::invalid_config(format!(
                 "nodes must be in 1..={MAX_TESTBED_NODES}, got {}",
@@ -190,51 +191,12 @@ impl TestbedConfig {
         if self.broadcast.is_zero() {
             return Err(Error::invalid_config("broadcast length must be > 0"));
         }
-        if self.rr_interval.is_zero() {
-            return Err(Error::invalid_config("rr_interval must be > 0"));
-        }
-        if self.bitrate > UPLINK {
-            return Err(Error::invalid_config(format!(
-                "source bitrate {} above the {UPLINK} uplink — the pacer would \
-                 back up unboundedly",
-                self.bitrate
-            )));
-        }
         Ok(())
     }
 
     /// Country of node index `i` (0 when `countries` is unset).
-    pub fn country_of(&self, i: usize) -> u32 {
+    pub(crate) fn country_of(&self, i: usize) -> u32 {
         self.countries.get(i).copied().unwrap_or(0)
-    }
-
-    /// A minimal valid starting point: one node, producer 0, one viewer
-    /// at the producer, diamond-era media defaults.
-    pub fn new(stream: StreamId) -> TestbedConfig {
-        TestbedConfig {
-            stream,
-            nodes: 1,
-            edges: Vec::new(),
-            countries: Vec::new(),
-            producer: 0,
-            viewers: vec![WireViewer::at(0)],
-            bitrate: Bandwidth::from_mbps(1),
-            broadcast: Duration::from_secs(3),
-            rr_interval: Duration::from_millis(400),
-            drain: Duration::from_millis(900),
-            settle: Duration::from_millis(150),
-        }
-    }
-
-    /// The historical 4-node acceptance diamond 0→{1,2}→3.
-    pub fn diamond(stream: StreamId) -> TestbedConfig {
-        let ms = SimDuration::from_millis;
-        TestbedConfig {
-            nodes: 4,
-            edges: vec![(0, 1, ms(8)), (0, 2, ms(12)), (1, 3, ms(8)), (2, 3, ms(12))],
-            viewers: vec![WireViewer::at(3), WireViewer::at(3)],
-            ..TestbedConfig::new(stream)
-        }
     }
 
     /// A 50+ node geography built from `livenet-topology` data.
@@ -253,8 +215,7 @@ impl TestbedConfig {
     /// country picks an edge node in that country and its Poisson
     /// arrival time is compressed into the first half of the broadcast
     /// window, so attach load ramps the way the fleet sim's does.
-    pub fn geo_fleet(
-        stream: StreamId,
+    pub(crate) fn geo_fleet(
         geo: &GeoConfig,
         viewer_count: usize,
         fanout: usize,
@@ -317,7 +278,7 @@ impl TestbedConfig {
             } else {
                 let home = hub_of_country[inf.country as usize].expect("every country has a hub");
                 let mut rest: Vec<usize> = hubs.iter().copied().filter(|&h| h != home).collect();
-                rest.sort_by(|&x, &y| rtt_of(i, x).cmp(&rtt_of(i, y)));
+                rest.sort_by_key(|&x| rtt_of(i, x));
                 let mut t = vec![home];
                 t.extend(rest.into_iter().take(fanout - 1));
                 t
@@ -385,44 +346,40 @@ impl TestbedConfig {
             countries,
             producer: hubs[0],
             viewers,
-            bitrate: Bandwidth::from_kbps(400),
             broadcast,
             drain: Duration::from_millis(1500),
-            settle: Duration::from_millis(400),
-            rr_interval: Duration::from_millis(500),
-            ..TestbedConfig::new(stream)
         })
     }
 }
 
 /// What one viewer saw.
-#[derive(Debug, Clone)]
-pub struct ViewerReport {
+#[derive(Debug)]
+pub(crate) struct ViewerReport {
     /// The client id used on the wire.
-    pub client: ClientId,
+    client: ClientId,
     /// The consumer node the viewer attached to.
-    pub node: NodeId,
+    node: NodeId,
     /// When (harness clock) the viewer attached; its client's request
     /// time, so `run.qoe.startup` and `run.first_packet` count from here.
-    pub attach_at: SimTime,
+    attach_at: SimTime,
     /// Frames the broadcaster ingested during this viewer's streaming
     /// phase (attach + playback startup → end of broadcast); filled by
     /// [`run`]. The denominator of [`ViewerReport::delivery`].
-    pub expected_frames: u64,
+    expected_frames: u64,
     /// Of those frames, the ones the viewer completed, matched by RTP
     /// timestamp; filled by [`run`].
-    pub delivered_frames: u64,
-    /// Receiver reports sent.
-    pub rr_sent: u64,
+    delivered_frames: u64,
+    /// Receiver reports the viewer's socket accepted.
+    pub(crate) rr_sent: u64,
     /// What the viewer's client saw.
-    pub run: ViewerRun,
+    pub(crate) run: ViewerRun,
 }
 
 impl ViewerReport {
     /// Streaming-phase delivery: the share of the frames broadcast while
     /// this viewer was playing that it completed; 1.0 when it was owed
     /// none (playback started after the last ingest).
-    pub fn delivery(&self) -> f64 {
+    fn delivery(&self) -> f64 {
         if self.expected_frames == 0 {
             return 1.0;
         }
@@ -432,28 +389,28 @@ impl ViewerReport {
 
 /// The outcome of one loopback run.
 #[derive(Debug)]
-pub struct WireRunReport {
+pub(crate) struct WireRunReport {
     /// Frames the broadcaster ingested at the producer.
-    pub frames_broadcast: u64,
-    /// Per-viewer delivery and latency figures.
-    pub viewers: Vec<ViewerReport>,
-    /// Final pacing rate toward each client, from the consumer core.
-    pub client_rates: Vec<(ClientId, Option<Bandwidth>)>,
-    /// Per-node cumulative core stats.
-    pub node_stats: Vec<(NodeId, NodeStats)>,
+    pub(crate) frames_broadcast: u64,
+    /// Per-viewer delivery and latency figures, in `TestbedConfig::viewers`
+    /// order.
+    pub(crate) viewers: Vec<ViewerReport>,
+    /// Final pacing rate toward each client, from the consumer core, in
+    /// the same order.
+    pub(crate) client_rates: Vec<(ClientId, Option<Bandwidth>)>,
     /// Sender-side cc decision totals summed over every node core.
-    pub cc: RateDecisionStats,
-    /// Per-node cc decision totals (indexed like `node_stats`).
-    pub node_cc: Vec<(NodeId, RateDecisionStats)>,
+    pub(crate) cc: RateDecisionStats,
+    /// Per-node cc decision totals, indexed by node list position.
+    node_cc: Vec<(NodeId, RateDecisionStats)>,
     /// Country of each node, indexed by node list position.
-    pub countries: Vec<u32>,
+    countries: Vec<u32>,
     /// Snapshot of the shared hub (transport counters, spans, core stats).
-    pub telemetry: Snapshot,
+    pub(crate) telemetry: Snapshot,
 }
 
 impl WireRunReport {
     /// Streaming-phase delivery of the worst-off viewer.
-    pub fn worst_delivery(&self) -> f64 {
+    pub(crate) fn worst_delivery(&self) -> f64 {
         self.viewers
             .iter()
             .map(ViewerReport::delivery)
@@ -461,7 +418,7 @@ impl WireRunReport {
     }
 
     /// Sum of cc rate decreases over the nodes of one country.
-    pub fn cc_decreases_in_country(&self, country: u32) -> u64 {
+    pub(crate) fn cc_decreases_in_country(&self, country: u32) -> u64 {
         self.node_cc
             .iter()
             .enumerate()
@@ -478,13 +435,12 @@ fn local() -> SocketAddr {
 /// Everything one viewer task needs to join, watch, and report.
 struct ViewerPlan {
     client: ClientId,
-    spec: WireViewer,
+    /// The viewer's synthetic loss, as in [`WireViewer::lossy_rr`].
+    lossy_rr: Option<(Duration, f64)>,
     node: NodeHandle,
-    stream: StreamId,
     /// The Brain's producer-first path to the consumer (`None` at the
     /// producer itself).
     path: Option<Vec<NodeId>>,
-    rr_interval: Duration,
     /// Wall-clock delay before attaching (zero = attach immediately; the
     /// harness then settles before media flows).
     attach_delay: Duration,
@@ -498,8 +454,8 @@ struct ViewerPlan {
 /// Config problems (including out-of-range viewer node indices, which
 /// formerly panicked) surface as `Error::InvalidConfig`. Harness-level
 /// failures (bind errors, a node dying mid-run) still panic: the callers
-/// are tests and bench bins, where aborting loudly is right.
-pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
+/// are `exp wire` and tests, where aborting loudly is right.
+pub(crate) async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     cfg.validate()?;
     let clock = WallClock::new();
     let telemetry = SharedTelemetry::new();
@@ -528,7 +484,7 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
         .expect("edge endpoints were upserted above");
     }
     let mut brain = StreamingBrain::new(topo, BrainConfig::default());
-    brain.register_stream(cfg.stream, ids_v[cfg.producer]);
+    brain.register_stream(STREAM, ids_v[cfg.producer]);
 
     // Overlay nodes, all recording into one hub.
     let mut handles: Vec<NodeHandle> = Vec::new();
@@ -561,7 +517,7 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     }
     handles[cfg.producer]
         .send(NodeCommand::RegisterProducer {
-            stream: cfg.stream,
+            stream: STREAM,
             ladder: None,
         })
         .await
@@ -569,28 +525,26 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
 
     // Viewers: each runs its whole session (delayed attach included) as
     // one task, so arrivals stagger like the workload says while the
-    // broadcaster keeps pacing. Nothing moves the Brain during a run, so
+    // broadcaster keeps ingesting. Nothing moves the Brain during a run, so
     // each viewer's path is asked for here, when the viewer is planned.
-    let run_deadline = tokio::time::Instant::now() + cfg.settle + cfg.broadcast + cfg.drain;
+    let run_deadline = tokio::time::Instant::now() + SETTLE + cfg.broadcast + cfg.drain;
     let mut viewer_joins = Vec::new();
     for (vi, spec) in cfg.viewers.iter().enumerate() {
         let path = (spec.node != cfg.producer).then(|| {
             let assign = brain
-                .path_request(cfg.stream, ids_v[spec.node], clock.now())
+                .path_request(STREAM, ids_v[spec.node], clock.now())
                 .expect("brain finds a path in the configured topology");
             assign.paths[0].nodes.clone()
         });
         let plan = ViewerPlan {
             client: ClientId::new(vi as u64 + 1),
-            spec: spec.clone(),
+            lossy_rr: spec.lossy_rr,
             node: handles[spec.node].clone(),
-            stream: cfg.stream,
             path,
-            rr_interval: cfg.rr_interval,
             attach_delay: if spec.join_after.is_zero() {
                 Duration::ZERO
             } else {
-                cfg.settle + spec.join_after
+                SETTLE + spec.join_after
             },
             deadline: run_deadline,
             clock,
@@ -601,10 +555,8 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
 
     // Let the zero-join reverse-path subscriptions establish before media
     // flows.
-    tokio::time::sleep(cfg.settle).await;
+    tokio::time::sleep(SETTLE).await;
 
-    // Broadcaster: encode at wall-clock pace, smooth the uplink through
-    // the cc pacer, ingest whatever the pacer releases.
     let ingests = broadcast(&cfg, clock, &handles[cfg.producer]).await;
 
     // Harvest viewers (they stop at their deadline), then the nodes.
@@ -672,14 +624,12 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
         cc.decreases += t.decreases;
         node_cc.push((core.id(), t));
     }
-    let node_stats = cores.iter().map(|c| (c.id(), c.stats)).collect();
     let countries = (0..cfg.nodes).map(|i| cfg.country_of(i)).collect();
 
     Ok(WireRunReport {
         frames_broadcast: ingests.len() as u64,
         viewers,
         client_rates,
-        node_stats,
         cc,
         node_cc,
         countries,
@@ -687,9 +637,9 @@ pub async fn run(cfg: TestbedConfig) -> livenet_types::Result<WireRunReport> {
     })
 }
 
-/// Drive the encoder through the pacer at wall-clock pace; returns the
-/// ingest time and RTP timestamp of every frame ingested at the producer
-/// (the data for per-viewer delivery accounting).
+/// The broadcaster: encode at wall-clock pace and ingest each frame at the
+/// producer the moment it is captured. Returns the ingest time and RTP
+/// timestamp of every frame (the data for per-viewer delivery accounting).
 async fn broadcast(
     cfg: &TestbedConfig,
     clock: WallClock,
@@ -697,48 +647,22 @@ async fn broadcast(
 ) -> Vec<(SimTime, u32)> {
     // The default GoP, as the emulator counterpart of `exp wire` streams.
     let gop = GopConfig::default();
-    let mut encoder = VideoEncoder::new(cfg.stream, gop, cfg.bitrate, clock.now());
-    let mut pacer: Pacer<(EncodedFrame, Bytes)> = Pacer::new(PacerConfig::default(), UPLINK);
+    let mut encoder = VideoEncoder::new(STREAM, gop, BITRATE, clock.now());
     let interval = Duration::from_nanos(gop.frame_interval().as_nanos());
-    let total = (cfg.broadcast.as_nanos() / interval.as_nanos()).max(1) as u64;
-    let mut ingests = Vec::with_capacity(total as usize);
+    let total = (cfg.broadcast.as_nanos() / interval.as_nanos()).max(1) as usize;
+    let mut ingests = Vec::with_capacity(total);
     for _ in 0..total {
         let frame = encoder.next_frame();
-        let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
-        pacer.enqueue(PacedPacket {
-            priority: SendPriority::Video,
-            bytes: frame.size_bytes as usize,
-            is_iframe: frame.kind == FrameKind::I,
-            payload: (frame, payload),
-        });
-        drain_pacer(&mut pacer, clock, producer, &mut ingests).await;
-        tokio::time::sleep(interval).await;
-    }
-    // Flush the tail the token bucket is still holding.
-    let flush_deadline = tokio::time::Instant::now() + Duration::from_millis(500);
-    while pacer.is_backlogged() && tokio::time::Instant::now() < flush_deadline {
-        drain_pacer(&mut pacer, clock, producer, &mut ingests).await;
-        tokio::time::sleep(Duration::from_millis(5)).await;
-    }
-    ingests
-}
-
-async fn drain_pacer(
-    pacer: &mut Pacer<(EncodedFrame, Bytes)>,
-    clock: WallClock,
-    producer: &NodeHandle,
-    ingests: &mut Vec<(SimTime, u32)>,
-) {
-    let released = pacer.poll(clock.now());
-    for paced in released {
-        let (frame, payload) = paced.payload;
         let rtp_timestamp = frame.rtp_timestamp;
+        let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
         producer
             .send(NodeCommand::Ingest { frame, payload })
             .await
             .expect("producer alive during broadcast");
         ingests.push((clock.now(), rtp_timestamp));
+        tokio::time::sleep(interval).await;
     }
+    ingests
 }
 
 /// One viewer's whole session: wait out the staggered join, bind, attach
@@ -755,18 +679,23 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
     plan.node
         .send(NodeCommand::ClientAttach {
             client: plan.client,
-            stream: plan.stream,
-            downlink: plan.spec.downlink,
+            stream: STREAM,
+            downlink: Some(DOWNLINK),
             path: plan.path,
             addr: sock.local_addr(),
         })
         .await
         .expect("consumer alive");
+    // One datagram to the consumer; `false` when the socket refused it
+    // (`Ok(0)` is a full send buffer), which the hub counts as a send
+    // error, as the nodes count theirs.
     let send = |payload| {
-        sock.try_send_batch(&[SendDatagram {
-            to: plan.node.addr,
-            payload,
-        }])
+        let to = plan.node.addr;
+        let accepted = matches!(sock.try_send_batch(&[SendDatagram { to, payload }]), Ok(1));
+        if !accepted {
+            plan.telemetry.with(|h| h.incr(ids::TRANSPORT_SEND_ERRORS));
+        }
+        accepted
     };
 
     let started = tokio::time::Instant::now();
@@ -816,28 +745,27 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
             viewer.on_tick(now);
         }
 
-        // Feedback: honest (or synthetically lossy) RRs at the configured
+        // Feedback: honest (or synthetically lossy) RRs at the report
         // cadence, keepalives in between.
-        if last_rr.elapsed() >= plan.rr_interval {
+        if last_rr.elapsed() >= RR_INTERVAL {
             if let Some(mut rr) = viewer.receiver_report() {
-                if let Some((after, loss)) = plan.spec.lossy_rr {
+                if let Some((after, loss)) = plan.lossy_rr {
                     if started.elapsed() >= after {
                         rr.loss_fraction = loss;
                     }
                 }
                 let packet = RtcpPacket::ReceiverReport(rr).encode();
-                let _ = send(
-                    OverlayMsg::Rtcp {
-                        stream: plan.stream,
-                        packet,
-                    }
-                    .encode(),
-                );
-                rr_sent += 1;
+                let msg = OverlayMsg::Rtcp {
+                    stream: STREAM,
+                    packet,
+                };
+                if send(msg.encode()) {
+                    rr_sent += 1;
+                }
                 last_rr = tokio::time::Instant::now();
             }
-        } else if last_keepalive.elapsed() >= plan.rr_interval / 2 {
-            let _ = send(OverlayMsg::Keepalive.encode());
+        } else if last_keepalive.elapsed() >= RR_INTERVAL / 2 {
+            send(OverlayMsg::Keepalive.encode());
             last_keepalive = tokio::time::Instant::now();
         }
     }
@@ -850,5 +778,270 @@ async fn viewer_session(plan: ViewerPlan) -> ViewerReport {
         delivered_frames: 0,
         rr_sent,
         run: viewer.finish(plan.clock.now()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal valid starting point: one node, producer 0, one viewer
+    /// at the producer.
+    fn one_node() -> TestbedConfig {
+        TestbedConfig {
+            nodes: 1,
+            edges: Vec::new(),
+            countries: Vec::new(),
+            producer: 0,
+            viewers: vec![WireViewer::at(0)],
+            broadcast: Duration::from_secs(3),
+            drain: Duration::from_millis(900),
+        }
+    }
+
+    /// The historical 4-node acceptance diamond 0→{1,2}→3.
+    fn diamond() -> TestbedConfig {
+        let ms = SimDuration::from_millis;
+        TestbedConfig {
+            nodes: 4,
+            edges: vec![(0, 1, ms(8)), (0, 2, ms(12)), (1, 3, ms(8)), (2, 3, ms(12))],
+            viewers: vec![WireViewer::at(3), WireViewer::at(3)],
+            ..one_node()
+        }
+    }
+
+    /// The full acceptance loop, shortened: a 4-node diamond with two
+    /// feedback-sending viewers over real UDP. Client RTCP receiver reports
+    /// must reach the consumer core (cc decisions recorded), a synthetically
+    /// lossy viewer must drive the pacing rate down, and delivery must stay
+    /// ≥ 99% of broadcast frames.
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn client_feedback_round_trip_drives_cc_over_udp() {
+        let mut cfg = TestbedConfig {
+            broadcast: Duration::from_millis(1600),
+            drain: Duration::from_millis(700),
+            ..diamond()
+        };
+        // Viewer 1 turns synthetically lossy after 800 ms.
+        cfg.viewers[1].lossy_rr = Some((Duration::from_millis(800), 0.3));
+
+        let report = run(cfg).await.expect("validated config runs");
+
+        assert!(
+            report.frames_broadcast >= 20,
+            "broadcast too short: {}",
+            report.frames_broadcast
+        );
+        for v in &report.viewers {
+            assert!(
+                v.rr_sent >= 2,
+                "viewer {:?} sent only {} RRs",
+                v.client,
+                v.rr_sent
+            );
+            assert!(
+                v.run.qoe.startup.is_some(),
+                "viewer {:?} never started playback",
+                v.client
+            );
+        }
+        let delivery = report.worst_delivery();
+        assert!(
+            delivery >= 0.99,
+            "worst viewer delivered only {delivery:.3} of frames"
+        );
+
+        // Feedback round-trip: the consumer core built sender-side cc state
+        // for the clients and the lossy viewer forced decreases.
+        let total = report.cc.increases + report.cc.holds + report.cc.decreases;
+        assert!(
+            total > 0,
+            "no cc decisions recorded — client RTCP never reached the core"
+        );
+        assert!(
+            report.cc.decreases >= 1,
+            "lossy client RRs drove no rate decrease: {:?}",
+            report.cc
+        );
+
+        // And the decreased rate is visible on the lossy viewer's pacer.
+        let lossy = report.viewers[1].client;
+        let rate = report
+            .client_rates
+            .iter()
+            .find(|(c, _)| *c == lossy)
+            .and_then(|(_, r)| *r)
+            .expect("lossy client still attached at shutdown");
+        assert!(
+            rate < Bandwidth::from_mbps(20),
+            "rate never moved below the 20 Mbps initial: {rate:?}"
+        );
+
+        // The shared hub saw the wire datapath.
+        assert!(report
+            .telemetry
+            .counters
+            .iter()
+            .any(|(k, v)| k == "transport.rx_datagrams" && *v > 0));
+    }
+
+    /// Every class of bad input surfaces as `Error::InvalidConfig` from
+    /// `validate()` or the preset — including the out-of-range viewer index
+    /// that used to panic deep inside `run`.
+    #[test]
+    fn builder_rejects_invalid_configs() {
+        let with_viewers = |viewers: Vec<WireViewer>| {
+            TestbedConfig {
+                viewers,
+                ..diamond()
+            }
+            .validate()
+        };
+        let geo_fleet = |viewers, fanout| {
+            TestbedConfig::geo_fleet(&GeoConfig::tiny(1), viewers, fanout, 1).map(|_| ())
+        };
+        let cases: Vec<(&str, livenet_types::Result<()>)> = vec![
+            (
+                "viewer node out of range",
+                with_viewers(vec![
+                    WireViewer::at(3),
+                    WireViewer::at(3),
+                    WireViewer::at(9),
+                ]),
+            ),
+            (
+                "edge endpoint out of range",
+                TestbedConfig {
+                    nodes: 2,
+                    edges: vec![(0, 5, SimDuration::from_millis(5))],
+                    ..one_node()
+                }
+                .validate(),
+            ),
+            (
+                "producer out of range",
+                TestbedConfig {
+                    producer: 3,
+                    ..one_node()
+                }
+                .validate(),
+            ),
+            ("no viewers", with_viewers(Vec::new())),
+            ("geo fan-out of zero", geo_fleet(4, 0)),
+            ("geo viewer count of zero", geo_fleet(0, 2)),
+        ];
+        for (what, result) in cases {
+            match result {
+                Err(Error::InvalidConfig(_)) => {}
+                other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    /// `run` validates, so a corrupted config errors instead of panicking
+    /// mid-harness.
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn run_rejects_corrupted_config() {
+        let mut cfg = diamond();
+        cfg.validate().expect("valid");
+        cfg.viewers[0].node = 99;
+        match run(cfg).await {
+            Err(Error::InvalidConfig(_)) => {}
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    /// A 50+ node geo fleet (region hubs in a full-mesh core,
+    /// workload-staggered viewers on country edge nodes) over real loopback
+    /// sockets, time-capped. Delivery must stay ≥ 99 % for every viewer
+    /// and each congested region must record at least one cc rate decrease
+    /// at its edge nodes.
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn geo_fleet_smoke_fifty_nodes() {
+        let geo = GeoConfig::paper_scale(7);
+        let mut cfg = TestbedConfig {
+            broadcast: Duration::from_secs(3),
+            drain: Duration::from_millis(1200),
+            ..TestbedConfig::geo_fleet(&geo, 24, 2, 11).expect("geo fleet preset is valid")
+        };
+        assert!(cfg.nodes >= 50, "geo fleet too small: {} nodes", cfg.nodes);
+        assert!(
+            cfg.viewers.iter().any(|v| !v.join_after.is_zero()),
+            "workload produced no staggered arrivals"
+        );
+
+        // Congest the two busiest viewer regions: every viewer there turns
+        // synthetically lossy late in its session.
+        let countries = cfg.countries.clone();
+        let mut by_country = std::collections::BTreeMap::<u32, usize>::new();
+        for v in &cfg.viewers {
+            *by_country.entry(countries[v.node]).or_insert(0) += 1;
+        }
+        let mut ranked: Vec<(usize, u32)> = by_country.iter().map(|(&c, &n)| (n, c)).collect();
+        ranked.sort_unstable_by(|a, b| b.cmp(a));
+        let congested: Vec<u32> = ranked.iter().take(2).map(|&(_, c)| c).collect();
+        for v in &mut cfg.viewers {
+            if congested.contains(&countries[v.node]) {
+                v.lossy_rr = Some((Duration::from_millis(900), 0.3));
+            }
+        }
+
+        let report = run(cfg).await.expect("geo fleet runs");
+
+        assert!(
+            report.frames_broadcast >= 30,
+            "broadcast too short: {}",
+            report.frames_broadcast
+        );
+        for v in &report.viewers {
+            assert!(
+                v.run.qoe.startup.is_some(),
+                "viewer {:?} at node {:?} never started playback",
+                v.client,
+                v.node
+            );
+        }
+        let delivery = report.worst_delivery();
+        if delivery < 0.99 {
+            for v in &report.viewers {
+                if v.delivery() < 0.99 {
+                    panic!(
+                        "viewer {:?} at node {:?}: delivered {}/{} (attach {:?}, \
+                         startup {:?}, packets {})",
+                        v.client,
+                        v.node,
+                        v.delivered_frames,
+                        v.expected_frames,
+                        v.attach_at,
+                        v.run.qoe.startup,
+                        v.run.packets
+                    );
+                }
+            }
+        }
+        for &c in &congested {
+            assert!(
+                report.cc_decreases_in_country(c) >= 1,
+                "congested country {c} recorded no cc decrease: {:?}",
+                report.node_cc
+            );
+        }
+        // The batched hot path actually engaged.
+        assert!(report
+            .telemetry
+            .counters
+            .iter()
+            .any(|(k, v)| k == "transport.batch_rx_syscalls" && *v > 0));
+        // Every datagram came from a peer or client the receiving node knows,
+        // at the address it knows, and fit its receive slot; every datagram
+        // a node or a viewer sent, its socket accepted.
+        assert_eq!(
+            report.telemetry.counter("transport.unknown_source_drops"),
+            0
+        );
+        assert_eq!(report.telemetry.counter("transport.recv_truncated"), 0);
+        assert_eq!(report.telemetry.counter("transport.send_errors"), 0);
+        // And every datagram a viewer's client got decoded.
+        assert!(report.viewers.iter().all(|v| v.run.undecodable == 0));
     }
 }

@@ -19,16 +19,14 @@
 //! Full mode drives ≥200 viewers; `--smoke` is the capped CI gate. What a
 //! socket can carry per core is `benchmark/`'s `transport.batch_dps_*`.
 
+use crate::testbed::{self, TestbedConfig, BITRATE};
 use crate::{percentile, Args, Report, SEED};
 use livenet_emu::LossModel;
 use livenet_sim::{Scenario, Viewer, ViewerRun};
 use livenet_topology::GeoConfig;
-use livenet_transport::{testbed, TestbedConfig};
-use livenet_types::{SimDuration, SimTime, StreamId};
+use livenet_types::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::time::Duration;
-
-const STREAM: StreamId = StreamId(900);
 
 /// Spoke fan-out of every edge node (home hub + closest foreign hub).
 const FANOUT: usize = 2;
@@ -111,7 +109,7 @@ fn emulator_config(cfg: &TestbedConfig) -> Scenario {
             }
         })
         .collect();
-    emu.bitrate = cfg.bitrate;
+    emu.bitrate = BITRATE;
     emu.duration = SimDuration::from_nanos(cfg.broadcast.as_nanos() as u64);
     emu.drain = SimDuration::from_nanos(cfg.drain.as_nanos() as u64);
     emu
@@ -144,7 +142,7 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     let mut cfg = TestbedConfig {
         broadcast,
         drain,
-        ..TestbedConfig::geo_fleet(STREAM, &geo, viewer_count, FANOUT, SEED)
+        ..TestbedConfig::geo_fleet(&geo, viewer_count, FANOUT, SEED)
             .expect("geo_fleet preset is valid")
     };
 
@@ -178,7 +176,7 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.meta("congested_country", congested.to_string());
     out.meta(
         "broadcast",
-        format!("{:.1}s @ {} kbps", cfg.broadcast.as_secs_f64(), cfg.bitrate.as_bps() / 1000),
+        format!("{:.1}s @ {} kbps", cfg.broadcast.as_secs_f64(), BITRATE.as_kbps()),
     );
 
     assert!(cfg.nodes >= 50, "geo fleet too small: {} nodes", cfg.nodes);
@@ -275,17 +273,36 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
 
     // ---- RTCP feedback → cc over the congested region ------------------
     let cc_decreases_congested = wire.cc_decreases_in_country(congested);
+    let rr_sent: u64 = wire.viewers.iter().map(|v| v.rr_sent).sum();
+    // Each viewer's pacing rate at shutdown (kbps), lossy viewers apart;
+    // `client_rates` is in `cfg.viewers` order.
+    let (mut lossy_kbps, mut clean_kbps) = (Vec::new(), Vec::new());
+    for (v, (_, rate)) in cfg.viewers.iter().zip(&wire.client_rates) {
+        let group = if v.lossy_rr.is_some() { &mut lossy_kbps } else { &mut clean_kbps };
+        group.extend(rate.map(|r| r.as_kbps() as f64));
+    }
+    lossy_kbps.sort_by(f64::total_cmp);
+    clean_kbps.sort_by(f64::total_cmp);
     out.heading("Client RTCP feedback → sender-side cc (congested region)");
     out.table(
         &["quantity", "value"],
         &[
             vec!["lossy viewers (busiest country)".into(), lossy_viewers.to_string()],
+            vec!["receiver reports sent, all viewers".into(), rr_sent.to_string()],
             vec![
                 "cc decreases in congested country".into(),
                 cc_decreases_congested.to_string(),
             ],
             vec!["cc decreases fleet-wide".into(), wire.cc.decreases.to_string()],
             vec!["cc increases fleet-wide".into(), wire.cc.increases.to_string()],
+            vec![
+                "median pacing rate at shutdown, lossy viewers (kbps)".into(),
+                format!("{:.0}", percentile(&lossy_kbps, 0.5)),
+            ],
+            vec![
+                "median pacing rate at shutdown, other viewers (kbps)".into(),
+                format!("{:.0}", percentile(&clean_kbps, 0.5)),
+            ],
         ],
     );
 

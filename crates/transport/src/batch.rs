@@ -179,7 +179,7 @@ impl BatchSocket {
     /// datagram count. Poll-driven: every poll tries the socket once and
     /// registers no waker, which is what the vendored executor (it re-polls
     /// every task each round) expects.
-    pub(crate) async fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
+    pub async fn recv_batch(&self, batch: &mut RecvBatch) -> io::Result<usize> {
         std::future::poll_fn(|_| match self.try_recv_batch(batch) {
             Ok(0) => std::task::Poll::Pending,
             done => std::task::Poll::Ready(done),

@@ -11,11 +11,12 @@
 //! calendar, [`livenet_types::EventQueue`], and are never cancelled: the
 //! core drops a fire that is no longer due. Wall-clock time is mapped onto
 //! [`SimTime`] relative to a per-process epoch, so the protocol core never
-//! notices it left the simulator.
+//! notices it left the simulator. A node records into the
+//! [`SharedTelemetry`] hub it is given; clones of one hub share it.
 //!
-//! [`testbed`] assembles the whole thing — brain, nodes, a paced
-//! broadcaster, and feedback-sending viewers — into a driveable loopback
-//! overlay, with every layer recording into one [`SharedTelemetry`] hub.
+//! The crate is the driver only. The loopback experiment that assembles a
+//! Brain, a fleet of these nodes, a broadcaster and feedback-sending
+//! viewers is `exp wire`'s harness, in `livenet-bench`.
 
 // `deny` rather than `forbid`: the one sanctioned exception is the
 // direct `sendmmsg`/`recvmmsg` bindings in `batch::mmsg`, which carry a
@@ -27,10 +28,8 @@ mod batch;
 mod clock;
 mod node;
 mod telemetry;
-pub mod testbed;
 
 pub use batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
 pub use clock::WallClock;
 pub use node::{NodeCommand, NodeGone, NodeHandle, UdpOverlayNode, WireNodeConfig};
 pub use telemetry::SharedTelemetry;
-pub use testbed::{TestbedConfig, ViewerReport, WireRunReport, WireViewer};

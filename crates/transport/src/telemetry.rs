@@ -9,8 +9,7 @@
 //! what lets CI gate the crate with `clippy::await_holding_lock`.
 
 use livenet_telemetry::{Snapshot, TelemetryHub};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Shared handle to one [`TelemetryHub`], clonable across tasks.
 #[derive(Debug, Clone, Default)]
@@ -27,13 +26,19 @@ impl SharedTelemetry {
     /// Record into (or read from) the hub. The lock is scoped to the
     /// closure: do not `await` inside.
     pub fn with<R>(&self, f: impl FnOnce(&mut TelemetryHub) -> R) -> R {
-        let mut hub = self.inner.lock();
+        // Each counter, gauge or histogram step leaves the hub valid, so a
+        // closure that panicked part-way leaves a partial recording, not a
+        // broken hub: recover the lock.
+        let mut hub = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut hub)
     }
 
     /// Canonical snapshot of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
-        self.inner.lock().snapshot()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot()
     }
 }
 
