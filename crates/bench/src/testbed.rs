@@ -94,7 +94,7 @@ pub(crate) struct WireViewer {
 impl WireViewer {
     /// A well-behaved viewer at `node` ([`TestbedConfig::validate`] checks
     /// the index).
-    pub(crate) fn at(node: usize) -> Self {
+    fn at(node: usize) -> Self {
         WireViewer {
             node,
             lossy_rr: None,
