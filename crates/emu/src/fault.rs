@@ -125,8 +125,22 @@ impl FaultPlan {
         b: NodeId,
         loss: f64,
     ) -> &mut Self {
-        self.push(at, FaultKind::LossBurst { from: a, to: b, loss });
-        self.push(at, FaultKind::LossBurst { from: b, to: a, loss });
+        self.push(
+            at,
+            FaultKind::LossBurst {
+                from: a,
+                to: b,
+                loss,
+            },
+        );
+        self.push(
+            at,
+            FaultKind::LossBurst {
+                from: b,
+                to: a,
+                loss,
+            },
+        );
         self.push(at + lasts, FaultKind::LossBurstEnd { from: a, to: b });
         self.push(at + lasts, FaultKind::LossBurstEnd { from: b, to: a })
     }
@@ -175,10 +189,19 @@ mod tests {
     #[test]
     fn outage_builds_crash_restart_pair() {
         let mut p = FaultPlan::new();
-        p.outage(SimTime::from_secs(5), SimDuration::from_secs(30), NodeId::new(3));
+        p.outage(
+            SimTime::from_secs(5),
+            SimDuration::from_secs(30),
+            NodeId::new(3),
+        );
         assert_eq!(p.len(), 2);
         let evs: Vec<&FaultEvent> = p.events().collect();
-        assert_eq!(evs[0].kind, FaultKind::NodeCrash { node: NodeId::new(3) });
+        assert_eq!(
+            evs[0].kind,
+            FaultKind::NodeCrash {
+                node: NodeId::new(3)
+            }
+        );
         assert_eq!(evs[1].at, SimTime::from_secs(35));
     }
 

@@ -228,11 +228,7 @@ impl<H: Host> NetSim<H> {
     /// Used to inject external stimuli (client requests) deterministically.
     /// Returns `None` for unknown hosts and for hosts currently crashed by
     /// fault injection (a dead process accepts no stimuli).
-    pub fn with_host<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut H, &mut Ctx) -> R,
-    ) -> Option<R> {
+    pub fn with_host<R>(&mut self, id: NodeId, f: impl FnOnce(&mut H, &mut Ctx) -> R) -> Option<R> {
         if self.down.contains(&id) {
             return None;
         }
@@ -501,7 +497,9 @@ mod tests {
         let a = NodeId::new(1);
         let mut sim = NetSim::new(1);
         sim.add_host(a, Echo::default());
-        sim.with_host(a, |_, ctx| ctx.send(NodeId::new(99), Bytes::from_static(b"x")));
+        sim.with_host(a, |_, ctx| {
+            ctx.send(NodeId::new(99), Bytes::from_static(b"x"))
+        });
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.no_route_drops, 1);
     }
@@ -558,7 +556,10 @@ mod tests {
         sim.add_host(b, Echo::default());
         sim.add_duplex(a, b, link());
         sim.schedule_fault(SimTime::from_millis(100), FaultKind::NodeCrash { node: b });
-        sim.schedule_fault(SimTime::from_millis(300), FaultKind::NodeRestart { node: b });
+        sim.schedule_fault(
+            SimTime::from_millis(300),
+            FaultKind::NodeRestart { node: b },
+        );
         // Before the crash: delivered.
         sim.with_host(a, |_, ctx| ctx.send(b, Bytes::from_static(b"1")));
         sim.run_until(SimTime::from_millis(150));
@@ -588,7 +589,10 @@ mod tests {
             ctx.set_timer_after(SimDuration::from_millis(500), 2);
         });
         sim.schedule_fault(SimTime::from_millis(100), FaultKind::NodeCrash { node: a });
-        sim.schedule_fault(SimTime::from_millis(200), FaultKind::NodeRestart { node: a });
+        sim.schedule_fault(
+            SimTime::from_millis(200),
+            FaultKind::NodeRestart { node: a },
+        );
         sim.run_until(SimTime::from_secs(1));
         // Timer 1 fired before the crash; timer 2 was cancelled by it even
         // though the node was back up at its expiry.
@@ -603,8 +607,14 @@ mod tests {
         sim.add_host(a, Echo::default());
         sim.add_host(b, Echo::default());
         sim.add_duplex(a, b, link());
-        sim.schedule_fault(SimTime::from_millis(10), FaultKind::LinkDown { from: a, to: b });
-        sim.schedule_fault(SimTime::from_millis(100), FaultKind::LinkUp { from: a, to: b });
+        sim.schedule_fault(
+            SimTime::from_millis(10),
+            FaultKind::LinkDown { from: a, to: b },
+        );
+        sim.schedule_fault(
+            SimTime::from_millis(100),
+            FaultKind::LinkUp { from: a, to: b },
+        );
         sim.run_until(SimTime::from_millis(20));
         assert!(!sim.link_is_up(a, b));
         assert!(sim.link_is_up(b, a)); // directional
@@ -656,16 +666,18 @@ mod tests {
             let b = NodeId::new(2);
             let mut sim = NetSim::new(11);
             sim.add_host(a, Echo::default());
-            sim.add_host(b, Echo { echo: true, ..Default::default() });
+            sim.add_host(
+                b,
+                Echo {
+                    echo: true,
+                    ..Default::default()
+                },
+            );
             let mut cfg = link();
             cfg.loss = crate::link::LossModel::Bernoulli { p: 0.2 };
             sim.add_duplex(a, b, cfg);
             let mut plan = FaultPlan::new();
-            plan.outage(
-                SimTime::from_millis(40),
-                SimDuration::from_millis(30),
-                b,
-            );
+            plan.outage(SimTime::from_millis(40), SimDuration::from_millis(30), b);
             plan.loss_burst(
                 SimTime::from_millis(90),
                 SimDuration::from_millis(40),
@@ -700,11 +712,16 @@ mod tests {
         cfg.loss = crate::link::LossModel::Bernoulli { p: 0.5 };
         sim.add_duplex(a, b, cfg);
         sim.schedule_fault(SimTime::from_millis(500), FaultKind::NodeCrash { node: b });
-        sim.schedule_fault(SimTime::from_millis(600), FaultKind::NodeRestart { node: b });
+        sim.schedule_fault(
+            SimTime::from_millis(600),
+            FaultKind::NodeRestart { node: b },
+        );
         for _ in 0..100 {
             sim.with_host(a, |_, ctx| ctx.send(b, Bytes::from_static(b"d")));
         }
-        sim.with_host(a, |_, ctx| ctx.send(NodeId::new(99), Bytes::from_static(b"x")));
+        sim.with_host(a, |_, ctx| {
+            ctx.send(NodeId::new(99), Bytes::from_static(b"x"))
+        });
         sim.run_until(SimTime::from_secs(1));
         let snap = sim.telemetry_snapshot();
         let stats = sim.links[&(a, b)].stats;
