@@ -173,8 +173,8 @@ impl GeoTopology {
                     let (xa, ya) = country_pos[ca];
                     let (xb, yb) = country_pos[cb];
                     let dist = ((xa - xb).powi(2) + (ya - yb).powi(2)).sqrt();
-                    let base = INTRA_DELAY_MS
-                        + dist * INTER_DELAY_PER_UNIT_MS * rng.range_f64(0.9, 1.1);
+                    let base =
+                        INTRA_DELAY_MS + dist * INTER_DELAY_PER_UNIT_MS * rng.range_f64(0.9, 1.1);
                     (base * class_factor).max(5.0)
                 };
                 let metrics = LinkMetrics {

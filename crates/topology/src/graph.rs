@@ -371,7 +371,8 @@ mod tests {
         let mut t = Topology::new();
         t.upsert_node(node(1, 0));
         t.upsert_node(node(2, 1));
-        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(20)).unwrap();
+        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(20))
+            .unwrap();
         assert_eq!(t.node_count(), 2);
         assert_eq!(t.link_count(), 2);
         assert_eq!(
@@ -407,8 +408,14 @@ mod tests {
         t.upsert_node(node(1, 0));
         t.upsert_node(node(2, 0));
         t.upsert_node(node(3, 5));
-        assert_eq!(t.is_international(NodeId::new(1), NodeId::new(2)), Some(false));
-        assert_eq!(t.is_international(NodeId::new(1), NodeId::new(3)), Some(true));
+        assert_eq!(
+            t.is_international(NodeId::new(1), NodeId::new(2)),
+            Some(false)
+        );
+        assert_eq!(
+            t.is_international(NodeId::new(1), NodeId::new(3)),
+            Some(true)
+        );
         assert_eq!(t.is_international(NodeId::new(1), NodeId::new(99)), None);
     }
 
@@ -418,8 +425,10 @@ mod tests {
         for i in 1..=3 {
             t.upsert_node(node(i, 0));
         }
-        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(10)).unwrap();
-        t.upsert_duplex(NodeId::new(2), NodeId::new(3), link(15)).unwrap();
+        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(10))
+            .unwrap();
+        t.upsert_duplex(NodeId::new(2), NodeId::new(3), link(15))
+            .unwrap();
         let path = [NodeId::new(1), NodeId::new(2), NodeId::new(3)];
         assert_eq!(t.path_rtt(&path), Some(SimDuration::from_millis(25)));
         let broken = [NodeId::new(1), NodeId::new(3)];
@@ -443,8 +452,10 @@ mod tests {
         for i in 1..=3 {
             t.upsert_node(node(i, 0));
         }
-        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(10)).unwrap();
-        t.upsert_duplex(NodeId::new(2), NodeId::new(3), link(10)).unwrap();
+        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(10))
+            .unwrap();
+        t.upsert_duplex(NodeId::new(2), NodeId::new(3), link(10))
+            .unwrap();
         assert!(t.node_is_up(NodeId::new(2)));
         t.set_node_up(NodeId::new(2), false);
         assert!(!t.node_is_up(NodeId::new(2)));
@@ -464,7 +475,8 @@ mod tests {
         let mut t = Topology::new();
         t.upsert_node(node(1, 0));
         t.upsert_node(node(2, 0));
-        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(10)).unwrap();
+        t.upsert_duplex(NodeId::new(1), NodeId::new(2), link(10))
+            .unwrap();
         t.set_link_up(NodeId::new(1), NodeId::new(2), false);
         assert!(!t.link_is_up(NodeId::new(1), NodeId::new(2)));
         assert!(t.link_is_up(NodeId::new(2), NodeId::new(1)));

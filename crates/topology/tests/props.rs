@@ -25,7 +25,12 @@ mod oracle {
             self.nodes.insert(info.id, info);
         }
 
-        pub fn upsert_link(&mut self, from: NodeId, to: NodeId, metrics: LinkMetrics) -> Result<()> {
+        pub fn upsert_link(
+            &mut self,
+            from: NodeId,
+            to: NodeId,
+            metrics: LinkMetrics,
+        ) -> Result<()> {
             if !self.nodes.contains_key(&from) {
                 return Err(Error::not_found(format!("node {from}")));
             }
@@ -197,8 +202,14 @@ const ID_SETS: [IdSet; 5] = [
     IdSet { first: 0, gap: 1 },
     IdSet { first: 5, gap: 1 },
     IdSet { first: 7, gap: 3 },
-    IdSet { first: u64::MAX - IDS + 1, gap: 1 },
-    IdSet { first: u64::MAX - 3 * IDS, gap: 3 },
+    IdSet {
+        first: u64::MAX - IDS + 1,
+        gap: 1,
+    },
+    IdSet {
+        first: u64::MAX - 3 * IDS,
+        gap: 3,
+    },
 ];
 
 impl IdSet {
@@ -215,9 +226,13 @@ impl IdSet {
     /// of the id range.
     fn probes(self) -> impl Iterator<Item = NodeId> {
         let absent = [self.first.wrapping_sub(1), 0, 1, u64::MAX];
-        let absent = absent.into_iter().chain((self.gap > 1).then_some(self.first + 1));
+        let absent = absent
+            .into_iter()
+            .chain((self.gap > 1).then_some(self.first + 1));
         let unused = move |id: &u64| (0..IDS).all(|slot| self.id(slot).raw() != *id);
-        (0..IDS).map(move |slot| self.id(slot)).chain(absent.filter(unused).map(NodeId::new))
+        (0..IDS)
+            .map(move |slot| self.id(slot))
+            .chain(absent.filter(unused).map(NodeId::new))
     }
 }
 
@@ -357,14 +372,14 @@ fn check_row_store_against_oracle(seed: u64, steps: u32, set: IdSet) {
 }
 
 fn arb_config() -> impl Strategy<Value = GeoConfig> {
-    (2u32..8, 6u32..30, 0u32..4, any::<u64>()).prop_map(
-        |(countries, nodes, last_resort, seed)| GeoConfig {
+    (2u32..8, 6u32..30, 0u32..4, any::<u64>()).prop_map(|(countries, nodes, last_resort, seed)| {
+        GeoConfig {
             countries,
             nodes: nodes.max(countries), // every country needs a node
             last_resort_nodes: last_resort,
             seed,
-        },
-    )
+        }
+    })
 }
 
 proptest! {
