@@ -374,7 +374,7 @@ mod tests {
     use super::*;
     use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, NodeInfo};
     use livenet_types::{Bandwidth, DetRng, SimDuration};
-    use proptest::prelude::*;
+    use livenet_cases::prelude::*;
 
     fn topo(seed: u64) -> Topology {
         GeoTopology::generate(&GeoConfig::tiny(seed)).topology

@@ -8,7 +8,7 @@ use livenet_brain::{
 };
 use livenet_topology::{LinkMetrics, LinkReport, NodeInfo, NodeReport, Topology};
 use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration, SimTime, StreamId};
-use proptest::prelude::*;
+use livenet_cases::prelude::*;
 use std::collections::HashSet;
 
 /// The oracle: the `GlobalView` that Global Discovery kept beside the

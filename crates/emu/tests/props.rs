@@ -1,9 +1,9 @@
 //! Property-based tests for the discrete-event emulator.
 
 use bytes::Bytes;
+use livenet_cases::prelude::*;
 use livenet_emu::{Ctx, Host, LinkConfig, LossModel, NetSim};
 use livenet_types::{Bandwidth, EventQueue, NodeId, SimDuration, SimTime};
-use proptest::prelude::*;
 
 /// Collects everything it receives with timestamps.
 #[derive(Default)]

@@ -1,8 +1,8 @@
 //! Property-based tests for the video source model.
 
+use livenet_cases::prelude::*;
 use livenet_media::{FrameKind, GopConfig, SimulcastLadder, VideoEncoder};
 use livenet_types::{Bandwidth, SimTime, StreamId};
-use proptest::prelude::*;
 
 fn arb_gop() -> impl Strategy<Value = GopConfig> {
     (

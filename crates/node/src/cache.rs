@@ -189,9 +189,9 @@ impl StreamCache {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use livenet_cases::prelude::*;
     use livenet_packet::{MediaKind, Packetizer};
     use livenet_types::Ssrc;
-    use proptest::prelude::*;
 
     fn frame_packets(p: &mut Packetizer, kind: FrameKind, ts: u32, bytes: usize) -> Vec<RtpPacket> {
         let payload = Bytes::from(vec![0u8; bytes]);

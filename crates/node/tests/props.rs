@@ -1,12 +1,12 @@
 //! Property-based tests for the node data-plane structures.
 
 use bytes::Bytes;
+use livenet_cases::prelude::*;
 use livenet_media::FrameKind;
 use livenet_node::{RxOutcome, RxState};
 use livenet_node::{StreamCache, StreamFib, Subscriber};
 use livenet_packet::{MediaKind, Packetizer};
 use livenet_types::{ClientId, DetRng, NodeId, SeqNo, SimDuration, SimTime, Ssrc, StreamId};
-use proptest::prelude::*;
 use std::collections::HashSet;
 
 #[derive(Debug, Clone)]

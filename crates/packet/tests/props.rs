@@ -1,12 +1,12 @@
 //! Property-based tests for the wire formats and packetization.
 
 use bytes::Bytes;
+use livenet_cases::prelude::*;
 use livenet_packet::{
     Depacketizer, MediaKind, Nack, Packetizer, ReceiverReport, Remb, RtcpPacket, RtpHeader,
     RtpPacket,
 };
 use livenet_types::{DetRng, SeqNo, SimDuration, Ssrc};
-use proptest::prelude::*;
 
 fn arb_header(
     marker: bool,

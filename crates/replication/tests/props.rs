@@ -13,10 +13,10 @@
 //!   sufficient condition.
 
 use livenet_brain::{BrainConfig, StreamingBrain};
+use livenet_cases::prelude::*;
 use livenet_replication::{BrainOp, Outbound, Replica, ReplicaId};
 use livenet_topology::{GeoConfig, GeoTopology, LinkReport, NodeReport};
 use livenet_types::{DetRng, NodeId, SimDuration, SimTime};
-use proptest::prelude::*;
 use std::cmp::Reverse;
 
 /// An adversarial network: in-flight messages are delivered in random

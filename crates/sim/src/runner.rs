@@ -442,8 +442,8 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+    livenet_cases::proptest! {
+        #![proptest_config(livenet_cases::ProptestConfig::with_cases(64))]
         #[test]
         fn prop_partition_load_skew_is_bounded(
             channels in 8usize..400,
@@ -462,9 +462,9 @@ mod tests {
                     seen[c] += 1;
                 }
             }
-            proptest::prop_assert!(seen.iter().all(|&n| n == 1));
+            livenet_cases::prop_assert!(seen.iter().all(|&n| n == 1));
             let total_share: f64 = plans.iter().map(|p| p.mass_share).sum();
-            proptest::prop_assert!((total_share - 1.0).abs() < 1e-9);
+            livenet_cases::prop_assert!((total_share - 1.0).abs() < 1e-9);
             // Bounded skew even under Zipf-head workloads: no shard may
             // exceed the ideal share by more than the heaviest channel.
             let zipf = ZipfTable::new(channels, zipf_s);
@@ -472,24 +472,24 @@ mod tests {
             let heaviest = zipf.pmf(0) / total;
             let ideal = 1.0 / shards.clamp(1, channels) as f64;
             for p in &plans {
-                proptest::prop_assert!(
+                livenet_cases::prop_assert!(
                     p.mass_share <= ideal + heaviest + 1e-9,
                     "shard {} share {:.4} ideal {:.4} head {:.4}",
                     p.index, p.mass_share, ideal, heaviest
                 );
             }
             // A plan with siblings is never lone.
-            proptest::prop_assert!(shards == 1 || plans.iter().all(|p| !p.is_lone(channels)));
+            livenet_cases::prop_assert!(shards == 1 || plans.iter().all(|p| !p.is_lone(channels)));
             // Width 1 is the fleet itself: one lone plan at index 0 owning
             // every channel, with a mass share of exactly 1.0, so scaling
             // the capacities by it changes no bit.
             cfg.shards = 1;
             let whole = partition_channels(&cfg);
-            proptest::prop_assert_eq!(whole.len(), 1);
-            proptest::prop_assert_eq!(whole[0].index, 0);
-            proptest::prop_assert_eq!(&whole[0].channels, &(0..channels).collect::<Vec<_>>());
-            proptest::prop_assert!(whole[0].is_lone(channels));
-            proptest::prop_assert_eq!(whole[0].mass_share.to_bits(), 1f64.to_bits());
+            livenet_cases::prop_assert_eq!(whole.len(), 1);
+            livenet_cases::prop_assert_eq!(whole[0].index, 0);
+            livenet_cases::prop_assert_eq!(&whole[0].channels, &(0..channels).collect::<Vec<_>>());
+            livenet_cases::prop_assert!(whole[0].is_lone(channels));
+            livenet_cases::prop_assert_eq!(whole[0].mass_share.to_bits(), 1f64.to_bits());
         }
     }
 

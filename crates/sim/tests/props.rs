@@ -5,8 +5,8 @@
 //! metrics whether the shards execute serially or on any number of worker
 //! threads.
 
+use livenet_cases::prelude::*;
 use livenet_sim::{FleetConfigBuilder, FleetFault, FleetRunner};
-use proptest::prelude::*;
 
 proptest! {
     // Fleet runs are seconds-long; a handful of cases is plenty — the

@@ -2,8 +2,8 @@
 //! merge is associative and commutative, and a stream of recordings split
 //! across any shard width merges back to one bit-identical snapshot.
 
+use livenet_cases::prelude::*;
 use livenet_telemetry::{FixedHistogram, MetricId, MetricSink, Snapshot, TelemetryHub};
-use proptest::prelude::*;
 
 const H_A: MetricId = MetricId("test.hist_a");
 const H_B: MetricId = MetricId("test.hist_b");

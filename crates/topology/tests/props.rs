@@ -1,8 +1,8 @@
 //! Property-based tests for the geo-topology generator and the row store.
 
+use livenet_cases::prelude::*;
 use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, NodeInfo, Topology};
 use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration};
-use proptest::prelude::*;
 
 /// The oracle: the map-of-maps body `Topology` shipped before the row
 /// store, bodies unchanged. The row store must answer every read the same

@@ -5,8 +5,8 @@
 //! Binds 127.0.0.1:0 only; plain blocking loops, no runtime.
 
 use bytes::Bytes;
+use livenet_cases::prelude::*;
 use livenet_transport::{BatchBackend, BatchSocket, RecvBatch, SendDatagram, MAX_BATCH};
-use proptest::prelude::*;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -51,10 +51,7 @@ fn deliver(backend: BatchBackend, payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever datagram mix goes in, both backends deliver exactly the
     /// sent multiset — nothing lost, nothing reordered-within-a-payload,

@@ -243,7 +243,7 @@ pub fn welch_t(a: &OnlineStats, b: &OnlineStats) -> (f64, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use livenet_cases::prelude::*;
 
     proptest! {
         /// OnlineStats merge is equivalent to a single pass.

@@ -1,7 +1,7 @@
 //! Property-based tests for the core vocabulary types.
 
+use livenet_cases::prelude::*;
 use livenet_types::{Bandwidth, DetRng, Ecdf, SeqNo, SimDuration, SimTime};
-use proptest::prelude::*;
 
 proptest! {
     /// Serial-number arithmetic: add then distance inverts (within range).
@@ -71,7 +71,10 @@ proptest! {
 
     /// DetRng forks are reproducible and chance() respects bounds.
     #[test]
-    fn detrng_reproducible(seed: u64, label in "[a-z]{1,8}") {
+    fn detrng_reproducible(
+        seed: u64,
+        label in prop::collection::vec(b'a'..=b'z', 1..9).prop_map(|b| String::from_utf8(b).unwrap()),
+    ) {
         let mut a = DetRng::seed(seed).fork(&label);
         let mut b = DetRng::seed(seed).fork(&label);
         for _ in 0..16 {
