@@ -198,55 +198,6 @@ impl VideoEncoder {
     }
 }
 
-/// Constant-bitrate audio source (Opus-style 20 ms frames).
-#[derive(Debug, Clone)]
-pub struct AudioEncoder {
-    stream: StreamId,
-    bitrate: Bandwidth,
-    start: SimTime,
-    next_index: u64,
-}
-
-/// Audio frame period: 20 ms, the Opus default.
-pub(crate) const AUDIO_FRAME_INTERVAL: SimDuration = SimDuration::from_millis(20);
-
-impl AudioEncoder {
-    /// New audio source; `bitrate` is typically 32–64 kbps.
-    pub fn new(stream: StreamId, bitrate: Bandwidth, start: SimTime) -> Self {
-        AudioEncoder {
-            stream,
-            bitrate,
-            start,
-            next_index: 0,
-        }
-    }
-
-    /// Capture time of the next audio frame.
-    pub fn next_capture_time(&self) -> SimTime {
-        self.start + AUDIO_FRAME_INTERVAL * self.next_index
-    }
-
-    /// Emit the next audio frame.
-    pub fn next_frame(&mut self) -> EncodedFrame {
-        let index = self.next_index;
-        self.next_index += 1;
-        let capture_time = self.start + AUDIO_FRAME_INTERVAL * index;
-        let bytes = self.bitrate.as_bps() / 8 / 50; // 50 frames per second
-        EncodedFrame {
-            id: FrameId {
-                stream: self.stream,
-                index,
-            },
-            kind: FrameKind::Audio,
-            gop_index: 0,
-            capture_time,
-            rtp_timestamp: (index * 960) as u32, // 48 kHz * 20 ms
-            size_bytes: bytes.max(16) as u32,
-            encode_delay_ns: SimDuration::from_millis(5).as_nanos(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,18 +303,6 @@ mod tests {
         assert_eq!(i, 1);
         assert_eq!(i + p + b + bu, c.gop_frames);
         assert!(bu > 0, "default config should have droppable B frames");
-    }
-
-    #[test]
-    fn audio_is_constant_rate() {
-        let mut enc = AudioEncoder::new(StreamId::new(2), Bandwidth::from_kbps(48), SimTime::ZERO);
-        let a = enc.next_frame();
-        let b = enc.next_frame();
-        assert_eq!(a.kind, FrameKind::Audio);
-        assert_eq!(a.size_bytes, b.size_bytes);
-        assert_eq!(b.capture_time - a.capture_time, AUDIO_FRAME_INTERVAL);
-        // 48 kbps / 50 fps = 120 bytes.
-        assert_eq!(a.size_bytes, 120);
     }
 
     #[test]

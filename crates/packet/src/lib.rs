@@ -24,4 +24,4 @@ pub mod rtp;
 
 pub use frame::{frag_is_start, frag_meta, Depacketizer, Packetizer, ReassembledFrame};
 pub use rtcp::{Nack, ReceiverReport, Remb, RtcpPacket, RtxMiss};
-pub use rtp::{MediaKind, RtpHeader, RtpPacket, MTU, RTP_CLOCK_HZ};
+pub use rtp::{MediaKind, RtpHeader, RtpPacket, MTU};

@@ -11,9 +11,6 @@ use livenet_types::{Error, Result, SeqNo, SimDuration, Ssrc, StreamId};
 /// Path MTU assumed by the packetizer (bytes of RTP payload + header).
 pub const MTU: usize = 1200;
 
-/// RTP media clock rate used for video (90 kHz, the conventional rate).
-pub const RTP_CLOCK_HZ: u64 = 90_000;
-
 /// RFC 8285 one-byte-header extension ID carrying the cumulative delay field.
 pub(crate) const DELAY_EXT_ID: u8 = 1;
 

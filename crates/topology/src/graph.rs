@@ -3,22 +3,6 @@
 use livenet_types::{Bandwidth, Error, NodeId, Result, SimDuration};
 use std::collections::BTreeSet;
 
-/// Dynamically assigned role of a node in the flat CDN.
-///
-/// Unlike Hier's fixed L1/L2 tiers, any LiveNet node can serve any role, and
-/// roles are per-stream: the same node may be a producer for one stream and a
-/// relay for another (paper §1, design choice 1). The role enum therefore
-/// describes a node's function *for a given stream*, not a static class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeRole {
-    /// Receives and processes streams from broadcasters.
-    Producer,
-    /// Receives viewer requests and applies fine-grained stream control.
-    Consumer,
-    /// Interconnects producers and consumers; forwards and caches.
-    Relay,
-}
-
 /// Static + slowly-varying description of one CDN node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeInfo {

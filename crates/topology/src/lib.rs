@@ -20,5 +20,5 @@ mod graph;
 pub mod view;
 
 pub use geo::{GeoConfig, GeoTopology, BASE_LOSS};
-pub use graph::{LinkMetrics, NodeInfo, NodeRole, Topology};
+pub use graph::{LinkMetrics, NodeInfo, Topology};
 pub use view::{LinkReport, NodeReport, OVERLOAD_TARGET};
