@@ -309,6 +309,3 @@ macro_rules! proptest {
         $crate::proptest!(@fns ($crate::ProptestConfig::default()) $($rest)*);
     };
 }
-
-#[cfg(test)]
-mod tests;

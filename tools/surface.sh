@@ -5,7 +5,8 @@
 #   bins  = binary targets: src/main.rs plus each src/bin/*.rs
 #   opts  = `pub` fields of every `pub struct` whose name ends in `Config`,
 #           `Params` or `Constants`, among the same non-test lines
-# Usage: tools/surface.sh [file-or-dir ...]   (default: every crate's src/)
+# Usage: tools/surface.sh [file-or-dir ...]   (default: every crate's src/,
+#        then a workspace row and a vendor row for vendor/*/src)
 cd "$(dirname "$0")/.." || exit 1
 count() { # prints "<lines> <pub items> <opts>" for the .rs files under "$@"
     find "$@" -name '*.rs' | sort | while read -r f; do
@@ -29,3 +30,7 @@ for c in crates/*/; do
 done
 set -- $(count crates/*/src) $(bins crates/*/src/main.rs crates/*/src/bin/*.rs)
 printf '%-22s %7d lines %5d pub items %3d bins %4d opts\n' workspace "$1" "$2" "$4" "$3"
+# The vendored stand-ins, by the same rule: not in the workspace row, so
+# that row stays comparable across changes that delete a stand-in.
+set -- $(count vendor/*/src) $(bins vendor/*/src/main.rs vendor/*/src/bin/*.rs)
+printf '%-22s %7d lines %5d pub items %3d bins %4d opts\n' vendor "$1" "$2" "$4" "$3"
