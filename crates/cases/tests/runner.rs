@@ -38,9 +38,10 @@ proptest! {
     fn a_passing_case_is_not_formatted(_loud in any::<u8>().prop_map(|_| Loud)) {}
 
     #[test]
-    #[should_panic(expected = "livenet-cases::runner::always_seven: case 0 failed: seven\n  \
-        args: (7,)\n  replay: cargo test -p livenet-cases -- always_seven")]
-    fn always_seven(x in 7u8..=7) {
+    #[should_panic(expected = "livenet-cases::runner::a_failure_prints_its_case_and_replay_line: \
+        case 0 failed: seven\n  args: (7,)\n  \
+        replay: cargo test -p livenet-cases -- a_failure_prints_its_case_and_replay_line")]
+    fn a_failure_prints_its_case_and_replay_line(x in 7u8..=7) {
         prop_assert!(x != 7, "seven");
     }
 
