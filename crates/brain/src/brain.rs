@@ -145,7 +145,8 @@ impl StreamingBrain {
     /// Unconditionally recompute the PIB from the current topology, in
     /// place.
     pub fn force_recompute(&mut self, now: SimTime) {
-        self.routing.compute_into(&self.topology, now, &mut self.decision.pib);
+        self.routing
+            .compute_into(&self.topology, now, &mut self.decision.pib);
         self.ksp_paths_computed += self.decision.pib.total_paths() as u64;
         self.last_recompute = Some(now);
         self.recompute_rounds += 1;
@@ -271,9 +272,9 @@ impl StreamingBrain {
         consumer: NodeId,
         now: SimTime,
     ) -> Result<PathAssignment> {
-        let lookup = self
-            .decision
-            .get_path(stream, consumer, &self.routing, &self.topology, now)?;
+        let lookup =
+            self.decision
+                .get_path(stream, consumer, &self.routing, &self.topology, now)?;
         Ok(PathAssignment::from_lookup(stream, consumer, lookup))
     }
 
@@ -315,7 +316,10 @@ mod tests {
     fn brain(seed: u64) -> (StreamingBrain, Vec<NodeId>) {
         let g = GeoTopology::generate(&GeoConfig::tiny(seed));
         let nodes: Vec<NodeId> = g.topology.routable_node_ids().collect();
-        (StreamingBrain::new(g.topology, BrainConfig::default()), nodes)
+        (
+            StreamingBrain::new(g.topology, BrainConfig::default()),
+            nodes,
+        )
     }
 
     #[test]
@@ -399,7 +403,9 @@ mod tests {
         b.force_recompute(SimTime::from_secs(120));
         for (_, paths) in b.decision().pib.iter() {
             for p in paths {
-                assert!(!p.contains_node(victim) || p.producer() == victim || p.consumer() == victim);
+                assert!(
+                    !p.contains_node(victim) || p.producer() == victim || p.consumer() == victim
+                );
             }
         }
     }
@@ -494,7 +500,9 @@ mod tests {
         // Every consumer gets a usable path (zero-hop for the producer),
         // stamped with its own consumer and the SIB producer.
         assert!(prefetched.iter().all(|a| !a.paths.is_empty()));
-        assert!(prefetched.iter().all(|a| a.stream == s && a.producer == nodes[0]));
+        assert!(prefetched
+            .iter()
+            .all(|a| a.stream == s && a.producer == nodes[0]));
         let consumers: BTreeSet<NodeId> = prefetched.iter().map(|a| a.consumer).collect();
         assert_eq!(consumers.len(), nodes.len());
     }
@@ -547,7 +555,9 @@ mod tests {
         assert_eq!(lookup.paths[0].producer(), nodes[3]);
         assert_eq!(lookup.paths[0].consumer(), nodes[0]);
         // Unknown stream errors.
-        assert!(b.rehome_producer(StreamId::new(99), nodes[1], SimTime::ZERO).is_err());
+        assert!(b
+            .rehome_producer(StreamId::new(99), nodes[1], SimTime::ZERO)
+            .is_err());
     }
 
     #[test]

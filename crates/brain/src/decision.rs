@@ -128,7 +128,10 @@ impl PathDecision {
         }
 
         let still_valid = |nodes: &[NodeId]| routing.satisfies_constraints(topology, nodes);
-        let candidates = self.pib.lookup_if(producer, consumer, still_valid).unwrap_or_default();
+        let candidates = self
+            .pib
+            .lookup_if(producer, consumer, still_valid)
+            .unwrap_or_default();
 
         if !candidates.is_empty() {
             return Ok(PathLookup {

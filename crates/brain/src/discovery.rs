@@ -243,7 +243,9 @@ mod tests {
         d.absorb_report(&report_at(1, 50, 0.9, 2, 0.9), &mut topo, &mut pib); // stale, ignored
         assert_eq!(topo.node(NodeId::new(1)).unwrap().utilization, 0.5);
         assert_eq!(
-            topo.link(NodeId::new(1), NodeId::new(2)).unwrap().utilization,
+            topo.link(NodeId::new(1), NodeId::new(2))
+                .unwrap()
+                .utilization,
             0.1
         );
         d.absorb_report(&report_at(1, 200, 0.7, 2, 0.85), &mut topo, &mut pib);

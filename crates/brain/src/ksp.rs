@@ -99,7 +99,13 @@ pub fn dijkstra(
 
     let mut heap = BinaryHeap::new();
     best[idx(src, 0)] = 0.0;
-    heap.push((HeapItem { cost: 0.0, node: src }, 0usize));
+    heap.push((
+        HeapItem {
+            cost: 0.0,
+            node: src,
+        },
+        0usize,
+    ));
 
     let mut best_dst: Option<(f64, usize)> = None; // (cost, hops)
     while let Some((HeapItem { cost, node }, hops)) = heap.pop() {
@@ -131,7 +137,13 @@ pub fn dijkstra(
             if nc < best[slot] {
                 best[slot] = nc;
                 prev[slot] = Some((node, hops));
-                heap.push((HeapItem { cost: nc, node: next }, hops + 1));
+                heap.push((
+                    HeapItem {
+                        cost: nc,
+                        node: next,
+                    },
+                    hops + 1,
+                ));
             }
         }
     }
@@ -176,10 +188,7 @@ pub fn yen_ksp(
         for i in 0..last.len() - 1 {
             let spur = last[i];
             let root = &last[..=i];
-            let root_cost: f64 = root
-                .windows(2)
-                .map(|w| edge_weight(g, w[0], w[1]))
-                .sum();
+            let root_cost: f64 = root.windows(2).map(|w| edge_weight(g, w[0], w[1])).sum();
 
             // Ban edges used by already-found paths sharing this root.
             let mut banned_edges = HashSet::new();

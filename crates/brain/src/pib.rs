@@ -94,7 +94,10 @@ impl Pib {
     /// Start a round over `ids` (ascending): every slot empty, nothing of
     /// the previous round readable, the buffers kept.
     pub(crate) fn begin_round(&mut self, ids: &[NodeId], k: usize, max_hops: usize, now: SimTime) {
-        assert!(u32::try_from(ids.len().max(max_hops + 1)).is_ok(), "a cell is a u32");
+        assert!(
+            u32::try_from(ids.len().max(max_hops + 1)).is_ok(),
+            "a cell is a u32"
+        );
         self.ids.clear();
         self.ids.extend_from_slice(ids);
         (self.k, self.stride, self.computed_at) = (k, max_hops + 1, now);
@@ -168,7 +171,11 @@ impl Pib {
 
     /// Total number of stored paths.
     pub fn total_paths(&self) -> usize {
-        self.cells.iter().step_by(1 + self.stride).filter(|&&count| count > 0).count()
+        self.cells
+            .iter()
+            .step_by(1 + self.stride)
+            .filter(|&&count| count > 0)
+            .count()
     }
 
     /// One walk of the slots: empty every live one whose path (positions in
@@ -194,18 +201,24 @@ impl Pib {
     /// Invalidate (remove) every path traversing `node` (overload alarm).
     /// Returns the number of paths removed.
     pub fn invalidate_node(&mut self, node: NodeId) -> usize {
-        self.cell(node).map_or(0, |p| self.invalidate(|path| path.contains(&p)))
+        self.cell(node)
+            .map_or(0, |p| self.invalidate(|path| path.contains(&p)))
     }
 
     /// Invalidate every path traversing the directed link `from → to`.
     pub fn invalidate_link(&mut self, from: NodeId, to: NodeId) -> usize {
         let ends = self.cell(from).zip(self.cell(to));
-        ends.map_or(0, |(f, t)| self.invalidate(|path| path.windows(2).any(|hop| hop == [f, t])))
+        ends.map_or(0, |(f, t)| {
+            self.invalidate(|path| path.windows(2).any(|hop| hop == [f, t]))
+        })
     }
 
     /// Every pair with an entry, ascending, with its paths.
     pub fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), Vec<OverlayPath>)> + '_ {
-        let pairs = self.ids.iter().flat_map(|&s| self.ids.iter().map(move |&d| (s, d)));
+        let pairs = self
+            .ids
+            .iter()
+            .flat_map(|&s| self.ids.iter().map(move |&d| (s, d)));
         pairs.filter_map(|(s, d)| Some(((s, d), self.lookup(s, d)?)))
     }
 }
@@ -286,7 +299,8 @@ pub(crate) mod tests {
         }
         for &(a, b, rtt) in links {
             let m = LinkMetrics::healthy(SimDuration::from_millis(rtt), Bandwidth::from_gbps(10));
-            t.upsert_link(NodeId::new(a), NodeId::new(b), m).expect("both ends exist");
+            t.upsert_link(NodeId::new(a), NodeId::new(b), m)
+                .expect("both ends exist");
         }
         let mut pib = Pib::new();
         GlobalRouting::new(RoutingConfig::default()).compute_into(&t, SimTime::ZERO, &mut pib);
@@ -312,9 +326,18 @@ pub(crate) mod tests {
     fn position_guesses_then_searches() {
         let ids = |raw: &[u64]| raw.iter().map(|&n| NodeId::new(n)).collect::<Vec<_>>();
         let max = u64::MAX;
-        for ids in [ids(&[]), ids(&[0, 1, 2, 3]), ids(&[7, 8, 10, 11, 40]), ids(&[max - 9, max - 8, max])] {
+        for ids in [
+            ids(&[]),
+            ids(&[0, 1, 2, 3]),
+            ids(&[7, 8, 10, 11, 40]),
+            ids(&[max - 9, max - 8, max]),
+        ] {
             for probe in (0..50).chain(max - 12..=max).map(NodeId::new) {
-                assert_eq!(position(&ids, probe), ids.iter().position(|&n| n == probe), "{probe} in {ids:?}");
+                assert_eq!(
+                    position(&ids, probe),
+                    ids.iter().position(|&n| n == probe),
+                    "{probe} in {ids:?}"
+                );
             }
         }
     }
@@ -323,7 +346,10 @@ pub(crate) mod tests {
     fn pib_lookup_and_replace() {
         let pib = round(&[(1, 2, 4), (2, 3, 6), (1, 3, 20)]);
         let (a, b) = (NodeId::new(1), NodeId::new(3));
-        assert_eq!(pib.lookup(a, b), Some(vec![path(&[1, 2, 3], 10.0), path(&[1, 3], 20.0)]));
+        assert_eq!(
+            pib.lookup(a, b),
+            Some(vec![path(&[1, 2, 3], 10.0), path(&[1, 3], 20.0)])
+        );
         // A pair of the round with no path has an empty entry; a node the
         // round did not route, and the diagonal, have none.
         assert_eq!(pib.lookup(b, a), Some(vec![]));
@@ -335,13 +361,22 @@ pub(crate) mod tests {
     #[test]
     fn invalidate_node_removes_traversing_paths() {
         let mut pib = round(&[(1, 2, 4), (2, 3, 6), (1, 3, 20), (2, 4, 8)]);
-        assert_eq!(pib.lookup(NodeId::new(1), NodeId::new(4)), Some(vec![path(&[1, 2, 4], 12.0)]));
+        assert_eq!(
+            pib.lookup(NodeId::new(1), NodeId::new(4)),
+            Some(vec![path(&[1, 2, 4], 12.0)])
+        );
         assert_eq!(pib.total_paths(), 6);
         // Every path but 1→3 direct traverses node 2, ends included.
         let removed = pib.invalidate_node(NodeId::new(2));
         assert_eq!(removed, 5);
-        assert_eq!(pib.lookup(NodeId::new(1), NodeId::new(3)), Some(vec![path(&[1, 3], 20.0)]));
-        assert!(pib.lookup(NodeId::new(1), NodeId::new(4)).unwrap().is_empty());
+        assert_eq!(
+            pib.lookup(NodeId::new(1), NodeId::new(3)),
+            Some(vec![path(&[1, 3], 20.0)])
+        );
+        assert!(pib
+            .lookup(NodeId::new(1), NodeId::new(4))
+            .unwrap()
+            .is_empty());
         assert_eq!((pib.len(), pib.total_paths()), (12, 1));
         assert_eq!(pib.invalidate_node(NodeId::new(2)), 0);
     }
@@ -349,12 +384,18 @@ pub(crate) mod tests {
     #[test]
     fn invalidate_link_is_directed() {
         let mut pib = round(&[(1, 2, 4), (2, 3, 6)]);
-        assert_eq!(pib.lookup(NodeId::new(1), NodeId::new(3)), Some(vec![path(&[1, 2, 3], 10.0)]));
+        assert_eq!(
+            pib.lookup(NodeId::new(1), NodeId::new(3)),
+            Some(vec![path(&[1, 2, 3], 10.0)])
+        );
         assert_eq!(pib.invalidate_link(NodeId::new(2), NodeId::new(1)), 0);
         // 1→2 itself and 1→2→3.
         assert_eq!(pib.invalidate_link(NodeId::new(1), NodeId::new(2)), 2);
         assert_eq!(pib.lookup(NodeId::new(1), NodeId::new(3)), Some(vec![]));
-        assert_eq!(pib.lookup(NodeId::new(2), NodeId::new(3)), Some(vec![path(&[2, 3], 6.0)]));
+        assert_eq!(
+            pib.lookup(NodeId::new(2), NodeId::new(3)),
+            Some(vec![path(&[2, 3], 6.0)])
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use crate::ksp::{yen_ksp, WeightedGraph};
 use crate::pib::{position, OverlayPath, Pib};
 use crate::weight::{link_weight, WeightParams};
-use livenet_types::{NodeId, SimTime};
 use livenet_topology::{LinkMetrics, Topology, OVERLOAD_TARGET};
+use livenet_types::{NodeId, SimTime};
 use std::collections::HashMap;
 
 /// Global Routing parameters.
@@ -60,7 +60,13 @@ impl GlobalRouting {
 
     /// Steps 1 and 2 for one pair by position in `graph.ids`: Yen's K that
     /// pass step 2, best first, as (weight, index path).
-    fn yen_pair(&self, topology: &Topology, graph: &WeightedGraph, s: usize, d: usize) -> Vec<(f64, Vec<usize>)> {
+    fn yen_pair(
+        &self,
+        topology: &Topology,
+        graph: &WeightedGraph,
+        s: usize,
+        d: usize,
+    ) -> Vec<(f64, Vec<usize>)> {
         let mut paths = yen_ksp(graph, s, d, self.config.k, self.config.max_hops);
         paths.retain(|(_, path)| {
             let nodes: Vec<NodeId> = path.iter().map(|&i| graph.ids[i]).collect();
@@ -127,7 +133,9 @@ impl GlobalRouting {
         let graph = snap.into_graph();
         for s in 0..graph.len() {
             for d in (0..graph.len()).filter(|&d| d != s) {
-                for (rank, (weight, path)) in self.yen_pair(topology, &graph, s, d).iter().enumerate() {
+                for (rank, (weight, path)) in
+                    self.yen_pair(topology, &graph, s, d).iter().enumerate()
+                {
                     pib.write(s, d, rank, *weight, path);
                 }
             }
@@ -148,7 +156,13 @@ impl GlobalRouting {
     /// K+1-th candidate (§4.3 step 1, then step 2): a filtered path's slot
     /// stays empty.
     fn mesh(&self, snap: &Snapshot, pib: &mut Pib) {
-        let Snapshot { ids, w, wt, node_over, link_over } = snap;
+        let Snapshot {
+            ids,
+            w,
+            wt,
+            node_over,
+            link_over,
+        } = snap;
         let n = ids.len();
         let max_hops = self.config.max_hops;
         let mut top = TopK(vec![EMPTY; self.config.k]);
@@ -217,7 +231,9 @@ impl GlobalRouting {
         now: SimTime,
     ) -> Vec<OverlayPath> {
         let leg = |from, to| {
-            let link = topology.link(from, to).filter(|_| topology.link_is_up(from, to))?;
+            let link = topology
+                .link(from, to)
+                .filter(|_| topology.link_is_up(from, to))?;
             usable_weight(link, 0.0, self.config.weight)
         };
         let mut out: Vec<OverlayPath> = topology
@@ -291,12 +307,22 @@ impl Snapshot {
         }
         let wt = (0..n * n).map(|i| w[i % n * n + i / n]).collect();
         let node_over = load.iter().map(|&u| u >= OVERLOAD_TARGET).collect();
-        Snapshot { ids, w, wt, node_over, link_over }
+        Snapshot {
+            ids,
+            w,
+            wt,
+            node_over,
+            link_over,
+        }
     }
 
     fn into_graph(self) -> WeightedGraph {
         let usable = |row: &[f64]| -> Vec<(usize, f64)> {
-            row.iter().copied().enumerate().filter(|(_, w)| w.is_finite()).collect()
+            row.iter()
+                .copied()
+                .enumerate()
+                .filter(|(_, w)| w.is_finite())
+                .collect()
         };
         let adj = self.w.chunks(self.ids.len().max(1)).map(usable).collect();
         WeightedGraph { ids: self.ids, adj }
@@ -372,9 +398,9 @@ impl GlobalRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use livenet_cases::prelude::*;
     use livenet_topology::{GeoConfig, GeoTopology, LinkMetrics, NodeInfo};
     use livenet_types::{Bandwidth, DetRng, SimDuration};
-    use livenet_cases::prelude::*;
 
     fn topo(seed: u64) -> Topology {
         GeoTopology::generate(&GeoConfig::tiny(seed)).topology
@@ -425,8 +451,7 @@ mod tests {
         let max_hops = gr.config.max_hops;
         // For 3-hop paths s→r1→r2→d we need, per (s, r2), the two best r1
         // choices (second-best covers the r1 == d exclusion).
-        let mut best2: Vec<[(f64, usize); 2]> =
-            vec![[(f64::INFINITY, usize::MAX); 2]; n * n];
+        let mut best2: Vec<[(f64, usize); 2]> = vec![[(f64::INFINITY, usize::MAX); 2]; n * n];
         if max_hops >= 3 {
             for s in 0..n {
                 for r2 in 0..n {
@@ -582,7 +607,11 @@ mod tests {
     /// `compute_all` equals the oracle bit for bit, every emitted path
     /// passes the public predicate, every list is strictly ordered.
     fn assert_matches_reference(t: &Topology, k: usize, max_hops: usize) {
-        let gr = GlobalRouting::new(RoutingConfig { k, max_hops, ..RoutingConfig::default() });
+        let gr = GlobalRouting::new(RoutingConfig {
+            k,
+            max_hops,
+            ..RoutingConfig::default()
+        });
         let now = SimTime::from_secs(1200);
         let dense = gr.compute_all(t, now);
         let reference = reference_mesh(&gr, t, now);
@@ -625,7 +654,9 @@ mod tests {
             t.set_node_up(id, false);
         }
         assert_matches_reference(&t, 3, 3);
-        assert!(GlobalRouting::new(RoutingConfig::default()).compute_all(&t, SimTime::ZERO).is_empty());
+        assert!(GlobalRouting::new(RoutingConfig::default())
+            .compute_all(&t, SimTime::ZERO)
+            .is_empty());
         t.set_node_up(ids[0], false);
         assert_matches_reference(&t, 3, 3);
         assert_matches_reference(&Topology::new(), 3, 3);
@@ -745,9 +776,7 @@ mod tests {
         let best_after = &after[&(a, b)][0];
         // Weight of the same path must have grown; best path may change.
         assert!(best_after.weight <= best_before.weight * 1.6);
-        let same_path_after = after[&(a, b)]
-            .iter()
-            .find(|p| p.nodes == best_before.nodes);
+        let same_path_after = after[&(a, b)].iter().find(|p| p.nodes == best_before.nodes);
         if let Some(p) = same_path_after {
             assert!(p.weight > best_before.weight);
         }
@@ -785,7 +814,10 @@ mod tests {
                     let (shared, yen_only): (Vec<_>, Vec<_>) = yen.iter().partition(proposed);
                     assert!(yen_only.iter().all(|p| p.hops() == 3), "{yen_only:?}");
                     assert!(
-                        shared.iter().map(|p| &p.nodes).eq(fast[..shared.len()].iter().map(|p| &p.nodes)),
+                        shared
+                            .iter()
+                            .map(|p| &p.nodes)
+                            .eq(fast[..shared.len()].iter().map(|p| &p.nodes)),
                         "seed {seed} pair ({src},{dst}): {yen:?} vs {fast:?}"
                     );
                     differing += usize::from(!yen_only.is_empty());

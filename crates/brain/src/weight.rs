@@ -47,12 +47,7 @@ pub fn sigmoid_factor(utilization: f64, params: WeightParams) -> f64 {
 /// * `rtt` — measured link RTT;
 /// * `loss` — packet loss rate ρ in [0, 1];
 /// * `max_utilization` — max of link utilization and both endpoints' loads.
-pub fn link_weight(
-    rtt: SimDuration,
-    loss: f64,
-    max_utilization: f64,
-    params: WeightParams,
-) -> f64 {
+pub fn link_weight(rtt: SimDuration, loss: f64, max_utilization: f64, params: WeightParams) -> f64 {
     let rtt_ms = rtt.as_millis_f64();
     let rho = loss.clamp(0.0, 1.0);
     let expected_rtt = rho * 2.0 * rtt_ms + (1.0 - rho) * rtt_ms;

@@ -6,9 +6,9 @@ use livenet_brain::{
     dijkstra, link_weight, sigmoid_factor, yen_ksp, BrainConfig, GlobalRouting, OverlayPath,
     RoutingConfig, StreamingBrain, WeightParams, WeightedGraph,
 };
+use livenet_cases::prelude::*;
 use livenet_topology::{LinkMetrics, LinkReport, NodeInfo, NodeReport, Topology};
 use livenet_types::{Bandwidth, DetRng, NodeId, SimDuration, SimTime, StreamId};
-use livenet_cases::prelude::*;
 use std::collections::HashSet;
 
 /// The oracle: the `GlobalView` that Global Discovery kept beside the
@@ -31,7 +31,10 @@ mod oracle {
 
     impl GlobalView {
         fn absorb(&mut self, report: &NodeReport) {
-            let entry = self.node_util.entry(report.node).or_insert((report.at, 0.0));
+            let entry = self
+                .node_util
+                .entry(report.node)
+                .or_insert((report.at, 0.0));
             if report.at >= entry.0 {
                 *entry = (report.at, report.utilization);
             }
@@ -235,7 +238,8 @@ fn check_last_resort_lists(brain: &StreamingBrain) {
     let (t, routing) = (brain.topology(), brain.routing());
     let leg = |a, b| {
         let m = t.link(a, b).filter(|_| t.link_is_up(a, b))?;
-        Some(link_weight(m.rtt, m.loss, 0.0, routing.config().weight)).filter(|w| w.is_finite() && *w >= 0.0)
+        Some(link_weight(m.rtt, m.loss, 0.0, routing.config().weight))
+            .filter(|w| w.is_finite() && *w >= 0.0)
     };
     for src in t.node_ids() {
         for dst in t.node_ids() {
@@ -246,9 +250,14 @@ fn check_last_resort_lists(brain: &StreamingBrain) {
                 .collect();
             // Non-negative floats order as their bits do.
             offered.sort();
-            let got: Vec<(u64, NodeId)> = paths.iter().map(|p| (p.weight.to_bits(), p.nodes[1])).collect();
+            let got: Vec<(u64, NodeId)> = paths
+                .iter()
+                .map(|p| (p.weight.to_bits(), p.nodes[1]))
+                .collect();
             assert_eq!(got, offered, "{src} -> {dst}");
-            assert!(paths.iter().all(|p| p.last_resort && p.nodes == [src, p.nodes[1], dst]));
+            assert!(paths
+                .iter()
+                .all(|p| p.last_resort && p.nodes == [src, p.nodes[1], dst]));
         }
     }
 }
@@ -257,7 +266,9 @@ fn node_bits(n: &NodeInfo) -> (NodeId, u64) {
     (n.id, n.utilization.to_bits())
 }
 
-fn link_bits((from, to, l): (NodeId, NodeId, &LinkMetrics)) -> (NodeId, NodeId, SimDuration, u64, u64) {
+fn link_bits(
+    (from, to, l): (NodeId, NodeId, &LinkMetrics),
+) -> (NodeId, NodeId, SimDuration, u64, u64) {
     (from, to, l.rtt, l.loss.to_bits(), l.utilization.to_bits())
 }
 
@@ -279,13 +290,26 @@ fn check_absorb_against_oracle(n: u64, seed: u64, reports: u32) {
         let alarms: Vec<OverloadAlarm> = view.absorb_report(&report, &mut expected);
         assert_eq!(brain.absorb_report(&report), alarms, "{report:?}");
         let got = brain.topology();
-        assert!(got.nodes().map(node_bits).eq(expected.nodes().map(node_bits)), "{report:?}");
-        assert!(got.links().map(link_bits).eq(expected.links().map(link_bits)), "{report:?}");
+        assert!(
+            got.nodes()
+                .map(node_bits)
+                .eq(expected.nodes().map(node_bits)),
+            "{report:?}"
+        );
+        assert!(
+            got.links()
+                .map(link_bits)
+                .eq(expected.links().map(link_bits)),
+            "{report:?}"
+        );
         assert_eq!(brain.discovery().unknown_keys, unknown, "{report:?}");
     }
     check_last_resort_lists(&brain);
     // No report adds a node or a link.
-    assert_eq!((brain.topology().node_count(), brain.topology().link_count()), (nodes, links));
+    assert_eq!(
+        (brain.topology().node_count(), brain.topology().link_count()),
+        (nodes, links)
+    );
 }
 
 fn path_bits(p: &OverlayPath) -> (&[NodeId], u64, SimTime, bool) {
@@ -300,15 +324,25 @@ fn assert_same_pib(brain: &mut StreamingBrain, oracle: &map_pib::Pib, n: u64, no
     let routing = brain.routing().clone();
     let routable: Vec<NodeId> = brain.topology().routable_node_ids().collect();
     let pib = &brain.decision().pib;
-    assert_eq!((pib.len(), pib.total_paths()), (oracle.len(), oracle.total_paths()));
+    assert_eq!(
+        (pib.len(), pib.total_paths()),
+        (oracle.len(), oracle.total_paths())
+    );
     assert_eq!(pib.is_empty(), oracle.len() == 0);
     assert_eq!(pib.len(), routable.len() * routable.len().saturating_sub(1));
     for src in (0..3 * n + 2).map(NodeId::new) {
         for dst in (0..3 * n + 2).map(NodeId::new) {
-            let (got, expected) = (brain.decision().pib.lookup(src, dst), oracle.lookup(src, dst));
-            assert_eq!(got.is_some(), src != dst && routable.contains(&src) && routable.contains(&dst));
+            let (got, expected) = (
+                brain.decision().pib.lookup(src, dst),
+                oracle.lookup(src, dst),
+            );
             assert_eq!(
-                got.as_ref().map(|l| l.iter().map(path_bits).collect::<Vec<_>>()),
+                got.is_some(),
+                src != dst && routable.contains(&src) && routable.contains(&dst)
+            );
+            assert_eq!(
+                got.as_ref()
+                    .map(|l| l.iter().map(path_bits).collect::<Vec<_>>()),
                 expected.map(|l| l.iter().map(path_bits).collect()),
                 "{src} -> {dst}"
             );
@@ -323,7 +357,13 @@ fn assert_same_pib(brain: &mut StreamingBrain, oracle: &map_pib::Pib, n: u64, no
                 .collect();
             match brain.path_request(StreamId::new(src.raw()), dst, now) {
                 Ok(a) if !a.last_resort => {
-                    assert!(a.paths.iter().map(path_bits).eq(valid.into_iter().map(path_bits)), "{src} -> {dst}")
+                    assert!(
+                        a.paths
+                            .iter()
+                            .map(path_bits)
+                            .eq(valid.into_iter().map(path_bits)),
+                        "{src} -> {dst}"
+                    )
                 }
                 _ => assert!(valid.is_empty(), "{src} -> {dst}"),
             }
@@ -357,7 +397,11 @@ fn check_pib_against_map_oracle(n: u64, seed: u64, k: usize, max_hops: usize, op
             }
         }
     }
-    let config = RoutingConfig { k, max_hops, ..RoutingConfig::default() };
+    let config = RoutingConfig {
+        k,
+        max_hops,
+        ..RoutingConfig::default()
+    };
     let routing = GlobalRouting::new(config);
     let mut brain = StreamingBrain::new(topology, BrainConfig { routing: config });
     for &id in &ids {
@@ -411,11 +455,7 @@ fn arb_graph() -> impl Strategy<Value = WeightedGraph> {
         for a in 0..n {
             for b in 0..n {
                 if a != b && rng.chance(0.6) {
-                    edges.push((
-                        ids[a],
-                        ids[b],
-                        rng.range_f64(1.0, 100.0),
-                    ));
+                    edges.push((ids[a], ids[b], rng.range_f64(1.0, 100.0)));
                 }
             }
         }
