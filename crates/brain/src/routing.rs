@@ -105,7 +105,7 @@ impl GlobalRouting {
 
     /// Full recomputation over all routable pairs, as a map: one round
     /// into a fresh PIB, listed. What the Brain runs is
-    /// [`Self::compute_into`]; this form serves the pins and the oracles.
+    /// `compute_into`; this form serves the pins and the oracles.
     pub fn compute_all(
         &self,
         topology: &Topology,

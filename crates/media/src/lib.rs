@@ -12,7 +12,7 @@
 //! * [`GopConfig`] / [`VideoEncoder`] — a timed frame source with realistic
 //!   size ratios between I, P and B frames,
 //! * [`SimulcastLadder`] — the bitrate versions a broadcaster uploads in
-//!   parallel; each rendition maps to its own [`StreamId`].
+//!   parallel; each rendition maps to its own [`livenet_types::StreamId`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

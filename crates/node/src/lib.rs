@@ -14,7 +14,7 @@
 //! * `cache` — the per-stream packet/GoP cache serving retransmissions
 //!   and fast-startup bursts;
 //! * `rx` — slow-path receive state: loss detection (50 ms scans), NACK
-//!   bookkeeping, framing;
+//!   bookkeeping;
 //! * `client` — consumer-side per-client control: bitrate selection,
 //!   proactive frame dropping, seamless stream switching;
 //! * `stream` — all state of one stream: its upstream subscription, the

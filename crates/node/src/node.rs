@@ -13,8 +13,9 @@
 //!   this node's processing time plus half the next hop's RTT (§6.1).
 //! * **Slow path** — a copy feeds, per stream: the receive state (hole
 //!   detection, 50 ms NACK scans), the per-upstream GCC delay estimator,
-//!   the packet/GoP cache (retransmission + fast startup), and the framing
-//!   module (GoP assembly). Slow-path copies are never forwarded.
+//!   and the packet/GoP cache (retransmission + fast startup), which reads
+//!   frame and GoP boundaries from each packet's 1-byte fragment header.
+//!   Slow-path copies are never forwarded.
 //!
 //! State lives in three ordered maps next to the Stream FIB and the
 //! attached clients: `streams` (`stream.rs`), `peers` and `neighbors`
@@ -200,17 +201,6 @@ pub enum NodeEvent {
         to: Subscriber,
         /// Packets in the burst.
         packets: usize,
-    },
-    /// The framing module completed a frame (slow path).
-    FrameAssembled {
-        /// Stream.
-        stream: StreamId,
-        /// RTP timestamp of the frame.
-        timestamp: u32,
-        /// Frame kind decoded from the fragment header.
-        kind: Option<FrameKind>,
-        /// Cumulative delay field, when the frame carried one.
-        delay_field: Option<SimDuration>,
     },
     /// A hole was recovered via retransmission.
     HoleRecovered {
@@ -597,7 +587,7 @@ impl OverlayNode {
         self.stats.ingested += packets.len() as u64;
         for pkt in packets {
             let st = stream_entry(&mut self.streams, &self.cfg, stream);
-            st.insert(&pkt, &mut actions);
+            st.cache.insert(pkt.clone());
             self.try_complete_switches(now, stream, &mut actions);
             self.fast_path_forward(now, stream, &pkt, &mut actions);
         }

@@ -25,8 +25,8 @@ struct MissingEntry {
 pub enum RxOutcome {
     /// A never-before-seen, in-order packet.
     Fresh,
-    /// A forward jump past [`RESET_JUMP`]: the stream restarted (encoder
-    /// restart, rejoin after failover). All outstanding holes were
+    /// A forward jump past `RESET_JUMP` (3,000): the stream restarted
+    /// (encoder restart, rejoin after failover). All outstanding holes were
     /// abandoned; callers must drop any per-seq state keyed to the old
     /// sequence space (e.g. parked downstream RTX waiters).
     Reset,
@@ -168,7 +168,8 @@ impl RxState {
     ///
     /// A hole is NACKed when it has never been NACKed, or when its last NACK
     /// is older than `retry_interval`. After `retry_limit` NACKs the hole is
-    /// abandoned (the depacketizer's GC will skip the frame).
+    /// abandoned: it is no longer tracked and never NACKed again (a viewer
+    /// that misses the packet skips its frame).
     pub fn scan(
         &mut self,
         now: SimTime,

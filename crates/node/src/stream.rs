@@ -1,9 +1,10 @@
 //! Per-stream state (paper §5.1, Fig. 7): where the stream comes from —
 //! a local broadcaster or an upstream subscription — and the slow-path
-//! modules fed by a copy of every packet, plus what failover and loss
-//! recovery keep per stream. An [`crate::OverlayNode`] owns one
-//! [`StreamState`] per stream and drops it whole when the last reference
-//! to the stream goes; nothing here reaches outside the stream.
+//! modules fed by a copy of every packet (receive state, and the cache,
+//! which reads frame and GoP starts from the fragment header), plus what
+//! failover and loss recovery keep per stream. An [`crate::OverlayNode`]
+//! owns one [`StreamState`] per stream and drops it whole when the last
+//! reference to the stream goes; nothing here reaches outside the stream.
 
 use crate::cache::StreamCache;
 use crate::fib::Subscriber;
@@ -15,17 +16,12 @@ use crate::rx::{RxOutcome, RxState};
 use bytes::Bytes;
 use livenet_media::{EncodedFrame, FrameKind, SimulcastLadder};
 use livenet_packet::rtp::ssrc_for_stream;
-use livenet_packet::{
-    frag_meta, Depacketizer, MediaKind, Nack, Packetizer, ReceiverReport, RtcpPacket, RtpPacket,
-};
+use livenet_packet::{MediaKind, Nack, Packetizer, ReceiverReport, RtcpPacket, RtpPacket};
 use livenet_types::{ClientId, NodeId, SeqNo, SimDuration, SimTime, StreamId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Bound on remembered unserviceable NACKs per stream.
 const MAX_PARKED_RTX: usize = 1_024;
-
-/// Frames the depacketizer may hold half-assembled between RR ticks.
-const DEPACK_KEEP_FRAMES: usize = 8;
 
 /// One parked downstream NACK: who is waiting, and since when (drives the
 /// TTL sweep).
@@ -50,7 +46,6 @@ pub(crate) struct StreamState {
     pub(crate) waiting_ok: Vec<NodeId>,
     pub(crate) cache: StreamCache,
     rx: RxState,
-    depack: Depacketizer,
     /// Candidate paths (producer-first, ending here): the Brain's K paths
     /// from the original lookup plus any prefetched backups. Failover
     /// re-subscribes along the first that avoids the failed element;
@@ -90,7 +85,6 @@ impl StreamState {
             waiting_ok: Vec::new(),
             cache: StreamCache::new(cache_packets),
             rx: RxState::new(),
-            depack: Depacketizer::new(),
             paths: Vec::new(),
             parked: BTreeMap::new(),
             ladder: None,
@@ -261,24 +255,8 @@ impl StreamState {
     // Slow path
     // ------------------------------------------------------------------
 
-    /// Cache + framing (§5.1's GoP caching and Framing Control).
-    pub(crate) fn insert(&mut self, packet: &RtpPacket, actions: &mut Vec<NodeAction>) {
-        self.cache.insert(packet.clone());
-        let kind = frag_meta(&packet.payload).and_then(FrameKind::from_nibble);
-        self.depack.push(packet.clone());
-        for frame in self.depack.drain() {
-            let event = NodeEvent::FrameAssembled {
-                stream: self.id,
-                timestamp: frame.timestamp,
-                kind,
-                delay_field: frame.delay_field,
-            };
-            actions.push(event.into());
-        }
-    }
-
     /// The slow path for one packet arriving from `from`: loss detection
-    /// and recovery accounting, then cache + framing. `None` for a
+    /// and recovery accounting, then the cache. `None` for a
     /// duplicate (not forwarded, not re-cached); otherwise the downstream
     /// nodes whose parked NACK this packet answers.
     #[allow(clippy::too_many_arguments)]
@@ -317,7 +295,7 @@ impl StreamState {
                 self.parked.clear();
             }
         }
-        self.insert(packet, actions);
+        self.cache.insert(packet.clone());
         Some(
             self.parked
                 .remove(&seq.0)
@@ -465,10 +443,9 @@ impl StreamState {
     }
 
     /// The RR tick: a receiver report to the established upstream (none
-    /// before the first packet), and bounded framing memory. Returns the
-    /// upstream, which is owed a REMB too.
+    /// before the first packet). Returns the upstream, which is owed a
+    /// REMB too.
     pub(crate) fn report(&mut self, actions: &mut Vec<NodeAction>) -> Option<NodeId> {
-        self.depack.gc(DEPACK_KEEP_FRAMES);
         let up = self.upstream?;
         if let Some((loss_fraction, highest_seq, jitter_us)) = self.rx.rr_stats() {
             let rr = RtcpPacket::ReceiverReport(ReceiverReport {

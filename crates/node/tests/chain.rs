@@ -8,11 +8,11 @@ use livenet_node::{
     NodeAction, NodeConfig, NodeEvent, OverlayMsg, OverlayNode, Subscriber, TimerKind,
 };
 use livenet_packet::rtp::ssrc_for_stream;
-use livenet_packet::{MediaKind, Nack, Packetizer, RtcpPacket, RtxMiss};
+use livenet_packet::{Depacketizer, MediaKind, Nack, Packetizer, RtcpPacket, RtpPacket, RtxMiss};
 use livenet_types::{
     Bandwidth, ClientId, EventQueue, NodeId, SeqNo, SimDuration, SimTime, StreamId,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Events flowing in the harness calendar.
 enum Ev {
@@ -45,6 +45,14 @@ struct Harness {
     rtp_sent: HashMap<(NodeId, NodeId), u64>,
     client_rx: HashMap<ClientId, Vec<OverlayMsg>>,
     events: Vec<(NodeId, NodeEvent)>,
+    /// Frame reassembly of what the harness delivered, per (node, stream):
+    /// the first delivery of each sequence number goes into the key's own
+    /// depacketizer. Keyed by stream too, because a second stream may
+    /// restart at timestamp 0.
+    reassembly: BTreeMap<(NodeId, StreamId), (BTreeSet<u16>, Depacketizer)>,
+    /// `(timestamp, delay field)` of each frame completed at a node, in
+    /// completion order across its streams.
+    frames: BTreeMap<NodeId, Vec<(u32, Option<SimDuration>)>>,
 }
 
 impl Harness {
@@ -78,6 +86,8 @@ impl Harness {
             rtp_sent: HashMap::new(),
             client_rx: HashMap::new(),
             events: Vec::new(),
+            reassembly: BTreeMap::new(),
+            frames: BTreeMap::new(),
         }
     }
 
@@ -142,11 +152,22 @@ impl Harness {
         while let Some((_, ev)) = self.queue.pop_until(t) {
             match ev {
                 Ev::Deliver { to, from, bytes } => {
-                    let now = self.queue.now();
-                    let _ = now;
                     let Some(node) = self.nodes.get_mut(&to) else {
                         continue;
                     };
+                    if let Ok(OverlayMsg::Rtp { stream, packet, .. }) =
+                        OverlayMsg::decode(bytes.clone())
+                    {
+                        let packet = RtpPacket::decode(packet).expect("RTP the node sent");
+                        let (seen, depack) = self.reassembly.entry((to, stream)).or_default();
+                        if seen.insert(packet.header.seq.0) {
+                            depack.push(packet);
+                            let frames = self.frames.entry(to).or_default();
+                            frames.extend(
+                                depack.drain().iter().map(|f| (f.timestamp, f.delay_field)),
+                            );
+                        }
+                    }
                     let actions = node.on_datagram(self.queue.now(), from, bytes);
                     self.apply(to, actions);
                 }
@@ -172,6 +193,12 @@ impl Harness {
             f(node, now)
         };
         self.apply(nid, actions);
+    }
+
+    /// `(timestamp, delay field)` of each frame the harness reassembled
+    /// from what it delivered to node `id`.
+    fn frames_at(&self, id: u64) -> &[(u32, Option<SimDuration>)] {
+        self.frames.get(&NodeId::new(id)).map_or(&[], Vec::as_slice)
     }
 
     fn client_packets(&self, client: u64) -> usize {
@@ -275,11 +302,7 @@ fn lost_packet_recovered_via_nack_from_upstream() {
     // And the slow-path recovery is invisible to C: it sees a hole too
     // (fast path forwarded around the missing packet), NACKs B, and B
     // serves it from its recovered cache.
-    let frames_at_c: usize = h
-        .events
-        .iter()
-        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
-        .count();
+    let frames_at_c: usize = h.frames_at(3).len();
     assert!(frames_at_c > 20, "C assembled only {frames_at_c} frames");
 }
 
@@ -351,6 +374,25 @@ fn relay_cache_hit_stops_backtracking() {
 }
 
 #[test]
+fn a_nodes_event_log_is_bounded_by_load_not_run_length() {
+    // A lossless chain: after setup nothing happens that a driver must
+    // act on, so a node emits no event per packet or per frame and a
+    // longer run leaves the same number of events behind.
+    let per_node = |secs| {
+        let mut h = Harness::new(&[1, 2, 3], 10);
+        run_chain(&mut h, secs);
+        [1, 2, 3].map(|id| {
+            h.events
+                .iter()
+                .filter(|(n, _)| *n == NodeId::new(id))
+                .count()
+        })
+    };
+    let (short, long) = (per_node(2), per_node(8));
+    assert_eq!(short, long, "events at nodes 1-3 after 2 s and after 8 s");
+}
+
+#[test]
 fn unsubscribe_tears_down_unused_branches() {
     let mut h = Harness::new(&[1, 2, 3], 10);
     run_chain(&mut h, 1);
@@ -373,18 +415,12 @@ fn delay_field_accumulates_across_hops() {
     run_chain(&mut h, 2);
     // Find I-frame delay fields assembled at C; they must exceed the sum of
     // per-hop processing (2 ms × hops) plus half-RTT increments.
-    let mut max_delay = SimDuration::ZERO;
-    for (n, e) in &h.events {
-        if *n == NodeId::new(3) {
-            if let NodeEvent::FrameAssembled {
-                delay_field: Some(d),
-                ..
-            } = e
-            {
-                max_delay = max_delay.max(*d);
-            }
-        }
-    }
+    let max_delay = h
+        .frames_at(3)
+        .iter()
+        .filter_map(|&(_, d)| d)
+        .max()
+        .unwrap_or(SimDuration::ZERO);
     // encoder 20ms + 2 hops × (2ms processing + 10ms half-RTT) = 44ms floor.
     assert!(
         max_delay >= SimDuration::from_millis(40),
@@ -618,11 +654,7 @@ fn mid_stream_path_switch_is_make_before_break() {
     let mut h = Harness::new(&[1, 2, 3, 4], 10);
     run_chain(&mut h, 2);
     assert_eq!(h.node(3).upstream_of(STREAM), Some(NodeId::new(2)));
-    let frames_before: usize = h
-        .events
-        .iter()
-        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
-        .count();
+    let frames_before: usize = h.frames_at(3).len();
 
     // Switch C onto A → D → C.
     h.with_node(3, |n, now| {
@@ -666,11 +698,7 @@ fn mid_stream_path_switch_is_make_before_break() {
     assert_eq!(h.node(1).fib().subscriber_count(STREAM), 1);
 
     // Frames kept flowing to C across the switch.
-    let frames_after: usize = h
-        .events
-        .iter()
-        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
-        .count();
+    let frames_after: usize = h.frames_at(3).len();
     assert!(
         frames_after > frames_before + 20,
         "stream starved across the switch: {frames_before} → {frames_after}"
@@ -720,11 +748,7 @@ fn relay_failure_recovered_by_path_switch() {
         h.run_until(until);
     };
     feed(&mut h, &mut enc, start + SimDuration::from_secs(1));
-    let starved: usize = h
-        .events
-        .iter()
-        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
-        .count();
+    let starved: usize = h.frames_at(3).len();
 
     // The consumer detects the dead path (driver-side health check) and
     // switches to A → D → C.
@@ -738,11 +762,7 @@ fn relay_failure_recovered_by_path_switch() {
     feed(&mut h, &mut enc, start + SimDuration::from_secs(3));
 
     assert_eq!(h.node(3).upstream_of(STREAM), Some(NodeId::new(4)));
-    let recovered: usize = h
-        .events
-        .iter()
-        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
-        .count();
+    let recovered: usize = h.frames_at(3).len();
     assert!(
         recovered > starved + 20,
         "stream did not resume after the relay died: {starved} → {recovered}"
@@ -902,11 +922,7 @@ fn broadcaster_mobility_rehomes_producer() {
     let mut enc = VideoEncoder::new(STREAM, GopConfig::default(), Bandwidth::from_mbps(2), start);
     let end = start + SimDuration::from_secs(2);
     let mut next = enc.next_capture_time();
-    let frames_before: usize = h
-        .events
-        .iter()
-        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
-        .count();
+    let frames_before: usize = h.frames_at(3).len();
     while next < end {
         h.run_until(next);
         let frame = enc.next_frame();
@@ -921,11 +937,7 @@ fn broadcaster_mobility_rehomes_producer() {
     assert_eq!(h.node(1).upstream_of(STREAM), Some(NodeId::new(4)));
     // C never changed its subscription, yet keeps assembling frames.
     assert_eq!(h.node(3).upstream_of(STREAM), Some(NodeId::new(2)));
-    let frames_after: usize = h
-        .events
-        .iter()
-        .filter(|(n, e)| *n == NodeId::new(3) && matches!(e, NodeEvent::FrameAssembled { .. }))
-        .count();
+    let frames_after: usize = h.frames_at(3).len();
     assert!(
         frames_after > frames_before + 20,
         "stream did not survive the producer move: {frames_before} → {frames_after}"

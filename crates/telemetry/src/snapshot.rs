@@ -106,8 +106,8 @@ impl HistSnapshot {
     }
 }
 
-/// A frozen, canonical view of a [`TelemetryHub`]: every metric sorted by
-/// name, every aggregate exact.
+/// A frozen, canonical view of a [`crate::TelemetryHub`]: every metric
+/// sorted by name, every aggregate exact.
 ///
 /// Snapshots follow the same determinism discipline as `FleetReport`:
 /// [`Snapshot::merge`] is associative and commutative, and

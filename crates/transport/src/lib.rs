@@ -5,13 +5,14 @@
 //! the *same* core over real UDP sockets with the tokio runtime — the
 //! structure the networking guides prescribe (protocol core + I/O driver).
 //!
-//! [`UdpOverlayNode`] owns one socket and one [`OverlayNode`]; incoming
-//! datagrams and due timers are fed to the core, and the core's actions
-//! (sends, new timers) are executed. Timers wait on the emulator's own
-//! calendar, [`livenet_types::EventQueue`], and are never cancelled: the
-//! core drops a fire that is no longer due. Wall-clock time is mapped onto
-//! [`SimTime`] relative to a per-process epoch, so the protocol core never
-//! notices it left the simulator. A node records into the
+//! [`UdpOverlayNode`] owns one socket and one
+//! [`livenet_node::OverlayNode`]; incoming datagrams and due timers are fed
+//! to the core, and the core's actions (sends, new timers) are executed.
+//! Timers wait on the emulator's own calendar,
+//! [`livenet_types::EventQueue`], and are never cancelled: the core drops a
+//! fire that is no longer due. Wall-clock time is mapped onto
+//! [`livenet_types::SimTime`] relative to a per-process epoch, so the
+//! protocol core never notices it left the simulator. A node records into the
 //! [`SharedTelemetry`] hub it is given; clones of one hub share it.
 //!
 //! The crate is the driver only. The loopback experiment that assembles a

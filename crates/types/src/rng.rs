@@ -74,7 +74,7 @@ impl DetRng {
         self.inner.gen_range(lo..hi)
     }
 
-    /// Bernoulli trial with probability `p` (clamped to [0,1]).
+    /// Bernoulli trial with probability `p` (clamped to `0.0..=1.0`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
