@@ -49,7 +49,9 @@ pub(crate) fn fastslow_recovery(_: &Args, out: &mut Report) {
             let loss = if bursty {
                 LossModel::bursty(loss_pct / 100.0)
             } else {
-                LossModel::Bernoulli { p: loss_pct / 100.0 }
+                LossModel::Bernoulli {
+                    p: loss_pct / 100.0,
+                }
             };
             let run = lossy_chain(loss, recovery);
             let qoe = run.viewers[0].qoe;
@@ -63,7 +65,10 @@ pub(crate) fn fastslow_recovery(_: &Args, out: &mut Report) {
                 if recoveries.is_empty() {
                     "-".into()
                 } else {
-                    format!("{:.0} ms", recoveries.iter().sum::<f64>() / recoveries.len() as f64)
+                    format!(
+                        "{:.0} ms",
+                        recoveries.iter().sum::<f64>() / recoveries.len() as f64
+                    )
                 },
             ]);
         }
@@ -90,7 +95,12 @@ pub(crate) fn fastslow_summary(out: &mut Report) {
     out.heading("§3/§5 — fast/slow-path recovery (packet level)");
     for loss_pct in [0.5, 2.0] {
         for recovery in [true, false] {
-            let run = lossy_chain(LossModel::Bernoulli { p: loss_pct / 100.0 }, recovery);
+            let run = lossy_chain(
+                LossModel::Bernoulli {
+                    p: loss_pct / 100.0,
+                },
+                recovery,
+            );
             let qoe = run.viewers[0].qoe;
             out.note(format!(
                 "loss {loss_pct:.1}% {}: {} frames, {} stalls, {} RTX served",

@@ -237,7 +237,10 @@ mod tests {
     #[test]
     fn degraded_leg_produces_misses_and_recoveries() {
         let run = degraded_diamond(1, 5).run().unwrap();
-        assert!(run.nodes[B].stats.rtx_unavailable > 0, "B never cache-missed");
+        assert!(
+            run.nodes[B].stats.rtx_unavailable > 0,
+            "B never cache-missed"
+        );
         assert!(recoveries(&run).len() > 50, "too few recoveries at C");
         // 20 s at 15 fps = 300 frames; nearly all must survive the loss.
         let frames = run.viewers[0].frames.len();
@@ -272,7 +275,10 @@ mod tests {
     fn outcomes_are_deterministic() {
         for alts in [0usize, 1] {
             let sc = degraded_diamond(alts, 9);
-            assert!(sc.run().unwrap() == sc.run().unwrap(), "alts={alts} diverged");
+            assert!(
+                sc.run().unwrap() == sc.run().unwrap(),
+                "alts={alts} diverged"
+            );
         }
     }
 }

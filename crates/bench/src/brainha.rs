@@ -105,7 +105,11 @@ fn mean_startup(sessions: &[SessionRecord]) -> f64 {
     if sessions.is_empty() {
         return f64::NAN;
     }
-    sessions.iter().map(|s| f64::from(s.startup_ms)).sum::<f64>() / sessions.len() as f64
+    sessions
+        .iter()
+        .map(|s| f64::from(s.startup_ms))
+        .sum::<f64>()
+        / sessions.len() as f64
 }
 
 pub(crate) fn run(args: &Args, out: &mut Report) {
@@ -132,7 +136,10 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
 
     // ---------- Gates ----------
     assert_eq!(rep.log_divergences, 0, "replica decided log diverged");
-    assert_eq!(rep.assignment_mismatches, 0, "replica path decisions diverged");
+    assert_eq!(
+        rep.assignment_mismatches, 0,
+        "replica path decisions diverged"
+    );
     assert_eq!(rep.lease_overlaps, 0, "a live lease was taken over");
     assert_eq!(
         rep.stale_msgs + quiet.stale_msgs,
@@ -150,7 +157,10 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
     );
     assert_eq!(rep.give_ups, 0, "a control-plane client gave up");
     assert_eq!(rep.leader_crashes, shards as u64, "crash missed a shard");
-    assert_eq!(rep.restarts, shards as u64, "a crashed replica never restarted");
+    assert_eq!(
+        rep.restarts, shards as u64,
+        "a crashed replica never restarted"
+    );
     assert!(
         !rep.failover_ms.is_empty(),
         "leader crash produced no failover measurement"

@@ -103,13 +103,16 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
             let sc = crash_diamond(slow, seed);
             let rec = failover(&sc, &sc.run().expect("diamond preset is valid"));
             // A missing measurement must stop the run, not become a row.
-            let detect_ms = rec
-                .detect_ms
-                .unwrap_or_else(|| panic!("{mode} seed {seed}: the consumer never declared the relay dead"));
-            let restore_ms = rec
-                .restore_ms
-                .unwrap_or_else(|| panic!("{mode} seed {seed}: no frame reached the viewer after detection"));
-            assert_eq!(rec.asked_brain, slow, "{mode} seed {seed}: wrong recovery path taken");
+            let detect_ms = rec.detect_ms.unwrap_or_else(|| {
+                panic!("{mode} seed {seed}: the consumer never declared the relay dead")
+            });
+            let restore_ms = rec.restore_ms.unwrap_or_else(|| {
+                panic!("{mode} seed {seed}: no frame reached the viewer after detection")
+            });
+            assert_eq!(
+                rec.asked_brain, slow,
+                "{mode} seed {seed}: wrong recovery path taken"
+            );
             rows.push(vec![
                 mode.to_string(),
                 format!("{seed}"),
@@ -121,7 +124,14 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
         }
     }
     out.table(
-        &["mode", "seed", "detect", "restore", "post-detect gap", "frames lost"],
+        &[
+            "mode",
+            "seed",
+            "detect",
+            "restore",
+            "post-detect gap",
+            "frames lost",
+        ],
         &rows,
     );
     out.note("");
@@ -143,10 +153,16 @@ pub(crate) fn run(args: &Args, out: &mut Report) {
         .expect("config already validated")
         .run_parallel(args.threads);
 
-    let ln_fast: Vec<&RecoveryRecord> =
-        report.recoveries_livenet.iter().filter(|r| r.fast).collect();
-    let ln_slow: Vec<&RecoveryRecord> =
-        report.recoveries_livenet.iter().filter(|r| !r.fast).collect();
+    let ln_fast: Vec<&RecoveryRecord> = report
+        .recoveries_livenet
+        .iter()
+        .filter(|r| r.fast)
+        .collect();
+    let ln_slow: Vec<&RecoveryRecord> = report
+        .recoveries_livenet
+        .iter()
+        .filter(|r| !r.fast)
+        .collect();
     let hier: Vec<&RecoveryRecord> = report.recoveries_hier.iter().collect();
     out.note(format!(
         "fleet: {} faults injected, {} producers rehomed",
@@ -183,7 +199,11 @@ mod tests {
         assert!((2000.0..=3500.0).contains(&detect_ms), "{detect_ms}");
         // Restoration trails detection by roughly one subscribe RTT plus
         // burst serving — well under half a second.
-        assert!(restore_ms - detect_ms < 500.0, "fast gap {} ms", restore_ms - detect_ms);
+        assert!(
+            restore_ms - detect_ms < 500.0,
+            "fast gap {} ms",
+            restore_ms - detect_ms
+        );
         assert!(frames_rendered > 250, "{frames_rendered}");
     }
 
@@ -211,8 +231,14 @@ mod tests {
     #[test]
     fn recovery_outcomes_are_deterministic() {
         let (a, b) = (outcome(false, 3).0, outcome(false, 3).0);
-        assert_eq!(a.detect_ms.unwrap().to_bits(), b.detect_ms.unwrap().to_bits());
-        assert_eq!(a.restore_ms.unwrap().to_bits(), b.restore_ms.unwrap().to_bits());
+        assert_eq!(
+            a.detect_ms.unwrap().to_bits(),
+            b.detect_ms.unwrap().to_bits()
+        );
+        assert_eq!(
+            a.restore_ms.unwrap().to_bits(),
+            b.restore_ms.unwrap().to_bits()
+        );
         assert_eq!(a.frames_lost, b.frames_lost);
     }
 

@@ -19,7 +19,8 @@ fn first_days(sessions: &[SessionRecord], days: u32) -> Vec<SessionRecord> {
 pub(crate) fn table1(report: &FleetReport, out: &mut Report) {
     let ln = &report.livenet;
     let h = &report.hier;
-    let rows = [(
+    let rows = [
+        (
             "CDN path delay (ms)",
             median(ln, |s| f64::from(s.cdn_delay_ms)),
             median(h, |s| f64::from(s.cdn_delay_ms)),
@@ -48,7 +49,8 @@ pub(crate) fn table1(report: &FleetReport, out: &mut Report) {
             ratio_pct(ln, |s| s.fast_startup()),
             ratio_pct(h, |s| s.fast_startup()),
             "95 / 92",
-        )];
+        ),
+    ];
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|(name, l, hh, paper)| {
@@ -163,7 +165,11 @@ pub(crate) fn fig08b(report: &FleetReport, out: &mut Report) {
     let rows: Vec<Vec<String>> = (1..=5)
         .map(|i| {
             vec![
-                if i == 5 { "≥5".into() } else { format!("{i}") },
+                if i == 5 {
+                    "≥5".into()
+                } else {
+                    format!("{i}")
+                },
                 format!("{:.2}%", ln[i]),
                 format!("{:.2}%", h[i]),
             ]
@@ -352,10 +358,16 @@ pub(crate) fn table2(report: &FleetReport, out: &mut Report) {
     let inter = length_dist(report.livenet.iter().filter(|s| s.international).copied());
     let intra = length_dist(report.livenet.iter().filter(|s| !s.international).copied());
     let fmt = |d: [f64; 4]| {
-        d.iter().map(|v| format!("{v:.2}%")).collect::<Vec<String>>()
+        d.iter()
+            .map(|v| format!("{v:.2}%"))
+            .collect::<Vec<String>>()
     };
     let mut rows = Vec::new();
-    for (name, d) in [("All", all), ("Inter-nation.", inter), ("Intra-nation.", intra)] {
+    for (name, d) in [
+        ("All", all),
+        ("Inter-nation.", inter),
+        ("Intra-nation.", intra),
+    ] {
         let mut row = vec![name.to_string()];
         row.extend(fmt(d));
         rows.push(row);
@@ -585,9 +597,12 @@ pub(crate) fn telemetry(report: &FleetReport, out: &mut Report) {
             name.clone(),
             format!("{}", h.count),
             h.mean().map_or("-".into(), |v| format!("{v:.1}")),
-            h.approx_quantile(0.5).map_or("-".into(), |v| format!("{v:.1}")),
-            h.approx_quantile(0.9).map_or("-".into(), |v| format!("{v:.1}")),
-            h.approx_quantile(0.99).map_or("-".into(), |v| format!("{v:.1}")),
+            h.approx_quantile(0.5)
+                .map_or("-".into(), |v| format!("{v:.1}")),
+            h.approx_quantile(0.9)
+                .map_or("-".into(), |v| format!("{v:.1}")),
+            h.approx_quantile(0.99)
+                .map_or("-".into(), |v| format!("{v:.1}")),
             h.max().map_or("-".into(), |v| format!("{v:.1}")),
         ]);
     }

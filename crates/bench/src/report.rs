@@ -136,7 +136,11 @@ fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     let mut line = |cells: &[String]| {
         let mut s = String::new();
         for (i, c) in cells.iter().enumerate() {
-            let pad = widths.get(i).copied().unwrap_or(0).saturating_sub(c.chars().count());
+            let pad = widths
+                .get(i)
+                .copied()
+                .unwrap_or(0)
+                .saturating_sub(c.chars().count());
             s.push_str(c);
             s.push_str(&" ".repeat(pad + 2));
         }
@@ -172,10 +176,7 @@ mod tests {
 
     #[test]
     fn table_alignment_pads_by_char_count() {
-        let text = render_table(
-            &["col".into(), "x".into()],
-            &[vec!["a".into(), "b".into()]],
-        );
+        let text = render_table(&["col".into(), "x".into()], &[vec!["a".into(), "b".into()]]);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "col  x");
         assert_eq!(lines[1], "---  -");

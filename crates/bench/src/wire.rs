@@ -55,9 +55,7 @@ fn hops_to(cfg: &TestbedConfig, rtt: &HashMap<(usize, usize), f64>, node: usize)
     }
     let mut best: Option<(f64, f64)> = None;
     for mid in 0..cfg.nodes {
-        if let (Some(&a), Some(&b)) =
-            (rtt.get(&(cfg.producer, mid)), rtt.get(&(mid, node)))
-        {
+        if let (Some(&a), Some(&b)) = (rtt.get(&(cfg.producer, mid)), rtt.get(&(mid, node))) {
             if best.is_none_or(|(x, y)| a + b < x + y) {
                 best = Some((a, b));
             }
@@ -149,7 +147,14 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     // Congest the busiest viewer country: every viewer there reports 30%
     // loss from a third of the way in, so the consumer cores' GCC loops
     // must react region-wide.
-    let mut per_country = vec![0usize; cfg.countries.iter().map(|&c| c as usize + 1).max().unwrap_or(1)];
+    let mut per_country = vec![
+        0usize;
+        cfg.countries
+            .iter()
+            .map(|&c| c as usize + 1)
+            .max()
+            .unwrap_or(1)
+    ];
     for v in &cfg.viewers {
         per_country[cfg.country_of(v.node) as usize] += 1;
     }
@@ -176,7 +181,11 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.meta("congested_country", congested.to_string());
     out.meta(
         "broadcast",
-        format!("{:.1}s @ {} kbps", cfg.broadcast.as_secs_f64(), BITRATE.as_kbps()),
+        format!(
+            "{:.1}s @ {} kbps",
+            cfg.broadcast.as_secs_f64(),
+            BITRATE.as_kbps()
+        ),
     );
 
     assert!(cfg.nodes >= 50, "geo fleet too small: {} nodes", cfg.nodes);
@@ -185,7 +194,9 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     }
 
     let emu_cfg = emulator_config(&cfg);
-    let wire = testbed::run(cfg.clone()).await.expect("validated config runs");
+    let wire = testbed::run(cfg.clone())
+        .await
+        .expect("validated config runs");
 
     // ---- Wire distributions -------------------------------------------
     let (startup, e2e) = startup_and_e2e_ms(wire.viewers.iter().map(|v| &v.run));
@@ -194,7 +205,11 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     let wire_startup_med = percentile(&startup, 0.5);
     let wire_startup_p90 = percentile(&startup, 0.9);
     let wire_e2e_med = percentile(&e2e, 0.5);
-    let zero_stall = wire.viewers.iter().filter(|v| v.run.qoe.stalls == 0).count();
+    let zero_stall = wire
+        .viewers
+        .iter()
+        .filter(|v| v.run.qoe.stalls == 0)
+        .count();
     let zero_stall_share = zero_stall as f64 / wire.viewers.len() as f64;
     // Datagrams a viewer's client could not decode (gated at zero below).
     let undecodable: u64 = wire.viewers.iter().map(|v| v.run.undecodable).sum();
@@ -229,7 +244,10 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
         wire.frames_broadcast,
         cfg.nodes,
         100.0 * wire.worst_delivery(),
-        cfg.viewers.iter().filter(|v| !v.join_after.is_zero()).count(),
+        cfg.viewers
+            .iter()
+            .filter(|v| !v.join_after.is_zero())
+            .count(),
     ));
 
     // ---- Emulator agreement gate --------------------------------------
@@ -247,7 +265,13 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
 
     out.heading("Agreement: wire vs packet emulator, modal path shape");
     out.table(
-        &["metric", "wire median", "emulator median", "|delta|", "tolerance"],
+        &[
+            "metric",
+            "wire median",
+            "emulator median",
+            "|delta|",
+            "tolerance",
+        ],
         &[
             vec![
                 "startup delay (ms)".into(),
@@ -278,7 +302,11 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     // `client_rates` is in `cfg.viewers` order.
     let (mut lossy_kbps, mut clean_kbps) = (Vec::new(), Vec::new());
     for (v, (_, rate)) in cfg.viewers.iter().zip(&wire.client_rates) {
-        let group = if v.lossy_rr.is_some() { &mut lossy_kbps } else { &mut clean_kbps };
+        let group = if v.lossy_rr.is_some() {
+            &mut lossy_kbps
+        } else {
+            &mut clean_kbps
+        };
         group.extend(rate.map(|r| r.as_kbps() as f64));
     }
     lossy_kbps.sort_by(f64::total_cmp);
@@ -287,14 +315,26 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.table(
         &["quantity", "value"],
         &[
-            vec!["lossy viewers (busiest country)".into(), lossy_viewers.to_string()],
-            vec!["receiver reports sent, all viewers".into(), rr_sent.to_string()],
+            vec![
+                "lossy viewers (busiest country)".into(),
+                lossy_viewers.to_string(),
+            ],
+            vec![
+                "receiver reports sent, all viewers".into(),
+                rr_sent.to_string(),
+            ],
             vec![
                 "cc decreases in congested country".into(),
                 cc_decreases_congested.to_string(),
             ],
-            vec!["cc decreases fleet-wide".into(), wire.cc.decreases.to_string()],
-            vec!["cc increases fleet-wide".into(), wire.cc.increases.to_string()],
+            vec![
+                "cc decreases fleet-wide".into(),
+                wire.cc.decreases.to_string(),
+            ],
+            vec![
+                "cc increases fleet-wide".into(),
+                wire.cc.increases.to_string(),
+            ],
             vec![
                 "median pacing rate at shutdown, lossy viewers (kbps)".into(),
                 format!("{:.0}", percentile(&lossy_kbps, 0.5)),
@@ -329,7 +369,10 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
     out.meta("transport.unknown_source_drops", unknown.to_string());
     out.meta("transport.recv_truncated", truncated.to_string());
     out.meta("transport.send_errors", send_errors.to_string());
-    out.meta("node.stale_timers", wire.telemetry.counter("node.stale_timers").to_string());
+    out.meta(
+        "node.stale_timers",
+        wire.telemetry.counter("node.stale_timers").to_string(),
+    );
     out.meta("viewer.undecodable", undecodable.to_string());
 
     let worst = wire.worst_delivery();
@@ -351,8 +394,14 @@ pub(crate) async fn run(args: &Args, out: &mut Report) {
         wire.telemetry.counter("transport.batch_rx_syscalls") > 0,
         "batched receive path never exercised"
     );
-    assert_eq!(unknown, 0, "datagrams from a source no node knows at that address");
+    assert_eq!(
+        unknown, 0,
+        "datagrams from a source no node knows at that address"
+    );
     assert_eq!(truncated, 0, "datagrams truncated by a node's receive slot");
     assert_eq!(send_errors, 0, "datagrams a node's socket refused");
-    assert_eq!(undecodable, 0, "datagrams a viewer's client could not decode");
+    assert_eq!(
+        undecodable, 0,
+        "datagrams a viewer's client could not decode"
+    );
 }
