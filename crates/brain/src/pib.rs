@@ -6,8 +6,7 @@
 //! PIB maps (producer, consumer) → candidate paths ordered by preference in
 //! one flat table that the 10-minute job rewrites in place (DESIGN.md §2.3).
 
-use livenet_types::{NodeId, SimTime, StreamId};
-use std::collections::HashMap;
+use livenet_types::{IdMap, NodeId, SimTime, StreamId};
 
 /// One computed overlay path: the node sequence from producer to consumer
 /// (inclusive), with its abstracted weight.
@@ -30,11 +29,19 @@ impl OverlayPath {
     }
 
     /// Producer end.
+    ///
+    /// # Panics
+    /// If `nodes` is empty. Unreachable for a path this crate built: Global
+    /// Routing, the zero-hop arm (`[producer]`) and the last-resort paths
+    /// (`[src, relay, dst]`) all hold at least one node.
     pub fn producer(&self) -> NodeId {
         *self.nodes.first().expect("non-empty path")
     }
 
     /// Consumer end.
+    ///
+    /// # Panics
+    /// If `nodes` is empty; unreachable as for [`OverlayPath::producer`].
     pub fn consumer(&self) -> NodeId {
         *self.nodes.last().expect("non-empty path")
     }
@@ -226,7 +233,7 @@ impl Pib {
 /// The Stream Information Base: stream ID → producer node.
 #[derive(Debug, Clone, Default)]
 pub struct Sib {
-    streams: HashMap<StreamId, NodeId>,
+    streams: IdMap<StreamId, NodeId>,
 }
 
 impl Sib {

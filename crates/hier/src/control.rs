@@ -11,8 +11,7 @@
 
 use crate::roles::HierRoles;
 use livenet_topology::Topology;
-use livenet_types::{Error, NodeId, Result, StreamId};
-use std::collections::HashMap;
+use livenet_types::{Error, IdMap, NodeId, Result, StreamId};
 
 /// A pinned hierarchical path (always 4 hops / 5 nodes, unless degenerate).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,18 +33,26 @@ struct L2Load {
     streams: u32,
 }
 
+/// Where an active stream enters the tree, pinned for its life.
+#[derive(Debug, Clone, Copy)]
+struct Pinned {
+    /// The producer L1.
+    producer: NodeId,
+    /// The uplink L2.
+    uplink: NodeId,
+    /// The center.
+    center: NodeId,
+}
+
 /// The centralized Hier controller.
 #[derive(Debug)]
 pub struct HierController {
     roles: HierRoles,
-    /// Producer L1 of each active stream.
-    streams: HashMap<StreamId, NodeId>,
-    /// Chosen uplink L2 per stream (stable for the stream's life).
-    uplink: HashMap<StreamId, NodeId>,
-    /// Chosen center per stream.
-    center: HashMap<StreamId, NodeId>,
+    /// Producer, uplink L2 and center of each active stream: one entry,
+    /// so a registered stream always has all three.
+    streams: IdMap<StreamId, Pinned>,
     /// Load counters per L2.
-    l2_load: HashMap<NodeId, L2Load>,
+    l2_load: IdMap<NodeId, L2Load>,
 }
 
 impl HierController {
@@ -53,10 +60,8 @@ impl HierController {
     pub fn new(roles: HierRoles) -> Self {
         HierController {
             roles,
-            streams: HashMap::new(),
-            uplink: HashMap::new(),
-            center: HashMap::new(),
-            l2_load: HashMap::new(),
+            streams: IdMap::default(),
+            l2_load: IdMap::default(),
         }
     }
 
@@ -79,27 +84,28 @@ impl HierController {
         let center = self
             .best_center(topology, l2)
             .ok_or_else(|| Error::exhausted("no center reachable"))?;
-        self.streams.insert(stream, producer);
-        self.uplink.insert(stream, l2);
-        self.center.insert(stream, center);
+        let pinned = Pinned {
+            producer,
+            uplink: l2,
+            center,
+        };
+        self.streams.insert(stream, pinned);
         self.l2_load.entry(l2).or_default().streams += 1;
         Ok(())
     }
 
     /// Remove a finished stream.
     pub fn unregister_stream(&mut self, stream: StreamId) {
-        self.streams.remove(&stream);
-        if let Some(l2) = self.uplink.remove(&stream) {
-            if let Some(load) = self.l2_load.get_mut(&l2) {
+        if let Some(pinned) = self.streams.remove(&stream) {
+            if let Some(load) = self.l2_load.get_mut(&pinned.uplink) {
                 load.streams = load.streams.saturating_sub(1);
             }
         }
-        self.center.remove(&stream);
     }
 
     /// Producer of a stream.
     pub fn producer_of(&self, stream: StreamId) -> Option<NodeId> {
-        self.streams.get(&stream).copied()
+        self.streams.get(&stream).map(|p| p.producer)
     }
 
     /// Compute the 4-hop path for a viewer attached to L1 `consumer`.
@@ -112,17 +118,20 @@ impl HierController {
         stream: StreamId,
         consumer: NodeId,
     ) -> Result<HierPath> {
-        let producer = self
-            .producer_of(stream)
+        let Pinned {
+            producer,
+            uplink,
+            center,
+        } = *self
+            .streams
+            .get(&stream)
             .ok_or_else(|| Error::not_found(format!("stream {stream}")))?;
-        let up_l2 = self.uplink[&stream];
-        let center = self.center[&stream];
         let down_l2 = self
             .best_l2(topology, consumer)
             .ok_or_else(|| Error::exhausted("no L2 reachable from consumer"))?;
         self.l2_load.entry(down_l2).or_default().streams += 1;
         Ok(HierPath {
-            nodes: vec![producer, up_l2, center, down_l2, consumer],
+            nodes: vec![producer, uplink, center, down_l2, consumer],
         })
     }
 
@@ -234,7 +243,7 @@ mod tests {
         let (topo, mut ctl, l1) = setup(5);
         let s = StreamId::new(1);
         ctl.register_stream(&topo, s, l1[0]).unwrap();
-        let l2 = ctl.uplink[&s];
+        let l2 = ctl.streams[&s].uplink;
         assert_eq!(streams_on(&ctl, l2), 1);
         ctl.unregister_stream(s);
         assert_eq!(streams_on(&ctl, l2), 0);

@@ -6,8 +6,8 @@
 
 use livenet_hier::{HierController, HierRoles};
 use livenet_topology::Topology;
-use livenet_types::{NodeId, StreamId};
-use std::collections::{BTreeSet, HashMap};
+use livenet_types::{IdMap, NodeId, StreamId};
+use std::collections::BTreeSet;
 
 /// What one viewer attachment found.
 #[derive(Debug)]
@@ -26,22 +26,22 @@ pub(super) struct HierAttach {
 pub(super) struct HierPlane {
     controller: HierController,
     /// Refcounts per (node, stream) (GoP caches).
-    refs: HashMap<(NodeId, StreamId), u32>,
+    refs: IdMap<(NodeId, StreamId), u32>,
     /// Per-node sum of `refs`, so center queueing is O(1) per arrival
     /// instead of a full scan. Integer-valued, hence exact and
     /// order-independent.
-    node_load: HashMap<NodeId, i64>,
+    node_load: IdMap<NodeId, i64>,
     /// The reference each live stream's own ingest holds on its producer.
-    ingest: HashMap<StreamId, NodeId>,
+    ingest: IdMap<StreamId, NodeId>,
 }
 
 impl HierPlane {
     pub(super) fn new(roles: HierRoles) -> HierPlane {
         HierPlane {
             controller: HierController::new(roles),
-            refs: HashMap::new(),
-            node_load: HashMap::new(),
-            ingest: HashMap::new(),
+            refs: IdMap::default(),
+            node_load: IdMap::default(),
+            ingest: IdMap::default(),
         }
     }
 
@@ -100,7 +100,8 @@ impl HierPlane {
             self.hold(n, stream);
         }
         // Cache miss: climb the tree until a tier has the stream cached —
-        // i.e. somebody besides this viewer holds it there.
+        // i.e. somebody besides this viewer holds it there. `path_for`
+        // returns five nodes on every `Ok`, so both indexes are in range.
         let mut fetch_ms = 0.0;
         if !hit {
             let mut cur = consumer;
@@ -162,7 +163,7 @@ impl HierPlane {
         &self,
         holders: impl IntoIterator<Item = (&'a [NodeId], StreamId)>,
     ) -> Vec<(NodeId, StreamId)> {
-        let mut expect: HashMap<(NodeId, StreamId), u32> = HashMap::new();
+        let mut expect: IdMap<(NodeId, StreamId), u32> = IdMap::default();
         for (&stream, &producer) in &self.ingest {
             *expect.entry((producer, stream)).or_insert(0) += 1;
         }
@@ -171,7 +172,7 @@ impl HierPlane {
                 *expect.entry((n, stream)).or_insert(0) += 1;
             }
         }
-        let mut sums: HashMap<NodeId, i64> = HashMap::new();
+        let mut sums: IdMap<NodeId, i64> = IdMap::default();
         for (&(n, _), &c) in &self.refs {
             *sums.entry(n).or_insert(0) += i64::from(c);
         }

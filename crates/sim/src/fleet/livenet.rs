@@ -6,8 +6,8 @@
 //! Brain-computed path and gets back what was built.
 
 use livenet_topology::Topology;
-use livenet_types::{NodeId, StreamId};
-use std::collections::{BTreeSet, HashMap};
+use livenet_types::{IdMap, NodeId, StreamId};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Per-(node, stream) forwarding state.
@@ -72,14 +72,14 @@ fn hop_cost_ms(topology: &Topology, path: &[NodeId]) -> f64 {
 /// one unit per stream flowing over it.
 #[derive(Debug, Default)]
 pub(super) struct Loads {
-    pub(super) node_fanout: HashMap<NodeId, f64>,
-    pub(super) link_sessions: HashMap<(NodeId, NodeId), f64>,
+    pub(super) node_fanout: IdMap<NodeId, f64>,
+    pub(super) link_sessions: IdMap<(NodeId, NodeId), f64>,
 }
 
 /// The LiveNet data plane.
 #[derive(Debug, Default)]
 pub(super) struct LiveNetPlane {
-    presence: HashMap<(NodeId, StreamId), Presence>,
+    presence: IdMap<(NodeId, StreamId), Presence>,
     loads: Loads,
 }
 
@@ -260,7 +260,7 @@ impl LiveNetPlane {
         &self,
         attached: impl IntoIterator<Item = (NodeId, StreamId)>,
     ) -> Vec<(NodeId, StreamId)> {
-        let mut expect: HashMap<(NodeId, StreamId), u32> = HashMap::new();
+        let mut expect: IdMap<(NodeId, StreamId), u32> = IdMap::default();
         for (&(_, stream), p) in &self.presence {
             if let Some(up) = p.upstream {
                 *expect.entry((up, stream)).or_insert(0) += 1;

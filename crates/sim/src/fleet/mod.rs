@@ -29,7 +29,7 @@ use crate::calibrate::{
     LOCAL_SERVE_MS, PLAYER_BUFFER_MS, PRODUCER_PROCESSING_MS, RELAY_PROCESSING_MS,
 };
 use crate::control::{ControlPlane, ReplicationSummary};
-use crate::metrics::{record_session, DecisionOutcome, SessionRecord};
+use crate::metrics::{DecisionOutcome, SessionRecord, SessionTally};
 use crate::runner::ShardPlan;
 use crate::workload::{SessionSpec, Workload};
 use faults::{resolve_faults, ResolvedFault};
@@ -39,9 +39,9 @@ use livenet_hier::{cdn_path_delay, HierRoles};
 use livenet_replication::BrainOp;
 use livenet_telemetry::{ids, MetricSink, Snapshot, TelemetryHub};
 use livenet_topology::{GeoTopology, NodeReport, Topology, BASE_LOSS};
-use livenet_types::{DetRng, EventQueue, NodeId, SimDuration, SimTime, StreamId};
+use livenet_types::{DetRng, EventQueue, IdMap, IdSet, NodeId, SimDuration, SimTime, StreamId};
 use rollup::Rollup;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Nominal stream bitrate (bits/s).
@@ -53,6 +53,10 @@ const BAD_LAST_MILE_FRACTION: f64 = 0.05;
 /// Realized-path hop count that triggers a quality-driven path switch
 /// (the long-chain mitigation of §4.4).
 pub const LONG_CHAIN_SWITCH_HOPS: usize = 5;
+
+/// Ceiling on the client → Path Decision replica RTT, and what a node
+/// with no link to any replica pays.
+const REPLICA_RTT_CAP_MS: f64 = 200.0;
 
 const _: () = assert!(0.0 <= BAD_LAST_MILE_FRACTION && BAD_LAST_MILE_FRACTION <= 1.0);
 
@@ -227,7 +231,7 @@ impl FleetReport {
 /// set cardinality, so per-shard counts cannot simply be summed).
 pub(crate) struct ShardOutput {
     pub(crate) report: FleetReport,
-    pub(crate) day_path_sets: Vec<HashSet<u64>>,
+    pub(crate) day_path_sets: Vec<IdSet<u64>>,
 }
 
 /// The fleet simulator. Only this struct draws randomness: the draw order
@@ -247,13 +251,19 @@ pub struct FleetSim {
     // Identical on every shard (seeded from the workload seed alone).
     faults: Vec<ResolvedFault>,
     queue: EventQueue<Ev>,
-    // Keyed by the session's index in `report.livenet`, so fault handling
-    // iterates sessions in arrival order for free.
-    active: BTreeMap<u64, Active>,
+    // Keyed by the session's index in `report.livenet`; fault handling
+    // sorts the ids it collects to walk sessions in arrival order.
+    active: IdMap<u64, Active>,
     report: FleetReport,
     rollup: Rollup,
     // Run-scoped metric hub; snapshotted into the report at the end.
     telemetry: TelemetryHub,
+    // RTT from each node to its nearest Path Decision replica. Built once:
+    // no event changes a link's RTT or a node's `well_peered`, and a fault
+    // only marks nodes down, which `Topology::link` does not read.
+    replica_rtt: IdMap<NodeId, f64>,
+    // Per-session metrics, folded into `telemetry` once at the end.
+    tally: SessionTally,
 }
 
 impl FleetSim {
@@ -342,6 +352,7 @@ impl FleetSim {
         config.node_capacity_sessions *= share;
         config.link_capacity_sessions *= share;
 
+        let replica_rtt = replica_rtts(&topology);
         FleetSim {
             hier: HierPlane::new(HierRoles::assign(&topology, 2)),
             faults: resolve_faults(&config.faults, &topology, seed, config.workload.days),
@@ -356,9 +367,11 @@ impl FleetSim {
             livenet: LiveNetPlane::default(),
             channels,
             queue: EventQueue::new(),
-            active: BTreeMap::new(),
+            active: IdMap::default(),
             report: FleetReport::default(),
             telemetry: TelemetryHub::new(),
+            replica_rtt,
+            tally: SessionTally::new(),
         }
     }
 
@@ -375,14 +388,14 @@ impl FleetSim {
         self.rollup.finish(self.config.workload.days as usize);
         self.report.hourly_loss = self.rollup.hourly_loss;
         self.report.daily_peak_throughput = self.rollup.daily_peak_throughput;
-        self.report.daily_unique_paths =
-            self.rollup.day_path_sets.iter().map(HashSet::len).collect();
+        self.report.daily_unique_paths = self.rollup.day_path_sets.iter().map(IdSet::len).collect();
         // Settle and audit the replicated control plane (no-op in single
         // mode) BEFORE the telemetry export so the exported counters cover
         // the post-settle cluster state.
         self.report.replication = self.brain.finalize(horizon);
         self.report.recompute_rounds = self.brain.recompute_rounds();
         self.brain.record_telemetry(&mut self.telemetry);
+        self.tally.fold_into(&mut self.telemetry);
         self.report.telemetry = self.telemetry.snapshot();
         ShardOutput {
             report: self.report,
@@ -528,7 +541,7 @@ impl FleetSim {
 
     fn skip_offline(&mut self) {
         self.report.skipped_offline += 1;
-        self.telemetry.incr(ids::FLEET_RACED_OFFLINE);
+        self.tally.raced_offline();
     }
 
     fn on_arrival(&mut self, now: SimTime, spec: SessionSpec) {
@@ -615,7 +628,7 @@ impl FleetSim {
         let path = &shared[..len as usize];
         let cdn_ms = self.livenet_cdn_delay(path);
         let record = self.session_record(&LIVENET, path, cdn_ms, first_packet_ms, outcome, &client);
-        record_session(&mut self.telemetry, &record);
+        self.tally.record(&record);
         self.report.livenet.push(record);
         self.rollup.path(path);
 
@@ -765,6 +778,10 @@ impl FleetSim {
 
         let last_resort = lookup.last_resort;
         // Take the best path by value — the lookup is ours, no clone.
+        // Unreachable panic: an `Ok` assignment is never empty. Path
+        // Decision errors when it finds nothing, its zero-hop and PIB arms
+        // return at least one path, and its last-resort arm keeps `k` of a
+        // non-empty list, where `FleetConfig::validate` refuses `k == 0`.
         let path = lookup
             .paths
             .into_iter()
@@ -809,15 +826,12 @@ impl FleetSim {
     }
 
     fn nearest_replica_rtt(&self, consumer: NodeId) -> f64 {
-        // Path Decision replicas sit at well-peered sites + last-resort
-        // (IXP) nodes (§7.1).
-        self.topology
-            .nodes()
-            .filter(|n| n.well_peered)
-            .filter_map(|n| self.topology.link(consumer, n.id))
-            .map(|l| l.rtt.as_millis_f64())
-            .fold(f64::INFINITY, f64::min)
-            .min(200.0)
+        // Every node of the topology has an entry; an unknown one has no
+        // link to a replica.
+        self.replica_rtt
+            .get(&consumer)
+            .copied()
+            .unwrap_or(REPLICA_RTT_CAP_MS)
     }
 
     /// Center queueing under load (the §2.3 hot-spot effect): all streams
@@ -900,9 +914,12 @@ impl FleetSim {
         // re-attach, so shared chains are rebuilt fresh instead of
         // local-hitting a stale entry that still routes through the
         // failure.
-        let ids: Vec<u64> = self.active.keys().copied().collect();
+        let mut ids: Vec<u64> = self.active.keys().copied().collect();
+        ids.sort_unstable();
         let mut reattach: Vec<(u64, NodeId, StreamId, usize)> = Vec::new();
         for id in ids {
+            // Unreachable panic: `ids` are `active`'s keys, and this loop
+            // removes no session (it only rewrites `consumer`).
             let a = &self.active[&id];
             let (mut consumer, stream, channel) = (a.consumer, a.stream, a.channel);
             let attached = a.attached;
@@ -1075,6 +1092,25 @@ impl FleetSim {
             k += 1;
         }
     }
+}
+
+/// RTT from every node to its nearest Path Decision replica — replicas sit
+/// at the well-peered sites (§7.1) — capped at [`REPLICA_RTT_CAP_MS`]: one
+/// walk of each node's row.
+fn replica_rtts(topology: &Topology) -> IdMap<NodeId, f64> {
+    topology
+        .node_ids()
+        .map(|node| {
+            let (far_ends, links) = topology.row(node);
+            let nearest = far_ends
+                .iter()
+                .zip(links)
+                .filter(|&(&to, _)| topology.node(to).is_some_and(|n| n.well_peered))
+                .map(|(_, l)| l.rtt.as_millis_f64())
+                .fold(f64::INFINITY, f64::min);
+            (node, nearest.min(REPLICA_RTT_CAP_MS))
+        })
+        .collect()
 }
 
 /// A hand-made 5-node topology for testing the parts without a generator.
@@ -1332,6 +1368,55 @@ mod tests {
             })
             .build()
             .unwrap()
+    }
+
+    /// The per-session scan the replica-RTT table replaced: its oracle.
+    fn scanned_replica_rtt(topology: &Topology, consumer: NodeId) -> f64 {
+        topology
+            .nodes()
+            .filter(|n| n.well_peered)
+            .filter_map(|n| topology.link(consumer, n.id))
+            .map(|l| l.rtt.as_millis_f64())
+            .fold(f64::INFINITY, f64::min)
+            .min(200.0)
+    }
+
+    fn assert_replica_table_is_the_scan(sim: &FleetSim, what: &str) {
+        let mut below_cap = 0;
+        let unknown = NodeId::new(u64::MAX);
+        for n in sim.topology.node_ids().chain([unknown]) {
+            let table = sim.nearest_replica_rtt(n);
+            let scan = scanned_replica_rtt(&sim.topology, n);
+            assert_eq!(
+                table.to_bits(),
+                scan.to_bits(),
+                "{what}: {n} {table} vs {scan}"
+            );
+            below_cap += usize::from(table < REPLICA_RTT_CAP_MS);
+        }
+        assert!(below_cap > 0, "{what}: every node pays the cap");
+    }
+
+    #[test]
+    fn the_replica_rtt_table_is_the_scan_on_every_node() {
+        for (what, builder) in [
+            ("paper_scale", FleetConfigBuilder::paper_scale(3)),
+            ("mega_scale", FleetConfigBuilder::mega_scale(3)),
+        ] {
+            let sim = lone(builder.days(1).shards(1).build().unwrap());
+            assert_replica_table_is_the_scan(&sim, what);
+        }
+        // Midway through a region outage, after the minute ticks have
+        // rewritten every link's loss and utilization.
+        let mut sim = lone(outage_config(11));
+        sim.seed_events();
+        sim.drive(SimTime::from_secs(8 * 3600 + 900));
+        let down = sim
+            .topology
+            .node_ids()
+            .filter(|&n| !sim.topology.node_is_up(n));
+        assert!(down.count() > 0, "the outage took no node down");
+        assert_replica_table_is_the_scan(&sim, "region outage");
     }
 
     #[test]

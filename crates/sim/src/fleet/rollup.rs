@@ -1,9 +1,8 @@
 //! Hour and day roll-up of a fleet run: mean link loss per hour (Fig. 13),
 //! peak throughput (Fig. 14) and realized LiveNet paths (§6.5) per day.
 
-use livenet_types::NodeId;
+use livenet_types::{IdSet, NodeId};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 /// Accumulates the per-minute observations into hours and days.
@@ -13,11 +12,13 @@ pub(super) struct Rollup {
     pub(super) daily_peak_throughput: Vec<f64>,
     /// Per-day realized-path hash sets; `daily_unique_paths` is their
     /// cardinality, and a shard merge needs the sets themselves to union.
-    pub(super) day_path_sets: Vec<HashSet<u64>>,
+    /// The members are `DefaultHasher` hashes of the paths; only the set's
+    /// own table runs on [`IdSet`]'s hasher, so the counts cannot move.
+    pub(super) day_path_sets: Vec<IdSet<u64>>,
     hour_loss_sum: f64,
     hour_loss_n: u64,
     current_hour: u64,
-    day_paths: HashSet<u64>,
+    day_paths: IdSet<u64>,
     current_day: u64,
     day_peak_bps: f64,
 }
@@ -32,7 +33,7 @@ impl Rollup {
             hour_loss_sum: 0.0,
             hour_loss_n: 0,
             current_hour: 0,
-            day_paths: HashSet::new(),
+            day_paths: IdSet::default(),
             current_day: 0,
             day_peak_bps: 0.0,
         }
@@ -77,7 +78,7 @@ impl Rollup {
     fn flush_day(&mut self) {
         let day = self.day_path_sets.len().max(self.current_day as usize);
         self.daily_peak_throughput.resize(day, 0.0);
-        self.day_path_sets.resize_with(day, HashSet::new);
+        self.day_path_sets.resize_with(day, IdSet::default);
         self.daily_peak_throughput.push(self.day_peak_bps);
         self.day_path_sets.push(std::mem::take(&mut self.day_paths));
         self.day_peak_bps = 0.0;

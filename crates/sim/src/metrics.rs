@@ -6,7 +6,7 @@
 //! Decision logs (response time). [`SessionRecord`] carries the union of
 //! these per viewing session.
 
-use livenet_telemetry::{ids, MetricSink};
+use livenet_telemetry::{ids, FixedHistogram, MetricSink, TelemetryHub, DEFAULT_MS_BOUNDS};
 use livenet_types::{Ecdf, SimTime};
 
 /// How a session's path decision was served — the Path Decision log's
@@ -94,32 +94,105 @@ impl SessionRecord {
     }
 }
 
-/// Record one session — counters by decision outcome plus the per-stage
-/// latency histograms (`stage.*`) that attribute startup latency the way
-/// the paper's client logs support (Fig. 10) — into a metric sink.
+/// One shard's per-session telemetry — counters by decision outcome plus
+/// the per-stage latency histograms (`stage.*`) that attribute startup
+/// latency the way the paper's client logs support (Fig. 10) — kept in
+/// fixed fields and folded into the shard's hub once, at the end of the
+/// run.
 ///
-/// This is the [`MetricSink`] port of the aggregation `summarize` does by
-/// hand; the fleet simulator calls it per LiveNet session.
-pub(crate) fn record_session(sink: &mut impl MetricSink, s: &SessionRecord) {
-    sink.incr(ids::FLEET_SESSIONS);
-    match s.outcome {
-        DecisionOutcome::LocalHit => sink.incr(ids::FLEET_LOCAL_HITS),
-        DecisionOutcome::Prefetched => sink.incr(ids::FLEET_PREFETCHED),
-        DecisionOutcome::Brain { response_ms } => {
-            sink.incr(ids::FLEET_BRAIN_SERVED);
-            sink.observe(ids::STAGE_BRAIN_LOOKUP_MS, f64::from(response_ms));
-        }
-        DecisionOutcome::LastResort { response_ms } => {
-            sink.incr(ids::FLEET_LAST_RESORT);
-            if let Some(ms) = response_ms {
-                sink.observe(ids::STAGE_BRAIN_LOOKUP_MS, f64::from(ms));
-            }
+/// Recording a session here is a few integer adds and five bucket scans;
+/// recording it into a [`TelemetryHub`] walked a `BTreeMap` keyed by metric
+/// name seven times. The fold is exact (counters are integers, histogram
+/// sums fixed-point), and it inserts no counter that stayed zero and no
+/// histogram that stayed empty, so the folded snapshot equals the one
+/// per-session recording into the hub would have built.
+#[derive(Debug)]
+pub(crate) struct SessionTally {
+    sessions: u64,
+    local_hits: u64,
+    prefetched: u64,
+    brain_served: u64,
+    last_resort: u64,
+    /// Arrivals whose channel had gone offline: no session, no record.
+    raced_offline: u64,
+    brain_lookup_ms: FixedHistogram,
+    first_packet_ms: FixedHistogram,
+    startup_ms: FixedHistogram,
+    cdn_path_ms: FixedHistogram,
+    streaming_ms: FixedHistogram,
+}
+
+impl SessionTally {
+    pub(crate) fn new() -> SessionTally {
+        let hist = || FixedHistogram::new(DEFAULT_MS_BOUNDS);
+        SessionTally {
+            sessions: 0,
+            local_hits: 0,
+            prefetched: 0,
+            brain_served: 0,
+            last_resort: 0,
+            raced_offline: 0,
+            brain_lookup_ms: hist(),
+            first_packet_ms: hist(),
+            startup_ms: hist(),
+            cdn_path_ms: hist(),
+            streaming_ms: hist(),
         }
     }
-    sink.observe(ids::STAGE_FIRST_PACKET_MS, f64::from(s.first_packet_ms));
-    sink.observe(ids::STAGE_STARTUP_MS, f64::from(s.startup_ms));
-    sink.observe(ids::STAGE_CDN_PATH_MS, f64::from(s.cdn_delay_ms));
-    sink.observe(ids::STAGE_STREAMING_MS, f64::from(s.streaming_delay_ms));
+
+    /// Count one session by its outcome and observe its stage latencies.
+    pub(crate) fn record(&mut self, s: &SessionRecord) {
+        self.sessions += 1;
+        match s.outcome {
+            DecisionOutcome::LocalHit => self.local_hits += 1,
+            DecisionOutcome::Prefetched => self.prefetched += 1,
+            DecisionOutcome::Brain { response_ms } => {
+                self.brain_served += 1;
+                self.brain_lookup_ms.observe(f64::from(response_ms));
+            }
+            DecisionOutcome::LastResort { response_ms } => {
+                self.last_resort += 1;
+                if let Some(ms) = response_ms {
+                    self.brain_lookup_ms.observe(f64::from(ms));
+                }
+            }
+        }
+        self.first_packet_ms.observe(f64::from(s.first_packet_ms));
+        self.startup_ms.observe(f64::from(s.startup_ms));
+        self.cdn_path_ms.observe(f64::from(s.cdn_delay_ms));
+        self.streaming_ms.observe(f64::from(s.streaming_delay_ms));
+    }
+
+    /// An arrival found its channel offline.
+    pub(crate) fn raced_offline(&mut self) {
+        self.raced_offline += 1;
+    }
+
+    /// Fold the tally into `hub`, skipping zero counters and empty
+    /// histograms.
+    pub(crate) fn fold_into(&self, hub: &mut TelemetryHub) {
+        let counters = [
+            (ids::FLEET_SESSIONS, self.sessions),
+            (ids::FLEET_LOCAL_HITS, self.local_hits),
+            (ids::FLEET_PREFETCHED, self.prefetched),
+            (ids::FLEET_BRAIN_SERVED, self.brain_served),
+            (ids::FLEET_LAST_RESORT, self.last_resort),
+            (ids::FLEET_RACED_OFFLINE, self.raced_offline),
+        ];
+        for (id, n) in counters.into_iter().filter(|&(_, n)| n > 0) {
+            hub.add(id, n);
+        }
+        let hists = [
+            (ids::STAGE_BRAIN_LOOKUP_MS, &self.brain_lookup_ms),
+            (ids::STAGE_FIRST_PACKET_MS, &self.first_packet_ms),
+            (ids::STAGE_STARTUP_MS, &self.startup_ms),
+            (ids::STAGE_CDN_PATH_MS, &self.cdn_path_ms),
+            (ids::STAGE_STREAMING_MS, &self.streaming_ms),
+        ];
+        for (id, h) in hists.into_iter().filter(|(_, h)| h.count() > 0) {
+            hub.merge_histogram(id, h);
+        }
+    }
 }
 
 /// Summary statistics over a slice of sessions — the Table 1 row set.
@@ -211,17 +284,42 @@ mod tests {
         assert_eq!(s.median_cdn_delay_ms, 188.0);
     }
 
+    /// The oracle: one session recorded straight into a hub, metric by
+    /// metric, as the fleet did before it kept a tally.
+    fn record_into_hub(hub: &mut TelemetryHub, s: &SessionRecord) {
+        hub.incr(ids::FLEET_SESSIONS);
+        match s.outcome {
+            DecisionOutcome::LocalHit => hub.incr(ids::FLEET_LOCAL_HITS),
+            DecisionOutcome::Prefetched => hub.incr(ids::FLEET_PREFETCHED),
+            DecisionOutcome::Brain { response_ms } => {
+                hub.incr(ids::FLEET_BRAIN_SERVED);
+                hub.observe(ids::STAGE_BRAIN_LOOKUP_MS, f64::from(response_ms));
+            }
+            DecisionOutcome::LastResort { response_ms } => {
+                hub.incr(ids::FLEET_LAST_RESORT);
+                if let Some(ms) = response_ms {
+                    hub.observe(ids::STAGE_BRAIN_LOOKUP_MS, f64::from(ms));
+                }
+            }
+        }
+        hub.observe(ids::STAGE_FIRST_PACKET_MS, f64::from(s.first_packet_ms));
+        hub.observe(ids::STAGE_STARTUP_MS, f64::from(s.startup_ms));
+        hub.observe(ids::STAGE_CDN_PATH_MS, f64::from(s.cdn_delay_ms));
+        hub.observe(ids::STAGE_STREAMING_MS, f64::from(s.streaming_delay_ms));
+    }
+
     #[test]
-    fn record_session_counts_outcomes_and_stage_latencies() {
-        use livenet_telemetry::TelemetryHub;
-        let mut hub = TelemetryHub::new();
+    fn the_tally_counts_outcomes_and_stage_latencies() {
+        let mut tally = SessionTally::new();
         let mut brain_rec = rec(500.0, 0);
         brain_rec.outcome = DecisionOutcome::Brain { response_ms: 42.0 };
         let mut lr_rec = rec(1200.0, 1);
         lr_rec.outcome = DecisionOutcome::LastResort { response_ms: None };
         for s in [rec(500.0, 0), brain_rec, lr_rec] {
-            record_session(&mut hub, &s);
+            tally.record(&s);
         }
+        let mut hub = TelemetryHub::new();
+        tally.fold_into(&mut hub);
         let snap = hub.snapshot();
         assert_eq!(snap.counter("fleet.sessions"), 3);
         assert_eq!(snap.counter("fleet.local_hits"), 1);
@@ -231,5 +329,65 @@ mod tests {
         assert_eq!(lookup.count, 1);
         assert!((lookup.mean().unwrap() - 42.0).abs() < 1e-9);
         assert_eq!(snap.hist("stage.startup_ms").unwrap().count, 3);
+        // Nothing was prefetched and no arrival raced offline: neither
+        // counter is in the snapshot, not even as a zero.
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert!(!names.contains(&"fleet.prefetched"), "{names:?}");
+        assert!(!names.contains(&"fleet.raced_offline"), "{names:?}");
+    }
+
+    /// A record from drawn fields: `kind` picks the outcome, `response`
+    /// its lookup time where it has one.
+    fn drawn(kind: u8, response: Option<f64>, ms: (f64, f64, f64, f64)) -> SessionRecord {
+        let response = response.map(|v| v as f32);
+        let mut s = rec(ms.1 as f32, 0);
+        s.first_packet_ms = ms.0 as f32;
+        s.cdn_delay_ms = ms.2 as f32;
+        s.streaming_delay_ms = ms.3 as f32;
+        s.outcome = match kind {
+            0 => DecisionOutcome::LocalHit,
+            1 => DecisionOutcome::Prefetched,
+            2 => DecisionOutcome::Brain {
+                response_ms: response.unwrap_or(0.0),
+            },
+            _ => DecisionOutcome::LastResort {
+                response_ms: response,
+            },
+        };
+        s
+    }
+
+    livenet_cases::proptest! {
+        #![proptest_config(livenet_cases::ProptestConfig::with_cases(256))]
+        #[test]
+        fn a_folded_tally_equals_recording_each_session_into_the_hub(
+            fields in livenet_cases::prop::collection::vec(
+                (
+                    0u8..4,
+                    livenet_cases::prop::option::of(0.0f64..3_000.0),
+                    (0.0f64..40_000.0, 0.0f64..40_000.0, 0.0f64..1_000.0, 0.0f64..5_000.0),
+                ),
+                0..40,
+            ),
+            offline in 0u64..3,
+        ) {
+            let records: Vec<SessionRecord> = fields
+                .into_iter()
+                .map(|(kind, response, ms)| drawn(kind, response, ms))
+                .collect();
+            let mut direct = TelemetryHub::new();
+            let mut tally = SessionTally::new();
+            for s in &records {
+                record_into_hub(&mut direct, s);
+                tally.record(s);
+            }
+            for _ in 0..offline {
+                direct.incr(ids::FLEET_RACED_OFFLINE);
+                tally.raced_offline();
+            }
+            let mut folded = TelemetryHub::new();
+            tally.fold_into(&mut folded);
+            livenet_cases::prop_assert_eq!(folded.snapshot(), direct.snapshot());
+        }
     }
 }

@@ -27,9 +27,9 @@
 
 use crate::fleet::{FleetConfig, FleetReport, FleetSim, RecoveryRecord, ShardOutput};
 use crate::metrics::SessionRecord;
-use livenet_types::{Result, SimTime, ZipfTable};
+use livenet_types::{IdSet, Result, SimTime, ZipfTable};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -173,6 +173,10 @@ impl FleetRunner {
                 slots[i] = Some(out);
             }
         });
+        // Unreachable panic: each index is fetched by exactly one worker,
+        // whose send cannot fail while `rx` is drained inside the scope,
+        // and a worker that panicked re-panics at the scope's end, before
+        // this line.
         let outputs: Vec<ShardOutput> = slots
             .into_iter()
             .map(|o| o.expect("shard worker exited without a result"))
@@ -235,7 +239,7 @@ fn merge(mut outputs: Vec<ShardOutput>, days: usize) -> FleetReport {
     merged.recoveries_hier = recoveries(|r| &r.recoveries_hier);
 
     merged.daily_peak_throughput = vec![0.0; days];
-    let mut day_sets: Vec<HashSet<u64>> = vec![HashSet::new(); days];
+    let mut day_sets: Vec<IdSet<u64>> = vec![IdSet::default(); days];
     for out in &outputs {
         for (d, v) in out.report.daily_peak_throughput.iter().enumerate() {
             merged.daily_peak_throughput[d] += v;
@@ -258,7 +262,7 @@ fn merge(mut outputs: Vec<ShardOutput>, days: usize) -> FleetReport {
                 .absorb(r);
         }
     }
-    merged.daily_unique_paths = day_sets.iter().map(HashSet::len).collect();
+    merged.daily_unique_paths = day_sets.iter().map(IdSet::len).collect();
     merged
 }
 
@@ -284,6 +288,7 @@ fn kway_merge<T>(lists: &[&[T]], at: impl Fn(&T) -> SimTime, mut emit: impl FnMu
 mod tests {
     use super::*;
     use crate::fleet::FleetConfigBuilder;
+    use std::collections::HashSet;
 
     fn tiny_config(seed: u64) -> FleetConfig {
         // Small enough for unit tests: fewer ticks and arrivals than the

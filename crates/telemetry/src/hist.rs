@@ -11,7 +11,7 @@
 /// Default bucket upper bounds for latency-style observations, in
 /// milliseconds.  Spans sub-millisecond link hops up to the 30 s session
 /// timeout; anything above the last bound lands in the overflow bucket.
-pub(crate) const DEFAULT_MS_BOUNDS: &[f64] = &[
+pub const DEFAULT_MS_BOUNDS: &[f64] = &[
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
     30000.0,
 ];

@@ -80,11 +80,23 @@ impl TelemetryHub {
             merge_gauge(&mut self.gauges, id, v);
         }
         for (&id, h) in &other.hists {
-            self.hists
-                .entry(id)
-                .or_insert_with(|| FixedHistogram::new(h.bounds()))
-                .merge(h);
+            self.merge_histogram(id, h);
         }
+    }
+
+    /// Fold a histogram recorded outside the hub into `id`, exactly as
+    /// [`TelemetryHub::merge`] folds one: a caller that tallies into its
+    /// own [`FixedHistogram`] and folds it once ends with the same
+    /// snapshot as one that observed every value here. An empty `h` still
+    /// creates `id`.
+    ///
+    /// # Panics
+    /// If `id` already holds a histogram with other bucket bounds.
+    pub fn merge_histogram(&mut self, id: MetricId, h: &FixedHistogram) {
+        self.hists
+            .entry(id)
+            .or_insert_with(|| FixedHistogram::new(h.bounds()))
+            .merge(h);
     }
 
     /// Freeze the hub into its canonical serialized form.

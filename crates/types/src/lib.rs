@@ -9,7 +9,8 @@
 //!   ([`EventQueue`]),
 //! * bandwidth / bitrate arithmetic ([`Bandwidth`]),
 //! * statistics helpers used by the evaluation harness (`stats`),
-//! * deterministic RNG plumbing (`rng`).
+//! * deterministic RNG plumbing (`rng`),
+//! * a fast deterministic hasher for id-keyed tables ([`IdMap`], [`IdSet`]).
 //!
 //! Everything downstream (the Streaming Brain, the overlay data plane, the
 //! emulator, the benchmark harness) is written in terms of these types so that
@@ -20,6 +21,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod hash;
 mod id;
 mod queue;
 mod rate;
@@ -28,6 +30,7 @@ mod stats;
 mod time;
 
 pub use error::{Error, Result};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use id::{ClientId, LinkId, NodeId, PathId, SeqNo, Ssrc, StreamId};
 pub use queue::EventQueue;
 pub use rate::Bandwidth;
