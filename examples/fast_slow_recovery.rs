@@ -9,7 +9,10 @@ use livenet::prelude::*;
 
 fn main() {
     println!("A → B → C chain, 2% random loss on A→B (paper §3 example)\n");
-    for (label, recovery) in [("fast + slow path (LiveNet)", true), ("fast path only", false)] {
+    for (label, recovery) in [
+        ("fast + slow path (LiveNet)", true),
+        ("fast path only", false),
+    ] {
         let mut sc = Scenario::chain(2, LossModel::Bernoulli { p: 0.02 }, 42);
         if !recovery {
             sc.node.nack_retry_limit = 0;

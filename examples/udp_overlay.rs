@@ -8,11 +8,9 @@
 //! ```
 
 use bytes::Bytes;
-use livenet::prelude::*;
-use livenet::transport::{
-    NodeCommand, SharedTelemetry, UdpOverlayNode, WallClock, WireNodeConfig,
-};
 use livenet::packet::Depacketizer;
+use livenet::prelude::*;
+use livenet::transport::{NodeCommand, SharedTelemetry, UdpOverlayNode, WallClock, WireNodeConfig};
 use tokio::net::UdpSocket;
 
 #[tokio::main(flavor = "multi_thread", worker_threads = 2)]
@@ -24,14 +22,13 @@ async fn main() -> std::io::Result<()> {
     // Spawn three overlay nodes on ephemeral loopback ports.
     let mut handles = Vec::new();
     for &id in &ids {
-        let (h, _events, _join) =
-            UdpOverlayNode::spawn_wire(
-                WireNodeConfig::new(NodeConfig::new(id)),
-                "127.0.0.1:0".parse().unwrap(),
-                clock,
-                SharedTelemetry::new(),
-            )
-            .await?;
+        let (h, _events, _join) = UdpOverlayNode::spawn_wire(
+            WireNodeConfig::new(NodeConfig::new(id)),
+            "127.0.0.1:0".parse().unwrap(),
+            clock,
+            SharedTelemetry::new(),
+        )
+        .await?;
         println!("node {id} listening on {}", h.addr);
         handles.push(h);
     }
@@ -45,7 +42,7 @@ async fn main() -> std::io::Result<()> {
                         rtt: SimDuration::from_millis(1),
                     })
                     .await
-            .expect("node alive");
+                    .expect("node alive");
             }
         }
     }
@@ -105,7 +102,9 @@ async fn main() -> std::io::Result<()> {
     for _ in 0..30 {
         let frame = encoder.next_frame();
         let payload = Bytes::from(vec![0u8; frame.size_bytes as usize]);
-        handles[0].send(NodeCommand::Ingest { frame, payload }).await
+        handles[0]
+            .send(NodeCommand::Ingest { frame, payload })
+            .await
             .expect("node alive");
         tokio::time::sleep(std::time::Duration::from_millis(66)).await;
     }
@@ -113,8 +112,7 @@ async fn main() -> std::io::Result<()> {
     let (packets, frames) = reader.await.expect("reader");
     println!("client received {packets} RTP datagrams, reassembled {frames} frames");
     for h in &handles {
-        h.send(NodeCommand::Shutdown).await
-            .expect("node alive");
+        h.send(NodeCommand::Shutdown).await.expect("node alive");
     }
     Ok(())
 }

@@ -63,9 +63,7 @@ pub use livenet_types as types;
 
 /// The most common imports for building on LiveNet.
 pub mod prelude {
-    pub use livenet_brain::{
-        BrainConfig, OverlayPath, PathAssignment, PathLookup, StreamingBrain,
-    };
+    pub use livenet_brain::{BrainConfig, OverlayPath, PathAssignment, PathLookup, StreamingBrain};
     pub use livenet_cc::{GccSender, PacedPacket, Pacer, PacerConfig, SendPriority};
     pub use livenet_media::{
         EncodedFrame, FrameKind, GopConfig, Rendition, SimulcastLadder, VideoEncoder,
@@ -75,11 +73,9 @@ pub mod prelude {
     };
     pub use livenet_packet::{MediaKind, Packetizer, RtcpPacket, RtpPacket};
     pub use livenet_sim::{
-        FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, FleetSim, Scenario,
-        ScenarioRun, SessionRecord, Viewer,
+        FleetConfig, FleetConfigBuilder, FleetReport, FleetRunner, FleetSim, Scenario, ScenarioRun,
+        SessionRecord, Viewer,
     };
     pub use livenet_topology::{GeoConfig, GeoTopology, Topology};
-    pub use livenet_types::{
-        Bandwidth, ClientId, NodeId, SeqNo, SimDuration, SimTime, StreamId,
-    };
+    pub use livenet_types::{Bandwidth, ClientId, NodeId, SeqNo, SimDuration, SimTime, StreamId};
 }

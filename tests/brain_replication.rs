@@ -34,9 +34,8 @@ impl SibUpdate {
     }
 
     fn decode(bytes: &[u8]) -> SibUpdate {
-        let u64_at = |off: usize| {
-            u64::from_be_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
-        };
+        let u64_at =
+            |off: usize| u64::from_be_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
         match bytes[0] {
             1 => SibUpdate::Register {
                 stream: StreamId::new(u64_at(1)),
@@ -54,7 +53,8 @@ impl SibUpdate {
 /// with random message reordering and loss.
 fn replicate(updates: &[SibUpdate], seed: u64, loss: f64) -> Vec<Vec<SibUpdate>> {
     let ids: Vec<u32> = (0..3).collect();
-    let mut replicas: Vec<Replica<Vec<u8>>> = ids.iter().map(|&i| Replica::new(i, ids.clone())).collect();
+    let mut replicas: Vec<Replica<Vec<u8>>> =
+        ids.iter().map(|&i| Replica::new(i, ids.clone())).collect();
     let mut rng = DetRng::seed(seed);
     let mut inflight: Vec<(u32, livenet::replication::Outbound<Vec<u8>>)> = Vec::new();
 
@@ -85,11 +85,7 @@ fn replicate(updates: &[SibUpdate], seed: u64, loss: f64) -> Vec<Vec<SibUpdate>>
                 break;
             }
             round += 1;
-            let out = replicas[proposer as usize].propose_in_slot(
-                i as u64,
-                u.encode(),
-                round * 3,
-            );
+            let out = replicas[proposer as usize].propose_in_slot(i as u64, u.encode(), round * 3);
             for o in out {
                 inflight.push((proposer, o));
             }
@@ -97,7 +93,12 @@ fn replicate(updates: &[SibUpdate], seed: u64, loss: f64) -> Vec<Vec<SibUpdate>>
     }
     replicas
         .iter()
-        .map(|r| r.log_prefix().iter().map(|v| SibUpdate::decode(v)).collect())
+        .map(|r| {
+            r.log_prefix()
+                .iter()
+                .map(|v| SibUpdate::decode(v))
+                .collect()
+        })
         .collect()
 }
 
@@ -148,9 +149,7 @@ fn replayed_brains_answer_identically() {
         let mut brain = StreamingBrain::new(geo.topology.clone(), BrainConfig::default());
         for u in log {
             match u {
-                SibUpdate::Register { stream, producer } => {
-                    brain.register_stream(stream, producer)
-                }
+                SibUpdate::Register { stream, producer } => brain.register_stream(stream, producer),
                 SibUpdate::Unregister { stream } => brain.unregister_stream(stream),
             }
         }

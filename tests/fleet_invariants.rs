@@ -43,8 +43,14 @@ fn headline_improvements_hold_on_any_seed() {
             ln.median_streaming_delay_ms < h.median_streaming_delay_ms,
             "seed {seed}: streaming delay"
         );
-        assert!(ln.zero_stall_ratio >= h.zero_stall_ratio, "seed {seed}: stalls");
-        assert!(ln.median_path_len < h.median_path_len, "seed {seed}: length");
+        assert!(
+            ln.zero_stall_ratio >= h.zero_stall_ratio,
+            "seed {seed}: stalls"
+        );
+        assert!(
+            ln.median_path_len < h.median_path_len,
+            "seed {seed}: length"
+        );
     }
 }
 

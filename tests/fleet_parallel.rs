@@ -21,10 +21,7 @@ fn parallel_bit_identical_to_serial_across_seeds_and_widths() {
     for seed in [71, 72] {
         let runner = FleetRunner::new(sharded(seed)).unwrap();
         let serial = runner.run_serial();
-        assert!(
-            !serial.livenet.is_empty(),
-            "seed {seed}: empty sharded run"
-        );
+        assert!(!serial.livenet.is_empty(), "seed {seed}: empty sharded run");
         for threads in [1, 2, 8] {
             let parallel = runner.run_parallel(threads);
             assert!(
@@ -54,7 +51,13 @@ fn zipf_head_load_is_balanced_across_shards() {
         "max shard share {max_share:.4} exceeds ideal {ideal:.4} + head"
     );
     // The two most popular channels must not share a shard.
-    let owner = |c: usize| plans.iter().find(|p| p.channels.contains(&c)).unwrap().index;
+    let owner = |c: usize| {
+        plans
+            .iter()
+            .find(|p| p.channels.contains(&c))
+            .unwrap()
+            .index
+    };
     assert_ne!(owner(0), owner(1), "ranks 0 and 1 co-sharded");
     // Every channel is assigned exactly once and the mass shares cover
     // the whole distribution.

@@ -50,7 +50,10 @@ fn allocs() -> u64 {
 fn paper_scale_brain() -> (StreamingBrain, Vec<NodeId>) {
     let geo = GeoTopology::generate(&GeoConfig::paper_scale(20_221_122));
     let nodes: Vec<NodeId> = geo.topology.routable_node_ids().collect();
-    (StreamingBrain::new(geo.topology, BrainConfig::default()), nodes)
+    (
+        StreamingBrain::new(geo.topology, BrainConfig::default()),
+        nodes,
+    )
 }
 
 #[test]
@@ -68,7 +71,11 @@ fn a_later_recompute_allocates_its_snapshot_only() {
     let before = allocs();
     brain.node_failed(nodes[7]);
     brain.node_recovered(nodes[7]);
-    assert!(allocs() - before <= 2 * 16 + 1, "{} allocations", allocs() - before);
+    assert!(
+        allocs() - before <= 2 * 16 + 1,
+        "{} allocations",
+        allocs() - before
+    );
 }
 
 #[test]
@@ -80,8 +87,13 @@ fn a_path_request_that_hits_allocates_its_answer_only() {
     let now = SimTime::from_secs(60);
     let (mut held, before) = (0, allocs());
     for i in 0..1_000 {
-        let (stream, consumer) = (StreamId::new(i % 60), nodes[(7 * i as usize + 3) % nodes.len()]);
-        let answer = brain.path_request(stream, consumer, now).expect("a healthy mesh");
+        let (stream, consumer) = (
+            StreamId::new(i % 60),
+            nodes[(7 * i as usize + 3) % nodes.len()],
+        );
+        let answer = brain
+            .path_request(stream, consumer, now)
+            .expect("a healthy mesh");
         assert!(!answer.last_resort);
         // The list, and each path's nodes.
         held += 1 + answer.paths.len() as u64;
