@@ -50,6 +50,6 @@ pub use fleet::{
 };
 pub use metrics::{summarize, DecisionOutcome, SessionRecord, SessionSummary};
 pub use runner::{FleetRunner, ShardPlan};
-pub use scenario::{Scenario, ScenarioRun, Viewer, COSTREAM, SCENARIO_STREAM};
+pub use scenario::{Scenario, ScenarioRun, ScenarioSim, Viewer, COSTREAM, SCENARIO_STREAM};
 pub use viewer::{ViewerClient, ViewerQoe, ViewerRun};
 pub use workload::{Channel, WorkloadConfig};
