@@ -131,7 +131,10 @@ const TABLE: &[Experiment] = &[
 ];
 
 /// Median of a session metric.
-fn median(sessions: &[SessionRecord], f: impl Fn(&SessionRecord) -> f64) -> f64 {
+fn median<'a>(
+    sessions: impl IntoIterator<Item = &'a SessionRecord>,
+    f: impl Fn(&SessionRecord) -> f64,
+) -> f64 {
     let mut e = Ecdf::new();
     for s in sessions {
         e.push(f(s));
@@ -139,12 +142,21 @@ fn median(sessions: &[SessionRecord], f: impl Fn(&SessionRecord) -> f64) -> f64 
     e.median()
 }
 
-/// Ratio of sessions satisfying a predicate, in percent.
-fn ratio_pct(sessions: &[SessionRecord], f: impl Fn(&SessionRecord) -> bool) -> f64 {
-    if sessions.is_empty() {
+/// Ratio of sessions satisfying a predicate, in percent; NaN when there
+/// are none.
+fn ratio_pct<'a>(
+    sessions: impl IntoIterator<Item = &'a SessionRecord>,
+    f: impl Fn(&SessionRecord) -> bool,
+) -> f64 {
+    let (mut hits, mut n) = (0u64, 0u64);
+    for s in sessions {
+        hits += u64::from(f(s));
+        n += 1;
+    }
+    if n == 0 {
         return f64::NAN;
     }
-    100.0 * sessions.iter().filter(|s| f(s)).count() as f64 / sessions.len() as f64
+    100.0 * hits as f64 / n as f64
 }
 
 /// The `p`-quantile of an ascending sample at index `round((n − 1)·p)`;

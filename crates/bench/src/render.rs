@@ -11,8 +11,13 @@ use livenet_types::{welch_t, Ecdf, OnlineStats};
 
 /// Sessions from the first `days` days (the week-scale figures exclude the
 /// festival, which starts on day 10).
-fn first_days(sessions: &[SessionRecord], days: u32) -> Vec<SessionRecord> {
-    sessions.iter().filter(|s| s.day < days).copied().collect()
+fn first_days(sessions: &[SessionRecord], days: u16) -> impl Iterator<Item = &SessionRecord> {
+    sessions.iter().filter(move |s| s.day < days)
+}
+
+/// Sessions of one day.
+fn on_day(sessions: &[SessionRecord], day: u16) -> impl Iterator<Item = &SessionRecord> {
+    sessions.iter().filter(move |s| s.day == day)
 }
 
 /// Table 1 — overall performance comparison.
@@ -89,23 +94,17 @@ pub(crate) fn table1(report: &FleetReport, out: &mut Report) {
 
 /// Figure 2 — daily CDN path delay for both systems (first week).
 pub(crate) fn fig02(report: &FleetReport, out: &mut Report) {
-    let ln = first_days(&report.livenet, 7);
-    let h = first_days(&report.hier, 7);
-    let days = ln.iter().map(|s| s.day).max().unwrap_or(0);
+    let days = first_days(&report.livenet, 7)
+        .map(|s| s.day)
+        .max()
+        .unwrap_or(0);
+    let cdn_ms = |s: &SessionRecord| f64::from(s.cdn_delay_ms);
     let mut rows = Vec::new();
     for day in 0..=days {
-        let mut le = Ecdf::new();
-        let mut he = Ecdf::new();
-        for s in ln.iter().filter(|s| s.day == day) {
-            le.push(f64::from(s.cdn_delay_ms));
-        }
-        for s in h.iter().filter(|s| s.day == day) {
-            he.push(f64::from(s.cdn_delay_ms));
-        }
         rows.push(vec![
             format!("{}", day + 1),
-            format!("{:.0}", le.median()),
-            format!("{:.0}", he.median()),
+            format!("{:.0}", median(on_day(&report.livenet, day), cdn_ms)),
+            format!("{:.0}", median(on_day(&report.hier, day), cdn_ms)),
         ]);
     }
     out.table(&["Day", "LiveNet (ms)", "Hier (ms)"], &rows);
@@ -189,11 +188,8 @@ pub(crate) fn fig08b(report: &FleetReport, out: &mut Report) {
 /// Figure 8(c) — daily fast-startup ratio.
 pub(crate) fn fig08c(report: &FleetReport, out: &mut Report) {
     let days = report.livenet.iter().map(|s| s.day).max().unwrap_or(0);
-    let per_day = |sessions: &[SessionRecord], day: u32| {
-        let subset: Vec<SessionRecord> =
-            sessions.iter().filter(|s| s.day == day).copied().collect();
-        ratio_pct(&subset, |s| s.fast_startup())
-    };
+    let per_day =
+        |sessions: &[SessionRecord], day| ratio_pct(on_day(sessions, day), |s| s.fast_startup());
     let mut rows = Vec::new();
     let (mut ls, mut hs) = (0.0, 0.0);
     for day in 0..=days {
@@ -202,13 +198,13 @@ pub(crate) fn fig08c(report: &FleetReport, out: &mut Report) {
         ls += l;
         hs += h;
         rows.push(vec![
-            format!("{}", day + 1),
+            format!("{}", u32::from(day) + 1),
             format!("{l:.1}%"),
             format!("{h:.1}%"),
         ]);
     }
     out.table(&["Day", "LiveNet", "Hier"], &rows);
-    let n = f64::from(days + 1);
+    let n = f64::from(days) + 1.0;
     out.note(format!(
         "Average: LiveNet {:.1}% vs Hier {:.1}% (paper: 95% vs 92%)",
         ls / n,
@@ -285,10 +281,9 @@ pub(crate) fn fig10a(report: &FleetReport, out: &mut Report) {
 
 /// Figure 10(b) — local hit ratio by hour of day (first week).
 pub(crate) fn fig10b(report: &FleetReport, out: &mut Report) {
-    let week = first_days(&report.livenet, 7);
     let mut hits = [0u64; 24];
     let mut total = [0u64; 24];
-    for s in &week {
+    for s in first_days(&report.livenet, 7) {
         total[s.hour as usize] += 1;
         hits[s.hour as usize] += u64::from(s.outcome.is_local_hit());
     }
@@ -315,10 +310,9 @@ pub(crate) fn fig10b(report: &FleetReport, out: &mut Report) {
 
 /// Figure 10(c) — hourly mean first-packet delay (first week).
 pub(crate) fn fig10c(report: &FleetReport, out: &mut Report) {
-    let week = first_days(&report.livenet, 7);
     let mut sum = [0.0f64; 24];
     let mut n = [0u64; 24];
-    for s in &week {
+    for s in first_days(&report.livenet, 7) {
         sum[s.hour as usize] += f64::from(s.first_packet_ms);
         n[s.hour as usize] += 1;
     }
@@ -338,7 +332,7 @@ pub(crate) fn fig10c(report: &FleetReport, out: &mut Report) {
     ));
 }
 
-fn length_dist(sessions: impl Iterator<Item = SessionRecord>) -> [f64; 4] {
+fn length_dist<'a>(sessions: impl Iterator<Item = &'a SessionRecord>) -> [f64; 4] {
     let mut counts = [0u64; 4];
     let mut total = 0u64;
     for s in sessions {
@@ -354,9 +348,9 @@ fn length_dist(sessions: impl Iterator<Item = SessionRecord>) -> [f64; 4] {
 
 /// Table 2 — path-length distribution.
 pub(crate) fn table2(report: &FleetReport, out: &mut Report) {
-    let all = length_dist(report.livenet.iter().copied());
-    let inter = length_dist(report.livenet.iter().filter(|s| s.international).copied());
-    let intra = length_dist(report.livenet.iter().filter(|s| !s.international).copied());
+    let all = length_dist(report.livenet.iter());
+    let inter = length_dist(report.livenet.iter().filter(|s| s.international));
+    let intra = length_dist(report.livenet.iter().filter(|s| !s.international));
     let fmt = |d: [f64; 4]| {
         d.iter()
             .map(|v| format!("{v:.2}%"))
@@ -522,53 +516,43 @@ pub(crate) fn fig14(report: &FleetReport, out: &mut Report) {
 
 /// Table 3 — the Double-12 festival days.
 pub(crate) fn table3(report: &FleetReport, out: &mut Report) {
-    let group = |days: &[u32]| -> Vec<SessionRecord> {
-        report
-            .livenet
-            .iter()
-            .filter(|s| days.contains(&s.day))
-            .copied()
-            .collect()
-    };
-    let groups = [
-        ("Dec 10", group(&[9])),
-        ("Dec 11-12", group(&[10, 11])),
-        ("Dec 13", group(&[12])),
-    ];
-    type Metric = Box<dyn Fn(&[SessionRecord]) -> f64>;
-    let metric_rows: Vec<(&str, Metric, &str)> = vec![
+    type Metric = fn(&mut dyn Iterator<Item = &SessionRecord>) -> f64;
+    let metric_rows: [(&str, Metric, &str); 5] = [
         (
             "CDN path delay (ms)",
-            Box::new(|s: &[SessionRecord]| median(s, |r| f64::from(r.cdn_delay_ms))),
+            |s| median(s, |r| f64::from(r.cdn_delay_ms)),
             "188 / 192 / 180",
         ),
         (
             "CDN path length",
-            Box::new(|s: &[SessionRecord]| median(s, |r| f64::from(r.path_len))),
+            |s| median(s, |r| f64::from(r.path_len)),
             "2 / 2 / 2",
         ),
         (
             "Streaming delay (ms)",
-            Box::new(|s: &[SessionRecord]| median(s, |r| f64::from(r.streaming_delay_ms))),
+            |s| median(s, |r| f64::from(r.streaming_delay_ms)),
             "954 / 988 / 944",
         ),
         (
             "0-stall ratio (%)",
-            Box::new(|s: &[SessionRecord]| ratio_pct(s, |r| r.zero_stall())),
+            |s| ratio_pct(s, |r| r.zero_stall()),
             "97 / 97 / 97",
         ),
         (
             "Fast startup ratio (%)",
-            Box::new(|s: &[SessionRecord]| ratio_pct(s, |r| r.fast_startup())),
+            |s| ratio_pct(s, |r| r.fast_startup()),
             "94 / 94 / 95",
         ),
     ];
+    // Dec 10, Dec 11-12 and Dec 13.
+    let groups: [&[u16]; 3] = [&[9], &[10, 11], &[12]];
     let rows: Vec<Vec<String>> = metric_rows
         .iter()
         .map(|(name, f, paper)| {
             let mut row = vec![name.to_string()];
-            for (_, sessions) in &groups {
-                row.push(format!("{:.1}", f(sessions)));
+            for days in groups {
+                let mut sessions = report.livenet.iter().filter(|s| days.contains(&s.day));
+                row.push(format!("{:.1}", f(&mut sessions)));
             }
             row.push(paper.to_string());
             row

@@ -177,6 +177,10 @@ impl FleetConfig {
         if self.workload.days == 0 {
             return Err(Error::invalid_config("workload.days must be > 0"));
         }
+        // `SessionRecord::day` is a `u16`.
+        if self.workload.days > 65_536 {
+            return Err(Error::invalid_config("workload.days must be <= 65536"));
+        }
         if self.workload.peak_arrivals_per_sec <= 0.0 {
             return Err(Error::invalid_config(
                 "workload.peak_arrivals_per_sec must be > 0",

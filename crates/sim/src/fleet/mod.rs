@@ -706,8 +706,8 @@ impl FleetSim {
         let hour = (client.start.as_secs_f64() / 3600.0) as u64;
         SessionRecord {
             start: client.start,
-            day: (hour / 24) as u32,
-            hour: (hour % 24) as u32,
+            day: (hour / 24) as u16,
+            hour: (hour % 24) as u8,
             path_len: (path.len().saturating_sub(1)) as u8,
             international: client.international,
             cdn_delay_ms: cdn_ms as f32,

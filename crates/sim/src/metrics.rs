@@ -60,10 +60,11 @@ impl DecisionOutcome {
 pub struct SessionRecord {
     /// Session start time.
     pub start: SimTime,
-    /// Day index (0-based).
-    pub day: u32,
+    /// Day index (0-based); `FleetConfig::validate` caps a run at 65,536
+    /// days, so it never wraps.
+    pub day: u16,
     /// Hour of day (0–23).
-    pub hour: u32,
+    pub hour: u8,
     /// Overlay hops actually traversed (realized path, incl. long chains).
     pub path_len: u8,
     /// True when the viewer and broadcaster are in different countries.
@@ -81,6 +82,10 @@ pub struct SessionRecord {
     /// Path Decision log: how the path decision was served.
     pub outcome: DecisionOutcome,
 }
+
+// A fleet run holds two records per session (LiveNet and Hier), so the
+// record's size is the run's memory: keep the narrow fields narrow.
+const _: () = assert!(size_of::<SessionRecord>() == 40);
 
 impl SessionRecord {
     /// Paper definition: startup within 1 second.

@@ -25,11 +25,8 @@
 //!
 //! [`DetRng::split`]: livenet_types::DetRng::split
 
-use crate::fleet::{FleetConfig, FleetReport, FleetSim, RecoveryRecord, ShardOutput};
-use crate::metrics::SessionRecord;
-use livenet_types::{IdSet, Result, SimTime, ZipfTable};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::fleet::{FleetConfig, FleetReport, FleetSim, ShardOutput};
+use livenet_types::{IdSet, Result, ZipfTable};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -187,9 +184,14 @@ impl FleetRunner {
 
 /// Merge per-shard outputs into one fleet report, canonically.
 ///
-/// * Sessions: k-way merge by `(start, shard index, position)` — a total
-///   order independent of execution interleaving. The LiveNet/Hier pairing
-///   survives because both vectors share the per-shard order.
+/// * Sessions: each shard's vectors are moved out and appended in
+///   shard-index order, then stable-sorted by `start`. Every shard's list
+///   is already time-ordered, so a stable sort of the shard-ordered
+///   concatenation yields exactly the `(start, shard index, position)`
+///   order — a total order independent of execution interleaving. The
+///   LiveNet and Hier vectors carry the same `start` sequence, so both
+///   sorts apply the same permutation and the pairing survives. A lone
+///   shard's vectors are returned as they are: no copy and no sort.
 /// * `hourly_loss`: shard 0's copy. Link loss depends only on the hour,
 ///   the link IDs and the diurnal factor — never on sessions — and the
 ///   topology iterates its `BTreeMap`s in key order, so every shard
@@ -197,7 +199,7 @@ impl FleetRunner {
 /// * `daily_peak_throughput`: element-wise sum in shard-index order (each
 ///   shard carries a disjoint slice of concurrent sessions).
 /// * `daily_unique_paths`: per-day set union of realized-path hashes.
-/// * Recovery records: k-way merge by `(at, shard index, position)`, like
+/// * Recovery records: concatenated and stable-sorted by `at`, like
 ///   sessions.
 /// * `faults_injected`: shard 0's count — the fault schedule is derived
 ///   from the workload seed alone, so every shard injects the identical
@@ -209,36 +211,24 @@ impl FleetRunner {
 ///   samples concatenate in shard-index order.
 /// * Other counters: summed.
 fn merge(mut outputs: Vec<ShardOutput>, days: usize) -> FleetReport {
-    let mut merged = FleetReport::default();
-    // Per-shard session vectors are already time-ordered, so the k-way
-    // merge streams out the exact `(start, shard, position)` order a
-    // global sort would produce, without materializing an O(sessions)
-    // order vector first.
-    let total: usize = outputs.iter().map(|o| o.report.livenet.len()).sum();
-    merged.livenet.reserve_exact(total);
-    merged.hier.reserve_exact(total);
-    let lists: Vec<&[SessionRecord]> = outputs.iter().map(|o| &o.report.livenet[..]).collect();
-    kway_merge(
-        &lists,
-        |s| s.start,
-        |shard, i| {
-            merged.livenet.push(lists[shard][i]);
-            merged.hier.push(outputs[shard].report.hier[i]);
-        },
-    );
-
-    merged.hourly_loss = std::mem::take(&mut outputs[0].report.hourly_loss);
-    merged.faults_injected = outputs[0].report.faults_injected;
-    let recoveries = |pick: fn(&FleetReport) -> &[RecoveryRecord]| {
-        let lists: Vec<&[RecoveryRecord]> = outputs.iter().map(|o| pick(&o.report)).collect();
-        let mut merged = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
-        kway_merge(&lists, |r| r.at, |shard, i| merged.push(lists[shard][i]));
-        merged
+    let mut merged = FleetReport {
+        livenet: concat(&mut outputs, |r| &mut r.livenet),
+        hier: concat(&mut outputs, |r| &mut r.hier),
+        recoveries_livenet: concat(&mut outputs, |r| &mut r.recoveries_livenet),
+        recoveries_hier: concat(&mut outputs, |r| &mut r.recoveries_hier),
+        hourly_loss: std::mem::take(&mut outputs[0].report.hourly_loss),
+        faults_injected: outputs[0].report.faults_injected,
+        daily_peak_throughput: vec![0.0; days],
+        ..FleetReport::default()
     };
-    merged.recoveries_livenet = recoveries(|r| &r.recoveries_livenet);
-    merged.recoveries_hier = recoveries(|r| &r.recoveries_hier);
+    // A lone shard's lists are already in canonical order.
+    if outputs.len() > 1 {
+        merged.livenet.sort_by_key(|s| s.start);
+        merged.hier.sort_by_key(|s| s.start);
+        merged.recoveries_livenet.sort_by_key(|r| r.at);
+        merged.recoveries_hier.sort_by_key(|r| r.at);
+    }
 
-    merged.daily_peak_throughput = vec![0.0; days];
     let mut day_sets: Vec<IdSet<u64>> = vec![IdSet::default(); days];
     for out in &outputs {
         for (d, v) in out.report.daily_peak_throughput.iter().enumerate() {
@@ -266,29 +256,188 @@ fn merge(mut outputs: Vec<ShardOutput>, days: usize) -> FleetReport {
     merged
 }
 
-/// Visit the elements of time-sorted per-shard `lists` in the canonical
-/// `(time, shard, position)` order — a total order independent of
-/// execution interleaving — calling `emit(shard, position)` for each. A
-/// heap of one cursor per shard, so the cost is O(n log shards).
-fn kway_merge<T>(lists: &[&[T]], at: impl Fn(&T) -> SimTime, mut emit: impl FnMut(usize, usize)) {
-    let mut heads: BinaryHeap<Reverse<(SimTime, usize, usize)>> = lists
-        .iter()
-        .enumerate()
-        .filter_map(|(shard, l)| l.first().map(|x| Reverse((at(x), shard, 0))))
-        .collect();
-    while let Some(Reverse((_, shard, i))) = heads.pop() {
-        emit(shard, i);
-        if let Some(next) = lists[shard].get(i + 1) {
-            heads.push(Reverse((at(next), shard, i + 1)));
+/// Move each shard's `pick` vector out of its report and append them in
+/// shard-index order, into the first non-empty shard's own buffer — so a
+/// lone shard's vector is returned without a copy.
+fn concat<T>(outputs: &mut [ShardOutput], pick: fn(&mut FleetReport) -> &mut Vec<T>) -> Vec<T> {
+    let total: usize = outputs.iter_mut().map(|o| pick(&mut o.report).len()).sum();
+    let mut all = Vec::new();
+    for out in outputs {
+        let mut part = std::mem::take(pick(&mut out.report));
+        if all.is_empty() {
+            all = part;
+            all.reserve_exact(total - all.len());
+        } else {
+            all.append(&mut part);
         }
     }
+    all
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::FleetConfigBuilder;
-    use std::collections::HashSet;
+    use crate::fleet::{FleetConfigBuilder, RecoveryRecord};
+    use crate::metrics::{DecisionOutcome, SessionRecord};
+    use livenet_types::SimTime;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashSet};
+
+    /// The heap merge that `merge` replaced, kept as its oracle: visits the
+    /// elements of time-sorted per-shard `lists` in `(time, shard,
+    /// position)` order, calling `emit(shard, position)` for each.
+    fn kway_merge<T>(
+        lists: &[&[T]],
+        at: impl Fn(&T) -> SimTime,
+        mut emit: impl FnMut(usize, usize),
+    ) {
+        let mut heads: BinaryHeap<Reverse<(SimTime, usize, usize)>> = lists
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, l)| l.first().map(|x| Reverse((at(x), shard, 0))))
+            .collect();
+        while let Some(Reverse((_, shard, i))) = heads.pop() {
+            emit(shard, i);
+            if let Some(next) = lists[shard].get(i + 1) {
+                heads.push(Reverse((at(next), shard, i + 1)));
+            }
+        }
+    }
+
+    /// A shard output whose records carry their shard and position (and
+    /// which system they belong to), with the sessions starting at
+    /// `starts` and the recoveries at `ats`, in seconds, both sorted.
+    fn tagged_shard(shard: usize, mut starts: Vec<u64>, mut ats: Vec<u64>) -> ShardOutput {
+        starts.sort_unstable();
+        ats.sort_unstable();
+        let session = |(i, &t): (usize, &u64), hier: bool| SessionRecord {
+            start: SimTime::from_secs(t),
+            day: 0,
+            hour: 0,
+            path_len: shard as u8,
+            international: hier,
+            cdn_delay_ms: 0.0,
+            streaming_delay_ms: 0.0,
+            first_packet_ms: 0.0,
+            startup_ms: 0.0,
+            stalls: i as u16,
+            outcome: DecisionOutcome::LocalHit,
+        };
+        let recovery = |(i, &t): (usize, &u64), hier: bool| RecoveryRecord {
+            at: SimTime::from_secs(t),
+            day: 0,
+            fast: hier,
+            detect_ms: 0.0,
+            recover_ms: 0.0,
+            frames_lost: (shard * 1_000 + i) as u32,
+        };
+        ShardOutput {
+            report: FleetReport {
+                livenet: starts
+                    .iter()
+                    .enumerate()
+                    .map(|e| session(e, false))
+                    .collect(),
+                hier: starts
+                    .iter()
+                    .enumerate()
+                    .map(|e| session(e, true))
+                    .collect(),
+                recoveries_livenet: ats.iter().enumerate().map(|e| recovery(e, false)).collect(),
+                recoveries_hier: ats.iter().enumerate().map(|e| recovery(e, true)).collect(),
+                ..FleetReport::default()
+            },
+            day_path_sets: Vec::new(),
+        }
+    }
+
+    /// The oracle's session pairs and recoveries for `outputs`.
+    #[allow(clippy::type_complexity)]
+    fn kway_order(
+        outputs: &[ShardOutput],
+    ) -> (
+        Vec<(SessionRecord, SessionRecord)>,
+        Vec<RecoveryRecord>,
+        Vec<RecoveryRecord>,
+    ) {
+        let sessions: Vec<&[SessionRecord]> =
+            outputs.iter().map(|o| &o.report.livenet[..]).collect();
+        let mut pairs = Vec::new();
+        kway_merge(
+            &sessions,
+            |s| s.start,
+            |shard, i| {
+                pairs.push((sessions[shard][i], outputs[shard].report.hier[i]));
+            },
+        );
+        let recoveries = |pick: fn(&FleetReport) -> &[RecoveryRecord]| {
+            let lists: Vec<&[RecoveryRecord]> = outputs.iter().map(|o| pick(&o.report)).collect();
+            let mut merged = Vec::new();
+            kway_merge(&lists, |r| r.at, |shard, i| merged.push(lists[shard][i]));
+            merged
+        };
+        (
+            pairs,
+            recoveries(|r| &r.recoveries_livenet),
+            recoveries(|r| &r.recoveries_hier),
+        )
+    }
+
+    livenet_cases::proptest! {
+        #![proptest_config(livenet_cases::ProptestConfig::with_cases(64))]
+        /// The concatenate-and-stable-sort merge visits sessions, their
+        /// LiveNet/Hier pairing and recoveries in the oracle's `(time,
+        /// shard, position)` order, over 1–8 shards whose start times
+        /// collide often (six distinct seconds).
+        #[test]
+        fn prop_merge_is_the_kway_order(
+            starts in livenet_cases::prop::collection::vec(
+                livenet_cases::prop::collection::vec(0u64..6, 0..48),
+                1..9,
+            ),
+            ats in livenet_cases::prop::collection::vec(
+                livenet_cases::prop::collection::vec(0u64..6, 0..16),
+                8..9,
+            ),
+        ) {
+            let outputs: Vec<ShardOutput> = starts
+                .into_iter()
+                .zip(ats)
+                .enumerate()
+                .map(|(shard, (starts, ats))| tagged_shard(shard, starts, ats))
+                .collect();
+            let (pairs, rec_ln, rec_h) = kway_order(&outputs);
+            let merged = merge(outputs, 0);
+            let merged_pairs: Vec<(SessionRecord, SessionRecord)> =
+                merged.livenet.iter().copied().zip(merged.hier.iter().copied()).collect();
+            livenet_cases::prop_assert_eq!(merged.livenet.len(), merged.hier.len());
+            livenet_cases::prop_assert_eq!(merged_pairs, pairs);
+            livenet_cases::prop_assert_eq!(merged.recoveries_livenet, rec_ln);
+            livenet_cases::prop_assert_eq!(merged.recoveries_hier, rec_h);
+        }
+    }
+
+    #[test]
+    fn a_lone_shard_is_merged_without_a_copy() {
+        let out = tagged_shard(0, vec![3, 1, 2, 2], vec![7, 5]);
+        let r = &out.report;
+        let buffers = [
+            r.livenet.as_ptr() as usize,
+            r.hier.as_ptr() as usize,
+            r.recoveries_livenet.as_ptr() as usize,
+            r.recoveries_hier.as_ptr() as usize,
+        ];
+        let merged = merge(vec![out], 0);
+        assert_eq!(
+            [
+                merged.livenet.as_ptr() as usize,
+                merged.hier.as_ptr() as usize,
+                merged.recoveries_livenet.as_ptr() as usize,
+                merged.recoveries_hier.as_ptr() as usize,
+            ],
+            buffers
+        );
+    }
 
     fn tiny_config(seed: u64) -> FleetConfig {
         // Small enough for unit tests: fewer ticks and arrivals than the
@@ -535,6 +684,8 @@ mod tests {
             (|c| c.workload.festival_factor = f64::NAN) as fn(&mut FleetConfig),
             |c| c.workload.festival_factor = 0.0,
             |c| c.faults.random_outages_per_day = 1.0, // over the default (0, 0)
+            // Past `SessionRecord::day`'s range.
+            |c| c.workload.days = 65_537,
             // `ClusterConfig::validate`, reached through the fleet's.
             |c| {
                 c.replication = Some(ReplicationConfig {

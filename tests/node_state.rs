@@ -9,50 +9,13 @@ use livenet::node::{NodeAction, NodeConfig, NodeFootprint, OverlayMsg, OverlayNo
 use livenet::packet::rtp::ssrc_for_stream;
 use livenet::packet::{MediaKind, Nack, Packetizer, ReceiverReport, RtcpPacket};
 use livenet::types::{Bandwidth, ClientId, NodeId, SeqNo, SimDuration, SimTime, StreamId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Bytes this thread has asked the allocator for. Per thread, because
-    /// the tests of this binary run on parallel threads.
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "common/alloc.rs"]
+mod alloc;
 
-struct CountingAlloc;
-
-fn note(size: usize) {
-    // `try_with`: allocations during thread teardown find the slot gone.
-    let _ = ALLOCATED.try_with(|b| b.set(b.get() + size as u64));
-}
-
-// SAFETY: every method forwards to `System` with the caller's own layout
-// and pointer, so `System`'s guarantees carry over unchanged; the counter
-// is a thread-local `Cell` and touches no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from `System` with this layout; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
+/// Bytes this thread has asked the allocator for.
 fn allocated() -> u64 {
-    ALLOCATED.with(Cell::get)
+    alloc::counts().bytes
 }
 
 fn n(id: u64) -> NodeId {

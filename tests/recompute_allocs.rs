@@ -6,45 +6,13 @@
 //! request that hits allocates what it hands back and nothing else.
 
 use livenet::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Per thread, so the test harness's own threads do not count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "common/alloc.rs"]
+mod alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's own layout
-// and pointer, so `System`'s guarantees carry over unchanged; the counter is
-// a `const`-initialised thread-local `Cell` without a destructor, which
-// touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `ptr` came from `System` with this layout; the caller
-        // vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
+/// Allocator calls on this thread so far.
 fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
+    alloc::counts().calls
 }
 
 fn paper_scale_brain() -> (StreamingBrain, Vec<NodeId>) {
