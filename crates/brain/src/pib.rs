@@ -314,6 +314,13 @@ pub(crate) mod tests {
         pib
     }
 
+    /// The table as bytes: ids, K, stride, every weight's bits and every
+    /// cell. Two rounds over fresh tables write the same bytes or differ.
+    pub(crate) fn bytes(pib: &Pib) -> (&[NodeId], usize, usize, Vec<u64>, &[u32]) {
+        let weights = pib.weights.iter().map(|w| w.to_bits()).collect();
+        (&pib.ids, pib.k, pib.stride, weights, &pib.cells)
+    }
+
     #[test]
     fn hops_counts_links() {
         assert_eq!(path(&[1], 0.0).hops(), 0);

@@ -150,6 +150,15 @@ impl GlobalRouting {
     /// differ from Yen's in 3-hop entries only: a second 3-hop path through
     /// the same r2 is never a candidate.
     ///
+    /// Two passes per source s. Pass 1, per consumer d, scans r once: the
+    /// sum w[s][r] + w[r][d] is pair (s, d)'s 2-hop candidate and also the
+    /// first leg s→r→d of every 3-hop path through second relay d, so one
+    /// scan keeps the pair's selection and d's two cheapest first legs
+    /// (`heads`). Pass 2 offers each pair its 3-hop candidates, which need
+    /// every r2's heads, into the selection pass 1 kept. A pair thus sees
+    /// its candidates in the order one pass would offer them; a skipped
+    /// offer is one the selection would reject.
+    ///
     /// Candidates are ordered by (weight, index path); the K best are
     /// selected first and the constraints filter that selection, so an
     /// overloaded path leaves a shorter list — it is not replaced by the
@@ -164,57 +173,79 @@ impl GlobalRouting {
             link_over,
         } = snap;
         let n = ids.len();
-        let max_hops = self.config.max_hops;
-        let mut top = TopK(vec![EMPTY; self.config.k]);
+        let (k, max_hops) = (self.config.k, self.config.max_hops);
+        if k == 0 || max_hops == 0 {
+            return;
+        }
+        // Per consumer d, the pair (s, d)'s K best so far, best first.
+        let mut top = vec![EMPTY; n * k];
         // Per second relay r2, the two cheapest s→r1→r2 (the runner-up
         // covers r1 == d). The diagonal of `w` is ∞, which excludes
         // r1 == s and r1 == r2 without a test.
-        let mut heads = vec![[(f64::INFINITY, usize::MAX); 2]; n];
+        let mut heads = vec![NO_HEADS; n];
+        // Each r2's cheapest head weight, dense for pass 2's scan.
+        let mut lead = vec![f64::INFINITY; n];
+        // A sum above both the runner-up head and the K-th weight changes
+        // neither; at 2 hops the heads go unused.
+        let gate = |head: &Heads, top: &[Candidate]| match max_hops {
+            2 => top[k - 1].0,
+            _ => top[k - 1].0.max(head[1].0),
+        };
         for s in 0..n {
             let from_s = &w[s * n..][..n];
-            if max_hops >= 3 {
-                for (r2, head) in heads.iter_mut().enumerate() {
-                    let into_r2 = &wt[r2 * n..][..n];
-                    let mut best = [(f64::INFINITY, usize::MAX); 2];
-                    for r1 in 0..n {
-                        let c = from_s[r1] + into_r2[r1];
-                        if c < best[0].0 {
-                            best = [(c, r1), best[0]];
-                        } else if c < best[1].0 {
-                            best[1] = (c, r1);
-                        }
-                    }
-                    *head = best;
-                }
-                heads[s] = [(f64::INFINITY, usize::MAX); 2];
-            }
-            for d in 0..n {
-                if s == d {
+            for (d, top) in top.chunks_exact_mut(k).enumerate() {
+                top.fill(EMPTY);
+                if d == s {
+                    heads[d] = NO_HEADS;
+                    lead[d] = f64::INFINITY;
                     continue;
                 }
-                let into_d = &wt[d * n..][..n];
-                top.0.fill(EMPTY);
-                if max_hops >= 1 {
-                    top.offer(from_s[d], [s, d, 0, 0], 2);
+                offer(top, from_s[d], pack([s, d]));
+                if max_hops < 2 {
+                    continue;
                 }
-                if max_hops >= 2 {
-                    for r in 0..n {
-                        top.offer(from_s[r] + into_d[r], [s, r, d, 0], 3);
+                let mut head = NO_HEADS;
+                let mut at_most = gate(&head, top);
+                for (r, (&first, &second)) in from_s.iter().zip(&wt[d * n..][..n]).enumerate() {
+                    let c = first + second;
+                    if c <= at_most {
+                        if c < head[0].0 {
+                            head = [(c, r), head[0]];
+                        } else if c < head[1].0 {
+                            head[1] = (c, r);
+                        }
+                        offer(top, c, pack([s, r, d]));
+                        at_most = gate(&head, top);
                     }
                 }
-                if max_hops >= 3 {
-                    for (r2, &[(c0, r1a), (c1, r1b)]) in heads.iter().enumerate() {
-                        let (c, r1) = if r1a != d { (c0, r1a) } else { (c1, r1b) };
-                        top.offer(c + into_d[r2], [s, r1, r2, d], 4);
+                heads[d] = head;
+                lead[d] = head[0].0;
+            }
+            if max_hops >= 3 {
+                for (d, top) in top.chunks_exact_mut(k).enumerate() {
+                    if d == s {
+                        continue;
+                    }
+                    let into_d = &wt[d * n..][..n];
+                    for (r2, (&c0, &tail)) in lead.iter().zip(into_d).enumerate() {
+                        // The cheapest head bounds the candidate from below.
+                        if c0 + tail <= top[k - 1].0 {
+                            let [(_, r1a), (c1, r1b)] = heads[r2];
+                            let (c, r1) = if r1a != d { (c0, r1a) } else { (c1, r1b) };
+                            offer(top, c + tail, pack([s, r1, r2, d]));
+                        }
                     }
                 }
-                for (rank, (weight, path, len)) in top.0.iter().enumerate() {
-                    let path = &path[..*len as usize];
+            }
+            for (d, top) in top.chunks_exact(k).enumerate() {
+                for (rank, &(weight, key)) in top.iter().enumerate() {
+                    let (nodes, len) = unpack(key);
+                    let path = &nodes[..len];
                     if weight.is_finite()
                         && !path.iter().any(|&i| node_over[i])
                         && !path.windows(2).any(|hop| link_over[hop[0] * n + hop[1]])
                     {
-                        pib.write(s, d, rank, *weight, path);
+                        pib.write(s, d, rank, weight, path);
                     }
                 }
             }
@@ -278,12 +309,17 @@ struct Snapshot {
 
 impl Snapshot {
     fn take(topology: &Topology, config: &RoutingConfig) -> Snapshot {
-        let (ids, load): (Vec<NodeId>, Vec<f64>) = topology
-            .nodes()
-            .filter(|n| !n.last_resort && topology.node_is_up(n.id))
-            .map(|n| (n.id, n.utilization))
-            .unzip();
-        let n = ids.len();
+        let routable = || {
+            topology
+                .nodes()
+                .filter(|n| !n.last_resort && topology.node_is_up(n.id))
+        };
+        let n = routable().count();
+        let (mut ids, mut load) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for node in routable() {
+            ids.push(node.id);
+            load.push(node.utilization);
+        }
         let index = |id: NodeId| position(&ids, id);
         let mut w = vec![f64::INFINITY; n * n];
         let mut link_over = vec![false; n * n];
@@ -329,35 +365,58 @@ impl Snapshot {
     }
 }
 
-/// A candidate path: weight, node indices, node count.
-type Candidate = (f64, [usize; 4], u8);
+/// A candidate path: its weight and its index path as one key that orders
+/// as the path does lexicographically (`pack`).
+type Candidate = (f64, u128);
 
-/// The K best candidates seen so far under the total order (weight, then
-/// index path lexicographically), best first; always K long, the unused
-/// slots holding `EMPTY`. No two candidates of a pair are the same path,
-/// so the order has no ties.
-struct TopK(Vec<Candidate>);
+/// An unused selection slot: an infinite weight never enters, since the key
+/// of every path is above 0.
+const EMPTY: Candidate = (f64::INFINITY, 0);
 
-const EMPTY: Candidate = (f64::INFINITY, [0; 4], 0);
+/// Per second relay, the two cheapest first legs as (weight, r1).
+type Heads = [(f64, usize); 2];
 
-impl TopK {
-    #[inline]
-    fn offer(&mut self, weight: f64, path: [usize; 4], len: u8) {
-        let before = |(w, p, l): &Candidate| {
-            weight < *w || (weight == *w && path[..len as usize] < p[..*l as usize])
-        };
-        // The K-th weight rejects a heavier candidate on one compare.
-        let Some(last) = self.0.last() else { return };
-        if weight > last.0 || weight == f64::INFINITY || !before(last) {
-            return;
-        }
-        let mut at = self.0.len() - 1;
-        while at > 0 && before(&self.0[at - 1]) {
-            self.0[at] = self.0[at - 1];
-            at -= 1;
-        }
-        self.0[at] = (weight, path, len);
+const NO_HEADS: Heads = [(f64::INFINITY, 0); 2];
+
+/// A path of at most 4 positions as a key: node i's position + 1 in 32-bit
+/// lane i from the top, 0 past the end, so a prefix sorts first. `Pib`'s
+/// cells are `u32`, so every position it accepts fits a lane.
+#[inline]
+fn pack<const LEN: usize>(path: [usize; LEN]) -> u128 {
+    let mut key = 0;
+    for (lane, &p) in path.iter().enumerate() {
+        key |= (p as u128 + 1) << (96 - 32 * lane);
     }
+    key
+}
+
+/// `pack` undone: the positions and their count.
+fn unpack(key: u128) -> ([usize; 4], usize) {
+    let mut path = [0; 4];
+    let mut len = 0;
+    while len < 4 && (key >> (96 - 32 * len)) as u32 != 0 {
+        path[len] = ((key >> (96 - 32 * len)) as u32 - 1) as usize;
+        len += 1;
+    }
+    (path, len)
+}
+
+/// Offer a candidate to `top`, the K best seen so far under the total
+/// order (weight, then key), best first, unused slots `EMPTY`. No two
+/// candidates of a pair are the same path, so the order has no ties and
+/// the selection does not depend on the order of the offers.
+#[inline]
+fn offer(top: &mut [Candidate], weight: f64, key: u128) {
+    let before = |(w, k): &Candidate| weight < *w || (weight == *w && key < *k);
+    let mut at = top.len() - 1;
+    if !before(&top[at]) {
+        return;
+    }
+    while at > 0 && before(&top[at - 1]) {
+        top[at] = top[at - 1];
+        at -= 1;
+    }
+    top[at] = (weight, key);
 }
 
 /// The per-pair Yen oracle the tests hold the all-pairs job against.
@@ -404,6 +463,128 @@ mod tests {
 
     fn topo(seed: u64) -> Topology {
         GeoTopology::generate(&GeoConfig::tiny(seed)).topology
+    }
+
+    /// The all-pairs enumeration as it was before its two passes: the
+    /// `heads` sweep on its own, then per pair every candidate offered to a
+    /// K-slot buffer of (weight, index path, length). Bodies unchanged
+    /// (`self` → `gr`); `mesh` must write the same table, byte for byte.
+    mod oracle {
+        use crate::pib::Pib;
+        use crate::routing::{GlobalRouting, Snapshot};
+
+        pub(super) fn mesh(gr: &GlobalRouting, snap: &Snapshot, pib: &mut Pib) {
+            let Snapshot {
+                ids,
+                w,
+                wt,
+                node_over,
+                link_over,
+            } = snap;
+            let n = ids.len();
+            let max_hops = gr.config.max_hops;
+            let mut top = TopK(vec![EMPTY; gr.config.k]);
+            // Per second relay r2, the two cheapest s→r1→r2 (the runner-up
+            // covers r1 == d). The diagonal of `w` is ∞, which excludes
+            // r1 == s and r1 == r2 without a test.
+            let mut heads = vec![[(f64::INFINITY, usize::MAX); 2]; n];
+            for s in 0..n {
+                let from_s = &w[s * n..][..n];
+                if max_hops >= 3 {
+                    for (r2, head) in heads.iter_mut().enumerate() {
+                        let into_r2 = &wt[r2 * n..][..n];
+                        let mut best = [(f64::INFINITY, usize::MAX); 2];
+                        for r1 in 0..n {
+                            let c = from_s[r1] + into_r2[r1];
+                            if c < best[0].0 {
+                                best = [(c, r1), best[0]];
+                            } else if c < best[1].0 {
+                                best[1] = (c, r1);
+                            }
+                        }
+                        *head = best;
+                    }
+                    heads[s] = [(f64::INFINITY, usize::MAX); 2];
+                }
+                for d in 0..n {
+                    if s == d {
+                        continue;
+                    }
+                    let into_d = &wt[d * n..][..n];
+                    top.0.fill(EMPTY);
+                    if max_hops >= 1 {
+                        top.offer(from_s[d], [s, d, 0, 0], 2);
+                    }
+                    if max_hops >= 2 {
+                        for r in 0..n {
+                            top.offer(from_s[r] + into_d[r], [s, r, d, 0], 3);
+                        }
+                    }
+                    if max_hops >= 3 {
+                        for (r2, &[(c0, r1a), (c1, r1b)]) in heads.iter().enumerate() {
+                            let (c, r1) = if r1a != d { (c0, r1a) } else { (c1, r1b) };
+                            top.offer(c + into_d[r2], [s, r1, r2, d], 4);
+                        }
+                    }
+                    for (rank, (weight, path, len)) in top.0.iter().enumerate() {
+                        let path = &path[..*len as usize];
+                        if weight.is_finite()
+                            && !path.iter().any(|&i| node_over[i])
+                            && !path.windows(2).any(|hop| link_over[hop[0] * n + hop[1]])
+                        {
+                            pib.write(s, d, rank, *weight, path);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A candidate path: weight, node indices, node count.
+        type Candidate = (f64, [usize; 4], u8);
+
+        /// The K best candidates seen so far under the total order (weight,
+        /// then index path lexicographically), best first; always K long,
+        /// the unused slots holding `EMPTY`.
+        struct TopK(Vec<Candidate>);
+
+        const EMPTY: Candidate = (f64::INFINITY, [0; 4], 0);
+
+        impl TopK {
+            #[inline]
+            fn offer(&mut self, weight: f64, path: [usize; 4], len: u8) {
+                let before = |(w, p, l): &Candidate| {
+                    weight < *w || (weight == *w && path[..len as usize] < p[..*l as usize])
+                };
+                // The K-th weight rejects a heavier candidate on one compare.
+                let Some(last) = self.0.last() else { return };
+                if weight > last.0 || weight == f64::INFINITY || !before(last) {
+                    return;
+                }
+                let mut at = self.0.len() - 1;
+                while at > 0 && before(&self.0[at - 1]) {
+                    self.0[at] = self.0[at - 1];
+                    at -= 1;
+                }
+                self.0[at] = (weight, path, len);
+            }
+        }
+    }
+
+    /// One round of `gr` over `t` into a fresh table by `mesh` and by the
+    /// oracle; the two tables must hold the same bytes.
+    fn assert_same_pib(gr: &GlobalRouting, t: &Topology) {
+        let now = SimTime::from_secs(1200);
+        let (mut fused, mut reference) = (Pib::new(), Pib::new());
+        gr.compute_into(t, now, &mut fused);
+        let snap = Snapshot::take(t, &gr.config);
+        reference.begin_round(&snap.ids, gr.config.k, gr.config.max_hops, now);
+        oracle::mesh(gr, &snap, &mut reference);
+        assert!(
+            crate::pib::tests::bytes(&fused) == crate::pib::tests::bytes(&reference),
+            "k {} max_hops {}: tables differ",
+            gr.config.k,
+            gr.config.max_hops
+        );
     }
 
     // The oracle: the graph builder and all-pairs enumeration this module
@@ -642,6 +823,44 @@ mod tests {
             max_hops in 0usize..=3,
         ) {
             assert_matches_reference(&random_topology(n, seed, coarse), k, max_hops);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn two_pass_mesh_writes_the_oracles_table(
+            n in 15u64..=64,
+            seed in any::<u64>(),
+            coarse in any::<bool>(),
+            k in 0usize..=4,
+            max_hops in 0usize..=3,
+        ) {
+            let gr = GlobalRouting::new(RoutingConfig {
+                k,
+                max_hops,
+                ..RoutingConfig::default()
+            });
+            assert_same_pib(&gr, &random_topology(n, seed, coarse));
+        }
+    }
+
+    /// The paper's footprint halved, where the top-2 and the K-th weight
+    /// gates see long candidate lists: identical tables over three
+    /// geographies. Release only (`--ignored`): about a second there.
+    #[test]
+    #[ignore = "300-node rounds; run with --release -- --ignored"]
+    fn two_pass_mesh_writes_the_oracles_table_at_300_nodes() {
+        let gr = GlobalRouting::new(RoutingConfig::default());
+        for seed in 1..=3 {
+            let geo = GeoTopology::generate(&GeoConfig {
+                countries: 35,
+                nodes: 300,
+                last_resort_nodes: 3,
+                seed,
+            });
+            assert_same_pib(&gr, &geo.topology);
         }
     }
 
