@@ -275,8 +275,20 @@ impl FleetSim {
     /// the fleet rate, draws noise from `split(index)`, and scales session
     /// capacities by the share so its utilization matches the lone plan's.
     pub fn new_shard(mut config: FleetConfig, plan: &ShardPlan) -> FleetSim {
-        let topology = GeoTopology::generate(&config.geo).topology;
         let countries = config.geo.countries;
+        let workload = Workload::for_shard(config.workload.clone(), countries, plan);
+        // The per-session buffers, sized with headroom over the Poisson mean
+        // so the tail almost never spills, are a run's largest blocks and
+        // are taken before anything else: a run that follows another then
+        // reuses the gap its predecessor's buffers left. Taken after the
+        // Brain and the queue, they found that gap partly filled on some
+        // runs and grew the heap by a megabyte.
+        let expect = workload.expected_sessions();
+        let cap = expect + expect / 8 + 64;
+        let mut report = FleetReport::default();
+        report.livenet.reserve(cap);
+        report.hier.reserve(cap);
+        let topology = GeoTopology::generate(&config.geo).topology;
         let mut edges_by_country: Vec<Vec<NodeId>> = vec![Vec::new(); countries as usize];
         for n in topology.nodes() {
             if !n.last_resort && !n.well_peered {
@@ -296,7 +308,6 @@ impl FleetSim {
         }
 
         let seed = config.workload.seed;
-        let workload = Workload::for_shard(config.workload.clone(), countries, plan);
         // Each shard runs its own Brain cluster; the seed is a pure
         // function of (workload seed, shard index) so serial and parallel
         // executions of the same partition agree bit-for-bit. Index 0 (a
@@ -368,7 +379,7 @@ impl FleetSim {
             channels,
             queue: EventQueue::new(),
             active: IdMap::default(),
-            report: FleetReport::default(),
+            report,
             telemetry: TelemetryHub::new(),
             replica_rtt,
             tally: SessionTally::new(),
@@ -403,9 +414,9 @@ impl FleetSim {
         }
     }
 
-    /// Seed the event queue (stream schedule, minute tick, faults), load
-    /// the arrival register and pre-size the per-session buffers from the
-    /// workload's expected volume, so the hot loop never grows a `Vec`.
+    /// Seed the event queue (stream schedule, minute tick, faults) and load
+    /// the arrival register. The per-session buffers were sized in
+    /// `new_shard`, so the hot loop never grows a `Vec`.
     fn seed_events(&mut self) {
         for (ch, state) in self.channels.iter().enumerate() {
             for &(start, end) in &state.blocks {
@@ -419,11 +430,6 @@ impl FleetSim {
             self.queue.schedule(f.end, Ev::FaultEnd(i));
         }
         self.next_arrival = self.workload.next_session();
-        let expect = self.workload.expected_sessions();
-        // Headroom over the Poisson mean so the tail almost never spills.
-        let cap = expect + expect / 8 + 64;
-        self.report.livenet.reserve(cap);
-        self.report.hier.reserve(cap);
     }
 
     /// Drive the event loop up to and including `until`.
