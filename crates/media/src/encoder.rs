@@ -94,7 +94,6 @@ impl GopConfig {
                 FrameKind::P => p += 1,
                 FrameKind::B => b += 1,
                 FrameKind::BUnref => bu += 1,
-                FrameKind::Audio => unreachable!(),
             }
         }
         (i, p, b, bu)
@@ -114,7 +113,6 @@ impl GopConfig {
             FrameKind::I => p_bytes * self.i_ratio,
             FrameKind::P => p_bytes,
             FrameKind::B | FrameKind::BUnref => p_bytes * self.b_ratio,
-            FrameKind::Audio => unreachable!(),
         };
         // Deterministic ±10% content jitter from a hash of the frame index.
         let h = frame_index
@@ -125,7 +123,7 @@ impl GopConfig {
     }
 }
 
-/// A deterministic timed video frame source for one rendition of one stream.
+/// A deterministic timed video frame source for one stream.
 #[derive(Debug, Clone)]
 pub struct VideoEncoder {
     stream: StreamId,

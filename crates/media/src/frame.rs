@@ -16,9 +16,6 @@ pub enum FrameKind {
     /// proactive frame dropper discards these first (§5.2 — "dropping such
     /// frames only causes short blurring").
     BUnref,
-    /// An audio frame. Modeled as a frame for uniform queueing, but never
-    /// dropped and always prioritized by the pacer.
-    Audio,
 }
 
 impl FrameKind {
@@ -29,7 +26,6 @@ impl FrameKind {
             FrameKind::P => 2,
             FrameKind::B => 3,
             FrameKind::BUnref => 4,
-            FrameKind::Audio => 5,
         }
     }
 
@@ -40,7 +36,6 @@ impl FrameKind {
             2 => Some(FrameKind::P),
             3 => Some(FrameKind::B),
             4 => Some(FrameKind::BUnref),
-            5 => Some(FrameKind::Audio),
             _ => None,
         }
     }
@@ -53,7 +48,6 @@ impl fmt::Display for FrameKind {
             FrameKind::P => "P",
             FrameKind::B => "B",
             FrameKind::BUnref => "b",
-            FrameKind::Audio => "A",
         };
         f.write_str(s)
     }
@@ -82,13 +76,13 @@ impl fmt::Display for FrameId {
 pub struct EncodedFrame {
     /// Frame identity.
     pub id: FrameId,
-    /// I / P / B / unreferenced-B / audio.
+    /// I / P / B / unreferenced-B.
     pub kind: FrameKind,
-    /// Index of the GoP this frame belongs to (audio: GoP of same instant).
+    /// Index of the GoP this frame belongs to.
     pub gop_index: u64,
     /// Capture timestamp (when the camera produced the frame).
     pub capture_time: SimTime,
-    /// RTP media timestamp (90 kHz video clock / 48 kHz audio clock ticks).
+    /// RTP media timestamp (90 kHz video clock ticks).
     pub rtp_timestamp: u32,
     /// Encoded size in bytes.
     pub size_bytes: u32,
@@ -102,16 +96,12 @@ mod tests {
 
     #[test]
     fn nibble_roundtrips() {
-        for k in [
-            FrameKind::I,
-            FrameKind::P,
-            FrameKind::B,
-            FrameKind::BUnref,
-            FrameKind::Audio,
-        ] {
+        for k in [FrameKind::I, FrameKind::P, FrameKind::B, FrameKind::BUnref] {
             assert_eq!(FrameKind::from_nibble(k.to_nibble()), Some(k));
         }
         assert_eq!(FrameKind::from_nibble(0), None);
+        // 5 was audio; nothing encodes it now, so it decodes as unknown.
+        assert_eq!(FrameKind::from_nibble(5), None);
         assert_eq!(FrameKind::from_nibble(15), None);
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the video source model.
 
 use livenet_cases::prelude::*;
-use livenet_media::{FrameKind, GopConfig, SimulcastLadder, VideoEncoder};
+use livenet_media::{FrameKind, GopConfig, VideoEncoder};
 use livenet_types::{Bandwidth, SimTime, StreamId};
 
 fn arb_gop() -> impl Strategy<Value = GopConfig> {
@@ -68,28 +68,6 @@ proptest! {
             prop_assert!(f.capture_time >= last);
             prop_assert_eq!(f.id.index, i);
             last = f.capture_time;
-        }
-    }
-
-    /// Ladder selection always returns a rendition whose bitrate fits the
-    /// budget when any fits, and the lowest rung otherwise.
-    #[test]
-    fn ladder_selection_sound(avail_kbps in 1u64..50_000, headroom in 1.0f64..2.0) {
-        let ladder = SimulcastLadder::taobao_default(StreamId::new(100));
-        let avail = Bandwidth::from_kbps(avail_kbps);
-        let chosen = ladder.select(avail, headroom);
-        let budget = (avail.as_bps() as f64 / headroom) as u64;
-        let any_fits = ladder.renditions().iter().any(|r| r.bitrate.as_bps() <= budget);
-        if any_fits {
-            prop_assert!(chosen.bitrate.as_bps() <= budget);
-            // And it is the highest fitting one.
-            for r in ladder.renditions() {
-                if r.bitrate.as_bps() <= budget {
-                    prop_assert!(chosen.bitrate >= r.bitrate);
-                }
-            }
-        } else {
-            prop_assert_eq!(&chosen.stream, &ladder.renditions().last().unwrap().stream);
         }
     }
 }

@@ -1,14 +1,14 @@
 //! Consumer-side fine-grained stream control (paper §5.2).
 //!
 //! The consumer node is the client's delegate ("thin clients", §7.2): it
-//! selects the simulcast rendition on the viewer's behalf, proactively
-//! drops frames when the per-client send queue builds up (unreferenced B
-//! frames → B frames → P frames → the whole GoP), requests a lower bitrate
-//! when the queue keeps building, and performs seamless stream switching
-//! during co-broadcasts.
+//! proactively drops frames when the per-client send queue builds up
+//! (unreferenced B frames → B frames → P frames → the whole GoP) and
+//! performs seamless stream switching during co-broadcasts. A stream has
+//! one rendition here, so the paper's step-down to a lower-bitrate
+//! simulcast version when the queue keeps building is not reproduced.
 
-use livenet_media::{FrameKind, SimulcastLadder};
-use livenet_types::{Bandwidth, ClientId, SimDuration, SimTime, StreamId};
+use livenet_media::FrameKind;
+use livenet_types::{ClientId, SimDuration, SimTime, StreamId};
 
 /// Counters for one client's queue policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -23,8 +23,6 @@ pub struct ClientQueueStats {
     pub dropped_p: u64,
     /// Packets dropped during whole-GoP skips.
     pub dropped_gop: u64,
-    /// Rendition step-down requests issued.
-    pub step_downs: u64,
     /// Seamless stream switches completed.
     pub switches: u64,
 }
@@ -42,8 +40,6 @@ const LEVEL_GOP: u8 = 4;
 const ESCALATE_AFTER: SimDuration = SimDuration::from_millis(300);
 /// Quiet time after which the drop level relaxes one step.
 const RELAX_AFTER: SimDuration = SimDuration::from_millis(500);
-/// Sustained time at P-level dropping that triggers a bitrate step-down.
-const STEP_DOWN_AFTER: SimDuration = SimDuration::from_millis(1500);
 
 /// Per-client control state held by a consumer node.
 #[derive(Debug, Clone)]
@@ -52,11 +48,9 @@ pub struct ClientControl {
     pub client: ClientId,
     /// The stream currently forwarded to the viewer.
     pub stream: StreamId,
-    ladder: Option<SimulcastLadder>,
     drop_level: u8,
     gop_skipping: bool,
     backlog_since: Option<SimTime>,
-    level_entered_at: SimTime,
     last_backlog: Option<SimTime>,
     pending_switch: Option<StreamId>,
     /// Policy counters.
@@ -64,27 +58,14 @@ pub struct ClientControl {
 }
 
 impl ClientControl {
-    /// Attach a client to a stream. When `ladder` and `downlink` are given,
-    /// the initial rendition is selected on the client's behalf.
-    pub fn new(
-        client: ClientId,
-        requested: StreamId,
-        ladder: Option<SimulcastLadder>,
-        downlink: Option<Bandwidth>,
-        now: SimTime,
-    ) -> Self {
-        let stream = match (&ladder, downlink) {
-            (Some(l), Some(bw)) => l.select(bw, 1.2).stream,
-            _ => requested,
-        };
+    /// Attach a client to the stream it requested.
+    pub(crate) fn new(client: ClientId, requested: StreamId) -> Self {
         ClientControl {
             client,
-            stream,
-            ladder,
+            stream: requested,
             drop_level: LEVEL_NONE,
             gop_skipping: false,
             backlog_since: None,
-            level_entered_at: now,
             last_backlog: None,
             pending_switch: None,
             stats: ClientQueueStats::default(),
@@ -107,11 +88,6 @@ impl ClientControl {
             self.stats.admitted += 1;
             return true;
         };
-        if kind == FrameKind::Audio {
-            // Audio is never dropped (§5.2).
-            self.stats.admitted += 1;
-            return true;
-        }
 
         if self.gop_skipping {
             if kind == FrameKind::I {
@@ -127,7 +103,7 @@ impl ClientControl {
             FrameKind::BUnref => self.drop_level < LEVEL_BUNREF,
             FrameKind::B => self.drop_level < LEVEL_B,
             FrameKind::P => self.drop_level < LEVEL_P,
-            FrameKind::I | FrameKind::Audio => true,
+            FrameKind::I => true,
         };
         if admit {
             self.stats.admitted += 1;
@@ -156,7 +132,6 @@ impl ClientControl {
             if now.saturating_since(since) >= ESCALATE_AFTER && self.drop_level < LEVEL_GOP {
                 self.drop_level += 1;
                 self.backlog_since = Some(now); // next level needs its own span
-                self.level_entered_at = now;
             }
         } else {
             self.backlog_since = None;
@@ -166,37 +141,8 @@ impl ClientControl {
                 .unwrap_or(true);
             if quiet && self.drop_level > LEVEL_NONE {
                 self.drop_level -= 1;
-                self.level_entered_at = now;
             }
         }
-    }
-
-    /// True when the queue has been at P-dropping level long enough that
-    /// the consumer should resubscribe this client to a lower bitrate
-    /// rendition ("the consumer node will request a lower bitrate stream
-    /// version if the sending queue is consistently building up", §5.2).
-    pub(crate) fn wants_lower_bitrate(&self, now: SimTime) -> bool {
-        self.drop_level >= LEVEL_P
-            && now.saturating_since(self.level_entered_at) >= STEP_DOWN_AFTER
-            && self.lower_rendition().is_some()
-    }
-
-    /// The next rendition down the ladder from the current stream.
-    pub(crate) fn lower_rendition(&self) -> Option<StreamId> {
-        self.ladder
-            .as_ref()?
-            .step_down(self.stream)
-            .map(|r| r.stream)
-    }
-
-    /// Apply a rendition change (after the consumer resubscribed).
-    pub(crate) fn apply_step_down(&mut self, new_stream: StreamId, now: SimTime) {
-        self.stream = new_stream;
-        self.stats.step_downs += 1;
-        self.drop_level = LEVEL_NONE;
-        self.gop_skipping = false;
-        self.backlog_since = None;
-        self.level_entered_at = now;
     }
 
     /// Begin a seamless switch to `new_stream` (co-streaming, §5.2). The
@@ -230,31 +176,11 @@ mod tests {
     use super::*;
 
     fn ctl() -> ClientControl {
-        ClientControl::new(
-            ClientId::new(1),
-            StreamId::new(100),
-            Some(SimulcastLadder::taobao_default(StreamId::new(100))),
-            Some(Bandwidth::from_mbps(10)),
-            SimTime::ZERO,
-        )
+        ClientControl::new(ClientId::new(1), StreamId::new(100))
     }
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
-    }
-
-    #[test]
-    fn initial_rendition_selected_from_bandwidth() {
-        let fast = ctl();
-        assert_eq!(fast.stream, StreamId::new(100)); // 720p
-        let slow = ClientControl::new(
-            ClientId::new(2),
-            StreamId::new(100),
-            Some(SimulcastLadder::taobao_default(StreamId::new(100))),
-            Some(Bandwidth::from_kbps(1500)),
-            SimTime::ZERO,
-        );
-        assert_eq!(slow.stream, StreamId::new(101)); // 480p
     }
 
     #[test]
@@ -298,14 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn audio_is_never_dropped() {
+    fn unknown_kind_is_admitted_while_skipping_a_gop() {
         let mut c = ctl();
         let mut t = 0;
         while c.drop_level < LEVEL_GOP {
             c.admit(at(t), Some(FrameKind::P), true);
             t += 50;
         }
-        assert!(c.admit(at(t), Some(FrameKind::Audio), true));
+        // Dropping a P at GoP level turns skipping on ...
+        assert!(!c.admit(at(t), Some(FrameKind::P), true));
+        assert!(c.gop_skipping);
+        // ... and a packet whose kind does not decode still goes through.
+        assert!(c.admit(at(t + 1), None, true));
     }
 
     #[test]
@@ -318,26 +248,6 @@ mod tests {
         // One non-backlogged admit long after the last backlog.
         c.admit(at(5_000), Some(FrameKind::P), false);
         assert_eq!(c.drop_level, LEVEL_NONE);
-    }
-
-    #[test]
-    fn sustained_p_dropping_requests_step_down() {
-        let mut c = ctl();
-        let mut t = 0;
-        while c.drop_level < LEVEL_P {
-            c.admit(at(t), Some(FrameKind::P), true);
-            t += 50;
-        }
-        assert!(!c.wants_lower_bitrate(at(t)));
-        let later = at(t + STEP_DOWN_AFTER.as_millis() + 1);
-        assert!(c.wants_lower_bitrate(later));
-        let lower = c.lower_rendition().unwrap();
-        c.apply_step_down(lower, later);
-        assert_eq!(c.stream, lower);
-        assert_eq!(c.drop_level, LEVEL_NONE);
-        assert_eq!(c.stats.step_downs, 1);
-        // Already at the bottom: no further step-down available.
-        assert!(c.lower_rendition().is_none());
     }
 
     #[test]

@@ -29,12 +29,13 @@ use crate::peer::{Neighbor, Peer};
 use crate::stream::{rtcp_to, to_node, StreamState};
 use bytes::Bytes;
 use livenet_cc::{PacerConfig, RateDecisionStats};
-use livenet_media::{EncodedFrame, FrameKind, SimulcastLadder};
+use livenet_media::{EncodedFrame, FrameKind};
 use livenet_packet::rtp::ssrc_for_stream;
 use livenet_packet::{frag_meta, Packetizer, RtcpPacket, RtpPacket};
 use livenet_packet::{Nack, ReceiverReport, Remb, RtxMiss};
 use livenet_types::{Bandwidth, ClientId, NodeId, Result, SeqNo, SimDuration, SimTime, StreamId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 
 /// Timer kinds multiplexed over the driver's single timer key space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,13 +220,6 @@ pub enum NodeEvent {
         /// Old stream.
         from: StreamId,
         /// New stream.
-        to: StreamId,
-    },
-    /// A client was stepped down to a lower bitrate rendition.
-    SteppedDown {
-        /// The client.
-        client: ClientId,
-        /// New (lower) rendition stream.
         to: StreamId,
     },
     /// An upstream was declared dead after RTCP silence (§7.1 failover).
@@ -506,29 +500,21 @@ impl OverlayNode {
     // ------------------------------------------------------------------
 
     /// Register this node as the producer of `stream` (broadcaster mapped
-    /// here by DNS). Optionally records the simulcast ladder the stream
-    /// belongs to, so clients attaching here to `stream` get their
-    /// rendition selected from it.
-    pub fn register_producer(&mut self, stream: StreamId, ladder: Option<SimulcastLadder>) {
-        self.register_producer_continuation(stream, ladder, SeqNo::ZERO);
+    /// here by DNS). `ladder` is always `None`; a placeholder that ROADMAP
+    /// item 1 removes.
+    pub fn register_producer(&mut self, stream: StreamId, ladder: Option<Infallible>) {
+        let None = ladder;
+        self.register_producer_continuation(stream, SeqNo::ZERO);
     }
 
     /// [`Self::register_producer`] continuing an existing sequence space —
     /// broadcaster-mobility handover (§7.1): the new producer resumes the
     /// stream at `next_seq` so downstream slow paths see a contiguous
     /// sequence rather than a stale-looking restart.
-    pub fn register_producer_continuation(
-        &mut self,
-        stream: StreamId,
-        ladder: Option<SimulcastLadder>,
-        next_seq: SeqNo,
-    ) {
+    pub fn register_producer_continuation(&mut self, stream: StreamId, next_seq: SeqNo) {
         let st = stream_entry(&mut self.streams, &self.cfg, stream);
         st.producer
             .get_or_insert_with(|| Packetizer::new(ssrc_for_stream(stream), next_seq));
-        if ladder.is_some() {
-            st.ladder = ladder;
-        }
     }
 
     /// The next sequence number this producer will emit (handover state
@@ -600,22 +586,17 @@ impl OverlayNode {
 
     /// Attach a viewer client. If the node does not yet carry the stream,
     /// `path` (producer-first node list ending at this node) drives the
-    /// reverse-path subscription. Returns the selected rendition.
+    /// reverse-path subscription.
     pub fn client_attach(
         &mut self,
         now: SimTime,
         client: ClientId,
-        requested: StreamId,
+        stream: StreamId,
         downlink: Option<Bandwidth>,
         path: Option<&[NodeId]>,
         actions: &mut Vec<NodeAction>,
-    ) -> StreamId {
-        let ladder = self
-            .streams
-            .get(&requested)
-            .and_then(|st| st.ladder.clone());
-        let ctl = ClientControl::new(client, requested, ladder, downlink, now);
-        let stream = ctl.stream;
+    ) {
+        let ctl = ClientControl::new(client, stream);
         self.clients.insert(client, ctl);
         // Per-client pacer at the downlink estimate.
         let rate = downlink.unwrap_or(self.cfg.initial_rate);
@@ -633,7 +614,6 @@ impl OverlayNode {
             st.install_paths(std::slice::from_ref(&path.to_vec()));
             st.subscribe_along(self.cfg.id, path, actions);
         }
-        stream
     }
 
     /// Detach a viewer.
@@ -1172,8 +1152,7 @@ impl OverlayNode {
                     self.enqueue_to_peer(now, sub, stream, fwd, false, actions);
                 }
                 Subscriber::Client(client) => {
-                    // Consumer-side per-client control: frame dropping,
-                    // bitrate step-down.
+                    // Consumer-side per-client control: frame dropping.
                     let backlogged = self
                         .peers
                         .get(&sub)
@@ -1191,19 +1170,6 @@ impl OverlayNode {
                             p.drop_frame(stream, packet.header.timestamp);
                         }
                         continue;
-                    }
-                    if ctl.wants_lower_bitrate(now) {
-                        if let Some(lower) = ctl.lower_rendition() {
-                            ctl.apply_step_down(lower, now);
-                            self.fib.subscribe(lower, sub);
-                            self.unsubscribe(stream, sub, actions);
-                            actions.push(NodeEvent::SteppedDown { client, to: lower }.into());
-                            // NOTE: the lower rendition must already flow to
-                            // this node (simulcast uploads all renditions to
-                            // the producer; consumers subscribe per need).
-                            // The driver subscribes us if it does not.
-                            continue;
-                        }
                     }
                     let fwd = packet.with_added_delay(PROCESSING_DELAY);
                     self.enqueue_to_peer(now, sub, stream, fwd, false, actions);

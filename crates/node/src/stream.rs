@@ -14,7 +14,7 @@ use crate::node::{NACK_RETRY_INTERVAL, PENDING_RTX_TTL, UPSTREAM_TIMEOUT};
 use crate::peer::Neighbor;
 use crate::rx::{RxOutcome, RxState};
 use bytes::Bytes;
-use livenet_media::{EncodedFrame, FrameKind, SimulcastLadder};
+use livenet_media::{EncodedFrame, FrameKind};
 use livenet_packet::rtp::ssrc_for_stream;
 use livenet_packet::{MediaKind, Nack, Packetizer, ReceiverReport, RtcpPacket, RtpPacket};
 use livenet_types::{ClientId, NodeId, SeqNo, SimDuration, SimTime, StreamId};
@@ -56,9 +56,6 @@ pub(crate) struct StreamState {
     /// moment the packet arrives — typically as our own recovery — instead
     /// of making the downstream wait out another NACK retry round.
     parked: BTreeMap<u16, ParkedRtx>,
-    /// The simulcast ladder the producer registered the stream with;
-    /// attaching clients get their rendition picked from it.
-    pub(crate) ladder: Option<SimulcastLadder>,
     /// Clients that flip onto this stream once a complete GoP is cached.
     pub(crate) switch_waiters: BTreeSet<ClientId>,
 }
@@ -87,7 +84,6 @@ impl StreamState {
             rx: RxState::new(),
             paths: Vec::new(),
             parked: BTreeMap::new(),
-            ladder: None,
             switch_waiters: BTreeSet::new(),
         }
     }
@@ -132,18 +128,13 @@ impl StreamState {
         payload: &Bytes,
     ) -> Option<Vec<RtpPacket>> {
         let packetizer = self.producer.as_mut()?;
-        let media = if frame.kind == FrameKind::Audio {
-            MediaKind::Audio
-        } else {
-            MediaKind::Video
-        };
         // The delay field starts at the encoder delay (paper §6.1: the
         // broadcaster adds frame encoding time + queue + half first RTT;
         // the first-mile part is added by the driver).
         let delay0 =
             (frame.kind == FrameKind::I).then(|| SimDuration::from_nanos(frame.encode_delay_ns));
         Some(packetizer.packetize_with_meta(
-            media,
+            MediaKind::Video,
             frame.rtp_timestamp,
             payload,
             delay0,

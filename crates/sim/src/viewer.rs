@@ -401,13 +401,13 @@ impl ViewerClient {
         self.depack.push(rtp);
         for frame in self.depack.drain() {
             let arrival = (now, frame.timestamp, frame.delay_field);
-            // A video decoder cannot render before its first keyframe
-            // (audio needs no sync). Frames completing before the keyframe
-            // are held: the I frame may still be in loss recovery while
-            // its successors finish.
+            // A video decoder cannot render before its first keyframe (a
+            // frame whose kind does not decode does not wait). Frames
+            // completing before the keyframe are held: the I frame may
+            // still be in loss recovery while its successors finish.
             if !self.synced {
                 let kind = FrameKind::from_nibble(frame.meta);
-                if !matches!(kind, Some(FrameKind::I | FrameKind::Audio) | None) {
+                if !matches!(kind, Some(FrameKind::I) | None) {
                     self.presync.push(arrival);
                     continue;
                 }

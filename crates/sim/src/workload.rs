@@ -30,7 +30,7 @@ pub(crate) fn diurnal_factor(hour_of_day: f64) -> f64 {
 /// One broadcaster channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
-    /// Primary (highest-bitrate) stream ID; rendition IDs follow.
+    /// The channel's stream ID.
     pub stream: StreamId,
     /// Popularity rank (0 = most popular).
     pub rank: usize,

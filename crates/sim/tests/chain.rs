@@ -624,7 +624,7 @@ fn broadcaster_mobility_rehomes_producer() {
         .producer_next_seq(STREAM)
         .expect("A was the producer");
     sim.with_node(n(4), |node, _| {
-        node.register_producer_continuation(STREAM, None, handover_seq);
+        node.register_producer_continuation(STREAM, handover_seq);
         Vec::new()
     });
     // The Brain instructs the OLD producer to subscribe to the new one

@@ -18,7 +18,7 @@ use crate::batch::{BatchBackend, BatchSocket, RecvBatch, SendDatagram};
 use crate::clock::WallClock;
 use crate::telemetry::SharedTelemetry;
 use bytes::Bytes;
-use livenet_media::{EncodedFrame, SimulcastLadder};
+use livenet_media::EncodedFrame;
 use livenet_node::{NodeAction, NodeConfig, NodeEvent, OverlayNode, Subscriber};
 use livenet_telemetry::{ids, MetricSink, Span};
 use livenet_types::{
@@ -86,8 +86,8 @@ pub enum NodeCommand {
     RegisterProducer {
         /// The stream.
         stream: StreamId,
-        /// Optional simulcast ladder for consumer-side selection.
-        ladder: Option<SimulcastLadder>,
+        /// Always `None`; a placeholder that ROADMAP item 1 removes.
+        ladder: Option<std::convert::Infallible>,
     },
     /// Ingest one encoded frame from a local broadcaster.
     Ingest {

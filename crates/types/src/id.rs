@@ -45,8 +45,8 @@ define_id!(
     "nd"
 );
 define_id!(
-    /// Identifies one live stream. Each simulcast bitrate version of a
-    /// broadcast is a distinct stream ID (§5.2 of the paper).
+    /// Identifies one live stream (one broadcast; the paper's simulcast
+    /// versions, each its own stream ID, are not reproduced).
     StreamId,
     "st"
 );

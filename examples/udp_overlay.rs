@@ -49,7 +49,7 @@ async fn main() -> std::io::Result<()> {
     handles[0]
         .send(NodeCommand::RegisterProducer {
             stream,
-            ladder: Some(SimulcastLadder::taobao_default(stream)),
+            ladder: None,
         })
         .await
         .expect("node alive");

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`types`] | `livenet-types` | IDs, simulated time, bandwidth, statistics |
 //! | [`packet`] | `livenet-packet` | RTP/RTCP wire formats, delay-field extension, packetization |
-//! | [`media`] | `livenet-media` | GoP model, encoders, simulcast ladders |
+//! | [`media`] | `livenet-media` | GoP model and the video encoder |
 //! | [`emu`] | `livenet-emu` | deterministic discrete-event network emulator |
 //! | [`topology`] | `livenet-topology` | overlay graph, geo generator, global view |
 //! | [`cc`] | `livenet-cc` | GCC congestion control + priority pacer |
@@ -65,9 +65,7 @@ pub use livenet_types as types;
 pub mod prelude {
     pub use livenet_brain::{BrainConfig, OverlayPath, PathAssignment, PathLookup, StreamingBrain};
     pub use livenet_cc::{GccSender, PacedPacket, Pacer, PacerConfig, SendPriority};
-    pub use livenet_media::{
-        EncodedFrame, FrameKind, GopConfig, Rendition, SimulcastLadder, VideoEncoder,
-    };
+    pub use livenet_media::{EncodedFrame, FrameKind, GopConfig, VideoEncoder};
     pub use livenet_node::{
         NodeAction, NodeConfig, NodeEvent, OverlayMsg, OverlayNode, StreamFib, Subscriber,
     };
